@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .metric import fiber_norm_sq
+from .metric import x_and_gap
 from .profiles import Profile, interior_x_max
 
 #: construction tolerance on the defining function at boundary points
@@ -48,10 +48,8 @@ class BoundaryPoint:
 
 
 def defining_residual(profile: Profile, z) -> float:
-    """rho(z) = fiber norm squared - F(|z_0|^2); zero on the boundary."""
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    return fiber_norm_sq(z) - profile.eval(x)
+    """rho(z) = fiber norm squared - F(|z_0|^2) = -gap; zero on the boundary."""
+    return -x_and_gap(profile, z)[1]
 
 
 def boundary_point(profile: Profile, z, tol: float = BOUNDARY_TOL) -> BoundaryPoint:
@@ -59,13 +57,9 @@ def boundary_point(profile: Profile, z, tol: float = BOUNDARY_TOL) -> BoundaryPo
     z = np.asarray(z, dtype=complex)
     if z.size < 2:
         raise ValueError("boundary points need at least two complex coordinates")
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    if x >= profile.x0:
-        raise DomainError(f"|z_0|^2={x!r} not below x0={profile.x0!r}")
-    res = defining_residual(profile, z)
-    if abs(res) > tol:
-        raise DomainError(f"point misses the boundary graph by {res!r}")
+    x, gap = x_and_gap(profile, z)
+    if abs(gap) > tol:
+        raise DomainError(f"point misses the boundary graph by {-gap!r}")
     return BoundaryPoint(z, x)
 
 

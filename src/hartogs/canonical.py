@@ -34,11 +34,11 @@ from .errors import DomainError
 from .metric import (
     DomainPoint,
     assemble_metric,
-    fiber_norm_sq,
     inverse_metric_matrix,
     metric_matrix,
     require_interior,
     sample_interior,
+    x_and_gap,
 )
 from .profiles import Affine, Profile
 from .wirtinger import ComplexStencil, DEFAULT_STENCIL
@@ -132,6 +132,12 @@ class HoloVectorField:
                     term *= complex(z[j]) ** power
             total += term
         return total
+
+    def jet(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Values f_k and exact Jacobian df[k, a] = d f_k / d z_a at z."""
+        ks = range(self.n)
+        values = np.array([self.value(k, z) for k in ks], dtype=complex)
+        return values, np.array([[self.d1(k, a, z) for a in ks] for k in ks], dtype=complex)
 
     def __add__(self, other: "HoloVectorField") -> "HoloVectorField":
         if self.n != other.n:
@@ -239,20 +245,17 @@ def lie_derivative_components(
         )
     h = metric_matrix(profile, p.z)
     dg, dgbar = metric_entry_gradients(profile, p.z, stencil)
+    return lie_from_jets(h, dg, dgbar, *x_field.jet(p.z))
 
-    f_vals = [x_field.value(k, p.z) for k in range(n)]
-    df = np.array([[x_field.d1(k, a, p.z) for a in range(n)] for k in range(n)])
 
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        out += f_vals[k] * dg[k] + f_vals[k].conjugate() * dgbar[k]
-    for a in range(n):
-        for b in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += df[k, a] * h[k, b] + df[k, b].conjugate() * h[a, k]
-            out[a, b] += acc
-    return out
+def lie_from_jets(h, dg, dgbar, f_vals, df) -> np.ndarray:
+    """The Lie-derivative sum of `lie_derivative_components` from first
+    jets at one point: the metric h, its Wirtinger derivatives
+    dg[k] = dh/dz_k and dgbar[k] = dh/dzbar_k, the field values
+    f_vals[k] = f_k and the field's Jacobian df[k, a] = df_k/dz_a."""
+    n = h.shape[0]
+    along = f_vals @ dg.reshape(n, -1) + f_vals.conj() @ dgbar.reshape(n, -1)
+    return along.reshape(n, n) + df.T @ h + h @ df.conj()
 
 
 def einstein_residual(profile: Profile, p: DomainPoint) -> float:
@@ -274,20 +277,17 @@ def soliton_residual(profile: Profile, p: DomainPoint, params: SolitonParams) ->
 
 
 def scal_gradient_bar(profile: Profile, z) -> np.ndarray:
-    """Anti-holomorphic gradient of the scalar curvature, closed form up to
-    the radial derivative of the slope:
+    """Anti-holomorphic gradient of the scalar curvature, in closed form:
 
         d scal / dzbar_0 = z_0 (slope' * gap + slope * F')
         d scal / dzbar_i = -slope * z_i.
     """
     z = np.asarray(z, dtype=complex)
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    gap = profile.eval(x) - fiber_norm_sq(z)
+    x, gap = x_and_gap(profile, z)
     slope = scal_slope(profile, x)
     slope_d1 = scal_slope_d1(profile, x)
     grad = np.empty(z.size, dtype=complex)
-    grad[0] = z0 * (slope_d1 * gap + slope * profile.eval(x, 1))
+    grad[0] = complex(z[0]) * (slope_d1 * gap + slope * profile.eval(x, 1))
     for i in range(1, z.size):
         grad[i] = -slope * complex(z[i])
     return grad
@@ -390,11 +390,11 @@ def soliton_sweep(
     """
     pts = sample_interior(profile, n, samples, seed, min_margin=min_margin)
     exps = sorted(_monomial_exponents(n, degree))
-    basis: list[tuple[int, tuple[int, ...], complex]] = []
-    for k in range(n):
-        for e in exps:
-            basis.append((k, e, 1.0 + 0.0j))
-            basis.append((k, e, 1.0j))
+    basis = [(k, e, unit) for k in range(n) for e in exps for unit in (1.0 + 0.0j, 1.0j)]
+    fields = [
+        HoloVectorField(n, tuple(((unit, e),) if j == k else () for j in range(n)), degree)
+        for k, e, unit in basis
+    ]
 
     def realify(mat: np.ndarray) -> np.ndarray:
         return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
@@ -410,16 +410,8 @@ def soliton_sweep(
         dg, dgbar = metric_entry_gradients(profile, p.z)
         rows_rhs.append(weight * realify(ric))
         rows_lam.append(weight * realify(h))
-        for idx, (k, e, coeff) in enumerate(basis):
-            single = HoloVectorField(
-                n, tuple(((coeff, e),) if j == k else () for j in range(n)), degree
-            )
-            f_val = single.value(k, p.z)
-            lie = f_val * dg[k] + f_val.conjugate() * dgbar[k]
-            for a in range(n):
-                for b in range(n):
-                    lie[a, b] += single.d1(k, a, p.z) * h[k, b]
-                    lie[a, b] += single.d1(k, b, p.z).conjugate() * h[a, k]
+        for idx, field in enumerate(fields):
+            lie = lie_from_jets(h, dg, dgbar, *field.jet(p.z))
             rows_fields[idx].append(weight * realify(lie))
 
     rhs = np.concatenate(rows_rhs)

@@ -15,10 +15,10 @@ The defect vanishes identically iff the profile is affine, in which case
 the metric is Einstein with scal = -n(n+1); that rigidity is what most of
 the test suite exercises.
 
-det_core is exact per family; its first two derivatives are taken by
-central differences with step 1e-5 (1+x), which keeps the dominant terms
-exact while avoiding third and fourth profile derivatives.  Comparisons in
-which the defect meets doubly-numeric oracles are budgeted at 1e-4.
+The defect and the radial derivative of the slope -defect F / det_core are
+closed forms stated per profile family, so nothing in this module takes a
+finite difference except the Ricci oracle, which differentiates log det h
+on purpose to stay independent of them.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, SingularityError
-from .metric import DomainPoint, MetricData, fd_stencil_for, fiber_norm_sq
+from .errors import DomainError, NumericError, SingularityError
+from .metric import DomainPoint, MetricData, fd_stencil_for, x_and_gap
 from .profiles import Profile
 from .wirtinger import ComplexStencil
-
-#: step for radial finite differences of det_core (scaled by 1+x)
-DEFECT_STEP = 1e-5
 
 #: the three algebraic forms of scal must agree to this
 _SCAL_FORMS_TOL = 1e-9
@@ -53,52 +50,30 @@ class CurvatureData:
     rho: np.ndarray
 
 
-def curvature_defect(profile: Profile, x: float, step: float = DEFECT_STEP) -> float:
-    """defect(x) = (x (log V)')' for V = det_core, via V'/V + x (V''V - V'^2)/V^2.
+def curvature_defect(profile: Profile, x: float) -> float:
+    """defect(x) = (x (log det_core)')', the family's closed form.
 
-    V is closed-form; V' and V'' are central differences.  For the affine
-    family V is a bit-constant, so both differences, and hence the defect,
-    are exactly zero.
+    Exactly zero for the affine family.  Raises SingularityError where
+    det_core <= 0, since log det_core is undefined there.
     """
-    v = profile.det_core(x)
-    if v <= 0.0:
-        raise SingularityError(f"det_core(x)={v!r} at x={x!r}: defect undefined")
-    h = step * (1.0 + x)
-    vp = profile.det_core(x + h)
-    vm = profile.det_core(x - h)
-    d1 = (vp - vm) / (2.0 * h)
-    d2 = (vp - 2.0 * v + vm) / (h * h)
-    return d1 / v + x * (d2 * v - d1 * d1) / (v * v)
+    core = profile.det_core(x)
+    if core <= 0.0:
+        raise SingularityError(f"det_core(x)={core!r} at x={x!r}: defect undefined")
+    return profile.defect(x)
 
 
 def scal_slope(profile: Profile, x: float) -> float:
     """slope(x) = -defect(x) F(x) / det_core(x), the rate at which scal
     departs from the Einstein constant per unit of gap:
-    scal = -n(n+1) + slope * gap."""
-    core = profile.det_core(x)
-    if core <= 0.0:
-        raise SingularityError(f"det_core(x)={core!r} at x={x!r}: slope undefined")
-    return -curvature_defect(profile, x) * profile.eval(x) / core
+    scal = -n(n+1) + slope * gap.  Raises SingularityError where
+    det_core <= 0, as the defect does."""
+    return -curvature_defect(profile, x) * profile.eval(x) / profile.det_core(x)
 
 
-def scal_slope_d1(profile: Profile, x: float, step: float = DEFECT_STEP) -> float:
-    """Radial derivative of the slope functional, by central differences.
-
-    Falls back to second-order one-sided differences against the edges of
-    [0, x0), where the centered pattern would leave the slope's domain.
-    """
-    h = step * (1.0 + x)
-    if x - h < 0.0:
-        g0 = scal_slope(profile, x)
-        g1 = scal_slope(profile, x + h)
-        g2 = scal_slope(profile, x + 2.0 * h)
-        return (-3.0 * g0 + 4.0 * g1 - g2) / (2.0 * h)
-    if x + h >= profile.x0:
-        g0 = scal_slope(profile, x)
-        g1 = scal_slope(profile, x - h)
-        g2 = scal_slope(profile, x - 2.0 * h)
-        return (3.0 * g0 - 4.0 * g1 + g2) / (2.0 * h)
-    return (scal_slope(profile, x + h) - scal_slope(profile, x - h)) / (2.0 * h)
+def scal_slope_d1(profile: Profile, x: float) -> float:
+    """Radial derivative of the slope functional, the family's closed form;
+    exactly zero for the affine family."""
+    return profile.slope_d1(x)
 
 
 def ricci_tensor(profile: Profile, p: DomainPoint, m: MetricData) -> np.ndarray:
@@ -190,11 +165,10 @@ def ricci_fd_oracle(
     n = p.n
 
     def log_det(z):
-        z0 = complex(z[0])
-        x = z0.real * z0.real + z0.imag * z0.imag
-        if x >= profile.x0:
+        try:
+            x, gap = x_and_gap(profile, z)
+        except DomainError:
             return math.nan
-        gap = profile.eval(x) - fiber_norm_sq(z)
         core = profile.det_core(x)
         if gap <= 0.0 or core <= 0.0:
             return math.nan

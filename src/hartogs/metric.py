@@ -70,13 +70,20 @@ class MetricData:
     num00: float
 
 
-def fiber_norm_sq(z) -> float:
-    """|z_1|^2 + ... + |z_{n-1}|^2."""
-    total = 0.0
+def x_and_gap(profile: Profile, z) -> tuple[float, float]:
+    """(x, gap) at z: x = |z_0|^2 and gap = F(x) - |z_1|^2 - ... - |z_{n-1}|^2.
+
+    Raises DomainError when x lies outside [0, x0), where F is undefined;
+    a gap <= 0 (z outside the domain) is returned as it is, for the caller
+    to treat.
+    """
+    z0 = complex(z[0])
+    x = z0.real * z0.real + z0.imag * z0.imag
+    fiber = 0.0
     for k in range(1, len(z)):
         c = complex(z[k])
-        total += c.real * c.real + c.imag * c.imag
-    return total
+        fiber += c.real * c.real + c.imag * c.imag
+    return x, profile.eval(x) - fiber
 
 
 def contains(profile: Profile, z) -> DomainPoint | None:
@@ -84,11 +91,10 @@ def contains(profile: Profile, z) -> DomainPoint | None:
     z = np.asarray(z, dtype=complex)
     if z.size < 2:
         raise ValueError("domain points need at least two complex coordinates")
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    if x >= profile.x0:
+    try:
+        x, gap = x_and_gap(profile, z)
+    except DomainError:
         return None
-    gap = profile.eval(x) - fiber_norm_sq(z)
     if gap <= 0.0:
         return None
     margin = gap if math.isinf(profile.x0) else min(gap, profile.x0 - x)
@@ -108,11 +114,10 @@ def kahler_potential(profile: Profile, z) -> float:
     Returning NaN rather than raising lets finite-difference stencils
     detect boundary crossings uniformly.
     """
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    if x >= profile.x0:
+    try:
+        gap = x_and_gap(profile, z)[1]
+    except DomainError:
         return math.nan
-    gap = profile.eval(x) - fiber_norm_sq(z)
     if gap <= 0.0:
         return math.nan
     return -math.log(gap)
@@ -123,10 +128,7 @@ def metric_matrix(profile: Profile, z) -> np.ndarray:
     construction: the lower triangle mirrors the conjugated upper one)."""
     z = np.asarray(z, dtype=complex)
     n = z.size
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    f = profile.eval(x)
-    gap = f - fiber_norm_sq(z)
+    x, gap = x_and_gap(profile, z)
     if gap <= 0.0:
         raise DomainError("metric requested outside the domain (gap <= 0)")
     d1 = profile.eval(x, 1)
@@ -135,7 +137,7 @@ def metric_matrix(profile: Profile, z) -> np.ndarray:
 
     h = np.empty((n, n), dtype=complex)
     h[0, 0] = (x * d1 * d1 - (d1 + d2 * x) * gap) / gap2
-    z0c = z0.conjugate()
+    z0c = complex(z[0]).conjugate()
     for b in range(1, n):
         val = -d1 * z0c * complex(z[b]) / gap2
         h[0, b] = val
@@ -154,10 +156,7 @@ def inverse_metric_matrix(profile: Profile, z) -> np.ndarray:
     """Closed-form inverse metric at an interior point."""
     z = np.asarray(z, dtype=complex)
     n = z.size
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    f = profile.eval(x)
-    gap = f - fiber_norm_sq(z)
+    x, gap = x_and_gap(profile, z)
     if gap <= 0.0:
         raise DomainError("inverse metric requested outside the domain (gap <= 0)")
     core = profile.det_core(x)
@@ -168,9 +167,10 @@ def inverse_metric_matrix(profile: Profile, z) -> np.ndarray:
     d1 = profile.eval(x, 1)
     mix = d1 + profile.eval(x, 2) * x
     s = gap / core
+    z0 = complex(z[0])
 
     k = np.empty((n, n), dtype=complex)
-    k[0, 0] = s * f
+    k[0, 0] = s * profile.eval(x)
     for b in range(1, n):
         val = s * d1 * z0 * complex(z[b]).conjugate()
         k[b, 0] = val

@@ -6,9 +6,12 @@ x0 finite or infinite.  It defines the domain
     D = { z in C^n : |z_0|^2 < x0,  |z_1|^2 + ... + |z_{n-1}|^2 < F(|z_0|^2) }.
 
 Profiles form a closed set of families, each carrying closed-form first and
-second derivatives.  The curvature layer takes two further numerical
-derivatives of expressions built from F'', so arbitrary user callables are
-deliberately not supported; extending the zoo means adding a family here.
+second derivatives, the radial determinant factor det_core, and the two
+radial curvature functionals built from it: the defect (x (log det_core)')'
+and the derivative of the scalar-curvature slope -defect F / det_core.
+These involve derivatives of F beyond the second, so arbitrary user
+callables are deliberately not supported; extending the zoo means adding a
+family here, with its closed forms.
 
 Strong pseudoconvexity of the domain is decided through the scalar margin
 m(x) = -(x F'(x)/F(x))', which must stay positive on [0, x0).
@@ -34,8 +37,9 @@ class Profile:
     """Base class for profile families.
 
     Subclasses provide the closed forms `_f`, `_d1`, `_d2` (value, first and
-    second derivative), the domain bound `x0`, and optionally a simplified
-    `det_core`.
+    second derivative), the domain bound `x0`, optionally a simplified
+    `det_core`, and the radial curvature functionals `defect` and
+    `slope_d1`.
     """
 
     family = "base"
@@ -71,14 +75,21 @@ class Profile:
             det_core(x) = x F'(x)^2 - F(x) (F'(x) + F''(x) x)
 
         so that det(metric) = det_core(x) / gap^(n+1).  Unlike `eval` this is
-        not domain-guarded: finite-difference callers probe it slightly
-        outside [0, x0), where every family's closed form still makes sense.
-        Families override it with an algebraically simplified form; the
-        affine one is an exact constant, which downstream layers rely on to
-        keep differences of it free of rounding noise.
+        not domain-guarded; callers pass x in [0, x0).  Families override it
+        with an algebraically simplified form.
         """
         d1 = self._d1(x)
         return x * d1 * d1 - self._f(x) * (d1 + self._d2(x) * x)
+
+    def defect(self, x: float) -> float:
+        """Curvature defect (x (log det_core)')' in closed form; identically
+        zero for the affine family only.  Not domain-guarded."""
+        raise NotImplementedError
+
+    def slope_d1(self, x: float) -> float:
+        """Radial derivative of the scalar-curvature slope
+        -defect F / det_core, in closed form.  Not domain-guarded."""
+        raise NotImplementedError
 
     def label(self) -> str:
         raise NotImplementedError
@@ -111,9 +122,13 @@ class Affine(Profile):
         return 0.0
 
     def det_core(self, x):
-        # identically c1*c2; returning the literal constant keeps finite
-        # differences of it exactly zero
         return self.c1 * self.c2
+
+    def defect(self, x):
+        return 0.0
+
+    def slope_d1(self, x):
+        return 0.0
 
     def label(self):
         return f"affine:{self.c1:g},{self.c2:g}"
@@ -147,6 +162,12 @@ class PowerCap(Profile):
     def det_core(self, x):
         return self.p * (1.0 - x) ** (2.0 * self.p - 2.0)
 
+    def defect(self, x):
+        return (2.0 - 2.0 * self.p) / (1.0 - x) ** 2
+
+    def slope_d1(self, x):
+        return (2.0 * self.p - 2.0) * (1.0 - x) ** (-self.p - 1.0)
+
     def label(self):
         return f"powercap:{self.p:g}"
 
@@ -179,6 +200,12 @@ class ExpDecay(Profile):
     def det_core(self, x):
         return self.rate * math.exp(-2.0 * self.rate * x)
 
+    def defect(self, x):
+        return -2.0 * self.rate
+
+    def slope_d1(self, x):
+        return 2.0 * self.rate * math.exp(self.rate * x)
+
     def label(self):
         return f"expdecay:{self.rate:g}"
 
@@ -204,6 +231,12 @@ class Rational(Profile):
 
     def det_core(self, x):
         return (1.0 + x) ** -4
+
+    def defect(self, x):
+        return -4.0 / (1.0 + x) ** 2
+
+    def slope_d1(self, x):
+        return 4.0
 
     def label(self):
         return "rational"

@@ -8,9 +8,11 @@ from hartogs.canonical import (
     HoloVectorField,
     SolitonParams,
     extremal_field,
+    lie_from_jets,
     soliton_sweep,
 )
 from hartogs.errors import DomainError
+from hartogs.wirtinger import ComplexStencil
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
 
@@ -110,6 +112,23 @@ class TestLieDerivative:
         with pytest.raises(DomainError):
             hg.lie_derivative_components(prof, p, HoloVectorField.rotation(2))
 
+    def test_jet_sum_matches_explicit_loops(self):
+        n = 3
+        rng = np.random.default_rng(5)
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        h, dg, dgbar, f, df = cplx(n, n), cplx(n, n, n), cplx(n, n, n), cplx(n), cplx(n, n)
+        want = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                for k in range(n):
+                    want[a, b] += f[k] * dg[k, a, b] + f[k].conjugate() * dgbar[k, a, b]
+                    want[a, b] += df[k, a] * h[k, b] + df[k, b].conjugate() * h[a, k]
+        got = lie_from_jets(h, dg, dgbar, f, df)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_dimension_mismatch(self, points_for):
         p = points_for(hg.Affine(1, 1), 2, count=1)[0]
         with pytest.raises(ValueError):
@@ -170,12 +189,25 @@ class TestExtremalResidual:
                     assert hg.extremal_residual(prof, p) <= 1e-8
 
     def test_powercap_pinned_point(self):
-        # empirically frozen: the residual at (0.4, 0.3) is ~1.66, far above
-        # the 1e-3 obstruction floor
+        # max |dT/dzbar| at (0.4, 0.3), far above the 1e-3 obstruction floor;
+        # T is exact, so only the outer stencil's truncation (< 1e-5
+        # relative, see the stencil test below) is left in this value
         prof = hg.PowerCap(2)
         p = hg.contains(prof, [0.4, 0.3])
-        res = hg.extremal_residual(prof, p)
-        assert res > 1e-3
+        assert hg.extremal_residual(prof, p) == pytest.approx(0.2225635, rel=1e-5)
+
+    @pytest.mark.parametrize("profile", [hg.PowerCap(2), hg.ExpDecay(1), hg.Rational()],
+                             ids=lambda prof: prof.label())
+    def test_independent_of_stencil(self, profile):
+        # the field T is exact, so only the outer stencil's truncation is
+        # left, and three steps spanning 30x must give the same residual
+        for z in ([0.9 + 0.3j, 0.2 + 0.1j], [0.5 - 0.4j, 0.3 + 0.2j], [0.2 + 0.1j, 0.5 + 0.1j]):
+            p = hg.contains(profile, z)
+            if p is None:
+                continue
+            res = [hg.extremal_residual(profile, p, ComplexStencil(step))
+                   for step in (1e-3, 1e-4, 3e-5)]
+            assert max(res) - min(res) <= 1e-4 * max(res)
 
     def test_expdecay_nonzero(self, points_for):
         for p in points_for(hg.ExpDecay(1), 2, count=6):

@@ -33,7 +33,7 @@ class TestDefect:
         assert hg.curvature_defect(prof, 0.0) == pytest.approx(-2.0, abs=1e-9)
         for x in (0.1, 0.4, 0.75):
             want = -2.0 / (1.0 - x) ** 2
-            assert abs(hg.curvature_defect(prof, x) - want) <= 1e-4 * (1 + abs(want))
+            assert abs(hg.curvature_defect(prof, x) - want) <= 1e-12 * (1 + abs(want))
 
     def test_expdecay_matches_nested_oracle(self):
         prof = hg.ExpDecay(1)
@@ -50,6 +50,13 @@ class TestDefect:
             assert abs(got - nested_defect_oracle(prof, x)) <= 1e-4 * (1 + abs(got))
         assert hg.curvature_defect(prof, 0.0) == pytest.approx(-4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("p", [0.5, 3.0])
+    def test_powercap_matches_nested_oracle(self, p):
+        prof = hg.PowerCap(p)
+        for x in (0.0, 0.3, 0.8):
+            got = hg.curvature_defect(prof, x)
+            assert abs(got - nested_defect_oracle(prof, x)) <= 1e-4 * (1 + abs(got))
+
     def test_probe_singular(self):
         with pytest.raises(SingularityError):
             hg.curvature_defect(hg.ConstantProbe(), 0.3)
@@ -62,6 +69,41 @@ def test_scal_slope_powercap():
         assert hg.scal_slope(prof, x) == pytest.approx(1.0 / (1.0 - x) ** 2, rel=1e-6)
     fd = central_d1(lambda t: hg.scal_slope(prof, t), 0.3, 1e-4)
     assert scal_slope_d1(prof, 0.3) == pytest.approx(fd, rel=1e-3)
+
+
+class TestSlopeDerivative:
+    @pytest.mark.parametrize(
+        "profile",
+        [hg.PowerCap(0.5), hg.PowerCap(3), hg.ExpDecay(1), hg.ExpDecay(0.5), hg.Rational()],
+        ids=lambda prof: prof.label(),
+    )
+    def test_matches_difference_of_slope(self, profile):
+        for x in (0.1, 0.5, 0.9):
+            fd = central_d1(lambda t: hg.scal_slope(profile, t), x, 1e-6)
+            assert scal_slope_d1(profile, x) == pytest.approx(fd, rel=1e-8)
+
+    # the cases below sit where a stencil on scal_slope would leave [0, x0)
+
+    def test_powercap_at_origin(self):
+        # the slope formula, free of the [0, x0) guard of Profile.eval, so
+        # the central difference can straddle x = 0
+        prof = hg.PowerCap(2)
+
+        def slope(t):
+            return -prof.defect(t) * prof._f(t) / prof.det_core(t)
+
+        assert slope(1e-3) == hg.scal_slope(prof, 1e-3)
+        fd = central_d1(slope, 0.0, 1e-5)
+        assert scal_slope_d1(prof, 0.0) == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.0])
+    def test_powercap_near_radial_bound(self, p):
+        # slope' = (2p-2)/(1-x)^(p+1) grows like 1/(1-x)^(p+1); the step
+        # keeps truncation below 1e-7 relative at x = 0.999 x0
+        prof = hg.PowerCap(p)
+        x = 0.999 * prof.x0
+        fd = central_d1(lambda t: hg.scal_slope(prof, t), x, 1e-7)
+        assert scal_slope_d1(prof, x) == pytest.approx(fd, rel=1e-6)
 
 
 def test_scal_slope_affine_exactly_zero():
