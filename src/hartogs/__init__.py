@@ -50,7 +50,6 @@ from .metric import (
     contains,
     is_positive_definite,
     kahler_potential,
-    metric_determinant,
     sample_interior,
 )
 from .profiles import (
@@ -104,7 +103,6 @@ __all__ = [
     "kahler_potential",
     "levi_form",
     "lie_derivative_components",
-    "metric_determinant",
     "parse_profile",
     "pseudoconvexity_margin",
     "pullback_check",

@@ -29,16 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ricci_tensor, scal_slope, scal_slope_d1
+from .curvature import curvature_at, ricci_tensor
 from .errors import DomainError
 from .metric import (
     DomainPoint,
+    Radial,
     assemble_metric,
     inverse_metric_matrix,
     metric_matrix,
+    radial_data,
     require_interior,
     sample_interior,
-    x_and_gap,
 )
 from .profiles import Affine, Profile
 from .wirtinger import ComplexStencil, DEFAULT_STENCIL
@@ -139,18 +140,6 @@ class HoloVectorField:
         values = np.array([self.value(k, z) for k in ks], dtype=complex)
         return values, np.array([[self.d1(k, a, z) for a in ks] for k in ks], dtype=complex)
 
-    def __add__(self, other: "HoloVectorField") -> "HoloVectorField":
-        if self.n != other.n:
-            raise ValueError("cannot add fields of different dimension")
-        merged = []
-        for a, b in zip(self.components, other.components):
-            acc: dict[tuple[int, ...], complex] = {}
-            for coeff, exps in (*a, *b):
-                acc[exps] = acc.get(exps, 0.0 + 0.0j) + coeff
-            merged.append(tuple((c, e) for e, c in sorted(acc.items()) if c != 0))
-        degree = max(self.max_degree, other.max_degree)
-        return HoloVectorField(self.n, tuple(merged), degree)
-
     @classmethod
     def from_text(cls, text: str, n: int, max_degree: int = MAX_FIELD_DEGREE) -> "HoloVectorField":
         """Parse the wire format: components separated by `|`, monomials by
@@ -206,7 +195,7 @@ def metric_entry_gradients(
     n = z.size
 
     def h_of(w):
-        return metric_matrix(profile, w)
+        return metric_matrix(radial_data(profile, w), w)
 
     dg = np.empty((n, n, n), dtype=complex)
     dgbar = np.empty((n, n, n), dtype=complex)
@@ -243,7 +232,7 @@ def lie_derivative_components(
         raise DomainError(
             f"margin {p.margin!r} too small for FD step {stencil.step!r} (need >= 10 steps)"
         )
-    h = metric_matrix(profile, p.z)
+    h = metric_matrix(radial_data(profile, p.z), p.z)
     dg, dgbar = metric_entry_gradients(profile, p.z, stencil)
     return lie_from_jets(h, dg, dgbar, *x_field.jet(p.z))
 
@@ -261,10 +250,7 @@ def lie_from_jets(h, dg, dgbar, f_vals, df) -> np.ndarray:
 def einstein_residual(profile: Profile, p: DomainPoint) -> float:
     """|| Ric + (n+1) h ||_F / (1 + ||h||_F); vanishes iff the radial
     curvature defect vanishes at the point."""
-    m = assemble_metric(profile, p)
-    ric = ricci_tensor(profile, p, m)
-    diff = ric + (p.n + 1) * m.h
-    return float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(m.h)))
+    return curvature_at(profile, p, assemble_metric(profile, p)).einstein
 
 
 def soliton_residual(profile: Profile, p: DomainPoint, params: SolitonParams) -> float:
@@ -276,28 +262,28 @@ def soliton_residual(profile: Profile, p: DomainPoint, params: SolitonParams) ->
     return float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(m.h)))
 
 
-def scal_gradient_bar(profile: Profile, z) -> np.ndarray:
-    """Anti-holomorphic gradient of the scalar curvature, in closed form:
+def scal_gradient_bar(profile: Profile, r: Radial, z) -> np.ndarray:
+    """Anti-holomorphic gradient of the scalar curvature at z, in closed
+    form from its radial data, with slope = -defect F / det_core:
 
         d scal / dzbar_0 = z_0 (slope' * gap + slope * F')
         d scal / dzbar_i = -slope * z_i.
     """
-    z = np.asarray(z, dtype=complex)
-    x, gap = x_and_gap(profile, z)
-    slope = scal_slope(profile, x)
-    slope_d1 = scal_slope_d1(profile, x)
-    grad = np.empty(z.size, dtype=complex)
-    grad[0] = complex(z[0]) * (slope_d1 * gap + slope * profile.eval(x, 1))
-    for i in range(1, z.size):
+    slope = -profile.defect(r.x) * r.f / r.det_core
+    grad = np.empty(len(z), dtype=complex)
+    grad[0] = complex(z[0]) * (profile.slope_d1(r.x) * r.gap + slope * r.d1)
+    for i in range(1, len(z)):
         grad[i] = -slope * complex(z[i])
     return grad
 
 
 def extremal_field(profile: Profile, z) -> np.ndarray:
     """T^a(z) = sum_b g^{b,abar} d scal/dzbar_b: the (1,0)-gradient field of
-    the scalar curvature.  The metric is extremal iff T is holomorphic."""
-    k = inverse_metric_matrix(profile, z)
-    return k.T @ scal_gradient_bar(profile, z)
+    the scalar curvature.  The metric is extremal iff T is holomorphic.
+    Both factors read one evaluation of the radial data at z."""
+    r = radial_data(profile, z)
+    k = inverse_metric_matrix(r, z)
+    return k.T @ scal_gradient_bar(profile, r, z)
 
 
 def extremal_residual(
@@ -344,9 +330,9 @@ def pullback_check(c1: float, c2: float, p: DomainPoint) -> float:
     w = hyperbolic_isometry(c1, c2, p.z)
     jac = np.full(p.n, 1.0 / math.sqrt(c1))
     jac[0] = math.sqrt(c2 / c1)
-    h_target = metric_matrix(target, w)
+    h_target = metric_matrix(radial_data(target, w), w)
     pulled = (jac[:, None] * h_target) * jac[None, :]
-    h_src = metric_matrix(src, p.z)
+    h_src = metric_matrix(radial_data(src, p.z), p.z)
     return float(np.linalg.norm(pulled - h_src) / (1.0 + np.linalg.norm(h_src)))
 
 

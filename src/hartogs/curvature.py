@@ -28,101 +28,64 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SingularityError
-from .metric import DomainPoint, MetricData, fd_stencil_for, x_and_gap
+from .errors import DomainError
+from .metric import DomainPoint, MetricData, fd_stencil_for, nonsingular_core, x_and_gap
 from .profiles import Profile
 from .wirtinger import ComplexStencil
-
-#: the three algebraic forms of scal must agree to this
-_SCAL_FORMS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CurvatureData:
     """Curvature bundle at one point: Ricci matrix, scalar curvature, the
-    radial defect and slope functionals, and the generalized scalar
-    curvatures rho_0..rho_{n-1}."""
+    radial defect and slope functionals, the generalized scalar curvatures
+    rho_0..rho_{n-1}, and the Einstein residual."""
 
     ric: np.ndarray
     scal: float
     defect: float
     slope: float
     rho: np.ndarray
+    einstein: float
 
 
 def curvature_defect(profile: Profile, x: float) -> float:
     """defect(x) = (x (log det_core)')', the family's closed form.
 
     Exactly zero for the affine family.  Raises SingularityError where
-    det_core <= 0, since log det_core is undefined there.
+    det_core is below SINGULAR_TOL, where the metric degenerates.
     """
-    core = profile.det_core(x)
-    if core <= 0.0:
-        raise SingularityError(f"det_core(x)={core!r} at x={x!r}: defect undefined")
+    nonsingular_core(profile.det_core(x), x)
     return profile.defect(x)
 
 
 def scal_slope(profile: Profile, x: float) -> float:
     """slope(x) = -defect(x) F(x) / det_core(x), the rate at which scal
     departs from the Einstein constant per unit of gap:
-    scal = -n(n+1) + slope * gap.  Raises SingularityError where
-    det_core <= 0, as the defect does."""
+    scal = -n(n+1) + slope * gap.  Raises SingularityError where the
+    defect does."""
     return -curvature_defect(profile, x) * profile.eval(x) / profile.det_core(x)
 
 
-def scal_slope_d1(profile: Profile, x: float) -> float:
-    """Radial derivative of the slope functional, the family's closed form;
-    exactly zero for the affine family."""
-    return profile.slope_d1(x)
+def _ricci(p: DomainPoint, m: MetricData, defect: float) -> np.ndarray:
+    ric = -(p.n + 1) * m.h
+    ric[0, 0] -= defect
+    return ric
 
 
 def ricci_tensor(profile: Profile, p: DomainPoint, m: MetricData) -> np.ndarray:
     """Ric = -(n+1) h, with the (0,0) entry shifted by -defect(x)."""
-    ric = -(p.n + 1) * m.h
-    ric[0, 0] -= curvature_defect(profile, p.x)
-    return ric
+    return _ricci(p, m, curvature_defect(profile, p.x))
 
 
 def scalar_curvature(profile: Profile, p: DomainPoint, m: MetricData) -> float:
-    """Scalar curvature -(gap/det_core) F defect - n(n+1).
-
-    Also evaluates the trace form sum g^{b,abar} Ric_{a,bbar} and the
-    slope form -n(n+1) + slope*gap and raises NumericError if the three
-    disagree beyond 1e-9: they are algebraically identical, so divergence
-    signals a broken assembly rather than an inaccurate one.
-    """
-    n = p.n
-    defect = curvature_defect(profile, p.x)
-    f = profile.eval(p.x)
-    scal = -(p.gap / m.det_core) * f * defect - n * (n + 1)
-
-    ric = ricci_tensor(profile, p, m)
-    scal_trace = float(np.trace(m.h_inv @ ric).real)
-    scal_slope_form = -n * (n + 1) + (-defect * f / m.det_core) * p.gap
-
-    budget = _SCAL_FORMS_TOL * (1.0 + abs(scal))
-    if abs(scal - scal_trace) > budget or abs(scal - scal_slope_form) > budget:
-        raise NumericError(
-            f"scalar curvature forms disagree at x={p.x!r}: "
-            f"direct={scal!r} trace={scal_trace!r} slope-form={scal_slope_form!r}"
-        )
-    return scal
+    """Scalar curvature -(gap/det_core) F defect - n(n+1)."""
+    return curvature_at(profile, p, m).scal
 
 
 def generalized_scalar_curvatures(profile: Profile, p: DomainPoint, m: MetricData) -> np.ndarray:
     """Closed-form vector rho_0..rho_{n-1};
     rho_k = (n+1)^k (-1)^(k+1) C(n-1,k) [n(n+1)/(k+1) + gap F defect / det_core]."""
-    n = p.n
-    shared = p.gap * profile.eval(p.x) * curvature_defect(profile, p.x) / m.det_core
-    rho = np.empty(n, dtype=float)
-    for k in range(n):
-        rho[k] = (
-            (n + 1) ** k
-            * (-1.0) ** (k + 1)
-            * math.comb(n - 1, k)
-            * (n * (n + 1) / (k + 1) + shared)
-        )
-    return rho
+    return curvature_at(profile, p, m).rho
 
 
 def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
@@ -130,28 +93,13 @@ def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
 
         det(h + t Ric) / det(h) = 1 + sum_k rho_k t^(k+1),
 
-    fitted at n nodes with dense determinants; independent of every closed
-    form above.  Nodes sit in (0, 1/(2(n+1))] so the ratio stays well away
-    from zero, and the scaled Vandermonde system is refused if its
-    condition number exceeds 1e10.
+    read off exactly: the ratio is prod_j (1 + t mu_j) over the eigenvalues
+    mu_j of h^-1 Ric, so rho_k is their (k+1)-th elementary symmetric
+    polynomial.  h^-1 Ric comes from a dense solve, not from the
+    closed-form inverse, so the oracle is independent of every closed form
+    above.
     """
-    n = m.h.shape[0]
-    t_max = 1.0 / (2.0 * (n + 1))
-    nodes = t_max * np.arange(1, n + 1) / n
-    det_h = np.linalg.det(m.h)
-    rhs = np.empty(n, dtype=float)
-    scaled = np.empty((n, n), dtype=float)
-    for j, t in enumerate(nodes):
-        ratio = np.linalg.det(m.h + t * ric) / det_h
-        rhs[j] = ratio.real - 1.0
-        s = t / t_max
-        for k in range(n):
-            scaled[j, k] = s ** (k + 1)
-    cond = np.linalg.cond(scaled)
-    if cond > 1e10:
-        raise NumericError(f"determinant-ratio fit ill-conditioned (cond={cond:.3e})")
-    coeffs = np.linalg.solve(scaled, rhs)
-    return coeffs / t_max ** np.arange(1, n + 1)
+    return np.poly(-np.linalg.eigvals(np.linalg.solve(m.h, ric)))[1:].real
 
 
 def ricci_fd_oracle(
@@ -178,11 +126,27 @@ def ricci_fd_oracle(
 
 
 def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureData:
-    """Bundle of all closed-form curvature quantities at one point."""
+    """Every closed-form curvature quantity at one point, from one defect
+    and the radial data the metric was assembled from.  The Einstein
+    residual is || Ric + (n+1) h ||_F / (1 + ||h||_F)."""
+    n = p.n
+    r = m.radial
+    defect = curvature_defect(profile, p.x)
+    ric = _ricci(p, m, defect)
+    shared = p.gap * r.f * defect / r.det_core
+    rho = np.empty(n, dtype=float)
+    for k in range(n):
+        rho[k] = (
+            (n + 1) ** k
+            * (-1.0) ** (k + 1)
+            * math.comb(n - 1, k)
+            * (n * (n + 1) / (k + 1) + shared)
+        )
     return CurvatureData(
-        ric=ricci_tensor(profile, p, m),
-        scal=scalar_curvature(profile, p, m),
-        defect=curvature_defect(profile, p.x),
-        slope=scal_slope(profile, p.x),
-        rho=generalized_scalar_curvatures(profile, p, m),
+        ric=ric,
+        scal=-(p.gap / r.det_core) * r.f * defect - n * (n + 1),
+        defect=defect,
+        slope=-defect * r.f / r.det_core,
+        rho=rho,
+        einstein=float(np.linalg.norm(ric + (n + 1) * m.h) / (1.0 + np.linalg.norm(m.h))),
     )

@@ -19,7 +19,9 @@ Writing x = |z_0|^2 and priming F in x:
     hinv[b,a] = gap (F' + F'' x) z_a zbar_b / det_core   (a != b, a,b >= 1)
     hinv[b,b] = gap (det_core + (F' + F'' x) |z_b|^2) / det_core
 
-The closed-form inverse is the artifact under test: it is only *verified*
+All of it is built from the point's radial data (`Radial`: x, gap, F,
+F', F'' and det_core), evaluated once per point by `radial_data`.  The
+closed-form inverse is the artifact under test: it is only *verified*
 against dense inversion, never replaced by it.
 """
 
@@ -58,16 +60,39 @@ class DomainPoint:
 
 
 @dataclass(frozen=True)
+class Radial:
+    """Radial data of one evaluated point: x = |z_0|^2, the gap, F, F' and
+    F'' at x, and det_core(x).  Every per-point quantity of the package is
+    a function of these (and of z for the matrix entries)."""
+
+    x: float
+    gap: float
+    f: float
+    d1: float
+    d2: float
+    det_core: float
+
+
+@dataclass(frozen=True)
 class MetricData:
-    """Metric matrix with determinant, closed-form inverse and the scalar
-    ingredients they were built from."""
+    """Metric matrix with determinant and closed-form inverse, and the
+    radial data they were built from."""
 
     h: np.ndarray
     det: float
     h_inv: np.ndarray
-    gap: float
-    det_core: float
-    num00: float
+    radial: Radial
+
+
+def _x_and_fiber(z) -> tuple[float, float]:
+    """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2."""
+    z0 = complex(z[0])
+    x = z0.real * z0.real + z0.imag * z0.imag
+    fiber = 0.0
+    for k in range(1, len(z)):
+        c = complex(z[k])
+        fiber += c.real * c.real + c.imag * c.imag
+    return x, fiber
 
 
 def x_and_gap(profile: Profile, z) -> tuple[float, float]:
@@ -77,13 +102,30 @@ def x_and_gap(profile: Profile, z) -> tuple[float, float]:
     a gap <= 0 (z outside the domain) is returned as it is, for the caller
     to treat.
     """
-    z0 = complex(z[0])
-    x = z0.real * z0.real + z0.imag * z0.imag
-    fiber = 0.0
-    for k in range(1, len(z)):
-        c = complex(z[k])
-        fiber += c.real * c.real + c.imag * c.imag
+    x, fiber = _x_and_fiber(z)
     return x, profile.eval(x) - fiber
+
+
+def radial_data(profile: Profile, z) -> Radial:
+    """The radial data at z, each evaluated once.  Raises DomainError
+    outside the domain.  det_core is not checked here: `nonsingular_core`
+    is applied by the consumers that divide by it."""
+    x, fiber = _x_and_fiber(z)
+    f = profile.eval(x)
+    gap = f - fiber
+    if gap <= 0.0:
+        raise DomainError("metric requested outside the domain (gap <= 0)")
+    return Radial(x, gap, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x))
+
+
+def nonsingular_core(core: float, x: float) -> float:
+    """det_core itself, or SingularityError where it is below SINGULAR_TOL:
+    the metric is singular there, or the profile not pseudoconvex."""
+    if core < SINGULAR_TOL:
+        raise SingularityError(
+            f"det_core(x)={core!r} at x={x!r}: metric singular or profile not pseudoconvex"
+        )
+    return core
 
 
 def contains(profile: Profile, z) -> DomainPoint | None:
@@ -123,20 +165,17 @@ def kahler_potential(profile: Profile, z) -> float:
     return -math.log(gap)
 
 
-def metric_matrix(profile: Profile, z) -> np.ndarray:
-    """Closed-form metric matrix at an interior point (Hermitian by
-    construction: the lower triangle mirrors the conjugated upper one)."""
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    x, gap = x_and_gap(profile, z)
-    if gap <= 0.0:
-        raise DomainError("metric requested outside the domain (gap <= 0)")
-    d1 = profile.eval(x, 1)
-    d2 = profile.eval(x, 2)
+def metric_matrix(r: Radial, z) -> np.ndarray:
+    """Closed-form metric matrix at z from its radial data (Hermitian by
+    construction: the lower triangle mirrors the conjugated upper one).
+    It does not divide by det_core, so it also works where the metric
+    degenerates."""
+    n = len(z)
+    x, gap, d1 = r.x, r.gap, r.d1
     gap2 = gap * gap
 
     h = np.empty((n, n), dtype=complex)
-    h[0, 0] = (x * d1 * d1 - (d1 + d2 * x) * gap) / gap2
+    h[0, 0] = (x * d1 * d1 - (d1 + r.d2 * x) * gap) / gap2
     z0c = complex(z[0]).conjugate()
     for b in range(1, n):
         val = -d1 * z0c * complex(z[b]) / gap2
@@ -152,25 +191,18 @@ def metric_matrix(profile: Profile, z) -> np.ndarray:
     return h
 
 
-def inverse_metric_matrix(profile: Profile, z) -> np.ndarray:
-    """Closed-form inverse metric at an interior point."""
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    x, gap = x_and_gap(profile, z)
-    if gap <= 0.0:
-        raise DomainError("inverse metric requested outside the domain (gap <= 0)")
-    core = profile.det_core(x)
-    if core < SINGULAR_TOL:
-        raise SingularityError(
-            f"det_core(x)={core!r} at x={x!r}: metric singular or profile not pseudoconvex"
-        )
-    d1 = profile.eval(x, 1)
-    mix = d1 + profile.eval(x, 2) * x
-    s = gap / core
+def inverse_metric_matrix(r: Radial, z) -> np.ndarray:
+    """Closed-form inverse metric at z from its radial data; raises
+    SingularityError where det_core is below SINGULAR_TOL."""
+    n = len(z)
+    core = nonsingular_core(r.det_core, r.x)
+    d1 = r.d1
+    mix = d1 + r.d2 * r.x
+    s = r.gap / core
     z0 = complex(z[0])
 
     k = np.empty((n, n), dtype=complex)
-    k[0, 0] = s * profile.eval(x)
+    k[0, 0] = s * r.f
     for b in range(1, n):
         val = s * d1 * z0 * complex(z[b]).conjugate()
         k[b, 0] = val
@@ -185,30 +217,15 @@ def inverse_metric_matrix(profile: Profile, z) -> np.ndarray:
     return k
 
 
-def metric_determinant(profile: Profile, p: DomainPoint) -> float:
-    """Closed-form determinant det_core(x) / gap^(n+1)."""
-    if p.margin <= 0.0:
-        raise DomainError("determinant requested at a non-interior point")
-    core = profile.det_core(p.x)
-    if core < SINGULAR_TOL:
-        raise SingularityError(f"det_core(x)={core!r}: metric singular at x={p.x!r}")
-    return core / p.gap ** (p.n + 1)
-
-
 def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
-    """Metric, determinant and closed-form inverse at an interior point."""
+    """Metric, determinant and closed-form inverse at an interior point,
+    all from one evaluation of its radial data."""
     if p.margin <= 0.0:
         raise DomainError("metric requested at a non-interior point")
-    core = profile.det_core(p.x)
-    if core < SINGULAR_TOL:
-        raise SingularityError(
-            f"det_core(x)={core!r} at x={p.x!r}: metric singular or profile not pseudoconvex"
-        )
-    h = metric_matrix(profile, p.z)
-    h_inv = inverse_metric_matrix(profile, p.z)
-    det = core / p.gap ** (p.n + 1)
-    num00 = h[0, 0].real * p.gap * p.gap
-    return MetricData(h=h, det=det, h_inv=h_inv, gap=p.gap, det_core=core, num00=num00)
+    r = radial_data(profile, p.z)
+    h_inv = inverse_metric_matrix(r, p.z)
+    h = metric_matrix(r, p.z)
+    return MetricData(h=h, det=r.det_core / p.gap ** (p.n + 1), h_inv=h_inv, radial=r)
 
 
 def sample_interior(

@@ -1,5 +1,13 @@
 import csv
+import dataclasses
+import sys
 
+import numpy as np
+import pytest
+
+import hartogs.cli
+import hartogs.curvature
+import hartogs.metric
 from hartogs.cli import fmt, main
 
 
@@ -7,6 +15,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def assemble_calls(monkeypatch):
+    """Points passed to `assemble_metric`, through every binding of it in
+    the package."""
+    original = hartogs.metric.assemble_metric
+    calls = []
+
+    def counted(profile, p):
+        calls.append(p)
+        return original(profile, p)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hartogs" or name.startswith("hartogs."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 class TestCheckPseudoconvex:
@@ -61,6 +88,12 @@ class TestCurvatureScan:
         with out.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len({row["scal"] for row in rows}) > 1
+
+    def test_one_assembly_per_sample(self, capsys, tmp_path, assemble_calls):
+        code, _, _ = run(capsys, "curvature-scan", "--profile", "powercap:2", "--n", "3",
+                         "--samples", "7", "--seed", "1", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert len(assemble_calls) == 7
 
     def test_out_required(self, capsys):
         code, _, _ = run(capsys, "curvature-scan", "--profile", "affine:1,1")
@@ -147,6 +180,37 @@ class TestVerifyTheorems:
         code, _, _ = run(capsys, "verify-theorems", "--profile", "affine:1,1",
                          "--samples", "0")
         assert code == 2
+
+    def test_one_assembly_per_sample(self, capsys, assemble_calls):
+        code, _, _ = run(capsys, "verify-theorems", "--profile", "powercap:2",
+                         "--n", "2", "--samples", "5", "--seed", "2")
+        assert code == 0
+        assert len(assemble_calls) == 5
+
+    @pytest.mark.parametrize("doctored", ["inverse", "ricci"])
+    def test_doctored_assembly_fails_scal_forms(self, capsys, monkeypatch, doctored):
+        # a 1e-6 error in the inverse or in Ric moves the trace form of
+        # scal far beyond the 1e-9 budget of the scal_forms check
+        if doctored == "inverse":
+            assemble = hartogs.cli.assemble_metric
+
+            def wrong(profile, p):
+                m = assemble(profile, p)
+                return dataclasses.replace(m, h_inv=m.h_inv + 1e-6 * np.eye(p.n))
+
+            monkeypatch.setattr(hartogs.cli, "assemble_metric", wrong)
+        else:
+            curvature_at = hartogs.curvature.curvature_at
+
+            def wrong(profile, p, m):
+                data = curvature_at(profile, p, m)
+                return dataclasses.replace(data, ric=data.ric + 1e-6 * np.eye(p.n))
+
+            monkeypatch.setattr(hartogs.curvature, "curvature_at", wrong)
+        code, out, _ = run(capsys, "verify-theorems", "--profile", "affine:1,1",
+                           "--n", "2", "--samples", "5", "--seed", "2")
+        assert code == 1
+        assert "FAIL  scal_forms" in out
 
 
 def test_unknown_subcommand(capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import hartogs as hg
-from hartogs.curvature import rho_oracle, scal_slope_d1
+from hartogs.curvature import rho_oracle
 from hartogs.errors import SingularityError
-from hartogs.metric import MetricData
+from hartogs.metric import MetricData, Radial
+from hartogs.profiles import interior_x_max
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1
 
@@ -68,7 +69,7 @@ def test_scal_slope_powercap():
     for x in (0.0, 0.3, 0.6):
         assert hg.scal_slope(prof, x) == pytest.approx(1.0 / (1.0 - x) ** 2, rel=1e-6)
     fd = central_d1(lambda t: hg.scal_slope(prof, t), 0.3, 1e-4)
-    assert scal_slope_d1(prof, 0.3) == pytest.approx(fd, rel=1e-3)
+    assert prof.slope_d1(0.3) == pytest.approx(fd, rel=1e-3)
 
 
 class TestSlopeDerivative:
@@ -80,7 +81,7 @@ class TestSlopeDerivative:
     def test_matches_difference_of_slope(self, profile):
         for x in (0.1, 0.5, 0.9):
             fd = central_d1(lambda t: hg.scal_slope(profile, t), x, 1e-6)
-            assert scal_slope_d1(profile, x) == pytest.approx(fd, rel=1e-8)
+            assert profile.slope_d1(x) == pytest.approx(fd, rel=1e-8)
 
     # the cases below sit where a stencil on scal_slope would leave [0, x0)
 
@@ -94,7 +95,7 @@ class TestSlopeDerivative:
 
         assert slope(1e-3) == hg.scal_slope(prof, 1e-3)
         fd = central_d1(slope, 0.0, 1e-5)
-        assert scal_slope_d1(prof, 0.0) == pytest.approx(fd, rel=1e-8)
+        assert prof.slope_d1(0.0) == pytest.approx(fd, rel=1e-8)
 
     @pytest.mark.parametrize("p", [0.5, 2.0, 3.0])
     def test_powercap_near_radial_bound(self, p):
@@ -103,14 +104,14 @@ class TestSlopeDerivative:
         prof = hg.PowerCap(p)
         x = 0.999 * prof.x0
         fd = central_d1(lambda t: hg.scal_slope(prof, t), x, 1e-7)
-        assert scal_slope_d1(prof, x) == pytest.approx(fd, rel=1e-6)
+        assert prof.slope_d1(x) == pytest.approx(fd, rel=1e-6)
 
 
 def test_scal_slope_affine_exactly_zero():
     prof = hg.Affine(2, 3)
     for x in (0.0, 0.2, 0.5):
         assert hg.scal_slope(prof, x) == 0.0
-        assert scal_slope_d1(prof, x) == 0.0
+        assert prof.slope_d1(x) == 0.0
 
 
 class TestRicci:
@@ -213,12 +214,38 @@ class TestGeneralizedCurvatures:
             assert np.max(np.abs(rho - fitted)) <= 1e-8 * (1.0 + np.max(np.abs(rho)))
 
 
+def ball_points(profile, n, count, seed, min_margin):
+    """Interior points with margin >= min_margin: |z_0|^2 uniform, the fiber
+    vector uniform in the ball of radius sqrt(F(|z_0|^2) - min_margin).
+    Unlike `sample_interior` this reaches n = 8."""
+    rng = np.random.default_rng(seed)
+    x_top = interior_x_max(profile)
+    if not math.isinf(profile.x0):
+        x_top = min(x_top, profile.x0 - min_margin)
+    dim = 2 * (n - 1)
+    points = []
+    while len(points) < count:
+        x = rng.uniform(0.0, x_top)
+        budget = profile.eval(x) - min_margin
+        if budget <= 0.0:
+            continue
+        direction = rng.normal(size=dim)
+        fiber = math.sqrt(budget) * rng.uniform() ** (1.0 / dim) * direction / np.linalg.norm(direction)
+        z = np.empty(n, dtype=complex)
+        z[0] = math.sqrt(x) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        z[1:] = fiber[0::2] + 1j * fiber[1::2]
+        p = hg.contains(profile, z)
+        if p is not None and p.margin >= min_margin:
+            points.append(p)
+    return points
+
+
 class TestRhoOracle:
     @staticmethod
     def _fake_metric(h):
         return MetricData(
             h=h, det=float(np.linalg.det(h).real), h_inv=np.linalg.inv(h),
-            gap=1.0, det_core=1.0, num00=1.0,
+            radial=Radial(x=0.0, gap=1.0, f=1.0, d1=-1.0, d2=0.0, det_core=1.0),
         )
 
     def test_identity_with_einstein_ricci(self):
@@ -231,6 +258,19 @@ class TestRhoOracle:
         m = self._fake_metric(np.eye(3).astype(complex))
         assert np.max(np.abs(rho_oracle(m, np.zeros((3, 3), complex)))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "profile", [hg.Affine(1, 1), hg.PowerCap(2), hg.ExpDecay(1), hg.Rational()],
+        ids=lambda prof: prof.label(),
+    )
+    def test_closed_form_at_n8_near_boundary(self, profile):
+        # the top of the advertised range, 2e-3 from the boundary, where the
+        # metric's entries span many orders of magnitude
+        for p in ball_points(profile, 8, 30, seed=11, min_margin=0.002):
+            m = hg.assemble_metric(profile, p)
+            rho = hg.generalized_scalar_curvatures(profile, p, m)
+            oracle = rho_oracle(m, hg.ricci_tensor(profile, p, m))
+            assert np.max(np.abs(rho - oracle)) <= 1e-8 * (1.0 + np.max(np.abs(rho)))
+
 
 def test_curvature_at_bundle():
     prof = hg.PowerCap(2)
@@ -238,5 +278,5 @@ def test_curvature_at_bundle():
     m = hg.assemble_metric(prof, p)
     data = hg.curvature_at(prof, p, m)
     assert data.scal == pytest.approx(data.rho[0], rel=1e-12)
-    assert data.slope == pytest.approx(-data.defect * prof.eval(p.x) / m.det_core, rel=1e-12)
+    assert data.slope == pytest.approx(-data.defect * prof.eval(p.x) / m.radial.det_core, rel=1e-12)
     assert data.ric.shape == (2, 2)

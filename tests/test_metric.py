@@ -10,6 +10,7 @@ from hartogs.metric import (
     fd_stencil_for,
     metric_fd_oracle,
     metric_matrix,
+    radial_data,
     require_interior,
 )
 
@@ -77,8 +78,6 @@ class TestAssembly:
         p = hg.contains(probe, [0.2, 0.3])
         with pytest.raises(SingularityError):
             hg.assemble_metric(probe, p)
-        with pytest.raises(SingularityError):
-            hg.metric_determinant(probe, p)
 
 
 @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
@@ -107,13 +106,12 @@ def test_determinant_and_inverse_identities(profile, n, points_for):
 
 
 def test_determinant_examples():
-    assert hg.metric_determinant(hg.Affine(1, 1), hg.contains(hg.Affine(1, 1), [0, 0])) == 1.0
-    assert (
-        hg.metric_determinant(hg.Affine(1, 1), hg.contains(hg.Affine(1, 1), [0, 0, 0])) == 1.0
-    )
+    aff = hg.Affine(1, 1)
+    assert hg.assemble_metric(aff, hg.contains(aff, [0, 0])).det == 1.0
+    assert hg.assemble_metric(aff, hg.contains(aff, [0, 0, 0])).det == 1.0
     # expdecay(1) at (1, 0, 0): margin is 1, gap = e^-1, so det = e^-2 / e^-4
     prof = hg.ExpDecay(1)
-    det = hg.metric_determinant(prof, hg.contains(prof, [1, 0, 0]))
+    det = hg.assemble_metric(prof, hg.contains(prof, [1, 0, 0])).det
     assert det == pytest.approx(math.e**2, rel=1e-12)
 
 
@@ -134,14 +132,14 @@ def test_principal_minor_formula(n, points_for):
 def test_positive_definiteness_tracks_margin(profile, points_for):
     for p in points_for(profile, 3):
         assert hg.pseudoconvexity_margin(profile, p.x) > 0
-        assert hg.is_positive_definite(metric_matrix(profile, p.z))
+        assert hg.is_positive_definite(metric_matrix(radial_data(profile, p.z), p.z))
 
 
 def test_degenerate_probe_not_positive_definite():
     probe = hg.ConstantProbe()
     z = np.array([0.4, 0.3 + 0.2j], complex)
     assert hg.pseudoconvexity_margin(probe, 0.16) == 0.0
-    assert not hg.is_positive_definite(metric_matrix(probe, z))
+    assert not hg.is_positive_definite(metric_matrix(radial_data(probe, z), z))
 
 
 def test_is_positive_definite_basics():
