@@ -29,12 +29,10 @@ from .curvature import (
     CurvatureData,
     curvature_at,
     curvature_defect,
-    generalized_scalar_curvatures,
     ricci_fd_oracle,
     ricci_tensor,
     rho_oracle,
     scal_slope,
-    scalar_curvature,
 )
 from .errors import (
     DomainError,
@@ -95,7 +93,6 @@ __all__ = [
     "defining_residual",
     "einstein_residual",
     "extremal_residual",
-    "generalized_scalar_curvatures",
     "hyperbolic_isometry",
     "interior_grid",
     "is_positive_definite",
@@ -113,7 +110,6 @@ __all__ = [
     "sample_boundary",
     "sample_interior",
     "scal_slope",
-    "scalar_curvature",
     "soliton_residual",
     "soliton_sweep",
     "tangent_space_basis",

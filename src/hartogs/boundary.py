@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .metric import x_and_gap
+from .metric import fiber_direction, x_and_gap
 from .profiles import Profile, interior_x_max
 
 #: construction tolerance on the defining function at boundary points
@@ -79,11 +79,7 @@ def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> list[Bou
         theta = rng.uniform(0.0, 2.0 * math.pi)
         z = np.empty(n, dtype=complex)
         z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-        while True:
-            direction = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-            norm = np.linalg.norm(direction)
-            if norm > 1e-12:
-                break
+        direction, norm = fiber_direction(rng, n)
         z[1:] = direction * (math.sqrt(profile.eval(x)) / norm)
         points.append(boundary_point(profile, z))
     return points

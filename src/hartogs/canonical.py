@@ -33,6 +33,7 @@ from .curvature import curvature_at, ricci_tensor
 from .errors import DomainError
 from .metric import (
     DomainPoint,
+    MetricData,
     Radial,
     assemble_metric,
     inverse_metric_matrix,
@@ -209,6 +210,7 @@ def metric_entry_gradients(
 def lie_derivative_components(
     profile: Profile,
     p: DomainPoint,
+    m: MetricData,
     x_field: HoloVectorField,
     stencil: ComplexStencil = FIRST_DERIVATIVE_STENCIL,
 ) -> np.ndarray:
@@ -220,8 +222,9 @@ def lie_derivative_components(
                                  + (df_k/dz_a) h_{k,bbar}
                                  + conj(df_k/dz_b) h_{a,kbar} ].
 
-    Metric derivatives are finite differences on the closed-form entries;
-    polynomial derivatives are exact.  The result is Hermitian to rounding.
+    h is read from the metric `m` assembled at p.  Metric derivatives are
+    finite differences on the closed-form entries; polynomial derivatives
+    are exact.  The result is Hermitian to rounding.
     """
     if x_field.n != p.n:
         raise ValueError(f"field dimension {x_field.n} does not match point dimension {p.n}")
@@ -232,9 +235,8 @@ def lie_derivative_components(
         raise DomainError(
             f"margin {p.margin!r} too small for FD step {stencil.step!r} (need >= 10 steps)"
         )
-    h = metric_matrix(radial_data(profile, p.z), p.z)
     dg, dgbar = metric_entry_gradients(profile, p.z, stencil)
-    return lie_from_jets(h, dg, dgbar, *x_field.jet(p.z))
+    return lie_from_jets(m.h, dg, dgbar, *x_field.jet(p.z))
 
 
 def lie_from_jets(h, dg, dgbar, f_vals, df) -> np.ndarray:
@@ -257,7 +259,7 @@ def soliton_residual(profile: Profile, p: DomainPoint, params: SolitonParams) ->
     """|| Ric - lam h - L_X h ||_F / (1 + ||h||_F) for a given candidate pair."""
     m = assemble_metric(profile, p)
     ric = ricci_tensor(profile, p, m)
-    lie = lie_derivative_components(profile, p, params.field)
+    lie = lie_derivative_components(profile, p, m, params.field)
     diff = ric - params.lam * m.h - lie
     return float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(m.h)))
 

@@ -41,6 +41,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _dimension(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -341,9 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_dimension, default=2, help="complex dimension (>= 2)")
         p.add_argument("--samples", type=_positive_int, default=50)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--min-margin", type=float, default=0.05, dest="min_margin")
         if out:
             p.add_argument("--out", required=out_required, help="CSV output path")
+
+    def interior(p, out_required=False, out=True):
+        """`common` plus the margin of the sampled interior points."""
+        common(p, out_required, out)
+        p.add_argument("--min-margin", type=_positive_float, default=0.05, dest="min_margin")
 
     p = sub.add_parser("check-pseudoconvex", help="scan the pseudoconvexity margin on a grid")
     p.add_argument("--profile", required=True)
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_pseudoconvex)
 
     p = sub.add_parser("curvature-scan", help="per-sample curvature report as CSV")
-    common(p, out_required=True)
+    interior(p, out_required=True)
     p.set_defaults(func=cmd_curvature_scan)
 
     p = sub.add_parser("levi-scan", help="restricted Levi eigenvalues over boundary samples")
@@ -361,11 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_levi_scan)
 
     p = sub.add_parser("extremal-residual", help="extremal-metric residual over interior samples")
-    common(p)
+    interior(p)
     p.set_defaults(func=cmd_extremal_residual)
 
     p = sub.add_parser("soliton-check", help="soliton residual for a given (lam, field) pair")
-    common(p, out=False)
+    interior(p, out=False)
     p.add_argument("--lam", type=float, default=None, help="soliton constant (default -(n+1))")
     p.add_argument("--field", default="", help="holomorphic field, '|'-separated components")
     p.add_argument("--degree", type=_positive_int, default=2)
@@ -374,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_soliton_check)
 
     p = sub.add_parser("verify-theorems", help="run the full oracle and classification suite")
-    common(p, out=False)
+    interior(p, out=False)
     p.set_defaults(func=cmd_verify_theorems)
 
     return parser

@@ -77,17 +77,6 @@ def ricci_tensor(profile: Profile, p: DomainPoint, m: MetricData) -> np.ndarray:
     return _ricci(p, m, curvature_defect(profile, p.x))
 
 
-def scalar_curvature(profile: Profile, p: DomainPoint, m: MetricData) -> float:
-    """Scalar curvature -(gap/det_core) F defect - n(n+1)."""
-    return curvature_at(profile, p, m).scal
-
-
-def generalized_scalar_curvatures(profile: Profile, p: DomainPoint, m: MetricData) -> np.ndarray:
-    """Closed-form vector rho_0..rho_{n-1};
-    rho_k = (n+1)^k (-1)^(k+1) C(n-1,k) [n(n+1)/(k+1) + gap F defect / det_core]."""
-    return curvature_at(profile, p, m).rho
-
-
 def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
     """Generalized scalar curvatures from the determinant-ratio definition
 

@@ -228,6 +228,17 @@ def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
     return MetricData(h=h, det=r.det_core / p.gap ** (p.n + 1), h_inv=h_inv, radial=r)
 
 
+def fiber_direction(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
+    """A standard Gaussian vector in C^(n-1) and its norm: its direction is
+    uniform on the unit sphere.  A norm at or below 1e-12, which gives no
+    usable direction, is drawn again."""
+    while True:
+        direction = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        norm = np.linalg.norm(direction)
+        if norm > 1e-12:
+            return direction, norm
+
+
 def sample_interior(
     profile: Profile,
     n: int,
@@ -235,13 +246,13 @@ def sample_interior(
     seed: int,
     min_margin: float = 0.05,
 ) -> list[DomainPoint]:
-    """Deterministic rejection sampling of interior points with margin >=
-    min_margin.
+    """Deterministic interior points with margin >= min_margin.
 
     |z_0|^2 is drawn uniformly below both the radial clearance bound and,
-    for finite x0, x0 - min_margin; the fiber coordinates are drawn
-    uniformly in discs sized to the remaining slack, then the margin is
-    checked exactly.  Same seed, same points.
+    for finite x0, x0 - min_margin, with a uniform phase.  The fiber vector
+    is uniform in the ball of real dimension 2(n-1) and radius sqrt(budget),
+    budget = F(|z_0|^2) - min_margin.  The margin is then checked exactly.
+    Same seed, same points.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -272,10 +283,9 @@ def sample_interior(
         z = np.empty(n, dtype=complex)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-        for k in range(1, n):
-            r = math.sqrt(rng.uniform(0.0, budget))
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            z[k] = r * complex(math.cos(phi), math.sin(phi))
+        direction, norm = fiber_direction(rng, n)
+        radius = math.sqrt(budget) * rng.uniform() ** (1.0 / (2 * (n - 1)))
+        z[1:] = direction * (radius / norm)
         p = contains(profile, z)
         if p is not None and p.margin >= min_margin:
             points.append(p)

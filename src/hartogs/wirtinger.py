@@ -66,11 +66,6 @@ class ComplexStencil:
     def scaled_step(self, z, alpha: int) -> float:
         return self.step * (1.0 + abs(z[alpha]))
 
-    def d_z(self, f, point, alpha: int):
-        """Holomorphic Wirtinger derivative of f at point, coordinate alpha."""
-        z = np.asarray(point, dtype=complex)
-        return _pair_fixed(f, z, alpha, self.scaled_step(z, alpha))[0]
-
     def d_zbar(self, f, point, alpha: int):
         """Anti-holomorphic Wirtinger derivative of f at point."""
         z = np.asarray(point, dtype=complex)

@@ -103,9 +103,9 @@ def test_criterion_5_constant_curvature(metric_grid):
         for n in (2, 3):
             prof, pairs = metric_grid[(prof_label, n)]
             for p, m in pairs:
-                scal = hg.scalar_curvature(prof, p, m)
-                worst_scal = max(worst_scal, abs(scal + n * (n + 1)))
-                rho = hg.generalized_scalar_curvatures(prof, p, m)
+                data = hg.curvature_at(prof, p, m)
+                worst_scal = max(worst_scal, abs(data.scal + n * (n + 1)))
+                rho = data.rho
                 fitted = rho_oracle(m, hg.ricci_tensor(prof, p, m))
                 worst_fit = max(worst_fit, float(np.max(np.abs(rho - fitted))))
                 if n == 2 and not np.allclose(rho, [-6.0, 9.0], atol=1e-8):
@@ -123,8 +123,8 @@ def test_criterion_6_powercap_pinned_values():
     prof = hg.PowerCap(2)
     p = hg.contains(prof, [0, 0])
     m = hg.assemble_metric(prof, p)
-    scal = hg.scalar_curvature(prof, p, m)
-    rho = hg.generalized_scalar_curvatures(prof, p, m)
+    data = hg.curvature_at(prof, p, m)
+    scal, rho = data.scal, data.rho
     # independent confirmation through the FD Ricci trace
     trace = float(np.trace(m.h_inv @ hg.ricci_fd_oracle(prof, p)).real)
     ok = (

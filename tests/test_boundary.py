@@ -30,6 +30,20 @@ class TestSampling:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.z, pb.z)
 
+    def test_pinned_points(self):
+        # the fiber direction draw is shared with the interior sampler; the
+        # boundary points, hence `levi-scan` output, must not move
+        want = [
+            [0.31930803872878577 - 0.8379977907040155j, -0.03917302354321233 + 0.1791837933250996j,
+             0.06631504123070904 + 0.017303524301456326j],
+            [0.6131259994674023 + 0.17927978411320566j, 0.20169552583769593 + 0.07347786635526446j,
+             0.4403743411553214 - 0.33223142372922554j],
+        ]
+        got = sample_boundary(hg.PowerCap(2), 3, 2, seed=5)
+        assert [b.x for b in got] == [0.8041979208216348, 0.4080647322145787]
+        for b, z in zip(got, want):
+            assert np.array_equal(b.z, np.array(z))
+
     def test_forced_axis_point(self):
         # z_0 = 0 boundary points have fiber radius sqrt(F(0)) = 1
         b = boundary_point(hg.Affine(1, 1), [0, math.cos(0.7) + 1j * math.sin(0.7)])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import hartogs as hg
+import hartogs.canonical
+import hartogs.metric
 from hartogs.canonical import (
     HoloVectorField,
     SolitonParams,
@@ -74,7 +76,8 @@ class TestLieDerivative:
     def test_zero_field_gives_zero_matrix(self, points_for):
         prof = hg.PowerCap(2)
         p = points_for(prof, 3, count=1)[0]
-        lie = hg.lie_derivative_components(prof, p, HoloVectorField.zero(3))
+        m = hg.assemble_metric(prof, p)
+        lie = hg.lie_derivative_components(prof, p, m, HoloVectorField.zero(3))
         assert np.array_equal(lie, np.zeros((3, 3), complex))
 
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
@@ -82,13 +85,15 @@ class TestLieDerivative:
         # metric entries depend only on moduli and zbar_a z_b pairings, both
         # preserved by the rotation flow
         for p in points_for(profile, 2, count=4, seed=55, min_margin=0.3):
-            lie = hg.lie_derivative_components(profile, p, HoloVectorField.rotation(2))
+            m = hg.assemble_metric(profile, p)
+            lie = hg.lie_derivative_components(profile, p, m, HoloVectorField.rotation(2))
             assert np.max(np.abs(lie)) <= 1e-8
 
     def test_translation_not_killing(self, points_for):
         prof = hg.Affine(1, 1)
         p = points_for(prof, 2, count=1, seed=19, min_margin=0.3)[0]
-        lie = hg.lie_derivative_components(prof, p, HoloVectorField.constant(2, 0))
+        m = hg.assemble_metric(prof, p)
+        lie = hg.lie_derivative_components(prof, p, m, HoloVectorField.constant(2, 0))
         assert np.linalg.norm(lie) > 1e-2
 
     def test_additive_and_hermitian(self, points_for):
@@ -96,11 +101,12 @@ class TestLieDerivative:
         p = points_for(prof, 2, count=1, seed=23, min_margin=0.3)[0]
         a = HoloVectorField.constant(2, 0, 1.0 + 0.5j)
         b = HoloVectorField.rotation(2, 0.7)
-        la = hg.lie_derivative_components(prof, p, a)
-        lb = hg.lie_derivative_components(prof, p, b)
+        m = hg.assemble_metric(prof, p)
+        la = hg.lie_derivative_components(prof, p, m, a)
+        lb = hg.lie_derivative_components(prof, p, m, b)
         # the field a + b, written out monomial by monomial
         a_plus_b = HoloVectorField(2, (((1.0 + 0.5j, (0, 0)), (0.7j, (1, 0))), ((0.7j, (0, 1)),)))
-        lab = hg.lie_derivative_components(prof, p, a_plus_b)
+        lab = hg.lie_derivative_components(prof, p, m, a_plus_b)
         assert np.max(np.abs(lab - (la + lb))) <= 1e-10
         for mat in (la, lb, lab):
             assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
@@ -108,8 +114,9 @@ class TestLieDerivative:
     def test_margin_contract(self):
         prof = hg.Affine(1, 1)
         p = hg.contains(prof, [0, math.sqrt(1 - 1e-6)])
+        m = hg.assemble_metric(prof, p)
         with pytest.raises(DomainError):
-            hg.lie_derivative_components(prof, p, HoloVectorField.rotation(2))
+            hg.lie_derivative_components(prof, p, m, HoloVectorField.rotation(2))
 
     def test_jet_sum_matches_explicit_loops(self):
         n = 3
@@ -129,9 +136,11 @@ class TestLieDerivative:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_dimension_mismatch(self, points_for):
-        p = points_for(hg.Affine(1, 1), 2, count=1)[0]
+        prof = hg.Affine(1, 1)
+        p = points_for(prof, 2, count=1)[0]
+        m = hg.assemble_metric(prof, p)
         with pytest.raises(ValueError):
-            hg.lie_derivative_components(hg.Affine(1, 1), p, HoloVectorField.zero(3))
+            hg.lie_derivative_components(prof, p, m, HoloVectorField.zero(3))
 
 
 class TestEinsteinResidual:
@@ -173,6 +182,23 @@ class TestSolitonResidual:
             rot = SolitonParams(-3.0, HoloVectorField.rotation(2, 1.0))
             for p in points_for(prof, 2, count=5, seed=99, min_margin=0.3):
                 assert hg.soliton_residual(prof, p, rot) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_radial_evaluation_per_point(self, monkeypatch, n):
+        # the sample point once, plus the 4n points of the Lie stencil
+        calls = []
+        original = hartogs.metric.radial_data
+
+        def counted(profile, z):
+            calls.append(z)
+            return original(profile, z)
+
+        for mod in (hartogs.metric, hartogs.canonical):
+            monkeypatch.setattr(mod, "radial_data", counted)
+        prof = hg.PowerCap(2)
+        p = hg.contains(prof, [0.3] + [0.2j] * (n - 1))
+        hg.soliton_residual(prof, p, SolitonParams(-(n + 1), HoloVectorField.rotation(n)))
+        assert len(calls) == 4 * n + 1
 
     def test_gamma_shift(self):
         params = SolitonParams(-3.0, HoloVectorField.zero(2))

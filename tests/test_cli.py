@@ -36,6 +36,19 @@ def assemble_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf", "-0.5", "0"])
+@pytest.mark.parametrize(
+    "command", ["curvature-scan", "extremal-residual", "soliton-check", "verify-theorems"]
+)
+def test_min_margin_must_be_finite_positive(capsys, tmp_path, command, margin):
+    argv = [command, "--profile", "affine:1,1", f"--min-margin={margin}"]
+    if command == "curvature-scan":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "finite positive" in err
+
+
 class TestCheckPseudoconvex:
     def test_affine_passes(self, capsys):
         code, out, _ = run(capsys, "check-pseudoconvex", "--profile", "affine:1,1")
@@ -122,6 +135,11 @@ class TestLeviScan:
         with out.open(newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 25
 
+    def test_no_min_margin(self, capsys):
+        # boundary samples have no interior margin
+        code, _, _ = run(capsys, "levi-scan", "--profile", "affine:1,1", "--min-margin", "0.1")
+        assert code == 2
+
 
 class TestExtremalResidual:
     def test_reports(self, capsys):
@@ -129,6 +147,13 @@ class TestExtremalResidual:
                            "--n", "2", "--samples", "6", "--seed", "4")
         assert code == 0
         assert "max" in out
+
+    @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
+    def test_top_of_range(self, capsys, profile):
+        code, out, _ = run(capsys, "extremal-residual", "--profile", profile,
+                           "--n", "8", "--samples", "50", "--seed", "4")
+        assert code == 0
+        assert "50 samples" in out
 
 
 class TestSolitonCheck:

@@ -7,7 +7,6 @@ import hartogs as hg
 from hartogs.curvature import rho_oracle
 from hartogs.errors import SingularityError
 from hartogs.metric import MetricData, Radial
-from hartogs.profiles import interior_x_max
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1
 
@@ -152,20 +151,20 @@ class TestScalarCurvature:
         for n, want in ((2, -6.0), (3, -12.0)):
             prof = hg.Affine(1, 1)
             p = hg.contains(prof, [0.2 + 0.1j] + [0.25] * (n - 1))
-            assert hg.scalar_curvature(prof, p, hg.assemble_metric(prof, p)) == want
+            assert hg.curvature_at(prof, p, hg.assemble_metric(prof, p)).scal == want
 
     def test_powercap_origin_value(self):
         # gap=1, F=1, det_core=2, defect=-2: -(1/2)(1)(-2) - 6 = -5
         prof = hg.PowerCap(2)
         p = hg.contains(prof, [0, 0])
-        assert hg.scalar_curvature(prof, p, hg.assemble_metric(prof, p)) == pytest.approx(
+        assert hg.curvature_at(prof, p, hg.assemble_metric(prof, p)).scal == pytest.approx(
             -5.0, abs=1e-9
         )
 
     def test_affine_constant_across_samples(self, points_for):
         vals = []
         for p in points_for(hg.Affine(2, 3), 2, count=25):
-            vals.append(hg.scalar_curvature(hg.Affine(2, 3), p, hg.assemble_metric(hg.Affine(2, 3), p)))
+            vals.append(hg.curvature_at(hg.Affine(2, 3), p, hg.assemble_metric(hg.Affine(2, 3), p)).scal)
         assert float(np.var(vals)) < 1e-18
         assert vals[0] == -6.0
 
@@ -174,7 +173,7 @@ class TestScalarCurvature:
         vals = []
         for t in np.linspace(0.0, 0.8, 9):
             p = hg.contains(prof, [t, 0.1])
-            vals.append(hg.scalar_curvature(prof, p, hg.assemble_metric(prof, p)))
+            vals.append(hg.curvature_at(prof, p, hg.assemble_metric(prof, p)).scal)
         assert max(vals) - min(vals) > 1e-3
 
 
@@ -182,7 +181,7 @@ class TestGeneralizedCurvatures:
     def test_affine_n2(self, points_for):
         prof = hg.Affine(1, 1)
         for p in points_for(prof, 2, count=5):
-            rho = hg.generalized_scalar_curvatures(prof, p, hg.assemble_metric(prof, p))
+            rho = hg.curvature_at(prof, p, hg.assemble_metric(prof, p)).rho
             assert np.array_equal(rho, np.array([-6.0, 9.0]))
 
     def test_affine_n3_binomial_values(self):
@@ -190,7 +189,7 @@ class TestGeneralizedCurvatures:
         prof = hg.Affine(2, 3)
         p = hg.contains(prof, [0.1, 0.2, 0.3j])
         m = hg.assemble_metric(prof, p)
-        rho = hg.generalized_scalar_curvatures(prof, p, m)
+        rho = hg.curvature_at(prof, p, m).rho
         assert np.array_equal(rho, np.array([-12.0, 48.0, -64.0]))
         fitted = rho_oracle(m, hg.ricci_tensor(prof, p, m))
         assert np.max(np.abs(rho - fitted)) <= 1e-8
@@ -198,7 +197,7 @@ class TestGeneralizedCurvatures:
     def test_powercap_origin(self):
         prof = hg.PowerCap(2)
         p = hg.contains(prof, [0, 0])
-        rho = hg.generalized_scalar_curvatures(prof, p, hg.assemble_metric(prof, p))
+        rho = hg.curvature_at(prof, p, hg.assemble_metric(prof, p)).rho
         assert rho[0] == pytest.approx(-5.0, abs=1e-9)
         assert rho[1] == pytest.approx(6.0, abs=1e-9)
 
@@ -207,37 +206,11 @@ class TestGeneralizedCurvatures:
     def test_rho0_is_scal_and_fit_agrees(self, profile, n, points_for):
         for p in points_for(profile, n, count=6):
             m = hg.assemble_metric(profile, p)
-            rho = hg.generalized_scalar_curvatures(profile, p, m)
-            scal = hg.scalar_curvature(profile, p, m)
-            assert rho[0] == pytest.approx(scal, rel=1e-12)
+            data = hg.curvature_at(profile, p, m)
+            rho = data.rho
+            assert rho[0] == pytest.approx(data.scal, rel=1e-12)
             fitted = rho_oracle(m, hg.ricci_tensor(profile, p, m))
             assert np.max(np.abs(rho - fitted)) <= 1e-8 * (1.0 + np.max(np.abs(rho)))
-
-
-def ball_points(profile, n, count, seed, min_margin):
-    """Interior points with margin >= min_margin: |z_0|^2 uniform, the fiber
-    vector uniform in the ball of radius sqrt(F(|z_0|^2) - min_margin).
-    Unlike `sample_interior` this reaches n = 8."""
-    rng = np.random.default_rng(seed)
-    x_top = interior_x_max(profile)
-    if not math.isinf(profile.x0):
-        x_top = min(x_top, profile.x0 - min_margin)
-    dim = 2 * (n - 1)
-    points = []
-    while len(points) < count:
-        x = rng.uniform(0.0, x_top)
-        budget = profile.eval(x) - min_margin
-        if budget <= 0.0:
-            continue
-        direction = rng.normal(size=dim)
-        fiber = math.sqrt(budget) * rng.uniform() ** (1.0 / dim) * direction / np.linalg.norm(direction)
-        z = np.empty(n, dtype=complex)
-        z[0] = math.sqrt(x) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        z[1:] = fiber[0::2] + 1j * fiber[1::2]
-        p = hg.contains(profile, z)
-        if p is not None and p.margin >= min_margin:
-            points.append(p)
-    return points
 
 
 class TestRhoOracle:
@@ -265,9 +238,9 @@ class TestRhoOracle:
     def test_closed_form_at_n8_near_boundary(self, profile):
         # the top of the advertised range, 2e-3 from the boundary, where the
         # metric's entries span many orders of magnitude
-        for p in ball_points(profile, 8, 30, seed=11, min_margin=0.002):
+        for p in hg.sample_interior(profile, 8, 30, 11, 0.002):
             m = hg.assemble_metric(profile, p)
-            rho = hg.generalized_scalar_curvatures(profile, p, m)
+            rho = hg.curvature_at(profile, p, m).rho
             oracle = rho_oracle(m, hg.ricci_tensor(profile, p, m))
             assert np.max(np.abs(rho - oracle)) <= 1e-8 * (1.0 + np.max(np.abs(rho)))
 

@@ -181,6 +181,24 @@ class TestSampling:
         with pytest.raises(SamplingError):
             hg.sample_interior(hg.Affine(1, 1), 2, 1, seed=1, min_margin=1.5)
 
+    @pytest.mark.parametrize("min_margin", [0.05, 0.01, 0.002])
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_reaches_n8(self, profile, min_margin):
+        pts = hg.sample_interior(profile, 8, 50, 8, min_margin)
+        assert len(pts) == 50
+        assert all(p.n == 8 and p.margin >= min_margin for p in pts)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_fiber_uniform_in_ball(self, n):
+        # for a uniform fiber vector in the ball of radius sqrt(F(x) - m),
+        # (|fiber|^2 / (F(x) - m))^(n-1) is uniform on [0, 1]
+        prof, m, count = hg.PowerCap(2), 0.05, 2000
+        u = [
+            ((p.z[1:] @ p.z[1:].conj()).real / (prof.eval(p.x) - m)) ** (n - 1)
+            for p in hg.sample_interior(prof, n, count, 17, m)
+        ]
+        assert abs(float(np.mean(u)) - 0.5) <= 4.0 / math.sqrt(12.0 * count)
+
 
 def test_potential_nan_outside():
     prof = hg.Affine(1, 1)
