@@ -9,7 +9,6 @@ from .boundary import (
     BoundaryPoint,
     boundary_point,
     defining_residual,
-    levi_form,
     restricted_levi_min_eigenvalue,
     sample_boundary,
     tangent_space_basis,
@@ -98,7 +97,6 @@ __all__ = [
     "is_positive_definite",
     "is_strongly_pseudoconvex",
     "kahler_potential",
-    "levi_form",
     "lie_derivative_components",
     "parse_profile",
     "pseudoconvexity_margin",

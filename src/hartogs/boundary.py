@@ -85,19 +85,6 @@ def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> list[Bou
     return points
 
 
-def levi_form(profile: Profile, b: BoundaryPoint, vector) -> float:
-    """Levi form of the defining function at b applied to a vector."""
-    d1 = profile.eval(b.x, 1)
-    d2 = profile.eval(b.x, 2)
-    x0c = complex(vector[0])
-    head = (x0c.real * x0c.real + x0c.imag * x0c.imag) * (d1 + d2 * b.x)
-    tail = 0.0
-    for k in range(1, b.n):
-        c = complex(vector[k])
-        tail += c.real * c.real + c.imag * c.imag
-    return tail - head
-
-
 def levi_matrix(profile: Profile, b: BoundaryPoint) -> np.ndarray:
     """The Levi form as a diagonal Hermitian matrix."""
     d = np.ones(b.n)
@@ -132,22 +119,3 @@ def restricted_levi_min_eigenvalue(profile: Profile, b: BoundaryPoint) -> float:
     compressed = basis.conj().T @ lev @ basis
     return float(np.linalg.eigvalsh(compressed)[0])
 
-
-def levi_form_substituted(profile: Profile, b: BoundaryPoint, tail_vector) -> float:
-    """Levi form on tangent vectors after eliminating X_0 through the
-    tangency relation:
-
-        |X_1|^2 + ... - (F' + F'' x)/(F'^2 x) |zbar_1 X_1 + ...|^2.
-
-    Singular as z_0 -> 0; meant as a cross-check for |z_0|^2 > 1e-3 only.
-    """
-    if b.x <= 0.0:
-        raise DomainError("substituted Levi form undefined at z_0 = 0")
-    d1 = profile.eval(b.x, 1)
-    d2 = profile.eval(b.x, 2)
-    tail = np.asarray(tail_vector, dtype=complex)
-    pairing = complex(np.vdot(b.z[1:], tail))
-    return float(
-        np.vdot(tail, tail).real
-        - (d1 + d2 * b.x) / (d1 * d1 * b.x) * (pairing.real**2 + pairing.imag**2)
-    )

@@ -14,11 +14,6 @@ on affine profiles, bounded away from zero elsewhere.  Residual thresholds
 downstream follow the two-tier budget: 1e-8 where closed forms dominate,
 1e-5 where two finite-difference layers stack; anything in between is
 treated as suspicious by the test suites.
-
-Metric first derivatives entering the Lie derivative use a dedicated
-stencil with a smaller step than the mixed-Hessian oracle: first
-differences tolerate it, and the Killing-field cancellation checks need
-the truncation floor at the 1e-9 level.
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from .metric import (
     Radial,
     assemble_metric,
     inverse_metric_matrix,
+    metric_gradients,
     metric_matrix,
     radial_data,
     require_interior,
@@ -47,11 +43,6 @@ from .wirtinger import ComplexStencil, DEFAULT_STENCIL
 
 #: default polynomial degree cap for holomorphic fields
 MAX_FIELD_DEGREE = 2
-
-#: stencil for first derivatives of metric entries (Lie derivative); first
-#: differences tolerate a much smaller step than the mixed-Hessian oracle,
-#: and the Killing-cancellation checks need the truncation floor below 1e-9
-FIRST_DERIVATIVE_STENCIL = ComplexStencil(step=1e-6)
 
 Monomial = tuple[complex, tuple[int, ...]]
 
@@ -184,35 +175,8 @@ class SolitonParams:
         return self.lam + self.field.n + 1
 
 
-def metric_entry_gradients(
-    profile: Profile, z, stencil: ComplexStencil = FIRST_DERIVATIVE_STENCIL
-):
-    """Wirtinger first derivatives of every metric entry.
-
-    Returns (dg, dgbar) with dg[k][a, b] = d g_{a,bbar} / d z_k; both come
-    from the same 4n evaluations of the full matrix.
-    """
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-
-    def h_of(w):
-        return metric_matrix(radial_data(profile, w), w)
-
-    dg = np.empty((n, n, n), dtype=complex)
-    dgbar = np.empty((n, n, n), dtype=complex)
-    for k in range(n):
-        dz, dzbar = stencil.d_pair(h_of, z, k)
-        dg[k] = dz
-        dgbar[k] = dzbar
-    return dg, dgbar
-
-
 def lie_derivative_components(
-    profile: Profile,
-    p: DomainPoint,
-    m: MetricData,
-    x_field: HoloVectorField,
-    stencil: ComplexStencil = FIRST_DERIVATIVE_STENCIL,
+    profile: Profile, p: DomainPoint, m: MetricData, x_field: HoloVectorField
 ) -> np.ndarray:
     """Mixed components of the Lie derivative of the metric along the real
     holomorphic field with holomorphic part (f_k):
@@ -222,20 +186,15 @@ def lie_derivative_components(
                                  + (df_k/dz_a) h_{k,bbar}
                                  + conj(df_k/dz_b) h_{a,kbar} ].
 
-    h is read from the metric `m` assembled at p.  Metric derivatives are
-    finite differences on the closed-form entries; polynomial derivatives
-    are exact.  The result is Hermitian to rounding.
+    h and its radial data are read from the metric `m` assembled at p.
+    Metric and polynomial derivatives are both exact.  The result is
+    Hermitian to rounding.
     """
     if x_field.n != p.n:
         raise ValueError(f"field dimension {x_field.n} does not match point dimension {p.n}")
-    n = p.n
     if x_field.is_zero():
-        return np.zeros((n, n), dtype=complex)
-    if p.margin < 10.0 * stencil.step:
-        raise DomainError(
-            f"margin {p.margin!r} too small for FD step {stencil.step!r} (need >= 10 steps)"
-        )
-    dg, dgbar = metric_entry_gradients(profile, p.z, stencil)
+        return np.zeros((p.n, p.n), dtype=complex)
+    dg, dgbar = metric_gradients(profile, m.radial, p.z)
     return lie_from_jets(m.h, dg, dgbar, *x_field.jet(p.z))
 
 
@@ -395,7 +354,7 @@ def soliton_sweep(
         ric = ricci_tensor(profile, p, m)
         h = m.h
         weight = 1.0 / (1.0 + np.linalg.norm(h))
-        dg, dgbar = metric_entry_gradients(profile, p.z)
+        dg, dgbar = metric_gradients(profile, m.radial, p.z)
         rows_rhs.append(weight * realify(ric))
         rows_lam.append(weight * realify(h))
         for idx, field in enumerate(fields):

@@ -191,6 +191,39 @@ def metric_matrix(r: Radial, z) -> np.ndarray:
     return h
 
 
+def metric_gradients(profile: Profile, r: Radial, z) -> tuple[np.ndarray, np.ndarray]:
+    """Wirtinger derivatives of the metric at z in closed form, as
+    (dg, dgbar) with dg[k] = dh/dz_k and dgbar[k] = dh/dzbar_k, which is
+    conj(dg[k]).T since h is Hermitian.
+
+    Differentiating h = (d^2 Phi / dz_a dzbar_b), Phi = -log(gap), with
+    subscripts for derivatives of gap and a bar on index b throughout:
+
+        d_k h_ab = -gap_kab/gap + (gap_ab gap_k + gap_ka gap_b + gap_a gap_kb)/gap^2
+                   - 2 gap_k gap_a gap_b/gap^3,
+
+    where gap_0 = F' zbar_0, gap_i = -zbar_i, the mixed second derivatives
+    are diag(F' + F'' x, -1, ..., -1), the only holomorphic one is
+    gap_00 = F'' zbar_0^2, and the only third one is
+    gap_000bar = zbar_0 (2 F'' + x F''').  F''' is read here, not kept in
+    the radial record, since nothing else needs it.
+    """
+    n = len(z)
+    x, gap, d2 = r.x, r.gap, r.d2
+    gap2 = gap * gap
+    z0c = complex(z[0]).conjugate()
+    g1 = -np.conj(np.asarray(z, dtype=complex))
+    g1[0] = r.d1 * z0c
+    mixed = -np.eye(n)
+    mixed[0, 0] = r.d1 + d2 * x
+
+    dg = (g1[:, None, None] * mixed[None, :, :] + g1[None, :, None] * mixed[:, None, :]) / gap2
+    dg -= (2.0 / (gap2 * gap)) * (g1[:, None, None] * g1[None, :, None]) * g1.conj()[None, None, :]
+    dg[0, 0] += (d2 * z0c * z0c / gap2) * g1.conj()
+    dg[0, 0, 0] -= z0c * (2.0 * d2 + x * profile.eval(x, 3)) / gap
+    return dg, dg.conj().transpose(0, 2, 1)
+
+
 def inverse_metric_matrix(r: Radial, z) -> np.ndarray:
     """Closed-form inverse metric at z from its radial data; raises
     SingularityError where det_core is below SINGULAR_TOL."""

@@ -5,10 +5,11 @@ x0 finite or infinite.  It defines the domain
 
     D = { z in C^n : |z_0|^2 < x0,  |z_1|^2 + ... + |z_{n-1}|^2 < F(|z_0|^2) }.
 
-Profiles form a closed set of families, each carrying closed-form first and
-second derivatives, the radial determinant factor det_core, and the two
-radial curvature functionals built from it: the defect (x (log det_core)')'
-and the derivative of the scalar-curvature slope -defect F / det_core.
+Profiles form a closed set of families, each carrying closed-form first,
+second and third derivatives, the radial determinant factor det_core, and
+the two radial curvature functionals built from it: the defect
+(x (log det_core)')' and the derivative of the scalar-curvature slope
+-defect F / det_core.
 These involve derivatives of F beyond the second, so arbitrary user
 callables are deliberately not supported; extending the zoo means adding a
 family here, with its closed forms.
@@ -36,8 +37,8 @@ UNBOUNDED_X_CAP = 10.0
 class Profile:
     """Base class for profile families.
 
-    Subclasses provide the closed forms `_f`, `_d1`, `_d2` (value, first and
-    second derivative), the domain bound `x0`, optionally a simplified
+    Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3` (value and
+    first three derivatives), the domain bound `x0`, optionally a simplified
     `det_core`, and the radial curvature functionals `defect` and
     `slope_d1`.
     """
@@ -57,8 +58,11 @@ class Profile:
     def _d2(self, x: float) -> float:
         raise NotImplementedError
 
+    def _d3(self, x: float) -> float:
+        raise NotImplementedError
+
     def eval(self, x: float, order: int = 0) -> float:
-        """Evaluate F, F' or F'' at x by closed form."""
+        """Evaluate F, F', F'' or F''' at x by closed form."""
         if not 0.0 <= x < self.x0:
             raise DomainError(f"x={x!r} outside [0, {self.x0!r}) for {self.label()}")
         if order == 0:
@@ -67,7 +71,9 @@ class Profile:
             return self._d1(x)
         if order == 2:
             return self._d2(x)
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        if order == 3:
+            return self._d3(x)
+        raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
 
     def det_core(self, x: float) -> float:
         """Radial factor of the metric determinant:
@@ -121,6 +127,9 @@ class Affine(Profile):
     def _d2(self, x):
         return 0.0
 
+    def _d3(self, x):
+        return 0.0
+
     def det_core(self, x):
         return self.c1 * self.c2
 
@@ -158,6 +167,9 @@ class PowerCap(Profile):
 
     def _d2(self, x):
         return self.p * (self.p - 1.0) * (1.0 - x) ** (self.p - 2.0)
+
+    def _d3(self, x):
+        return -self.p * (self.p - 1.0) * (self.p - 2.0) * (1.0 - x) ** (self.p - 3.0)
 
     def det_core(self, x):
         return self.p * (1.0 - x) ** (2.0 * self.p - 2.0)
@@ -197,6 +209,9 @@ class ExpDecay(Profile):
     def _d2(self, x):
         return self.rate * self.rate * math.exp(-self.rate * x)
 
+    def _d3(self, x):
+        return -self.rate**3 * math.exp(-self.rate * x)
+
     def det_core(self, x):
         return self.rate * math.exp(-2.0 * self.rate * x)
 
@@ -228,6 +243,9 @@ class Rational(Profile):
 
     def _d2(self, x):
         return 2.0 / (1.0 + x) ** 3
+
+    def _d3(self, x):
+        return -6.0 / (1.0 + x) ** 4
 
     def det_core(self, x):
         return (1.0 + x) ** -4

@@ -83,11 +83,14 @@ class TestLieDerivative:
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_rotation_is_killing(self, profile, points_for):
         # metric entries depend only on moduli and zbar_a z_b pairings, both
-        # preserved by the rotation flow
-        for p in points_for(profile, 2, count=4, seed=55, min_margin=0.3):
-            m = hg.assemble_metric(profile, p)
-            lie = hg.lie_derivative_components(profile, p, m, HoloVectorField.rotation(2))
-            assert np.max(np.abs(lie)) <= 1e-8
+        # preserved by the rotation flow; the cancellation holds to rounding
+        # near the boundary too, where h grows like 1/margin^2
+        for n in (2, 3, 8):
+            for margin in (0.3, 0.05, 0.01):
+                for p in points_for(profile, n, count=4, seed=55, min_margin=margin):
+                    m = hg.assemble_metric(profile, p)
+                    lie = hg.lie_derivative_components(profile, p, m, HoloVectorField.rotation(n))
+                    assert np.max(np.abs(lie)) <= 1e-8
 
     def test_translation_not_killing(self, points_for):
         prof = hg.Affine(1, 1)
@@ -110,13 +113,6 @@ class TestLieDerivative:
         assert np.max(np.abs(lab - (la + lb))) <= 1e-10
         for mat in (la, lb, lab):
             assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
-
-    def test_margin_contract(self):
-        prof = hg.Affine(1, 1)
-        p = hg.contains(prof, [0, math.sqrt(1 - 1e-6)])
-        m = hg.assemble_metric(prof, p)
-        with pytest.raises(DomainError):
-            hg.lie_derivative_components(prof, p, m, HoloVectorField.rotation(2))
 
     def test_jet_sum_matches_explicit_loops(self):
         n = 3
@@ -179,13 +175,14 @@ class TestSolitonResidual:
 
     def test_rotation_field_changes_nothing_for_affine(self, points_for):
         for prof in (hg.Affine(1, 1), hg.Affine(2, 3)):
-            rot = SolitonParams(-3.0, HoloVectorField.rotation(2, 1.0))
-            for p in points_for(prof, 2, count=5, seed=99, min_margin=0.3):
-                assert hg.soliton_residual(prof, p, rot) <= 1e-8
+            for n, margin in ((2, 0.3), (3, 0.002)):
+                rot = SolitonParams(-(n + 1), HoloVectorField.rotation(n, 1.0))
+                for p in points_for(prof, n, count=5, seed=99, min_margin=margin):
+                    assert hg.soliton_residual(prof, p, rot) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_radial_evaluation_per_point(self, monkeypatch, n):
-        # the sample point once, plus the 4n points of the Lie stencil
+        # the sample point once; the metric gradients reuse its record
         calls = []
         original = hartogs.metric.radial_data
 
@@ -198,7 +195,20 @@ class TestSolitonResidual:
         prof = hg.PowerCap(2)
         p = hg.contains(prof, [0.3] + [0.2j] * (n - 1))
         hg.soliton_residual(prof, p, SolitonParams(-(n + 1), HoloVectorField.rotation(n)))
-        assert len(calls) == 4 * n + 1
+        assert len(calls) == 1
+
+    def test_no_finite_differences(self, monkeypatch, points_for):
+        # the Lie derivative and the sweep run on exact metric gradients
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite difference taken")
+
+        for name in ("d_pair", "d_zbar", "hessian_z_zbar"):
+            monkeypatch.setattr(ComplexStencil, name, refuse)
+        prof = hg.PowerCap(2)
+        rot = SolitonParams(-3.0, HoloVectorField.rotation(2))
+        for p in points_for(prof, 2, count=3):
+            assert hg.soliton_residual(prof, p, rot) > 1e-2
+        assert soliton_sweep(prof, 2, 10, seed=9).residual > 1e-2
 
     def test_gamma_shift(self):
         params = SolitonParams(-3.0, HoloVectorField.zero(2))

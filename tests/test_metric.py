@@ -9,10 +9,12 @@ from hartogs.metric import (
     DomainPoint,
     fd_stencil_for,
     metric_fd_oracle,
+    metric_gradients,
     metric_matrix,
     radial_data,
     require_interior,
 )
+from hartogs.wirtinger import ComplexStencil
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
 
@@ -88,6 +90,23 @@ def test_closed_form_vs_fd_hessian(profile, n, points_for):
         fd = metric_fd_oracle(profile, p)
         err = np.linalg.norm(m.h - fd) / (1.0 + np.linalg.norm(m.h))
         assert err <= 1e-6
+
+
+@pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_metric_gradients_vs_fd(profile, n, points_for):
+    # Wirtinger differences of the closed-form entries, the reference the
+    # exact gradients replace in the Lie derivative
+    stencil = ComplexStencil(1e-6)
+
+    def h_of(w):
+        return metric_matrix(radial_data(profile, w), w)
+
+    for p in points_for(profile, n, min_margin=0.05):
+        dg, dgbar = metric_gradients(profile, radial_data(profile, p.z), p.z)
+        for k in range(n):
+            for got, want in zip((dg[k], dgbar[k]), stencil.d_pair(h_of, p.z, k)):
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)

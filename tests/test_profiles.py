@@ -34,7 +34,7 @@ class TestEval:
 
     def test_bad_order_raises(self):
         with pytest.raises(ValueError):
-            hg.Rational().eval(0.5, 3)
+            hg.Rational().eval(0.5, 4)
 
     def test_bad_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -45,7 +45,11 @@ class TestEval:
             hg.ExpDecay(-2)
 
 
-@pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+# powercap's F''' vanishes at p = 2, so two more exponents check it
+@pytest.mark.parametrize(
+    "profile", [*PSEUDOCONVEX_FAMILIES, hg.PowerCap(0.5), hg.PowerCap(3)],
+    ids=lambda prof: prof.label(),
+)
 def test_closed_form_derivatives_match_fd(profile):
     top = interior_x_max(profile)
     for i in range(1, 20):
@@ -53,8 +57,10 @@ def test_closed_form_derivatives_match_fd(profile):
         h = 1e-5 * (1 + abs(x))
         d1_fd = central_d1(lambda t: profile.eval(t, 0), x, h)
         d2_fd = central_d1(lambda t: profile.eval(t, 1), x, h)
+        d3_fd = central_d1(lambda t: profile.eval(t, 2), x, h)
         assert profile.eval(x, 1) == pytest.approx(d1_fd, rel=1e-6, abs=1e-9)
         assert profile.eval(x, 2) == pytest.approx(d2_fd, rel=1e-6, abs=1e-9)
+        assert profile.eval(x, 3) == pytest.approx(d3_fd, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
