@@ -28,6 +28,7 @@ from .curvature import (
     CurvatureData,
     curvature_at,
     curvature_defect,
+    extremal_fd_oracle,
     ricci_fd_oracle,
     ricci_tensor,
     rho_oracle,
@@ -91,6 +92,7 @@ __all__ = [
     "curvature_defect",
     "defining_residual",
     "einstein_residual",
+    "extremal_fd_oracle",
     "extremal_residual",
     "hyperbolic_isometry",
     "interior_grid",

@@ -9,11 +9,11 @@ The rigidity facts this package verifies numerically:
   Ric = lambda h + L_X h forces the metric to be Einstein, i.e. again the
   affine/hyperbolic case.
 
-Both are exposed as pointwise residuals: zero (to closed-form precision)
-on affine profiles, bounded away from zero elsewhere.  Residual thresholds
-downstream follow the two-tier budget: 1e-8 where closed forms dominate,
-1e-5 where two finite-difference layers stack; anything in between is
-treated as suspicious by the test suites.
+Both are exposed as pointwise residuals in closed form: zero on affine
+profiles (the extremal and Einstein residuals exactly), bounded away from
+zero elsewhere.  The classification checks downstream read them against
+two tiers: at most 1e-8 counts as zero, at least 1e-3 as an obstruction;
+anything in between is treated as suspicious by the test suites.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import curvature_at, ricci_tensor
-from .errors import DomainError
 from .metric import (
     DomainPoint,
     MetricData,
-    Radial,
     assemble_metric,
-    inverse_metric_matrix,
     metric_gradients,
     metric_matrix,
     radial_data,
@@ -39,7 +36,6 @@ from .metric import (
     sample_interior,
 )
 from .profiles import Affine, Profile
-from .wirtinger import ComplexStencil, DEFAULT_STENCIL
 
 #: default polynomial degree cap for holomorphic fields
 MAX_FIELD_DEGREE = 2
@@ -169,11 +165,6 @@ class SolitonParams:
     lam: float
     field: HoloVectorField
 
-    @property
-    def gamma(self) -> float:
-        """Shifted constant lam + (n+1), zero for the Einstein value."""
-        return self.lam + self.field.n + 1
-
 
 def lie_derivative_components(
     profile: Profile, p: DomainPoint, m: MetricData, x_field: HoloVectorField
@@ -223,51 +214,11 @@ def soliton_residual(profile: Profile, p: DomainPoint, params: SolitonParams) ->
     return float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(m.h)))
 
 
-def scal_gradient_bar(profile: Profile, r: Radial, z) -> np.ndarray:
-    """Anti-holomorphic gradient of the scalar curvature at z, in closed
-    form from its radial data, with slope = -defect F / det_core:
-
-        d scal / dzbar_0 = z_0 (slope' * gap + slope * F')
-        d scal / dzbar_i = -slope * z_i.
-    """
-    slope = -profile.defect(r.x) * r.f / r.det_core
-    grad = np.empty(len(z), dtype=complex)
-    grad[0] = complex(z[0]) * (profile.slope_d1(r.x) * r.gap + slope * r.d1)
-    for i in range(1, len(z)):
-        grad[i] = -slope * complex(z[i])
-    return grad
-
-
-def extremal_field(profile: Profile, z) -> np.ndarray:
-    """T^a(z) = sum_b g^{b,abar} d scal/dzbar_b: the (1,0)-gradient field of
-    the scalar curvature.  The metric is extremal iff T is holomorphic.
-    Both factors read one evaluation of the radial data at z."""
-    r = radial_data(profile, z)
-    k = inverse_metric_matrix(r, z)
-    return k.T @ scal_gradient_bar(profile, r, z)
-
-
-def extremal_residual(
-    profile: Profile, p: DomainPoint, stencil: ComplexStencil = DEFAULT_STENCIL
-) -> float:
-    """max over a, c of | d T^a / dzbar_c |, by Wirtinger differences.
-
-    Zero (to rounding) exactly when the scalar-curvature gradient field is
-    holomorphic, i.e. when the metric is extremal.
-    """
-    if p.margin < 10.0 * stencil.step:
-        raise DomainError(
-            f"margin {p.margin!r} too small for FD step {stencil.step!r} (need >= 10 steps)"
-        )
-
-    def t_of(w):
-        return extremal_field(profile, w)
-
-    worst = 0.0
-    for c in range(p.n):
-        deriv = stencil.d_zbar(t_of, p.z, c)
-        worst = max(worst, float(np.max(np.abs(deriv))))
-    return worst
+def extremal_residual(profile: Profile, p: DomainPoint) -> float:
+    """max over a, c of | d T^a / dzbar_c | for the (1,0)-gradient field T
+    of the scalar curvature, in closed form.  Zero exactly when T is
+    holomorphic, i.e. when the metric is extremal."""
+    return curvature_at(profile, p, assemble_metric(profile, p)).extremal
 
 
 def hyperbolic_isometry(c1: float, c2: float, z) -> np.ndarray:

@@ -103,13 +103,12 @@ def cmd_curvature_scan(args) -> int:
     for p in points:
         m = assemble_metric(profile, p)
         data = curvature.curvature_at(profile, p, m)
-        extremal = canonical.extremal_residual(profile, p)
         cells = [profile.label(), str(args.n)]
         cells += _coord_cells(p.z)
         cells += [fmt(p.gap), fmt(p.x), fmt(m.det), fmt(data.scal)]
         cells += [fmt(v) for v in data.rho]
-        cells += [fmt(data.einstein), fmt(extremal)]
-        numeric = [p.gap, p.x, m.det, data.scal, *data.rho, data.einstein, extremal]
+        cells += [fmt(data.einstein), fmt(data.extremal)]
+        numeric = [p.gap, p.x, m.det, data.scal, *data.rho, data.einstein, data.extremal]
         if not all(math.isfinite(v) for v in numeric):
             raise HartogsError(f"non-finite scan value at sample {len(rows)}")
         rows.append(cells)
@@ -207,7 +206,7 @@ def run_verification(
     results: list[CheckResult] = []
 
     worst_h = worst_det = worst_inv = worst_ric = worst_rho = worst_scal = 0.0
-    worst_tail = 0.0
+    worst_tail = worst_t_zbar = 0.0
     einstein_vals = []
     extremal_vals = []
     eye = np.eye(n)
@@ -240,8 +239,12 @@ def run_verification(
         scal_slope_form = -n * (n + 1) + data.slope * p.gap
         deviation = max(abs(data.scal - scal_trace), abs(data.scal - scal_slope_form))
         worst_scal = max(worst_scal, deviation / (1.0 + abs(data.scal)))
+        t_zbar_fd = curvature.extremal_fd_oracle(profile, p)
+        worst_t_zbar = max(
+            worst_t_zbar, float(np.max(np.abs(t_zbar_fd - data.t_zbar))) / (1.0 + data.extremal)
+        )
         einstein_vals.append(data.einstein)
-        extremal_vals.append(canonical.extremal_residual(profile, p))
+        extremal_vals.append(data.extremal)
 
     results.append(
         CheckResult("metric_vs_fd_hessian", worst_h <= 1e-6, f"worst rel {worst_h:.3e} (tol 1e-06)")
@@ -267,6 +270,11 @@ def run_verification(
     )
     results.append(
         CheckResult("scal_forms", worst_scal <= 1e-9, f"worst rel {worst_scal:.3e} (tol 1e-09)")
+    )
+    results.append(
+        CheckResult(
+            "extremal_vs_fd", worst_t_zbar <= 1e-7, f"worst rel {worst_t_zbar:.3e} (tol 1e-07)"
+        )
     )
 
     max_extremal = max(extremal_vals)

@@ -15,10 +15,10 @@ The defect vanishes identically iff the profile is affine, in which case
 the metric is Einstein with scal = -n(n+1); that rigidity is what most of
 the test suite exercises.
 
-The defect and the radial derivative of the slope -defect F / det_core are
-closed forms stated per profile family, so nothing in this module takes a
-finite difference except the Ricci oracle, which differentiates log det h
-on purpose to stay independent of them.
+The defect and two radial derivatives of the slope -defect F / det_core
+are closed forms stated per profile family, so nothing in this module
+takes a finite difference except the Ricci and extremal oracles, which
+differentiate on purpose to stay independent of them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .metric import DomainPoint, MetricData, fd_stencil_for, nonsingular_core, x_and_gap
+from .metric import (
+    DomainPoint, MetricData, Radial, fd_stencil_for, inverse_metric_matrix, metric_gradients,
+    nonsingular_core, radial_data, x_and_gap,
+)
 from .profiles import Profile
 from .wirtinger import ComplexStencil
 
@@ -38,7 +41,8 @@ from .wirtinger import ComplexStencil
 class CurvatureData:
     """Curvature bundle at one point: Ricci matrix, scalar curvature, the
     radial defect and slope functionals, the generalized scalar curvatures
-    rho_0..rho_{n-1}, and the Einstein residual."""
+    rho_0..rho_{n-1}, the Einstein residual, and t_zbar with the extremal
+    residual max |t_zbar| (see `curvature_at`)."""
 
     ric: np.ndarray
     scal: float
@@ -46,24 +50,40 @@ class CurvatureData:
     slope: float
     rho: np.ndarray
     einstein: float
+    t_zbar: np.ndarray
+    extremal: float
 
 
-def curvature_defect(profile: Profile, x: float) -> float:
-    """defect(x) = (x (log det_core)')', the family's closed form.
+def curvature_defect(profile: Profile, r: Radial) -> float:
+    """defect(x) = (x (log det_core)')', the family's closed form, at r.x.
 
     Exactly zero for the affine family.  Raises SingularityError where
     det_core is below SINGULAR_TOL, where the metric degenerates.
     """
-    nonsingular_core(profile.det_core(x), x)
-    return profile.defect(x)
+    nonsingular_core(r.det_core, r.x)
+    return profile.defect(r.x)
 
 
 def scal_slope(profile: Profile, x: float) -> float:
     """slope(x) = -defect(x) F(x) / det_core(x), the rate at which scal
     departs from the Einstein constant per unit of gap:
-    scal = -n(n+1) + slope * gap.  Raises SingularityError where the
-    defect does."""
-    return -curvature_defect(profile, x) * profile.eval(x) / profile.det_core(x)
+    scal = -n(n+1) + slope * gap.  Raises SingularityError where det_core
+    is singular."""
+    core = nonsingular_core(profile.det_core(x), x)
+    return -profile.defect(x) * profile.eval(x) / core
+
+
+def scal_gradient_bar(profile: Profile, r: Radial, z) -> np.ndarray:
+    """Anti-holomorphic gradient of the scalar curvature at z, in closed
+    form from its radial data, with slope = -defect F / det_core:
+
+        d scal / dzbar_0 = z_0 (slope' * gap + slope * F')
+        d scal / dzbar_i = -slope * z_i.
+    """
+    slope = -profile.defect(r.x) * r.f / r.det_core
+    grad = -slope * np.asarray(z, dtype=complex)
+    grad[0] = complex(z[0]) * (profile.slope_d1(r.x) * r.gap + slope * r.d1)
+    return grad
 
 
 def _ricci(p: DomainPoint, m: MetricData, defect: float) -> np.ndarray:
@@ -74,7 +94,7 @@ def _ricci(p: DomainPoint, m: MetricData, defect: float) -> np.ndarray:
 
 def ricci_tensor(profile: Profile, p: DomainPoint, m: MetricData) -> np.ndarray:
     """Ric = -(n+1) h, with the (0,0) entry shifted by -defect(x)."""
-    return _ricci(p, m, curvature_defect(profile, p.x))
+    return _ricci(p, m, curvature_defect(profile, m.radial))
 
 
 def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
@@ -114,13 +134,37 @@ def ricci_fd_oracle(
     return -stencil.hessian_z_zbar(log_det, p.z)
 
 
+def extremal_fd_oracle(
+    profile: Profile, p: DomainPoint, stencil: ComplexStencil | None = None
+) -> np.ndarray:
+    """Independent oracle for `CurvatureData.t_zbar`: Wirtinger differences
+    of T(w) = h^-1(w)^T dbar scal(w), column c along zbar_c.  Uses a
+    margin-scaled stencil unless given one, which keeps every stencil
+    point inside the domain."""
+    if stencil is None:
+        stencil = fd_stencil_for(profile, p)
+
+    def t_of(w):
+        r = radial_data(profile, w)
+        return inverse_metric_matrix(r, w).T @ scal_gradient_bar(profile, r, w)
+
+    return np.stack([stencil.d_zbar(t_of, p.z, c) for c in range(p.n)], axis=1)
+
+
 def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureData:
     """Every closed-form curvature quantity at one point, from one defect
     and the radial data the metric was assembled from.  The Einstein
-    residual is || Ric + (n+1) h ||_F / (1 + ||h||_F)."""
+    residual is || Ric + (n+1) h ||_F / (1 + ||h||_F).
+
+    The metric is extremal iff T = K^T g is holomorphic, with K = h^-1 and
+    g = dbar scal.  t_zbar[a, c] = dT^a/dzbar_c = (K^T (S - dgbar_c^T T))[a, c],
+    where dgbar_c = dh/dzbar_c and S, the anti-holomorphic Hessian of scal,
+    is zero but for S00 = z_0^2 (slope'' gap + 2 slope' F' + slope F'') and
+    S0i = Si0 = -slope' z_0 z_i."""
     n = p.n
     r = m.radial
-    defect = curvature_defect(profile, p.x)
+    defect = curvature_defect(profile, r)
+    slope = -defect * r.f / r.det_core
     ric = _ricci(p, m, defect)
     shared = p.gap * r.f * defect / r.det_core
     rho = np.empty(n, dtype=float)
@@ -131,11 +175,21 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
             * math.comb(n - 1, k)
             * (n * (n + 1) / (k + 1) + shared)
         )
+    t = m.h_inv.T @ scal_gradient_bar(profile, r, p.z)
+    z0 = complex(p.z[0])
+    slope_d1 = profile.slope_d1(r.x)
+    hess = np.zeros((n, n), dtype=complex)
+    hess[0, 0] = z0 * z0 * (profile.slope_d2(r.x) * r.gap + 2.0 * slope_d1 * r.d1 + slope * r.d2)
+    hess[0, 1:] = hess[1:, 0] = -slope_d1 * z0 * p.z[1:]
+    dgbar = metric_gradients(profile, r, p.z)[1]
+    t_zbar = m.h_inv.T @ (hess - np.einsum("cab,a->bc", dgbar, t))
     return CurvatureData(
         ric=ric,
         scal=-(p.gap / r.det_core) * r.f * defect - n * (n + 1),
         defect=defect,
-        slope=-defect * r.f / r.det_core,
+        slope=slope,
         rho=rho,
         einstein=float(np.linalg.norm(ric + (n + 1) * m.h) / (1.0 + np.linalg.norm(m.h))),
+        t_zbar=t_zbar,
+        extremal=float(np.max(np.abs(t_zbar))),
     )

@@ -7,9 +7,9 @@ x0 finite or infinite.  It defines the domain
 
 Profiles form a closed set of families, each carrying closed-form first,
 second and third derivatives, the radial determinant factor det_core, and
-the two radial curvature functionals built from it: the defect
-(x (log det_core)')' and the derivative of the scalar-curvature slope
--defect F / det_core.
+the radial curvature functionals built from it: the defect
+(x (log det_core)')' and the first and second derivatives (`slope_d1`,
+`slope_d2`) of the scalar-curvature slope -defect F / det_core.
 These involve derivatives of F beyond the second, so arbitrary user
 callables are deliberately not supported; extending the zoo means adding a
 family here, with its closed forms.
@@ -39,8 +39,8 @@ class Profile:
 
     Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3` (value and
     first three derivatives), the domain bound `x0`, optionally a simplified
-    `det_core`, and the radial curvature functionals `defect` and
-    `slope_d1`.
+    `det_core`, and the radial curvature functionals `defect`, `slope_d1`
+    and `slope_d2`.
     """
 
     family = "base"
@@ -97,6 +97,10 @@ class Profile:
         -defect F / det_core, in closed form.  Not domain-guarded."""
         raise NotImplementedError
 
+    def slope_d2(self, x: float) -> float:
+        """Second radial derivative of the slope, in closed form.  Not domain-guarded."""
+        raise NotImplementedError
+
     def label(self) -> str:
         raise NotImplementedError
 
@@ -137,6 +141,9 @@ class Affine(Profile):
         return 0.0
 
     def slope_d1(self, x):
+        return 0.0
+
+    def slope_d2(self, x):
         return 0.0
 
     def label(self):
@@ -180,6 +187,9 @@ class PowerCap(Profile):
     def slope_d1(self, x):
         return (2.0 * self.p - 2.0) * (1.0 - x) ** (-self.p - 1.0)
 
+    def slope_d2(self, x):
+        return (2.0 * self.p - 2.0) * (self.p + 1.0) * (1.0 - x) ** (-self.p - 2.0)
+
     def label(self):
         return f"powercap:{self.p:g}"
 
@@ -221,6 +231,9 @@ class ExpDecay(Profile):
     def slope_d1(self, x):
         return 2.0 * self.rate * math.exp(self.rate * x)
 
+    def slope_d2(self, x):
+        return 2.0 * self.rate * self.rate * math.exp(self.rate * x)
+
     def label(self):
         return f"expdecay:{self.rate:g}"
 
@@ -255,6 +268,9 @@ class Rational(Profile):
 
     def slope_d1(self, x):
         return 4.0
+
+    def slope_d2(self, x):
+        return 0.0
 
     def label(self):
         return "rational"

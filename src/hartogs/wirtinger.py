@@ -97,7 +97,3 @@ class ComplexStencil:
             for alpha in range(n):
                 out[alpha, beta] = _pair_fixed(dbar, z, alpha, steps[alpha])[0]
         return 0.5 * (out + out.conj().T)
-
-
-#: stencil used throughout the package when none is supplied
-DEFAULT_STENCIL = ComplexStencil()

@@ -6,14 +6,9 @@ import pytest
 import hartogs as hg
 import hartogs.canonical
 import hartogs.metric
-from hartogs.canonical import (
-    HoloVectorField,
-    SolitonParams,
-    extremal_field,
-    lie_from_jets,
-    scal_gradient_bar,
-    soliton_sweep,
-)
+from hartogs.canonical import HoloVectorField, SolitonParams, lie_from_jets, soliton_sweep
+from hartogs.cli import main
+from hartogs.curvature import curvature_at, extremal_fd_oracle, scal_gradient_bar
 from hartogs.errors import DomainError
 from hartogs.metric import radial_data
 from hartogs.wirtinger import ComplexStencil
@@ -197,8 +192,9 @@ class TestSolitonResidual:
         hg.soliton_residual(prof, p, SolitonParams(-(n + 1), HoloVectorField.rotation(n)))
         assert len(calls) == 1
 
-    def test_no_finite_differences(self, monkeypatch, points_for):
-        # the Lie derivative and the sweep run on exact metric gradients
+    def test_no_finite_differences(self, monkeypatch, points_for, tmp_path):
+        # the Lie derivative, the sweep and the extremal residual run on
+        # exact metric gradients, and so do the scan subcommands
         def refuse(*args, **kwargs):
             raise AssertionError("finite difference taken")
 
@@ -208,12 +204,11 @@ class TestSolitonResidual:
         rot = SolitonParams(-3.0, HoloVectorField.rotation(2))
         for p in points_for(prof, 2, count=3):
             assert hg.soliton_residual(prof, p, rot) > 1e-2
+            assert hg.extremal_residual(prof, p) > 1e-2
         assert soliton_sweep(prof, 2, 10, seed=9).residual > 1e-2
-
-    def test_gamma_shift(self):
-        params = SolitonParams(-3.0, HoloVectorField.zero(2))
-        assert params.gamma == 0.0
-        assert SolitonParams(-1.5, HoloVectorField.zero(3)).gamma == pytest.approx(2.5)
+        common = ["--profile", "powercap:2", "--n", "3", "--samples", "5", "--seed", "2"]
+        assert main(["curvature-scan", *common, "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["extremal-residual", *common]) == 0
 
 
 class TestExtremalResidual:
@@ -221,28 +216,47 @@ class TestExtremalResidual:
         for prof in (hg.Affine(1, 1), hg.Affine(2, 3)):
             for n in (2, 3):
                 for p in points_for(prof, n, count=6):
-                    assert hg.extremal_residual(prof, p) <= 1e-8
+                    assert hg.extremal_residual(prof, p) == 0.0
 
     def test_powercap_pinned_point(self):
-        # max |dT/dzbar| at (0.4, 0.3), far above the 1e-3 obstruction floor;
-        # T is exact, so only the outer stencil's truncation (< 1e-5
-        # relative, see the stencil test below) is left in this value
+        # max |dT/dzbar| at (0.4, 0.3), far above the 1e-3 obstruction floor
         prof = hg.PowerCap(2)
         p = hg.contains(prof, [0.4, 0.3])
-        assert hg.extremal_residual(prof, p) == pytest.approx(0.2225635, rel=1e-5)
+        assert hg.extremal_residual(prof, p) == pytest.approx(0.22256351520199916, rel=1e-12)
 
     @pytest.mark.parametrize("profile", [hg.PowerCap(2), hg.ExpDecay(1), hg.Rational()],
                              ids=lambda prof: prof.label())
     def test_independent_of_stencil(self, profile):
-        # the field T is exact, so only the outer stencil's truncation is
-        # left, and three steps spanning 30x must give the same residual
+        # the FD oracle converges onto the closed form like step^2: its
+        # error falls 100x from step 1e-3 to 1e-4 and (10/3)^2 to 3e-5
         for z in ([0.9 + 0.3j, 0.2 + 0.1j], [0.5 - 0.4j, 0.3 + 0.2j], [0.2 + 0.1j, 0.5 + 0.1j]):
             p = hg.contains(profile, z)
             if p is None:
                 continue
-            res = [hg.extremal_residual(profile, p, ComplexStencil(step))
+            exact = curvature_at(profile, p, hg.assemble_metric(profile, p))
+            err = [float(np.max(np.abs(extremal_fd_oracle(profile, p, ComplexStencil(step))
+                                       - exact.t_zbar))) / exact.extremal
                    for step in (1e-3, 1e-4, 3e-5)]
-            assert max(res) - min(res) <= 1e-4 * max(res)
+            assert err[1] <= 1e-6
+            assert 90.0 <= err[0] / err[1] <= 110.0
+            assert 10.0 <= err[1] / err[2] <= 12.5
+
+    def test_matches_fd_oracle_over_range(self):
+        # 7 profiles x n = 2..8 x margins down to 1e-3; every affine
+        # residual is exactly 0
+        profiles = [hg.Affine(1, 1), hg.Affine(2, 3), hg.PowerCap(0.5), hg.PowerCap(2),
+                    hg.PowerCap(3), hg.ExpDecay(1), hg.Rational()]
+        worst = 0.0
+        for prof in profiles:
+            for n in (2, 3, 4, 6, 8):
+                for margin in (0.05, 0.01, 0.002, 0.001):
+                    for p in hg.sample_interior(prof, n, 20, 0, margin):
+                        data = curvature_at(prof, p, hg.assemble_metric(prof, p))
+                        if prof.family == "affine":
+                            assert data.extremal == 0.0
+                        diff = np.max(np.abs(extremal_fd_oracle(prof, p) - data.t_zbar))
+                        worst = max(worst, float(diff) / (1.0 + data.extremal))
+        assert worst <= 1e-7
 
     def test_expdecay_nonzero(self, points_for):
         for p in points_for(hg.ExpDecay(1), 2, count=6):
@@ -255,21 +269,19 @@ class TestExtremalResidual:
         p = hg.contains(prof, [0, 0.3])
         assert math.isfinite(hg.extremal_residual(prof, p))
 
-    def test_margin_contract(self):
-        prof = hg.Affine(1, 1)
-        p = hg.contains(prof, [0, math.sqrt(1 - 1e-6)])
-        with pytest.raises(DomainError):
-            hg.extremal_residual(prof, p)
-
     def test_field_matches_slope_structure(self):
-        # T^0 against the explicit n=2 expansion through the inverse metric
-        prof = hg.PowerCap(2)
-        z = np.array([0.4, 0.3], complex)
-        k = np.asarray(hg.assemble_metric(prof, hg.contains(prof, z)).h_inv)
-        grad = scal_gradient_bar(prof, radial_data(prof, z), z)
-        t = extremal_field(prof, z)
-        want0 = k[0, 0] * grad[0] + k[1, 0] * grad[1]
-        assert t[0] == pytest.approx(want0, rel=1e-12)
+        # the closed-form dbar scal, which both the residual and its FD
+        # oracle read, against Wirtinger differences of scal itself
+        def scal(w):
+            p = hg.contains(prof, w)
+            return curvature_at(prof, p, hg.assemble_metric(prof, p)).scal
+
+        for prof in (hg.PowerCap(2), hg.ExpDecay(1), hg.Rational()):
+            for z in ([0.4, 0.3], [0.5 - 0.4j, 0.3 + 0.2j, 0.1j]):
+                z = np.array(z, complex)
+                grad = scal_gradient_bar(prof, radial_data(prof, z), z)
+                fd = [ComplexStencil(1e-5).d_zbar(scal, z, c) for c in range(len(z))]
+                assert np.max(np.abs(grad - fd)) <= 1e-8 * (1.0 + np.max(np.abs(grad)))
 
 
 class TestHyperbolicIsometry:

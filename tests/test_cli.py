@@ -8,7 +8,8 @@ import pytest
 import hartogs.cli
 import hartogs.curvature
 import hartogs.metric
-from hartogs.cli import fmt, main
+from hartogs.cli import fmt, main, run_verification
+from hartogs.profiles import PowerCap
 
 
 def run(capsys, *argv):
@@ -150,10 +151,11 @@ class TestExtremalResidual:
 
     @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
     def test_top_of_range(self, capsys, profile):
-        code, out, _ = run(capsys, "extremal-residual", "--profile", profile,
-                           "--n", "8", "--samples", "50", "--seed", "4")
-        assert code == 0
-        assert "50 samples" in out
+        for margin in ("0.05", "0.001"):
+            code, out, _ = run(capsys, "extremal-residual", "--profile", profile, "--n", "8",
+                               "--samples", "50", "--seed", "4", "--min-margin", margin)
+            assert code == 0
+            assert "50 samples" in out
 
 
 class TestSolitonCheck:
@@ -239,6 +241,33 @@ class TestVerifyTheorems:
                            "--n", "2", "--samples", "5", "--seed", "2")
         assert code == 1
         assert "FAIL  scal_forms" in out
+
+    def test_doctored_slope_d2_fails_extremal_vs_fd(self, capsys, monkeypatch):
+        # a 1e-4 relative error in slope'' is far beyond the 1e-7 budget
+        slope_d2 = PowerCap.slope_d2
+        monkeypatch.setattr(PowerCap, "slope_d2", lambda self, x: slope_d2(self, x) * (1 + 1e-4))
+        code, out, _ = run(capsys, "verify-theorems", "--profile", "powercap:2",
+                           "--n", "2", "--samples", "10", "--seed", "2")
+        assert code == 1
+        assert "FAIL  extremal_vs_fd" in out
+
+    def test_steep_profile_near_boundary(self):
+        # the sample that a stencil of the extremal residual once stepped
+        # out of the domain from (|F'| about 8 at margin 0.002)
+        results = {r.name: r for r in run_verification(PowerCap(0.5), 6, 20, 0, 0.002)}
+        assert results["extremal_vs_fd"].passed
+        assert results["extremal_classification"].passed
+
+
+@pytest.mark.parametrize("command", ["curvature-scan", "extremal-residual"])
+def test_steep_profile_near_boundary(capsys, tmp_path, command):
+    argv = [command, "--profile", "powercap:0.5", "--n", "6", "--samples", "20", "--seed", "0",
+            "--min-margin", "0.002"]
+    if command == "curvature-scan":
+        argv += ["--out", str(tmp_path / "s.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert " 20 " in out
 
 
 def test_unknown_subcommand(capsys):

@@ -6,7 +6,7 @@ import pytest
 import hartogs as hg
 from hartogs.curvature import rho_oracle
 from hartogs.errors import SingularityError
-from hartogs.metric import MetricData, Radial
+from hartogs.metric import MetricData, Radial, radial_data
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1
 
@@ -25,41 +25,43 @@ class TestDefect:
     def test_affine_exactly_zero(self):
         for prof in (hg.Affine(1, 1), hg.Affine(2, 3), hg.Affine(0.5, 2)):
             for x in (0.0, 0.1234, 0.3, 0.49 * prof.x0):
-                assert hg.curvature_defect(prof, x) == 0.0
+                assert prof.defect(x) == 0.0
 
     def test_powercap_closed_form(self):
         # defect = -(2p-2)/(1-x)^2
         prof = hg.PowerCap(2)
-        assert hg.curvature_defect(prof, 0.0) == pytest.approx(-2.0, abs=1e-9)
+        assert prof.defect(0.0) == pytest.approx(-2.0, abs=1e-9)
         for x in (0.1, 0.4, 0.75):
             want = -2.0 / (1.0 - x) ** 2
-            assert abs(hg.curvature_defect(prof, x) - want) <= 1e-12 * (1 + abs(want))
+            assert abs(prof.defect(x) - want) <= 1e-12 * (1 + abs(want))
 
     def test_expdecay_matches_nested_oracle(self):
         prof = hg.ExpDecay(1)
         for x in (0.0, 0.5, 2.0):
-            got = hg.curvature_defect(prof, x)
+            got = prof.defect(x)
             assert abs(got - nested_defect_oracle(prof, x)) <= 1e-4 * (1 + abs(got))
         # closed form is the constant -2a
-        assert hg.curvature_defect(prof, 0.7) == pytest.approx(-2.0, abs=1e-6)
+        assert prof.defect(0.7) == pytest.approx(-2.0, abs=1e-6)
 
     def test_rational_matches_nested_oracle(self):
         prof = hg.Rational()
         for x in (0.0, 1.0, 4.0):
-            got = hg.curvature_defect(prof, x)
+            got = prof.defect(x)
             assert abs(got - nested_defect_oracle(prof, x)) <= 1e-4 * (1 + abs(got))
-        assert hg.curvature_defect(prof, 0.0) == pytest.approx(-4.0, abs=1e-6)
+        assert prof.defect(0.0) == pytest.approx(-4.0, abs=1e-6)
 
     @pytest.mark.parametrize("p", [0.5, 3.0])
     def test_powercap_matches_nested_oracle(self, p):
         prof = hg.PowerCap(p)
         for x in (0.0, 0.3, 0.8):
-            got = hg.curvature_defect(prof, x)
+            got = prof.defect(x)
             assert abs(got - nested_defect_oracle(prof, x)) <= 1e-4 * (1 + abs(got))
 
     def test_probe_singular(self):
+        prof = hg.ConstantProbe()
+        z = [math.sqrt(0.3), 0.5]
         with pytest.raises(SingularityError):
-            hg.curvature_defect(hg.ConstantProbe(), 0.3)
+            hg.curvature_defect(prof, radial_data(prof, z))
 
 
 def test_scal_slope_powercap():
@@ -104,6 +106,22 @@ class TestSlopeDerivative:
         x = 0.999 * prof.x0
         fd = central_d1(lambda t: hg.scal_slope(prof, t), x, 1e-7)
         assert prof.slope_d1(x) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [hg.Affine(2, 3), hg.PowerCap(0.5), hg.PowerCap(2), hg.PowerCap(3), hg.ExpDecay(1),
+         hg.ExpDecay(0.5), hg.Rational()],
+        ids=lambda prof: prof.label(),
+    )
+    def test_second_derivative_matches_difference(self, profile):
+        # slope_d1 is not domain-guarded, so the difference may straddle
+        # the origin; at 0.999 x0 the step keeps truncation below 1e-7
+        xs = [0.0, 0.1, 0.5, 0.9]
+        if math.isfinite(profile.x0):
+            xs.append(0.999 * profile.x0)
+        for x in xs:
+            fd = central_d1(profile.slope_d1, x, 1e-7)
+            assert profile.slope_d2(x) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_scal_slope_affine_exactly_zero():
@@ -253,3 +271,23 @@ def test_curvature_at_bundle():
     assert data.scal == pytest.approx(data.rho[0], rel=1e-12)
     assert data.slope == pytest.approx(-data.defect * prof.eval(p.x) / m.radial.det_core, rel=1e-12)
     assert data.ric.shape == (2, 2)
+
+
+def test_one_det_core_per_point(monkeypatch):
+    # assemble_metric keeps det_core in the radial record, and
+    # curvature_at and ricci_tensor guard that value instead of a new one
+    prof = hg.PowerCap(2)
+    points = hg.sample_interior(prof, 3, 5, seed=7)
+    original = hg.PowerCap.det_core
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(hg.PowerCap, "det_core", counted)
+    for p in points:
+        m = hg.assemble_metric(prof, p)
+        hg.curvature_at(prof, p, m)
+        hg.ricci_tensor(prof, p, m)
+    assert calls == [p.x for p in points]
