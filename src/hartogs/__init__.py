@@ -1,8 +1,8 @@
 """Numerical verification of the Kahler geometry of profile (Hartogs) domains.
 
 Closed-form metric, curvature, boundary Levi analysis and canonical-metric
-residuals, each cross-checked against independent finite-difference and
-dense-linear-algebra oracles.
+residuals, each cross-checked against independent oracles: exact
+second-order jets, finite differences and dense linear algebra.
 """
 
 from .boundary import (
@@ -46,7 +46,6 @@ from .metric import (
     MetricData,
     assemble_metric,
     contains,
-    is_positive_definite,
     kahler_potential,
     sample_interior,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "extremal_residual",
     "hyperbolic_isometry",
     "interior_grid",
-    "is_positive_definite",
     "is_strongly_pseudoconvex",
     "kahler_potential",
     "lie_derivative_components",

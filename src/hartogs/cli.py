@@ -247,7 +247,7 @@ def run_verification(
         extremal_vals.append(data.extremal)
 
     results.append(
-        CheckResult("metric_vs_fd_hessian", worst_h <= 1e-6, f"worst rel {worst_h:.3e} (tol 1e-06)")
+        CheckResult("metric_vs_fd_hessian", worst_h <= 1e-11, f"worst rel {worst_h:.3e} (tol 1e-11)")
     )
     results.append(
         CheckResult(
@@ -258,7 +258,7 @@ def run_verification(
         CheckResult("inverse_identity", worst_inv <= 1e-10, f"worst ||h hinv - I|| {worst_inv:.3e}")
     )
     results.append(
-        CheckResult("ricci_vs_fd", worst_ric <= 1e-5, f"worst rel {worst_ric:.3e} (tol 1e-05)")
+        CheckResult("ricci_vs_fd", worst_ric <= 1e-11, f"worst rel {worst_ric:.3e} (tol 1e-11)")
     )
     results.append(
         CheckResult(

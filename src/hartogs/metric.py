@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SamplingError, SingularityError
+from .errors import DomainError, NumericError, SamplingError, SingularityError
+from .jet import Jet, JetPoint, log
 from .profiles import Profile, interior_x_max
 
 #: det_core below this is treated as a metric singularity
@@ -106,6 +107,13 @@ def x_and_gap(profile: Profile, z) -> tuple[float, float]:
     return x, profile.eval(x) - fiber
 
 
+def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
+    """(x, gap) as jets over the real coordinates of w, from F alone (see
+    `x_and_gap`)."""
+    x = w.norm_sq(0, 1)
+    return x, profile.eval(x) - w.norm_sq(1, w.n)
+
+
 def radial_data(profile: Profile, z) -> Radial:
     """The radial data at z, each evaluated once.  Raises DomainError
     outside the domain.  det_core is not checked here: `nonsingular_core`
@@ -150,19 +158,19 @@ def require_interior(profile: Profile, z) -> DomainPoint:
     return p
 
 
-def kahler_potential(profile: Profile, z) -> float:
+def kahler_potential(profile: Profile, z) -> float | Jet:
     """Potential Phi(z) = -log(gap(z)); NaN outside the domain.
 
-    Returning NaN rather than raising lets finite-difference stencils
-    detect boundary crossings uniformly.
+    z may also be a `JetPoint`: Phi is then a `Jet`, whose Hessian is exact
+    to rounding (`metric_fd_oracle` reads the metric off it).
     """
     try:
-        gap = x_and_gap(profile, z)[1]
+        gap = (jet_x_and_gap if isinstance(z, JetPoint) else x_and_gap)(profile, z)[1]
     except DomainError:
         return math.nan
     if gap <= 0.0:
         return math.nan
-    return -math.log(gap)
+    return -log(gap)
 
 
 def metric_matrix(r: Radial, z) -> np.ndarray:
@@ -326,15 +334,13 @@ def sample_interior(
 
 
 def fd_stencil_for(profile: Profile, p: DomainPoint, base: float = 1e-4):
-    """Stencil for second-derivative oracles at p, with the step shrunk to
-    the local scale of the potential.
+    """Stencil for the first-difference extremal oracle at p, with the step
+    shrunk to the local scale.
 
-    The potential -log(gap) steepens like 1/gap towards the boundary and
-    like F' in the radial direction, so a fixed step loses its truncation
-    budget exactly where the metric is largest; proportionality to the
-    margin (per unit of radial gradient) keeps the relative error of the
-    mixed-Hessian oracle flat across the domain.  The step never exceeds
-    `base`, and the 10-step interiority contract holds automatically.
+    Quantities built on -log(gap) steepen like 1/gap towards the boundary
+    and like F' in the radial direction, so the step is proportional to
+    the margin per unit of radial gradient.  It never exceeds `base`, and
+    the 10-step interiority contract holds automatically.
     """
     from .wirtinger import ComplexStencil
 
@@ -343,30 +349,14 @@ def fd_stencil_for(profile: Profile, p: DomainPoint, base: float = 1e-4):
     return ComplexStencil(step=base * scale)
 
 
-def metric_fd_oracle(profile: Profile, p: DomainPoint, stencil=None) -> np.ndarray:
-    """Independent metric oracle: FD mixed Hessian of the potential.
-
-    Every entry of the closed-form metric is cross-checked against this.
-    Uses a margin-scaled stencil unless given one.
-    """
-    if stencil is None:
-        stencil = fd_stencil_for(profile, p)
-    return stencil.hessian_z_zbar(lambda z: kahler_potential(profile, z), p.z)
-
-
-def is_positive_definite(mat: np.ndarray, pivot_tol: float = 1e-12) -> bool:
-    """Cholesky-based positive-definiteness check for Hermitian matrices.
-
-    Fails as soon as a pivot drops below pivot_tol relative to the largest
-    diagonal entry; cheapest certified check for the small matrices here.
-    """
-    a = np.array(mat, dtype=complex)
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diagonal(a).real))))
-    for k in range(n):
-        piv = a[k, k].real
-        if piv <= pivot_tol * scale:
-            return False
-        col = a[k + 1 :, k] / piv
-        a[k + 1 :, k + 1 :] -= np.outer(col, a[k + 1 :, k].conj())
-    return True
+def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
+    """Independent metric oracle: the mixed complex Hessian of the
+    potential, from one second-order jet of `kahler_potential` over the
+    real coordinates of p.  It reads F and nothing else of the profile, and
+    its entries are exact to rounding.  The `fd` in the name is historical;
+    the benchmark's tracer looks the oracle up by it."""
+    w = JetPoint(p.z)
+    phi = kahler_potential(profile, w)
+    if not isinstance(phi, Jet):
+        raise NumericError(f"potential undefined at {p.z!r}")
+    return w.hessian_z_zbar(phi)

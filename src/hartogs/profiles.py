@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
+from .jet import exp
 
 #: interior grids and samplers stay at least this relative distance from x0
 BOUNDARY_CLEARANCE = 1e-3
@@ -40,7 +41,9 @@ class Profile:
     Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3` (value and
     first three derivatives), the domain bound `x0`, optionally a simplified
     `det_core`, and the radial curvature functionals `defect`, `slope_d1`
-    and `slope_d2`.
+    and `slope_d2`.  `_f` and `det_core` also accept a `jet.Jet` for x
+    (through operator arithmetic and `jet.exp`): the metric and Ricci
+    oracles differentiate them, and nothing else of the family.
     """
 
     family = "base"
@@ -211,7 +214,7 @@ class ExpDecay(Profile):
         return math.inf
 
     def _f(self, x):
-        return math.exp(-self.rate * x)
+        return exp(-self.rate * x)
 
     def _d1(self, x):
         return -self.rate * math.exp(-self.rate * x)
@@ -223,7 +226,7 @@ class ExpDecay(Profile):
         return -self.rate**3 * math.exp(-self.rate * x)
 
     def det_core(self, x):
-        return self.rate * math.exp(-2.0 * self.rate * x)
+        return self.rate * exp(-2.0 * self.rate * x)
 
     def defect(self, x):
         return -2.0 * self.rate

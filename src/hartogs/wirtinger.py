@@ -1,16 +1,17 @@
 """Wirtinger derivatives of scalar fields on C^n by central finite differences.
 
-This is the package's independent oracle: every closed-form metric and
-curvature expression is cross-checked against derivatives computed here.
+The package's one finite-difference oracle, `curvature.extremal_fd_oracle`,
+takes its first derivatives here (checked at 1e-7 relative); the tests use
+the stencil as a reference for closed-form derivatives.  The metric and
+Ricci oracles do not: they differentiate exactly, with jets (`jet`).
 For z_k = u_k + i v_k,
 
     d/dz_k   = (d/du_k - i d/dv_k) / 2
     d/dzbar_k = (d/du_k + i d/dv_k) / 2
 
 and both come from the same four stencil values f(z +/- h e_k),
-f(z +/- i h e_k), second-order accurate.  Mixed second derivatives are
-nested first differences, so roughly half the digits survive; downstream
-tolerances are budgeted at 1e-5..1e-6 accordingly.
+f(z +/- i h e_k), second-order accurate.  `hessian_z_zbar` nests two first
+differences, so roughly half the digits survive; only the tests call it.
 
 Functions may be scalar- or array-valued.  Stencil points must stay inside
 the domain of f: callers are expected to supply points whose distance to

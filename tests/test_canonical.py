@@ -194,7 +194,8 @@ class TestSolitonResidual:
 
     def test_no_finite_differences(self, monkeypatch, points_for, tmp_path):
         # the Lie derivative, the sweep and the extremal residual run on
-        # exact metric gradients, and so do the scan subcommands
+        # exact metric gradients, and so do the scan subcommands; the metric
+        # and Ricci oracles run on jets
         def refuse(*args, **kwargs):
             raise AssertionError("finite difference taken")
 
@@ -205,6 +206,9 @@ class TestSolitonResidual:
         for p in points_for(prof, 2, count=3):
             assert hg.soliton_residual(prof, p, rot) > 1e-2
             assert hg.extremal_residual(prof, p) > 1e-2
+            m = hg.assemble_metric(prof, p)
+            assert np.allclose(hartogs.metric.metric_fd_oracle(prof, p), m.h, rtol=1e-12)
+            assert np.allclose(hg.ricci_fd_oracle(prof, p), hg.ricci_tensor(prof, p, m), rtol=1e-12)
         assert soliton_sweep(prof, 2, 10, seed=9).residual > 1e-2
         common = ["--profile", "powercap:2", "--n", "3", "--samples", "5", "--seed", "2"]
         assert main(["curvature-scan", *common, "--out", str(tmp_path / "s.csv")]) == 0
@@ -279,7 +283,8 @@ class TestExtremalResidual:
         for prof in (hg.PowerCap(2), hg.ExpDecay(1), hg.Rational()):
             for z in ([0.4, 0.3], [0.5 - 0.4j, 0.3 + 0.2j, 0.1j]):
                 z = np.array(z, complex)
-                grad = scal_gradient_bar(prof, radial_data(prof, z), z)
+                r = radial_data(prof, z)
+                grad = scal_gradient_bar(r, z, hg.scal_slope(prof, r.x), prof.slope_d1(r.x))
                 fd = [ComplexStencil(1e-5).d_zbar(scal, z, c) for c in range(len(z))]
                 assert np.max(np.abs(grad - fd)) <= 1e-8 * (1.0 + np.max(np.abs(grad)))
 

@@ -11,6 +11,8 @@ import hartogs.metric
 from hartogs.cli import fmt, main, run_verification
 from hartogs.profiles import PowerCap
 
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -250,6 +252,44 @@ class TestVerifyTheorems:
                            "--n", "2", "--samples", "10", "--seed", "2")
         assert code == 1
         assert "FAIL  extremal_vs_fd" in out
+
+    @pytest.mark.parametrize("doctored", ["metric", "defect"])
+    def test_doctored_point_fails_oracle_checks(self, capsys, monkeypatch, doctored):
+        # a 1e-9 relative error in one metric entry, or in the defect, is
+        # far beyond the 1e-11 budget of the jet oracles, and far below the
+        # 1e-6 and 1e-5 gates of the finite-difference oracles they replaced
+        if doctored == "metric":
+            assemble = hartogs.cli.assemble_metric
+
+            def wrong(profile, p):
+                m = assemble(profile, p)
+                h = m.h.copy()
+                h[0, 0] *= 1.0 + 1e-9
+                return dataclasses.replace(m, h=h)
+
+            monkeypatch.setattr(hartogs.cli, "assemble_metric", wrong)
+            check = "metric_vs_fd_hessian"
+        else:
+            defect = PowerCap.defect
+            monkeypatch.setattr(PowerCap, "defect", lambda self, x: defect(self, x) * (1 + 1e-9))
+            check = "ricci_vs_fd"
+        code, out, _ = run(capsys, "verify-theorems", "--profile", "powercap:2",
+                           "--n", "2", "--samples", "5", "--seed", "2")
+        assert code == 1
+        line = next(line for line in out.splitlines() if f"  {check}  " in line)
+        assert line.startswith(f"FAIL  {check}")
+        worst = float(line.split("worst rel ")[1].split()[0])
+        assert 1e-11 < worst < 1e-6
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_whole_range(self, profile):
+        # every check over the advertised range n = 2..8, down to margin
+        # 0.002; the finite-difference oracles failed their gates here
+        for n in range(2, 9):
+            for margin in (0.05, 0.01, 0.002):
+                failed = [f"{r.name}: {r.detail}"
+                          for r in run_verification(profile, n, 20, 0, margin) if not r.passed]
+                assert not failed, (n, margin, failed)
 
     def test_steep_profile_near_boundary(self):
         # the sample that a stencil of the extremal residual once stepped

@@ -161,7 +161,7 @@ class TestRicci:
             m = hg.assemble_metric(profile, p)
             ric = hg.ricci_tensor(profile, p, m)
             fd = hg.ricci_fd_oracle(profile, p)
-            assert np.linalg.norm(ric - fd) <= 1e-5 * (1.0 + np.linalg.norm(ric))
+            assert np.linalg.norm(ric - fd) <= 1e-11 * (1.0 + np.linalg.norm(ric))
 
 
 class TestScalarCurvature:

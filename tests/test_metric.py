@@ -89,7 +89,7 @@ def test_closed_form_vs_fd_hessian(profile, n, points_for):
         m = hg.assemble_metric(profile, p)
         fd = metric_fd_oracle(profile, p)
         err = np.linalg.norm(m.h - fd) / (1.0 + np.linalg.norm(m.h))
-        assert err <= 1e-6
+        assert err <= 1e-11
 
 
 @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
@@ -151,20 +151,15 @@ def test_principal_minor_formula(n, points_for):
 def test_positive_definiteness_tracks_margin(profile, points_for):
     for p in points_for(profile, 3):
         assert hg.pseudoconvexity_margin(profile, p.x) > 0
-        assert hg.is_positive_definite(metric_matrix(radial_data(profile, p.z), p.z))
+        assert np.linalg.eigvalsh(metric_matrix(radial_data(profile, p.z), p.z))[0] > 0.0
 
 
 def test_degenerate_probe_not_positive_definite():
     probe = hg.ConstantProbe()
     z = np.array([0.4, 0.3 + 0.2j], complex)
     assert hg.pseudoconvexity_margin(probe, 0.16) == 0.0
-    assert not hg.is_positive_definite(metric_matrix(radial_data(probe, z), z))
-
-
-def test_is_positive_definite_basics():
-    assert hg.is_positive_definite(np.eye(3).astype(complex))
-    assert not hg.is_positive_definite(np.diag([1.0, -1.0]).astype(complex))
-    assert not hg.is_positive_definite(np.diag([1.0, 0.0]).astype(complex))
+    eig = np.linalg.eigvalsh(metric_matrix(radial_data(probe, z), z))
+    assert eig[0] <= 1e-12 * eig[-1]
 
 
 class TestSampling:
