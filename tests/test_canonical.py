@@ -16,6 +16,11 @@ from hartogs.wirtinger import ComplexStencil
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
 
 
+def sweep(prof):
+    """The soliton sweep over ten points at margin 0.3, seed 9."""
+    return soliton_sweep(prof, hg.sample_interior(prof, 2, 10, 9, 0.3))
+
+
 class TestHoloVectorField:
     def test_value_and_derivative(self):
         # f_0 = 2 z_0^2 z_1, f_1 = i
@@ -209,7 +214,7 @@ class TestSolitonResidual:
             m = hg.assemble_metric(prof, p)
             assert np.allclose(hartogs.metric.metric_fd_oracle(prof, p), m.h, rtol=1e-12)
             assert np.allclose(hg.ricci_fd_oracle(prof, p), hg.ricci_tensor(prof, p, m), rtol=1e-12)
-        assert soliton_sweep(prof, 2, 10, seed=9).residual > 1e-2
+        assert sweep(prof).residual > 1e-2
         common = ["--profile", "powercap:2", "--n", "3", "--samples", "5", "--seed", "2"]
         assert main(["curvature-scan", *common, "--out", str(tmp_path / "s.csv")]) == 0
         assert main(["extremal-residual", *common]) == 0
@@ -333,12 +338,12 @@ class TestPullback:
 
 class TestSolitonSweep:
     def test_affine_finds_einstein_pair(self):
-        r = soliton_sweep(hg.Affine(1, 1), 2, 10, seed=9)
+        r = sweep(hg.Affine(1, 1))
         assert r.lam == pytest.approx(-3.0, abs=1e-6)
         assert r.residual <= 1e-10
 
     def test_nonaffine_floor(self):
         # empirically frozen floors: ~0.11 for powercap(2), ~0.20 for
         # expdecay(1); rigidity keeps them bounded away from zero
-        assert soliton_sweep(hg.PowerCap(2), 2, 10, seed=9).residual > 1e-2
-        assert soliton_sweep(hg.ExpDecay(1), 2, 10, seed=9).residual > 1e-2
+        assert sweep(hg.PowerCap(2)).residual > 1e-2
+        assert sweep(hg.ExpDecay(1)).residual > 1e-2

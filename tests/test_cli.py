@@ -9,9 +9,17 @@ import hartogs.cli
 import hartogs.curvature
 import hartogs.metric
 from hartogs.cli import fmt, main, run_verification
-from hartogs.profiles import PowerCap
+from hartogs.profiles import Affine, PowerCap
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+
+#: the `verify-theorems` checks on every profile, in order; affine profiles
+#: add pullback_isometry
+CHECK_NAMES = [
+    "metric_vs_fd_hessian", "determinant_closed_vs_dense", "inverse_identity", "ricci_vs_fd",
+    "ricci_tail_rows", "rho_closed_vs_fit", "scal_forms", "extremal_vs_fd",
+    "extremal_classification", "einstein_classification",
+]
 
 
 def run(capsys, *argv):
@@ -20,16 +28,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def assemble_calls(monkeypatch):
-    """Points passed to `assemble_metric`, through every binding of it in
+def count_calls(monkeypatch, original):
+    """Arguments of each call to `original`, through every binding of it in
     the package."""
-    original = hartogs.metric.assemble_metric
     calls = []
 
-    def counted(profile, p):
-        calls.append(p)
-        return original(profile, p)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name == "hartogs" or name.startswith("hartogs."):
@@ -37,6 +43,11 @@ def assemble_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
     return calls
+
+
+@pytest.fixture
+def assemble_calls(monkeypatch):
+    return count_calls(monkeypatch, hartogs.metric.assemble_metric)
 
 
 @pytest.mark.parametrize("margin", ["nan", "inf", "-0.5", "0"])
@@ -193,6 +204,13 @@ class TestSolitonCheck:
         assert code == 1
         assert "residual floor" in out
 
+    def test_sweep_samples_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, hartogs.metric.sample_interior)
+        code, _, _ = run(capsys, "soliton-check", "--profile", "powercap:2",
+                         "--n", "2", "--samples", "6", "--seed", "5", "--sweep")
+        assert code == 1
+        assert len(calls) == 1
+
 
 class TestVerifyTheorems:
     def test_affine_2_3_n3(self, capsys):
@@ -212,6 +230,35 @@ class TestVerifyTheorems:
         code, _, _ = run(capsys, "verify-theorems", "--profile", "affine:1,1",
                          "--samples", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("profile", [PowerCap(2), Affine(1, 1)], ids=["powercap", "affine"])
+    def test_check_contract(self, profile):
+        # the same checks in the same order; every bound prints its
+        # tolerance, every obstruction its share of samples
+        affine = isinstance(profile, Affine)
+        results = run_verification(profile, 2, 3, 0)
+        assert [r.name for r in results] == CHECK_NAMES + ["pullback_isometry"] * affine
+        for r in results:
+            obstruction = r.name.endswith("_classification") and not affine
+            assert ("PASS-nonzero" if obstruction else "(tol ") in r.detail, r.detail
+
+    @pytest.mark.parametrize("n, margin", [("7", "0.002"), ("8", "0.01")])
+    def test_einstein_obstruction_near_boundary(self, capsys, n, margin):
+        # |defect| / (1 + ||h||) fell below 1e-3 here, where ||h|| is large
+        code, out, _ = run(capsys, "verify-theorems", "--profile", "rational", "--n", n,
+                           "--samples", "5", "--seed", "0", "--min-margin", margin)
+        assert code == 0, out
+
+    def test_zero_defect_fails_classifications(self, capsys, monkeypatch):
+        # with the defect and both slope derivatives zeroed, powercap looks
+        # affine to the closed forms: neither obstruction may pass
+        for name in ("defect", "slope_d1", "slope_d2"):
+            monkeypatch.setattr(PowerCap, name, lambda self, x: 0.0)
+        code, out, _ = run(capsys, "verify-theorems", "--profile", "powercap:2",
+                           "--n", "2", "--samples", "10", "--seed", "2")
+        assert code == 1
+        assert "FAIL  extremal_classification" in out
+        assert "FAIL  einstein_classification" in out
 
     def test_one_assembly_per_sample(self, capsys, assemble_calls):
         code, _, _ = run(capsys, "verify-theorems", "--profile", "powercap:2",
