@@ -9,6 +9,7 @@ from .boundary import (
     BoundaryPoint,
     boundary_point,
     defining_residual,
+    levi_compression_oracle,
     restricted_levi_min_eigenvalue,
     sample_boundary,
     tangent_space_basis,
@@ -32,7 +33,6 @@ from .curvature import (
     ricci_fd_oracle,
     ricci_tensor,
     rho_oracle,
-    scal_slope,
 )
 from .errors import (
     DomainError,
@@ -97,6 +97,7 @@ __all__ = [
     "interior_grid",
     "is_strongly_pseudoconvex",
     "kahler_potential",
+    "levi_compression_oracle",
     "lie_derivative_components",
     "parse_profile",
     "pseudoconvexity_margin",
@@ -107,7 +108,6 @@ __all__ = [
     "ricci_tensor",
     "sample_boundary",
     "sample_interior",
-    "scal_slope",
     "soliton_residual",
     "soliton_sweep",
     "tangent_space_basis",

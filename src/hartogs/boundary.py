@@ -9,15 +9,20 @@ Its Levi form is diagonal,
 
     L(X) = |X_1|^2 + ... + |X_{n-1}|^2 - (F' + F'' |z_0|^2) |X_0|^2,
 
-and strong pseudoconvexity at a boundary point means positivity of L on
-the complex tangent space
+that is L = I + (d0 - 1) e0 e0* with d0 = -(F' + x F''), x = |z_0|^2, and
+strong pseudoconvexity at a boundary point means positivity of L on the
+complex tangent space S = w^perp, w = (-F' z_0, z_1, ..., z_{n-1}).  On S,
+L is the identity plus a rank-one term along the projection of e0, whose
+squared length is F / (F + x F'^2) on the boundary.  So L|S has the
+eigenvalue 1 with multiplicity n - 2 and one other,
 
-    S = { X : -F' zbar_0 X_0 + zbar_1 X_1 + ... + zbar_{n-1} X_{n-1} = 0 }.
+    mu = det_core(x) / (F + x F'^2) = F^2 m(x) / (F + x F'^2),
 
-Pointwise certification compresses the diagonal form onto an orthonormal
-basis of S and reports the minimum eigenvalue; a positive value at every
-sampled point is the boundary-side face of the margin criterion in
-`profiles`.
+with m the radial margin of `profiles`: a positive value at every sampled
+point certifies the same margin from the boundary side.  The certification
+reads mu from the radial data; `levi_compression_oracle` checks it by
+compressing L onto an orthonormal basis of S and taking the smallest
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -75,14 +80,26 @@ def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> list[Bou
     x_top = interior_x_max(profile)
     points = []
     for _ in range(count):
-        x = rng.uniform(0.0, x_top)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        # bit for bit rng.uniform(0.0, x_top) and rng.uniform(0.0, 2 pi),
+        # which compute 0.0 + (high - low) * rng.random()
+        x = x_top * rng.random()
+        theta = 2.0 * math.pi * rng.random()
         z = np.empty(n, dtype=complex)
         z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
         direction, norm = fiber_direction(rng, n)
         z[1:] = direction * (math.sqrt(profile.eval(x)) / norm)
         points.append(boundary_point(profile, z))
     return points
+
+
+def restricted_levi_min_eigenvalue(profile: Profile, b: BoundaryPoint) -> float:
+    """Minimum eigenvalue of the Levi form restricted to the complex tangent
+    space, in closed form: mu = det_core / (F + x F'^2), and min(mu, 1) for
+    n >= 3.  Positive certifies strong pseudoconvexity at b."""
+    f = profile.eval(b.x)
+    d1 = profile.eval(b.x, 1)
+    mu = profile.det_core(b.x) / (f + b.x * d1 * d1)
+    return mu if b.n == 2 else min(mu, 1.0)
 
 
 def levi_matrix(profile: Profile, b: BoundaryPoint) -> np.ndarray:
@@ -111,11 +128,11 @@ def tangent_space_basis(profile: Profile, b: BoundaryPoint) -> np.ndarray:
     return vh[1:].conj().T
 
 
-def restricted_levi_min_eigenvalue(profile: Profile, b: BoundaryPoint) -> float:
-    """Minimum eigenvalue of the Levi form compressed onto the complex
-    tangent space; positive certifies strong pseudoconvexity at b."""
+def levi_compression_oracle(profile: Profile, b: BoundaryPoint) -> float:
+    """Independent oracle for `restricted_levi_min_eigenvalue`: the Levi
+    form compressed onto an orthonormal basis of the complex tangent space,
+    and its smallest eigenvalue from a dense eigensolve.  It reads F', F''
+    and z, never det_core."""
     basis = tangent_space_basis(profile, b)
-    lev = levi_matrix(profile, b)
-    compressed = basis.conj().T @ lev @ basis
+    compressed = basis.conj().T @ levi_matrix(profile, b) @ basis
     return float(np.linalg.eigvalsh(compressed)[0])
-

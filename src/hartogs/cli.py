@@ -52,6 +52,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _dimension(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -124,18 +131,16 @@ def cmd_curvature_scan(args) -> int:
 def cmd_levi_scan(args) -> int:
     profile = parse_profile(args.profile)
     samples = sample_boundary(profile, args.n, args.samples, args.seed)
-    header = ["profile", "n"] + _coord_columns(args.n) + ["x", "defining_residual", "min_eig"]
-    rows = []
-    worst = math.inf
-    for b in samples:
-        eig = restricted_levi_min_eigenvalue(profile, b)
-        worst = min(worst, eig)
-        cells = [profile.label(), str(args.n)]
-        cells += _coord_cells(b.z)
-        cells += [fmt(b.x), fmt(defining_residual(profile, b.z)), fmt(eig)]
-        rows.append(cells)
+    eigs = [restricted_levi_min_eigenvalue(profile, b) for b in samples]
     if args.out:
+        header = ["profile", "n"] + _coord_columns(args.n) + ["x", "defining_residual", "min_eig"]
+        rows = [
+            [profile.label(), str(args.n), *_coord_cells(b.z),
+             fmt(b.x), fmt(defining_residual(profile, b.z)), fmt(eig)]
+            for b, eig in zip(samples, eigs)
+        ]
         _write_csv(args.out, header, rows)
+    worst = float(np.min(eigs))  # NaN propagates: a non-finite eigenvalue fails
     ok = worst > args.tol
     print(
         f"levi-scan {profile.label()}: {len(samples)} boundary samples, "
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-pseudoconvex", help="scan the pseudoconvexity margin on a grid")
     p.add_argument("--profile", required=True)
     p.add_argument("--grid-size", type=_positive_int, default=200, dest="grid_size")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_check_pseudoconvex)
 
     p = sub.add_parser("curvature-scan", help="per-sample curvature report as CSV")
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("levi-scan", help="restricted Levi eigenvalues over boundary samples")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_levi_scan)
 
     p = sub.add_parser("extremal-residual", help="extremal-metric residual over interior samples")
@@ -349,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soliton-check", help="soliton residual for a given (lam, field) pair")
     interior(p, out=False)
-    p.add_argument("--lam", type=float, default=None, help="soliton constant (default -(n+1))")
+    p.add_argument("--lam", type=_finite_float, default=None, help="soliton constant (default -(n+1))")
     p.add_argument("--field", default="", help="holomorphic field, '|'-separated components")
     p.add_argument("--degree", type=_positive_int, default=2)
-    p.add_argument("--tol", type=float, default=PASS_ZERO)
+    p.add_argument("--tol", type=_finite_float, default=PASS_ZERO)
     p.add_argument("--sweep", action="store_true", help="least-squares search over fields")
     p.set_defaults(func=cmd_soliton_check)
 

@@ -67,17 +67,9 @@ def curvature_defect(profile: Profile, r: Radial) -> float:
 
 
 def _slope(defect: float, f: float, core: float) -> float:
-    """slope = -defect F / det_core (see `scal_slope`)."""
+    """slope = -defect F / det_core, the rate at which scal departs from
+    the Einstein constant per unit of gap: scal = -n(n+1) + slope * gap."""
     return -defect * f / core
-
-
-def scal_slope(profile: Profile, x: float) -> float:
-    """slope(x) = -defect(x) F(x) / det_core(x), the rate at which scal
-    departs from the Einstein constant per unit of gap:
-    scal = -n(n+1) + slope * gap.  Raises SingularityError where det_core
-    is singular."""
-    core = nonsingular_core(profile.det_core(x), x)
-    return _slope(profile.defect(x), profile.eval(x), core)
 
 
 def scal_gradient_bar(r: Radial, z, slope: float, slope_d1: float) -> np.ndarray:

@@ -86,12 +86,12 @@ class MetricData:
 
 
 def _x_and_fiber(z) -> tuple[float, float]:
-    """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2."""
-    z0 = complex(z[0])
+    """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2, summed
+    in coordinate order over Python complex numbers."""
+    z0, *fiber_part = np.asarray(z, dtype=complex).tolist()
     x = z0.real * z0.real + z0.imag * z0.imag
     fiber = 0.0
-    for k in range(1, len(z)):
-        c = complex(z[k])
+    for c in fiber_part:
         fiber += c.real * c.real + c.imag * c.imag
     return x, fiber
 
@@ -274,7 +274,10 @@ def fiber_direction(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float
     uniform on the unit sphere.  A norm at or below 1e-12, which gives no
     usable direction, is drawn again."""
     while True:
-        direction = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+        # one draw of both halves: the same normals, in the same order, as
+        # a draw of the real parts followed by one of the imaginary parts
+        parts = rng.normal(size=2 * (n - 1))
+        direction = parts[: n - 1] + 1j * parts[n - 1 :]
         norm = np.linalg.norm(direction)
         if norm > 1e-12:
             return direction, norm

@@ -4,16 +4,29 @@ import numpy as np
 import pytest
 
 import hartogs as hg
+import hartogs.boundary
 from hartogs.boundary import (
     boundary_point,
     defining_residual,
+    levi_compression_oracle,
     levi_matrix,
     sample_boundary,
     tangent_gradient,
 )
 from hartogs.errors import DomainError
+from hartogs.profiles import Profile, interior_x_max
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+
+#: the profiles the closed-form eigenvalue is checked on against its oracle
+ORACLE_PROFILES = [
+    hg.Affine(1, 1), hg.Affine(2, 3), hg.PowerCap(0.5), hg.PowerCap(2), hg.PowerCap(3),
+    hg.ExpDecay(1), hg.Rational(), hg.ConstantProbe(),
+]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("read by the function under test")
 
 
 class TestSampling:
@@ -42,6 +55,25 @@ class TestSampling:
         assert [b.x for b in got] == [0.8041979208216348, 0.4080647322145787]
         for b, z in zip(got, want):
             assert np.array_equal(b.z, np.array(z))
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_draws_match_reference(self, profile):
+        # the sampler written with rng.uniform, one rng.normal call per
+        # half of the fiber direction and a coordinate loop for x: the
+        # cheaper draws must give the same points bit for bit
+        x_top = interior_x_max(profile)
+        for n in range(2, 9):
+            rng = np.random.default_rng(n)
+            for b in sample_boundary(profile, n, 50, seed=n):
+                x = rng.uniform(0.0, x_top)
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                direction = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+                z = np.empty(n, dtype=complex)
+                z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
+                z[1:] = direction * (math.sqrt(profile.eval(x)) / np.linalg.norm(direction))
+                z0 = complex(z[0])
+                assert np.array_equal(b.z, z)
+                assert b.x == z0.real * z0.real + z0.imag * z0.imag
 
     def test_forced_axis_point(self):
         # z_0 = 0 boundary points have fiber radius sqrt(F(0)) = 1
@@ -113,14 +145,47 @@ class TestRestrictedLevi:
         # the tangent directions with X_0 = 0 have Levi eigenvalue 1; the
         # remaining one, (1, F' zbar_0 z'/F) with z' the fiber part, is
         # orthogonal to them in both forms and has Rayleigh quotient
-        # det_core / (F + x F'^2)
+        # 1 + (d0 - 1) F / (F + x F'^2), d0 = -(F' + x F''), from the
+        # unsimplified second derivative; the SVD compression finds it
         for b in sample_boundary(profile, n, 100, seed=17):
             f = profile.eval(b.x)
             d1 = profile.eval(b.x, 1)
-            ratio = profile.det_core(b.x) / (f + b.x * d1 * d1)
+            d0 = -(d1 + b.x * profile.eval(b.x, 2))
+            ratio = 1.0 + (d0 - 1.0) * f / (f + b.x * d1 * d1)
             want = ratio if n == 2 else min(1.0, ratio)
-            got = hg.restricted_levi_min_eigenvalue(profile, b)
+            got = levi_compression_oracle(profile, b)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("profile", ORACLE_PROFILES, ids=lambda prof: prof.label())
+    def test_closed_form_matches_oracle(self, profile):
+        for n in range(2, 9):
+            for b in sample_boundary(profile, n, 200, seed=30 + n):
+                want = levi_compression_oracle(profile, b)
+                got = hg.restricted_levi_min_eigenvalue(profile, b)
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (n, b.x, got, want)
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_oracle_reads_no_det_core(self, monkeypatch, profile):
+        # the oracle sees F', F'' and z only, so a wrong det_core cannot
+        # hide in both sides of the comparison
+        points = sample_boundary(profile, 4, 20, seed=3)
+        want = [hg.restricted_levi_min_eigenvalue(profile, b) for b in points]
+        for cls in {type(profile), Profile}:
+            for name in ("det_core", "_f", "_d3", "defect", "slope_d1", "slope_d2"):
+                monkeypatch.setattr(cls, name, refuse)
+        for b, w in zip(points, want):
+            assert abs(levi_compression_oracle(profile, b) - w) <= 1e-12 * (1.0 + abs(w))
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_closed_form_takes_no_eigensolve(self, monkeypatch, profile):
+        points = sample_boundary(profile, 4, 20, seed=3)
+        want = [levi_compression_oracle(profile, b) for b in points]
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for name in ("levi_matrix", "tangent_gradient", "tangent_space_basis"):
+            monkeypatch.setattr(hartogs.boundary, name, refuse)
+        for b, w in zip(points, want):
+            assert abs(hg.restricted_levi_min_eigenvalue(profile, b) - w) <= 1e-12 * (1.0 + abs(w))
 
     def test_sign_matches_proof_expression_n2(self):
         # for n = 2 and z_0 != 0 the minimum eigenvalue carries the sign of

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import math
 import sys
 
 import numpy as np
 import pytest
 
+import hartogs.boundary
 import hartogs.cli
 import hartogs.curvature
 import hartogs.metric
@@ -61,6 +63,21 @@ def test_min_margin_must_be_finite_positive(capsys, tmp_path, command, margin):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "finite positive" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, option",
+    [("check-pseudoconvex", "--tol"), ("levi-scan", "--tol"), ("soliton-check", "--tol"),
+     ("soliton-check", "--lam")],
+)
+def test_tol_and_lam_must_be_finite(capsys, command, option, value):
+    # a NaN tolerance failed every comparison, so a pseudoconvex domain
+    # printed FAIL and exited 1
+    code, _, err = run(capsys, command, "--profile", "rational", "--n", "3", "--samples", "5",
+                       f"{option}={value}")
+    assert code == 2
+    assert "finite number" in err
 
 
 class TestCheckPseudoconvex:
@@ -153,6 +170,51 @@ class TestLeviScan:
         # boundary samples have no interior margin
         code, _, _ = run(capsys, "levi-scan", "--profile", "affine:1,1", "--min-margin", "0.1")
         assert code == 2
+
+    def test_csv_deterministic_and_pinned(self, capsys, tmp_path):
+        # the points of test_boundary.py::test_pinned_points, cell for cell
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            code, _, _ = run(capsys, "levi-scan", "--profile", "powercap:2", "--n", "3",
+                             "--samples", "2", "--seed", "5", "--out", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        with paths[0].open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        want_z = [
+            [0.31930803872878577, -0.8379977907040155, -0.03917302354321233, 0.1791837933250996,
+             0.06631504123070904, 0.017303524301456326],
+            [0.6131259994674023, 0.17927978411320566, 0.20169552583769593, 0.07347786635526446,
+             0.4403743411553214, -0.33223142372922554],
+        ]
+        coords = [f"{part}_z{k}" for k in range(3) for part in ("re", "im")]
+        for row, z, x in zip(rows, want_z, [0.8041979208216348, 0.4080647322145787]):
+            assert [row[c] for c in coords] == [fmt(v) for v in z]
+            assert row["x"] == fmt(x)
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_defining_residual_only_for_csv(self, capsys, monkeypatch, tmp_path, out):
+        calls = count_calls(monkeypatch, hartogs.boundary.defining_residual)
+        argv = ["levi-scan", "--profile", "powercap:2", "--n", "3", "--samples", "7"]
+        code, _, _ = run(capsys, *argv, *(["--out", str(tmp_path / "l.csv")] if out else []))
+        assert code == 0
+        assert len(calls) == (7 if out else 0)
+
+    @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
+    def test_whole_range(self, capsys, profile):
+        for n in range(2, 9):
+            code, out, _ = run(capsys, "levi-scan", "--profile", profile, "--n", str(n),
+                               "--samples", "200", "--seed", str(n))
+            assert code == 0, (n, out)
+            assert out.rstrip().endswith("-> PASS")
+
+    def test_nan_eigenvalue_fails(self, capsys, monkeypatch):
+        # a NaN anywhere in the scan is the minimum, not skipped
+        monkeypatch.setattr(PowerCap, "det_core", lambda self, x: math.nan if x > 0.5 else 1.0)
+        code, out, _ = run(capsys, "levi-scan", "--profile", "powercap:2", "--n", "3",
+                           "--samples", "20", "--seed", "1")
+        assert code == 1
+        assert "eigenvalue nan -> FAIL" in out
 
 
 class TestExtremalResidual:

@@ -64,12 +64,19 @@ class TestDefect:
             hg.curvature_defect(prof, radial_data(prof, z))
 
 
+def slope(profile, x):
+    """The scalar-curvature slope -defect F / det_core, the reference that
+    slope' and slope'' are differenced from.  Free of the [0, x0) guard of
+    Profile.eval, so a central difference may straddle x = 0."""
+    return -profile.defect(x) * profile._f(x) / profile.det_core(x)
+
+
 def test_scal_slope_powercap():
     # slope = -defect F / det_core = 1/(1-x)^2 at p = 2
     prof = hg.PowerCap(2)
     for x in (0.0, 0.3, 0.6):
-        assert hg.scal_slope(prof, x) == pytest.approx(1.0 / (1.0 - x) ** 2, rel=1e-6)
-    fd = central_d1(lambda t: hg.scal_slope(prof, t), 0.3, 1e-4)
+        assert slope(prof, x) == pytest.approx(1.0 / (1.0 - x) ** 2, rel=1e-6)
+    fd = central_d1(lambda t: slope(prof, t), 0.3, 1e-4)
     assert prof.slope_d1(0.3) == pytest.approx(fd, rel=1e-3)
 
 
@@ -81,21 +88,15 @@ class TestSlopeDerivative:
     )
     def test_matches_difference_of_slope(self, profile):
         for x in (0.1, 0.5, 0.9):
-            fd = central_d1(lambda t: hg.scal_slope(profile, t), x, 1e-6)
+            fd = central_d1(lambda t: slope(profile, t), x, 1e-6)
             assert profile.slope_d1(x) == pytest.approx(fd, rel=1e-8)
 
-    # the cases below sit where a stencil on scal_slope would leave [0, x0)
+    # the cases below sit at the ends of [0, x0)
 
     def test_powercap_at_origin(self):
-        # the slope formula, free of the [0, x0) guard of Profile.eval, so
-        # the central difference can straddle x = 0
+        # the central difference straddles x = 0
         prof = hg.PowerCap(2)
-
-        def slope(t):
-            return -prof.defect(t) * prof._f(t) / prof.det_core(t)
-
-        assert slope(1e-3) == hg.scal_slope(prof, 1e-3)
-        fd = central_d1(slope, 0.0, 1e-5)
+        fd = central_d1(lambda t: slope(prof, t), 0.0, 1e-5)
         assert prof.slope_d1(0.0) == pytest.approx(fd, rel=1e-8)
 
     @pytest.mark.parametrize("p", [0.5, 2.0, 3.0])
@@ -104,7 +105,7 @@ class TestSlopeDerivative:
         # keeps truncation below 1e-7 relative at x = 0.999 x0
         prof = hg.PowerCap(p)
         x = 0.999 * prof.x0
-        fd = central_d1(lambda t: hg.scal_slope(prof, t), x, 1e-7)
+        fd = central_d1(lambda t: slope(prof, t), x, 1e-7)
         assert prof.slope_d1(x) == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -127,7 +128,7 @@ class TestSlopeDerivative:
 def test_scal_slope_affine_exactly_zero():
     prof = hg.Affine(2, 3)
     for x in (0.0, 0.2, 0.5):
-        assert hg.scal_slope(prof, x) == 0.0
+        assert slope(prof, x) == 0.0
         assert prof.slope_d1(x) == 0.0
 
 
