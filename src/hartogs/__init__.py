@@ -16,7 +16,6 @@ from .boundary import (
 )
 from .canonical import (
     HoloVectorField,
-    SolitonParams,
     einstein_residual,
     extremal_residual,
     hyperbolic_isometry,
@@ -83,7 +82,6 @@ __all__ = [
     "Rational",
     "SamplingError",
     "SingularityError",
-    "SolitonParams",
     "assemble_metric",
     "boundary_point",
     "contains",

@@ -16,6 +16,11 @@ two tiers: at most 1e-8 (the extremal residual) or 1e-9 (the Einstein
 residual, unnormalized: ||Ric + (n+1) h||_F) counts as zero, at least 1e-3
 on 90% of the samples as an obstruction; anything in between is treated as
 suspicious by the test suites.
+
+Holomorphic fields are polynomial.  `monomial_jets` evaluates monomials
+and their exact gradients in one place, and `lie_from_jets` is the one
+Lie-derivative formula: for a single field in `soliton_residual`, and for
+the whole monomial basis at once in `soliton_sweep`.
 """
 
 from __future__ import annotations
@@ -87,47 +92,18 @@ class HoloVectorField:
             comps.append(((complex(0.0, speed), exps),))
         return cls(n, tuple(comps))
 
-    @classmethod
-    def constant(cls, n: int, k: int, value: complex = 1.0) -> "HoloVectorField":
-        """Constant translation field along coordinate k."""
-        comps = [() for _ in range(n)]
-        comps[k] = ((complex(value), (0,) * n),)
-        return cls(n, tuple(comps))
-
-    def is_zero(self) -> bool:
-        return all(len(comp) == 0 for comp in self.components)
-
-    def value(self, k: int, z) -> complex:
-        """Component function f_k at z."""
-        total = 0.0 + 0.0j
-        for coeff, exps in self.components[k]:
-            term = coeff
-            for j, e in enumerate(exps):
-                if e:
-                    term *= complex(z[j]) ** e
-            total += term
-        return total
-
-    def d1(self, k: int, alpha: int, z) -> complex:
-        """Exact holomorphic derivative d f_k / d z_alpha at z."""
-        total = 0.0 + 0.0j
-        for coeff, exps in self.components[k]:
-            e_a = exps[alpha]
-            if e_a == 0:
-                continue
-            term = coeff * e_a
-            for j, e in enumerate(exps):
-                power = e - 1 if j == alpha else e
-                if power:
-                    term *= complex(z[j]) ** power
-            total += term
-        return total
-
     def jet(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Values f_k and exact Jacobian df[k, a] = d f_k / d z_a at z."""
-        ks = range(self.n)
-        values = np.array([self.value(k, z) for k in ks], dtype=complex)
-        return values, np.array([[self.d1(k, a, z) for a in ks] for k in ks], dtype=complex)
+        monos = [(k, c, e) for k, comp in enumerate(self.components) for c, e in comp]
+        rows = [k for k, _, _ in monos]
+        coeffs = np.array([c for _, c, _ in monos], dtype=complex)
+        vals, grads = monomial_jets(z, [e for _, _, e in monos])
+        values = np.zeros(self.n, dtype=complex)
+        jac = np.zeros((self.n, self.n), dtype=complex)
+        # add.at, not fancy-index +=, so that monomials of one component all count
+        np.add.at(values, rows, coeffs * vals)
+        np.add.at(jac, rows, coeffs[:, None] * grads)
+        return values, jac
 
     @classmethod
     def from_text(cls, text: str, n: int, max_degree: int = MAX_FIELD_DEGREE) -> "HoloVectorField":
@@ -154,17 +130,23 @@ class HoloVectorField:
                     raise ValueError(f"bad monomial {raw!r}") from exc
                 if len(re_im) != 2:
                     raise ValueError(f"coefficient of {raw!r} must be re,im")
+                if not all(math.isfinite(v) for v in re_im):
+                    raise ValueError(f"coefficient of {raw!r} must be finite")
                 monos.append((complex(*re_im), exps))
             comps.append(tuple(monos))
         return cls(n, tuple(comps), max_degree)
 
 
-@dataclass(frozen=True)
-class SolitonParams:
-    """Candidate soliton pair: constant lam and holomorphic field."""
-
-    lam: float
-    field: HoloVectorField
+def monomial_jets(z, exps) -> tuple[np.ndarray, np.ndarray]:
+    """Values z^e and exact gradients d z^e / d z_a of the monomials whose
+    exponent tuples are the rows of `exps`, at the point z: shapes (M,) and
+    (M, n).  The gradient lowers exponent a by one (to no less than 0,
+    where its factor e_a is 0), so no coordinate is divided by and a zero
+    coordinate is exact."""
+    z = np.asarray(z, dtype=complex)
+    e = np.asarray(exps, dtype=int).reshape(-1, z.size)
+    lowered = np.maximum(e[:, None, :] - np.eye(z.size, dtype=int), 0)
+    return np.prod(z**e, axis=1), e * np.prod(z**lowered, axis=2)
 
 
 def lie_derivative_components(
@@ -184,8 +166,6 @@ def lie_derivative_components(
     """
     if x_field.n != p.n:
         raise ValueError(f"field dimension {x_field.n} does not match point dimension {p.n}")
-    if x_field.is_zero():
-        return np.zeros((p.n, p.n), dtype=complex)
     dg, dgbar = metric_gradients(profile, m.radial, p.z)
     return lie_from_jets(m.h, dg, dgbar, *x_field.jet(p.z))
 
@@ -194,10 +174,11 @@ def lie_from_jets(h, dg, dgbar, f_vals, df) -> np.ndarray:
     """The Lie-derivative sum of `lie_derivative_components` from first
     jets at one point: the metric h, its Wirtinger derivatives
     dg[k] = dh/dz_k and dgbar[k] = dh/dzbar_k, the field values
-    f_vals[k] = f_k and the field's Jacobian df[k, a] = df_k/dz_a."""
+    f_vals[..., k] = f_k and the field's Jacobian df[..., k, a] = df_k/dz_a.
+    Leading axes of f_vals and df index fields; the result has them too."""
     n = h.shape[0]
     along = f_vals @ dg.reshape(n, -1) + f_vals.conj() @ dgbar.reshape(n, -1)
-    return along.reshape(n, n) + df.T @ h + h @ df.conj()
+    return along.reshape(f_vals.shape + (n,)) + np.swapaxes(df, -1, -2) @ h + h @ df.conj()
 
 
 def einstein_residual(profile: Profile, p: DomainPoint) -> float:
@@ -206,12 +187,13 @@ def einstein_residual(profile: Profile, p: DomainPoint) -> float:
     return curvature_at(profile, p, assemble_metric(profile, p)).einstein
 
 
-def soliton_residual(profile: Profile, p: DomainPoint, params: SolitonParams) -> float:
-    """|| Ric - lam h - L_X h ||_F / (1 + ||h||_F) for a given candidate pair."""
+def soliton_residual(profile: Profile, p: DomainPoint, lam: float, field: HoloVectorField) -> float:
+    """|| Ric - lam h - L_X h ||_F / (1 + ||h||_F) for the candidate pair
+    (lam, X), X the real field of `field`."""
     m = assemble_metric(profile, p)
     ric = ricci_tensor(profile, p, m)
-    lie = lie_derivative_components(profile, p, m, params.field)
-    diff = ric - params.lam * m.h - lie
+    lie = lie_derivative_components(profile, p, m, field)
+    diff = ric - lam * m.h - lie
     return float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(m.h)))
 
 
@@ -254,7 +236,6 @@ class SweepResult:
     """Best least-squares soliton candidate over polynomial fields."""
 
     lam: float
-    field: HoloVectorField
     residual: float
 
 
@@ -283,47 +264,27 @@ def soliton_sweep(
     """
     n = points[0].n
     exps = sorted(_monomial_exponents(n, degree))
-    basis = [(k, e, unit) for k in range(n) for e in exps for unit in (1.0 + 0.0j, 1.0j)]
-    fields = [
-        HoloVectorField(n, tuple(((unit, e),) if j == k else () for j in range(n)), degree)
-        for k, e, unit in basis
-    ]
-
-    def realify(mat: np.ndarray) -> np.ndarray:
-        return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
-
-    rows_rhs = []
-    rows_lam = []
-    rows_fields: list[list[np.ndarray]] = [[] for _ in basis]
+    units = np.array([1.0, 1.0j])
+    eye = np.eye(n)
+    blocks = []
     for p in points:
         m = assemble_metric(profile, p)
         ric = ricci_tensor(profile, p, m)
-        h = m.h
-        weight = 1.0 / (1.0 + np.linalg.norm(h))
         dg, dgbar = metric_gradients(profile, m.radial, p.z)
-        rows_rhs.append(weight * realify(ric))
-        rows_lam.append(weight * realify(h))
-        for idx, field in enumerate(fields):
-            lie = lie_from_jets(h, dg, dgbar, *field.jet(p.z))
-            rows_fields[idx].append(weight * realify(lie))
+        vals, grads = monomial_jets(p.z, exps)
+        # after lam, one column per basis field (k, e, unit), k-major, with
+        # f_j = delta_jk unit z^e
+        f = np.einsum("kj,m,u->kmuj", eye, vals, units).reshape(-1, n)
+        df = np.einsum("kj,ma,u->kmuja", eye, grads, units).reshape(-1, n, n)
+        lie = lie_from_jets(m.h, dg, dgbar, f, df)
+        mats = np.concatenate([ric[None], m.h[None], lie]).reshape(len(lie) + 2, -1)
+        weight = 1.0 / (1.0 + np.linalg.norm(m.h))
+        blocks.append(weight * np.concatenate([mats.real, mats.imag], axis=1).T)
 
-    rhs = np.concatenate(rows_rhs)
-    cols = [np.concatenate(rows_lam)]
-    cols.extend(np.concatenate(col) for col in rows_fields)
-    design = np.stack(cols, axis=1)
+    system = np.concatenate(blocks)
+    rhs, design = system[:, 0], system[:, 1:]
     solution, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = rhs - design @ solution
     per_point = resid.reshape(len(points), -1)
     rms = float(np.sqrt(np.mean(np.sum(per_point**2, axis=1))))
-
-    lam = float(solution[0])
-    comps: list[dict[tuple[int, ...], complex]] = [dict() for _ in range(n)]
-    for coeff, (k, e, unit) in zip(solution[1:], basis):
-        if coeff != 0.0:
-            comps[k][e] = comps[k].get(e, 0.0 + 0.0j) + coeff * unit
-    field = HoloVectorField(
-        n,
-        tuple(tuple((c, e) for e, c in sorted(comp.items())) for comp in comps),
-        degree,
-    )
-    return SweepResult(lam=lam, field=field, residual=rms)
+    return SweepResult(lam=float(solution[0]), residual=rms)

@@ -320,15 +320,16 @@ def sample_interior(
                 f"no interior point with margin >= {min_margin} found in "
                 f"{_MAX_SAMPLE_ATTEMPTS} attempts for {profile.label()}"
             )
-        x = rng.uniform(0.0, x_top)
+        # bit for bit rng.uniform(0.0, high), which is 0.0 + high * rng.random()
+        x = x_top * rng.random()
         budget = profile.eval(x) - min_margin
         if budget <= 0.0:
             continue
         z = np.empty(n, dtype=complex)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        theta = 2.0 * math.pi * rng.random()
         z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
         direction, norm = fiber_direction(rng, n)
-        radius = math.sqrt(budget) * rng.uniform() ** (1.0 / (2 * (n - 1)))
+        radius = math.sqrt(budget) * rng.random() ** (1.0 / (2 * (n - 1)))
         z[1:] = direction * (radius / norm)
         p = contains(profile, z)
         if p is not None and p.margin >= min_margin:

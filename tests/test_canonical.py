@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import hartogs as hg
 import hartogs.canonical
 import hartogs.metric
-from hartogs.canonical import HoloVectorField, SolitonParams, lie_from_jets, soliton_sweep
+from hartogs.canonical import HoloVectorField, lie_from_jets, monomial_jets, soliton_sweep
 from hartogs.cli import main
 from hartogs.curvature import curvature_at, extremal_fd_oracle, scal_gradient_bar
 from hartogs.errors import DomainError
@@ -21,6 +22,34 @@ def sweep(prof):
     return soliton_sweep(prof, hg.sample_interior(prof, 2, 10, 9, 0.3))
 
 
+class TestMonomialJets:
+    @pytest.mark.parametrize("z", [[0.5 + 0.5j, -0.25j, 1.5 - 0.75j], [0.0, -0.25j, 1.5 - 0.75j]],
+                             ids=["generic", "zero-coordinate"])
+    def test_hand_written_up_to_degree_3(self, z):
+        z0, z1, z2 = z
+        exps = [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1), (2, 0, 1), (3, 0, 0), (0, 1, 2)]
+        want_vals = [1, z0, z1**2, z0 * z1 * z2, z0**2 * z2, z0**3, z1 * z2**2]
+        want_grads = [
+            [0, 0, 0],
+            [1, 0, 0],
+            [0, 2 * z1, 0],
+            [z1 * z2, z0 * z2, z0 * z1],
+            [2 * z0 * z2, 0, z0**2],
+            [3 * z0**2, 0, 0],
+            [0, z2**2, 2 * z1 * z2],
+        ]
+        vals, grads = monomial_jets(np.array(z), exps)
+        assert vals.shape == (7,) and grads.shape == (7, 3)
+        assert np.max(np.abs(vals - np.array(want_vals))) <= 1e-15
+        assert np.max(np.abs(grads - np.array(want_grads))) <= 1e-15
+
+    def test_zero_coordinate_exact(self):
+        # d(z_0 z_1)/dz_1 = z_0 = 0 and d(z_0 z_1)/dz_0 = z_1, both exact
+        vals, grads = monomial_jets(np.array([0.0, 0.3 - 0.2j]), [(1, 1), (2, 0), (0, 0)])
+        assert vals.tolist() == [0, 0, 1]
+        assert grads.tolist() == [[0.3 - 0.2j, 0], [0, 0], [0, 0]]
+
+
 class TestHoloVectorField:
     def test_value_and_derivative(self):
         # f_0 = 2 z_0^2 z_1, f_1 = i
@@ -28,21 +57,24 @@ class TestHoloVectorField:
             2, ((((2 + 0j), (2, 1)),), (((1j), (0, 0)),)), max_degree=3
         )
         z = np.array([0.5 + 0.5j, -0.25j])
-        assert f.value(0, z) == pytest.approx(2 * z[0] ** 2 * z[1])
-        assert f.value(1, z) == 1j
-        assert f.d1(0, 0, z) == pytest.approx(4 * z[0] * z[1])
-        assert f.d1(0, 1, z) == pytest.approx(2 * z[0] ** 2)
-        assert f.d1(1, 0, z) == 0
+        vals, jac = f.jet(z)
+        assert vals[0] == pytest.approx(2 * z[0] ** 2 * z[1])
+        assert vals[1] == 1j
+        assert jac[0, 0] == pytest.approx(4 * z[0] * z[1])
+        assert jac[0, 1] == pytest.approx(2 * z[0] ** 2)
+        assert jac[1].tolist() == [0, 0]
 
     def test_rotation_constructor(self):
         f = HoloVectorField.rotation(3, 0.5)
         z = np.array([0.2, 0.3j, -0.1])
-        for k in range(3):
-            assert f.value(k, z) == pytest.approx(0.5j * z[k])
+        vals, jac = f.jet(z)
+        assert np.array_equal(vals, 0.5j * z)
+        assert np.array_equal(jac, 0.5j * np.eye(3))
 
-    def test_zero_and_is_zero(self):
-        assert HoloVectorField.zero(4).is_zero()
-        assert not HoloVectorField.rotation(2).is_zero()
+    def test_zero_jet(self):
+        vals, jac = HoloVectorField.zero(4).jet(np.array([0.1, 0.2j, -0.3, 0.4]))
+        assert np.array_equal(vals, np.zeros(4)) and np.array_equal(jac, np.zeros((4, 4)))
+        assert np.any(HoloVectorField.rotation(2).jet(np.array([0.1, 0.2]))[0])
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
@@ -58,14 +90,16 @@ class TestHoloVectorField:
         # rotation field for n=2: i z_0 and i z_1
         f = HoloVectorField.from_text("0,1:1,0|0,1:0,1", 2)
         z = np.array([0.4, 0.7j])
-        assert f.value(0, z) == pytest.approx(1j * z[0])
-        assert f.value(1, z) == pytest.approx(1j * z[1])
+        assert f.jet(z)[0] == pytest.approx(1j * z)
         g = HoloVectorField.from_text("1,0:0,0;0,-2:1,1|", 2)
-        assert g.value(0, z) == pytest.approx(1.0 - 2j * z[0] * z[1])
-        assert g.value(1, z) == 0
+        vals, jac = g.jet(z)
+        assert vals[0] == pytest.approx(1.0 - 2j * z[0] * z[1])
+        assert vals[1] == 0
+        assert jac[0] == pytest.approx([-2j * z[1], -2j * z[0]])
 
     @pytest.mark.parametrize(
-        "text", ["0,1:1,0", "x:1,0|", "1:1,0|", "1,2:a,b|", "1,2,3:1,0|"]
+        "text", ["0,1:1,0", "x:1,0|", "1:1,0|", "1,2:a,b|", "1,2,3:1,0|",
+                 "nan,0:1,0|", "0,inf:1,0|", "-inf,0:1,0|"]
     )
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
@@ -96,13 +130,14 @@ class TestLieDerivative:
         prof = hg.Affine(1, 1)
         p = points_for(prof, 2, count=1, seed=19, min_margin=0.3)[0]
         m = hg.assemble_metric(prof, p)
-        lie = hg.lie_derivative_components(prof, p, m, HoloVectorField.constant(2, 0))
+        translation = HoloVectorField(2, (((1.0 + 0j, (0, 0)),), ()))
+        lie = hg.lie_derivative_components(prof, p, m, translation)
         assert np.linalg.norm(lie) > 1e-2
 
     def test_additive_and_hermitian(self, points_for):
         prof = hg.ExpDecay(1)
         p = points_for(prof, 2, count=1, seed=23, min_margin=0.3)[0]
-        a = HoloVectorField.constant(2, 0, 1.0 + 0.5j)
+        a = HoloVectorField(2, (((1.0 + 0.5j, (0, 0)),), ()))
         b = HoloVectorField.rotation(2, 0.7)
         m = hg.assemble_metric(prof, p)
         la = hg.lie_derivative_components(prof, p, m, a)
@@ -130,6 +165,21 @@ class TestLieDerivative:
                     want[a, b] += df[k, a] * h[k, b] + df[k, b].conjugate() * h[a, k]
         got = lie_from_jets(h, dg, dgbar, f, df)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_batched_jets_match_stacked_calls(self):
+        n, batch = 3, (4, 5)
+        rng = np.random.default_rng(6)
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        h, dg, dgbar = cplx(n, n), cplx(n, n, n), cplx(n, n, n)
+        f, df = cplx(*batch, n), cplx(*batch, n, n)
+        got = lie_from_jets(h, dg, dgbar, f, df)
+        assert got.shape == batch + (n, n)
+        for i, j in itertools.product(*map(range, batch)):
+            want = lie_from_jets(h, dg, dgbar, f[i, j], df[i, j])
+            assert np.max(np.abs(got[i, j] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_dimension_mismatch(self, points_for):
         prof = hg.Affine(1, 1)
@@ -162,23 +212,21 @@ class TestSolitonResidual:
     def test_affine_einstein_pair_exact(self, points_for):
         for prof in (hg.Affine(1, 1), hg.Affine(2, 3)):
             for n in (2, 3):
-                params = SolitonParams(-(n + 1), HoloVectorField.zero(n))
                 for p in points_for(prof, n, count=5):
-                    assert hg.soliton_residual(prof, p, params) <= 1e-8
+                    assert hg.soliton_residual(prof, p, -(n + 1), HoloVectorField.zero(n)) <= 1e-8
 
     def test_powercap_obstruction(self):
         prof = hg.PowerCap(2)
-        params = SolitonParams(-3.0, HoloVectorField.zero(2))
         for z in ([0, 0], [0.05, 0.05]):
             p = hg.contains(prof, z)
-            assert hg.soliton_residual(prof, p, params) > 1e-2
+            assert hg.soliton_residual(prof, p, -3.0, HoloVectorField.zero(2)) > 1e-2
 
     def test_rotation_field_changes_nothing_for_affine(self, points_for):
         for prof in (hg.Affine(1, 1), hg.Affine(2, 3)):
             for n, margin in ((2, 0.3), (3, 0.002)):
-                rot = SolitonParams(-(n + 1), HoloVectorField.rotation(n, 1.0))
+                rot = HoloVectorField.rotation(n, 1.0)
                 for p in points_for(prof, n, count=5, seed=99, min_margin=margin):
-                    assert hg.soliton_residual(prof, p, rot) <= 1e-8
+                    assert hg.soliton_residual(prof, p, -(n + 1), rot) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_radial_evaluation_per_point(self, monkeypatch, n):
@@ -194,7 +242,7 @@ class TestSolitonResidual:
             monkeypatch.setattr(mod, "radial_data", counted)
         prof = hg.PowerCap(2)
         p = hg.contains(prof, [0.3] + [0.2j] * (n - 1))
-        hg.soliton_residual(prof, p, SolitonParams(-(n + 1), HoloVectorField.rotation(n)))
+        hg.soliton_residual(prof, p, -(n + 1), HoloVectorField.rotation(n))
         assert len(calls) == 1
 
     def test_no_finite_differences(self, monkeypatch, points_for, tmp_path):
@@ -207,9 +255,9 @@ class TestSolitonResidual:
         for name in ("d_pair", "d_zbar", "hessian_z_zbar"):
             monkeypatch.setattr(ComplexStencil, name, refuse)
         prof = hg.PowerCap(2)
-        rot = SolitonParams(-3.0, HoloVectorField.rotation(2))
+        rot = HoloVectorField.rotation(2)
         for p in points_for(prof, 2, count=3):
-            assert hg.soliton_residual(prof, p, rot) > 1e-2
+            assert hg.soliton_residual(prof, p, -3.0, rot) > 1e-2
             assert hg.extremal_residual(prof, p) > 1e-2
             m = hg.assemble_metric(prof, p)
             assert np.allclose(hartogs.metric.metric_fd_oracle(prof, p), m.h, rtol=1e-12)
@@ -348,3 +396,64 @@ class TestSolitonSweep:
         # expdecay(1); rigidity keeps them bounded away from zero
         assert sweep(hg.PowerCap(2)).residual > 1e-2
         assert sweep(hg.ExpDecay(1)).residual > 1e-2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("prof", [hg.PowerCap(2), hg.Rational()], ids=lambda prof: prof.label())
+    def test_matches_explicit_basis(self, monkeypatch, prof, n):
+        # the least-squares system assembled column by column from one
+        # HoloVectorField per basis field: lam, then (k, e, unit) k-major,
+        # exponents sorted, unit 1 before i
+        exps = sorted(e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2)
+        fields = [HoloVectorField(n, tuple(((unit, e),) if j == k else () for j in range(n)))
+                  for k in range(n) for e in exps for unit in (1.0 + 0j, 1j)]
+        points = hg.sample_interior(prof, n, 8, 3, 0.05)
+        blocks = []
+        for p in points:
+            m = hg.assemble_metric(prof, p)
+            cols = [hg.ricci_tensor(prof, p, m), m.h]
+            cols += [hg.lie_derivative_components(prof, p, m, f) for f in fields]
+            weight = 1.0 / (1.0 + np.linalg.norm(m.h))
+            blocks.append(weight * np.stack(
+                [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cols], axis=1))
+        system = np.concatenate(blocks)
+        rhs, design = system[:, 0], system[:, 1:]
+        solution = np.linalg.lstsq(design, rhs, rcond=None)[0]
+        per_point = (rhs - design @ solution).reshape(len(points), -1)
+        rms = math.sqrt(np.mean(np.sum(per_point**2, axis=1)))
+
+        seen = []
+        original = np.linalg.lstsq
+
+        def recorded(a, b, **kwargs):
+            seen.append((a, b))
+            return original(a, b, **kwargs)
+
+        monkeypatch.setattr(hartogs.canonical.np.linalg, "lstsq", recorded)
+        got = soliton_sweep(prof, points)
+        assert len(seen) == 1
+        assert np.max(np.abs(seen[0][0] - design)) <= 1e-12 * np.max(np.abs(design))
+        assert np.max(np.abs(seen[0][1] - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+        assert got.lam == pytest.approx(solution[0], rel=1e-10)
+        assert got.residual == pytest.approx(rms, rel=1e-10)
+
+    def test_one_batched_lie_sum_per_point(self, monkeypatch):
+        # the basis goes through lie_from_jets once per point, and no
+        # HoloVectorField is evaluated
+        calls = []
+        original = hartogs.canonical.lie_from_jets
+
+        def counted(*args):
+            calls.append(args[3].shape)
+            return original(*args)
+
+        def refuse(self, z):
+            raise AssertionError("HoloVectorField.jet called in the sweep")
+
+        monkeypatch.setattr(hartogs.canonical, "lie_from_jets", counted)
+        monkeypatch.setattr(HoloVectorField, "jet", refuse)
+        prof = hg.Rational()
+        for n in (2, 4):
+            calls.clear()
+            soliton_sweep(prof, hg.sample_interior(prof, n, 6, 1, 0.05))
+            basis = 2 * n * math.comb(n + 2, 2)
+            assert calls == [(basis, n)] * 6

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -259,6 +260,40 @@ class TestSolitonCheck:
         code, _, err = run(capsys, "soliton-check", "--profile", "affine:1,1",
                            "--field", "zzz")
         assert code == 2
+
+    @pytest.mark.parametrize("coeff", ["nan,0", "0,inf", "-inf,1"])
+    def test_nonfinite_field_coefficient_usage_error(self, capsys, coeff):
+        # a non-finite coefficient printed RuntimeWarnings and exited 1
+        code, out, err = run(capsys, "soliton-check", "--profile", "affine:1,1", "--n", "2",
+                             "--samples", "5", f"--field={coeff}:1,0|")
+        assert code == 2
+        assert "must be finite" in err and out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_is_the_maximum(self, capsys):
+        # the field overflows to NaN residuals on most samples; Python's max
+        # skipped them and printed inf
+        code, out, _ = run(capsys, "soliton-check", "--profile", "affine:1,1", "--n", "2",
+                           "--samples", "20", "--seed", "1", "--field", "1e307,0:2,0|0,1e307:0,2")
+        assert code == 1
+        assert "max residual nan (tol 1e-08) -> FAIL" in out
+
+    @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
+    def test_sweep_whole_range(self, capsys, profile):
+        # the affine floor is zero at lam = -(n+1), every other floor stays
+        # at least FAIL_FLOOR, for n = 2..8 and at margin 0.002
+        affine = profile.startswith("affine")
+        cases = [(n, "0.05") for n in range(2, 9)] + [(5, "0.002"), (8, "0.002")]
+        for n, margin in cases:
+            code, out, _ = run(capsys, "soliton-check", "--profile", profile, "--n", str(n),
+                               "--samples", "20", "--min-margin", margin, "--sweep")
+            floor, lam = re.search(r"residual floor (\S+) at lam=(\S+)$", out, re.M).groups()
+            if affine:
+                assert code == 0, (n, margin, out)
+                assert float(floor) <= hartogs.cli.PASS_ZERO and float(lam) == -(n + 1), (n, out)
+            else:
+                assert code == 1, (n, margin, out)
+                assert float(floor) >= hartogs.cli.FAIL_FLOOR, (n, margin, out)
 
     def test_sweep_reports_floor(self, capsys):
         code, out, _ = run(capsys, "soliton-check", "--profile", "powercap:2",

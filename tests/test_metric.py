@@ -14,6 +14,7 @@ from hartogs.metric import (
     radial_data,
     require_interior,
 )
+from hartogs.profiles import interior_x_max
 from hartogs.wirtinger import ComplexStencil
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
@@ -201,6 +202,38 @@ class TestSampling:
         pts = hg.sample_interior(profile, 8, 50, 8, min_margin)
         assert len(pts) == 50
         assert all(p.n == 8 and p.margin >= min_margin for p in pts)
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_draws_match_reference(self, profile):
+        # the sampler written with rng.uniform and one rng.normal call per
+        # half of the fiber direction: the cheaper draws must give the same
+        # points bit for bit, rejections included
+        for margin in (0.05, 0.002):
+            x_top = interior_x_max(profile)
+            if not math.isinf(profile.x0):
+                x_top = min(x_top, profile.x0 - margin)
+            for n in range(2, 9):
+                rng = np.random.default_rng(n)
+                want = []
+                while len(want) < 50:
+                    x = rng.uniform(0.0, x_top)
+                    budget = profile.eval(x) - margin
+                    if budget <= 0.0:
+                        continue
+                    z = np.empty(n, dtype=complex)
+                    theta = rng.uniform(0.0, 2.0 * math.pi)
+                    z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
+                    direction = np.zeros(n - 1)
+                    while np.linalg.norm(direction) <= 1e-12:
+                        direction = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+                    radius = math.sqrt(budget) * rng.uniform() ** (1.0 / (2 * (n - 1)))
+                    z[1:] = direction * (radius / np.linalg.norm(direction))
+                    p = hg.contains(profile, z)
+                    if p is not None and p.margin >= margin:
+                        want.append(z)
+                got = hg.sample_interior(profile, n, 50, n, margin)
+                for p, z in zip(got, want, strict=True):
+                    assert np.array_equal(p.z, z)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_fiber_uniform_in_ball(self, n):
