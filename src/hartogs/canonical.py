@@ -17,10 +17,18 @@ residual, unnormalized: ||Ric + (n+1) h||_F) counts as zero, at least 1e-3
 on 90% of the samples as an obstruction; anything in between is treated as
 suspicious by the test suites.
 
-Holomorphic fields are polynomial.  `monomial_jets` evaluates monomials
-and their exact gradients in one place, and `lie_from_jets` is the one
-Lie-derivative formula: for a single field in `soliton_residual`, and for
-the whole monomial basis at once in `soliton_sweep`.
+The fields of `soliton-check --field` are polynomial; `monomial_jets`
+evaluates monomials and their exact gradients in one place.
+`lie_from_jets` is the one Lie-derivative formula: for a single field in
+`soliton_residual`, and for a batch of two fields in `soliton_sweep`.
+
+The sweep covers every holomorphic field with three real unknowns.  The
+group U(1) x U(n-1), acting on z_0 and on the fiber, preserves gap and so
+acts by isometries fixing h and Ric.  Averaging a solution (lam, X) of
+Ric = lam h + L_X h over the group gives an invariant solution, and the
+invariant holomorphic fields are a z_0 d/dz_0 + b z'.d/dz'; imaginary a
+and b give Killing rotations, which add nothing.  So a soliton exists iff
+real (lam, a, b) solve the equation.
 """
 
 from __future__ import annotations
@@ -43,9 +51,6 @@ from .metric import (
 )
 from .profiles import Affine, Profile
 
-#: default polynomial degree cap for holomorphic fields
-MAX_FIELD_DEGREE = 2
-
 Monomial = tuple[complex, tuple[int, ...]]
 
 
@@ -54,13 +59,12 @@ class HoloVectorField:
     """Holomorphic vector field with polynomial component functions.
 
     Component k is sum_m coeff_m * z^exps_m (z only, never zbar, so each
-    component is holomorphic by construction).  Total degree is capped by
-    `max_degree`.
+    component is holomorphic by construction).  Exponents are
+    non-negative and fit a numpy integer.
     """
 
     n: int
     components: tuple[tuple[Monomial, ...], ...]
-    max_degree: int = MAX_FIELD_DEGREE
 
     def __post_init__(self):
         if self.n < 2:
@@ -73,10 +77,8 @@ class HoloVectorField:
                     raise ValueError(f"monomial exponents {exps!r} do not match n={self.n}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps!r}")
-                if sum(exps) > self.max_degree:
-                    raise ValueError(
-                        f"monomial {exps!r} exceeds the degree cap {self.max_degree}"
-                    )
+                if any(e > np.iinfo(np.int_).max for e in exps):
+                    raise ValueError(f"exponent in {exps!r} is too large")
 
     @classmethod
     def zero(cls, n: int) -> "HoloVectorField":
@@ -106,7 +108,7 @@ class HoloVectorField:
         return values, jac
 
     @classmethod
-    def from_text(cls, text: str, n: int, max_degree: int = MAX_FIELD_DEGREE) -> "HoloVectorField":
+    def from_text(cls, text: str, n: int) -> "HoloVectorField":
         """Parse the wire format: components separated by `|`, monomials by
         `;`, each monomial `coeff_re,coeff_im:e0,e1,...,e{n-1}`.  An empty
         component is the zero polynomial."""
@@ -134,7 +136,7 @@ class HoloVectorField:
                     raise ValueError(f"coefficient of {raw!r} must be finite")
                 monos.append((complex(*re_im), exps))
             comps.append(tuple(monos))
-        return cls(n, tuple(comps), max_degree)
+        return cls(n, tuple(comps))
 
 
 def monomial_jets(z, exps) -> tuple[np.ndarray, np.ndarray]:
@@ -233,51 +235,40 @@ def pullback_check(c1: float, c2: float, p: DomainPoint) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Best least-squares soliton candidate over polynomial fields."""
+    """Best least-squares soliton candidate: lam and the invariant field
+    X = a z_0 d/dz_0 + b z'.d/dz'."""
 
     lam: float
+    a: float
+    b: float
     residual: float
 
 
-def _monomial_exponents(n: int, degree: int):
-    """All exponent tuples of total degree <= degree, lexicographic."""
-    if n == 0:
-        yield ()
-        return
-    for head in range(degree + 1):
-        for rest in _monomial_exponents(n - 1, degree - head):
-            yield (head, *rest)
+def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
+    """Least-squares search for the best (lam, X) over all holomorphic
+    fields, across the given interior points (at least two).
 
-
-def soliton_sweep(
-    profile: Profile, points: list[DomainPoint], degree: int = MAX_FIELD_DEGREE
-) -> SweepResult:
-    """Least-squares search for the best (lam, X) over polynomial fields of
-    bounded degree, across the given (non-empty) interior points.
-
-    The residual Ric - lam h - L_X h is linear in lam and (real-linearly)
-    in the field coefficients, so the minimiser comes from one real
-    least-squares solve.  Rows are weighted by 1/(1 + ||h||_F) per point;
-    the reported residual is the RMS of the pointwise normalized residual
-    norms.  A floor bounded away from zero is the numeric trace of soliton
-    rigidity on non-affine profiles.
+    By the averaging argument of the module docstring, X ranges over
+    a z_0 d/dz_0 + b z'.d/dz' with real a and b, and the residual
+    Ric - lam h - L_X h is linear in (lam, a, b), so the minimiser comes
+    from one three-column real least-squares solve.  Rows are weighted by
+    1/(1 + ||h||_F) per point; the reported residual is the RMS of the
+    pointwise normalized residual norms.  A floor bounded away from zero is
+    the numeric trace of soliton rigidity on non-affine profiles.
     """
     n = points[0].n
-    exps = sorted(_monomial_exponents(n, degree))
-    units = np.array([1.0, 1.0j])
-    eye = np.eye(n)
+    # row 0 selects z_0, row 1 the fiber: f = split * z and df_k/dz_a = split_k delta_ka
+    split = np.zeros((2, n))
+    split[0, 0] = 1.0
+    split[1, 1:] = 1.0
+    df = split[:, :, None] * np.eye(n)
     blocks = []
     for p in points:
         m = assemble_metric(profile, p)
         ric = ricci_tensor(profile, p, m)
         dg, dgbar = metric_gradients(profile, m.radial, p.z)
-        vals, grads = monomial_jets(p.z, exps)
-        # after lam, one column per basis field (k, e, unit), k-major, with
-        # f_j = delta_jk unit z^e
-        f = np.einsum("kj,m,u->kmuj", eye, vals, units).reshape(-1, n)
-        df = np.einsum("kj,ma,u->kmuja", eye, grads, units).reshape(-1, n, n)
-        lie = lie_from_jets(m.h, dg, dgbar, f, df)
-        mats = np.concatenate([ric[None], m.h[None], lie]).reshape(len(lie) + 2, -1)
+        lie = lie_from_jets(m.h, dg, dgbar, split * p.z, df)
+        mats = np.concatenate([ric[None], m.h[None], lie]).reshape(4, -1)
         weight = 1.0 / (1.0 + np.linalg.norm(m.h))
         blocks.append(weight * np.concatenate([mats.real, mats.imag], axis=1).T)
 
@@ -287,4 +278,5 @@ def soliton_sweep(
     resid = rhs - design @ solution
     per_point = resid.reshape(len(points), -1)
     rms = float(np.sqrt(np.mean(np.sum(per_point**2, axis=1))))
-    return SweepResult(lam=float(solution[0]), residual=rms)
+    lam, a, b = (float(v) for v in solution)
+    return SweepResult(lam=lam, a=a, b=b, residual=rms)

@@ -157,6 +157,8 @@ def cmd_extremal_residual(args) -> int:
     values = []
     for p in points:
         res = canonical.extremal_residual(profile, p)
+        if not math.isfinite(res):
+            raise HartogsError(f"non-finite extremal residual at sample {len(rows)}")
         values.append(res)
         cells = [profile.label(), str(args.n)]
         cells += _coord_cells(p.z)
@@ -173,10 +175,12 @@ def cmd_extremal_residual(args) -> int:
 
 
 def cmd_soliton_check(args) -> int:
+    if args.sweep and args.samples < 2:
+        raise ValueError(f"--sweep needs at least 2 samples, got {args.samples}")
     profile = parse_profile(args.profile)
     lam = args.lam if args.lam is not None else -(args.n + 1)
     field = (
-        HoloVectorField.from_text(args.field, args.n, args.degree)
+        HoloVectorField.from_text(args.field, args.n)
         if args.field
         else HoloVectorField.zero(args.n)
     )
@@ -189,9 +193,10 @@ def cmd_soliton_check(args) -> int:
         f"max residual {worst:.6g} (tol {args.tol:g}) -> {'PASS' if ok else 'FAIL'}"
     )
     if args.sweep:
-        sweep = canonical.soliton_sweep(profile, points, args.degree)
+        sweep = canonical.soliton_sweep(profile, points)
         print(
-            f"  least-squares sweep over degree<={args.degree} fields: "
+            f"  least-squares sweep over all holomorphic fields (invariant fit "
+            f"a={sweep.a:.6g}, b={sweep.b:.6g}): "
             f"residual floor {sweep.residual:.6g} at lam={sweep.lam:.6g}"
         )
     return 0 if ok else 1
@@ -356,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     interior(p, out=False)
     p.add_argument("--lam", type=_finite_float, default=None, help="soliton constant (default -(n+1))")
     p.add_argument("--field", default="", help="holomorphic field, '|'-separated components")
-    p.add_argument("--degree", type=_positive_int, default=2)
     p.add_argument("--tol", type=_finite_float, default=PASS_ZERO)
-    p.add_argument("--sweep", action="store_true", help="least-squares search over fields")
+    p.add_argument("--sweep", action="store_true",
+                   help="least-squares search over all holomorphic fields (>= 2 samples)")
     p.set_defaults(func=cmd_soliton_check)
 
     p = sub.add_parser("verify-theorems", help="run the full oracle and classification suite")

@@ -165,13 +165,20 @@ def test_criterion_7_extremal_rigidity():
 
 def test_criterion_8_soliton_rigidity():
     worst_einstein_pair = 0.0
+    affine_sweep_floor, affine_sweep_lam = 0.0, 0.0
     for c1, c2 in ((1, 1), (2, 3)):
         prof = hg.Affine(c1, c2)
-        for p in hg.sample_interior(prof, 2, SAMPLES, seed=800, min_margin=0.05):
+        points = hg.sample_interior(prof, 2, SAMPLES, seed=800, min_margin=0.05)
+        for p in points:
             residual = hg.soliton_residual(prof, p, -3.0, HoloVectorField.zero(2))
             worst_einstein_pair = max(worst_einstein_pair, residual)
+        fit = hg.soliton_sweep(prof, points)
+        affine_sweep_floor = max(affine_sweep_floor, fit.residual)
+        affine_sweep_lam = max(affine_sweep_lam, abs(fit.lam + 3.0))
 
     prof = hg.PowerCap(2)
+    points = hg.sample_interior(prof, 2, SAMPLES, seed=800, min_margin=0.05)
+    powercap_sweep_floor = hg.soliton_sweep(prof, points).residual
     origin = hg.contains(prof, [0, 0])
     m = hg.assemble_metric(prof, origin)
     obstruction = (hg.ricci_tensor(prof, origin, m) + 3.0 * m.h)[0, 0].real
@@ -190,6 +197,9 @@ def test_criterion_8_soliton_rigidity():
         and abs(obstruction - 2.0) <= 1e-6
         and einstein_obstructed >= 1e-3
         and worst_rotation <= 1e-8
+        and affine_sweep_floor <= 1e-8
+        and affine_sweep_lam <= 1e-8
+        and powercap_sweep_floor >= 1e-3
     )
     report(
         "criterion-08 soliton rigidity",
@@ -197,7 +207,10 @@ def test_criterion_8_soliton_rigidity():
         f"affine (lam=-(n+1), X=0) max {worst_einstein_pair:.3e} (tol 1e-08); "
         f"powercap head obstruction {obstruction:.9f} (want 2 +/- 1e-06), "
         f"einstein res {einstein_obstructed:.3e} (floor 1e-03); "
-        f"rotation delta {worst_rotation:.3e} (tol 1e-08)",
+        f"rotation delta {worst_rotation:.3e} (tol 1e-08); "
+        f"affine sweep floor {affine_sweep_floor:.3e} (tol 1e-08) with |lam + 3| "
+        f"{affine_sweep_lam:.3e} (tol 1e-08), powercap sweep floor "
+        f"{powercap_sweep_floor:.3e} (floor 1e-03)",
     )
 
 

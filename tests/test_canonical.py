@@ -53,9 +53,7 @@ class TestMonomialJets:
 class TestHoloVectorField:
     def test_value_and_derivative(self):
         # f_0 = 2 z_0^2 z_1, f_1 = i
-        f = HoloVectorField(
-            2, ((((2 + 0j), (2, 1)),), (((1j), (0, 0)),)), max_degree=3
-        )
+        f = HoloVectorField(2, ((((2 + 0j), (2, 1)),), (((1j), (0, 0)),)))
         z = np.array([0.5 + 0.5j, -0.25j])
         vals, jac = f.jet(z)
         assert vals[0] == pytest.approx(2 * z[0] ** 2 * z[1])
@@ -75,10 +73,6 @@ class TestHoloVectorField:
         vals, jac = HoloVectorField.zero(4).jet(np.array([0.1, 0.2j, -0.3, 0.4]))
         assert np.array_equal(vals, np.zeros(4)) and np.array_equal(jac, np.zeros((4, 4)))
         assert np.any(HoloVectorField.rotation(2).jet(np.array([0.1, 0.2]))[0])
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            HoloVectorField(2, ((((1 + 0j), (2, 1)),), ()), max_degree=2)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
@@ -385,11 +379,96 @@ class TestPullback:
         assert hg.pullback_check(1, 2, p) <= 1e-12
 
 
+def invariant_fields(n):
+    """z_0 d/dz_0 and z'.d/dz', written out as explicit fields."""
+    def coordinate(k):
+        return tuple(int(j == k) for j in range(n))
+
+    head = HoloVectorField(n, tuple(((1.0 + 0j, coordinate(0)),) if k == 0 else ()
+                                    for k in range(n)))
+    fiber = HoloVectorField(n, tuple(((1.0 + 0j, coordinate(k)),) if k else ()
+                                     for k in range(n)))
+    return [head, fiber]
+
+
+def explicit_system(prof, points, fields):
+    """The weighted least-squares system (design, rhs) of the sweep, built
+    column by column: Ric on the right, then h and one Lie derivative per
+    field, through lie_derivative_components."""
+    blocks = []
+    for p in points:
+        m = hg.assemble_metric(prof, p)
+        cols = [hg.ricci_tensor(prof, p, m), m.h]
+        cols += [hg.lie_derivative_components(prof, p, m, f) for f in fields]
+        weight = 1.0 / (1.0 + np.linalg.norm(m.h))
+        blocks.append(weight * np.stack(
+            [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cols], axis=1))
+    system = np.concatenate(blocks)
+    return system[:, 1:], system[:, 0]
+
+
+def lstsq_floor(design, rhs, count):
+    """Solution and RMS per-point residual norm of a sweep system."""
+    solution = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    per_point = (rhs - design @ solution).reshape(count, -1)
+    return solution, math.sqrt(np.mean(np.sum(per_point**2, axis=1)))
+
+
+def turned(prof, p, rng):
+    """p moved by a random z_0 phase and a random unitary of the fiber."""
+    n = p.n
+    q, r = np.linalg.qr(rng.normal(size=(n - 1, n - 1)) + 1j * rng.normal(size=(n - 1, n - 1)))
+    unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+    w = np.empty(n, complex)
+    w[0] = np.exp(2j * math.pi * rng.random()) * p.z[0]
+    w[1:] = unitary @ p.z[1:]
+    return hg.contains(prof, w)
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_group_leaves_measures_and_sweep_unchanged(self, profile):
+        # U(1) x U(n-1) acts by isometries fixing h and Ric, which is what
+        # lets the sweep fit only the invariant fields; the max-abs extremal
+        # residual is not invariant and is not checked
+        rng = np.random.default_rng(71)
+
+        def rel(a, b):
+            return float(np.max(np.abs(np.asarray(a) - b)) / (1.0 + np.max(np.abs(b))))
+
+        for n in (2, 3, 5, 8):
+            points = hg.sample_interior(profile, n, 15, 4, 0.01)
+            moved = [turned(profile, p, rng) for p in points]
+            worst = 0.0
+            for p, q in zip(points, moved):
+                d = curvature_at(profile, p, hg.assemble_metric(profile, p))
+                e = curvature_at(profile, q, hg.assemble_metric(profile, q))
+                worst = max(worst, rel(e.scal, d.scal), rel(e.rho, d.rho),
+                            rel(e.einstein, d.einstein),
+                            rel(np.linalg.norm(e.t_zbar), np.linalg.norm(d.t_zbar)))
+            fit, fit_moved = soliton_sweep(profile, points), soliton_sweep(profile, moved)
+            worst = max(worst, rel(fit_moved.lam, fit.lam), rel(fit_moved.residual, fit.residual))
+            assert worst <= 1e-12, (n, worst)
+
+
 class TestSolitonSweep:
     def test_affine_finds_einstein_pair(self):
         r = sweep(hg.Affine(1, 1))
         assert r.lam == pytest.approx(-3.0, abs=1e-6)
+        assert abs(r.a) <= 1e-10 and abs(r.b) <= 1e-10
         assert r.residual <= 1e-10
+
+    def test_affine_whole_range(self):
+        # zero floor at lam = -(n+1), a = b = 0, over n = 2..8, margins down
+        # to 0.002 and three seeds
+        for prof in (hg.Affine(1, 1), hg.Affine(2, 3)):
+            for n in range(2, 9):
+                for margin in (0.05, 0.01, 0.002):
+                    for seed in range(3):
+                        r = soliton_sweep(prof, hg.sample_interior(prof, n, 10, seed, margin))
+                        case = (prof.label(), n, margin, seed, r)
+                        assert r.residual <= hartogs.cli.PASS_ZERO, case
+                        assert max(abs(r.lam + n + 1), abs(r.a), abs(r.b)) <= 1e-10, case
 
     def test_nonaffine_floor(self):
         # empirically frozen floors: ~0.11 for powercap(2), ~0.20 for
@@ -400,26 +479,17 @@ class TestSolitonSweep:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("prof", [hg.PowerCap(2), hg.Rational()], ids=lambda prof: prof.label())
     def test_matches_explicit_basis(self, monkeypatch, prof, n):
-        # the least-squares system assembled column by column from one
-        # HoloVectorField per basis field: lam, then (k, e, unit) k-major,
-        # exponents sorted, unit 1 before i
-        exps = sorted(e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2)
-        fields = [HoloVectorField(n, tuple(((unit, e),) if j == k else () for j in range(n)))
-                  for k in range(n) for e in exps for unit in (1.0 + 0j, 1j)]
+        # the solved system is the three-column one assembled from the two
+        # invariant fields, and its floor is at least that of every field
+        # of degree <= 2 (one HoloVectorField per basis column), which
+        # contains the invariant fields
         points = hg.sample_interior(prof, n, 8, 3, 0.05)
-        blocks = []
-        for p in points:
-            m = hg.assemble_metric(prof, p)
-            cols = [hg.ricci_tensor(prof, p, m), m.h]
-            cols += [hg.lie_derivative_components(prof, p, m, f) for f in fields]
-            weight = 1.0 / (1.0 + np.linalg.norm(m.h))
-            blocks.append(weight * np.stack(
-                [np.concatenate([c.real.ravel(), c.imag.ravel()]) for c in cols], axis=1))
-        system = np.concatenate(blocks)
-        rhs, design = system[:, 0], system[:, 1:]
-        solution = np.linalg.lstsq(design, rhs, rcond=None)[0]
-        per_point = (rhs - design @ solution).reshape(len(points), -1)
-        rms = math.sqrt(np.mean(np.sum(per_point**2, axis=1)))
+        design, rhs = explicit_system(prof, points, invariant_fields(n))
+        solution, floor = lstsq_floor(design, rhs, len(points))
+        exps = sorted(e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2)
+        basis = [HoloVectorField(n, tuple(((unit, e),) if j == k else () for j in range(n)))
+                 for k in range(n) for e in exps for unit in (1.0 + 0j, 1j)]
+        degree_2_floor = lstsq_floor(*explicit_system(prof, points, basis), len(points))[1]
 
         seen = []
         original = np.linalg.lstsq
@@ -431,14 +501,16 @@ class TestSolitonSweep:
         monkeypatch.setattr(hartogs.canonical.np.linalg, "lstsq", recorded)
         got = soliton_sweep(prof, points)
         assert len(seen) == 1
+        assert seen[0][0].shape == design.shape == (len(points) * 2 * n * n, 3)
         assert np.max(np.abs(seen[0][0] - design)) <= 1e-12 * np.max(np.abs(design))
         assert np.max(np.abs(seen[0][1] - rhs)) <= 1e-12 * np.max(np.abs(rhs))
-        assert got.lam == pytest.approx(solution[0], rel=1e-10)
-        assert got.residual == pytest.approx(rms, rel=1e-10)
+        assert [got.lam, got.a, got.b] == pytest.approx(solution, rel=1e-10)
+        assert got.residual == pytest.approx(floor, rel=1e-10)
+        assert got.residual >= degree_2_floor
 
     def test_one_batched_lie_sum_per_point(self, monkeypatch):
-        # the basis goes through lie_from_jets once per point, and no
-        # HoloVectorField is evaluated
+        # the two invariant fields go through lie_from_jets once per point,
+        # and no HoloVectorField is evaluated
         calls = []
         original = hartogs.canonical.lie_from_jets
 
@@ -455,5 +527,4 @@ class TestSolitonSweep:
         for n in (2, 4):
             calls.clear()
             soliton_sweep(prof, hg.sample_interior(prof, n, 6, 1, 0.05))
-            basis = 2 * n * math.comb(n + 2, 2)
-            assert calls == [(basis, n)] * 6
+            assert calls == [(2, n)] * 6

@@ -1,13 +1,16 @@
+import argparse
 import csv
 import dataclasses
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hartogs.boundary
+import hartogs.canonical
 import hartogs.cli
 import hartogs.curvature
 import hartogs.metric
@@ -233,6 +236,24 @@ class TestExtremalResidual:
             assert code == 0
             assert "50 samples" in out
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_residual_fails(self, capsys, monkeypatch, tmp_path, value):
+        # sorting put a NaN anywhere but last, so the summary dropped it
+        original = hartogs.canonical.extremal_residual
+        calls = []
+
+        def doctored(profile, p):
+            calls.append(p)
+            return value if len(calls) == 4 else original(profile, p)
+
+        monkeypatch.setattr(hartogs.canonical, "extremal_residual", doctored)
+        out_path = tmp_path / "res.csv"
+        code, out, err = run(capsys, "extremal-residual", "--profile", "powercap:2", "--n", "3",
+                             "--samples", "8", "--seed", "4", "--out", str(out_path))
+        assert code == 1
+        assert "non-finite extremal residual at sample 3" in err
+        assert out == "" and not out_path.exists()
+
 
 class TestSolitonCheck:
     def test_affine_passes(self, capsys):
@@ -269,6 +290,24 @@ class TestSolitonCheck:
         assert code == 2
         assert "must be finite" in err and out == ""
 
+    def test_huge_field_exponent_usage_error(self, capsys):
+        # an exponent past the numpy integer range, not an OverflowError
+        code, out, err = run(capsys, "soliton-check", "--profile", "affine:1,1", "--n", "2",
+                             "--samples", "5", "--field", "1,0:99999999999999999999,0|")
+        assert code == 2
+        assert "too large" in err and out == ""
+
+    def test_negative_field_exponent_usage_error(self, capsys):
+        code, out, err = run(capsys, "soliton-check", "--profile", "affine:1,1", "--n", "2",
+                             "--samples", "5", "--field", "1,0:-1,0|")
+        assert code == 2
+        assert "negative exponent" in err and out == ""
+
+    def test_degree_option_is_gone(self, capsys):
+        code, out, _ = run(capsys, "soliton-check", "--profile", "powercap:2", "--n", "2",
+                           "--samples", "6", "--sweep", "--degree", "2")
+        assert code == 2 and out == ""
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_residual_is_the_maximum(self, capsys):
         # the field overflows to NaN residuals on most samples; Python's max
@@ -294,6 +333,23 @@ class TestSolitonCheck:
             else:
                 assert code == 1, (n, margin, out)
                 assert float(floor) >= hartogs.cli.FAIL_FLOOR, (n, margin, out)
+
+    @pytest.mark.parametrize("n, samples", [(3, 6), (8, 10)])
+    def test_sweep_few_samples_nonaffine(self, capsys, n, samples):
+        # the degree-2 basis had more unknowns than these samples give
+        # equations and read a floor of about 1e-14 here
+        code, out, _ = run(capsys, "soliton-check", "--profile", "powercap:2", "--n", str(n),
+                           "--samples", str(samples), "--sweep")
+        floor = float(re.search(r"residual floor (\S+) at lam=\S+$", out, re.M).group(1))
+        assert code == 1
+        assert floor >= hartogs.cli.FAIL_FLOOR, out
+
+    def test_sweep_needs_two_samples(self, capsys):
+        # one n = 2 point fits every profile exactly, so its floor shows nothing
+        code, out, err = run(capsys, "soliton-check", "--profile", "powercap:2", "--n", "2",
+                             "--samples", "1", "--sweep")
+        assert code == 2
+        assert "at least 2 samples" in err and out == ""
 
     def test_sweep_reports_floor(self, capsys):
         code, out, _ = run(capsys, "soliton-check", "--profile", "powercap:2",
@@ -460,3 +516,20 @@ def test_unknown_subcommand(capsys):
 
 def test_missing_subcommand(capsys):
     assert run(capsys)[0] == 2
+
+
+def test_readme_options_exist():
+    # every --option the README names outside other programs' command lines
+    # is accepted by some subcommand, so a deleted flag cannot linger there
+    parser = hartogs.cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    named, fenced = set(), False
+    for line in readme.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced or line.startswith("hartogs "):
+            named.update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    assert "--sweep" in named
+    assert named - accepted == set()
