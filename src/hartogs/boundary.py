@@ -57,13 +57,13 @@ def defining_residual(profile: Profile, z) -> float:
     return -x_and_gap(profile, z)[1]
 
 
-def boundary_point(profile: Profile, z, tol: float = BOUNDARY_TOL) -> BoundaryPoint:
-    """Validated constructor; |rho(z)| must not exceed tol."""
+def boundary_point(profile: Profile, z) -> BoundaryPoint:
+    """Validated constructor; |rho(z)| must not exceed BOUNDARY_TOL."""
     z = np.asarray(z, dtype=complex)
     if z.size < 2:
         raise ValueError("boundary points need at least two complex coordinates")
     x, gap = x_and_gap(profile, z)
-    if abs(gap) > tol:
+    if abs(gap) > BOUNDARY_TOL:
         raise DomainError(f"point misses the boundary graph by {-gap!r}")
     return BoundaryPoint(z, x)
 

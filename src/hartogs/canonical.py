@@ -17,8 +17,7 @@ residual, unnormalized: ||Ric + (n+1) h||_F) counts as zero, at least 1e-3
 on 90% of the samples as an obstruction; anything in between is treated as
 suspicious by the test suites.
 
-The fields of `soliton-check --field` are polynomial; `monomial_jets`
-evaluates monomials and their exact gradients in one place.
+The fields of `soliton-check --field` are polynomial, with exact jets.
 `lie_from_jets` is the one Lie-derivative formula: for a single field in
 `soliton_residual`, and for a batch of two fields in `soliton_sweep`.
 
@@ -95,17 +94,21 @@ class HoloVectorField:
         return cls(n, tuple(comps))
 
     def jet(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Values f_k and exact Jacobian df[k, a] = d f_k / d z_a at z."""
-        monos = [(k, c, e) for k, comp in enumerate(self.components) for c, e in comp]
-        rows = [k for k, _, _ in monos]
-        coeffs = np.array([c for _, c, _ in monos], dtype=complex)
-        vals, grads = monomial_jets(z, [e for _, _, e in monos])
-        values = np.zeros(self.n, dtype=complex)
-        jac = np.zeros((self.n, self.n), dtype=complex)
-        # add.at, not fancy-index +=, so that monomials of one component all count
-        np.add.at(values, rows, coeffs * vals)
-        np.add.at(jac, rows, coeffs[:, None] * grads)
-        return values, jac
+        """Values f_k and exact Jacobian df[k, a] = d f_k / d z_a at z.  The
+        derivative lowers exponent a by one, so no coordinate is divided by
+        and a zero coordinate is exact."""
+        z = np.asarray(z, dtype=complex).tolist()
+        values = [0j] * self.n
+        jac = [[0j] * self.n for _ in range(self.n)]
+        for k, comp in enumerate(self.components):
+            for coeff, exps in comp:
+                powers = [(a, e) for a, e in enumerate(exps) if e]
+                factors = [z[a] ** e for a, e in powers]
+                values[k] += coeff * math.prod(factors)
+                for i, (a, e) in enumerate(powers):
+                    lowered = factors[:i] + [z[a] ** (e - 1)] + factors[i + 1:]
+                    jac[k][a] += coeff * (e * math.prod(lowered))
+        return np.array(values), np.array(jac)
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "HoloVectorField":
@@ -137,18 +140,6 @@ class HoloVectorField:
                 monos.append((complex(*re_im), exps))
             comps.append(tuple(monos))
         return cls(n, tuple(comps))
-
-
-def monomial_jets(z, exps) -> tuple[np.ndarray, np.ndarray]:
-    """Values z^e and exact gradients d z^e / d z_a of the monomials whose
-    exponent tuples are the rows of `exps`, at the point z: shapes (M,) and
-    (M, n).  The gradient lowers exponent a by one (to no less than 0,
-    where its factor e_a is 0), so no coordinate is divided by and a zero
-    coordinate is exact."""
-    z = np.asarray(z, dtype=complex)
-    e = np.asarray(exps, dtype=int).reshape(-1, z.size)
-    lowered = np.maximum(e[:, None, :] - np.eye(z.size, dtype=int), 0)
-    return np.prod(z**e, axis=1), e * np.prod(z**lowered, axis=2)
 
 
 def lie_derivative_components(

@@ -1,10 +1,10 @@
 """Command-line surface: scans, reports, and theorem-verification suites.
 
 Exit-code contract: 0 when every requested check passes, 1 when a check
-fails (or a numerical routine gives up), 2 on usage or parse errors.  CSV
-output is UTF-8, comma-separated, LF line endings, one header row, and all
-floats printed with 17 significant digits so files are byte-reproducible
-and round-trip exactly.
+fails (or a numerical routine gives up, overflows or divides by zero), 2
+on usage or parse errors.  CSV output is UTF-8, comma-separated, LF line
+endings, one header row, and all floats printed with 17 significant
+digits so files are byte-reproducible and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ def cmd_check_pseudoconvex(args) -> int:
 
 def cmd_curvature_scan(args) -> int:
     profile = parse_profile(args.profile)
+    label = profile.label()
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
     header = (
         ["profile", "n"]
@@ -114,7 +115,7 @@ def cmd_curvature_scan(args) -> int:
     for p in points:
         m = assemble_metric(profile, p)
         data = curvature.curvature_at(profile, p, m)
-        cells = [profile.label(), str(args.n)]
+        cells = [label, str(args.n)]
         cells += _coord_cells(p.z)
         cells += [fmt(p.gap), fmt(p.x), fmt(m.det), fmt(data.scal)]
         cells += [fmt(v) for v in data.rho]
@@ -124,18 +125,19 @@ def cmd_curvature_scan(args) -> int:
             raise HartogsError(f"non-finite scan value at sample {len(rows)}")
         rows.append(cells)
     _write_csv(args.out, header, rows)
-    print(f"curvature-scan {profile.label()}: wrote {len(rows)} rows to {args.out}")
+    print(f"curvature-scan {label}: wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_levi_scan(args) -> int:
     profile = parse_profile(args.profile)
+    label = profile.label()
     samples = sample_boundary(profile, args.n, args.samples, args.seed)
     eigs = [restricted_levi_min_eigenvalue(profile, b) for b in samples]
     if args.out:
         header = ["profile", "n"] + _coord_columns(args.n) + ["x", "defining_residual", "min_eig"]
         rows = [
-            [profile.label(), str(args.n), *_coord_cells(b.z),
+            [label, str(args.n), *_coord_cells(b.z),
              fmt(b.x), fmt(defining_residual(profile, b.z)), fmt(eig)]
             for b, eig in zip(samples, eigs)
         ]
@@ -143,7 +145,7 @@ def cmd_levi_scan(args) -> int:
     worst = float(np.min(eigs))  # NaN propagates: a non-finite eigenvalue fails
     ok = worst > args.tol
     print(
-        f"levi-scan {profile.label()}: {len(samples)} boundary samples, "
+        f"levi-scan {label}: {len(samples)} boundary samples, "
         f"min restricted-Levi eigenvalue {worst:.12g} -> {'PASS' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
@@ -151,6 +153,7 @@ def cmd_levi_scan(args) -> int:
 
 def cmd_extremal_residual(args) -> int:
     profile = parse_profile(args.profile)
+    label = profile.label()
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
     header = ["profile", "n"] + _coord_columns(args.n) + ["gap", "x", "extremal_res"]
     rows = []
@@ -160,7 +163,7 @@ def cmd_extremal_residual(args) -> int:
         if not math.isfinite(res):
             raise HartogsError(f"non-finite extremal residual at sample {len(rows)}")
         values.append(res)
-        cells = [profile.label(), str(args.n)]
+        cells = [label, str(args.n)]
         cells += _coord_cells(p.z)
         cells += [fmt(p.gap), fmt(p.x), fmt(res)]
         rows.append(cells)
@@ -168,7 +171,7 @@ def cmd_extremal_residual(args) -> int:
         _write_csv(args.out, header, rows)
     values.sort()
     print(
-        f"extremal-residual {profile.label()}: {len(values)} samples, "
+        f"extremal-residual {label}: {len(values)} samples, "
         f"max {values[-1]:.6g}, median {values[len(values) // 2]:.6g}"
     )
     return 0
@@ -387,6 +390,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: numeric failure ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -39,6 +39,9 @@ from .profiles import Profile, interior_x_max
 #: det_core below this is treated as a metric singularity
 SINGULAR_TOL = 1e-14
 
+#: the extremal oracle's stencil step far from the boundary
+FD_BASE_STEP = 1e-4
+
 _MAX_SAMPLE_ATTEMPTS = 100_000
 
 
@@ -337,20 +340,20 @@ def sample_interior(
     return points
 
 
-def fd_stencil_for(profile: Profile, p: DomainPoint, base: float = 1e-4):
+def fd_stencil_for(profile: Profile, p: DomainPoint):
     """Stencil for the first-difference extremal oracle at p, with the step
     shrunk to the local scale.
 
     Quantities built on -log(gap) steepen like 1/gap towards the boundary
     and like F' in the radial direction, so the step is proportional to
-    the margin per unit of radial gradient.  It never exceeds `base`, and
-    the 10-step interiority contract holds automatically.
+    the margin per unit of radial gradient.  It never exceeds
+    FD_BASE_STEP, and the 10-step interiority contract holds automatically.
     """
     from .wirtinger import ComplexStencil
 
     d1 = abs(profile.eval(p.x, 1))
     scale = min(1.0, p.margin / (1.0 + d1 * math.sqrt(p.x)))
-    return ComplexStencil(step=base * scale)
+    return ComplexStencil(step=FD_BASE_STEP * scale)
 
 
 def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:

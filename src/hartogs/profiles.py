@@ -21,7 +21,7 @@ m(x) = -(x F'(x)/F(x))', which must stay positive on [0, x0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
@@ -38,31 +38,27 @@ UNBOUNDED_X_CAP = 10.0
 class Profile:
     """Base class for profile families.
 
-    Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3` (value and
-    first three derivatives), the domain bound `x0`, optionally a simplified
-    `det_core`, and the radial curvature functionals `defect`, `slope_d1`
-    and `slope_d2`.  `_f` and `det_core` also accept a `jet.Jet` for x
-    (through operator arithmetic and `jet.exp`): the metric and Ricci
+    A family's dataclass fields are its parameters: each must be finite
+    and > 0, and they alone make up its label `family:f1,f2` and its CLI
+    arity.  Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3`
+    (value and first three derivatives), the domain bound `x0`, optionally
+    a simplified `det_core`, and the radial curvature functionals `defect`,
+    `slope_d1` and `slope_d2`.  `_f` and `det_core` also accept a `jet.Jet`
+    for x (through operator arithmetic and `jet.exp`): the metric and Ricci
     oracles differentiate them, and nothing else of the family.
     """
 
     family = "base"
 
-    @property
-    def x0(self) -> float:
-        raise NotImplementedError
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{self.family} profile needs finite {field.name} > 0, got {value!r}")
 
-    def _f(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _d1(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _d2(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _d3(self, x: float) -> float:
-        raise NotImplementedError
+    def label(self) -> str:
+        params = ",".join(f"{getattr(self, field.name):g}" for field in fields(self))
+        return f"{self.family}:{params}" if params else self.family
 
     def eval(self, x: float, order: int = 0) -> float:
         """Evaluate F, F', F'' or F''' at x by closed form."""
@@ -104,9 +100,6 @@ class Profile:
         """Second radial derivative of the slope, in closed form.  Not domain-guarded."""
         raise NotImplementedError
 
-    def label(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Affine(Profile):
@@ -116,10 +109,6 @@ class Affine(Profile):
     c2: float
 
     family = "affine"
-
-    def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ValueError(f"affine profile needs c1, c2 > 0, got ({self.c1}, {self.c2})")
 
     @property
     def x0(self) -> float:
@@ -149,9 +138,6 @@ class Affine(Profile):
     def slope_d2(self, x):
         return 0.0
 
-    def label(self):
-        return f"affine:{self.c1:g},{self.c2:g}"
-
 
 @dataclass(frozen=True)
 class PowerCap(Profile):
@@ -160,14 +146,7 @@ class PowerCap(Profile):
     p: float
 
     family = "powercap"
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"powercap profile needs p > 0, got {self.p}")
-
-    @property
-    def x0(self) -> float:
-        return 1.0
+    x0 = 1.0
 
     def _f(self, x):
         return (1.0 - x) ** self.p
@@ -193,9 +172,6 @@ class PowerCap(Profile):
     def slope_d2(self, x):
         return (2.0 * self.p - 2.0) * (self.p + 1.0) * (1.0 - x) ** (-self.p - 2.0)
 
-    def label(self):
-        return f"powercap:{self.p:g}"
-
 
 @dataclass(frozen=True)
 class ExpDecay(Profile):
@@ -204,14 +180,7 @@ class ExpDecay(Profile):
     rate: float
 
     family = "expdecay"
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"expdecay profile needs a > 0, got {self.rate}")
-
-    @property
-    def x0(self) -> float:
-        return math.inf
+    x0 = math.inf
 
     def _f(self, x):
         return exp(-self.rate * x)
@@ -237,19 +206,13 @@ class ExpDecay(Profile):
     def slope_d2(self, x):
         return 2.0 * self.rate * self.rate * math.exp(self.rate * x)
 
-    def label(self):
-        return f"expdecay:{self.rate:g}"
-
 
 @dataclass(frozen=True)
 class Rational(Profile):
     """F(x) = 1/(1 + x) on [0, inf)."""
 
     family = "rational"
-
-    @property
-    def x0(self) -> float:
-        return math.inf
+    x0 = math.inf
 
     def _f(self, x):
         return 1.0 / (1.0 + x)
@@ -275,9 +238,6 @@ class Rational(Profile):
     def slope_d2(self, x):
         return 0.0
 
-    def label(self):
-        return "rational"
-
 
 @dataclass(frozen=True)
 class ConstantProbe(Profile):
@@ -289,14 +249,7 @@ class ConstantProbe(Profile):
     level: float = 1.0
 
     family = "constant-probe"
-
-    def __post_init__(self):
-        if not self.level > 0:
-            raise ValueError(f"probe level must be positive, got {self.level}")
-
-    @property
-    def x0(self) -> float:
-        return math.inf
+    x0 = math.inf
 
     def _f(self, x):
         return self.level
@@ -306,9 +259,6 @@ class ConstantProbe(Profile):
 
     def _d2(self, x):
         return 0.0
-
-    def label(self):
-        return f"constant-probe:{self.level:g}"
 
 
 class MarginScan(NamedTuple):
@@ -364,12 +314,7 @@ def interior_grid(profile: Profile, count: int) -> list[float]:
     return [top * i / (count - 1) for i in range(count)]
 
 
-_CLI_FAMILIES = {
-    "affine": (Affine, 2),
-    "powercap": (PowerCap, 1),
-    "expdecay": (ExpDecay, 1),
-    "rational": (Rational, 0),
-}
+_CLI_FAMILIES = {cls.family: cls for cls in (Affine, PowerCap, ExpDecay, Rational)}
 
 
 def parse_profile(text: str) -> Profile:
@@ -382,7 +327,8 @@ def parse_profile(text: str) -> Profile:
     if name not in _CLI_FAMILIES:
         known = ", ".join(sorted(_CLI_FAMILIES))
         raise ValueError(f"unknown profile family {name!r} (known: {known})")
-    cls, arity = _CLI_FAMILIES[name]
+    cls = _CLI_FAMILIES[name]
+    arity = len(fields(cls))
     raw = [s for s in argstr.split(",") if s.strip()] if argstr else []
     if len(raw) != arity:
         raise ValueError(f"profile {name!r} takes {arity} parameter(s), got {len(raw)} in {text!r}")

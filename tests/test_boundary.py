@@ -14,7 +14,7 @@ from hartogs.boundary import (
     tangent_gradient,
 )
 from hartogs.errors import DomainError
-from hartogs.profiles import Profile, interior_x_max
+from hartogs.profiles import interior_x_max
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
 
@@ -170,9 +170,9 @@ class TestRestrictedLevi:
         # hide in both sides of the comparison
         points = sample_boundary(profile, 4, 20, seed=3)
         want = [hg.restricted_levi_min_eigenvalue(profile, b) for b in points]
-        for cls in {type(profile), Profile}:
-            for name in ("det_core", "_f", "_d3", "defect", "slope_d1", "slope_d2"):
-                monkeypatch.setattr(cls, name, refuse)
+        for name in ("det_core", "_f", "_d3", "defect", "slope_d1", "slope_d2"):
+            # lookups stop at the family class, which need not define the name
+            monkeypatch.setattr(type(profile), name, refuse, raising=False)
         for b, w in zip(points, want):
             assert abs(levi_compression_oracle(profile, b) - w) <= 1e-12 * (1.0 + abs(w))
 

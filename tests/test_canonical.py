@@ -7,7 +7,7 @@ import pytest
 import hartogs as hg
 import hartogs.canonical
 import hartogs.metric
-from hartogs.canonical import HoloVectorField, lie_from_jets, monomial_jets, soliton_sweep
+from hartogs.canonical import HoloVectorField, lie_from_jets, soliton_sweep
 from hartogs.cli import main
 from hartogs.curvature import curvature_at, extremal_fd_oracle, scal_gradient_bar
 from hartogs.errors import DomainError
@@ -22,7 +22,17 @@ def sweep(prof):
     return soliton_sweep(prof, hg.sample_interior(prof, 2, 10, 9, 0.3))
 
 
+def monomial_jets(z, exps):
+    """Values z^e and gradients d z^e / d z_a of each monomial, one
+    single-monomial field (in component 0) per exponent tuple."""
+    n = len(z)
+    jets = [HoloVectorField(n, (((1 + 0j, e),),) + ((),) * (n - 1)).jet(np.array(z)) for e in exps]
+    return np.array([vals[0] for vals, _ in jets]), np.array([jac[0] for _, jac in jets])
+
+
 class TestMonomialJets:
+    """Jets of single monomials through `HoloVectorField.jet`."""
+
     @pytest.mark.parametrize("z", [[0.5 + 0.5j, -0.25j, 1.5 - 0.75j], [0.0, -0.25j, 1.5 - 0.75j]],
                              ids=["generic", "zero-coordinate"])
     def test_hand_written_up_to_degree_3(self, z):

@@ -84,6 +84,48 @@ def test_tol_and_lam_must_be_finite(capsys, command, option, value):
     assert "finite number" in err
 
 
+@pytest.mark.parametrize(
+    "profile",
+    ["affine:inf,1", "affine:1,inf", "powercap:inf", "expdecay:-inf", "powercap:nan", "expdecay:0"],
+)
+@pytest.mark.parametrize(
+    "command",
+    ["check-pseudoconvex", "curvature-scan", "levi-scan", "extremal-residual", "soliton-check",
+     "verify-theorems"],
+)
+def test_profile_parameters_must_be_finite_positive(capsys, tmp_path, command, profile):
+    # affine:inf,1 printed `min margin inf ... -> PASS`; powercap:inf and
+    # expdecay:inf died in a ZeroDivisionError
+    out = tmp_path / "x.csv"
+    argv = [command, "--profile", profile]
+    if command in ("curvature-scan", "levi-scan", "extremal-residual"):
+        argv += ["--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-pseudoconvex", "--profile", "powercap:1e308"],
+        ["levi-scan", "--profile", "powercap:1e308", "--n", "2", "--samples", "5"],
+        ["check-pseudoconvex", "--profile", "affine:1e308,1e-308"],
+        ["extremal-residual", "--profile", "affine:1e308,1e-308", "--samples", "5"],
+    ],
+    ids=["check-powercap", "levi-powercap", "check-affine", "extremal-affine"],
+)
+def test_extreme_finite_parameters_fail_without_traceback(capsys, argv):
+    # a ZeroDivisionError or OverflowError escaped main; an exception that
+    # escapes now fails this test
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert len(err.splitlines()) <= 1
+
+
 class TestCheckPseudoconvex:
     def test_affine_passes(self, capsys):
         code, out, _ = run(capsys, "check-pseudoconvex", "--profile", "affine:1,1")

@@ -101,9 +101,9 @@ def test_oracles_read_only_f_and_det_core(monkeypatch, points_for, profile):
         return eval_f(self, x)
 
     monkeypatch.setattr(Profile, "eval", f_only)
-    for cls in {type(profile), Profile}:
-        for name in ("_d1", "_d2", "_d3", "defect", "slope_d1", "slope_d2"):
-            monkeypatch.setattr(cls, name, refuse)
+    for name in ("_d1", "_d2", "_d3", "defect", "slope_d1", "slope_d2"):
+        # lookups stop at the family class, which need not define the name
+        monkeypatch.setattr(type(profile), name, refuse, raising=False)
     for mod in (hartogs.metric, hartogs.curvature):
         for name in ("radial_data", "metric_matrix", "inverse_metric_matrix", "assemble_metric"):
             if hasattr(mod, name):

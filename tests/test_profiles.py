@@ -43,6 +43,11 @@ class TestEval:
             hg.PowerCap(0)
         with pytest.raises(ValueError):
             hg.ExpDecay(-2)
+        for make in (lambda: hg.Affine(math.inf, 1), lambda: hg.Affine(1, math.inf),
+                     lambda: hg.PowerCap(math.inf), lambda: hg.ExpDecay(math.inf),
+                     lambda: hg.ConstantProbe(math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
 
 
 # powercap's F''' vanishes at p = 2, so two more exponents check it
@@ -157,6 +162,14 @@ class TestParse:
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_label_round_trip(self, profile):
         assert parse_profile(profile.label()) == profile
+
+    def test_labels(self):
+        profiles = [hg.Affine(1, 1), hg.Affine(2.5, 3.0), hg.PowerCap(0.5), hg.ExpDecay(1e-3),
+                    hg.Rational(), hg.ConstantProbe()]
+        assert [prof.label() for prof in profiles] == [
+            "affine:1,1", "affine:2.5,3", "powercap:0.5", "expdecay:0.001", "rational",
+            "constant-probe:1",
+        ]
 
     def test_examples(self):
         assert parse_profile("affine:1,1") == hg.Affine(1, 1)
