@@ -45,7 +45,6 @@ from .metric import (
     assemble_metric,
     metric_gradients,
     metric_matrix,
-    radial_data,
     require_interior,
 )
 from .profiles import Affine, Profile
@@ -153,13 +152,14 @@ def lie_derivative_components(
                                  + (df_k/dz_a) h_{k,bbar}
                                  + conj(df_k/dz_b) h_{a,kbar} ].
 
-    h and its radial data are read from the metric `m` assembled at p.
+    h is read from the metric `m` assembled at p, and its derivatives from
+    the record p.
     Metric and polynomial derivatives are both exact.  The result is
     Hermitian to rounding.
     """
     if x_field.n != p.n:
         raise ValueError(f"field dimension {x_field.n} does not match point dimension {p.n}")
-    dg, dgbar = metric_gradients(profile, m.radial, p.z)
+    dg, dgbar = metric_gradients(profile, p)
     return lie_from_jets(m.h, dg, dgbar, *x_field.jet(p.z))
 
 
@@ -212,15 +212,14 @@ def hyperbolic_isometry(c1: float, c2: float, z) -> np.ndarray:
 def pullback_check(c1: float, c2: float, p: DomainPoint) -> float:
     """Relative Frobenius defect of the isometry: pull the hyperbolic
     metric back through the rescaling and compare with the affine(c1, c2)
-    metric at p.  The Jacobian is the constant diagonal of the rescaling."""
-    src = Affine(c1, c2)
-    target = Affine(1.0, 1.0)
+    metric at p, a point record of that domain.  The Jacobian is the
+    constant diagonal of the rescaling."""
     w = hyperbolic_isometry(c1, c2, p.z)
     jac = np.full(p.n, 1.0 / math.sqrt(c1))
     jac[0] = math.sqrt(c2 / c1)
-    h_target = metric_matrix(radial_data(target, w), w)
+    h_target = metric_matrix(require_interior(Affine(1.0, 1.0), w))
     pulled = (jac[:, None] * h_target) * jac[None, :]
-    h_src = metric_matrix(radial_data(src, p.z), p.z)
+    h_src = metric_matrix(p)
     return float(np.linalg.norm(pulled - h_src) / (1.0 + np.linalg.norm(h_src)))
 
 
@@ -257,7 +256,7 @@ def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
     for p in points:
         m = assemble_metric(profile, p)
         ric = ricci_tensor(profile, p, m)
-        dg, dgbar = metric_gradients(profile, m.radial, p.z)
+        dg, dgbar = metric_gradients(profile, p)
         lie = lie_from_jets(m.h, dg, dgbar, split * p.z, df)
         mats = np.concatenate([ric[None], m.h[None], lie]).reshape(4, -1)
         weight = 1.0 / (1.0 + np.linalg.norm(m.h))

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import NumericError
 from .jet import JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, Radial, fd_stencil_for, inverse_metric_matrix, jet_x_and_gap,
-    metric_gradients, nonsingular_core, radial_data,
+    DomainPoint, MetricData, fd_stencil_for, inverse_metric_matrix, jet_x_and_gap,
+    metric_gradients, nonsingular_core, require_interior,
 )
 from .profiles import Profile
 from .wirtinger import ComplexStencil
@@ -56,14 +56,14 @@ class CurvatureData:
     extremal: float
 
 
-def curvature_defect(profile: Profile, r: Radial) -> float:
-    """defect(x) = (x (log det_core)')', the family's closed form, at r.x.
+def curvature_defect(profile: Profile, p: DomainPoint) -> float:
+    """defect(x) = (x (log det_core)')', the family's closed form, at p.x.
 
     Exactly zero for the affine family.  Raises SingularityError where
     det_core is below SINGULAR_TOL, where the metric degenerates.
     """
-    nonsingular_core(r.det_core, r.x)
-    return profile.defect(r.x)
+    nonsingular_core(p.det_core, p.x)
+    return profile.defect(p.x)
 
 
 def _slope(defect: float, f: float, core: float) -> float:
@@ -72,15 +72,15 @@ def _slope(defect: float, f: float, core: float) -> float:
     return -defect * f / core
 
 
-def scal_gradient_bar(r: Radial, z, slope: float, slope_d1: float) -> np.ndarray:
-    """Anti-holomorphic gradient of the scalar curvature at z, in closed
-    form from its radial data, the slope and its radial derivative slope':
+def scal_gradient_bar(p: DomainPoint, slope: float, slope_d1: float) -> np.ndarray:
+    """Anti-holomorphic gradient of the scalar curvature at p, in closed
+    form from its record, the slope and its radial derivative slope':
 
         d scal / dzbar_0 = z_0 (slope' * gap + slope * F')
         d scal / dzbar_i = -slope * z_i.
     """
-    grad = -slope * np.asarray(z, dtype=complex)
-    grad[0] = complex(z[0]) * (slope_d1 * r.gap + slope * r.d1)
+    grad = -slope * p.z
+    grad[0] = complex(p.z[0]) * (slope_d1 * p.gap + slope * p.d1)
     return grad
 
 
@@ -92,7 +92,7 @@ def _ricci(p: DomainPoint, m: MetricData, defect: float) -> np.ndarray:
 
 def ricci_tensor(profile: Profile, p: DomainPoint, m: MetricData) -> np.ndarray:
     """Ric = -(n+1) h, with the (0,0) entry shifted by -defect(x)."""
-    return _ricci(p, m, curvature_defect(profile, m.radial))
+    return _ricci(p, m, curvature_defect(profile, p))
 
 
 def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
@@ -134,20 +134,20 @@ def extremal_fd_oracle(
     margin-scaled stencil unless given one, which keeps every stencil
     point inside the domain."""
     if stencil is None:
-        stencil = fd_stencil_for(profile, p)
+        stencil = fd_stencil_for(p)
 
     def t_of(w):
-        r = radial_data(profile, w)
-        k = inverse_metric_matrix(r, w)
-        slope = _slope(profile.defect(r.x), r.f, r.det_core)
-        return k.T @ scal_gradient_bar(r, w, slope, profile.slope_d1(r.x))
+        q = require_interior(profile, w)
+        slope = _slope(profile.defect(q.x), q.f, q.det_core)
+        return inverse_metric_matrix(q).T @ scal_gradient_bar(q, slope, profile.slope_d1(q.x))
 
     return np.stack([stencil.d_zbar(t_of, p.z, c) for c in range(p.n)], axis=1)
 
 
 def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureData:
-    """Every closed-form curvature quantity at one point, from one defect
-    and the radial data the metric was assembled from.  The Einstein
+    """Every closed-form curvature quantity at one point, from one defect,
+    the point record p and the metric m assembled from it; of the profile
+    it reads only the defect, slope', slope'' and F'''.  The Einstein
     residual is || Ric + (n+1) h ||_F / (1 + ||h||_F).
 
     The metric is extremal iff T = K^T g is holomorphic, with K = h^-1 and
@@ -156,11 +156,10 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     is zero but for S00 = z_0^2 (slope'' gap + 2 slope' F' + slope F'') and
     S0i = Si0 = -slope' z_0 z_i."""
     n = p.n
-    r = m.radial
-    defect = curvature_defect(profile, r)
-    slope = _slope(defect, r.f, r.det_core)
+    defect = curvature_defect(profile, p)
+    slope = _slope(defect, p.f, p.det_core)
     ric = _ricci(p, m, defect)
-    shared = p.gap * r.f * defect / r.det_core
+    shared = p.gap * p.f * defect / p.det_core
     rho = np.empty(n, dtype=float)
     for k in range(n):
         rho[k] = (
@@ -169,17 +168,17 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
             * math.comb(n - 1, k)
             * (n * (n + 1) / (k + 1) + shared)
         )
-    slope_d1 = profile.slope_d1(r.x)
-    t = m.h_inv.T @ scal_gradient_bar(r, p.z, slope, slope_d1)
+    slope_d1 = profile.slope_d1(p.x)
+    t = m.h_inv.T @ scal_gradient_bar(p, slope, slope_d1)
     z0 = complex(p.z[0])
     hess = np.zeros((n, n), dtype=complex)
-    hess[0, 0] = z0 * z0 * (profile.slope_d2(r.x) * r.gap + 2.0 * slope_d1 * r.d1 + slope * r.d2)
+    hess[0, 0] = z0 * z0 * (profile.slope_d2(p.x) * p.gap + 2.0 * slope_d1 * p.d1 + slope * p.d2)
     hess[0, 1:] = hess[1:, 0] = -slope_d1 * z0 * p.z[1:]
-    dgbar = metric_gradients(profile, r, p.z)[1]
+    dgbar = metric_gradients(profile, p)[1]
     t_zbar = m.h_inv.T @ (hess - np.einsum("cab,a->bc", dgbar, t))
     return CurvatureData(
         ric=ric,
-        scal=-(p.gap / r.det_core) * r.f * defect - n * (n + 1),
+        scal=-(p.gap / p.det_core) * p.f * defect - n * (n + 1),
         defect=defect,
         slope=slope,
         rho=rho,

@@ -19,10 +19,10 @@ Writing x = |z_0|^2 and priming F in x:
     hinv[b,a] = gap (F' + F'' x) z_a zbar_b / det_core   (a != b, a,b >= 1)
     hinv[b,b] = gap (det_core + (F' + F'' x) |z_b|^2) / det_core
 
-All of it is built from the point's radial data (`Radial`: x, gap, F,
-F', F'' and det_core), evaluated once per point by `radial_data`.  The
-closed-form inverse is the artifact under test: it is only *verified*
-against dense inversion, never replaced by it.
+All of it is read from the point record `DomainPoint` (z and its radial
+data x, gap, F, F', F'' and det_core), which `contains` evaluates once per
+point.  The closed-form inverse is the artifact under test: it is only
+*verified* against dense inversion, never replaced by it.
 """
 
 from __future__ import annotations
@@ -47,16 +47,23 @@ _MAX_SAMPLE_ATTEMPTS = 100_000
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """Interior point with cached membership data.
+    """Interior point with its radial data, built by `contains`.
 
     `x` is |z_0|^2, `gap` the slack in the fiber inequality, and `margin`
     the smaller of `gap` and the distance x0 - x to the radial bound.
+    `f`, `d1` and `d2` are F, F' and F'' at x, and `det_core` is
+    det_core(x).  Every per-point quantity of the package is a function of
+    these and of z.
     """
 
     z: np.ndarray
     x: float
     gap: float
     margin: float
+    f: float
+    d1: float
+    d2: float
+    det_core: float
 
     @property
     def n(self) -> int:
@@ -64,28 +71,12 @@ class DomainPoint:
 
 
 @dataclass(frozen=True)
-class Radial:
-    """Radial data of one evaluated point: x = |z_0|^2, the gap, F, F' and
-    F'' at x, and det_core(x).  Every per-point quantity of the package is
-    a function of these (and of z for the matrix entries)."""
-
-    x: float
-    gap: float
-    f: float
-    d1: float
-    d2: float
-    det_core: float
-
-
-@dataclass(frozen=True)
 class MetricData:
-    """Metric matrix with determinant and closed-form inverse, and the
-    radial data they were built from."""
+    """Metric matrix with determinant and closed-form inverse."""
 
     h: np.ndarray
     det: float
     h_inv: np.ndarray
-    radial: Radial
 
 
 def _x_and_fiber(z) -> tuple[float, float]:
@@ -117,18 +108,6 @@ def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
     return x, profile.eval(x) - w.norm_sq(1, w.n)
 
 
-def radial_data(profile: Profile, z) -> Radial:
-    """The radial data at z, each evaluated once.  Raises DomainError
-    outside the domain.  det_core is not checked here: `nonsingular_core`
-    is applied by the consumers that divide by it."""
-    x, fiber = _x_and_fiber(z)
-    f = profile.eval(x)
-    gap = f - fiber
-    if gap <= 0.0:
-        raise DomainError("metric requested outside the domain (gap <= 0)")
-    return Radial(x, gap, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x))
-
-
 def nonsingular_core(core: float, x: float) -> float:
     """det_core itself, or SingularityError where it is below SINGULAR_TOL:
     the metric is singular there, or the profile not pseudoconvex."""
@@ -140,18 +119,24 @@ def nonsingular_core(core: float, x: float) -> float:
 
 
 def contains(profile: Profile, z) -> DomainPoint | None:
-    """Membership test; returns a cached DomainPoint or None if outside."""
+    """Membership test; returns the point record, its radial data each
+    evaluated once, or None if z is outside.  det_core is not checked here:
+    `nonsingular_core` is applied by the consumers that divide by it."""
     z = np.asarray(z, dtype=complex)
     if z.size < 2:
         raise ValueError("domain points need at least two complex coordinates")
+    x, fiber = _x_and_fiber(z)
     try:
-        x, gap = x_and_gap(profile, z)
+        f = profile.eval(x)
     except DomainError:
         return None
+    gap = f - fiber
     if gap <= 0.0:
         return None
     margin = gap if math.isinf(profile.x0) else min(gap, profile.x0 - x)
-    return DomainPoint(z, x, gap, margin)
+    return DomainPoint(
+        z, x, gap, margin, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x)
+    )
 
 
 def require_interior(profile: Profile, z) -> DomainPoint:
@@ -176,17 +161,16 @@ def kahler_potential(profile: Profile, z) -> float | Jet:
     return -log(gap)
 
 
-def metric_matrix(r: Radial, z) -> np.ndarray:
-    """Closed-form metric matrix at z from its radial data (Hermitian by
-    construction: the lower triangle mirrors the conjugated upper one).
-    It does not divide by det_core, so it also works where the metric
-    degenerates."""
-    n = len(z)
-    x, gap, d1 = r.x, r.gap, r.d1
+def metric_matrix(p: DomainPoint) -> np.ndarray:
+    """Closed-form metric matrix at p (Hermitian by construction: the lower
+    triangle mirrors the conjugated upper one).  It does not divide by
+    det_core, so it also works where the metric degenerates."""
+    n, z = p.n, p.z
+    x, gap, d1 = p.x, p.gap, p.d1
     gap2 = gap * gap
 
     h = np.empty((n, n), dtype=complex)
-    h[0, 0] = (x * d1 * d1 - (d1 + r.d2 * x) * gap) / gap2
+    h[0, 0] = (x * d1 * d1 - (d1 + p.d2 * x) * gap) / gap2
     z0c = complex(z[0]).conjugate()
     for b in range(1, n):
         val = -d1 * z0c * complex(z[b]) / gap2
@@ -202,8 +186,8 @@ def metric_matrix(r: Radial, z) -> np.ndarray:
     return h
 
 
-def metric_gradients(profile: Profile, r: Radial, z) -> tuple[np.ndarray, np.ndarray]:
-    """Wirtinger derivatives of the metric at z in closed form, as
+def metric_gradients(profile: Profile, p: DomainPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Wirtinger derivatives of the metric at p in closed form, as
     (dg, dgbar) with dg[k] = dh/dz_k and dgbar[k] = dh/dzbar_k, which is
     conj(dg[k]).T since h is Hermitian.
 
@@ -217,16 +201,16 @@ def metric_gradients(profile: Profile, r: Radial, z) -> tuple[np.ndarray, np.nda
     are diag(F' + F'' x, -1, ..., -1), the only holomorphic one is
     gap_00 = F'' zbar_0^2, and the only third one is
     gap_000bar = zbar_0 (2 F'' + x F''').  F''' is read here, not kept in
-    the radial record, since nothing else needs it.
+    the point record, since nothing else needs it.
     """
-    n = len(z)
-    x, gap, d2 = r.x, r.gap, r.d2
+    n = p.n
+    x, gap, d2 = p.x, p.gap, p.d2
     gap2 = gap * gap
-    z0c = complex(z[0]).conjugate()
-    g1 = -np.conj(np.asarray(z, dtype=complex))
-    g1[0] = r.d1 * z0c
+    z0c = complex(p.z[0]).conjugate()
+    g1 = -np.conj(p.z)
+    g1[0] = p.d1 * z0c
     mixed = -np.eye(n)
-    mixed[0, 0] = r.d1 + d2 * x
+    mixed[0, 0] = p.d1 + d2 * x
 
     dg = (g1[:, None, None] * mixed[None, :, :] + g1[None, :, None] * mixed[:, None, :]) / gap2
     dg -= (2.0 / (gap2 * gap)) * (g1[:, None, None] * g1[None, :, None]) * g1.conj()[None, None, :]
@@ -235,18 +219,18 @@ def metric_gradients(profile: Profile, r: Radial, z) -> tuple[np.ndarray, np.nda
     return dg, dg.conj().transpose(0, 2, 1)
 
 
-def inverse_metric_matrix(r: Radial, z) -> np.ndarray:
-    """Closed-form inverse metric at z from its radial data; raises
-    SingularityError where det_core is below SINGULAR_TOL."""
-    n = len(z)
-    core = nonsingular_core(r.det_core, r.x)
-    d1 = r.d1
-    mix = d1 + r.d2 * r.x
-    s = r.gap / core
+def inverse_metric_matrix(p: DomainPoint) -> np.ndarray:
+    """Closed-form inverse metric at p; raises SingularityError where
+    det_core is below SINGULAR_TOL."""
+    n, z = p.n, p.z
+    core = nonsingular_core(p.det_core, p.x)
+    d1 = p.d1
+    mix = d1 + p.d2 * p.x
+    s = p.gap / core
     z0 = complex(z[0])
 
     k = np.empty((n, n), dtype=complex)
-    k[0, 0] = s * r.f
+    k[0, 0] = s * p.f
     for b in range(1, n):
         val = s * d1 * z0 * complex(z[b]).conjugate()
         k[b, 0] = val
@@ -263,13 +247,11 @@ def inverse_metric_matrix(r: Radial, z) -> np.ndarray:
 
 def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
     """Metric, determinant and closed-form inverse at an interior point,
-    all from one evaluation of its radial data."""
+    all read from its record; the profile is not evaluated again."""
     if p.margin <= 0.0:
         raise DomainError("metric requested at a non-interior point")
-    r = radial_data(profile, p.z)
-    h_inv = inverse_metric_matrix(r, p.z)
-    h = metric_matrix(r, p.z)
-    return MetricData(h=h, det=r.det_core / p.gap ** (p.n + 1), h_inv=h_inv, radial=r)
+    h_inv = inverse_metric_matrix(p)
+    return MetricData(h=metric_matrix(p), det=p.det_core / p.gap ** (p.n + 1), h_inv=h_inv)
 
 
 def fiber_direction(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
@@ -340,7 +322,7 @@ def sample_interior(
     return points
 
 
-def fd_stencil_for(profile: Profile, p: DomainPoint):
+def fd_stencil_for(p: DomainPoint):
     """Stencil for the first-difference extremal oracle at p, with the step
     shrunk to the local scale.
 
@@ -351,8 +333,7 @@ def fd_stencil_for(profile: Profile, p: DomainPoint):
     """
     from .wirtinger import ComplexStencil
 
-    d1 = abs(profile.eval(p.x, 1))
-    scale = min(1.0, p.margin / (1.0 + d1 * math.sqrt(p.x)))
+    scale = min(1.0, p.margin / (1.0 + abs(p.d1) * math.sqrt(p.x)))
     return ComplexStencil(step=FD_BASE_STEP * scale)
 
 

@@ -75,7 +75,7 @@ class Profile:
         raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
 
     def det_core(self, x: float) -> float:
-        """Radial factor of the metric determinant:
+        """The radial factor of the metric determinant:
 
             det_core(x) = x F'(x)^2 - F(x) (F'(x) + F''(x) x)
 
@@ -92,7 +92,7 @@ class Profile:
         raise NotImplementedError
 
     def slope_d1(self, x: float) -> float:
-        """Radial derivative of the scalar-curvature slope
+        """The radial derivative of the scalar-curvature slope
         -defect F / det_core, in closed form.  Not domain-guarded."""
         raise NotImplementedError
 

@@ -11,7 +11,6 @@ from hartogs.canonical import HoloVectorField, lie_from_jets, soliton_sweep
 from hartogs.cli import main
 from hartogs.curvature import curvature_at, extremal_fd_oracle, scal_gradient_bar
 from hartogs.errors import DomainError
-from hartogs.metric import radial_data
 from hartogs.wirtinger import ComplexStencil
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
@@ -234,20 +233,20 @@ class TestSolitonResidual:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_radial_evaluation_per_point(self, monkeypatch, n):
-        # the sample point once; the metric gradients reuse its record
+        # `contains` evaluated the radial data once, building p; the
+        # residual and the metric gradients read that record
+        prof = hg.PowerCap(2)
+        p = hg.contains(prof, [0.3] + [0.2j] * (n - 1))
         calls = []
-        original = hartogs.metric.radial_data
+        original = hartogs.metric.contains
 
         def counted(profile, z):
             calls.append(z)
             return original(profile, z)
 
-        for mod in (hartogs.metric, hartogs.canonical):
-            monkeypatch.setattr(mod, "radial_data", counted)
-        prof = hg.PowerCap(2)
-        p = hg.contains(prof, [0.3] + [0.2j] * (n - 1))
+        monkeypatch.setattr(hartogs.metric, "contains", counted)
         hg.soliton_residual(prof, p, -(n + 1), HoloVectorField.rotation(n))
-        assert len(calls) == 1
+        assert calls == []
 
     def test_no_finite_differences(self, monkeypatch, points_for, tmp_path):
         # the Lie derivative, the sweep and the extremal residual run on
@@ -340,9 +339,9 @@ class TestExtremalResidual:
         for prof in (hg.PowerCap(2), hg.ExpDecay(1), hg.Rational()):
             for z in ([0.4, 0.3], [0.5 - 0.4j, 0.3 + 0.2j, 0.1j]):
                 z = np.array(z, complex)
-                r = radial_data(prof, z)
-                slope = -prof.defect(r.x) * r.f / r.det_core
-                grad = scal_gradient_bar(r, z, slope, prof.slope_d1(r.x))
+                p = hg.contains(prof, z)
+                slope = -prof.defect(p.x) * p.f / p.det_core
+                grad = scal_gradient_bar(p, slope, prof.slope_d1(p.x))
                 fd = [ComplexStencil(1e-5).d_zbar(scal, z, c) for c in range(len(z))]
                 assert np.max(np.abs(grad - fd)) <= 1e-8 * (1.0 + np.max(np.abs(grad)))
 

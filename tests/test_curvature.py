@@ -6,7 +6,7 @@ import pytest
 import hartogs as hg
 from hartogs.curvature import rho_oracle
 from hartogs.errors import SingularityError
-from hartogs.metric import MetricData, Radial, radial_data
+from hartogs.metric import MetricData
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1
 
@@ -61,7 +61,7 @@ class TestDefect:
         prof = hg.ConstantProbe()
         z = [math.sqrt(0.3), 0.5]
         with pytest.raises(SingularityError):
-            hg.curvature_defect(prof, radial_data(prof, z))
+            hg.curvature_defect(prof, hg.contains(prof, z))
 
 
 def slope(profile, x):
@@ -235,10 +235,7 @@ class TestGeneralizedCurvatures:
 class TestRhoOracle:
     @staticmethod
     def _fake_metric(h):
-        return MetricData(
-            h=h, det=float(np.linalg.det(h).real), h_inv=np.linalg.inv(h),
-            radial=Radial(x=0.0, gap=1.0, f=1.0, d1=-1.0, d2=0.0, det_core=1.0),
-        )
+        return MetricData(h=h, det=float(np.linalg.det(h).real), h_inv=np.linalg.inv(h))
 
     def test_identity_with_einstein_ricci(self):
         # det(I - 3t I)/det(I) = (1-3t)^2 gives rho = (-6, 9)
@@ -270,15 +267,14 @@ def test_curvature_at_bundle():
     m = hg.assemble_metric(prof, p)
     data = hg.curvature_at(prof, p, m)
     assert data.scal == pytest.approx(data.rho[0], rel=1e-12)
-    assert data.slope == pytest.approx(-data.defect * prof.eval(p.x) / m.radial.det_core, rel=1e-12)
+    assert data.slope == pytest.approx(-data.defect * prof.eval(p.x) / p.det_core, rel=1e-12)
     assert data.ric.shape == (2, 2)
 
 
 def test_one_det_core_per_point(monkeypatch):
-    # assemble_metric keeps det_core in the radial record, and
-    # curvature_at and ricci_tensor guard that value instead of a new one
+    # the sampler's `contains` keeps det_core in the point record, and
+    # assemble_metric, curvature_at and ricci_tensor read that value
     prof = hg.PowerCap(2)
-    points = hg.sample_interior(prof, 3, 5, seed=7)
     original = hg.PowerCap.det_core
     calls = []
 
@@ -287,8 +283,11 @@ def test_one_det_core_per_point(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(hg.PowerCap, "det_core", counted)
+    points = hg.sample_interior(prof, 3, 5, seed=7)
+    assert calls == [p.x for p in points]
+    calls.clear()
     for p in points:
         m = hg.assemble_metric(prof, p)
         hg.curvature_at(prof, p, m)
         hg.ricci_tensor(prof, p, m)
-    assert calls == [p.x for p in points]
+    assert calls == []

@@ -105,7 +105,7 @@ def test_oracles_read_only_f_and_det_core(monkeypatch, points_for, profile):
         # lookups stop at the family class, which need not define the name
         monkeypatch.setattr(type(profile), name, refuse, raising=False)
     for mod in (hartogs.metric, hartogs.curvature):
-        for name in ("radial_data", "metric_matrix", "inverse_metric_matrix", "assemble_metric"):
+        for name in ("metric_matrix", "inverse_metric_matrix", "assemble_metric"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     for p, (h, ric) in zip(points, want):
@@ -119,7 +119,7 @@ def test_oracles_reject_undefined_potential():
     with pytest.raises(NumericError):
         hg.ricci_fd_oracle(probe, hg.contains(probe, [0.2, 0.3]))
     prof = hg.Affine(1, 1)
-    on_boundary = DomainPoint(np.array([0, 1.0], complex), 0.0, 0.0, 0.0)
+    on_boundary = DomainPoint(np.array([0, 1.0], complex), 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 1.0)
     for oracle in (metric_fd_oracle, hg.ricci_fd_oracle):
         with pytest.raises(NumericError):
             oracle(prof, on_boundary)

@@ -11,7 +11,6 @@ from hartogs.metric import (
     metric_fd_oracle,
     metric_gradients,
     metric_matrix,
-    radial_data,
     require_interior,
 )
 from hartogs.profiles import interior_x_max
@@ -72,7 +71,7 @@ class TestAssembly:
 
     def test_non_interior_rejected(self):
         prof = hg.Affine(1, 1)
-        bogus = DomainPoint(np.array([0, 1.0], complex), 0.0, 0.0, 0.0)
+        bogus = DomainPoint(np.array([0, 1.0], complex), 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             hg.assemble_metric(prof, bogus)
 
@@ -101,10 +100,10 @@ def test_metric_gradients_vs_fd(profile, n, points_for):
     stencil = ComplexStencil(1e-6)
 
     def h_of(w):
-        return metric_matrix(radial_data(profile, w), w)
+        return metric_matrix(require_interior(profile, w))
 
     for p in points_for(profile, n, min_margin=0.05):
-        dg, dgbar = metric_gradients(profile, radial_data(profile, p.z), p.z)
+        dg, dgbar = metric_gradients(profile, p)
         for k in range(n):
             for got, want in zip((dg[k], dgbar[k]), stencil.d_pair(h_of, p.z, k)):
                 assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
@@ -152,14 +151,14 @@ def test_principal_minor_formula(n, points_for):
 def test_positive_definiteness_tracks_margin(profile, points_for):
     for p in points_for(profile, 3):
         assert hg.pseudoconvexity_margin(profile, p.x) > 0
-        assert np.linalg.eigvalsh(metric_matrix(radial_data(profile, p.z), p.z))[0] > 0.0
+        assert np.linalg.eigvalsh(metric_matrix(p))[0] > 0.0
 
 
 def test_degenerate_probe_not_positive_definite():
     probe = hg.ConstantProbe()
     z = np.array([0.4, 0.3 + 0.2j], complex)
     assert hg.pseudoconvexity_margin(probe, 0.16) == 0.0
-    eig = np.linalg.eigvalsh(metric_matrix(radial_data(probe, z), z))
+    eig = np.linalg.eigvalsh(metric_matrix(require_interior(probe, z)))
     assert eig[0] <= 1e-12 * eig[-1]
 
 
@@ -259,6 +258,6 @@ def test_adaptive_stencil_shrinks_with_margin():
     tight = hg.contains(prof, [0.1, math.sqrt(2 - 3 * 0.01 - 0.06)])
     roomy = hg.contains(prof, [0.0, 0.0])
     assert tight is not None and roomy is not None
-    assert fd_stencil_for(prof, tight).step < fd_stencil_for(prof, roomy).step
+    assert fd_stencil_for(tight).step < fd_stencil_for(roomy).step
     # ten-step interiority contract
-    assert 10 * fd_stencil_for(prof, tight).step <= tight.margin
+    assert 10 * fd_stencil_for(tight).step <= tight.margin
