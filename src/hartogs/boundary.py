@@ -58,12 +58,14 @@ def defining_residual(profile: Profile, z) -> float:
 
 
 def boundary_point(profile: Profile, z) -> BoundaryPoint:
-    """Validated constructor; |rho(z)| must not exceed BOUNDARY_TOL."""
+    """Validated constructor; |rho(z)| must not exceed BOUNDARY_TOL times
+    max(1, F - x F').  rho is a difference of terms of that size: F, and
+    x F' from the rounding of x = |z_0|^2."""
     z = np.asarray(z, dtype=complex)
     if z.size < 2:
         raise ValueError("boundary points need at least two complex coordinates")
     x, gap = x_and_gap(profile, z)
-    if abs(gap) > BOUNDARY_TOL:
+    if abs(gap) > BOUNDARY_TOL * max(1.0, profile.eval(x) - x * profile.eval(x, 1)):
         raise DomainError(f"point misses the boundary graph by {-gap!r}")
     return BoundaryPoint(z, x)
 

@@ -15,7 +15,8 @@ callables are deliberately not supported; extending the zoo means adding a
 family here, with its closed forms.
 
 Strong pseudoconvexity of the domain is decided through the scalar margin
-m(x) = -(x F'(x)/F(x))', which must stay positive on [0, x0).
+m(x) = -(x F'(x)/F(x))', which must stay positive on [0, x0); each CLI
+family states it in closed form.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ class Profile:
     and > 0, and they alone make up its label `family:f1,f2` and its CLI
     arity.  Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3`
     (value and first three derivatives), the domain bound `x0`, optionally
-    a simplified `det_core`, and the radial curvature functionals `defect`,
-    `slope_d1` and `slope_d2`.  `_f` and `det_core` also accept a `jet.Jet`
-    for x (through operator arithmetic and `jet.exp`): the metric and Ricci
-    oracles differentiate them, and nothing else of the family.
+    a simplified `det_core`, the pseudoconvexity `margin`, and the radial
+    curvature functionals `defect`, `slope_d1` and `slope_d2`.  `_f` and
+    `det_core` also accept a `jet.Jet` for x (through operator arithmetic
+    and `jet.exp`): the metric and Ricci oracles differentiate them, and
+    nothing else of the family.
     """
 
     family = "base"
@@ -85,6 +87,14 @@ class Profile:
         """
         d1 = self._d1(x)
         return x * d1 * d1 - self._f(x) * (d1 + self._d2(x) * x)
+
+    def margin(self, x: float) -> float:
+        """Pseudoconvexity margin m(x) = -(x F'/F)' = -[(F' + x F'') F - x F'^2] / F^2.
+        Families override it with a closed form that does not divide by F^2,
+        which underflows where a steep profile nears zero.  Not domain-guarded.
+        """
+        f, d1, d2 = self._f(x), self._d1(x), self._d2(x)
+        return -((d1 + x * d2) * f - x * d1 * d1) / (f * f)
 
     def defect(self, x: float) -> float:
         """Curvature defect (x (log det_core)')' in closed form; identically
@@ -129,6 +139,12 @@ class Affine(Profile):
     def det_core(self, x):
         return self.c1 * self.c2
 
+    def margin(self, x):
+        # c1 c2 / F^2 one factor at a time: F^2 overflows where the margin
+        # only underflows (affine:1e308,1e-308)
+        f = self.c1 - self.c2 * x
+        return (self.c1 / f) * (self.c2 / f)
+
     def defect(self, x):
         return 0.0
 
@@ -162,6 +178,9 @@ class PowerCap(Profile):
 
     def det_core(self, x):
         return self.p * (1.0 - x) ** (2.0 * self.p - 2.0)
+
+    def margin(self, x):
+        return self.p / (1.0 - x) ** 2
 
     def defect(self, x):
         return (2.0 - 2.0 * self.p) / (1.0 - x) ** 2
@@ -197,6 +216,9 @@ class ExpDecay(Profile):
     def det_core(self, x):
         return self.rate * exp(-2.0 * self.rate * x)
 
+    def margin(self, x):
+        return self.rate
+
     def defect(self, x):
         return -2.0 * self.rate
 
@@ -228,6 +250,9 @@ class Rational(Profile):
 
     def det_core(self, x):
         return (1.0 + x) ** -4
+
+    def margin(self, x):
+        return 1.0 / (1.0 + x) ** 2
 
     def defect(self, x):
         return -4.0 / (1.0 + x) ** 2
@@ -268,16 +293,15 @@ class MarginScan(NamedTuple):
 
 
 def pseudoconvexity_margin(profile: Profile, x: float) -> float:
-    """Margin m(x) = -(x F'/F)' = -[(F' + x F'') F - x F'^2] / F^2.
+    """Margin m(x) = -(x F'/F)' at x in [0, x0), from `Profile.margin`.
 
     Strictly positive margin on [0, x0) is the operational criterion for
     strong pseudoconvexity of the associated domain, and is equivalent to
     positive definiteness of the metric at every interior point.
     """
-    f = profile.eval(x, 0)
-    d1 = profile.eval(x, 1)
-    d2 = profile.eval(x, 2)
-    return -((d1 + x * d2) * f - x * d1 * d1) / (f * f)
+    if not 0.0 <= x < profile.x0:
+        raise DomainError(f"x={x!r} outside [0, {profile.x0!r}) for {profile.label()}")
+    return profile.margin(x)
 
 
 def is_strongly_pseudoconvex(profile: Profile, grid: Sequence[float], tol: float = 1e-9) -> MarginScan:

@@ -80,6 +80,21 @@ class TestSampling:
         b = boundary_point(hg.Affine(1, 1), [0, math.cos(0.7) + 1j * math.sin(0.7)])
         assert abs(abs(complex(b.z[1])) - 1.0) < 1e-15
 
+    def test_tolerance_scales_with_f_minus_x_fprime(self):
+        # at x = 2.5e5 on affine:1e6,1, F - x F' = 1e6: a miss of 1e-13 of
+        # that is accepted, one of 1e-9 of it is still refused
+        prof = hg.Affine(1e6, 1)
+        x = 2.5e5
+        scale = prof.eval(x) - x * prof.eval(x, 1)
+        assert scale == 1e6
+        for miss, ok in ((1e-13, True), (-1e-13, True), (1e-9, False), (-1e-9, False)):
+            z = [math.sqrt(x), math.sqrt(prof.eval(x) + miss * scale)]
+            if ok:
+                assert boundary_point(prof, z).x == x
+            else:
+                with pytest.raises(DomainError):
+                    boundary_point(prof, z)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             boundary_point(hg.Affine(1, 1), [0, 0.5])

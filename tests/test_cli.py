@@ -1,7 +1,9 @@
 import argparse
 import csv
 import dataclasses
+import importlib
 import math
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hartogs
 import hartogs.boundary
 import hartogs.canonical
 import hartogs.cli
@@ -110,12 +113,11 @@ def test_profile_parameters_must_be_finite_positive(capsys, tmp_path, command, p
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check-pseudoconvex", "--profile", "powercap:1e308"],
         ["levi-scan", "--profile", "powercap:1e308", "--n", "2", "--samples", "5"],
         ["check-pseudoconvex", "--profile", "affine:1e308,1e-308"],
         ["extremal-residual", "--profile", "affine:1e308,1e-308", "--samples", "5"],
     ],
-    ids=["check-powercap", "levi-powercap", "check-affine", "extremal-affine"],
+    ids=["levi-powercap", "check-affine", "extremal-affine"],
 )
 def test_extreme_finite_parameters_fail_without_traceback(capsys, argv):
     # a ZeroDivisionError or OverflowError escaped main; an exception that
@@ -136,6 +138,15 @@ class TestCheckPseudoconvex:
     def test_expdecay_passes(self, capsys):
         code, out, _ = run(capsys, "check-pseudoconvex", "--profile", "expdecay:1")
         assert code == 0
+
+    @pytest.mark.parametrize("profile", ["powercap:200", "powercap:800", "powercap:1e308"])
+    def test_steep_powercap_passes(self, capsys, profile):
+        # the margin p/(1-x)^2 in closed form; -(x F'/F)' divided by F^2,
+        # which underflows to 0 at the top of the grid, x = 0.999
+        code, out, err = run(capsys, "check-pseudoconvex", "--profile", profile)
+        assert (code, err) == (0, "")
+        p = float(profile.split(":")[1])
+        assert f"min margin {p:.12g} at x=0 (tol 1e-09) -> PASS" in out
 
     def test_malformed_profile(self, capsys):
         code, _, err = run(capsys, "check-pseudoconvex", "--profile", "affine:1")
@@ -253,6 +264,15 @@ class TestLeviScan:
                                "--samples", "200", "--seed", str(n))
             assert code == 0, (n, out)
             assert out.rstrip().endswith("-> PASS")
+
+    @pytest.mark.parametrize("profile", ["affine:1e4,1", "affine:1e6,1"])
+    def test_large_profile_values(self, capsys, profile):
+        # the boundary tolerance scales with F - x F': an absolute 1e-12
+        # refused samples that missed the graph by -1.4e-12 and -5.8e-11
+        code, out, err = run(capsys, "levi-scan", "--profile", profile, "--n", "3",
+                             "--samples", "50")
+        assert (code, err) == (0, "")
+        assert out.rstrip().endswith("-> PASS")
 
     def test_nan_eigenvalue_fails(self, capsys, monkeypatch):
         # a NaN anywhere in the scan is the minimum, not skipped
@@ -575,3 +595,16 @@ def test_readme_options_exist():
             named.update(re.findall(r"--[a-z][a-z0-9-]*", line))
     assert "--sweep" in named
     assert named - accepted == set()
+
+
+def test_readme_names_resolve():
+    # every `module.name` the README names in a hartogs submodule exists, so
+    # a deleted function cannot linger there
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    modules = {info.name for info in pkgutil.iter_modules(hartogs.__path__)}
+    named = {(mod, attr) for mod, attr in re.findall(r"`([a-z_]\w*)\.([A-Za-z_]\w*)`", readme)
+             if mod in modules}
+    assert ("metric", "sample_interior") in named
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(named)
+               if not hasattr(importlib.import_module(f"hartogs.{mod}"), attr)]
+    assert missing == []

@@ -42,6 +42,15 @@ class TestContains:
         with pytest.raises(DomainError):
             require_interior(hg.Affine(1, 1), [0, 1.2])
 
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_record_matches_closed_forms(self, profile, n, points_for):
+        # the record's radial data are the profile's closed forms at p.x,
+        # bit for bit
+        for p in points_for(profile, n):
+            assert (p.f, p.d1, p.d2) == tuple(profile.eval(p.x, k) for k in range(3))
+            assert p.det_core == profile.det_core(p.x)
+
     def test_needs_two_coordinates(self):
         with pytest.raises(ValueError):
             hg.contains(hg.Affine(1, 1), [0.1])

@@ -122,6 +122,25 @@ class TestMargin:
             m = hg.pseudoconvexity_margin(profile, x)
             assert abs(m - fd) <= 1e-6 * (1.0 + abs(m))
 
+    @pytest.mark.parametrize(
+        "profile",
+        [hg.Affine(1, 1), hg.Affine(2, 3), hg.PowerCap(0.5), hg.PowerCap(2), hg.PowerCap(3),
+         hg.ExpDecay(1), hg.Rational()],
+        ids=lambda prof: prof.label(),
+    )
+    def test_closed_form_matches_base_formula(self, profile):
+        # the family's closed form against -[(F' + x F'') F - x F'^2] / F^2
+        # (worst 6.8e-15)
+        for count in (200, 2000):
+            for x in interior_grid(profile, count):
+                want = hg.Profile.margin(profile, x)
+                assert abs(profile.margin(x) - want) <= 1e-13 * abs(want)
+
+    def test_margin_is_domain_guarded(self):
+        for prof, x in ((hg.Affine(1, 1), 1.0), (hg.PowerCap(2), -0.1), (hg.ExpDecay(1), math.inf)):
+            with pytest.raises(DomainError):
+                hg.pseudoconvexity_margin(prof, x)
+
     def test_probe_margin_identically_zero(self):
         probe = hg.ConstantProbe()
         for x in (0.0, 0.5, 2.0):
