@@ -6,7 +6,6 @@ second-order jets, finite differences and dense linear algebra.
 """
 
 from .boundary import (
-    BoundaryPoint,
     boundary_point,
     defining_residual,
     levi_compression_oracle,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Affine",
-    "BoundaryPoint",
     "ComplexStencil",
     "ConstantProbe",
     "CurvatureData",

@@ -19,37 +19,24 @@ eigenvalue 1 with multiplicity n - 2 and one other,
     mu = det_core(x) / (F + x F'^2) = F^2 m(x) / (F + x F'^2),
 
 with m the radial margin of `profiles`: a positive value at every sampled
-point certifies the same margin from the boundary side.  The certification
-reads mu from the radial data; `levi_compression_oracle` checks it by
-compressing L onto an orthonormal basis of S and taking the smallest
-eigenvalue.
+point certifies the same margin from the boundary side.  A boundary point
+is a `metric.DomainPoint` with margin 0.0, and the certification reads mu
+from its radial data; `levi_compression_oracle` checks it by compressing L
+onto an orthonormal basis of S and taking the smallest eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .metric import fiber_direction, x_and_gap
+from .metric import DomainPoint, fiber_direction, point_record, x_and_gap
 from .profiles import Profile, interior_x_max
 
 #: construction tolerance on the defining function at boundary points
 BOUNDARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point on the boundary graph, with x = |z_0|^2 cached."""
-
-    z: np.ndarray
-    x: float
-
-    @property
-    def n(self) -> int:
-        return self.z.size
 
 
 def defining_residual(profile: Profile, z) -> float:
@@ -57,20 +44,18 @@ def defining_residual(profile: Profile, z) -> float:
     return -x_and_gap(profile, z)[1]
 
 
-def boundary_point(profile: Profile, z) -> BoundaryPoint:
-    """Validated constructor; |rho(z)| must not exceed BOUNDARY_TOL times
-    max(1, F - x F').  rho is a difference of terms of that size: F, and
-    x F' from the rounding of x = |z_0|^2."""
-    z = np.asarray(z, dtype=complex)
-    if z.size < 2:
-        raise ValueError("boundary points need at least two complex coordinates")
-    x, gap = x_and_gap(profile, z)
-    if abs(gap) > BOUNDARY_TOL * max(1.0, profile.eval(x) - x * profile.eval(x, 1)):
-        raise DomainError(f"point misses the boundary graph by {-gap!r}")
-    return BoundaryPoint(z, x)
+def boundary_point(profile: Profile, z) -> DomainPoint:
+    """Validated constructor of the boundary record, whose margin is 0.0;
+    |rho(z)| must not exceed BOUNDARY_TOL times max(1, F - x F').  rho is a
+    difference of terms of that size: F, and x F' from the rounding of
+    x = |z_0|^2."""
+    b = point_record(profile, z, on_boundary=True)
+    if abs(b.gap) > BOUNDARY_TOL * max(1.0, b.f - b.x * b.d1):
+        raise DomainError(f"point misses the boundary graph by {-b.gap!r}")
+    return b
 
 
-def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> list[BoundaryPoint]:
+def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> list[DomainPoint]:
     """Deterministic boundary samples: |z_0|^2 uniform below the radial
     clearance bound, uniform phase, and a uniformly random fiber direction
     scaled to radius sqrt(F(|z_0|^2))."""
@@ -94,43 +79,44 @@ def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> list[Bou
     return points
 
 
-def restricted_levi_min_eigenvalue(profile: Profile, b: BoundaryPoint) -> float:
+def restricted_levi_min_eigenvalue(profile: Profile, b: DomainPoint) -> float:
     """Minimum eigenvalue of the Levi form restricted to the complex tangent
     space, in closed form: mu = det_core / (F + x F'^2), and min(mu, 1) for
     n >= 3.  Positive certifies strong pseudoconvexity at b."""
-    f = profile.eval(b.x)
-    d1 = profile.eval(b.x, 1)
-    mu = profile.det_core(b.x) / (f + b.x * d1 * d1)
+    denominator = b.f + b.x * b.d1 * b.d1
+    # the denominator is 0 only where F underflows to 0, and there
+    # mu <= F m(x) reads as 0 too
+    mu = 0.0 if denominator == 0.0 else b.det_core / denominator
     return mu if b.n == 2 else min(mu, 1.0)
 
 
-def levi_matrix(profile: Profile, b: BoundaryPoint) -> np.ndarray:
+def levi_matrix(profile: Profile, b: DomainPoint) -> np.ndarray:
     """The Levi form as a diagonal Hermitian matrix."""
     d = np.ones(b.n)
-    d[0] = -(profile.eval(b.x, 1) + profile.eval(b.x, 2) * b.x)
+    d[0] = -(b.d1 + b.d2 * b.x)
     return np.diag(d).astype(complex)
 
 
-def tangent_gradient(profile: Profile, b: BoundaryPoint) -> np.ndarray:
+def tangent_gradient(profile: Profile, b: DomainPoint) -> np.ndarray:
     """Coefficients c of the tangency functional X -> sum_a c_a X_a."""
     c = np.conj(b.z)
-    c[0] *= -profile.eval(b.x, 1)
+    c[0] *= -b.d1
     return c
 
 
-def tangent_space_basis(profile: Profile, b: BoundaryPoint) -> np.ndarray:
+def tangent_space_basis(profile: Profile, b: DomainPoint) -> np.ndarray:
     """Orthonormal basis (columns) of the complex tangent space at b, via
     the SVD null space of the tangency functional."""
     c = tangent_gradient(profile, b)
     if np.linalg.norm(c) < 1e-300:
-        # F > 0 forces a nonzero fiber part on the boundary, so this cannot
-        # happen for a valid profile
+        # the fiber part has norm sqrt(F) on the boundary, so this happens
+        # only where F underflows to 0, as on steep profiles (powercap:800)
         raise DomainError("degenerate boundary gradient")
     _, _, vh = np.linalg.svd(c.reshape(1, b.n))
     return vh[1:].conj().T
 
 
-def levi_compression_oracle(profile: Profile, b: BoundaryPoint) -> float:
+def levi_compression_oracle(profile: Profile, b: DomainPoint) -> float:
     """Independent oracle for `restricted_levi_min_eigenvalue`: the Levi
     form compressed onto an orthonormal basis of the complex tangent space,
     and its smallest eigenvalue from a dense eigensolve.  It reads F', F''

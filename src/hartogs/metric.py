@@ -20,9 +20,9 @@ Writing x = |z_0|^2 and priming F in x:
     hinv[b,b] = gap (det_core + (F' + F'' x) |z_b|^2) / det_core
 
 All of it is read from the point record `DomainPoint` (z and its radial
-data x, gap, F, F', F'' and det_core), which `contains` evaluates once per
-point.  The closed-form inverse is the artifact under test: it is only
-*verified* against dense inversion, never replaced by it.
+data x, gap, F, F', F'' and det_core), evaluated once per point by
+`point_record`.  The closed-form inverse is the artifact under test: it is
+only *verified* against dense inversion, never replaced by it.
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ _MAX_SAMPLE_ATTEMPTS = 100_000
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """Interior point with its radial data, built by `contains`.
+    """Interior or boundary point with its radial data, built by
+    `point_record` through `contains` or `boundary.boundary_point`.
 
     `x` is |z_0|^2, `gap` the slack in the fiber inequality, and `margin`
-    the smaller of `gap` and the distance x0 - x to the radial bound.
+    the smaller of `gap` and the distance x0 - x to the radial bound, or
+    0.0 at a boundary point, which the metric and its oracles refuse.
     `f`, `d1` and `d2` are F, F' and F'' at x, and `det_core` is
     det_core(x).  Every per-point quantity of the package is a function of
     these and of z.
@@ -118,25 +120,33 @@ def nonsingular_core(core: float, x: float) -> float:
     return core
 
 
-def contains(profile: Profile, z) -> DomainPoint | None:
-    """Membership test; returns the point record, its radial data each
-    evaluated once, or None if z is outside.  det_core is not checked here:
-    `nonsingular_core` is applied by the consumers that divide by it."""
+def point_record(profile: Profile, z, on_boundary: bool = False) -> DomainPoint:
+    """The record of z, its radial data each evaluated once, with margin
+    0.0 `on_boundary`.  Raises DomainError where x lies outside [0, x0); a
+    gap <= 0 is kept, for the caller to treat.  det_core is not checked
+    here: `nonsingular_core` is applied by the consumers that divide by it."""
     z = np.asarray(z, dtype=complex)
     if z.size < 2:
-        raise ValueError("domain points need at least two complex coordinates")
+        raise ValueError("points need at least two complex coordinates")
     x, fiber = _x_and_fiber(z)
-    try:
-        f = profile.eval(x)
-    except DomainError:
-        return None
+    f = profile.eval(x)
     gap = f - fiber
-    if gap <= 0.0:
-        return None
-    margin = gap if math.isinf(profile.x0) else min(gap, profile.x0 - x)
+    if on_boundary:
+        margin = 0.0
+    else:
+        margin = gap if math.isinf(profile.x0) else min(gap, profile.x0 - x)
     return DomainPoint(
         z, x, gap, margin, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x)
     )
+
+
+def contains(profile: Profile, z) -> DomainPoint | None:
+    """Membership test; returns the point record, or None if z is outside."""
+    try:
+        p = point_record(profile, z)
+    except DomainError:
+        return None
+    return None if p.gap <= 0.0 else p
 
 
 def require_interior(profile: Profile, z) -> DomainPoint:

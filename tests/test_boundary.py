@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -182,14 +183,17 @@ class TestRestrictedLevi:
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_oracle_reads_no_det_core(self, monkeypatch, profile):
         # the oracle sees F', F'' and z only, so a wrong det_core cannot
-        # hide in both sides of the comparison
+        # hide in both sides of the comparison; the record stores F and
+        # det_core, so the oracle must also agree where they are NaN
         points = sample_boundary(profile, 4, 20, seed=3)
         want = [hg.restricted_levi_min_eigenvalue(profile, b) for b in points]
         for name in ("det_core", "_f", "_d3", "defect", "slope_d1", "slope_d2"):
             # lookups stop at the family class, which need not define the name
             monkeypatch.setattr(type(profile), name, refuse, raising=False)
         for b, w in zip(points, want):
-            assert abs(levi_compression_oracle(profile, b) - w) <= 1e-12 * (1.0 + abs(w))
+            poisoned = dataclasses.replace(b, f=math.nan, det_core=math.nan)
+            for record in (b, poisoned):
+                assert abs(levi_compression_oracle(profile, record) - w) <= 1e-12 * (1.0 + abs(w))
 
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_closed_form_takes_no_eigensolve(self, monkeypatch, profile):
@@ -201,6 +205,38 @@ class TestRestrictedLevi:
             monkeypatch.setattr(hartogs.boundary, name, refuse)
         for b, w in zip(points, want):
             assert abs(hg.restricted_levi_min_eigenvalue(profile, b) - w) <= 1e-12 * (1.0 + abs(w))
+
+    @pytest.mark.parametrize("p", [200, 800])
+    def test_underflowed_profile_reads_zero(self, p):
+        # where (1 - x)^p underflows, F + x F'^2 is 0 and mu <= F m(x)
+        # reads as 0 too; the tangency functional vanishes with F there
+        profile = hg.PowerCap(p)
+        underflowed = [b for b in sample_boundary(profile, 3, 50, seed=0) if b.f == 0.0]
+        assert underflowed
+        for b in underflowed:
+            assert hg.restricted_levi_min_eigenvalue(profile, b) == 0.0
+            with pytest.raises(DomainError):
+                hg.tangent_space_basis(profile, b)
+
+    def test_one_det_core_per_point(self, monkeypatch):
+        # the sampler's `boundary_point` keeps det_core in the record, and
+        # the closed form and its oracle read nothing of it again
+        prof = hg.PowerCap(2)
+        original = hg.PowerCap.det_core
+        calls = []
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(hg.PowerCap, "det_core", counted)
+        points = sample_boundary(prof, 3, 5, seed=7)
+        assert calls == [b.x for b in points]
+        calls.clear()
+        for b in points:
+            hg.restricted_levi_min_eigenvalue(prof, b)
+            levi_compression_oracle(prof, b)
+        assert calls == []
 
     def test_sign_matches_proof_expression_n2(self):
         # for n = 2 and z_0 != 0 the minimum eigenvalue carries the sign of

@@ -265,6 +265,15 @@ class TestLeviScan:
             assert code == 0, (n, out)
             assert out.rstrip().endswith("-> PASS")
 
+    @pytest.mark.parametrize("profile", ["powercap:200", "powercap:800"])
+    def test_steep_profile_fails_without_error(self, capsys, profile):
+        # near x = 1, F = (1 - x)^p underflows to 0 and F + x F'^2 with
+        # it; mu reads as 0 there, a FAIL verdict, not a division by zero
+        code, out, err = run(capsys, "levi-scan", "--profile", profile, "--n", "3",
+                             "--samples", "50")
+        assert (code, err) == (1, "")
+        assert out.rstrip().endswith("min restricted-Levi eigenvalue 0 -> FAIL")
+
     @pytest.mark.parametrize("profile", ["affine:1e4,1", "affine:1e6,1"])
     def test_large_profile_values(self, capsys, profile):
         # the boundary tolerance scales with F - x F': an absolute 1e-12

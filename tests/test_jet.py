@@ -6,9 +6,10 @@ import pytest
 import hartogs as hg
 import hartogs.curvature
 import hartogs.metric
+from hartogs.boundary import boundary_point
 from hartogs.errors import NumericError
 from hartogs.jet import Jet, JetPoint, exp, log
-from hartogs.metric import DomainPoint, metric_fd_oracle
+from hartogs.metric import metric_fd_oracle
 from hartogs.profiles import Profile
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
@@ -119,7 +120,7 @@ def test_oracles_reject_undefined_potential():
     with pytest.raises(NumericError):
         hg.ricci_fd_oracle(probe, hg.contains(probe, [0.2, 0.3]))
     prof = hg.Affine(1, 1)
-    on_boundary = DomainPoint(np.array([0, 1.0], complex), 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 1.0)
+    on_boundary = boundary_point(prof, [0, 1])
     for oracle in (metric_fd_oracle, hg.ricci_fd_oracle):
         with pytest.raises(NumericError):
             oracle(prof, on_boundary)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import hartogs as hg
+from hartogs.boundary import boundary_point, sample_boundary
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
-    DomainPoint,
     fd_stencil_for,
     metric_fd_oracle,
     metric_gradients,
@@ -46,8 +46,8 @@ class TestContains:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_record_matches_closed_forms(self, profile, n, points_for):
         # the record's radial data are the profile's closed forms at p.x,
-        # bit for bit
-        for p in points_for(profile, n):
+        # bit for bit, at interior and at boundary points
+        for p in [*points_for(profile, n), *sample_boundary(profile, n, 10, seed=101)]:
             assert (p.f, p.d1, p.d2) == tuple(profile.eval(p.x, k) for k in range(3))
             assert p.det_core == profile.det_core(p.x)
 
@@ -80,9 +80,18 @@ class TestAssembly:
 
     def test_non_interior_rejected(self):
         prof = hg.Affine(1, 1)
-        bogus = DomainPoint(np.array([0, 1.0], complex), 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 1.0)
+        bogus = boundary_point(prof, [0, 1])
         with pytest.raises(DomainError):
             hg.assemble_metric(prof, bogus)
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_boundary_records_rejected(self, profile):
+        # a sampled boundary record carries margin 0.0, whatever the sign
+        # of its rounded gap
+        for b in sample_boundary(profile, 3, 10, seed=2):
+            assert b.margin == 0.0
+            with pytest.raises(DomainError):
+                hg.assemble_metric(profile, b)
 
     def test_singular_profile_rejected(self):
         probe = hg.ConstantProbe()
