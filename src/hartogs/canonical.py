@@ -17,9 +17,11 @@ residual, unnormalized: ||Ric + (n+1) h||_F) counts as zero, at least 1e-3
 on 90% of the samples as an obstruction; anything in between is treated as
 suspicious by the test suites.
 
-The fields of `soliton-check --field` are polynomial, with exact jets.
-`lie_from_jets` is the one Lie-derivative formula: for a single field in
-`soliton_residual`, and for a batch of two fields in `soliton_sweep`.
+The residuals take a single or a stacked point record (`metric.stack`)
+and return one value per point.  The fields of `soliton-check --field`
+are polynomial, with exact jets.  `lie_from_jets` is the one
+Lie-derivative formula: for a single field in `soliton_residual`, and for
+a batch of two fields in `soliton_sweep`, over a leading point axis.
 
 The sweep covers every holomorphic field with three real unknowns.  The
 group U(1) x U(n-1), acting on z_0 and on the fiber, preserves gap and so
@@ -43,9 +45,12 @@ from .metric import (
     DomainPoint,
     MetricData,
     assemble_metric,
+    blocks,
+    frobenius_norm,
     metric_gradients,
     metric_matrix,
     require_interior,
+    stack,
 )
 from .profiles import Affine, Profile
 
@@ -93,10 +98,17 @@ class HoloVectorField:
         return cls(n, tuple(comps))
 
     def jet(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Values f_k and exact Jacobian df[k, a] = d f_k / d z_a at z.  The
+        """Values f_k and exact Jacobian df[k, a] = d f_k / d z_a at z, or at
+        each point of a stack z[..., a], with its leading axes.  The
         derivative lowers exponent a by one, so no coordinate is divided by
         and a zero coordinate is exact."""
-        z = np.asarray(z, dtype=complex).tolist()
+        z = np.asarray(z, dtype=complex)
+        if z.ndim > 1:
+            values, jacs = zip(*(self.jet(w) for w in z.reshape(-1, self.n)))
+            lead = z.shape[:-1]
+            return (np.array(values).reshape(lead + (self.n,)),
+                    np.array(jacs).reshape(lead + (self.n, self.n)))
+        z = z.tolist()
         values = [0j] * self.n
         jac = [[0j] * self.n for _ in range(self.n)]
         for k, comp in enumerate(self.components):
@@ -165,35 +177,42 @@ def lie_derivative_components(
 
 def lie_from_jets(h, dg, dgbar, f_vals, df) -> np.ndarray:
     """The Lie-derivative sum of `lie_derivative_components` from first
-    jets at one point: the metric h, its Wirtinger derivatives
-    dg[k] = dh/dz_k and dgbar[k] = dh/dzbar_k, the field values
-    f_vals[..., k] = f_k and the field's Jacobian df[..., k, a] = df_k/dz_a.
-    Leading axes of f_vals and df index fields; the result has them too."""
-    n = h.shape[0]
-    along = f_vals @ dg.reshape(n, -1) + f_vals.conj() @ dgbar.reshape(n, -1)
+    jets: the metric h[..., a, b], its Wirtinger derivatives
+    dg[..., k, a, b] = dh_ab/dz_k and dgbar[..., k, a, b] = dh_ab/dzbar_k,
+    the field values f_vals[..., k] = f_k and the field's Jacobian
+    df[..., k, a] = df_k/dz_a.  The leading axes of h, dg and dgbar index
+    points; f_vals has them too, followed by any axes that index fields,
+    df broadcasts against f_vals, and the result has both."""
+    lead, n = h.shape[:-2], h.shape[-1]
+    batch = f_vals.ndim - 1 - len(lead)
+    f = f_vals.reshape(lead + (-1, n))
+    along = f @ dg.reshape(lead + (n, n * n)) + f.conj() @ dgbar.reshape(lead + (n, n * n))
+    h = h.reshape(lead + (1,) * batch + (n, n))
     return along.reshape(f_vals.shape + (n,)) + np.swapaxes(df, -1, -2) @ h + h @ df.conj()
 
 
 def einstein_residual(profile: Profile, p: DomainPoint) -> float:
-    """|| Ric + (n+1) h ||_F / (1 + ||h||_F); vanishes iff the radial
-    curvature defect vanishes at the point."""
+    """|| Ric + (n+1) h ||_F / (1 + ||h||_F) at one point, or at each point
+    of a stack; vanishes iff the radial curvature defect vanishes there."""
     return curvature_at(profile, p, assemble_metric(profile, p)).einstein
 
 
 def soliton_residual(profile: Profile, p: DomainPoint, lam: float, field: HoloVectorField) -> float:
     """|| Ric - lam h - L_X h ||_F / (1 + ||h||_F) for the candidate pair
-    (lam, X), X the real field of `field`."""
+    (lam, X), X the real field of `field`, at one point or at each point of
+    a stack."""
     m = assemble_metric(profile, p)
     ric = ricci_tensor(profile, p, m)
     lie = lie_derivative_components(profile, p, m, field)
     diff = ric - lam * m.h - lie
-    return float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(m.h)))
+    return frobenius_norm(diff) / (1.0 + frobenius_norm(m.h))
 
 
 def extremal_residual(profile: Profile, p: DomainPoint) -> float:
     """max over a, c of | d T^a / dzbar_c | for the (1,0)-gradient field T
-    of the scalar curvature, in closed form.  Zero exactly when T is
-    holomorphic, i.e. when the metric is extremal."""
+    of the scalar curvature, in closed form, at one point or at each point
+    of a stack.  Zero exactly when T is holomorphic, i.e. when the metric
+    is extremal."""
     return curvature_at(profile, p, assemble_metric(profile, p)).extremal
 
 
@@ -209,18 +228,20 @@ def hyperbolic_isometry(c1: float, c2: float, z) -> np.ndarray:
     return w
 
 
-def pullback_check(c1: float, c2: float, p: DomainPoint) -> float:
+def pullback_check(c1: float, c2: float, p: DomainPoint):
     """Relative Frobenius defect of the isometry: pull the hyperbolic
     metric back through the rescaling and compare with the affine(c1, c2)
-    metric at p, a point record of that domain.  The Jacobian is the
-    constant diagonal of the rescaling."""
-    w = hyperbolic_isometry(c1, c2, p.z)
-    jac = np.full(p.n, 1.0 / math.sqrt(c1))
+    metric at p, a single or stacked point record of that domain.  The
+    Jacobian is the constant diagonal of the rescaling."""
+    n = p.n
+    images = [require_interior(Affine(1.0, 1.0), hyperbolic_isometry(c1, c2, z))
+              for z in p.z.reshape(-1, n)]
+    jac = np.full(n, 1.0 / math.sqrt(c1))
     jac[0] = math.sqrt(c2 / c1)
-    h_target = metric_matrix(require_interior(Affine(1.0, 1.0), w))
+    h_target = metric_matrix(stack(images)).reshape(p.z.shape + (n,))
     pulled = (jac[:, None] * h_target) * jac[None, :]
     h_src = metric_matrix(p)
-    return float(np.linalg.norm(pulled - h_src) / (1.0 + np.linalg.norm(h_src)))
+    return frobenius_norm(pulled - h_src) / (1.0 + frobenius_norm(h_src))
 
 
 @dataclass(frozen=True)
@@ -244,7 +265,8 @@ def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
     from one three-column real least-squares solve.  Rows are weighted by
     1/(1 + ||h||_F) per point; the reported residual is the RMS of the
     pointwise normalized residual norms.  A floor bounded away from zero is
-    the numeric trace of soliton rigidity on non-affine profiles.
+    the numeric trace of soliton rigidity on non-affine profiles.  The
+    points are evaluated as stacked records of at most `metric.BLOCK`.
     """
     n = points[0].n
     # row 0 selects z_0, row 1 the fiber: f = split * z and df_k/dz_a = split_k delta_ka
@@ -252,17 +274,19 @@ def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
     split[0, 0] = 1.0
     split[1, 1:] = 1.0
     df = split[:, :, None] * np.eye(n)
-    blocks = []
-    for p in points:
+    rows = []
+    for chunk in blocks(points):
+        p = stack(chunk)
         m = assemble_metric(profile, p)
         ric = ricci_tensor(profile, p, m)
         dg, dgbar = metric_gradients(profile, p)
-        lie = lie_from_jets(m.h, dg, dgbar, split * p.z, df)
-        mats = np.concatenate([ric[None], m.h[None], lie]).reshape(4, -1)
-        weight = 1.0 / (1.0 + np.linalg.norm(m.h))
-        blocks.append(weight * np.concatenate([mats.real, mats.imag], axis=1).T)
+        lie = lie_from_jets(m.h, dg, dgbar, split * p.z[:, None, :], df)
+        mats = np.concatenate([ric[:, None], m.h[:, None], lie], axis=1).reshape(len(chunk), 4, -1)
+        weight = 1.0 / (1.0 + frobenius_norm(m.h))
+        parts = np.concatenate([mats.real, mats.imag], axis=2)
+        rows.append(weight[:, None, None] * np.swapaxes(parts, 1, 2))
 
-    system = np.concatenate(blocks)
+    system = np.concatenate(rows).reshape(-1, 4)
     rhs, design = system[:, 0], system[:, 1:]
     solution, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = rhs - design @ solution

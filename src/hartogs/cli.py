@@ -14,7 +14,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,10 @@ from .boundary import defining_residual, restricted_levi_min_eigenvalue, sample_
 from .canonical import HoloVectorField
 from .curvature import CurvatureData
 from .errors import HartogsError
-from .metric import DomainPoint, MetricData, assemble_metric, metric_fd_oracle, sample_interior
+from .metric import (
+    DomainPoint, MetricData, assemble_metric, blocks, frobenius_norm, metric_fd_oracle,
+    sample_interior, stack,
+)
 from .profiles import Affine, Profile, interior_grid, is_strongly_pseudoconvex, parse_profile
 
 #: two-tier residual thresholds shared by the classification checks; an
@@ -88,6 +91,21 @@ def _coord_cells(z) -> list[str]:
     return cells
 
 
+def _curvature_blocks(profile: Profile, points: list[DomainPoint]):
+    """(points, stacked record, metric, curvature) for each run of at most
+    `metric.BLOCK` points, in order."""
+    for chunk in blocks(points):
+        p = stack(chunk)
+        m = assemble_metric(profile, p)
+        yield chunk, p, m, curvature.curvature_at(profile, p, m)
+
+
+def _first_nonfinite(values: np.ndarray) -> int | None:
+    """Index of the first row of values[N, ...] with a non-finite entry."""
+    finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def cmd_check_pseudoconvex(args) -> int:
     profile = parse_profile(args.profile)
     grid = interior_grid(profile, args.grid_size)
@@ -112,18 +130,15 @@ def cmd_curvature_scan(args) -> int:
         + ["einstein_res", "extremal_res"]
     )
     rows = []
-    for p in points:
-        m = assemble_metric(profile, p)
-        data = curvature.curvature_at(profile, p, m)
-        cells = [label, str(args.n)]
-        cells += _coord_cells(p.z)
-        cells += [fmt(p.gap), fmt(p.x), fmt(m.det), fmt(data.scal)]
-        cells += [fmt(v) for v in data.rho]
-        cells += [fmt(data.einstein), fmt(data.extremal)]
-        numeric = [p.gap, p.x, m.det, data.scal, *data.rho, data.einstein, data.extremal]
-        if not all(math.isfinite(v) for v in numeric):
-            raise HartogsError(f"non-finite scan value at sample {len(rows)}")
-        rows.append(cells)
+    for _, p, m, data in _curvature_blocks(profile, points):
+        numeric = np.column_stack(
+            [p.gap, p.x, m.det, data.scal, data.rho, data.einstein, data.extremal]
+        )
+        bad = _first_nonfinite(numeric)
+        if bad is not None:
+            raise HartogsError(f"non-finite scan value at sample {len(rows) + bad}")
+        for z, values in zip(p.z, numeric.tolist()):
+            rows.append([label, str(args.n), *_coord_cells(z), *map(fmt, values)])
     _write_csv(args.out, header, rows)
     print(f"curvature-scan {label}: wrote {len(rows)} rows to {args.out}")
     return 0
@@ -158,15 +173,13 @@ def cmd_extremal_residual(args) -> int:
     header = ["profile", "n"] + _coord_columns(args.n) + ["gap", "x", "extremal_res"]
     rows = []
     values = []
-    for p in points:
-        res = canonical.extremal_residual(profile, p)
-        if not math.isfinite(res):
-            raise HartogsError(f"non-finite extremal residual at sample {len(rows)}")
-        values.append(res)
-        cells = [label, str(args.n)]
-        cells += _coord_cells(p.z)
-        cells += [fmt(p.gap), fmt(p.x), fmt(res)]
-        rows.append(cells)
+    for _, p, _, data in _curvature_blocks(profile, points):
+        bad = _first_nonfinite(data.extremal)
+        if bad is not None:
+            raise HartogsError(f"non-finite extremal residual at sample {len(values) + bad}")
+        values += data.extremal.tolist()
+        for z, gap, x, res in zip(p.z, p.gap.tolist(), p.x.tolist(), data.extremal.tolist()):
+            rows.append([label, str(args.n), *_coord_cells(z), fmt(gap), fmt(x), fmt(res)])
     if args.out:
         _write_csv(args.out, header, rows)
     values.sort()
@@ -188,8 +201,10 @@ def cmd_soliton_check(args) -> int:
         else HoloVectorField.zero(args.n)
     )
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
+    residuals = [canonical.soliton_residual(profile, stack(chunk), lam, field)
+                 for chunk in blocks(points)]
     # NaN propagates: a non-finite residual fails
-    worst = float(np.max([canonical.soliton_residual(profile, p, lam, field) for p in points]))
+    worst = float(np.max(np.concatenate(residuals)))
     ok = worst <= args.tol
     print(
         f"soliton-check {profile.label()}: lam={lam:g}, {len(points)} samples, "
@@ -214,15 +229,19 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Check:
-    """One `verify-theorems` check: a per-sample measure
-    `(profile, p, m, data) -> float` and how its values reduce to a verdict.
+    """One `verify-theorems` check: a measure that takes one block of
+    samples, `(profile, points, p, m, data)` with their single records,
+    their stacked record p, its metric m and its curvature data, and
+    returns one value per sample; and how the values reduce to a verdict.
     A bound passes when the largest value is at most `tol`; an obstruction
     passes when at least OBSTRUCTION_SHARE of the values are at least `tol`."""
 
     name: str
     label: str
     tol: float
-    measure: Callable[[Profile, DomainPoint, MetricData, CurvatureData], float]
+    measure: Callable[
+        [Profile, Sequence[DomainPoint], DomainPoint, MetricData, CurvatureData], Sequence[float]
+    ]
     obstruction: bool = False
 
     def result(self, values: list[float]) -> CheckResult:
@@ -241,47 +260,56 @@ def _rel(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(x - ref) / (1.0 + np.linalg.norm(x)))
 
 
-def _rel_max(x: np.ndarray, ref: np.ndarray) -> float:
-    """max |x - ref| / (1 + max |x|)."""
-    return float(np.max(np.abs(x - ref))) / (1.0 + float(np.max(np.abs(x))))
+def _rel_max(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """max |x - ref| / (1 + max |x|) over the trailing axes, per point."""
+    axes = tuple(range(1, x.ndim))
+    return np.max(np.abs(x - ref), axis=axes) / (1.0 + np.max(np.abs(x), axis=axes))
 
 
-def _scal_forms(profile, p, m, data) -> float:
+def _scal_forms(profile, points, p, m, data) -> list[float]:
     """The direct scal against the trace and slope forms, algebraically
     identical to it: a deviation means a broken assembly."""
-    trace_form = float(np.trace(m.h_inv @ data.ric).real)
-    slope_form = -p.n * (p.n + 1) + data.slope * p.gap
-    deviation = max(abs(data.scal - trace_form), abs(data.scal - slope_form))
-    return deviation / (1.0 + abs(data.scal))
+    values = []
+    for q, h_inv, ric, scal, slope in zip(points, m.h_inv, data.ric, data.scal, data.slope):
+        trace_form = float(np.trace(h_inv @ ric).real)
+        slope_form = -q.n * (q.n + 1) + slope * q.gap
+        values.append(max(abs(scal - trace_form), abs(scal - slope_form)) / (1.0 + abs(scal)))
+    return values
 
 
 # The measures look their oracles up by module attribute at call time, so
-# that a function wrapped or replaced on its module is the one called.
+# that a function wrapped or replaced on its module is the one called.  The
+# jet and finite-difference oracles take one point at a time.
 ORACLE_CHECKS = (
     Check("metric_vs_fd_hessian", "rel", 1e-11,
-          lambda prof, p, m, d: _rel(m.h, metric_fd_oracle(prof, p))),
+          lambda prof, pts, p, m, d: [_rel(h, metric_fd_oracle(prof, q))
+                                      for q, h in zip(pts, m.h)]),
     Check("determinant_closed_vs_dense", "rel", 1e-10,
-          lambda prof, p, m, d: abs(m.det - float(np.linalg.det(m.h).real)) / (1.0 + abs(m.det))),
+          lambda prof, pts, p, m, d: np.abs(m.det - np.linalg.det(m.h).real)
+          / (1.0 + np.abs(m.det))),
     Check("inverse_identity", "||h hinv - I||", 1e-10,
-          lambda prof, p, m, d: float(np.linalg.norm(m.h @ m.h_inv - np.eye(p.n)))),
+          lambda prof, pts, p, m, d: frobenius_norm(m.h @ m.h_inv - np.eye(p.n))),
     Check("ricci_vs_fd", "rel", 1e-11,
-          lambda prof, p, m, d: _rel(d.ric, curvature.ricci_fd_oracle(prof, p))),
+          lambda prof, pts, p, m, d: [_rel(ric, curvature.ricci_fd_oracle(prof, q))
+                                      for q, ric in zip(pts, d.ric)]),
     Check("ricci_tail_rows", "fiber-row |Ric + (n+1)h|", 1e-9,
-          lambda prof, p, m, d: float(np.max(np.abs(d.ric[1:, :] + (p.n + 1) * m.h[1:, :])))),
+          lambda prof, pts, p, m, d: np.max(np.abs(d.ric[:, 1:] + (p.n + 1) * m.h[:, 1:]),
+                                            axis=(1, 2))),
     Check("rho_closed_vs_fit", "rel", 1e-8,
-          lambda prof, p, m, d: _rel_max(d.rho, curvature.rho_oracle(m, d.ric))),
+          lambda prof, pts, p, m, d: _rel_max(d.rho, curvature.rho_oracle(m, d.ric))),
     Check("scal_forms", "rel", 1e-9, _scal_forms),
     Check("extremal_vs_fd", "rel", 1e-7,
-          lambda prof, p, m, d: _rel_max(d.t_zbar, curvature.extremal_fd_oracle(prof, p))),
+          lambda prof, pts, p, m, d: _rel_max(
+              d.t_zbar, np.array([curvature.extremal_fd_oracle(prof, q) for q in pts]))),
 )
 
 #: the classification checks as their bounds on affine profiles; on every
 #: other profile each is an obstruction at FAIL_FLOOR
 CLASSIFICATIONS = (
     Check("extremal_classification", "extremal residual", PASS_ZERO,
-          lambda prof, p, m, d: d.extremal),
+          lambda prof, pts, p, m, d: d.extremal),
     Check("einstein_classification", "||Ric + (n+1)h||", 1e-9,
-          lambda prof, p, m, d: float(np.linalg.norm(d.ric + (p.n + 1) * m.h))),
+          lambda prof, pts, p, m, d: frobenius_norm(d.ric + (p.n + 1) * m.h)),
 )
 
 
@@ -295,15 +323,15 @@ def run_verification(
     for check in CLASSIFICATIONS:
         checks.append(check if affine else replace(check, tol=FAIL_FLOOR, obstruction=True))
     if affine:
-        checks.append(Check("pullback_isometry", "rel", 1e-10,
-                            lambda prof, p, m, d: canonical.pullback_check(prof.c1, prof.c2, p)))
+        checks.append(Check(
+            "pullback_isometry", "rel", 1e-10,
+            lambda prof, pts, p, m, d: canonical.pullback_check(prof.c1, prof.c2, p),
+        ))
 
     values: list[list[float]] = [[] for _ in checks]
-    for p in points:
-        m = assemble_metric(profile, p)
-        data = curvature.curvature_at(profile, p, m)
+    for chunk, p, m, data in _curvature_blocks(profile, points):
         for check, vals in zip(checks, values):
-            vals.append(check.measure(profile, p, m, data))
+            vals += np.asarray(check.measure(profile, chunk, p, m, data), dtype=float).tolist()
     return [check.result(vals) for check, vals in zip(checks, values)]
 
 

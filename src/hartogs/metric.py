@@ -23,12 +23,22 @@ All of it is read from the point record `DomainPoint` (z and its radial
 data x, gap, F, F', F'' and det_core), evaluated once per point by
 `point_record`.  The closed-form inverse is the artifact under test: it is
 only *verified* against dense inversion, never replaced by it.
+
+The closed forms are written once, over a leading point axis: each takes a
+single record or a stacked one (`stack`), whose z has shape (N, n) and
+whose radial fields have shape (N,), and returns its arrays with the same
+leading axis.  A point's entries have the same bits alone and in any stack.
+The CLI evaluates one stacked record per run of at most BLOCK points
+(`blocks`).  The kernel runs with numpy's divide, overflow and invalid
+faults raised (`raises_fp_faults`), so a fault is one FloatingPointError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +54,9 @@ FD_BASE_STEP = 1e-4
 
 _MAX_SAMPLE_ATTEMPTS = 100_000
 
+#: the most points in one stacked record on the CLI paths
+BLOCK = 256
+
 
 @dataclass(frozen=True)
 class DomainPoint:
@@ -56,6 +69,9 @@ class DomainPoint:
     `f`, `d1` and `d2` are F, F' and F'' at x, and `det_core` is
     det_core(x).  Every per-point quantity of the package is a function of
     these and of z.
+
+    A stacked record (`stack`) holds N points: z of shape (N, n) and each
+    radial field of shape (N,).
     """
 
     z: np.ndarray
@@ -69,16 +85,64 @@ class DomainPoint:
 
     @property
     def n(self) -> int:
-        return self.z.size
+        return self.z.shape[-1]
 
 
 @dataclass(frozen=True)
 class MetricData:
-    """Metric matrix with determinant and closed-form inverse."""
+    """Metric matrix with determinant and closed-form inverse, with the
+    leading point axis of a stacked record."""
 
     h: np.ndarray
     det: float
     h_inv: np.ndarray
+
+
+_RADIAL = tuple(f.name for f in fields(DomainPoint))[1:]
+
+
+def stack(points: Sequence[DomainPoint]) -> DomainPoint:
+    """One stacked record of the given single records, in their order."""
+    return DomainPoint(
+        np.array([p.z for p in points]),
+        *(np.array([getattr(p, name) for p in points]) for name in _RADIAL),
+    )
+
+
+def blocks(points: Sequence[DomainPoint]) -> list[Sequence[DomainPoint]]:
+    """Consecutive runs of at most BLOCK points, in order."""
+    return [points[start:start + BLOCK] for start in range(0, len(points), BLOCK)]
+
+
+def each_point(fn, x):
+    """fn, a closed form of one float, at x or at every x of a stack: one
+    call per point, so that a value has the same bits in a stack."""
+    if np.ndim(x) == 0:
+        return fn(x)
+    return np.array([fn(v) for v in x.tolist()])
+
+
+def raises_fp_faults(fn):
+    """Run fn with numpy's divide, overflow and invalid faults raised as
+    FloatingPointError, an ArithmeticError, instead of a RuntimeWarning per
+    array operation and a NaN in the result."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def frobenius_norm(a: np.ndarray):
+    """||a||_F over the last two axes, summed as `np.linalg.norm` sums one
+    matrix (a dot product of the real parts plus one of the imaginary
+    parts), so that a stacked matrix keeps the bits of a single one."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    re, im = flat.real, flat.imag
+    square = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(square[..., 0, 0])
 
 
 def _x_and_fiber(z) -> tuple[float, float]:
@@ -110,12 +174,16 @@ def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
     return x, profile.eval(x) - w.norm_sq(1, w.n)
 
 
-def nonsingular_core(core: float, x: float) -> float:
-    """det_core itself, or SingularityError where it is below SINGULAR_TOL:
-    the metric is singular there, or the profile not pseudoconvex."""
-    if core < SINGULAR_TOL:
+def nonsingular_core(core, x):
+    """det_core itself, or SingularityError where it is below SINGULAR_TOL
+    (at the first such point of a stack): the metric is singular there, or
+    the profile not pseudoconvex."""
+    singular = np.less(core, SINGULAR_TOL)
+    if singular.any():
+        i = np.argmax(singular)
         raise SingularityError(
-            f"det_core(x)={core!r} at x={x!r}: metric singular or profile not pseudoconvex"
+            f"det_core(x)={float(np.ravel(core)[i])!r} at x={float(np.ravel(x)[i])!r}: "
+            "metric singular or profile not pseudoconvex"
         )
     return core
 
@@ -171,35 +239,78 @@ def kahler_potential(profile: Profile, z) -> float | Jet:
     return -log(gap)
 
 
+def _radial(value, axes: int) -> np.ndarray:
+    """A radial field with `axes` trailing unit axes, to broadcast against
+    arrays indexed by coordinates."""
+    return np.asarray(value)[(...,) + (None,) * axes]
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _product(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai)(br + i bi), formed as Python
+    forms a complex product: numpy's complex multiply fuses multiply-adds
+    on some CPUs, so its last bits would depend on the machine."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each matrix of a C-contiguous a."""
+    return a.reshape(a.shape[:-2] + (-1,))[..., :: a.shape[-1] + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _lower(n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the strict lower triangle of the trailing block
+    [start:, start:] of an n x n matrix."""
+    rows, cols = np.tril_indices(n - start, -1)
+    return rows + start, cols + start
+
+
+def _mirror(re: np.ndarray, im: np.ndarray, start: int = 0) -> None:
+    """Set the strict lower triangle of the block [start:, start:] to the
+    conjugate of the upper one."""
+    rows, cols = _lower(re.shape[-1], start)
+    re[..., rows, cols] = re[..., cols, rows]
+    im[..., rows, cols] = -im[..., cols, rows]
+
+
+@raises_fp_faults
 def metric_matrix(p: DomainPoint) -> np.ndarray:
-    """Closed-form metric matrix at p (Hermitian by construction: the lower
-    triangle mirrors the conjugated upper one).  It does not divide by
-    det_core, so it also works where the metric degenerates."""
-    n, z = p.n, p.z
-    x, gap, d1 = p.x, p.gap, p.d1
-    gap2 = gap * gap
+    """Closed-form metric matrix at p, shape (..., n, n), Hermitian by
+    construction: the lower triangle mirrors the conjugated upper one.  It
+    does not divide by det_core, so it also works where the metric
+    degenerates.
 
-    h = np.empty((n, n), dtype=complex)
-    h[0, 0] = (x * d1 * d1 - (d1 + p.d2 * x) * gap) / gap2
-    z0c = complex(z[0]).conjugate()
-    for b in range(1, n):
-        val = -d1 * z0c * complex(z[b]) / gap2
-        h[0, b] = val
-        h[b, 0] = val.conjugate()
-    for a in range(1, n):
-        za = complex(z[a])
-        h[a, a] = (gap + za.real * za.real + za.imag * za.imag) / gap2
-        for b in range(a + 1, n):
-            val = za.conjugate() * complex(z[b]) / gap2
-            h[a, b] = val
-            h[b, a] = val.conjugate()
-    return h
+    Above the diagonal, entry [a, b] is conj(w_a) z_b / gap^2 with
+    w_0 = -F' z_0 and w_a = z_a below, as in the module docstring."""
+    re, im = p.z.real, p.z.imag
+    row_re, row_im = re.copy(), -im
+    row_re[..., 0] = -p.d1 * re[..., 0]
+    row_im[..., 0] = p.d1 * im[..., 0]
+    h_re, h_im = _product(
+        row_re[..., :, None], row_im[..., :, None], re[..., None, :], im[..., None, :]
+    )
+    _mirror(h_re, h_im)
+    diagonal = _diagonal(h_re)
+    diagonal[..., 0] = p.x * p.d1 * p.d1 - (p.d1 + p.d2 * p.x) * p.gap
+    diagonal[..., 1:] = (_radial(p.gap, 1) + re[..., 1:] * re[..., 1:]) + im[..., 1:] * im[..., 1:]
+    _diagonal(h_im)[...] = 0.0
+    gap2 = _radial(p.gap * p.gap, 2)
+    return _complex(h_re / gap2, h_im / gap2)
 
 
+@raises_fp_faults
 def metric_gradients(profile: Profile, p: DomainPoint) -> tuple[np.ndarray, np.ndarray]:
     """Wirtinger derivatives of the metric at p in closed form, as
-    (dg, dgbar) with dg[k] = dh/dz_k and dgbar[k] = dh/dzbar_k, which is
-    conj(dg[k]).T since h is Hermitian.
+    (dg, dgbar) with dg[..., k, :, :] = dh/dz_k and dgbar[..., k, :, :] =
+    dh/dzbar_k, which is the conjugate transpose of dg[..., k, :, :] since
+    h is Hermitian.
 
     Differentiating h = (d^2 Phi / dz_a dzbar_b), Phi = -log(gap), with
     subscripts for derivatives of gap and a bar on index b throughout:
@@ -210,58 +321,71 @@ def metric_gradients(profile: Profile, p: DomainPoint) -> tuple[np.ndarray, np.n
     where gap_0 = F' zbar_0, gap_i = -zbar_i, the mixed second derivatives
     are diag(F' + F'' x, -1, ..., -1), the only holomorphic one is
     gap_00 = F'' zbar_0^2, and the only third one is
-    gap_000bar = zbar_0 (2 F'' + x F''').  F''' is read here, not kept in
-    the point record, since nothing else needs it.
+    gap_000bar = zbar_0 (2 F'' + x F''').  F''' is read here, one call per
+    point, not kept in the point record, since nothing else needs it.
     """
-    n = p.n
-    x, gap, d2 = p.x, p.gap, p.d2
+    n, z, x, gap, d1, d2 = p.n, p.z, p.x, p.gap, p.d1, p.d2
+    re0, im0 = z[..., 0].real, z[..., 0].imag
     gap2 = gap * gap
-    z0c = complex(p.z[0]).conjugate()
-    g1 = -np.conj(p.z)
-    g1[0] = p.d1 * z0c
-    mixed = -np.eye(n)
-    mixed[0, 0] = p.d1 + d2 * x
+    g1 = -np.conj(z)
+    g1[..., 0] = _complex(d1 * re0, d1 * -im0)
+    mixed = np.zeros(z.shape + (n,))
+    _diagonal(mixed)[...] = -1.0
+    mixed[..., 0, 0] = d1 + d2 * x
 
-    dg = (g1[:, None, None] * mixed[None, :, :] + g1[None, :, None] * mixed[:, None, :]) / gap2
-    dg -= (2.0 / (gap2 * gap)) * (g1[:, None, None] * g1[None, :, None]) * g1.conj()[None, None, :]
-    dg[0, 0] += (d2 * z0c * z0c / gap2) * g1.conj()
-    dg[0, 0, 0] -= z0c * (2.0 * d2 + x * profile.eval(x, 3)) / gap
-    return dg, dg.conj().transpose(0, 2, 1)
+    g_k, g_a, g_b = g1[..., :, None, None], g1[..., None, :, None], g1.conj()[..., None, None, :]
+    dg = (g_k * mixed[..., None, :, :] + g_a * mixed[..., :, None, :]) / _radial(gap2, 3)
+    dg -= _radial(2.0 / (gap2 * gap), 3) * (g_k * g_a) * g_b
+    # the gap_00 and gap_000bar terms, each in the order of a scalar complex product
+    sq_re, sq_im = _product(d2 * re0, d2 * -im0, re0, -im0)
+    dg[..., 0, 0, :] += _radial(_complex(sq_re / gap2, sq_im / gap2), 1) * g1.conj()
+    third = 2.0 * d2 + x * each_point(lambda v: profile.eval(v, 3), x)
+    dg[..., 0, 0, 0] -= _complex(re0 * third / gap, -im0 * third / gap)
+    return dg, np.swapaxes(dg.conj(), -1, -2)
 
 
+@raises_fp_faults
 def inverse_metric_matrix(p: DomainPoint) -> np.ndarray:
-    """Closed-form inverse metric at p; raises SingularityError where
-    det_core is below SINGULAR_TOL."""
-    n, z = p.n, p.z
+    """Closed-form inverse metric at p, shape (..., n, n); raises
+    SingularityError where det_core is below SINGULAR_TOL.
+
+    Entry [b, a] is (gap/det_core) c_a z_a zbar_b with c_0 = F' and
+    c_a = F' + F'' x, off the diagonal in column 0 and above it in the
+    fiber block; the conjugates mirror it, and the diagonal has its own
+    closed forms."""
+    re, im = p.z.real, p.z.imag
     core = nonsingular_core(p.det_core, p.x)
-    d1 = p.d1
-    mix = d1 + p.d2 * p.x
+    mix = p.d1 + p.d2 * p.x
     s = p.gap / core
-    z0 = complex(z[0])
+    scale = np.empty(re.shape)
+    scale[..., 0] = s * p.d1
+    scale[..., 1:] = _radial(s * mix, 1)
+    k_re, k_im = _product(
+        (scale * re)[..., None, :], (scale * im)[..., None, :], re[..., :, None], -im[..., :, None]
+    )
+    k_re[..., 0, 1:] = k_re[..., 1:, 0]
+    k_im[..., 0, 1:] = -k_im[..., 1:, 0]
+    _mirror(k_re, k_im, 1)
+    diagonal = _diagonal(k_re)
+    diagonal[..., 0] = s * p.f
+    diagonal[..., 1:] = _radial(s, 1) * (
+        _radial(core, 1) + _radial(mix, 1) * (re[..., 1:] * re[..., 1:] + im[..., 1:] * im[..., 1:])
+    )
+    _diagonal(k_im)[...] = 0.0
+    return _complex(k_re, k_im)
 
-    k = np.empty((n, n), dtype=complex)
-    k[0, 0] = s * p.f
-    for b in range(1, n):
-        val = s * d1 * z0 * complex(z[b]).conjugate()
-        k[b, 0] = val
-        k[0, b] = val.conjugate()
-    for b in range(1, n):
-        zb = complex(z[b])
-        k[b, b] = s * (core + mix * (zb.real * zb.real + zb.imag * zb.imag))
-        for a in range(b + 1, n):
-            val = s * mix * complex(z[a]) * zb.conjugate()
-            k[b, a] = val
-            k[a, b] = val.conjugate()
-    return k
 
-
+@raises_fp_faults
 def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
-    """Metric, determinant and closed-form inverse at an interior point,
-    all read from its record; the profile is not evaluated again."""
-    if p.margin <= 0.0:
+    """Metric, determinant and closed-form inverse at an interior point, or
+    at every point of a stack, all read from its record; the profile is not
+    evaluated again."""
+    if np.any(np.less_equal(p.margin, 0.0)):
         raise DomainError("metric requested at a non-interior point")
     h_inv = inverse_metric_matrix(p)
-    return MetricData(h=metric_matrix(p), det=p.det_core / p.gap ** (p.n + 1), h_inv=h_inv)
+    # float_power calls the C library's pow, as Python's float ** int does
+    det = p.det_core / np.float_power(p.gap, p.n + 1)
+    return MetricData(h=metric_matrix(p), det=det, h_inv=h_inv)
 
 
 def fiber_direction(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:

@@ -518,8 +518,9 @@ class TestSolitonSweep:
         assert got.residual >= degree_2_floor
 
     def test_one_batched_lie_sum_per_point(self, monkeypatch):
-        # the two invariant fields go through lie_from_jets once per point,
-        # and no HoloVectorField is evaluated
+        # the two invariant fields go through lie_from_jets once per block
+        # of points, on the stacked record, and no HoloVectorField is
+        # evaluated
         calls = []
         original = hartogs.canonical.lie_from_jets
 
@@ -536,4 +537,4 @@ class TestSolitonSweep:
         for n in (2, 4):
             calls.clear()
             soliton_sweep(prof, hg.sample_interior(prof, n, 6, 1, 0.05))
-            assert calls == [(2, n)] * 6
+            assert calls == [(6, 2, n)]

@@ -110,18 +110,27 @@ def test_profile_parameters_must_be_finite_positive(capsys, tmp_path, command, p
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
         ["levi-scan", "--profile", "powercap:1e308", "--n", "2", "--samples", "5"],
         ["check-pseudoconvex", "--profile", "affine:1e308,1e-308"],
         ["extremal-residual", "--profile", "affine:1e308,1e-308", "--samples", "5"],
+        ["curvature-scan", "--profile", "affine:1e308,1e-308", "--n", "3", "--samples", "5",
+         "--out", "{out}"],
+        ["verify-theorems", "--profile", "affine:1e308,1e-308", "--n", "3", "--samples", "5"],
+        ["soliton-check", "--profile", "affine:1e308,1e-308", "--n", "3", "--samples", "5",
+         "--sweep"],
     ],
-    ids=["levi-powercap", "check-affine", "extremal-affine"],
+    ids=["levi-powercap", "check-affine", "extremal-affine", "scan-affine", "verify-affine",
+         "sweep-affine"],
 )
-def test_extreme_finite_parameters_fail_without_traceback(capsys, argv):
+def test_extreme_finite_parameters_fail_without_traceback(capsys, tmp_path, argv):
     # a ZeroDivisionError or OverflowError escaped main; an exception that
-    # escapes now fails this test
+    # escapes now fails this test, and so does a RuntimeWarning: an
+    # overflow in the stacked kernel is one FloatingPointError
+    argv = [str(tmp_path / "x.csv") if a == "{out}" else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert all(line.startswith("error: ") for line in err.splitlines())
@@ -156,19 +165,38 @@ class TestCheckPseudoconvex:
 
 class TestCurvatureScan:
     def test_deterministic_and_constant_scal(self, capsys, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        args = ["curvature-scan", "--profile", "affine:1,1", "--n", "2",
-                "--samples", "10", "--seed", "1"]
-        assert run(capsys, *args, "--out", str(out1))[0] == 0
-        assert run(capsys, *args, "--out", str(out2))[0] == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        # over the whole range: affine scal is exactly -n(n+1) and both
+        # residuals exactly 0 in every cell
+        for profile in ("affine:1,1", "affine:2,3"):
+            for n in range(2, 9):
+                out1 = tmp_path / "a.csv"
+                out2 = tmp_path / "b.csv"
+                args = ["curvature-scan", "--profile", profile, "--n", str(n),
+                        "--samples", "10", "--seed", "1"]
+                assert run(capsys, *args, "--out", str(out1))[0] == 0
+                assert run(capsys, *args, "--out", str(out2))[0] == 0
+                assert out1.read_bytes() == out2.read_bytes()
 
-        with out1.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 10
-        assert all(row["scal"] == "-6" for row in rows)
-        assert all(row["extremal_res"] == "0" for row in rows)
+                with out1.open(newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert len(rows) == 10
+                assert all(row["scal"] == fmt(-n * (n + 1)) for row in rows), (profile, n)
+                assert all(row["einstein_res"] == "0" for row in rows), (profile, n)
+                assert all(row["extremal_res"] == "0" for row in rows), (profile, n)
+
+    def test_block_boundary_keeps_rows(self, capsys, tmp_path):
+        # the first BLOCK rows of a BLOCK + 1 sample scan, which takes two
+        # stacked records, are those of the one-block scan byte for byte
+        block = hartogs.metric.BLOCK
+        lines = []
+        for samples in (block, block + 1):
+            out = tmp_path / f"s{samples}.csv"
+            code, _, _ = run(capsys, "curvature-scan", "--profile", "powercap:2", "--n", "3",
+                             "--samples", str(samples), "--seed", "7", "--out", str(out))
+            assert code == 0
+            lines.append(out.read_bytes().splitlines(keepends=True))
+        assert len(lines[0]) == block + 1 and len(lines[1]) == block + 2
+        assert lines[1][: block + 1] == lines[0]
 
     def test_cells_round_trip(self, capsys, tmp_path):
         out = tmp_path / "p.csv"
@@ -191,10 +219,15 @@ class TestCurvatureScan:
         assert len({row["scal"] for row in rows}) > 1
 
     def test_one_assembly_per_sample(self, capsys, tmp_path, assemble_calls):
-        code, _, _ = run(capsys, "curvature-scan", "--profile", "powercap:2", "--n", "3",
-                         "--samples", "7", "--seed", "1", "--out", str(tmp_path / "s.csv"))
-        assert code == 0
-        assert len(assemble_calls) == 7
+        # one assembly per block of at most BLOCK samples, on a stacked record
+        block = hartogs.metric.BLOCK
+        for samples, sizes in ((7, [7]), (block + 1, [block, 1])):
+            assemble_calls.clear()
+            code, _, _ = run(capsys, "curvature-scan", "--profile", "powercap:2", "--n", "3",
+                             "--samples", str(samples), "--seed", "1",
+                             "--out", str(tmp_path / "s.csv"))
+            assert code == 0
+            assert [p.z.shape for _, p in assemble_calls] == [(k, 3) for k in sizes]
 
     def test_out_required(self, capsys):
         code, _, _ = run(capsys, "curvature-scan", "--profile", "affine:1,1")
@@ -309,21 +342,31 @@ class TestExtremalResidual:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_residual_fails(self, capsys, monkeypatch, tmp_path, value):
-        # sorting put a NaN anywhere but last, so the summary dropped it
-        original = hartogs.canonical.extremal_residual
-        calls = []
+        # sorting put a NaN anywhere but last, so the summary dropped it;
+        # the stacked result is doctored at its fourth point, in the first
+        # block and in the second
+        original = hartogs.curvature.curvature_at
+        block = hartogs.metric.BLOCK
+        for samples, doctored_block, sample in ((8, 0, 3), (block + 8, 1, block + 3)):
+            calls = []
 
-        def doctored(profile, p):
-            calls.append(p)
-            return value if len(calls) == 4 else original(profile, p)
+            def doctored(profile, p, m):
+                data = original(profile, p, m)
+                calls.append(p)
+                if len(calls) == doctored_block + 1:
+                    extremal = data.extremal.copy()
+                    extremal[3] = value
+                    data = dataclasses.replace(data, extremal=extremal)
+                return data
 
-        monkeypatch.setattr(hartogs.canonical, "extremal_residual", doctored)
-        out_path = tmp_path / "res.csv"
-        code, out, err = run(capsys, "extremal-residual", "--profile", "powercap:2", "--n", "3",
-                             "--samples", "8", "--seed", "4", "--out", str(out_path))
-        assert code == 1
-        assert "non-finite extremal residual at sample 3" in err
-        assert out == "" and not out_path.exists()
+            monkeypatch.setattr(hartogs.curvature, "curvature_at", doctored)
+            out_path = tmp_path / "res.csv"
+            code, out, err = run(capsys, "extremal-residual", "--profile", "powercap:2",
+                                 "--n", "3", "--samples", str(samples), "--seed", "4",
+                                 "--out", str(out_path))
+            assert code == 1
+            assert f"non-finite extremal residual at sample {sample}" in err
+            assert out == "" and not out_path.exists()
 
 
 class TestSolitonCheck:
@@ -485,19 +528,22 @@ class TestVerifyTheorems:
         assert "FAIL  einstein_classification" in out
 
     def test_one_assembly_per_sample(self, capsys, assemble_calls):
+        # one assembly per block of at most BLOCK samples, on a stacked record
         code, _, _ = run(capsys, "verify-theorems", "--profile", "powercap:2",
                          "--n", "2", "--samples", "5", "--seed", "2")
         assert code == 0
-        assert len(assemble_calls) == 5
+        assert [p.z.shape for _, p in assemble_calls] == [(5, 2)]
 
     @pytest.mark.parametrize("doctored", ["inverse", "ricci"])
     def test_doctored_assembly_fails_scal_forms(self, capsys, monkeypatch, doctored):
         # a 1e-6 error in the inverse or in Ric moves the trace form of
         # scal far beyond the 1e-9 budget of the scal_forms check
+        # the stacked result of the block is doctored at every point
         if doctored == "inverse":
             assemble = hartogs.cli.assemble_metric
 
             def wrong(profile, p):
+                assert p.z.shape == (5, 2)
                 m = assemble(profile, p)
                 return dataclasses.replace(m, h_inv=m.h_inv + 1e-6 * np.eye(p.n))
 
@@ -506,6 +552,7 @@ class TestVerifyTheorems:
             curvature_at = hartogs.curvature.curvature_at
 
             def wrong(profile, p, m):
+                assert p.z.shape == (5, 2)
                 data = curvature_at(profile, p, m)
                 return dataclasses.replace(data, ric=data.ric + 1e-6 * np.eye(p.n))
 
@@ -533,9 +580,11 @@ class TestVerifyTheorems:
             assemble = hartogs.cli.assemble_metric
 
             def wrong(profile, p):
+                # the head entry of every point of the stacked result
+                assert p.z.shape == (5, 2)
                 m = assemble(profile, p)
                 h = m.h.copy()
-                h[0, 0] *= 1.0 + 1e-9
+                h[..., 0, 0] *= 1.0 + 1e-9
                 return dataclasses.replace(m, h=h)
 
             monkeypatch.setattr(hartogs.cli, "assemble_metric", wrong)

@@ -101,3 +101,27 @@ def test_invalid_step_rejected():
         ComplexStencil(step=0.0)
     with pytest.raises(ValueError):
         ComplexStencil(step=-1e-5)
+
+
+def test_d_zbar_all_is_d_zbar_per_coordinate():
+    # one call of f on the 4n stencil points stacked gives, bit for bit,
+    # the derivative `d_zbar` takes along each coordinate from 4 calls
+    def f(w):
+        w = np.asarray(w)
+        wbar = np.conj(w)
+        return np.stack([w[..., 0] * wbar[..., 1] * wbar[..., 1], wbar[..., 2] - w[..., 0]], axis=-1)
+
+    z = np.array([0.3 - 0.2j, -0.5 + 0.1j, 0.25j])
+    stencil = ComplexStencil(1e-5)
+    got = stencil.d_zbar_all(f, z)
+    assert got.shape == (3, 2)
+    for c in range(3):
+        assert got[c].tobytes() == stencil.d_zbar(f, z, c).tobytes()
+
+
+def test_d_zbar_all_nonfinite_names_coordinate():
+    def f(w):
+        return np.where(np.real(w[:, 1]) > 0.2, math.nan, 1.0)
+
+    with pytest.raises(NumericError, match="coordinate 1"):
+        ST.d_zbar_all(f, [0.0, 0.2])
