@@ -49,6 +49,7 @@ from .metric import (
     frobenius_norm,
     metric_gradients,
     metric_matrix,
+    raises_fp_faults,
     require_interior,
     stack,
 )
@@ -197,10 +198,13 @@ def einstein_residual(profile: Profile, p: DomainPoint) -> float:
     return curvature_at(profile, p, assemble_metric(profile, p)).einstein
 
 
+@raises_fp_faults
 def soliton_residual(profile: Profile, p: DomainPoint, lam: float, field: HoloVectorField) -> float:
     """|| Ric - lam h - L_X h ||_F / (1 + ||h||_F) for the candidate pair
     (lam, X), X the real field of `field`, at one point or at each point of
-    a stack."""
+    a stack.  The Lie sum and the norms run with numpy's faults raised, as
+    the kernel does, so a field that overflows them is one
+    FloatingPointError."""
     m = assemble_metric(profile, p)
     ric = ricci_tensor(profile, p, m)
     lie = lie_derivative_components(profile, p, m, field)
@@ -255,6 +259,7 @@ class SweepResult:
     residual: float
 
 
+@raises_fp_faults
 def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
     """Least-squares search for the best (lam, X) over all holomorphic
     fields, across the given interior points (at least two).
@@ -266,7 +271,8 @@ def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
     1/(1 + ||h||_F) per point; the reported residual is the RMS of the
     pointwise normalized residual norms.  A floor bounded away from zero is
     the numeric trace of soliton rigidity on non-affine profiles.  The
-    points are evaluated as stacked records of at most `metric.BLOCK`.
+    points are evaluated as stacked records (`metric.blocks`), with numpy's
+    faults raised as in the kernel.
     """
     n = points[0].n
     # row 0 selects z_0, row 1 the fiber: f = split * z and df_k/dz_a = split_k delta_ka

@@ -69,41 +69,43 @@ def _dimension(text: str) -> int:
     return value
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_table(path: str, label: str, z: np.ndarray, columns: list[str], values: np.ndarray):
+    """Write the CSV of N points: the header `profile, n, re_z0, im_z0,
+    ..., columns`, then for point i the label, n, the parts of z[i] and
+    values[i, :].  Cells are formatted here, and only here, with `fmt`."""
+    n = z.shape[-1]
+    header = ["profile", "n", *(f"{part}_z{k}" for k in range(n) for part in ("re", "im")),
+              *columns]
+    coords = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 2 * n)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _coord_columns(n: int) -> list[str]:
-    cols = []
-    for k in range(n):
-        cols.extend([f"re_z{k}", f"im_z{k}"])
-    return cols
-
-
-def _coord_cells(z) -> list[str]:
-    cells = []
-    for zk in z:
-        c = complex(zk)
-        cells.extend([fmt(c.real), fmt(c.imag)])
-    return cells
+        writer.writerows([label, str(n), *map(fmt, zs), *map(fmt, vs)]
+                         for zs, vs in zip(coords.tolist(), values.tolist()))
 
 
 def _curvature_blocks(profile: Profile, points: list[DomainPoint]):
-    """(points, stacked record, metric, curvature) for each run of at most
-    `metric.BLOCK` points, in order."""
+    """(points, stacked record, metric, curvature) for each run of points
+    of `metric.blocks`, in order."""
     for chunk in blocks(points):
         p = stack(chunk)
         m = assemble_metric(profile, p)
         yield chunk, p, m, curvature.curvature_at(profile, p, m)
 
 
-def _first_nonfinite(values: np.ndarray) -> int | None:
-    """Index of the first row of values[N, ...] with a non-finite entry."""
-    finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+def _curvature_table(profile: Profile, points: list[DomainPoint], what: str, columns):
+    """(z[N, n], values[N, k]) over all N points, values[:, j] the column
+    columns(p, m, data)[j] of each block in order.  A non-finite value
+    raises HartogsError naming `what` and the first sample that has one."""
+    z, values = [], []
+    for _, p, m, data in _curvature_blocks(profile, points):
+        z.append(p.z)
+        values.append(np.column_stack(columns(p, m, data)))
+    values = np.concatenate(values)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise HartogsError(f"non-finite {what} at sample {int(np.argmin(finite))}")
+    return np.concatenate(z), values
 
 
 def cmd_check_pseudoconvex(args) -> int:
@@ -122,25 +124,14 @@ def cmd_curvature_scan(args) -> int:
     profile = parse_profile(args.profile)
     label = profile.label()
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
-    header = (
-        ["profile", "n"]
-        + _coord_columns(args.n)
-        + ["gap", "x", "det", "scal"]
-        + [f"rho_{k}" for k in range(args.n)]
-        + ["einstein_res", "extremal_res"]
+    z, values = _curvature_table(
+        profile, points, "scan value",
+        lambda p, m, d: [p.gap, p.x, m.det, d.scal, d.rho, d.einstein, d.extremal],
     )
-    rows = []
-    for _, p, m, data in _curvature_blocks(profile, points):
-        numeric = np.column_stack(
-            [p.gap, p.x, m.det, data.scal, data.rho, data.einstein, data.extremal]
-        )
-        bad = _first_nonfinite(numeric)
-        if bad is not None:
-            raise HartogsError(f"non-finite scan value at sample {len(rows) + bad}")
-        for z, values in zip(p.z, numeric.tolist()):
-            rows.append([label, str(args.n), *_coord_cells(z), *map(fmt, values)])
-    _write_csv(args.out, header, rows)
-    print(f"curvature-scan {label}: wrote {len(rows)} rows to {args.out}")
+    columns = (["gap", "x", "det", "scal"] + [f"rho_{k}" for k in range(args.n)]
+               + ["einstein_res", "extremal_res"])
+    _write_table(args.out, label, z, columns, values)
+    print(f"curvature-scan {label}: wrote {len(values)} rows to {args.out}")
     return 0
 
 
@@ -150,13 +141,10 @@ def cmd_levi_scan(args) -> int:
     samples = sample_boundary(profile, args.n, args.samples, args.seed)
     eigs = [restricted_levi_min_eigenvalue(profile, b) for b in samples]
     if args.out:
-        header = ["profile", "n"] + _coord_columns(args.n) + ["x", "defining_residual", "min_eig"]
-        rows = [
-            [label, str(args.n), *_coord_cells(b.z),
-             fmt(b.x), fmt(defining_residual(profile, b.z)), fmt(eig)]
-            for b, eig in zip(samples, eigs)
-        ]
-        _write_csv(args.out, header, rows)
+        p = stack(samples)
+        residuals = [defining_residual(profile, b.z) for b in samples]
+        _write_table(args.out, label, p.z, ["x", "defining_residual", "min_eig"],
+                     np.column_stack([p.x, residuals, eigs]))
     worst = float(np.min(eigs))  # NaN propagates: a non-finite eigenvalue fails
     ok = worst > args.tol
     print(
@@ -170,22 +158,14 @@ def cmd_extremal_residual(args) -> int:
     profile = parse_profile(args.profile)
     label = profile.label()
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
-    header = ["profile", "n"] + _coord_columns(args.n) + ["gap", "x", "extremal_res"]
-    rows = []
-    values = []
-    for _, p, _, data in _curvature_blocks(profile, points):
-        bad = _first_nonfinite(data.extremal)
-        if bad is not None:
-            raise HartogsError(f"non-finite extremal residual at sample {len(values) + bad}")
-        values += data.extremal.tolist()
-        for z, gap, x, res in zip(p.z, p.gap.tolist(), p.x.tolist(), data.extremal.tolist()):
-            rows.append([label, str(args.n), *_coord_cells(z), fmt(gap), fmt(x), fmt(res)])
+    z, values = _curvature_table(profile, points, "extremal residual",
+                                 lambda p, m, d: [p.gap, p.x, d.extremal])
     if args.out:
-        _write_csv(args.out, header, rows)
-    values.sort()
+        _write_table(args.out, label, z, ["gap", "x", "extremal_res"], values)
+    residuals = sorted(values[:, -1].tolist())
     print(
-        f"extremal-residual {label}: {len(values)} samples, "
-        f"max {values[-1]:.6g}, median {values[len(values) // 2]:.6g}"
+        f"extremal-residual {label}: {len(residuals)} samples, "
+        f"max {residuals[-1]:.6g}, median {residuals[len(residuals) // 2]:.6g}"
     )
     return 0
 

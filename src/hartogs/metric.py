@@ -28,9 +28,10 @@ The closed forms are written once, over a leading point axis: each takes a
 single record or a stacked one (`stack`), whose z has shape (N, n) and
 whose radial fields have shape (N,), and returns its arrays with the same
 leading axis.  A point's entries have the same bits alone and in any stack.
-The CLI evaluates one stacked record per run of at most BLOCK points
-(`blocks`).  The kernel runs with numpy's divide, overflow and invalid
-faults raised (`raises_fp_faults`), so a fault is one FloatingPointError.
+The CLI evaluates one stacked record per run of consecutive points
+(`blocks`): BLOCK points up to n = 8, fewer above it.  The kernel runs
+with numpy's divide, overflow and invalid faults raised
+(`raises_fp_faults`), so a fault is one FloatingPointError.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ FD_BASE_STEP = 1e-4
 
 _MAX_SAMPLE_ATTEMPTS = 100_000
 
-#: the most points in one stacked record on the CLI paths
+#: the most points in one stacked record on the CLI paths, at n <= 8
 BLOCK = 256
 
 
@@ -110,8 +111,11 @@ def stack(points: Sequence[DomainPoint]) -> DomainPoint:
 
 
 def blocks(points: Sequence[DomainPoint]) -> list[Sequence[DomainPoint]]:
-    """Consecutive runs of at most BLOCK points, in order."""
-    return [points[start:start + BLOCK] for start in range(0, len(points), BLOCK)]
+    """Consecutive runs of the points, in order: BLOCK points up to n = 8
+    and BLOCK (8/n)^3 (at least one) above it, so that the (N, n, n, n)
+    metric gradients of a run stay the size they have at n = 8."""
+    size = max(1, min(BLOCK, BLOCK * 8**3 // points[0].n ** 3)) if points else BLOCK
+    return [points[start:start + size] for start in range(0, len(points), size)]
 
 
 def each_point(fn, x):

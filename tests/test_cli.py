@@ -122,14 +122,17 @@ def test_profile_parameters_must_be_finite_positive(capsys, tmp_path, command, p
         ["verify-theorems", "--profile", "affine:1e308,1e-308", "--n", "3", "--samples", "5"],
         ["soliton-check", "--profile", "affine:1e308,1e-308", "--n", "3", "--samples", "5",
          "--sweep"],
+        ["soliton-check", "--profile", "affine:1,1", "--n", "2", "--samples", "20", "--seed", "1",
+         "--field", "1e307,0:2,0|0,1e307:0,2"],
     ],
     ids=["levi-powercap", "check-affine", "extremal-affine", "scan-affine", "verify-affine",
-         "sweep-affine"],
+         "sweep-affine", "field-huge"],
 )
 def test_extreme_finite_parameters_fail_without_traceback(capsys, tmp_path, argv):
     # a ZeroDivisionError or OverflowError escaped main; an exception that
     # escapes now fails this test, and so does a RuntimeWarning: an
-    # overflow in the stacked kernel is one FloatingPointError
+    # overflow in the stacked kernel, or in a field's Lie sum, is one
+    # FloatingPointError
     argv = [str(tmp_path / "x.csv") if a == "{out}" else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1
@@ -219,15 +222,16 @@ class TestCurvatureScan:
         assert len({row["scal"] for row in rows}) > 1
 
     def test_one_assembly_per_sample(self, capsys, tmp_path, assemble_calls):
-        # one assembly per block of at most BLOCK samples, on a stacked record
+        # one assembly per block, on a stacked record: at most BLOCK samples
+        # up to n = 8, and BLOCK (8/n)^3 above it (32 at n = 16)
         block = hartogs.metric.BLOCK
-        for samples, sizes in ((7, [7]), (block + 1, [block, 1])):
+        for n, samples, sizes in ((3, 7, [7]), (3, block + 1, [block, 1]), (16, 70, [32, 32, 6])):
             assemble_calls.clear()
-            code, _, _ = run(capsys, "curvature-scan", "--profile", "powercap:2", "--n", "3",
+            code, _, _ = run(capsys, "curvature-scan", "--profile", "powercap:2", "--n", str(n),
                              "--samples", str(samples), "--seed", "1",
                              "--out", str(tmp_path / "s.csv"))
             assert code == 0
-            assert [p.z.shape for _, p in assemble_calls] == [(k, 3) for k in sizes]
+            assert [p.z.shape for _, p in assemble_calls] == [(k, n) for k in sizes]
 
     def test_out_required(self, capsys):
         code, _, _ = run(capsys, "curvature-scan", "--profile", "affine:1,1")
@@ -340,6 +344,16 @@ class TestExtremalResidual:
             assert code == 0
             assert "50 samples" in out
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_cells_formatted_only_for_csv(self, capsys, monkeypatch, tmp_path, out):
+        # without --out no row is formatted; with it, each of the 7 rows
+        # formats its 2n coordinates, gap, x and the residual
+        calls = count_calls(monkeypatch, hartogs.cli.fmt)
+        argv = ["extremal-residual", "--profile", "powercap:2", "--n", "3", "--samples", "7"]
+        code, _, _ = run(capsys, *argv, *(["--out", str(tmp_path / "e.csv")] if out else []))
+        assert code == 0
+        assert len(calls) == (7 * 9 if out else 0)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_residual_fails(self, capsys, monkeypatch, tmp_path, value):
         # sorting put a NaN anywhere but last, so the summary dropped it;
@@ -422,12 +436,19 @@ class TestSolitonCheck:
                            "--samples", "6", "--sweep", "--degree", "2")
         assert code == 2 and out == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_residual_is_the_maximum(self, capsys):
-        # the field overflows to NaN residuals on most samples; Python's max
-        # skipped them and printed inf
+    def test_nan_residual_is_the_maximum(self, capsys, monkeypatch):
+        # Python's max skipped NaN residuals and printed the largest finite
+        # one; the affine residuals are 0 but for the doctored NaN
+        original = hartogs.canonical.soliton_residual
+
+        def doctored(*args):
+            residuals = original(*args).copy()
+            residuals[3] = math.nan
+            return residuals
+
+        monkeypatch.setattr(hartogs.canonical, "soliton_residual", doctored)
         code, out, _ = run(capsys, "soliton-check", "--profile", "affine:1,1", "--n", "2",
-                           "--samples", "20", "--seed", "1", "--field", "1e307,0:2,0|0,1e307:0,2")
+                           "--samples", "20", "--seed", "1")
         assert code == 1
         assert "max residual nan (tol 1e-08) -> FAIL" in out
 
@@ -628,6 +649,25 @@ def test_steep_profile_near_boundary(capsys, tmp_path, command):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert " 20 " in out
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        ("curvature-scan", "profile,n,re_z0,im_z0,re_z1,im_z1,re_z2,im_z2,gap,x,det,scal,"
+                           "rho_0,rho_1,rho_2,einstein_res,extremal_res"),
+        ("extremal-residual", "profile,n,re_z0,im_z0,re_z1,im_z1,re_z2,im_z2,gap,x,extremal_res"),
+        ("levi-scan", "profile,n,re_z0,im_z0,re_z1,im_z1,re_z2,im_z2,x,defining_residual,min_eig"),
+    ],
+    ids=["curvature-scan", "extremal-residual", "levi-scan"],
+)
+def test_csv_header_pinned(capsys, tmp_path, command, header):
+    # the column order of each CSV, byte for byte
+    out = tmp_path / "h.csv"
+    code, _, _ = run(capsys, command, "--profile", "powercap:2", "--n", "3", "--samples", "2",
+                     "--out", str(out))
+    assert code == 0
+    assert out.read_bytes().split(b"\n")[0] == header.encode()
 
 
 def test_unknown_subcommand(capsys):
