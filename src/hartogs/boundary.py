@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .metric import DomainPoint, fiber_direction, point_record, x_and_gap
+from .errors import DomainError, float_faults
+from .metric import DomainPoint, fiber_parts, point_record, stacked_points, x_and_gap
 from .profiles import Profile, interior_x_max
 
 #: construction tolerance on the defining function at boundary points
@@ -45,49 +45,55 @@ def defining_residual(profile: Profile, z) -> float:
 
 
 def boundary_point(profile: Profile, z) -> DomainPoint:
-    """Validated constructor of the boundary record, whose margin is 0.0;
-    |rho(z)| must not exceed BOUNDARY_TOL times max(1, F - x F').  rho is a
-    difference of terms of that size: F, and x F' from the rounding of
-    x = |z_0|^2."""
+    """Validated constructor of the boundary record of z, whose margin is
+    0.0, or of the stacked record of a stack of points; |rho| must not
+    exceed BOUNDARY_TOL times max(1, F - x F') at each point, and
+    DomainError names the first that misses.  rho is a difference of terms
+    of that size: F, and x F' from the rounding of x = |z_0|^2."""
     b = point_record(profile, z, on_boundary=True)
-    if abs(b.gap) > BOUNDARY_TOL * max(1.0, b.f - b.x * b.d1):
-        raise DomainError(f"point misses the boundary graph by {-b.gap!r}")
+    scale = b.f - b.x * b.d1
+    # max(1.0, scale) as Python's max picks it
+    misses = np.ravel(abs(b.gap) > BOUNDARY_TOL * np.where(scale > 1.0, scale, 1.0))
+    if misses.any():
+        gap = float(np.ravel(b.gap)[np.argmax(misses)])
+        raise DomainError(f"point misses the boundary graph by {-gap!r}")
     return b
 
 
-def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> list[DomainPoint]:
-    """Deterministic boundary samples: |z_0|^2 uniform below the radial
-    clearance bound, uniform phase, and a uniformly random fiber direction
-    scaled to radius sqrt(F(|z_0|^2))."""
+def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> DomainPoint:
+    """Deterministic boundary samples, as one stacked record: |z_0|^2
+    uniform below the radial clearance bound, uniform phase, and a
+    uniformly random fiber direction scaled to radius sqrt(F(|z_0|^2)).
+    The draws are made point by point, then the points are built at once."""
     if count <= 0:
         raise ValueError("sample count must be positive")
     if n < 2:
         raise ValueError("dimension must be at least 2")
     rng = np.random.default_rng(seed)
     x_top = interior_x_max(profile)
-    points = []
+    xs, thetas, parts = [], [], []
     for _ in range(count):
         # bit for bit rng.uniform(0.0, x_top) and rng.uniform(0.0, 2 pi),
         # which compute 0.0 + (high - low) * rng.random()
-        x = x_top * rng.random()
-        theta = 2.0 * math.pi * rng.random()
-        z = np.empty(n, dtype=complex)
-        z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-        direction, norm = fiber_direction(rng, n)
-        z[1:] = direction * (math.sqrt(profile.eval(x)) / norm)
-        points.append(boundary_point(profile, z))
-    return points
+        xs.append(x_top * rng.random())
+        thetas.append(2.0 * math.pi * rng.random())
+        parts.append(fiber_parts(rng, n))
+    radius = np.sqrt(profile.eval(np.array(xs)))
+    return boundary_point(profile, stacked_points(xs, thetas, parts, radius))
 
 
-def restricted_levi_min_eigenvalue(profile: Profile, b: DomainPoint) -> float:
+@float_faults
+def restricted_levi_min_eigenvalue(profile: Profile, b: DomainPoint):
     """Minimum eigenvalue of the Levi form restricted to the complex tangent
     space, in closed form: mu = det_core / (F + x F'^2), and min(mu, 1) for
-    n >= 3.  Positive certifies strong pseudoconvexity at b."""
+    n >= 3, at b or at each point of a stacked record.  Positive certifies
+    strong pseudoconvexity at b."""
     denominator = b.f + b.x * b.d1 * b.d1
     # the denominator is 0 only where F underflows to 0, and there
-    # mu <= F m(x) reads as 0 too
-    mu = 0.0 if denominator == 0.0 else b.det_core / denominator
-    return mu if b.n == 2 else min(mu, 1.0)
+    # mu <= F m(x) reads as 0 too; [()] makes a single point's mu a scalar
+    mu = np.divide(b.det_core, denominator, out=np.zeros(np.shape(denominator)),
+                   where=denominator != 0.0)[()]
+    return mu if b.n == 2 else np.minimum(mu, 1.0)
 
 
 def levi_matrix(profile: Profile, b: DomainPoint) -> np.ndarray:

@@ -17,7 +17,7 @@ residual, unnormalized: ||Ric + (n+1) h||_F) counts as zero, at least 1e-3
 on 90% of the samples as an obstruction; anything in between is treated as
 suspicious by the test suites.
 
-The residuals take a single or a stacked point record (`metric.stack`)
+The residuals take a single or a stacked point record (`metric.point_record`)
 and return one value per point.  The fields of `soliton-check --field`
 are polynomial, with exact jets.  `lie_from_jets` is the one
 Lie-derivative formula: for a single field in `soliton_residual`, and for
@@ -51,7 +51,6 @@ from .metric import (
     metric_matrix,
     raises_fp_faults,
     require_interior,
-    stack,
 )
 from .profiles import Affine, Profile
 
@@ -223,12 +222,12 @@ def extremal_residual(profile: Profile, p: DomainPoint) -> float:
 def hyperbolic_isometry(c1: float, c2: float, z) -> np.ndarray:
     """Rescaling (z_0, z_1, ...) -> (z_0 sqrt(c2/c1), z_1/sqrt(c1), ...)
     carrying the affine(c1, c2) domain into the unit hyperbolic model
-    (the affine(1, 1) domain)."""
+    (the affine(1, 1) domain), of a point or of each point of a stack."""
     src = Affine(c1, c2)
     p = require_interior(src, z)
     w = np.array(p.z, dtype=complex)
-    w[0] *= math.sqrt(c2 / c1)
-    w[1:] /= math.sqrt(c1)
+    w[..., 0] *= math.sqrt(c2 / c1)
+    w[..., 1:] /= math.sqrt(c1)
     return w
 
 
@@ -237,12 +236,10 @@ def pullback_check(c1: float, c2: float, p: DomainPoint):
     metric back through the rescaling and compare with the affine(c1, c2)
     metric at p, a single or stacked point record of that domain.  The
     Jacobian is the constant diagonal of the rescaling."""
-    n = p.n
-    images = [require_interior(Affine(1.0, 1.0), hyperbolic_isometry(c1, c2, z))
-              for z in p.z.reshape(-1, n)]
-    jac = np.full(n, 1.0 / math.sqrt(c1))
+    images = require_interior(Affine(1.0, 1.0), hyperbolic_isometry(c1, c2, p.z))
+    jac = np.full(p.n, 1.0 / math.sqrt(c1))
     jac[0] = math.sqrt(c2 / c1)
-    h_target = metric_matrix(stack(images)).reshape(p.z.shape + (n,))
+    h_target = metric_matrix(images)
     pulled = (jac[:, None] * h_target) * jac[None, :]
     h_src = metric_matrix(p)
     return frobenius_norm(pulled - h_src) / (1.0 + frobenius_norm(h_src))
@@ -260,9 +257,9 @@ class SweepResult:
 
 
 @raises_fp_faults
-def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
+def soliton_sweep(profile: Profile, points: DomainPoint) -> SweepResult:
     """Least-squares search for the best (lam, X) over all holomorphic
-    fields, across the given interior points (at least two).
+    fields, across the interior points of a stacked record (at least two).
 
     By the averaging argument of the module docstring, X ranges over
     a z_0 d/dz_0 + b z'.d/dz' with real a and b, and the residual
@@ -274,20 +271,19 @@ def soliton_sweep(profile: Profile, points: list[DomainPoint]) -> SweepResult:
     points are evaluated as stacked records (`metric.blocks`), with numpy's
     faults raised as in the kernel.
     """
-    n = points[0].n
+    n = points.n
     # row 0 selects z_0, row 1 the fiber: f = split * z and df_k/dz_a = split_k delta_ka
     split = np.zeros((2, n))
     split[0, 0] = 1.0
     split[1, 1:] = 1.0
     df = split[:, :, None] * np.eye(n)
     rows = []
-    for chunk in blocks(points):
-        p = stack(chunk)
+    for p in blocks(points):
         m = assemble_metric(profile, p)
         ric = ricci_tensor(profile, p, m)
         dg, dgbar = metric_gradients(profile, p)
         lie = lie_from_jets(m.h, dg, dgbar, split * p.z[:, None, :], df)
-        mats = np.concatenate([ric[:, None], m.h[:, None], lie], axis=1).reshape(len(chunk), 4, -1)
+        mats = np.concatenate([ric[:, None], m.h[:, None], lie], axis=1).reshape(len(p), 4, -1)
         weight = 1.0 / (1.0 + frobenius_norm(m.h))
         parts = np.concatenate([mats.real, mats.imag], axis=2)
         rows.append(weight[:, None, None] * np.swapaxes(parts, 1, 2))

@@ -19,13 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import canonical, curvature
-from .boundary import defining_residual, restricted_levi_min_eigenvalue, sample_boundary
+from .boundary import restricted_levi_min_eigenvalue, sample_boundary
 from .canonical import HoloVectorField
 from .curvature import CurvatureData
 from .errors import HartogsError
 from .metric import (
     DomainPoint, MetricData, assemble_metric, blocks, frobenius_norm, metric_fd_oracle,
-    sample_interior, stack,
+    sample_interior,
 )
 from .profiles import Affine, Profile, interior_grid, is_strongly_pseudoconvex, parse_profile
 
@@ -84,21 +84,20 @@ def _write_table(path: str, label: str, z: np.ndarray, columns: list[str], value
                          for zs, vs in zip(coords.tolist(), values.tolist()))
 
 
-def _curvature_blocks(profile: Profile, points: list[DomainPoint]):
-    """(points, stacked record, metric, curvature) for each run of points
-    of `metric.blocks`, in order."""
-    for chunk in blocks(points):
-        p = stack(chunk)
+def _curvature_blocks(profile: Profile, points: DomainPoint):
+    """(stacked record, metric, curvature) for each run of points of
+    `metric.blocks`, in order."""
+    for p in blocks(points):
         m = assemble_metric(profile, p)
-        yield chunk, p, m, curvature.curvature_at(profile, p, m)
+        yield p, m, curvature.curvature_at(profile, p, m)
 
 
-def _curvature_table(profile: Profile, points: list[DomainPoint], what: str, columns):
+def _curvature_table(profile: Profile, points: DomainPoint, what: str, columns):
     """(z[N, n], values[N, k]) over all N points, values[:, j] the column
     columns(p, m, data)[j] of each block in order.  A non-finite value
     raises HartogsError naming `what` and the first sample that has one."""
     z, values = [], []
-    for _, p, m, data in _curvature_blocks(profile, points):
+    for p, m, data in _curvature_blocks(profile, points):
         z.append(p.z)
         values.append(np.column_stack(columns(p, m, data)))
     values = np.concatenate(values)
@@ -139,12 +138,11 @@ def cmd_levi_scan(args) -> int:
     profile = parse_profile(args.profile)
     label = profile.label()
     samples = sample_boundary(profile, args.n, args.samples, args.seed)
-    eigs = [restricted_levi_min_eigenvalue(profile, b) for b in samples]
+    eigs = restricted_levi_min_eigenvalue(profile, samples)
     if args.out:
-        p = stack(samples)
-        residuals = [defining_residual(profile, b.z) for b in samples]
-        _write_table(args.out, label, p.z, ["x", "defining_residual", "min_eig"],
-                     np.column_stack([p.x, residuals, eigs]))
+        # the defining residual rho = -gap, read from the record
+        _write_table(args.out, label, samples.z, ["x", "defining_residual", "min_eig"],
+                     np.column_stack([samples.x, -samples.gap, eigs]))
     worst = float(np.min(eigs))  # NaN propagates: a non-finite eigenvalue fails
     ok = worst > args.tol
     print(
@@ -181,8 +179,7 @@ def cmd_soliton_check(args) -> int:
         else HoloVectorField.zero(args.n)
     )
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
-    residuals = [canonical.soliton_residual(profile, stack(chunk), lam, field)
-                 for chunk in blocks(points)]
+    residuals = [canonical.soliton_residual(profile, p, lam, field) for p in blocks(points)]
     # NaN propagates: a non-finite residual fails
     worst = float(np.max(np.concatenate(residuals)))
     ok = worst <= args.tol
@@ -210,18 +207,16 @@ class CheckResult:
 @dataclass(frozen=True)
 class Check:
     """One `verify-theorems` check: a measure that takes one block of
-    samples, `(profile, points, p, m, data)` with their single records,
-    their stacked record p, its metric m and its curvature data, and
-    returns one value per sample; and how the values reduce to a verdict.
+    samples, `(profile, p, m, data)` with their stacked record p, its
+    metric m and its curvature data, and returns one value per sample; and
+    how the values reduce to a verdict.
     A bound passes when the largest value is at most `tol`; an obstruction
     passes when at least OBSTRUCTION_SHARE of the values are at least `tol`."""
 
     name: str
     label: str
     tol: float
-    measure: Callable[
-        [Profile, Sequence[DomainPoint], DomainPoint, MetricData, CurvatureData], Sequence[float]
-    ]
+    measure: Callable[[Profile, DomainPoint, MetricData, CurvatureData], Sequence[float]]
     obstruction: bool = False
 
     def result(self, values: list[float]) -> CheckResult:
@@ -246,11 +241,11 @@ def _rel_max(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.max(np.abs(x - ref), axis=axes) / (1.0 + np.max(np.abs(x), axis=axes))
 
 
-def _scal_forms(profile, points, p, m, data) -> list[float]:
+def _scal_forms(profile, p, m, data) -> list[float]:
     """The direct scal against the trace and slope forms, algebraically
     identical to it: a deviation means a broken assembly."""
     values = []
-    for q, h_inv, ric, scal, slope in zip(points, m.h_inv, data.ric, data.scal, data.slope):
+    for q, h_inv, ric, scal, slope in zip(p, m.h_inv, data.ric, data.scal, data.slope):
         trace_form = float(np.trace(h_inv @ ric).real)
         slope_form = -q.n * (q.n + 1) + slope * q.gap
         values.append(max(abs(scal - trace_form), abs(scal - slope_form)) / (1.0 + abs(scal)))
@@ -262,34 +257,33 @@ def _scal_forms(profile, points, p, m, data) -> list[float]:
 # jet and finite-difference oracles take one point at a time.
 ORACLE_CHECKS = (
     Check("metric_vs_fd_hessian", "rel", 1e-11,
-          lambda prof, pts, p, m, d: [_rel(h, metric_fd_oracle(prof, q))
-                                      for q, h in zip(pts, m.h)]),
+          lambda prof, p, m, d: [_rel(h, metric_fd_oracle(prof, q)) for q, h in zip(p, m.h)]),
     Check("determinant_closed_vs_dense", "rel", 1e-10,
-          lambda prof, pts, p, m, d: np.abs(m.det - np.linalg.det(m.h).real)
+          lambda prof, p, m, d: np.abs(m.det - np.linalg.det(m.h).real)
           / (1.0 + np.abs(m.det))),
     Check("inverse_identity", "||h hinv - I||", 1e-10,
-          lambda prof, pts, p, m, d: frobenius_norm(m.h @ m.h_inv - np.eye(p.n))),
+          lambda prof, p, m, d: frobenius_norm(m.h @ m.h_inv - np.eye(p.n))),
     Check("ricci_vs_fd", "rel", 1e-11,
-          lambda prof, pts, p, m, d: [_rel(ric, curvature.ricci_fd_oracle(prof, q))
-                                      for q, ric in zip(pts, d.ric)]),
+          lambda prof, p, m, d: [_rel(ric, curvature.ricci_fd_oracle(prof, q))
+                                  for q, ric in zip(p, d.ric)]),
     Check("ricci_tail_rows", "fiber-row |Ric + (n+1)h|", 1e-9,
-          lambda prof, pts, p, m, d: np.max(np.abs(d.ric[:, 1:] + (p.n + 1) * m.h[:, 1:]),
-                                            axis=(1, 2))),
+          lambda prof, p, m, d: np.max(np.abs(d.ric[:, 1:] + (p.n + 1) * m.h[:, 1:]),
+                                       axis=(1, 2))),
     Check("rho_closed_vs_fit", "rel", 1e-8,
-          lambda prof, pts, p, m, d: _rel_max(d.rho, curvature.rho_oracle(m, d.ric))),
+          lambda prof, p, m, d: _rel_max(d.rho, curvature.rho_oracle(m, d.ric))),
     Check("scal_forms", "rel", 1e-9, _scal_forms),
     Check("extremal_vs_fd", "rel", 1e-7,
-          lambda prof, pts, p, m, d: _rel_max(
-              d.t_zbar, np.array([curvature.extremal_fd_oracle(prof, q) for q in pts]))),
+          lambda prof, p, m, d: _rel_max(
+              d.t_zbar, np.array([curvature.extremal_fd_oracle(prof, q) for q in p]))),
 )
 
 #: the classification checks as their bounds on affine profiles; on every
 #: other profile each is an obstruction at FAIL_FLOOR
 CLASSIFICATIONS = (
     Check("extremal_classification", "extremal residual", PASS_ZERO,
-          lambda prof, pts, p, m, d: d.extremal),
+          lambda prof, p, m, d: d.extremal),
     Check("einstein_classification", "||Ric + (n+1)h||", 1e-9,
-          lambda prof, pts, p, m, d: frobenius_norm(d.ric + (p.n + 1) * m.h)),
+          lambda prof, p, m, d: frobenius_norm(d.ric + (p.n + 1) * m.h)),
 )
 
 
@@ -305,13 +299,13 @@ def run_verification(
     if affine:
         checks.append(Check(
             "pullback_isometry", "rel", 1e-10,
-            lambda prof, pts, p, m, d: canonical.pullback_check(prof.c1, prof.c2, p),
+            lambda prof, p, m, d: canonical.pullback_check(prof.c1, prof.c2, p),
         ))
 
     values: list[list[float]] = [[] for _ in checks]
-    for chunk, p, m, data in _curvature_blocks(profile, points):
+    for p, m, data in _curvature_blocks(profile, points):
         for check, vals in zip(checks, values):
-            vals += np.asarray(check.measure(profile, chunk, p, m, data), dtype=float).tolist()
+            vals += np.asarray(check.measure(profile, p, m, data), dtype=float).tolist()
     return [check.result(vals) for check, vals in zip(checks, values)]
 
 

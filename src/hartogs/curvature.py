@@ -16,9 +16,9 @@ the metric is Einstein with scal = -n(n+1); that rigidity is what most of
 the test suite exercises.
 
 The defect and two radial derivatives of the slope -defect F / det_core
-are closed forms stated per profile family, evaluated once per point.
-The closed forms built on them (`scal_gradient_bar`, `curvature_at`) take
-a single or a stacked record (`metric.stack`), like those of `metric`,
+are closed forms stated per profile family, evaluated once per point in
+one call over a stack.  The closed forms built on them (`scal_gradient_bar`,
+`curvature_at`) take a single or a stacked record, like those of `metric`,
 and run with its floating-point faults raised.  The oracles differentiate
 on purpose to stay independent of them: the Ricci oracle with an exact
 second-order jet of log det h, once per point, and the extremal oracle
@@ -36,9 +36,9 @@ import numpy as np
 from .errors import NumericError
 from .jet import JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, _complex, _product, each_point, fd_stencil_for, frobenius_norm,
+    DomainPoint, MetricData, _complex, _product, fd_stencil_for, frobenius_norm,
     inverse_metric_matrix, jet_x_and_gap, metric_gradients, nonsingular_core, raises_fp_faults,
-    require_interior, stack,
+    require_interior,
 )
 from .profiles import Profile
 from .wirtinger import ComplexStencil
@@ -70,7 +70,7 @@ def curvature_defect(profile: Profile, p: DomainPoint):
     det_core is below SINGULAR_TOL, where the metric degenerates.
     """
     nonsingular_core(p.det_core, p.x)
-    return each_point(profile.defect, p.x)
+    return profile.defect(p.x)
 
 
 def _slope(defect: float, f: float, core: float) -> float:
@@ -154,10 +154,10 @@ def extremal_fd_oracle(
         stencil = fd_stencil_for(p)
 
     def t_of(ws):
-        q = stack([require_interior(profile, w) for w in ws])
-        slope = _slope(each_point(profile.defect, q.x), q.f, q.det_core)
+        q = require_interior(profile, ws)
+        slope = _slope(profile.defect(q.x), q.f, q.det_core)
         h_inv = inverse_metric_matrix(q)
-        slope_d1 = each_point(profile.slope_d1, q.x)
+        slope_d1 = profile.slope_d1(q.x)
         return _gradient_field(h_inv, scal_gradient_bar(q, slope, slope_d1))
 
     return stencil.d_zbar_all(t_of, p.z).T
@@ -184,10 +184,10 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     coefficients = [(n + 1) ** k * (-1.0) ** (k + 1) * math.comb(n - 1, k) for k in range(n)]
     constants = [n * (n + 1) / (k + 1) for k in range(n)]
     rho = np.array(coefficients) * (np.array(constants) + np.asarray(shared)[..., None])
-    slope_d1 = each_point(profile.slope_d1, p.x)
+    slope_d1 = profile.slope_d1(p.x)
     t = _gradient_field(m.h_inv, scal_gradient_bar(p, slope, slope_d1))
     re0, im0 = p.z[..., 0].real, p.z[..., 0].imag
-    head = each_point(profile.slope_d2, p.x) * p.gap + 2.0 * slope_d1 * p.d1 + slope * p.d2
+    head = profile.slope_d2(p.x) * p.gap + 2.0 * slope_d1 * p.d1 + slope * p.d2
     sq_re, sq_im = _product(re0, im0, re0, im0)
     hess = np.zeros(p.z.shape + (n,), dtype=complex)
     hess[..., 0, 0] = _complex(sq_re * head, sq_im * head)

@@ -1,4 +1,9 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the two settings of
+numpy's floating-point faults (`raises_fp_faults`, `float_faults`)."""
+
+import functools
+
+import numpy as np
 
 
 class HartogsError(Exception):
@@ -19,3 +24,23 @@ class NumericError(HartogsError, ArithmeticError):
 
 class SamplingError(HartogsError, RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
+
+
+def _with_faults(**faults):
+    """Decorator running a function under np.errstate(**faults)."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            with np.errstate(**faults):
+                return fn(*args, **kwargs)
+        return wrapper
+    return decorate
+
+
+#: the kernel's faults: each is one FloatingPointError, an ArithmeticError,
+#: instead of a RuntimeWarning per array operation and a NaN in the result
+raises_fp_faults = _with_faults(divide="raise", over="raise", invalid="raise")
+
+#: the faults of Python's floats, for closed forms once evaluated on them: a
+#: division by zero raises, an overflow gives inf and an invalid operation NaN
+float_faults = _with_faults(divide="raise", over="ignore", invalid="ignore")

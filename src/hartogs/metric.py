@@ -25,13 +25,14 @@ data x, gap, F, F', F'' and det_core), evaluated once per point by
 only *verified* against dense inversion, never replaced by it.
 
 The closed forms are written once, over a leading point axis: each takes a
-single record or a stacked one (`stack`), whose z has shape (N, n) and
-whose radial fields have shape (N,), and returns its arrays with the same
-leading axis.  A point's entries have the same bits alone and in any stack.
-The CLI evaluates one stacked record per run of consecutive points
-(`blocks`): BLOCK points up to n = 8, fewer above it.  The kernel runs
-with numpy's divide, overflow and invalid faults raised
-(`raises_fp_faults`), so a fault is one FloatingPointError.
+single record or a stacked one, built by one `point_record` call, whose z
+has shape (N, n) and whose radial fields have shape (N,), and returns its
+arrays with the same leading axis.  A point's entries have the same bits
+alone and in any stack.  The CLI evaluates one stacked record per run of
+consecutive points (`blocks`): BLOCK points up to n = 8, fewer above it.
+The kernel runs with numpy's divide, overflow and invalid faults raised
+(`raises_fp_faults`), so a fault is one FloatingPointError; the records
+are built with the faults of Python's floats (`errors.float_faults`).
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SamplingError, SingularityError
+from .errors import (
+    DomainError, NumericError, SamplingError, SingularityError, float_faults, raises_fp_faults,
+)
 from .jet import Jet, JetPoint, log
 from .profiles import Profile, interior_x_max
 
@@ -71,8 +73,8 @@ class DomainPoint:
     det_core(x).  Every per-point quantity of the package is a function of
     these and of z.
 
-    A stacked record (`stack`) holds N points: z of shape (N, n) and each
-    radial field of shape (N,).
+    A stacked record holds N points, z of shape (N, n) and each radial
+    field of shape (N,): a sequence of single records, sliced or masked.
     """
 
     z: np.ndarray
@@ -88,6 +90,12 @@ class DomainPoint:
     def n(self) -> int:
         return self.z.shape[-1]
 
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index) -> DomainPoint:
+        return DomainPoint(*(getattr(self, name)[index] for name in _FIELDS))
+
 
 @dataclass(frozen=True)
 class MetricData:
@@ -99,44 +107,16 @@ class MetricData:
     h_inv: np.ndarray
 
 
-_RADIAL = tuple(f.name for f in fields(DomainPoint))[1:]
+_FIELDS = tuple(f.name for f in fields(DomainPoint))
 
 
-def stack(points: Sequence[DomainPoint]) -> DomainPoint:
-    """One stacked record of the given single records, in their order."""
-    return DomainPoint(
-        np.array([p.z for p in points]),
-        *(np.array([getattr(p, name) for p in points]) for name in _RADIAL),
-    )
-
-
-def blocks(points: Sequence[DomainPoint]) -> list[Sequence[DomainPoint]]:
-    """Consecutive runs of the points, in order: BLOCK points up to n = 8
-    and BLOCK (8/n)^3 (at least one) above it, so that the (N, n, n, n)
-    metric gradients of a run stay the size they have at n = 8."""
-    size = max(1, min(BLOCK, BLOCK * 8**3 // points[0].n ** 3)) if points else BLOCK
+def blocks(points: DomainPoint) -> list[DomainPoint]:
+    """Consecutive runs of the points of a stacked record, in order, each a
+    stacked record: BLOCK points up to n = 8 and BLOCK (8/n)^3 (at least
+    one) above it, so that the (N, n, n, n) metric gradients of a run stay
+    the size they have at n = 8."""
+    size = max(1, min(BLOCK, BLOCK * 8**3 // points.n**3))
     return [points[start:start + size] for start in range(0, len(points), size)]
-
-
-def each_point(fn, x):
-    """fn, a closed form of one float, at x or at every x of a stack: one
-    call per point, so that a value has the same bits in a stack."""
-    if np.ndim(x) == 0:
-        return fn(x)
-    return np.array([fn(v) for v in x.tolist()])
-
-
-def raises_fp_faults(fn):
-    """Run fn with numpy's divide, overflow and invalid faults raised as
-    FloatingPointError, an ArithmeticError, instead of a RuntimeWarning per
-    array operation and a NaN in the result."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return fn(*args, **kwargs)
-
-    return wrapper
 
 
 def frobenius_norm(a: np.ndarray):
@@ -149,18 +129,19 @@ def frobenius_norm(a: np.ndarray):
     return np.sqrt(square[..., 0, 0])
 
 
-def _x_and_fiber(z) -> tuple[float, float]:
-    """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2, summed
-    in coordinate order over Python complex numbers."""
-    z0, *fiber_part = np.asarray(z, dtype=complex).tolist()
-    x = z0.real * z0.real + z0.imag * z0.imag
+def _x_and_fiber(z):
+    """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2 of z, or
+    of each point of a stack, summed in coordinate order."""
+    z = np.asarray(z, dtype=complex)
+    re2, im2 = (z.real * z.real).T, (z.imag * z.imag).T
+    x = re2[0] + im2[0]
     fiber = 0.0
-    for c in fiber_part:
-        fiber += c.real * c.real + c.imag * c.imag
+    for k in range(1, z.shape[-1]):
+        fiber = fiber + (re2[k] + im2[k])
     return x, fiber
 
 
-def x_and_gap(profile: Profile, z) -> tuple[float, float]:
+def x_and_gap(profile: Profile, z):
     """(x, gap) at z: x = |z_0|^2 and gap = F(x) - |z_1|^2 - ... - |z_{n-1}|^2.
 
     Raises DomainError when x lies outside [0, x0), where F is undefined;
@@ -192,40 +173,50 @@ def nonsingular_core(core, x):
     return core
 
 
+@float_faults
 def point_record(profile: Profile, z, on_boundary: bool = False) -> DomainPoint:
-    """The record of z, its radial data each evaluated once, with margin
-    0.0 `on_boundary`.  Raises DomainError where x lies outside [0, x0); a
-    gap <= 0 is kept, for the caller to treat.  det_core is not checked
-    here: `nonsingular_core` is applied by the consumers that divide by it."""
+    """The record of a point z, or the stacked record of a stack z of shape
+    (N, n) from one call of each closed form, with margin 0.0 `on_boundary`;
+    a single point is row 0 of a one-point stack.  Raises DomainError at the
+    first x outside [0, x0); a gap <= 0 is kept, for the caller to treat.
+    det_core is checked by the consumers that divide by it."""
     z = np.asarray(z, dtype=complex)
-    if z.size < 2:
+    if z.ndim == 0 or z.shape[-1] < 2:
         raise ValueError("points need at least two complex coordinates")
+    single, z = z.ndim == 1, z.reshape(-1, z.shape[-1])
     x, fiber = _x_and_fiber(z)
     f = profile.eval(x)
     gap = f - fiber
-    if on_boundary:
-        margin = 0.0
-    else:
-        margin = gap if math.isinf(profile.x0) else min(gap, profile.x0 - x)
-    return DomainPoint(
+    reach = profile.x0 - x
+    # min(gap, x0 - x) as Python's min picks it, also where x0 is inf
+    margin = np.zeros_like(gap) if on_boundary else np.where(reach < gap, reach, gap)
+    p = DomainPoint(
         z, x, gap, margin, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x)
     )
+    return p[0] if single else p
 
 
 def contains(profile: Profile, z) -> DomainPoint | None:
-    """Membership test; returns the point record, or None if z is outside."""
+    """Membership test: the record of z, or None if z is outside; on a
+    stack, the stacked record of its points inside, in order, or None if x
+    lies outside [0, x0) at any of them, where `point_record` raises."""
     try:
         p = point_record(profile, z)
     except DomainError:
         return None
-    return None if p.gap <= 0.0 else p
+    inside = ~(p.gap <= 0.0)
+    return p[inside] if np.ndim(inside) else (p if inside else None)
 
 
 def require_interior(profile: Profile, z) -> DomainPoint:
+    """The record of an interior point z, or the stacked record of a stack
+    of them; DomainError names the first point that is not interior."""
+    z = np.asarray(z, dtype=complex)
     p = contains(profile, z)
-    if p is None:
-        raise DomainError(f"point {z!r} is not interior to the {profile.label()} domain")
-    return p
+    if p is not None and p.z.shape == z.shape:
+        return p
+    first = z if z.ndim == 1 else next(w for w in z if contains(profile, w) is None)
+    raise DomainError(f"point {first!r} is not interior to the {profile.label()} domain")
 
 
 def kahler_potential(profile: Profile, z) -> float | Jet:
@@ -343,7 +334,7 @@ def metric_gradients(profile: Profile, p: DomainPoint) -> tuple[np.ndarray, np.n
     # the gap_00 and gap_000bar terms, each in the order of a scalar complex product
     sq_re, sq_im = _product(d2 * re0, d2 * -im0, re0, -im0)
     dg[..., 0, 0, :] += _radial(_complex(sq_re / gap2, sq_im / gap2), 1) * g1.conj()
-    third = 2.0 * d2 + x * each_point(lambda v: profile.eval(v, 3), x)
+    third = 2.0 * d2 + x * profile.eval(x, 3)
     dg[..., 0, 0, 0] -= _complex(re0 * third / gap, -im0 * third / gap)
     return dg, np.swapaxes(dg.conj(), -1, -2)
 
@@ -392,18 +383,32 @@ def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
     return MetricData(h=metric_matrix(p), det=det, h_inv=h_inv)
 
 
-def fiber_direction(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
-    """A standard Gaussian vector in C^(n-1) and its norm: its direction is
-    uniform on the unit sphere.  A norm at or below 1e-12, which gives no
-    usable direction, is drawn again."""
+def fiber_parts(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The real then the imaginary parts of a standard Gaussian vector in
+    C^(n-1), drawn again while its norm, at least |parts[0]| to rounding,
+    is at or below 1e-12, which gives no usable direction."""
     while True:
-        # one draw of both halves: the same normals, in the same order, as
-        # a draw of the real parts followed by one of the imaginary parts
         parts = rng.normal(size=2 * (n - 1))
-        direction = parts[: n - 1] + 1j * parts[n - 1 :]
-        norm = np.linalg.norm(direction)
-        if norm > 1e-12:
-            return direction, norm
+        if abs(parts[0]) > 2e-12 or np.linalg.norm(parts[: n - 1] + 1j * parts[n - 1 :]) > 1e-12:
+            return parts
+
+
+def stacked_points(x, theta, parts, radius) -> np.ndarray:
+    """The (N, n) points with |z_0|^2 = x, arg z_0 = theta and a fiber
+    vector of length `radius` along each row of `parts` (`fiber_parts`),
+    with the bits of one point at a time: z_0 = sqrt(x) (cos + i sin) as
+    Python forms that product, the fiber divided by its `np.linalg.norm`."""
+    parts = np.asarray(parts)
+    k = parts.shape[1] // 2
+    direction = parts[:, :k] + 1j * parts[:, k:]
+    # the norm of each row, summed as np.linalg.norm sums one vector
+    norm = frobenius_norm(direction[:, None, :])
+    z = np.empty((len(x), k + 1), dtype=complex)
+    cos = np.fromiter(map(math.cos, theta), float, len(x))
+    sin = np.fromiter(map(math.sin, theta), float, len(x))
+    z[:, 0] = _complex(*_product(np.sqrt(x), 0.0, cos, sin))
+    z[:, 1:] = direction * (radius / norm)[:, None]
+    return z
 
 
 def sample_interior(
@@ -412,14 +417,18 @@ def sample_interior(
     count: int,
     seed: int,
     min_margin: float = 0.05,
-) -> list[DomainPoint]:
-    """Deterministic interior points with margin >= min_margin.
+) -> DomainPoint:
+    """Deterministic interior points with margin >= min_margin, as one
+    stacked record.
 
     |z_0|^2 is drawn uniformly below both the radial clearance bound and,
     for finite x0, x0 - min_margin, with a uniform phase.  The fiber vector
     is uniform in the ball of real dimension 2(n-1) and radius sqrt(budget),
     budget = F(|z_0|^2) - min_margin.  The margin is then checked exactly.
-    Same seed, same points.
+    Same seed, same points: the draws are made point by point, in the
+    order of a sampler that builds each point before the next.  A round
+    draws as many candidates as points are missing and builds and tests
+    them at once, so no draw is made past the last point kept.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -434,30 +443,34 @@ def sample_interior(
             f"min_margin={min_margin} leaves no admissible |z_0|^2 range for {profile.label()}"
         )
 
-    points: list[DomainPoint] = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > _MAX_SAMPLE_ATTEMPTS:
-            raise SamplingError(
-                f"no interior point with margin >= {min_margin} found in "
-                f"{_MAX_SAMPLE_ATTEMPTS} attempts for {profile.label()}"
-            )
-        # bit for bit rng.uniform(0.0, high), which is 0.0 + high * rng.random()
-        x = x_top * rng.random()
-        budget = profile.eval(x) - min_margin
-        if budget <= 0.0:
-            continue
-        z = np.empty(n, dtype=complex)
-        theta = 2.0 * math.pi * rng.random()
-        z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-        direction, norm = fiber_direction(rng, n)
-        radius = math.sqrt(budget) * rng.random() ** (1.0 / (2 * (n - 1)))
-        z[1:] = direction * (radius / norm)
-        p = contains(profile, z)
-        if p is not None and p.margin >= min_margin:
-            points.append(p)
-    return points
+    runs: list[DomainPoint] = []
+    found = attempts = 0
+    while found < count:
+        xs, budgets, thetas, parts, draws = [], [], [], [], []
+        while len(xs) < count - found:
+            attempts += 1
+            if attempts > _MAX_SAMPLE_ATTEMPTS:
+                raise SamplingError(
+                    f"no interior point with margin >= {min_margin} found in "
+                    f"{_MAX_SAMPLE_ATTEMPTS} attempts for {profile.label()}"
+                )
+            # bit for bit rng.uniform(0.0, high), which is 0.0 + high * rng.random()
+            x = x_top * rng.random()
+            budget = profile.eval(x) - min_margin
+            if budget <= 0.0:
+                continue
+            xs.append(x)
+            budgets.append(budget)
+            thetas.append(2.0 * math.pi * rng.random())
+            parts.append(fiber_parts(rng, n))
+            draws.append(rng.random())
+        radius = np.sqrt(budgets) * np.float_power(draws, 1.0 / (2 * (n - 1)))
+        p = contains(profile, stacked_points(xs, thetas, parts, radius))
+        runs.append(p[p.margin >= min_margin])
+        found += len(runs[-1])
+    if len(runs) == 1:
+        return runs[0]
+    return DomainPoint(*(np.concatenate([getattr(r, name) for r in runs]) for name in _FIELDS))
 
 
 def fd_stencil_for(p: DomainPoint):

@@ -25,14 +25,29 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError
-from .jet import exp
+import numpy as np
+
+from .errors import DomainError, float_faults
+from .jet import exp, power
 
 #: interior grids and samplers stay at least this relative distance from x0
 BOUNDARY_CLEARANCE = 1e-3
 
 #: when x0 is infinite, samplers and grids cap |z_0|^2 at this value
 UNBOUNDED_X_CAP = 10.0
+
+
+def _constant(value: float, x):
+    """A constant closed form: an array of x's shape at an array x."""
+    return np.full(x.shape, value) if isinstance(x, np.ndarray) else value
+
+
+def _require_domain(profile: Profile, x) -> None:
+    """DomainError naming x, or the first x of an array, outside [0, x0)."""
+    inside = (0.0 <= x) & (x < profile.x0)
+    if not (inside is True or np.logical_and.reduce(inside, axis=None)):
+        first = float(x.flat[np.argmin(inside)]) if isinstance(x, np.ndarray) else x
+        raise DomainError(f"x={first!r} outside [0, {profile.x0!r}) for {profile.label()}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +59,11 @@ class Profile:
     arity.  Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3`
     (value and first three derivatives), the domain bound `x0`, optionally
     a simplified `det_core`, the pseudoconvexity `margin`, and the radial
-    curvature functionals `defect`, `slope_d1` and `slope_d2`.  `_f` and
-    `det_core` also accept a `jet.Jet` for x (through operator arithmetic
-    and `jet.exp`): the metric and Ricci oracles differentiate them, and
-    nothing else of the family.
+    curvature functionals `defect`, `slope_d1` and `slope_d2`.  Written
+    with `jet.power`, `jet.exp` and `_constant`, each takes a float or an
+    array of x, and gives each entry the bits it has at that float.  `_f`
+    and `det_core` also accept a `jet.Jet` for x: the metric and Ricci
+    oracles differentiate them, and nothing else of the family.
     """
 
     family = "base"
@@ -62,10 +78,9 @@ class Profile:
         params = ",".join(f"{getattr(self, field.name):g}" for field in fields(self))
         return f"{self.family}:{params}" if params else self.family
 
-    def eval(self, x: float, order: int = 0) -> float:
-        """Evaluate F, F', F'' or F''' at x by closed form."""
-        if not 0.0 <= x < self.x0:
-            raise DomainError(f"x={x!r} outside [0, {self.x0!r}) for {self.label()}")
+    def eval(self, x, order: int = 0):
+        """Evaluate F, F', F'' or F''' at x, or at each x of an array."""
+        _require_domain(self, x)
         if order == 0:
             return self._f(x)
         if order == 1:
@@ -76,7 +91,7 @@ class Profile:
             return self._d3(x)
         raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
 
-    def det_core(self, x: float) -> float:
+    def det_core(self, x):
         """The radial factor of the metric determinant:
 
             det_core(x) = x F'(x)^2 - F(x) (F'(x) + F''(x) x)
@@ -88,7 +103,7 @@ class Profile:
         d1 = self._d1(x)
         return x * d1 * d1 - self._f(x) * (d1 + self._d2(x) * x)
 
-    def margin(self, x: float) -> float:
+    def margin(self, x):
         """Pseudoconvexity margin m(x) = -(x F'/F)' = -[(F' + x F'') F - x F'^2] / F^2.
         Families override it with a closed form that does not divide by F^2,
         which underflows where a steep profile nears zero.  Not domain-guarded.
@@ -96,17 +111,17 @@ class Profile:
         f, d1, d2 = self._f(x), self._d1(x), self._d2(x)
         return -((d1 + x * d2) * f - x * d1 * d1) / (f * f)
 
-    def defect(self, x: float) -> float:
+    def defect(self, x):
         """Curvature defect (x (log det_core)')' in closed form; identically
         zero for the affine family only.  Not domain-guarded."""
         raise NotImplementedError
 
-    def slope_d1(self, x: float) -> float:
+    def slope_d1(self, x):
         """The radial derivative of the scalar-curvature slope
         -defect F / det_core, in closed form.  Not domain-guarded."""
         raise NotImplementedError
 
-    def slope_d2(self, x: float) -> float:
+    def slope_d2(self, x):
         """Second radial derivative of the slope, in closed form.  Not domain-guarded."""
         raise NotImplementedError
 
@@ -128,16 +143,16 @@ class Affine(Profile):
         return self.c1 - self.c2 * x
 
     def _d1(self, x):
-        return -self.c2
+        return _constant(-self.c2, x)
 
     def _d2(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
     def _d3(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
     def det_core(self, x):
-        return self.c1 * self.c2
+        return _constant(self.c1 * self.c2, x)
 
     def margin(self, x):
         # c1 c2 / F^2 one factor at a time: F^2 overflows where the margin
@@ -146,13 +161,13 @@ class Affine(Profile):
         return (self.c1 / f) * (self.c2 / f)
 
     def defect(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
     def slope_d1(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
     def slope_d2(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
 
 @dataclass(frozen=True)
@@ -165,31 +180,31 @@ class PowerCap(Profile):
     x0 = 1.0
 
     def _f(self, x):
-        return (1.0 - x) ** self.p
+        return power(1.0 - x, self.p)
 
     def _d1(self, x):
-        return -self.p * (1.0 - x) ** (self.p - 1.0)
+        return -self.p * power(1.0 - x, self.p - 1.0)
 
     def _d2(self, x):
-        return self.p * (self.p - 1.0) * (1.0 - x) ** (self.p - 2.0)
+        return self.p * (self.p - 1.0) * power(1.0 - x, self.p - 2.0)
 
     def _d3(self, x):
-        return -self.p * (self.p - 1.0) * (self.p - 2.0) * (1.0 - x) ** (self.p - 3.0)
+        return -self.p * (self.p - 1.0) * (self.p - 2.0) * power(1.0 - x, self.p - 3.0)
 
     def det_core(self, x):
-        return self.p * (1.0 - x) ** (2.0 * self.p - 2.0)
+        return self.p * power(1.0 - x, 2.0 * self.p - 2.0)
 
     def margin(self, x):
-        return self.p / (1.0 - x) ** 2
+        return self.p / power(1.0 - x, 2)
 
     def defect(self, x):
-        return (2.0 - 2.0 * self.p) / (1.0 - x) ** 2
+        return (2.0 - 2.0 * self.p) / power(1.0 - x, 2)
 
     def slope_d1(self, x):
-        return (2.0 * self.p - 2.0) * (1.0 - x) ** (-self.p - 1.0)
+        return (2.0 * self.p - 2.0) * power(1.0 - x, -self.p - 1.0)
 
     def slope_d2(self, x):
-        return (2.0 * self.p - 2.0) * (self.p + 1.0) * (1.0 - x) ** (-self.p - 2.0)
+        return (2.0 * self.p - 2.0) * (self.p + 1.0) * power(1.0 - x, -self.p - 2.0)
 
 
 @dataclass(frozen=True)
@@ -205,28 +220,28 @@ class ExpDecay(Profile):
         return exp(-self.rate * x)
 
     def _d1(self, x):
-        return -self.rate * math.exp(-self.rate * x)
+        return -self.rate * exp(-self.rate * x)
 
     def _d2(self, x):
-        return self.rate * self.rate * math.exp(-self.rate * x)
+        return self.rate * self.rate * exp(-self.rate * x)
 
     def _d3(self, x):
-        return -self.rate**3 * math.exp(-self.rate * x)
+        return -self.rate**3 * exp(-self.rate * x)
 
     def det_core(self, x):
         return self.rate * exp(-2.0 * self.rate * x)
 
     def margin(self, x):
-        return self.rate
+        return _constant(self.rate, x)
 
     def defect(self, x):
-        return -2.0 * self.rate
+        return _constant(-2.0 * self.rate, x)
 
     def slope_d1(self, x):
-        return 2.0 * self.rate * math.exp(self.rate * x)
+        return 2.0 * self.rate * exp(self.rate * x)
 
     def slope_d2(self, x):
-        return 2.0 * self.rate * self.rate * math.exp(self.rate * x)
+        return 2.0 * self.rate * self.rate * exp(self.rate * x)
 
 
 @dataclass(frozen=True)
@@ -240,28 +255,28 @@ class Rational(Profile):
         return 1.0 / (1.0 + x)
 
     def _d1(self, x):
-        return -1.0 / (1.0 + x) ** 2
+        return -1.0 / power(1.0 + x, 2)
 
     def _d2(self, x):
-        return 2.0 / (1.0 + x) ** 3
+        return 2.0 / power(1.0 + x, 3)
 
     def _d3(self, x):
-        return -6.0 / (1.0 + x) ** 4
+        return -6.0 / power(1.0 + x, 4)
 
     def det_core(self, x):
-        return (1.0 + x) ** -4
+        return power(1.0 + x, -4)
 
     def margin(self, x):
-        return 1.0 / (1.0 + x) ** 2
+        return 1.0 / power(1.0 + x, 2)
 
     def defect(self, x):
-        return -4.0 / (1.0 + x) ** 2
+        return -4.0 / power(1.0 + x, 2)
 
     def slope_d1(self, x):
-        return 4.0
+        return _constant(4.0, x)
 
     def slope_d2(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
 
 @dataclass(frozen=True)
@@ -277,13 +292,13 @@ class ConstantProbe(Profile):
     x0 = math.inf
 
     def _f(self, x):
-        return self.level
+        return _constant(self.level, x)
 
     def _d1(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
     def _d2(self, x):
-        return 0.0
+        return _constant(0.0, x)
 
 
 class MarginScan(NamedTuple):
@@ -292,33 +307,32 @@ class MarginScan(NamedTuple):
     x_at_min: float
 
 
-def pseudoconvexity_margin(profile: Profile, x: float) -> float:
-    """Margin m(x) = -(x F'/F)' at x in [0, x0), from `Profile.margin`.
+def pseudoconvexity_margin(profile: Profile, x):
+    """Margin m(x) = -(x F'/F)' at x in [0, x0), or at each x of an array,
+    from `Profile.margin`.
 
     Strictly positive margin on [0, x0) is the operational criterion for
     strong pseudoconvexity of the associated domain, and is equivalent to
     positive definiteness of the metric at every interior point.
     """
-    if not 0.0 <= x < profile.x0:
-        raise DomainError(f"x={x!r} outside [0, {profile.x0!r}) for {profile.label()}")
+    _require_domain(profile, x)
     return profile.margin(x)
 
 
+@float_faults
 def is_strongly_pseudoconvex(profile: Profile, grid: Sequence[float], tol: float = 1e-9) -> MarginScan:
     """Scan the margin over a grid; positive everywhere (above tol) passes.
 
-    Returns the verdict together with the worst margin and its location.
+    Returns the verdict together with the worst margin and the first x
+    where it occurs.  The margins are reduced in one array call in which
+    NaN propagates, so a NaN margin is the worst and fails the scan.
     """
     if len(grid) == 0:
         raise ValueError("pseudoconvexity scan needs a nonempty grid")
-    worst = math.inf
-    worst_x = float(grid[0])
-    for x in grid:
-        m = pseudoconvexity_margin(profile, x)
-        if m < worst:
-            worst = m
-            worst_x = float(x)
-    return MarginScan(worst > tol, worst, worst_x)
+    xs = np.asarray(grid, dtype=float)
+    margins = pseudoconvexity_margin(profile, xs)
+    worst = int(np.argmin(margins))
+    return MarginScan(bool(margins[worst] > tol), float(margins[worst]), float(xs[worst]))
 
 
 def interior_x_max(profile: Profile) -> float:

@@ -219,8 +219,9 @@ class TestRestrictedLevi:
                 hg.tangent_space_basis(profile, b)
 
     def test_one_det_core_per_point(self, monkeypatch):
-        # the sampler's `boundary_point` keeps det_core in the record, and
-        # the closed form and its oracle read nothing of it again
+        # the sampler's `boundary_point` keeps det_core in the record, from
+        # one call over the whole stack, and the closed form and its oracle
+        # read nothing of it again
         prof = hg.PowerCap(2)
         original = hg.PowerCap.det_core
         calls = []
@@ -231,8 +232,9 @@ class TestRestrictedLevi:
 
         monkeypatch.setattr(hg.PowerCap, "det_core", counted)
         points = sample_boundary(prof, 3, 5, seed=7)
-        assert calls == [b.x for b in points]
+        assert len(calls) == 1 and np.array_equal(calls[0], points.x)
         calls.clear()
+        hg.restricted_levi_min_eigenvalue(prof, points)
         for b in points:
             hg.restricted_levi_min_eigenvalue(prof, b)
             levi_compression_oracle(prof, b)

@@ -455,6 +455,7 @@ class TestInvariance:
                 worst = max(worst, rel(e.scal, d.scal), rel(e.rho, d.rho),
                             rel(e.einstein, d.einstein),
                             rel(np.linalg.norm(e.t_zbar), np.linalg.norm(d.t_zbar)))
+            moved = hg.contains(profile, np.array([q.z for q in moved]))
             fit, fit_moved = soliton_sweep(profile, points), soliton_sweep(profile, moved)
             worst = max(worst, rel(fit_moved.lam, fit.lam), rel(fit_moved.residual, fit.residual))
             assert worst <= 1e-12, (n, worst)

@@ -288,11 +288,18 @@ class TestLeviScan:
 
     @pytest.mark.parametrize("out", [False, True])
     def test_defining_residual_only_for_csv(self, capsys, monkeypatch, tmp_path, out):
+        # the column is -gap, read from the boundary records: no sample
+        # evaluates the defining function again
         calls = count_calls(monkeypatch, hartogs.boundary.defining_residual)
         argv = ["levi-scan", "--profile", "powercap:2", "--n", "3", "--samples", "7"]
         code, _, _ = run(capsys, *argv, *(["--out", str(tmp_path / "l.csv")] if out else []))
         assert code == 0
-        assert len(calls) == (7 if out else 0)
+        assert calls == []
+        if out:
+            with (tmp_path / "l.csv").open(newline="") as fh:
+                column = [float(row["defining_residual"]) for row in csv.DictReader(fh)]
+            gap = hartogs.sample_boundary(PowerCap(2), 3, 7, 0).gap
+            assert np.array(column).view(np.int64).tolist() == (-gap).view(np.int64).tolist()
 
     @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
     def test_whole_range(self, capsys, profile):
@@ -322,7 +329,7 @@ class TestLeviScan:
 
     def test_nan_eigenvalue_fails(self, capsys, monkeypatch):
         # a NaN anywhere in the scan is the minimum, not skipped
-        monkeypatch.setattr(PowerCap, "det_core", lambda self, x: math.nan if x > 0.5 else 1.0)
+        monkeypatch.setattr(PowerCap, "det_core", lambda self, x: np.where(x > 0.5, math.nan, 1.0))
         code, out, _ = run(capsys, "levi-scan", "--profile", "powercap:2", "--n", "3",
                            "--samples", "20", "--seed", "1")
         assert code == 1

@@ -272,8 +272,9 @@ def test_curvature_at_bundle():
 
 
 def test_one_det_core_per_point(monkeypatch):
-    # the sampler's `contains` keeps det_core in the point record, and
-    # assemble_metric, curvature_at and ricci_tensor read that value
+    # the sampler's `contains` keeps det_core in the point record, from one
+    # call over the whole stack, and assemble_metric, curvature_at and
+    # ricci_tensor read that value
     prof = hg.PowerCap(2)
     original = hg.PowerCap.det_core
     calls = []
@@ -284,8 +285,11 @@ def test_one_det_core_per_point(monkeypatch):
 
     monkeypatch.setattr(hg.PowerCap, "det_core", counted)
     points = hg.sample_interior(prof, 3, 5, seed=7)
-    assert calls == [p.x for p in points]
+    assert len(calls) == 1 and np.array_equal(calls[0], points.x)
     calls.clear()
+    m = hg.assemble_metric(prof, points)
+    hg.curvature_at(prof, points, m)
+    hg.ricci_tensor(prof, points, m)
     for p in points:
         m = hg.assemble_metric(prof, p)
         hg.curvature_at(prof, p, m)

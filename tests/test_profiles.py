@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,19 @@ class TestScan:
         with pytest.raises(ValueError):
             hg.is_strongly_pseudoconvex(hg.Affine(1, 1), [], 1e-9)
 
+    @pytest.mark.parametrize("where", ["everywhere", "upper half"])
+    def test_nan_margin_fails(self, where):
+        # a NaN margin is the worst one and fails the scan; a loop of
+        # `m < worst` comparisons skipped it and passed with min margin inf
+        class NanMargin(hg.PowerCap):
+            def margin(self, x):
+                return np.where(x >= (0.0 if where == "everywhere" else 0.5), math.nan, 1.0)
+
+        grid = interior_grid(hg.PowerCap(2), 100)
+        scan = hg.is_strongly_pseudoconvex(NanMargin(2), grid)
+        assert not scan.ok and math.isnan(scan.min_margin)
+        assert scan.x_at_min == min(x for x in grid if x >= (0.0 if where == "everywhere" else 0.5))
+
     def test_reports_argmin(self):
         # affine margin is increasing, so the minimum sits at x = 0
         scan = hg.is_strongly_pseudoconvex(hg.Affine(1, 1), interior_grid(hg.Affine(1, 1), 100))
@@ -237,3 +251,35 @@ def test_affine_margin_positive_and_fd_consistent(c1, c2, frac):
     h = 1e-5 * (1 + x)
     fd = -central_d1(lambda t: t * prof.eval(t, 1) / prof.eval(t, 0), x, h)
     assert abs(m - fd) <= 1e-6 * (1 + abs(m))
+
+
+CLOSED_FORMS = ("_f", "_d1", "_d2", "_d3", "det_core", "margin", "defect", "slope_d1", "slope_d2")
+
+
+@st.composite
+def cli_profiles(draw):
+    """A profile of a CLI family, at pinned and drawn parameters."""
+    family = draw(st.sampled_from(["powercap", "affine", "expdecay", "rational"]))
+    if family == "powercap":
+        return hg.PowerCap(draw(st.sampled_from([0.5, 1.0, 2.0, 800.0]) | st.floats(0.01, 1000.0)))
+    if family == "affine":
+        return hg.Affine(draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3)))
+    if family == "expdecay":
+        return hg.ExpDecay(draw(st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 50.0)))
+    return hg.Rational()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(profile=cli_profiles(),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_array_closed_forms_match_scalar_ones(profile, fracs):
+    # each closed form on an array of x has x's shape and, at each entry,
+    # the bits of the scalar call at that x, signed zeros included
+    x = np.array([f * interior_x_max(profile) for f in fracs])
+    for name in CLOSED_FORMS:
+        form = getattr(profile, name)
+        with np.errstate(all="ignore"):  # powercap:800's slopes overflow to inf near x0
+            stacked = form(x)
+            single = np.array([form(v) for v in x.tolist()], dtype=float)
+        assert np.shape(stacked) == x.shape, name
+        assert np.asarray(stacked).view(np.int64).tolist() == single.view(np.int64).tolist(), name

@@ -1,12 +1,16 @@
 """Stacked point records: the closed forms take one record or a stack of
 them, and a point's values have the same bits either way."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import hartogs as hg
+from hartogs.boundary import boundary_point
 from hartogs.canonical import HoloVectorField
-from hartogs.metric import BLOCK, blocks, metric_gradients, stack
+from hartogs.errors import DomainError
+from hartogs.metric import BLOCK, DomainPoint, blocks, metric_gradients, point_record
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
 
@@ -32,28 +36,76 @@ def closed_forms(profile, p) -> dict:
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_point_bits_alone_and_in_stacks(profile, n, points_for):
     points = points_for(profile, n, count=12, min_margin=0.01)
-    forward = closed_forms(profile, stack(points))
-    backward = closed_forms(profile, stack(points[::-1]))
+    forward = closed_forms(profile, points)
+    backward = closed_forms(profile, points[::-1])
     for i, p in enumerate(points):
         for name, alone in closed_forms(profile, p).items():
             assert same_bits(alone, forward[name][i]), (name, i)
             assert same_bits(alone, backward[name][-1 - i]), (name, i)
 
 
+FIELDS = [f.name for f in dataclasses.fields(DomainPoint)]
+
+
 def test_stack_and_blocks():
     points = hg.sample_interior(hg.PowerCap(2), 3, BLOCK + 2, seed=4)
     runs = blocks(points)
     assert [len(run) for run in runs] == [BLOCK, 2]
-    assert [p for run in runs for p in run] == points
-    s = stack(runs[1])
+    for name in FIELDS:
+        assert same_bits(np.concatenate([getattr(run, name) for run in runs]),
+                         getattr(points, name))
+    s = runs[1]
     assert (s.n, s.z.shape, s.x.shape, s.det_core.shape) == (3, (2, 3), (2,), (2,))
     assert same_bits(s.z[1], points[-1].z) and s.gap[1] == points[-1].gap
+
+
+@pytest.mark.parametrize(
+    "profile", [*PSEUDOCONVEX_FAMILIES, hg.PowerCap(800)], ids=[*FAMILY_IDS, "powercap:800"]
+)
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_stacked_records_match_single_ones(profile, n):
+    # row i of a stacked record, interior or boundary, has the bits of the
+    # record of z[i] alone; the boundary points of powercap:800 lie where
+    # its F underflows to 0 beyond x of about 0.6
+    z = np.concatenate([hg.sample_interior(profile, n, 20, 3, 0.01).z,
+                        hg.sample_boundary(profile, n, 20, 3).z])
+    assert any(point_record(profile, w).f == 0.0 for w in z) == (profile == hg.PowerCap(800))
+    for on_boundary in (False, True):
+        stacked = point_record(profile, z, on_boundary)
+        for i, w in enumerate(z):
+            alone = point_record(profile, w, on_boundary)
+            for name in FIELDS:
+                assert same_bits(getattr(alone, name), getattr(stacked, name)[i]), (name, i)
+
+
+def test_stacked_errors_name_the_first_point():
+    # a DomainError on a stack has the message of the single call at its
+    # first offending point
+    prof = hg.PowerCap(2)
+    z = np.array([[0.1, 0.2], [1.1, 0.0], [1.3, 0.0]], dtype=complex)
+    with pytest.raises(DomainError) as stacked:
+        point_record(prof, z)
+    with pytest.raises(DomainError) as alone:
+        point_record(prof, z[1])
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == "x=1.2100000000000002 outside [0, 1.0) for powercap:2"
+    on_graph = hg.sample_boundary(prof, 2, 3, seed=1).z
+    off = on_graph.copy()
+    off[1:, 1] *= [1.001, 1.01]
+    with pytest.raises(DomainError) as stacked:
+        boundary_point(prof, off)
+    with pytest.raises(DomainError) as alone:
+        boundary_point(prof, off[1])
+    assert str(stacked.value) == str(alone.value)
+    # membership keeps the points inside, in order
+    inside = hg.contains(prof, np.array([[0.1, 0.2], [0.1, 2.0], [0.3, 0.1j]]))
+    assert same_bits(inside.z, np.array([[0.1, 0.2], [0.3, 0.1j]]))
 
 
 def test_pullback_and_rho_oracle_stack():
     prof = hg.Affine(2, 3)
     points = hg.sample_interior(prof, 3, 6, seed=5)
-    s = stack(points)
+    s = points
     m = hg.assemble_metric(prof, s)
     ric = hg.ricci_tensor(prof, s, m)
     rho = hg.rho_oracle(m, ric)
@@ -73,4 +125,4 @@ def test_kernel_faults_raise():
     with pytest.raises(FloatingPointError):
         hg.assemble_metric(prof, p)
     with pytest.raises(FloatingPointError):
-        hg.assemble_metric(prof, stack([p, p]))
+        hg.assemble_metric(prof, point_record(prof, [p.z, p.z]))
