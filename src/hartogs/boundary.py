@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, float_faults
-from .metric import DomainPoint, fiber_parts, point_record, stacked_points, x_and_gap
+from .metric import DomainPoint, fiber_parts, point_record, stacked_points
 from .profiles import Profile, interior_x_max
 
 #: construction tolerance on the defining function at boundary points
@@ -41,7 +41,7 @@ BOUNDARY_TOL = 1e-12
 
 def defining_residual(profile: Profile, z) -> float:
     """rho(z) = fiber norm squared - F(|z_0|^2) = -gap; zero on the boundary."""
-    return -x_and_gap(profile, z)[1]
+    return -point_record(profile, z).gap
 
 
 def boundary_point(profile: Profile, z) -> DomainPoint:

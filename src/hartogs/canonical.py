@@ -50,6 +50,7 @@ from .metric import (
     metric_gradients,
     metric_matrix,
     raises_fp_faults,
+    relative_norm,
     require_interior,
 )
 from .profiles import Affine, Profile
@@ -207,8 +208,7 @@ def soliton_residual(profile: Profile, p: DomainPoint, lam: float, field: HoloVe
     m = assemble_metric(profile, p)
     ric = ricci_tensor(profile, p, m)
     lie = lie_derivative_components(profile, p, m, field)
-    diff = ric - lam * m.h - lie
-    return frobenius_norm(diff) / (1.0 + frobenius_norm(m.h))
+    return relative_norm(ric - lam * m.h - lie, m.h)
 
 
 def extremal_residual(profile: Profile, p: DomainPoint) -> float:
@@ -242,7 +242,7 @@ def pullback_check(c1: float, c2: float, p: DomainPoint):
     h_target = metric_matrix(images)
     pulled = (jac[:, None] * h_target) * jac[None, :]
     h_src = metric_matrix(p)
-    return frobenius_norm(pulled - h_src) / (1.0 + frobenius_norm(h_src))
+    return relative_norm(pulled - h_src, h_src)
 
 
 @dataclass(frozen=True)

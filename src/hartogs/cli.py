@@ -25,7 +25,7 @@ from .curvature import CurvatureData
 from .errors import HartogsError
 from .metric import (
     DomainPoint, MetricData, assemble_metric, blocks, frobenius_norm, metric_fd_oracle,
-    sample_interior,
+    relative_norm, sample_interior,
 )
 from .profiles import Affine, Profile, interior_grid, is_strongly_pseudoconvex, parse_profile
 
@@ -230,26 +230,19 @@ class Check:
                            f"worst {self.label} {worst:.3e} (tol {self.tol:g})")
 
 
-def _rel(x: np.ndarray, ref: np.ndarray) -> float:
-    """||x - ref||_F / (1 + ||x||_F)."""
-    return float(np.linalg.norm(x - ref) / (1.0 + np.linalg.norm(x)))
-
-
 def _rel_max(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """max |x - ref| / (1 + max |x|) over the trailing axes, per point."""
     axes = tuple(range(1, x.ndim))
     return np.max(np.abs(x - ref), axis=axes) / (1.0 + np.max(np.abs(x), axis=axes))
 
 
-def _scal_forms(profile, p, m, data) -> list[float]:
+def _scal_forms(profile, p, m, data) -> np.ndarray:
     """The direct scal against the trace and slope forms, algebraically
     identical to it: a deviation means a broken assembly."""
-    values = []
-    for q, h_inv, ric, scal, slope in zip(p, m.h_inv, data.ric, data.scal, data.slope):
-        trace_form = float(np.trace(h_inv @ ric).real)
-        slope_form = -q.n * (q.n + 1) + slope * q.gap
-        values.append(max(abs(scal - trace_form), abs(scal - slope_form)) / (1.0 + abs(scal)))
-    return values
+    trace_form = np.trace(m.h_inv @ data.ric, axis1=-2, axis2=-1).real
+    slope_form = -p.n * (p.n + 1) + data.slope * p.gap
+    deviation = np.maximum(np.abs(data.scal - trace_form), np.abs(data.scal - slope_form))
+    return deviation / (1.0 + np.abs(data.scal))
 
 
 # The measures look their oracles up by module attribute at call time, so
@@ -257,15 +250,16 @@ def _scal_forms(profile, p, m, data) -> list[float]:
 # jet and finite-difference oracles take one point at a time.
 ORACLE_CHECKS = (
     Check("metric_vs_fd_hessian", "rel", 1e-11,
-          lambda prof, p, m, d: [_rel(h, metric_fd_oracle(prof, q)) for q, h in zip(p, m.h)]),
+          lambda prof, p, m, d: relative_norm(
+              m.h - np.array([metric_fd_oracle(prof, q) for q in p]), m.h)),
     Check("determinant_closed_vs_dense", "rel", 1e-10,
           lambda prof, p, m, d: np.abs(m.det - np.linalg.det(m.h).real)
           / (1.0 + np.abs(m.det))),
     Check("inverse_identity", "||h hinv - I||", 1e-10,
           lambda prof, p, m, d: frobenius_norm(m.h @ m.h_inv - np.eye(p.n))),
     Check("ricci_vs_fd", "rel", 1e-11,
-          lambda prof, p, m, d: [_rel(ric, curvature.ricci_fd_oracle(prof, q))
-                                  for q, ric in zip(p, d.ric)]),
+          lambda prof, p, m, d: relative_norm(
+              d.ric - np.array([curvature.ricci_fd_oracle(prof, q) for q in p]), d.ric)),
     Check("ricci_tail_rows", "fiber-row |Ric + (n+1)h|", 1e-9,
           lambda prof, p, m, d: np.max(np.abs(d.ric[:, 1:] + (p.n + 1) * m.h[:, 1:]),
                                        axis=(1, 2))),

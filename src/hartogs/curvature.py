@@ -36,25 +36,26 @@ import numpy as np
 from .errors import NumericError
 from .jet import JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, _complex, _product, fd_stencil_for, frobenius_norm,
-    inverse_metric_matrix, jet_x_and_gap, metric_gradients, nonsingular_core, raises_fp_faults,
-    require_interior,
+    DomainPoint, MetricData, _complex, _product, inverse_metric_matrix, jet_x_and_gap,
+    metric_gradients, nonsingular_core, raises_fp_faults, relative_norm, require_interior,
 )
 from .profiles import Profile
 from .wirtinger import ComplexStencil
+
+#: the extremal oracle's stencil step far from the boundary
+FD_BASE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
 class CurvatureData:
     """Curvature bundle at one point, or at every point of a stack along a
-    leading axis: Ricci matrix, scalar curvature, the radial defect and
-    slope functionals, the generalized scalar curvatures rho_0..rho_{n-1},
+    leading axis: Ricci matrix, scalar curvature, the radial slope
+    functional, the generalized scalar curvatures rho_0..rho_{n-1},
     the Einstein residual, and t_zbar with the extremal residual
     max |t_zbar| (see `curvature_at`)."""
 
     ric: np.ndarray
     scal: float
-    defect: float
     slope: float
     rho: np.ndarray
     einstein: float
@@ -73,12 +74,6 @@ def curvature_defect(profile: Profile, p: DomainPoint):
     return profile.defect(p.x)
 
 
-def _slope(defect: float, f: float, core: float) -> float:
-    """slope = -defect F / det_core, the rate at which scal departs from
-    the Einstein constant per unit of gap: scal = -n(n+1) + slope * gap."""
-    return -defect * f / core
-
-
 @raises_fp_faults
 def scal_gradient_bar(p: DomainPoint, slope, slope_d1) -> np.ndarray:
     """Anti-holomorphic gradient of the scalar curvature at p, in closed
@@ -93,9 +88,14 @@ def scal_gradient_bar(p: DomainPoint, slope, slope_d1) -> np.ndarray:
     return grad
 
 
-def _gradient_field(h_inv: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """T = K^T g, K = h^-1: the (1,0)-gradient field of scal from g = dbar scal."""
-    return (np.swapaxes(h_inv, -1, -2) @ grad[..., None])[..., 0]
+def _gradient_field(profile: Profile, p: DomainPoint, h_inv: np.ndarray, defect):
+    """(slope, slope', T) at p from its defect and K = h_inv: slope =
+    -defect F / det_core, by which scal = -n(n+1) + slope * gap, its radial
+    derivative slope', and T = K^T dbar scal, the (1,0)-gradient field."""
+    slope = -defect * p.f / p.det_core
+    slope_d1 = profile.slope_d1(p.x)
+    grad = scal_gradient_bar(p, slope, slope_d1)
+    return slope, slope_d1, (np.swapaxes(h_inv, -1, -2) @ grad[..., None])[..., 0]
 
 
 def _ricci(p: DomainPoint, m: MetricData, defect) -> np.ndarray:
@@ -142,6 +142,19 @@ def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     return -w.hessian_z_zbar(log(core) - (p.n + 1) * log(gap))
 
 
+def fd_stencil_for(p: DomainPoint) -> ComplexStencil:
+    """Stencil for the first-difference extremal oracle at p, with the step
+    shrunk to the local scale.
+
+    Quantities built on -log(gap) steepen like 1/gap towards the boundary
+    and like F' in the radial direction, so the step is proportional to
+    the margin per unit of radial gradient.  It never exceeds
+    FD_BASE_STEP, and the 10-step interiority contract holds automatically.
+    """
+    scale = min(1.0, p.margin / (1.0 + abs(p.d1) * math.sqrt(p.x)))
+    return ComplexStencil(step=FD_BASE_STEP * scale)
+
+
 def extremal_fd_oracle(
     profile: Profile, p: DomainPoint, stencil: ComplexStencil | None = None
 ) -> np.ndarray:
@@ -155,10 +168,7 @@ def extremal_fd_oracle(
 
     def t_of(ws):
         q = require_interior(profile, ws)
-        slope = _slope(profile.defect(q.x), q.f, q.det_core)
-        h_inv = inverse_metric_matrix(q)
-        slope_d1 = profile.slope_d1(q.x)
-        return _gradient_field(h_inv, scal_gradient_bar(q, slope, slope_d1))
+        return _gradient_field(profile, q, inverse_metric_matrix(q), profile.defect(q.x))[2]
 
     return stencil.d_zbar_all(t_of, p.z).T
 
@@ -178,14 +188,12 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     S0i = Si0 = -slope' z_0 z_i."""
     n = p.n
     defect = curvature_defect(profile, p)
-    slope = _slope(defect, p.f, p.det_core)
+    slope, slope_d1, t = _gradient_field(profile, p, m.h_inv, defect)
     ric = _ricci(p, m, defect)
     shared = p.gap * p.f * defect / p.det_core
     coefficients = [(n + 1) ** k * (-1.0) ** (k + 1) * math.comb(n - 1, k) for k in range(n)]
     constants = [n * (n + 1) / (k + 1) for k in range(n)]
     rho = np.array(coefficients) * (np.array(constants) + np.asarray(shared)[..., None])
-    slope_d1 = profile.slope_d1(p.x)
-    t = _gradient_field(m.h_inv, scal_gradient_bar(p, slope, slope_d1))
     re0, im0 = p.z[..., 0].real, p.z[..., 0].imag
     head = profile.slope_d2(p.x) * p.gap + 2.0 * slope_d1 * p.d1 + slope * p.d2
     sq_re, sq_im = _product(re0, im0, re0, im0)
@@ -198,10 +206,9 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     return CurvatureData(
         ric=ric,
         scal=-(p.gap / p.det_core) * p.f * defect - n * (n + 1),
-        defect=defect,
         slope=slope,
         rho=rho,
-        einstein=frobenius_norm(ric + (n + 1) * m.h) / (1.0 + frobenius_norm(m.h)),
+        einstein=relative_norm(ric + (n + 1) * m.h, m.h),
         t_zbar=t_zbar,
         extremal=np.max(np.abs(t_zbar), axis=(-2, -1)),
     )

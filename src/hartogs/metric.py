@@ -52,9 +52,6 @@ from .profiles import Profile, interior_x_max
 #: det_core below this is treated as a metric singularity
 SINGULAR_TOL = 1e-14
 
-#: the extremal oracle's stencil step far from the boundary
-FD_BASE_STEP = 1e-4
-
 _MAX_SAMPLE_ATTEMPTS = 100_000
 
 #: the most points in one stacked record on the CLI paths, at n <= 8
@@ -129,6 +126,12 @@ def frobenius_norm(a: np.ndarray):
     return np.sqrt(square[..., 0, 0])
 
 
+def relative_norm(a: np.ndarray, h: np.ndarray):
+    """||a||_F / (1 + ||h||_F) over the last two axes: the size of a
+    residual or difference a relative to the matrix h it is measured on."""
+    return frobenius_norm(a) / (1.0 + frobenius_norm(h))
+
+
 def _x_and_fiber(z):
     """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2 of z, or
     of each point of a stack, summed in coordinate order."""
@@ -141,20 +144,9 @@ def _x_and_fiber(z):
     return x, fiber
 
 
-def x_and_gap(profile: Profile, z):
-    """(x, gap) at z: x = |z_0|^2 and gap = F(x) - |z_1|^2 - ... - |z_{n-1}|^2.
-
-    Raises DomainError when x lies outside [0, x0), where F is undefined;
-    a gap <= 0 (z outside the domain) is returned as it is, for the caller
-    to treat.
-    """
-    x, fiber = _x_and_fiber(z)
-    return x, profile.eval(x) - fiber
-
-
 def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
-    """(x, gap) as jets over the real coordinates of w, from F alone (see
-    `x_and_gap`)."""
+    """(x, gap) as jets over the real coordinates of w, from F alone: the
+    oracles' path to the radial data, independent of `point_record`."""
     x = w.norm_sq(0, 1)
     return x, profile.eval(x) - w.norm_sq(1, w.n)
 
@@ -226,7 +218,8 @@ def kahler_potential(profile: Profile, z) -> float | Jet:
     to rounding (`metric_fd_oracle` reads the metric off it).
     """
     try:
-        gap = (jet_x_and_gap if isinstance(z, JetPoint) else x_and_gap)(profile, z)[1]
+        jet = isinstance(z, JetPoint)
+        gap = jet_x_and_gap(profile, z)[1] if jet else point_record(profile, z).gap
     except DomainError:
         return math.nan
     if gap <= 0.0:
@@ -471,21 +464,6 @@ def sample_interior(
     if len(runs) == 1:
         return runs[0]
     return DomainPoint(*(np.concatenate([getattr(r, name) for r in runs]) for name in _FIELDS))
-
-
-def fd_stencil_for(p: DomainPoint):
-    """Stencil for the first-difference extremal oracle at p, with the step
-    shrunk to the local scale.
-
-    Quantities built on -log(gap) steepen like 1/gap towards the boundary
-    and like F' in the radial direction, so the step is proportional to
-    the margin per unit of radial gradient.  It never exceeds
-    FD_BASE_STEP, and the 10-step interiority contract holds automatically.
-    """
-    from .wirtinger import ComplexStencil
-
-    scale = min(1.0, p.margin / (1.0 + abs(p.d1) * math.sqrt(p.x)))
-    return ComplexStencil(step=FD_BASE_STEP * scale)
 
 
 def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:

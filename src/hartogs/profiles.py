@@ -75,7 +75,10 @@ class Profile:
                 raise ValueError(f"{self.family} profile needs finite {field.name} > 0, got {value!r}")
 
     def label(self) -> str:
-        params = ",".join(f"{getattr(self, field.name):g}" for field in fields(self))
+        # `:g` where it reads back as the same float, else every digit, so
+        # that parse_profile(label) gives this profile again
+        values = [getattr(self, field.name) for field in fields(self)]
+        params = ",".join(f"{v:g}" if float(f"{v:g}") == v else repr(float(v)) for v in values)
         return f"{self.family}:{params}" if params else self.family
 
     def eval(self, x, order: int = 0):

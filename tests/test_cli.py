@@ -537,6 +537,16 @@ class TestVerifyTheorems:
             obstruction = r.name.endswith("_classification") and not affine
             assert ("PASS-nonzero" if obstruction else "(tol ") in r.detail, r.detail
 
+    @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
+    def test_top_of_range(self, capsys, profile):
+        # every oracle and classification gate holds at n = 8, down to the
+        # smallest advertised interior margin
+        for margin in ("0.05", "0.001"):
+            code, out, _ = run(capsys, "verify-theorems", "--profile", profile, "--n", "8",
+                               "--samples", "20", "--seed", "4", "--min-margin", margin)
+            assert code == 0, out
+            assert "checks passed" in out
+
     @pytest.mark.parametrize("n, margin", [("7", "0.002"), ("8", "0.01")])
     def test_einstein_obstruction_near_boundary(self, capsys, n, margin):
         # |defect| / (1 + ||h||) fell below 1e-3 here, where ||h|| is large

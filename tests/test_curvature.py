@@ -267,7 +267,7 @@ def test_curvature_at_bundle():
     m = hg.assemble_metric(prof, p)
     data = hg.curvature_at(prof, p, m)
     assert data.scal == pytest.approx(data.rho[0], rel=1e-12)
-    assert data.slope == pytest.approx(-data.defect * prof.eval(p.x) / p.det_core, rel=1e-12)
+    assert data.slope == pytest.approx(-prof.defect(p.x) * prof.eval(p.x) / p.det_core, rel=1e-12)
     assert data.ric.shape == (2, 2)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 import hartogs as hg
 from hartogs.boundary import boundary_point, sample_boundary
+from hartogs.curvature import fd_stencil_for
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
-    fd_stencil_for,
     metric_fd_oracle,
     metric_gradients,
     metric_matrix,

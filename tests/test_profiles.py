@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hartogs as hg
@@ -283,3 +283,15 @@ def test_array_closed_forms_match_scalar_ones(profile, fracs):
             single = np.array([form(v) for v in x.tolist()], dtype=float)
         assert np.shape(stacked) == x.shape, name
         assert np.asarray(stacked).view(np.int64).tolist() == single.view(np.int64).tolist(), name
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(profile=cli_profiles())
+@example(profile=hg.PowerCap(1.0000001))
+@example(profile=hg.PowerCap(1.0000000000000002))
+@example(profile=hg.Affine(123456789, 2))
+@example(profile=hg.ExpDecay(0.3333333333333333))
+def test_label_names_the_profile(profile):
+    # the label that starts every output line and fills the CSV profile
+    # column reads back as the same profile, every parameter to the bit
+    assert parse_profile(profile.label()) == profile

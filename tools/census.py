@@ -9,9 +9,12 @@ same stdout and stderr, and the same CSV bytes on every run of the grid:
 
 The grid is six profiles x n = 2, 3, 5, 8 x seeds 0 and 1, and for each
 `curvature-scan --out`, `extremal-residual` with and without `--out`,
-`levi-scan --out`, `verify-theorems` and `soliton-check --sweep`, all at
-SAMPLES samples.  The runs call `hartogs.cli.main` in this process, one
-after another; the grid takes about 20 s on one core.
+`levi-scan --out`, `verify-theorems`, `soliton-check --sweep` and
+`soliton-check --field` with the diagonal rotation field, all at SAMPLES
+samples; and `check-pseudoconvex` once per profile, which takes no
+dimension, seed or sample count.  The runs call `hartogs.cli.main` in
+this process, one after another; the grid takes about 11 s on one core
+of a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ DIMENSIONS = (2, 3, 5, 8)
 SEEDS = (0, 1)
 SAMPLES = 300
 
-#: subcommand and extra arguments; "{out}" is replaced by a CSV path
+#: subcommand and extra arguments; "{out}" is replaced by a CSV path and
+#: "{field}" by the rotation field at the run's n
 COMMANDS = (
     ("curvature-scan", "--out", "{out}"),
     ("extremal-residual",),
@@ -38,7 +42,15 @@ COMMANDS = (
     ("levi-scan", "--out", "{out}"),
     ("verify-theorems",),
     ("soliton-check", "--sweep"),
+    ("soliton-check", "--field", "{field}"),
 )
+
+
+def rotation_field(n: int) -> str:
+    """The diagonal rotation field i z_k d/dz_k in `--field` syntax:
+    `0,1:1,0,0|0,1:0,1,0|0,1:0,0,1` at n = 3."""
+    return "|".join("0,1:" + ",".join("1" if j == k else "0" for j in range(n))
+                    for k in range(n))
 
 
 def digest(argv: list[str], out_path: str) -> str:
@@ -61,9 +73,11 @@ def digest(argv: list[str], out_path: str) -> str:
 
 def runs():
     for profile in PROFILES:
+        yield ["check-pseudoconvex", "--profile", profile]
         for n in DIMENSIONS:
             for seed in SEEDS:
                 for command, *extra in COMMANDS:
+                    extra = [rotation_field(n) if a == "{field}" else a for a in extra]
                     yield [command, "--profile", profile, "--n", str(n), "--seed", str(seed),
                            "--samples", str(SAMPLES), *extra]
 
