@@ -4,13 +4,19 @@ Exit-code contract: 0 when every requested check passes, 1 when a check
 fails (or a numerical routine gives up, overflows or divides by zero), 2
 on usage or parse errors.  CSV output is UTF-8, comma-separated, LF line
 endings, one header row, and all floats printed with 17 significant
-digits so files are byte-reproducible and round-trip exactly.
+digits (`%.17g`, CELL_FORMAT) so files are byte-reproducible and
+round-trip exactly.  `_write_table` formats each row with one `%` on a
+row template built from CELL_FORMAT, giving the same bytes as `fmt` per
+cell.  The argument parser is built once per process (`build_parser`)
+and shared by every `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -36,52 +42,59 @@ FAIL_FLOOR = 1e-3
 OBSTRUCTION_SHARE = 0.9
 
 
+#: the rendering of every float the CLI writes to a CSV: 17 significant
+#: digits, which round-trip float64 exactly
+CELL_FORMAT = "%.17g"
+
+
 def fmt(value: float) -> str:
-    """17-significant-digit rendering; round-trips float64 exactly."""
-    return f"{value:.17g}"
+    """One cell rendered with CELL_FORMAT."""
+    return CELL_FORMAT % value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, wording: str):
+    """An argparse `type`: `convert` the text and require `ok` of the value.
+    Text that does not convert fails with the same wording as a value out
+    of range, so no usage error names this module's functions."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{wording}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v > 0, "must be a positive integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
+                           "must be a finite positive number")
+_finite_float = _checked(float, math.isfinite, "must be a finite number")
+_dimension = _checked(int, lambda v: v >= 2, "dimension must be >= 2")
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _dimension(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {text!r}")
-    return value
+def _row_template(label: str, n: int, width: int) -> str:
+    """The `%` template of one CSV row: the `label,n` pair as `csv.writer`
+    quotes it, `%` escaped, then `width` cells of CELL_FORMAT."""
+    prefix = io.StringIO()
+    csv.writer(prefix, lineterminator="").writerow([label, str(n)])
+    return prefix.getvalue().replace("%", "%%") + ("," + CELL_FORMAT) * width + "\n"
 
 
 def _write_table(path: str, label: str, z: np.ndarray, columns: list[str], values: np.ndarray):
     """Write the CSV of N points: the header `profile, n, re_z0, im_z0,
     ..., columns`, then for point i the label, n, the parts of z[i] and
-    values[i, :].  Cells are formatted here, and only here, with `fmt`."""
+    values[i, :].  Cells are formatted here, and only here, one `%` per row
+    on `_row_template`; the bytes are those of `fmt` on each cell."""
     n = z.shape[-1]
     header = ["profile", "n", *(f"{part}_z{k}" for k in range(n) for part in ("re", "im")),
               *columns]
-    coords = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 2 * n)
+    cells = np.column_stack([np.stack([z.real, z.imag], axis=-1).reshape(len(z), 2 * n), values])
+    row = _row_template(label, n, cells.shape[1])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([label, str(n), *map(fmt, zs), *map(fmt, vs)]
-                         for zs, vs in zip(coords.tolist(), values.tolist()))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines([row % tuple(r) for r in cells.tolist()])
 
 
 def _curvature_blocks(profile: Profile, points: DomainPoint):
@@ -317,7 +330,12 @@ def cmd_verify_theorems(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hartogs` parser, built on the first call and shared by every
+    later call and every `main` in the process: do not mutate it.  Parsing
+    leaves it unchanged, and each subcommand's `func` looks the library
+    up by module attribute at call time."""
     parser = argparse.ArgumentParser(
         prog="hartogs",
         description="Numerical verification of the Kahler geometry of profile domains.",

@@ -345,14 +345,15 @@ def interior_x_max(profile: Profile) -> float:
     return profile.x0 * (1.0 - BOUNDARY_CLEARANCE)
 
 
-def interior_grid(profile: Profile, count: int) -> list[float]:
-    """Uniform grid on [0, interior_x_max], endpoints included."""
+def interior_grid(profile: Profile, count: int) -> np.ndarray:
+    """Uniform grid on [0, interior_x_max], endpoints included, as one
+    float64 array; point i is `interior_x_max * i / (count - 1)` rounded
+    as in scalar arithmetic."""
     if count < 1:
         raise ValueError("grid needs at least one point")
     if count == 1:
-        return [0.0]
-    top = interior_x_max(profile)
-    return [top * i / (count - 1) for i in range(count)]
+        return np.zeros(1)
+    return interior_x_max(profile) * np.arange(count) / (count - 1)
 
 
 _CLI_FAMILIES = {cls.family: cls for cls in (Affine, PowerCap, ExpDecay, Rational)}

@@ -54,6 +54,33 @@ def count_calls(monkeypatch, original):
     return calls
 
 
+def count_rows(monkeypatch):
+    """The cells of each CSV row formatted through `cli._row_template`."""
+    rows = []
+
+    class Template(str):
+        def __mod__(self, cells):
+            rows.append(cells)
+            return str.__mod__(self, cells)
+
+    original = hartogs.cli._row_template
+    monkeypatch.setattr(hartogs.cli, "_row_template", lambda *args: Template(original(*args)))
+    return rows
+
+
+def reference_table(path, label, z, columns, values):
+    """The CSV of `cli._write_table` as `csv.writer` writes it with
+    f"{v:.17g}" per cell."""
+    n = z.shape[-1]
+    coords = [f"{part}_z{k}" for k in range(n) for part in ("re", "im")]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["profile", "n", *coords, *columns])
+        for zs, vs in zip(z.tolist(), values.tolist()):
+            cells = [part for c in zs for part in (c.real, c.imag)] + vs
+            writer.writerow([label, str(n), *(f"{v:.17g}" for v in cells)])
+
+
 @pytest.fixture
 def assemble_calls(monkeypatch):
     return count_calls(monkeypatch, hartogs.metric.assemble_metric)
@@ -335,6 +362,18 @@ class TestLeviScan:
         assert code == 1
         assert "eigenvalue nan -> FAIL" in out
 
+    def test_nan_eigenvalue_written(self, capsys, monkeypatch, tmp_path):
+        # the set-up of test_nan_eigenvalue_fails, with --out
+        monkeypatch.setattr(PowerCap, "det_core", lambda self, x: np.where(x > 0.5, math.nan, 1.0))
+        path = tmp_path / "l.csv"
+        code, _, _ = run(capsys, "levi-scan", "--profile", "powercap:2", "--n", "3",
+                         "--samples", "20", "--seed", "1", "--out", str(path))
+        assert code == 1
+        with path.open(newline="") as fh:
+            column = [row["min_eig"] for row in csv.DictReader(fh)]
+        assert len(column) == 20
+        assert "nan" in column
+
 
 class TestExtremalResidual:
     def test_reports(self, capsys):
@@ -353,13 +392,13 @@ class TestExtremalResidual:
 
     @pytest.mark.parametrize("out", [False, True])
     def test_cells_formatted_only_for_csv(self, capsys, monkeypatch, tmp_path, out):
-        # without --out no row is formatted; with it, each of the 7 rows
-        # formats its 2n coordinates, gap, x and the residual
-        calls = count_calls(monkeypatch, hartogs.cli.fmt)
+        # without --out no row is formatted; with it, each of the 7 rows is
+        # formatted once, its 2n coordinates, gap, x and the residual
+        rows = count_rows(monkeypatch)
         argv = ["extremal-residual", "--profile", "powercap:2", "--n", "3", "--samples", "7"]
         code, _, _ = run(capsys, *argv, *(["--out", str(tmp_path / "e.csv")] if out else []))
         assert code == 0
-        assert len(calls) == (7 * 9 if out else 0)
+        assert [len(cells) for cells in rows] == ([9] * 7 if out else [])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_residual_fails(self, capsys, monkeypatch, tmp_path, value):
@@ -685,6 +724,81 @@ def test_csv_header_pinned(capsys, tmp_path, command, header):
                      "--out", str(out))
     assert code == 0
     assert out.read_bytes().split(b"\n")[0] == header.encode()
+
+
+@pytest.mark.parametrize("label", ["affine:1,1", "rational", "powercap:1.0000000000000002",
+                                   "100%,\"x\""])
+def test_write_table_matches_reference_writer(tmp_path, label):
+    # the row template gives the bytes of csv.writer with one f-string per
+    # cell: the label quoted once, `%` kept, and the extreme doubles
+    special = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                        1e16])
+    cells = np.array([np.roll(special, k) for k in range(len(special))])
+    z = np.zeros((len(cells), 2), dtype=complex)
+    z.real, z.imag = cells[:, 0:2], cells[:, 2:4]
+    paths = [tmp_path / "new.csv", tmp_path / "ref.csv"]
+    for write, path in zip((hartogs.cli._write_table, reference_table), paths):
+        write(str(path), label, z, ["a", "b", "c"], cells[:, 4:])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_bytes().count(b"\n") == 1 + len(cells)
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("levi-scan", "--samples", "abc"), ("levi-scan", "--samples", "1e3"),
+     ("check-pseudoconvex", "--grid-size", "abc"), ("extremal-residual", "--min-margin", "abc"),
+     ("levi-scan", "--tol", "abc"), ("soliton-check", "--lam", "abc"),
+     ("verify-theorems", "--n", "abc"), ("verify-theorems", "--n", "2.5")],
+)
+def test_unparsable_value_usage_error(capsys, command, option, value):
+    # unparsable text printed `invalid _positive_int value: '1e3'`, naming
+    # a private function; it now reads as a value out of range does
+    code, _, err = run(capsys, command, "--profile", "powercap:2", option, value)
+    assert code == 2
+    assert "must be" in err
+    assert f"got {value!r}" in err
+    assert not re.search(r"_positive|_finite|_dimension", err)
+
+
+class TestParser:
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        hartogs.cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["check-pseudoconvex", "--profile", "rational"],
+                     ["levi-scan", "--profile", "affine:1,1", "--samples", "3"],
+                     ["no-such-command"],
+                     ["extremal-residual", "--profile", "powercap:2", "--samples", "3"]):
+            run(capsys, *argv)
+        assert built.count("hartogs") == 1
+        assert hartogs.cli.build_parser() is hartogs.cli.build_parser()
+        assert built.count("hartogs") == 1
+
+    def test_no_state_between_calls(self, capsys):
+        _, out, _ = run(capsys, "soliton-check", "--profile", "affine:1,1", "--samples", "4",
+                        "--sweep", "--lam", "-2")
+        assert "lam=-2," in out
+        assert "sweep" in out
+        assert run(capsys, "soliton-check", "--profile", "affine:1,1", "--lam", "abc")[0] == 2
+        code, out, _ = run(capsys, "soliton-check", "--profile", "affine:1,1")
+        assert code == 0
+        assert "lam=-3," in out
+        assert "sweep" not in out
+
+    def test_help_matches_fresh_parser(self, capsys):
+        run(capsys, "levi-scan", "--profile", "affine:1,1", "--samples", "3")
+        code, shared, _ = run(capsys, "levi-scan", "--help")
+        assert code == 0
+        with pytest.raises(SystemExit):
+            hartogs.cli.build_parser.__wrapped__().parse_args(["levi-scan", "--help"])
+        assert capsys.readouterr().out == shared
+        assert "--samples" in shared
 
 
 def test_unknown_subcommand(capsys):

@@ -229,6 +229,18 @@ def test_x0_values():
     assert math.isinf(hg.Rational().x0)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 200, 2000, 4097])
+@pytest.mark.parametrize("profile", [hg.Affine(2, 3), hg.PowerCap(2), hg.Rational()],
+                         ids=lambda prof: prof.label())
+def test_interior_grid_is_the_scalar_grid(profile, count):
+    # one array expression, the bits of top * i / (count - 1) per point
+    top = interior_x_max(profile)
+    want = [top * i / (count - 1) for i in range(count)] if count > 1 else [0.0]
+    grid = interior_grid(profile, count)
+    assert grid.dtype == np.float64
+    assert grid.tolist() == want
+
+
 def test_interior_grid_respects_clearance():
     grid = interior_grid(hg.Affine(2, 3), 100)
     assert grid[0] == 0.0
