@@ -24,14 +24,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import canonical, curvature
+from . import canonical, curvature, metric
 from .boundary import restricted_levi_min_eigenvalue, sample_boundary
 from .canonical import HoloVectorField
 from .curvature import CurvatureData
 from .errors import HartogsError
 from .metric import (
-    DomainPoint, MetricData, assemble_metric, blocks, frobenius_norm, metric_fd_oracle,
-    relative_norm, sample_interior,
+    DomainPoint, MetricData, assemble_metric, blocks, frobenius_norm, relative_norm,
+    sample_interior,
 )
 from .profiles import Affine, Profile, interior_grid, is_strongly_pseudoconvex, parse_profile
 
@@ -259,12 +259,12 @@ def _scal_forms(profile, p, m, data) -> np.ndarray:
 
 
 # The measures look their oracles up by module attribute at call time, so
-# that a function wrapped or replaced on its module is the one called.  The
-# jet and finite-difference oracles take one point at a time.
+# that a function wrapped or replaced on its module is the one called.  Each
+# oracle takes the whole stacked record of a block in one call.
 ORACLE_CHECKS = (
     Check("metric_vs_fd_hessian", "rel", 1e-11,
           lambda prof, p, m, d: relative_norm(
-              m.h - np.array([metric_fd_oracle(prof, q) for q in p]), m.h)),
+              m.h - metric.metric_fd_oracle(prof, p), m.h)),
     Check("determinant_closed_vs_dense", "rel", 1e-10,
           lambda prof, p, m, d: np.abs(m.det - np.linalg.det(m.h).real)
           / (1.0 + np.abs(m.det))),
@@ -272,7 +272,7 @@ ORACLE_CHECKS = (
           lambda prof, p, m, d: frobenius_norm(m.h @ m.h_inv - np.eye(p.n))),
     Check("ricci_vs_fd", "rel", 1e-11,
           lambda prof, p, m, d: relative_norm(
-              d.ric - np.array([curvature.ricci_fd_oracle(prof, q) for q in p]), d.ric)),
+              d.ric - curvature.ricci_fd_oracle(prof, p), d.ric)),
     Check("ricci_tail_rows", "fiber-row |Ric + (n+1)h|", 1e-9,
           lambda prof, p, m, d: np.max(np.abs(d.ric[:, 1:] + (p.n + 1) * m.h[:, 1:]),
                                        axis=(1, 2))),
@@ -280,8 +280,7 @@ ORACLE_CHECKS = (
           lambda prof, p, m, d: _rel_max(d.rho, curvature.rho_oracle(m, d.ric))),
     Check("scal_forms", "rel", 1e-9, _scal_forms),
     Check("extremal_vs_fd", "rel", 1e-7,
-          lambda prof, p, m, d: _rel_max(
-              d.t_zbar, np.array([curvature.extremal_fd_oracle(prof, q) for q in p]))),
+          lambda prof, p, m, d: _rel_max(d.t_zbar, curvature.extremal_fd_oracle(prof, p))),
 )
 
 #: the classification checks as their bounds on affine profiles; on every

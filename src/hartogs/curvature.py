@@ -21,9 +21,11 @@ one call over a stack.  The closed forms built on them (`scal_gradient_bar`,
 `curvature_at`) take a single or a stacked record, like those of `metric`,
 and run with its floating-point faults raised.  The oracles differentiate
 on purpose to stay independent of them: the Ricci oracle with an exact
-second-order jet of log det h, once per point, and the extremal oracle
-with a finite difference of T, the only one left in this module, which
-evaluates T at all of its stencil points as one stacked record.
+second-order jet of log det h, and the extremal oracle with a finite
+difference of T, the only one left in this module.  Both take a single
+or a stacked record: the Ricci oracle as one stacked jet, the extremal
+oracle by evaluating T at all the stencil points of all the points as
+one stacked record.
 """
 
 from __future__ import annotations
@@ -128,49 +130,79 @@ def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
 def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent Ricci oracle: Ric = -(d^2 / dz dzbar) log det h, from
     one second-order jet of log det h = log det_core - (n+1) log gap over
-    the real coordinates of p.  det h comes from the determinant identity,
-    not from the assembled matrix, and only F and det_core are read, so the
-    oracle is independent of the defect; its entries are exact to rounding.
-    The `fd` in the name is historical; the benchmark's tracer looks the
-    oracle up by it.  Raises NumericError where det_core or gap is not
-    positive."""
+    the real coordinates of p, or one stacked jet over every point of a
+    stacked record.  det h comes from the determinant identity, not from
+    the assembled matrix, and only F and det_core are read, so the oracle
+    is independent of the defect; its entries are exact to rounding.  The
+    `fd` in the name is historical; the benchmark's tracer looks the oracle
+    up by it.  Raises NumericError, naming the first such point, where
+    det_core or gap is not positive."""
     w = JetPoint(p.z)
     x, gap = jet_x_and_gap(profile, w)
     core = profile.det_core(x)
-    if core <= 0.0 or gap <= 0.0:
-        raise NumericError(f"log det h undefined at x={p.x!r} (det_core or gap <= 0)")
+    undefined = np.logical_or(core <= 0.0, gap <= 0.0)
+    if np.any(undefined):
+        i = int(np.argmax(undefined))
+        raise NumericError(
+            f"log det h undefined at {p.z.reshape(-1, p.n)[i]!r}, "
+            f"x={float(np.ravel(p.x)[i])!r} (det_core or gap <= 0)"
+        )
     return -w.hessian_z_zbar(log(core) - (p.n + 1) * log(gap))
 
 
-def fd_stencil_for(p: DomainPoint) -> ComplexStencil:
-    """Stencil for the first-difference extremal oracle at p, with the step
-    shrunk to the local scale.
+def fd_step(p: DomainPoint):
+    """The extremal oracle's stencil step at p, or at each point of a
+    stack, shrunk to the local scale.
 
     Quantities built on -log(gap) steepen like 1/gap towards the boundary
     and like F' in the radial direction, so the step is proportional to
     the margin per unit of radial gradient.  It never exceeds
     FD_BASE_STEP, and the 10-step interiority contract holds automatically.
     """
-    scale = min(1.0, p.margin / (1.0 + abs(p.d1) * math.sqrt(p.x)))
-    return ComplexStencil(step=FD_BASE_STEP * scale)
+    scale = p.margin / (1.0 + np.abs(p.d1) * np.sqrt(p.x))
+    # min(1.0, scale) as Python's min picks it, also at a NaN
+    return FD_BASE_STEP * np.where(scale < 1.0, scale, 1.0)
 
 
 def extremal_fd_oracle(
     profile: Profile, p: DomainPoint, stencil: ComplexStencil | None = None
 ) -> np.ndarray:
-    """Independent oracle for `CurvatureData.t_zbar` at a single point:
-    Wirtinger differences of T(w) = h^-1(w)^T dbar scal(w), column c along
-    zbar_c, with T evaluated at all 4n stencil points as one stacked
-    record.  Uses a margin-scaled stencil unless given one, which keeps
-    every stencil point inside the domain."""
-    if stencil is None:
-        stencil = fd_stencil_for(p)
+    """Independent oracle for `CurvatureData.t_zbar` at a single point, or
+    at every point of a stacked record: central Wirtinger differences of
+    T(w) = h^-1(w)^T dbar scal(w), column c along zbar_c.  T is evaluated
+    at all 4n stencil points of every point as one stacked record.  Each
+    point's step along z_k is `fd_step` times 1 + |z_k|, unless a stencil
+    gives the step for all of them; the margin-scaled step keeps every
+    stencil point inside the domain.  NumericError names the point and the
+    coordinate of the first non-finite stencil value."""
+    z = p.z.reshape(-1, p.n)
+    count, n = z.shape
+    step = fd_step(p) if stencil is None else stencil.step
+    # np.hypot keeps the bits of abs() on one complex number; np.abs does not
+    h = np.reshape(step, (-1, 1)) * (1.0 + np.hypot(z.real, z.imag))
+    # the offsets h, -h, i h, -i h along each coordinate in turn
+    re, im = np.zeros((count, n, 4)), np.zeros((count, n, 4))
+    re[..., 0], re[..., 1], im[..., 2], im[..., 3] = h, -h, h, -h
+    offsets = _complex(re, im).reshape(count, 4 * n)
+    w = np.repeat(z[:, None, :], 4 * n, axis=1)
+    w[:, np.arange(4 * n), np.repeat(np.arange(n), 4)] += offsets
 
-    def t_of(ws):
-        q = require_interior(profile, ws)
-        return _gradient_field(profile, q, inverse_metric_matrix(q), profile.defect(q.x))[2]
-
-    return stencil.d_zbar_all(t_of, p.z).T
+    q = require_interior(profile, w.reshape(-1, n))
+    t = _gradient_field(profile, q, inverse_metric_matrix(q), profile.defect(q.x))[2]
+    t = t.reshape(count, 4 * n, n)
+    finite = np.isfinite(t).all(axis=-1)
+    if not finite.all():
+        i, row = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NumericError(
+            f"non-finite value on FD stencil at {z[i]!r}, coordinate {row // 4} "
+            f"(offset {complex(offsets[i, row])})"
+        )
+    fu_p, fu_m, fv_p, fv_m = (t[:, j::4] for j in range(4))
+    h = h[..., None]
+    du = (fu_p - fu_m) / (2.0 * h)
+    dv = (fv_p - fv_m) / (2.0 * h)
+    t_zbar = np.swapaxes(0.5 * (du + 1j * dv), -1, -2)
+    return t_zbar[0] if p.z.ndim == 1 else t_zbar
 
 
 @raises_fp_faults

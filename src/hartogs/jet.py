@@ -10,30 +10,58 @@ development of hyper-dual numbers for exact second-derivative
 calculations" (AIAA 2011-886): there is no truncation error, and rounding
 is that of evaluating the formula itself.
 
+A jet may also be stacked: N jets along a leading point axis, with `val`
+of shape (N,), `grad` (N, m) and `hess` (N, m, m).  Every operation runs
+on the stack at once and gives each row the bits of the same operation
+on that row's single jet: `**` calls `np.float_power`, the C library's pow
+that Python's float ** float calls, and `exp` and `log` call `math.exp`
+and `math.log` on each entry.  The other operand of an operation is a
+jet, single or stacked, or a number.
+
 `JetPoint` gives jets over the 2n real coordinates z_k = u_k + i v_k of a
-point of C^n (u_k in direction k, v_k in direction n + k) of the sums of
-|z_k|^2, and turns the real Hessian H of a real function of them into its
-mixed complex Hessian
+point of C^n, or of each point of a stack (u_k in direction k, v_k in
+direction n + k), of the sums of |z_k|^2, and turns the real Hessian H of
+a real function of them into its mixed complex Hessian
 
     d^2 f / dz_a dzbar_b = (H_uu + H_vv + i (H_uv - H_uv^T))[a, b] / 4.
 
-`exp`, `log` and `power` also take floats, and `exp` and `power` arrays,
-with the bits of `math.exp`, `math.log` and Python's `**`, so a closed
-form written with them takes a float, an array or a jet.  Jets are
-immutable: no operation writes into the arrays of its operands, which may
-therefore be shared between jets.
+`exp`, `log` and `power` also take floats and arrays, with the bits of
+`math.exp`, `math.log` and Python's `**`, so a closed form written with
+them takes a float, an array or a jet.  Jets are immutable: no operation
+writes into the arrays of its operands, which may therefore be shared
+between jets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 
+def _entrywise(fn, v):
+    """fn of a number, or of each entry of an array, with fn's bits."""
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+    return fn(v)
+
+
+def _lift(v, axes: int):
+    """A stacked value with `axes` trailing unit axes, to broadcast against
+    a stacked gradient (1) or Hessian (2); a number as it is."""
+    return v[(...,) + (None,) * axes] if isinstance(v, np.ndarray) else v
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i b_j over the last axis, for each jet of a stack."""
+    return a[..., :, None] * b[..., None, :]
+
+
 class Jet:
     """Value `val`, gradient `grad` (shape (m,)) and Hessian `hess`
-    (shape (m, m)) of a real quantity.  Comparisons compare values."""
+    (shape (m, m)) of a real quantity, or of N of them stacked along a
+    leading axis.  Comparisons compare values."""
 
     __slots__ = ("val", "grad", "hess")
 
@@ -48,7 +76,7 @@ class Jet:
     def _chain(self, f0: float, f1: float, f2: float) -> Jet:
         """f(self), given f, f' and f'' at self.val."""
         g = self.grad
-        return Jet(f0, f1 * g, f1 * self.hess + f2 * (g[:, None] * g))
+        return Jet(f0, _lift(f1, 1) * g, _lift(f1, 2) * self.hess + _lift(f2, 2) * _outer(g, g))
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -71,11 +99,12 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self.val, other.val
-            cross = self.grad[:, None] * other.grad
+            cross = _outer(self.grad, other.grad)
             return Jet(
                 a * b,
-                a * other.grad + b * self.grad,
-                a * other.hess + b * self.hess + (cross + cross.T),
+                _lift(a, 1) * other.grad + _lift(b, 1) * self.grad,
+                _lift(a, 2) * other.hess + _lift(b, 2) * self.hess
+                + (cross + np.swapaxes(cross, -1, -2)),
             )
         return Jet(self.val * other, self.grad * other, self.hess * other)
 
@@ -97,15 +126,16 @@ class Jet:
         if isinstance(p, Jet):
             return NotImplemented
         v = self.val
-        return self._chain(v**p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
+        pw = np.float_power if isinstance(v, np.ndarray) else operator.pow
+        return self._chain(pw(v, p), p * pw(v, p - 1), p * (p - 1) * pw(v, p - 2))
 
     def exp(self) -> Jet:
-        e = math.exp(self.val)
+        e = _entrywise(math.exp, self.val)
         return self._chain(e, e, e)
 
     def log(self) -> Jet:
         inv = 1.0 / self.val
-        return self._chain(math.log(self.val), inv, -inv * inv)
+        return self._chain(_entrywise(math.log, self.val), inv, -inv * inv)
 
     def __lt__(self, other):
         return self.val < other
@@ -126,11 +156,7 @@ class Jet:
 def exp(v):
     """e**v: the chain rule on a `Jet`, `math.exp` on a number and on each
     entry of an array (`np.exp` differs from it in about 5% of values)."""
-    if isinstance(v, Jet):
-        return v.exp()
-    if isinstance(v, np.ndarray):
-        return np.fromiter(map(math.exp, v.ravel().tolist()), float, v.size).reshape(v.shape)
-    return math.exp(v)
+    return v.exp() if isinstance(v, Jet) else _entrywise(math.exp, v)
 
 
 def power(v, p):
@@ -140,37 +166,44 @@ def power(v, p):
 
 
 def log(v):
-    """Natural logarithm: `math.log` on a number, the chain rule on a `Jet`."""
-    return v.log() if isinstance(v, Jet) else math.log(v)
+    """Natural logarithm: the chain rule on a `Jet`, `math.log` on a number
+    and on each entry of an array."""
+    return v.log() if isinstance(v, Jet) else _entrywise(math.log, v)
 
 
 class JetPoint:
-    """A point z of C^n, for jets over its 2n real coordinates: u_k = Re z_k
-    is direction k and v_k = Im z_k direction n + k."""
+    """A point z of C^n, or a stack z of shape (N, n), for jets over its 2n
+    real coordinates: u_k = Re z_k is direction k and v_k = Im z_k
+    direction n + k."""
 
     __slots__ = ("z", "n")
 
     def __init__(self, z):
         self.z = np.asarray(z, dtype=complex)
-        self.n = self.z.size
+        self.n = self.z.shape[-1]
 
     def norm_sq(self, start: int, stop: int) -> Jet:
         """|z_start|^2 + ... + |z_(stop-1)|^2 as a jet: its gradient is 2 u_k
         and 2 v_k in the directions of u_k and v_k, and its Hessian 2 on
-        their diagonal entries."""
+        their diagonal entries.  The value is one `np.vdot` per point,
+        whose bits no stacked sum of two or more terms keeps."""
         n = self.n
-        part = self.z[start:stop]
-        grad = np.zeros(2 * n)
-        grad[start:stop] = 2.0 * part.real
-        grad[n + start : n + stop] = 2.0 * part.imag
+        part = self.z[..., start:stop]
+        grad = np.zeros(self.z.shape[:-1] + (2 * n,))
+        grad[..., start:stop] = 2.0 * part.real
+        grad[..., n + start : n + stop] = 2.0 * part.imag
         diag = np.zeros(2 * n)
         diag[start:stop] = diag[n + start : n + stop] = 2.0
-        return Jet(float(np.vdot(part, part).real), grad, np.diag(diag))
+        hess = np.broadcast_to(np.diag(diag), grad.shape + (2 * n,))
+        if part.ndim == 1:
+            return Jet(float(np.vdot(part, part).real), grad, hess)
+        return Jet(np.array([np.vdot(row, row).real for row in part]), grad, hess)
 
     def hessian_z_zbar(self, f: Jet) -> np.ndarray:
         """Mixed complex Hessian (d^2 f / dz_a dzbar_b) of a real jet f
-        over these coordinates; Hermitian, since f.hess is symmetric."""
+        over these coordinates, at each point of a stack; Hermitian, since
+        f.hess is symmetric."""
         n = self.n
         h = f.hess
-        h_uv = h[:n, n:]
-        return (h[:n, :n] + h[n:, n:] + 1j * (h_uv - h_uv.T)) / 4.0
+        h_uv = h[..., :n, n:]
+        return (h[..., :n, :n] + h[..., n:, n:] + 1j * (h_uv - np.swapaxes(h_uv, -1, -2))) / 4.0

@@ -212,7 +212,8 @@ def require_interior(profile: Profile, z) -> DomainPoint:
 
 
 def kahler_potential(profile: Profile, z) -> float | Jet:
-    """Potential Phi(z) = -log(gap(z)); NaN outside the domain.
+    """Potential Phi(z) = -log(gap(z)); NaN outside the domain.  On a stack
+    of points it is Phi at each of them, or NaN if any lies outside.
 
     z may also be a `JetPoint`: Phi is then a `Jet`, whose Hessian is exact
     to rounding (`metric_fd_oracle` reads the metric off it).
@@ -222,7 +223,7 @@ def kahler_potential(profile: Profile, z) -> float | Jet:
         gap = jet_x_and_gap(profile, z)[1] if jet else point_record(profile, z).gap
     except DomainError:
         return math.nan
-    if gap <= 0.0:
+    if np.any(gap <= 0.0):
         return math.nan
     return -log(gap)
 
@@ -469,11 +470,15 @@ def sample_interior(
 def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent metric oracle: the mixed complex Hessian of the
     potential, from one second-order jet of `kahler_potential` over the
-    real coordinates of p.  It reads F and nothing else of the profile, and
-    its entries are exact to rounding.  The `fd` in the name is historical;
-    the benchmark's tracer looks the oracle up by it."""
+    real coordinates of p, or one stacked jet over every point of a stacked
+    record.  It reads F and nothing else of the profile, and its entries
+    are exact to rounding.  NumericError names the first point where the
+    potential is undefined.  The `fd` in the name is historical; the
+    benchmark's tracer looks the oracle up by it."""
     w = JetPoint(p.z)
     phi = kahler_potential(profile, w)
     if not isinstance(phi, Jet):
-        raise NumericError(f"potential undefined at {p.z!r}")
+        first = next(z for z in p.z.reshape(-1, p.n)
+                     if not isinstance(kahler_potential(profile, JetPoint(z)), Jet))
+        raise NumericError(f"potential undefined at {first!r}")
     return w.hessian_z_zbar(phi)

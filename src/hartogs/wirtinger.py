@@ -1,10 +1,11 @@
 """Wirtinger derivatives of scalar fields on C^n by central finite differences.
 
+The tests use the stencil as a reference for closed-form derivatives.
 The package's one finite-difference oracle, `curvature.extremal_fd_oracle`,
-takes its first derivatives here (checked at 1e-7 relative), all n of them
-from one call of its field on the 4n stencil points (`d_zbar_all`); the tests use
-the stencil as a reference for closed-form derivatives.  The metric and
-Ricci oracles do not: they differentiate exactly, with jets (`jet`).
+takes the same central differences of its field at every point of a
+stacked record at once, and accepts a `ComplexStencil` for a fixed step;
+`d_zbar` at each point and coordinate is its reference.  The metric and
+Ricci oracles differentiate exactly, with jets (`jet`).
 For z_k = u_k + i v_k,
 
     d/dz_k   = (d/du_k - i d/dv_k) / 2
@@ -72,30 +73,6 @@ class ComplexStencil:
         """Anti-holomorphic Wirtinger derivative of f at point."""
         z = np.asarray(point, dtype=complex)
         return _pair_fixed(f, z, alpha, self.scaled_step(z, alpha))[1]
-
-    def d_zbar_all(self, f, point) -> np.ndarray:
-        """Anti-holomorphic derivatives of f at point along every coordinate,
-        row c along zbar_c, each the one `d_zbar` takes, from one call of f
-        on all 4n stencil points: f takes them as rows of a (4n, n) array
-        and returns one value per row."""
-        z = np.asarray(point, dtype=complex)
-        n = z.size
-        steps = np.array([self.scaled_step(z, alpha) for alpha in range(n)])
-        offsets = [delta for h in steps.tolist() for delta in (h, -h, 1j * h, -1j * h)]
-        w = np.repeat(z[None, :], 4 * n, axis=0)
-        w[np.arange(4 * n), np.repeat(np.arange(n), 4)] += offsets
-        values = np.asarray(f(w))
-        finite = np.isfinite(values.reshape(4 * n, -1)).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise NumericError(
-                f"non-finite value on FD stencil at coordinate {row // 4} (offset {offsets[row]})"
-            )
-        fu_p, fu_m, fv_p, fv_m = (values[j::4] for j in range(4))
-        h = steps.reshape((n,) + (1,) * (values.ndim - 1))
-        du = (fu_p - fu_m) / (2.0 * h)
-        dv = (fv_p - fv_m) / (2.0 * h)
-        return 0.5 * (du + 1j * dv)
 
     def d_pair(self, f, point, alpha: int):
         """Both Wirtinger derivatives from one shared stencil (4 evaluations)."""

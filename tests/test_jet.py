@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hartogs as hg
 import hartogs.curvature
@@ -9,7 +11,7 @@ import hartogs.metric
 from hartogs.boundary import boundary_point
 from hartogs.errors import NumericError
 from hartogs.jet import Jet, JetPoint, exp, log
-from hartogs.metric import metric_fd_oracle
+from hartogs.metric import metric_fd_oracle, point_record
 from hartogs.profiles import Profile
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
@@ -85,6 +87,87 @@ class TestJet:
         assert np.array_equal(got, got.conj().T)
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+#: operations on two jets, or on one jet and a number; `**` and `log` take
+#: positive values, as on the oracles' paths
+OPERATIONS = {
+    "a + b": lambda a, b: a + b,
+    "a - b": lambda a, b: a - b,
+    "a * b": lambda a, b: a * b,
+    "a / b": lambda a, b: a / b,
+    "0.5 - a": lambda a, b: 0.5 - a,
+    "3 * a": lambda a, b: 3.0 * a,
+    "2 / a": lambda a, b: 2.0 / a,
+    **{f"a ** {p}": (lambda a, b, p=p: a**p) for p in (0.5, 2, -1, -4, 2.5)},
+    "exp(a)": lambda a, b: exp(a),
+    "log(a)": lambda a, b: log(a),
+}
+
+
+@st.composite
+def stacked_jets(draw, rows: int, m: int = 2):
+    """A jet stacked along a leading axis of `rows` points, with positive
+    values and arbitrary gradients and Hessians."""
+    def floats(count, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=count, max_size=count)))
+
+    return Jet(floats(rows, 0.1, 10.0), floats(rows * m, -10.0, 10.0).reshape(rows, m),
+               floats(rows * m * m, -10.0, 10.0).reshape(rows, m, m))
+
+
+def row(jet: Jet, i: int) -> Jet:
+    return Jet(float(jet.val[i]), jet.grad[i], jet.hess[i])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacked_jets_have_the_bits_of_single_ones(data):
+    # row i of an operation on stacked jets is, bit for bit, the same
+    # operation on the single jets of row i
+    rows = data.draw(st.integers(1, 8))
+    a, b = data.draw(stacked_jets(rows)), data.draw(stacked_jets(rows))
+    for name, op in OPERATIONS.items():
+        stacked = op(a, b)
+        for i in range(rows):
+            single = op(row(a, i), row(b, i))
+            assert same_bits(float(single.val), stacked.val[i]), (name, i)
+            assert same_bits(single.grad, stacked.grad[i]), (name, i)
+            assert same_bits(single.hess, stacked.hess[i]), (name, i)
+
+
+def test_stacked_jet_values_are_python_floats():
+    # numpy's exp and log differ from math.exp and math.log in about 5% and
+    # 0.1% of values, and its ** takes other paths at some exponents; a
+    # stacked jet gives every value the bits of Python's float arithmetic
+    values = np.random.default_rng(1).uniform(0.1, 10.0, 20_000)
+    a = Jet(values, np.ones((values.size, 1)), np.zeros((values.size, 1, 1)))
+    for name, op in OPERATIONS.items():
+        if "b" not in name:
+            want = np.array([op(v, None) for v in values.tolist()])
+            assert same_bits(want, op(a, None).val), name
+
+
+def test_jet_point_stack():
+    z = np.array([[0.3 - 0.2j, 0.1 + 0.4j, -0.5j], [0.7, -0.1 + 0.2j, 0.3 + 0.3j]])
+    stacked = JetPoint(z)
+    assert stacked.n == 3
+    for start, stop in ((0, 1), (1, 3), (0, 3)):
+        jet = stacked.norm_sq(start, stop)
+        for i, w in enumerate(z):
+            alone = JetPoint(w).norm_sq(start, stop)
+            assert same_bits(alone.val, jet.val[i]) and same_bits(alone.grad, jet.grad[i])
+            assert same_bits(alone.hess, jet.hess[i])
+    f = log(1.0 + stacked.norm_sq(0, 3))
+    for i, w in enumerate(z):
+        v = JetPoint(w)
+        assert same_bits(v.hessian_z_zbar(log(1.0 + v.norm_sq(0, 3))), stacked.hessian_z_zbar(f)[i])
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("closed form read by an oracle")
 
@@ -124,3 +207,11 @@ def test_oracles_reject_undefined_potential():
     for oracle in (metric_fd_oracle, hg.ricci_fd_oracle):
         with pytest.raises(NumericError):
             oracle(prof, on_boundary)
+    # in a stack, the one boundary row is named
+    interior = hg.sample_interior(prof, 2, 4, seed=3).z
+    stack = point_record(prof, np.concatenate([interior[:2], [on_boundary.z], interior[2:]]))
+    for oracle in (metric_fd_oracle, hg.ricci_fd_oracle):
+        with pytest.raises(NumericError) as err:
+            oracle(prof, stack)
+        assert repr(on_boundary.z) in str(err.value)
+        assert repr(interior[0]) not in str(err.value)

@@ -5,7 +5,7 @@ import pytest
 
 import hartogs as hg
 from hartogs.boundary import boundary_point, sample_boundary
-from hartogs.curvature import fd_stencil_for
+from hartogs.curvature import fd_step
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
     metric_fd_oracle,
@@ -276,6 +276,6 @@ def test_adaptive_stencil_shrinks_with_margin():
     tight = hg.contains(prof, [0.1, math.sqrt(2 - 3 * 0.01 - 0.06)])
     roomy = hg.contains(prof, [0.0, 0.0])
     assert tight is not None and roomy is not None
-    assert fd_stencil_for(tight).step < fd_stencil_for(roomy).step
+    assert fd_step(tight) < fd_step(roomy)
     # ten-step interiority contract
-    assert 10 * fd_stencil_for(tight).step <= tight.margin
+    assert 10 * fd_step(tight) <= tight.margin

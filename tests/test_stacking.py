@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 import hartogs as hg
+import hartogs.cli
+import hartogs.curvature
+import hartogs.metric
 from hartogs.boundary import boundary_point
 from hartogs.canonical import HoloVectorField
 from hartogs.errors import DomainError
@@ -126,3 +129,52 @@ def test_kernel_faults_raise():
         hg.assemble_metric(prof, p)
     with pytest.raises(FloatingPointError):
         hg.assemble_metric(prof, point_record(prof, [p.z, p.z]))
+
+
+ORACLES = {
+    "metric": hartogs.metric.metric_fd_oracle,
+    "ricci": hartogs.curvature.ricci_fd_oracle,
+    "extremal": hartogs.curvature.extremal_fd_oracle,
+}
+
+ORACLE_PROFILES = [hg.Affine(1, 1), hg.PowerCap(2), hg.PowerCap(0.5), hg.ExpDecay(1), hg.Rational()]
+
+
+def oracles_match_single_records(profile, points) -> None:
+    for name, oracle in ORACLES.items():
+        stacked = oracle(profile, points)
+        assert same_bits(stacked, np.array([oracle(profile, p) for p in points])), name
+
+
+@pytest.mark.parametrize("profile", ORACLE_PROFILES, ids=lambda f: f.label())
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("margin", [0.05, 1e-3])
+def test_oracles_stacked_match_single_records(profile, n, margin):
+    # an oracle on a stacked record gives, bit for bit, its results on the
+    # single records stacked
+    oracles_match_single_records(profile, hg.sample_interior(profile, n, 6, 7, margin))
+
+
+def test_oracles_over_two_blocks():
+    prof = hg.PowerCap(2)
+    runs = blocks(hg.sample_interior(prof, 8, BLOCK + 3, 11, 1e-3))
+    assert [len(run) for run in runs] == [BLOCK, 3]
+    for run in runs:
+        oracles_match_single_records(prof, run)
+
+
+@pytest.mark.parametrize("n, samples, calls", [(3, 80, 1), (8, 300, 2)])
+def test_verification_calls_each_oracle_once_per_block(monkeypatch, n, samples, calls):
+    counts = dict.fromkeys(ORACLES, 0)
+    for name, module in (("metric", hartogs.metric), ("ricci", hartogs.curvature),
+                         ("extremal", hartogs.curvature)):
+        oracle = ORACLES[name]
+
+        def counted(profile, p, _name=name, _oracle=oracle):
+            counts[_name] += 1
+            return _oracle(profile, p)
+
+        monkeypatch.setattr(module, oracle.__name__, counted)
+    results = hartogs.cli.run_verification(hg.PowerCap(2), n, samples, seed=0)
+    assert all(r.passed for r in results)
+    assert counts == dict.fromkeys(ORACLES, calls)

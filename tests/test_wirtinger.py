@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hartogs as hg
+import hartogs.curvature
+from hartogs.curvature import _gradient_field, extremal_fd_oracle, fd_step
 from hartogs.errors import NumericError
+from hartogs.metric import inverse_metric_matrix, require_interior
 from hartogs.wirtinger import ComplexStencil
 
 ST = ComplexStencil()
@@ -103,25 +106,47 @@ def test_invalid_step_rejected():
         ComplexStencil(step=-1e-5)
 
 
-def test_d_zbar_all_is_d_zbar_per_coordinate():
-    # one call of f on the 4n stencil points stacked gives, bit for bit,
-    # the derivative `d_zbar` takes along each coordinate from 4 calls
-    def f(w):
-        w = np.asarray(w)
-        wbar = np.conj(w)
-        return np.stack([w[..., 0] * wbar[..., 1] * wbar[..., 1], wbar[..., 2] - w[..., 0]], axis=-1)
+def _gradient_field_at(profile):
+    """T(w) = h^-1(w)^T dbar scal(w) at one point w, the field the extremal
+    oracle differences."""
+    def t_of(w):
+        q = require_interior(profile, w)
+        return _gradient_field(profile, q, inverse_metric_matrix(q), profile.defect(q.x))[2]
 
-    z = np.array([0.3 - 0.2j, -0.5 + 0.1j, 0.25j])
-    stencil = ComplexStencil(1e-5)
-    got = stencil.d_zbar_all(f, z)
-    assert got.shape == (3, 2)
-    for c in range(3):
-        assert got[c].tobytes() == stencil.d_zbar(f, z, c).tobytes()
+    return t_of
 
 
-def test_d_zbar_all_nonfinite_names_coordinate():
-    def f(w):
-        return np.where(np.real(w[:, 1]) > 0.2, math.nan, 1.0)
+@pytest.mark.parametrize("profile", [hg.PowerCap(2), hg.Rational()], ids=lambda f: f.label())
+def test_extremal_oracle_is_d_zbar_per_coordinate(profile):
+    # column c of the oracle at each point of a stack has, bit for bit, the
+    # derivative `d_zbar` takes of T along z_c at that point alone, with the
+    # oracle's step or with a given one
+    points = hg.sample_interior(profile, 3, 4, seed=1, min_margin=1e-3)
+    t_of = _gradient_field_at(profile)
+    for stencil in (None, ComplexStencil(1e-5)):
+        got = extremal_fd_oracle(profile, points, stencil)
+        assert got.shape == (4, 3, 3)
+        for i, p in enumerate(points):
+            reference = stencil or ComplexStencil(fd_step(p))
+            for c in range(3):
+                assert got[i, :, c].tobytes() == reference.d_zbar(t_of, p.z, c).tobytes()
 
-    with pytest.raises(NumericError, match="coordinate 1"):
-        ST.d_zbar_all(f, [0.0, 0.2])
+
+def test_extremal_oracle_nonfinite_names_point_and_coordinate(monkeypatch):
+    # a NaN of T at the stencil points of one point of a block, along z_1
+    prof = hg.PowerCap(2)
+    points = hg.sample_interior(prof, 3, 5, seed=2)
+    target = points.z[3]
+    others = [0, 2]
+    field = hartogs.curvature._gradient_field
+
+    def poisoned(profile, q, h_inv, defect):
+        slope, slope_d1, t = field(profile, q, h_inv, defect)
+        moved = np.all(q.z[:, others] == target[others], axis=1) & (q.z[:, 1] != target[1])
+        t[moved] = math.nan
+        return slope, slope_d1, t
+
+    monkeypatch.setattr(hartogs.curvature, "_gradient_field", poisoned)
+    with pytest.raises(NumericError, match="coordinate 1") as err:
+        extremal_fd_oracle(prof, points)
+    assert repr(target) in str(err.value)
