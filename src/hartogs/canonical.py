@@ -20,8 +20,9 @@ suspicious by the test suites.
 The residuals take a single or a stacked point record (`metric.point_record`)
 and return one value per point.  The fields of `soliton-check --field`
 are polynomial, with exact jets.  `lie_from_jets` is the one
-Lie-derivative formula: for a single field in `soliton_residual`, and for
-a batch of two fields in `soliton_sweep`, over a leading point axis.
+Lie-derivative formula, from the derivative of h along the field in
+O(n^2) (`metric.metric_derivative_along`): for a single field in
+`soliton_residual`, and for two fields on a leading axis in `soliton_sweep`.
 
 The sweep covers every holomorphic field with three real unknowns.  The
 group U(1) x U(n-1), acting on z_0 and on the fiber, preserves gap and so
@@ -47,7 +48,7 @@ from .metric import (
     assemble_metric,
     blocks,
     frobenius_norm,
-    metric_gradients,
+    metric_derivative_along,
     metric_matrix,
     raises_fp_faults,
     relative_norm,
@@ -172,24 +173,19 @@ def lie_derivative_components(
     """
     if x_field.n != p.n:
         raise ValueError(f"field dimension {x_field.n} does not match point dimension {p.n}")
-    dg, dgbar = metric_gradients(profile, p)
-    return lie_from_jets(m.h, dg, dgbar, *x_field.jet(p.z))
+    f_vals, df = x_field.jet(p.z)
+    return lie_from_jets(m.h, metric_derivative_along(profile, p, f_vals), df)
 
 
-def lie_from_jets(h, dg, dgbar, f_vals, df) -> np.ndarray:
+def lie_from_jets(h, along, df) -> np.ndarray:
     """The Lie-derivative sum of `lie_derivative_components` from first
-    jets: the metric h[..., a, b], its Wirtinger derivatives
-    dg[..., k, a, b] = dh_ab/dz_k and dgbar[..., k, a, b] = dh_ab/dzbar_k,
-    the field values f_vals[..., k] = f_k and the field's Jacobian
-    df[..., k, a] = df_k/dz_a.  The leading axes of h, dg and dgbar index
-    points; f_vals has them too, followed by any axes that index fields,
-    df broadcasts against f_vals, and the result has both."""
-    lead, n = h.shape[:-2], h.shape[-1]
-    batch = f_vals.ndim - 1 - len(lead)
-    f = f_vals.reshape(lead + (-1, n))
-    along = f @ dg.reshape(lead + (n, n * n)) + f.conj() @ dgbar.reshape(lead + (n, n * n))
-    h = h.reshape(lead + (1,) * batch + (n, n))
-    return along.reshape(f_vals.shape + (n,)) + np.swapaxes(df, -1, -2) @ h + h @ df.conj()
+    jets, D + D^H + df^T h + h conj(df), with the metric h[..., a, b], its
+    derivative D[..., a, b] = sum_k f_k dh_ab/dz_k along the field
+    (`metric.metric_derivative_along`; D^H is the sum of the conj(f_k)
+    dh/dzbar_k terms, h being Hermitian) and the field's Jacobian
+    df[..., k, a] = df_k/dz_a.  The leading axes of h index points, and D
+    and df broadcast against h, with any axes that index fields leading."""
+    return along + np.swapaxes(along.conj(), -1, -2) + np.swapaxes(df, -1, -2) @ h + h @ df.conj()
 
 
 def einstein_residual(profile: Profile, p: DomainPoint) -> float:
@@ -276,14 +272,14 @@ def soliton_sweep(profile: Profile, points: DomainPoint) -> SweepResult:
     split = np.zeros((2, n))
     split[0, 0] = 1.0
     split[1, 1:] = 1.0
-    df = split[:, :, None] * np.eye(n)
+    df = split[:, None, :, None] * np.eye(n)
     rows = []
     for p in blocks(points):
         m = assemble_metric(profile, p)
         ric = ricci_tensor(profile, p, m)
-        dg, dgbar = metric_gradients(profile, p)
-        lie = lie_from_jets(m.h, dg, dgbar, split * p.z[:, None, :], df)
-        mats = np.concatenate([ric[:, None], m.h[:, None], lie], axis=1).reshape(len(p), 4, -1)
+        lie = lie_from_jets(m.h, metric_derivative_along(profile, p, split[:, None] * p.z), df)
+        mats = np.concatenate([ric[:, None], m.h[:, None], np.moveaxis(lie, 0, 1)], axis=1)
+        mats = mats.reshape(len(p), 4, -1)
         weight = 1.0 / (1.0 + frobenius_norm(m.h))
         parts = np.concatenate([mats.real, mats.imag], axis=2)
         rows.append(weight[:, None, None] * np.swapaxes(parts, 1, 2))

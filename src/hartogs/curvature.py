@@ -38,8 +38,9 @@ import numpy as np
 from .errors import NumericError
 from .jet import JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, _complex, _product, inverse_metric_matrix, jet_x_and_gap,
-    metric_gradients, nonsingular_core, raises_fp_faults, relative_norm, require_interior,
+    DomainPoint, MetricData, _complex, _radial, _times, inverse_metric_matrix, jet_x_and_gap,
+    metric_derivative_against, nonsingular_core, raises_fp_faults, relative_norm,
+    require_interior,
 )
 from .profiles import Profile
 from .wirtinger import ComplexStencil
@@ -118,13 +119,17 @@ def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
         det(h + t Ric) / det(h) = 1 + sum_k rho_k t^(k+1),
 
     read off exactly: the ratio is prod_j (1 + t mu_j) over the eigenvalues
-    mu_j of h^-1 Ric, so rho_k is their (k+1)-th elementary symmetric
-    polynomial.  h^-1 Ric comes from a dense solve, not from the
-    closed-form inverse, so the oracle is independent of every closed form
-    above.  m and ric may be stacked, with a leading point axis.
+    mu_j of h^-1 Ric, from a dense solve, not from the closed-form inverse,
+    so the oracle is independent of every closed form above.  rho_k is their
+    (k+1)-th elementary symmetric polynomial, e_k <- e_k + mu_j e_(k-1)
+    over j, formed for all the points of a stacked m and ric at once.
     """
     mu = np.linalg.eigvals(np.linalg.solve(m.h, ric))
-    return np.reshape([np.poly(-row)[1:].real for row in mu.reshape(-1, mu.shape[-1])], mu.shape)
+    e = np.zeros(mu.shape[:-1] + (mu.shape[-1] + 1,), dtype=complex)
+    e[..., 0] = 1.0
+    for j in range(mu.shape[-1]):
+        e[..., 1:] = e[..., 1:] + mu[..., j, None] * e[..., :-1]
+    return e[..., 1:].real
 
 
 def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
@@ -214,10 +219,10 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     || Ric + (n+1) h ||_F / (1 + ||h||_F).
 
     The metric is extremal iff T = K^T g is holomorphic, with K = h^-1 and
-    g = dbar scal.  t_zbar[a, c] = dT^a/dzbar_c = (K^T (S - dgbar_c^T T))[a, c],
-    where dgbar_c = dh/dzbar_c and S, the anti-holomorphic Hessian of scal,
-    is zero but for S00 = z_0^2 (slope'' gap + 2 slope' F' + slope F'') and
-    S0i = Si0 = -slope' z_0 z_i."""
+    g = dbar scal.  t_zbar[a, c] = dT^a/dzbar_c = (K^T (S - E))[a, c], with
+    E[b, c] = sum_a T_a dh_ab/dzbar_c (`metric.metric_derivative_against`)
+    and S, the anti-holomorphic Hessian of scal, zero but for S00 = z_0^2
+    (slope'' gap + 2 slope' F' + slope F'') and S0i = Si0 = -slope' z_0 z_i."""
     n = p.n
     defect = curvature_defect(profile, p)
     slope, slope_d1, t = _gradient_field(profile, p, m.h_inv, defect)
@@ -226,15 +231,12 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     coefficients = [(n + 1) ** k * (-1.0) ** (k + 1) * math.comb(n - 1, k) for k in range(n)]
     constants = [n * (n + 1) / (k + 1) for k in range(n)]
     rho = np.array(coefficients) * (np.array(constants) + np.asarray(shared)[..., None])
-    re0, im0 = p.z[..., 0].real, p.z[..., 0].imag
     head = profile.slope_d2(p.x) * p.gap + 2.0 * slope_d1 * p.d1 + slope * p.d2
-    sq_re, sq_im = _product(re0, im0, re0, im0)
+    row = _times(p.z[..., :1], p.z)  # z_0 z_b
     hess = np.zeros(p.z.shape + (n,), dtype=complex)
-    hess[..., 0, 0] = _complex(sq_re * head, sq_im * head)
-    tail = _complex(-slope_d1 * re0, -slope_d1 * im0)[..., None] * p.z[..., 1:]
-    hess[..., 0, 1:] = hess[..., 1:, 0] = tail
-    dgbar = metric_gradients(profile, p)[1]
-    t_zbar = np.swapaxes(m.h_inv, -1, -2) @ (hess - np.einsum("...cab,...a->...bc", dgbar, t))
+    hess[..., 0, :] = hess[..., :, 0] = row * _radial(-slope_d1, 1)
+    hess[..., 0, 0] = row[..., 0] * head
+    t_zbar = np.swapaxes(m.h_inv, -1, -2) @ (hess - metric_derivative_against(profile, p, t))
     return CurvatureData(
         ric=ric,
         scal=-(p.gap / p.det_core) * p.f * defect - n * (n + 1),

@@ -29,10 +29,11 @@ single record or a stacked one, built by one `point_record` call, whose z
 has shape (N, n) and whose radial fields have shape (N,), and returns its
 arrays with the same leading axis.  A point's entries have the same bits
 alone and in any stack.  The CLI evaluates one stacked record per run of
-consecutive points (`blocks`): BLOCK points up to n = 8, fewer above it.
-The kernel runs with numpy's divide, overflow and invalid faults raised
-(`raises_fp_faults`), so a fault is one FloatingPointError; the records
-are built with the faults of Python's floats (`errors.float_faults`).
+BLOCK points (`blocks`); the first derivatives of h are only formed
+contracted with a vector, in O(n^2) per point.  The kernel runs with
+numpy's divide, overflow and invalid faults raised (`raises_fp_faults`),
+so a fault is one FloatingPointError; the records are built with the
+faults of Python's floats (`errors.float_faults`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ SINGULAR_TOL = 1e-14
 
 _MAX_SAMPLE_ATTEMPTS = 100_000
 
-#: the most points in one stacked record on the CLI paths, at n <= 8
+#: the most points in one stacked record on the CLI paths
 BLOCK = 256
 
 
@@ -108,12 +109,9 @@ _FIELDS = tuple(f.name for f in fields(DomainPoint))
 
 
 def blocks(points: DomainPoint) -> list[DomainPoint]:
-    """Consecutive runs of the points of a stacked record, in order, each a
-    stacked record: BLOCK points up to n = 8 and BLOCK (8/n)^3 (at least
-    one) above it, so that the (N, n, n, n) metric gradients of a run stay
-    the size they have at n = 8."""
-    size = max(1, min(BLOCK, BLOCK * 8**3 // points.n**3))
-    return [points[start:start + size] for start in range(0, len(points), size)]
+    """Consecutive runs of BLOCK points (fewer in the last) of a stacked
+    record, in order, each a stacked record."""
+    return [points[start:start + BLOCK] for start in range(0, len(points), BLOCK)]
 
 
 def frobenius_norm(a: np.ndarray):
@@ -294,43 +292,67 @@ def metric_matrix(p: DomainPoint) -> np.ndarray:
     return _complex(h_re / gap2, h_im / gap2)
 
 
-@raises_fp_faults
-def metric_gradients(profile: Profile, p: DomainPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Wirtinger derivatives of the metric at p in closed form, as
-    (dg, dgbar) with dg[..., k, :, :] = dh/dz_k and dgbar[..., k, :, :] =
-    dh/dzbar_k, which is the conjugate transpose of dg[..., k, :, :] since
-    h is Hermitian.
+def _times(a, b) -> np.ndarray:
+    """The complex product a b, entrywise and broadcast, by `_product`."""
+    return _complex(*_product(a.real, a.imag, b.real, b.imag))
 
-    Differentiating h = (d^2 Phi / dz_a dzbar_b), Phi = -log(gap), with
-    subscripts for derivatives of gap and a bar on index b throughout:
+
+def _gradient_parts(profile: Profile, p: DomainPoint, w: np.ndarray):
+    """(g1, mix, gap, gap_00, gap_000bar, g1.w) at p, each with a trailing
+    axis of length n or 1 to broadcast against the vectors w[..., k]: the
+    parts of the first derivatives of h = (d^2 Phi / dz_a dzbar_b),
+    Phi = -log(gap), with subscripts for derivatives of gap and a bar on b:
 
         d_k h_ab = -gap_kab/gap + (gap_ab gap_k + gap_ka gap_b + gap_a gap_kb)/gap^2
                    - 2 gap_k gap_a gap_b/gap^3,
 
-    where gap_0 = F' zbar_0, gap_i = -zbar_i, the mixed second derivatives
-    are diag(F' + F'' x, -1, ..., -1), the only holomorphic one is
-    gap_00 = F'' zbar_0^2, and the only third one is
-    gap_000bar = zbar_0 (2 F'' + x F''').  F''' is read here, one call per
-    point, not kept in the point record, since nothing else needs it.
+    g1 = (gap_k) = (F' zbar_0, -zbar_1, ...), diag(mix) = (gap_ab) =
+    diag(F' + F'' x, -1, ...), the only holomorphic second derivative
+    gap_00 = F'' zbar_0^2 and the only third gap_000bar = zbar_0 (2 F'' +
+    x F''').  F''' is read here, once per point, and kept nowhere else.
     """
-    n, z, x, gap, d1, d2 = p.n, p.z, p.x, p.gap, p.d1, p.d2
-    re0, im0 = z[..., 0].real, z[..., 0].imag
-    gap2 = gap * gap
-    g1 = -np.conj(z)
-    g1[..., 0] = _complex(d1 * re0, d1 * -im0)
-    mixed = np.zeros(z.shape + (n,))
-    _diagonal(mixed)[...] = -1.0
-    mixed[..., 0, 0] = d1 + d2 * x
+    bar0 = np.conj(p.z[..., 0])
+    g1 = -np.conj(p.z)
+    g1[..., 0] = p.d1 * bar0
+    mix = np.full(p.z.shape, -1.0)
+    mix[..., 0] = p.d1 + p.d2 * p.x
+    third = 2.0 * p.d2 + p.x * profile.eval(p.x, 3)
+    radial = (p.gap, p.d2 * _times(bar0, bar0), third * bar0)
+    return (g1, mix, *(_radial(a, 1) for a in radial), _times(g1, w).sum(axis=-1, keepdims=True))
 
-    g_k, g_a, g_b = g1[..., :, None, None], g1[..., None, :, None], g1.conj()[..., None, None, :]
-    dg = (g_k * mixed[..., None, :, :] + g_a * mixed[..., :, None, :]) / _radial(gap2, 3)
-    dg -= _radial(2.0 / (gap2 * gap), 3) * (g_k * g_a) * g_b
-    # the gap_00 and gap_000bar terms, each in the order of a scalar complex product
-    sq_re, sq_im = _product(d2 * re0, d2 * -im0, re0, -im0)
-    dg[..., 0, 0, :] += _radial(_complex(sq_re / gap2, sq_im / gap2), 1) * g1.conj()
-    third = 2.0 * d2 + x * profile.eval(x, 3)
-    dg[..., 0, 0, 0] -= _complex(re0 * third / gap, -im0 * third / gap)
-    return dg, np.swapaxes(dg.conj(), -1, -2)
+
+@raises_fp_faults
+def metric_derivative_along(profile: Profile, p: DomainPoint, v) -> np.ndarray:
+    """D[..., a, b] = sum_k v_k dh_ab/dz_k at p, O(n^2) per point, from
+    s = g1.v and the parts of `_gradient_parts`; v[..., k] broadcasts
+    against p.z, with any axes that index vectors leading, as D's do:
+
+        D = s diag(mix)/gap^2 + g1 (x) (mix v - 2 s conj(g1)/gap)/gap^2
+            + v_0 gap_00/gap^2 e_0 (x) conj(g1) - v_0 gap_000bar/gap e_0 (x) e_0."""
+    v = np.asarray(v, dtype=complex)
+    g1, mix, gap, hol, third, s = _gradient_parts(profile, p, v)
+    bar, gap2 = g1.conj(), gap * gap
+    d = _times((g1 / gap2)[..., :, None], (mix * v - 2.0 * _times(s, bar) / gap)[..., None, :])
+    _diagonal(d)[...] += s * mix / gap2
+    d[..., 0, :] += _times(_times(v[..., :1], hol) / gap2, bar)
+    d[..., 0, :1] -= _times(v[..., :1], third) / gap
+    return d
+
+
+@raises_fp_faults
+def metric_derivative_against(profile: Profile, p: DomainPoint, t) -> np.ndarray:
+    """E[..., b, c] = sum_a t_a dh_ab/dzbar_c at p, O(n^2) per point, for
+    t[..., a] with the point axes of p, from s = g1.t and
+    Y = (mix t - s conj(g1)/gap) (x) conj(g1)/gap^2:
+
+        E = Y + Y^T + (conj(gap_00) s/gap^2 - t_0 conj(gap_000bar)/gap) e_0 (x) e_0."""
+    t = np.asarray(t, dtype=complex)
+    g1, mix, gap, hol, third, s = _gradient_parts(profile, p, t)
+    bar, gap2 = g1.conj(), gap * gap
+    half = _times((mix * t - _times(s, bar) / gap)[..., :, None], bar[..., None, :])
+    e = (half + np.swapaxes(half, -1, -2)) / gap2[..., None]
+    e[..., 0, :1] += _times(hol.conj(), s) / gap2 - _times(t[..., :1], third.conj()) / gap
+    return e
 
 
 @raises_fp_faults

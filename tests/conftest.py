@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import hartogs as hg
+from hartogs.metric import _complex, _diagonal, _product, _radial
 
 #: the CLI-reachable families exercised by cross-module sweeps
 PSEUDOCONVEX_FAMILIES = [
@@ -36,3 +38,42 @@ def central_d1(fn, x, h):
 def central_d2(fn, x, h):
     """Test-local second-derivative oracle."""
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
+
+
+def metric_gradients(profile, p):
+    """Test-side reference for the contractions `metric_derivative_along`
+    and `metric_derivative_against`: the Wirtinger derivatives of the
+    metric at p in closed form, as (dg, dgbar) with dg[..., k, :, :] =
+    dh/dz_k and dgbar[..., k, :, :] = dh/dzbar_k, which is the conjugate
+    transpose of dg[..., k, :, :] since h is Hermitian.  It builds the whole
+    (N, n, n, n) tensor, which the package never forms.
+
+    Differentiating h = (d^2 Phi / dz_a dzbar_b), Phi = -log(gap), with
+    subscripts for derivatives of gap and a bar on index b throughout:
+
+        d_k h_ab = -gap_kab/gap + (gap_ab gap_k + gap_ka gap_b + gap_a gap_kb)/gap^2
+                   - 2 gap_k gap_a gap_b/gap^3,
+
+    where gap_0 = F' zbar_0, gap_i = -zbar_i, the mixed second derivatives
+    are diag(F' + F'' x, -1, ..., -1), the only holomorphic one is
+    gap_00 = F'' zbar_0^2, and the only third one is
+    gap_000bar = zbar_0 (2 F'' + x F''').
+    """
+    n, z, x, gap, d1, d2 = p.n, p.z, p.x, p.gap, p.d1, p.d2
+    re0, im0 = z[..., 0].real, z[..., 0].imag
+    gap2 = gap * gap
+    g1 = -np.conj(z)
+    g1[..., 0] = _complex(d1 * re0, d1 * -im0)
+    mixed = np.zeros(z.shape + (n,))
+    _diagonal(mixed)[...] = -1.0
+    mixed[..., 0, 0] = d1 + d2 * x
+
+    g_k, g_a, g_b = g1[..., :, None, None], g1[..., None, :, None], g1.conj()[..., None, None, :]
+    dg = (g_k * mixed[..., None, :, :] + g_a * mixed[..., :, None, :]) / _radial(gap2, 3)
+    dg -= _radial(2.0 / (gap2 * gap), 3) * (g_k * g_a) * g_b
+    # the gap_00 and gap_000bar terms, each in the order of a scalar complex product
+    sq_re, sq_im = _product(d2 * re0, d2 * -im0, re0, -im0)
+    dg[..., 0, 0, :] += _radial(_complex(sq_re / gap2, sq_im / gap2), 1) * g1.conj()
+    third = 2.0 * d2 + x * profile.eval(x, 3)
+    dg[..., 0, 0, 0] -= _complex(re0 * third / gap, -im0 * third / gap)
+    return dg, np.swapaxes(dg.conj(), -1, -2)

@@ -249,10 +249,10 @@ class TestCurvatureScan:
         assert len({row["scal"] for row in rows}) > 1
 
     def test_one_assembly_per_sample(self, capsys, tmp_path, assemble_calls):
-        # one assembly per block, on a stacked record: at most BLOCK samples
-        # up to n = 8, and BLOCK (8/n)^3 above it (32 at n = 16)
+        # one assembly per block, on a stacked record: at most BLOCK
+        # samples at every n
         block = hartogs.metric.BLOCK
-        for n, samples, sizes in ((3, 7, [7]), (3, block + 1, [block, 1]), (16, 70, [32, 32, 6])):
+        for n, samples, sizes in ((3, 7, [7]), (3, block + 1, [block, 1]), (16, 70, [70])):
             assemble_calls.clear()
             code, _, _ = run(capsys, "curvature-scan", "--profile", "powercap:2", "--n", str(n),
                              "--samples", str(samples), "--seed", "1",

@@ -269,6 +269,12 @@ def test_curvature_at_bundle():
     assert data.scal == pytest.approx(data.rho[0], rel=1e-12)
     assert data.slope == pytest.approx(-prof.defect(p.x) * prof.eval(p.x) / p.det_core, rel=1e-12)
     assert data.ric.shape == (2, 2)
+    # t_zbar is exactly 0 on affine profiles, powercap:1 (F = 1 - x)
+    # among them, at every point of a block
+    for prof in (hg.Affine(1, 1), hg.Affine(2, 0.5), hg.PowerCap(1)):
+        for n in (2, 8):
+            points = hg.sample_interior(prof, n, 40, 3, 1e-3)
+            assert not np.any(hg.curvature_at(prof, points, hg.assemble_metric(prof, points)).t_zbar)
 
 
 def test_one_det_core_per_point(monkeypatch):

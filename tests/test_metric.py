@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hartogs as hg
 from hartogs.boundary import boundary_point, sample_boundary
 from hartogs.curvature import fd_step
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
+    metric_derivative_against,
+    metric_derivative_along,
     metric_fd_oracle,
-    metric_gradients,
     metric_matrix,
     require_interior,
 )
 from hartogs.profiles import interior_x_max
 from hartogs.wirtinger import ComplexStencil
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients
 
 
 class TestContains:
@@ -113,8 +116,8 @@ def test_closed_form_vs_fd_hessian(profile, n, points_for):
 @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_metric_gradients_vs_fd(profile, n, points_for):
-    # Wirtinger differences of the closed-form entries, the reference the
-    # exact gradients replace in the Lie derivative
+    # Wirtinger differences of the closed-form entries, against the
+    # test-side tensor that the contractions are checked against below
     stencil = ComplexStencil(1e-6)
 
     def h_of(w):
@@ -125,6 +128,50 @@ def test_metric_gradients_vs_fd(profile, n, points_for):
         for k in range(n):
             for got, want in zip((dg[k], dgbar[k]), stencil.d_pair(h_of, p.z, k)):
                 assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@st.composite
+def contraction_cases(draw):
+    """A profile of a CLI family or powercap:1.001, a dimension, a margin
+    and a seed; affine profiles keep x0 = c1/c2 >= 1."""
+    c1 = draw(st.floats(0.5, 1e2))
+    profile = draw(st.sampled_from([
+        hg.Affine(c1, c1 * draw(st.floats(1e-2, 1.0))),
+        hg.PowerCap(draw(st.sampled_from([0.5, 2.0, 1.001]) | st.floats(0.1, 50.0))),
+        hg.ExpDecay(draw(st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 10.0))),
+        hg.Rational(),
+    ]))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]))
+    return profile, n, draw(st.sampled_from([0.05, 1e-3])), draw(st.integers(0, 2**32 - 1))
+
+
+def relative_error(got, want):
+    """max |got - want| / max |want| over each point's matrix."""
+    return np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=contraction_cases())
+@example(case=(hg.PowerCap(1.001), 8, 1e-3, 1))
+@example(case=(hg.PowerCap(1.001), 16, 0.05, 2))
+@example(case=(hg.Rational(), 16, 1e-3, 3))
+@example(case=(hg.ExpDecay(1.0), 16, 1e-3, 4))
+@example(case=(hg.Affine(1.0, 1.0), 16, 1e-3, 5))
+@example(case=(hg.PowerCap(2.0), 16, 1e-3, 6))
+def test_contractions_match_gradient_tensor(case):
+    # sum_k v_k dh/dz_k and sum_a t_a dh_ab/dzbar_c, formed in O(n^2), are
+    # the contractions of the test-side (N, n, n, n) tensor, for random
+    # complex v and t, and two vectors per point along v
+    profile, n, margin, seed = case
+    p = hg.sample_interior(profile, n, 6, seed % 1000, margin)
+    rng = np.random.default_rng(seed)
+    v, t = rng.normal(size=(2, 2, 6, n)) + 1j * rng.normal(size=(2, 2, 6, n))
+    dg, dgbar = metric_gradients(profile, p)
+    along = metric_derivative_along(profile, p, v)
+    for j in range(2):
+        assert np.max(relative_error(along[j], np.einsum("...k,...kab->...ab", v[j], dg))) <= 1e-14
+        against = metric_derivative_against(profile, p, t[j])
+        assert np.max(relative_error(against, np.einsum("...cab,...a->...bc", dgbar, t[j]))) <= 1e-14
 
 
 @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)

@@ -13,9 +13,11 @@ import hartogs.metric
 from hartogs.boundary import boundary_point
 from hartogs.canonical import HoloVectorField
 from hartogs.errors import DomainError
-from hartogs.metric import BLOCK, DomainPoint, blocks, metric_gradients, point_record
+from hartogs.metric import (
+    BLOCK, DomainPoint, blocks, metric_derivative_against, metric_derivative_along, point_record,
+)
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients
 
 
 def same_bits(a, b) -> bool:
@@ -31,6 +33,8 @@ def closed_forms(profile, p) -> dict:
         "h": m.h, "h_inv": m.h_inv, "det": m.det, "scal": data.scal, "rho": data.rho,
         "einstein": data.einstein, "t_zbar": data.t_zbar, "extremal": data.extremal,
         "dg": metric_gradients(profile, p)[0],
+        "along": np.moveaxis(metric_derivative_along(profile, p, np.stack([p.z, 1j * p.z])), 0, -3),
+        "against": metric_derivative_against(profile, p, p.z.conj()),
         "soliton": hg.soliton_residual(profile, p, -(p.n + 1.0), HoloVectorField.rotation(p.n)),
     }
 
