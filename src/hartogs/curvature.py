@@ -38,8 +38,8 @@ import numpy as np
 from .errors import NumericError
 from .jet import JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, _complex, _radial, _times, inverse_metric_matrix, jet_x_and_gap,
-    metric_derivative_against, nonsingular_core, raises_fp_faults, relative_norm,
+    BLOCK, DomainPoint, MetricData, _complex, _radial, _times, inverse_metric_matrix,
+    jet_x_and_gap, metric_derivative_against, nonsingular_core, raises_fp_faults, relative_norm,
     require_interior,
 )
 from .profiles import Profile
@@ -47,6 +47,10 @@ from .wirtinger import ComplexStencil
 
 #: the extremal oracle's stencil step far from the boundary
 FD_BASE_STEP = 1e-4
+
+#: the most entries of the stencil points' (4n N, n, n) inverse metrics that
+#: the extremal oracle forms at once: those of N = BLOCK points at n = 8
+FD_STENCIL_ENTRIES = BLOCK * 4 * 8**3
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
     e = np.zeros(mu.shape[:-1] + (mu.shape[-1] + 1,), dtype=complex)
     e[..., 0] = 1.0
     for j in range(mu.shape[-1]):
-        e[..., 1:] = e[..., 1:] + mu[..., j, None] * e[..., :-1]
+        e[..., 1:] = e[..., 1:] + _times(mu[..., j, None], e[..., :-1])
     return e[..., 1:].real
 
 
@@ -175,11 +179,21 @@ def extremal_fd_oracle(
     """Independent oracle for `CurvatureData.t_zbar` at a single point, or
     at every point of a stacked record: central Wirtinger differences of
     T(w) = h^-1(w)^T dbar scal(w), column c along zbar_c.  T is evaluated
-    at all 4n stencil points of every point as one stacked record.  Each
+    at all 4n stencil points of a run of points as one stacked record: BLOCK
+    points up to n = 8, fewer above it (FD_STENCIL_ENTRIES).  Each
     point's step along z_k is `fd_step` times 1 + |z_k|, unless a stencil
     gives the step for all of them; the margin-scaled step keeps every
     stencil point inside the domain.  NumericError names the point and the
     coordinate of the first non-finite stencil value."""
+    if p.z.ndim == 1:
+        return _extremal_fd_run(profile, p, stencil)[0]
+    run = max(1, FD_STENCIL_ENTRIES // (4 * p.n**3))
+    return np.concatenate([_extremal_fd_run(profile, p[start:start + run], stencil)
+                           for start in range(0, len(p), run)])
+
+
+def _extremal_fd_run(profile: Profile, p: DomainPoint, stencil: ComplexStencil | None):
+    """`extremal_fd_oracle` on one run of points, a stacked record."""
     z = p.z.reshape(-1, p.n)
     count, n = z.shape
     step = fd_step(p) if stencil is None else stencil.step
@@ -206,8 +220,7 @@ def extremal_fd_oracle(
     h = h[..., None]
     du = (fu_p - fu_m) / (2.0 * h)
     dv = (fv_p - fv_m) / (2.0 * h)
-    t_zbar = np.swapaxes(0.5 * (du + 1j * dv), -1, -2)
-    return t_zbar[0] if p.z.ndim == 1 else t_zbar
+    return np.swapaxes(0.5 * (du + 1j * dv), -1, -2)
 
 
 @raises_fp_faults

@@ -300,17 +300,11 @@ def _times(a, b) -> np.ndarray:
 def _gradient_parts(profile: Profile, p: DomainPoint, w: np.ndarray):
     """(g1, mix, gap, gap_00, gap_000bar, g1.w) at p, each with a trailing
     axis of length n or 1 to broadcast against the vectors w[..., k]: the
-    parts of the first derivatives of h = (d^2 Phi / dz_a dzbar_b),
-    Phi = -log(gap), with subscripts for derivatives of gap and a bar on b:
-
-        d_k h_ab = -gap_kab/gap + (gap_ab gap_k + gap_ka gap_b + gap_a gap_kb)/gap^2
-                   - 2 gap_k gap_a gap_b/gap^3,
-
-    g1 = (gap_k) = (F' zbar_0, -zbar_1, ...), diag(mix) = (gap_ab) =
-    diag(F' + F'' x, -1, ...), the only holomorphic second derivative
-    gap_00 = F'' zbar_0^2 and the only third gap_000bar = zbar_0 (2 F'' +
-    x F''').  F''' is read here, once per point, and kept nowhere else.
-    """
+    derivatives of gap in the first derivatives of h (derived in full in
+    the tests' reference tensor, `conftest.metric_gradients`), with
+    g1 = (F' zbar_0, -zbar_1, ...), mix = (F' + F'' x, -1, ...) the
+    diagonal of the mixed ones, gap_00 = F'' zbar_0^2 and gap_000bar =
+    zbar_0 (2 F'' + x F''').  F''' is read here, once per point."""
     bar0 = np.conj(p.z[..., 0])
     g1 = -np.conj(p.z)
     g1[..., 0] = p.d1 * bar0

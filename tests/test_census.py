@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import hartogs.curvature
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "census.py"
@@ -13,12 +15,19 @@ spec = importlib.util.spec_from_file_location("census", TOOL)
 census = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(census)
 
-GRID = {"profiles": ("affine:1,1", "rational"), "dimensions": (2,), "seeds": (0,), "samples": 20}
+
+@pytest.fixture(autouse=True)
+def tiny_grid(monkeypatch):
+    """2 profiles at n = 2, seed 0 and 20 samples: 18 runs."""
+    monkeypatch.setattr(census, "PROFILES", ("affine:1,1", "rational"))
+    monkeypatch.setattr(census, "DIMENSIONS", (2,))
+    monkeypatch.setattr(census, "SEEDS", (0,))
+    monkeypatch.setattr(census, "SAMPLES", 20)
 
 
 def test_tree_against_itself(tmp_path, capsys):
-    census.save(str(tmp_path / "old"), **GRID)
-    census.save(str(tmp_path / "new"), **GRID)
+    census.save(str(tmp_path / "old"))
+    census.save(str(tmp_path / "new"))
     capsys.readouterr()
     assert census.compare(str(tmp_path / "old"), str(tmp_path / "new")) == 0
     out = capsys.readouterr().out
@@ -30,10 +39,10 @@ def test_tree_against_itself(tmp_path, capsys):
 
 
 def test_doctored_oracle_flips_a_verdict(tmp_path, capsys, monkeypatch):
-    census.save(str(tmp_path / "old"), **GRID)
+    census.save(str(tmp_path / "old"))
     original = hartogs.curvature.rho_oracle
     monkeypatch.setattr(hartogs.curvature, "rho_oracle", lambda m, ric: 1.001 * original(m, ric))
-    census.save(str(tmp_path / "new"), **GRID)
+    census.save(str(tmp_path / "new"))
     capsys.readouterr()
     assert census.compare(str(tmp_path / "old"), str(tmp_path / "new")) == 1
     out = capsys.readouterr().out
@@ -46,7 +55,7 @@ def test_doctored_oracle_flips_a_verdict(tmp_path, capsys, monkeypatch):
 
 
 def test_numeric_change_is_counted(tmp_path, capsys):
-    census.save(str(tmp_path / "old"), **GRID)
+    census.save(str(tmp_path / "old"))
     runs = (tmp_path / "old" / "runs.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in runs]
     for r in records:
@@ -66,9 +75,9 @@ def test_numeric_change_is_counted(tmp_path, capsys):
 
 
 def test_digests_hash_the_saved_runs(tmp_path, capsys):
-    census.census(**GRID)
+    census.census()
     lines = capsys.readouterr().out.splitlines()
-    census.save(str(tmp_path), **GRID)
+    census.save(str(tmp_path))
     records = [json.loads(line) for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
     assert len(lines) == len(records) + 1
     total = hashlib.sha256()

@@ -167,6 +167,27 @@ def test_oracles_over_two_blocks():
         oracles_match_single_records(prof, run)
 
 
+def test_extremal_oracle_runs_above_n8(monkeypatch):
+    # at n = 16 the stencil of 40 points is evaluated in runs of 32 and 8
+    # points, whose inverse metrics hold FD_STENCIL_ENTRIES entries at most,
+    # with the bits of single records
+    sizes = []
+    inverse = hartogs.curvature.inverse_metric_matrix
+
+    def recorded(q):
+        sizes.append(q.z.size * q.n)
+        return inverse(q)
+
+    monkeypatch.setattr(hartogs.curvature, "inverse_metric_matrix", recorded)
+    prof = hg.PowerCap(2)
+    points = hg.sample_interior(prof, 16, 40, 3, 1e-3)
+    oracle = ORACLES["extremal"]
+    stacked = oracle(prof, points)
+    assert sizes == [4 * 16 * 16**2 * run for run in (32, 8)]
+    assert max(sizes) == hartogs.curvature.FD_STENCIL_ENTRIES
+    assert same_bits(stacked, np.array([oracle(prof, p) for p in points]))
+
+
 @pytest.mark.parametrize("n, samples, calls", [(3, 80, 1), (8, 300, 2)])
 def test_verification_calls_each_oracle_once_per_block(monkeypatch, n, samples, calls):
     counts = dict.fromkeys(ORACLES, 0)

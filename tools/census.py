@@ -85,24 +85,24 @@ def rotation_field(n: int) -> str:
                     for k in range(n))
 
 
-def runs(profiles=PROFILES, dimensions=DIMENSIONS, seeds=SEEDS, samples=SAMPLES):
-    for profile in profiles:
+def runs():
+    for profile in PROFILES:
         yield ["check-pseudoconvex", "--profile", profile]
-        for n in dimensions:
-            for seed in seeds:
+        for n in DIMENSIONS:
+            for seed in SEEDS:
                 for command, *extra in COMMANDS:
                     extra = [rotation_field(n) if a == "{field}" else a for a in extra]
                     yield [command, "--profile", profile, "--n", str(n), "--seed", str(seed),
-                           "--samples", str(samples), *extra]
+                           "--samples", str(SAMPLES), *extra]
 
 
-def captured(grid: dict):
+def captured():
     """(name, exit code, stdout, stderr, CSV bytes or None) of each run of
     the grid, in order; the name is the command line without the CSV path,
     and the path reads OUT in the printed text."""
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "out.csv")
-        for argv in runs(**grid):
+        for argv in runs():
             argv = [out_path if a == "{out}" else a for a in argv]
             if os.path.exists(out_path):
                 os.remove(out_path)
@@ -119,11 +119,11 @@ def captured(grid: dict):
                    stderr.getvalue().replace(out_path, "OUT"), table)
 
 
-def census(**grid) -> int:
+def census() -> int:
     """Print one sha256 per run over its exit code, stdout, stderr and CSV,
     then a sha256 over those lines."""
     total = hashlib.sha256()
-    for name, code, stdout, stderr, table in captured(grid):
+    for name, code, stdout, stderr, table in captured():
         h = hashlib.sha256()
         for part in (str(code), stdout, stderr):
             h.update(part.encode())
@@ -137,11 +137,11 @@ def census(**grid) -> int:
     return 0
 
 
-def save(directory: str, **grid) -> int:
+def save(directory: str) -> int:
     """Write each run of the grid to DIR/runs.jsonl."""
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "runs.jsonl"), "w") as fh:
-        for name, code, stdout, stderr, table in captured(grid):
+        for name, code, stdout, stderr, table in captured():
             record = {"run": name, "code": code, "stdout": stdout, "stderr": stderr,
                       "csv": None if table is None else table.decode()}
             fh.write(json.dumps(record) + "\n")
