@@ -17,15 +17,24 @@ the test suite exercises.
 
 The defect and two radial derivatives of the slope -defect F / det_core
 are closed forms stated per profile family, evaluated once per point in
-one call over a stack.  The closed forms built on them (`scal_gradient_bar`,
-`curvature_at`) take a single or a stacked record, like those of `metric`,
-and run with its floating-point faults raised.  The oracles differentiate
-on purpose to stay independent of them: the Ricci oracle with an exact
-second-order jet of log det h, and the extremal oracle with a finite
-difference of T, the only one left in this module.  Both take a single
-or a stacked record: the Ricci oracle as one stacked jet, the extremal
-oracle by evaluating T at all the stencil points of all the points as
-one stacked record.
+one call over a stack.  The metric is extremal iff the (1,0)-gradient
+field T = K^T dbar scal, K = h^-1, is holomorphic.  dbar scal and K are
+both radial, so T is a radial multiple of each coordinate, formed in
+O(n) per point without K, with s = gap/det_core, r = slope' gap +
+slope F' and |z'|^2 = F - gap:
+
+    T^0 = s z_0 (F r - F' slope |z'|^2)
+    T^i = s z_i (x F' r - slope (det_core + (F' + F'' x) |z'|^2))
+
+The closed forms built on them (T and `curvature_at`) take a single or a
+stacked record, like those of `metric`, and run with its floating-point
+faults raised.  The oracles differentiate on purpose, so that they share
+no derivative formula with what they check: the Ricci oracle with an
+exact second-order jet of log det h, and the extremal oracle with a
+finite difference of T, the only one left in this module.  Both take a
+single or a stacked record: the Ricci oracle as one stacked jet, the
+extremal oracle by evaluating T at all the stencil points of all the
+points as one stacked record.
 """
 
 from __future__ import annotations
@@ -38,19 +47,14 @@ import numpy as np
 from .errors import NumericError
 from .jet import JetPoint, log
 from .metric import (
-    BLOCK, DomainPoint, MetricData, _complex, _radial, _times, inverse_metric_matrix,
-    jet_x_and_gap, metric_derivative_against, nonsingular_core, raises_fp_faults, relative_norm,
-    require_interior,
+    DomainPoint, MetricData, _complex, _radial, _times, jet_x_and_gap, metric_derivative_against,
+    nonsingular_core, raises_fp_faults, relative_norm, require_interior,
 )
 from .profiles import Profile
 from .wirtinger import ComplexStencil
 
 #: the extremal oracle's stencil step far from the boundary
 FD_BASE_STEP = 1e-4
-
-#: the most entries of the stencil points' (4n N, n, n) inverse metrics that
-#: the extremal oracle forms at once: those of N = BLOCK points at n = 8
-FD_STENCIL_ENTRIES = BLOCK * 4 * 8**3
 
 
 @dataclass(frozen=True)
@@ -82,27 +86,23 @@ def curvature_defect(profile: Profile, p: DomainPoint):
 
 
 @raises_fp_faults
-def scal_gradient_bar(p: DomainPoint, slope, slope_d1) -> np.ndarray:
-    """Anti-holomorphic gradient of the scalar curvature at p, in closed
-    form from its record, the slope and its radial derivative slope':
-
-        d scal / dzbar_0 = z_0 (slope' * gap + slope * F')
-        d scal / dzbar_i = -slope * z_i.
-    """
-    grad = -np.asarray(slope)[..., None] * p.z
-    radial = slope_d1 * p.gap + slope * p.d1
-    grad[..., 0] = _complex(p.z[..., 0].real * radial, p.z[..., 0].imag * radial)
-    return grad
-
-
-def _gradient_field(profile: Profile, p: DomainPoint, h_inv: np.ndarray, defect):
-    """(slope, slope', T) at p from its defect and K = h_inv: slope =
-    -defect F / det_core, by which scal = -n(n+1) + slope * gap, its radial
-    derivative slope', and T = K^T dbar scal, the (1,0)-gradient field."""
+def _gradient_field(profile: Profile, p: DomainPoint, defect):
+    """(slope, slope', T) at p from its defect, which `curvature_defect`
+    gives once det_core is checked: slope = -defect F / det_core, by which
+    scal = -n(n+1) + slope * gap, its radial derivative slope', and the
+    gradient field T = K^T dbar scal in its radial form (see the module
+    docstring), from dbar_0 scal = z_0 r and dbar_i scal = -slope z_i."""
     slope = -defect * p.f / p.det_core
     slope_d1 = profile.slope_d1(p.x)
-    grad = scal_gradient_bar(p, slope, slope_d1)
-    return slope, slope_d1, (np.swapaxes(h_inv, -1, -2) @ grad[..., None])[..., 0]
+    s, fiber = p.gap / p.det_core, p.f - p.gap
+    r = slope_d1 * p.gap + slope * p.d1
+    scale = np.empty(p.z.shape)
+    scale[..., 0] = s * (p.f * r - p.d1 * slope * fiber)
+    scale[..., 1:] = _radial(
+        s * (p.x * p.d1 * r - slope * (p.det_core + (p.d1 + p.d2 * p.x) * fiber)), 1
+    )
+    # a real times a complex factor: each part is rounded once
+    return slope, slope_d1, scale * p.z
 
 
 def _ricci(p: DomainPoint, m: MetricData, defect) -> np.ndarray:
@@ -178,22 +178,15 @@ def extremal_fd_oracle(
 ) -> np.ndarray:
     """Independent oracle for `CurvatureData.t_zbar` at a single point, or
     at every point of a stacked record: central Wirtinger differences of
-    T(w) = h^-1(w)^T dbar scal(w), column c along zbar_c.  T is evaluated
-    at all 4n stencil points of a run of points as one stacked record: BLOCK
-    points up to n = 8, fewer above it (FD_STENCIL_ENTRIES).  Each
-    point's step along z_k is `fd_step` times 1 + |z_k|, unless a stencil
-    gives the step for all of them; the margin-scaled step keeps every
-    stencil point inside the domain.  NumericError names the point and the
-    coordinate of the first non-finite stencil value."""
-    if p.z.ndim == 1:
-        return _extremal_fd_run(profile, p, stencil)[0]
-    run = max(1, FD_STENCIL_ENTRIES // (4 * p.n**3))
-    return np.concatenate([_extremal_fd_run(profile, p[start:start + run], stencil)
-                           for start in range(0, len(p), run)])
-
-
-def _extremal_fd_run(profile: Profile, p: DomainPoint, stencil: ComplexStencil | None):
-    """`extremal_fd_oracle` on one run of points, a stacked record."""
+    the gradient field T (`_gradient_field`), column c along zbar_c.  T is
+    evaluated at all 4n stencil points of every point as one stacked
+    record, O(n) per stencil point, so the stencil's arrays hold
+    O(N n^2) entries.  Each point's step along z_k is `fd_step` times
+    1 + |z_k|, unless a stencil gives the step for all of them; the
+    margin-scaled step keeps every stencil point inside the domain.
+    SingularityError is raised where det_core is below SINGULAR_TOL at a
+    stencil point, before the defect is read there, and NumericError names
+    the point and the coordinate of the first non-finite stencil value."""
     z = p.z.reshape(-1, p.n)
     count, n = z.shape
     step = fd_step(p) if stencil is None else stencil.step
@@ -207,8 +200,8 @@ def _extremal_fd_run(profile: Profile, p: DomainPoint, stencil: ComplexStencil |
     w[:, np.arange(4 * n), np.repeat(np.arange(n), 4)] += offsets
 
     q = require_interior(profile, w.reshape(-1, n))
-    t = _gradient_field(profile, q, inverse_metric_matrix(q), profile.defect(q.x))[2]
-    t = t.reshape(count, 4 * n, n)
+    del w  # q holds its own copy of the stencil points
+    t = _gradient_field(profile, q, curvature_defect(profile, q))[2].reshape(count, 4 * n, n)
     finite = np.isfinite(t).all(axis=-1)
     if not finite.all():
         i, row = np.unravel_index(np.argmin(finite), finite.shape)
@@ -220,7 +213,8 @@ def _extremal_fd_run(profile: Profile, p: DomainPoint, stencil: ComplexStencil |
     h = h[..., None]
     du = (fu_p - fu_m) / (2.0 * h)
     dv = (fv_p - fv_m) / (2.0 * h)
-    return np.swapaxes(0.5 * (du + 1j * dv), -1, -2)
+    t_zbar = np.swapaxes(0.5 * (du + 1j * dv), -1, -2)
+    return t_zbar if p.z.ndim > 1 else t_zbar[0]
 
 
 @raises_fp_faults
@@ -232,13 +226,14 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     || Ric + (n+1) h ||_F / (1 + ||h||_F).
 
     The metric is extremal iff T = K^T g is holomorphic, with K = h^-1 and
-    g = dbar scal.  t_zbar[a, c] = dT^a/dzbar_c = (K^T (S - E))[a, c], with
-    E[b, c] = sum_a T_a dh_ab/dzbar_c (`metric.metric_derivative_against`)
-    and S, the anti-holomorphic Hessian of scal, zero but for S00 = z_0^2
+    g = dbar scal; `_gradient_field` forms T in O(n).  t_zbar[a, c] =
+    dT^a/dzbar_c = (K^T (S - E))[a, c], with E[b, c] = sum_a T_a
+    dh_ab/dzbar_c (`metric.metric_derivative_against`) and S, the
+    anti-holomorphic Hessian of scal, zero but for S00 = z_0^2
     (slope'' gap + 2 slope' F' + slope F'') and S0i = Si0 = -slope' z_0 z_i."""
     n = p.n
     defect = curvature_defect(profile, p)
-    slope, slope_d1, t = _gradient_field(profile, p, m.h_inv, defect)
+    slope, slope_d1, t = _gradient_field(profile, p, defect)
     ric = _ricci(p, m, defect)
     shared = p.gap * p.f * defect / p.det_core
     coefficients = [(n + 1) ** k * (-1.0) ** (k + 1) * math.comb(n - 1, k) for k in range(n)]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import hartogs as hg
-from hartogs.metric import _complex, _diagonal, _product, _radial
+from hartogs.metric import _complex, _diagonal, _product, _radial, inverse_metric_matrix
 
 #: the CLI-reachable families exercised by cross-module sweeps
 PSEUDOCONVEX_FAMILIES = [
@@ -28,6 +29,21 @@ def points_for():
         return cache[key]
 
     return get
+
+
+@st.composite
+def profile_cases(draw):
+    """A profile of a CLI family or powercap:1.001, a dimension, a margin
+    and a seed; affine profiles keep x0 = c1/c2 >= 1."""
+    c1 = draw(st.floats(0.5, 1e2))
+    profile = draw(st.sampled_from([
+        hg.Affine(c1, c1 * draw(st.floats(1e-2, 1.0))),
+        hg.PowerCap(draw(st.sampled_from([0.5, 2.0, 1.001]) | st.floats(0.1, 50.0))),
+        hg.ExpDecay(draw(st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 10.0))),
+        hg.Rational(),
+    ]))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]))
+    return profile, n, draw(st.sampled_from([0.05, 1e-3])), draw(st.integers(0, 2**32 - 1))
 
 
 def central_d1(fn, x, h):
@@ -77,3 +93,25 @@ def metric_gradients(profile, p):
     third = 2.0 * d2 + x * profile.eval(x, 3)
     dg[..., 0, 0, 0] -= _complex(re0 * third / gap, -im0 * third / gap)
     return dg, np.swapaxes(dg.conj(), -1, -2)
+
+
+def scal_gradient_bar(p, slope, slope_d1):
+    """Test-side reference for dbar scal at p, from its record, the slope
+    and its radial derivative slope':
+
+        d scal / dzbar_0 = z_0 (slope' * gap + slope * F')
+        d scal / dzbar_i = -slope * z_i.
+    """
+    grad = -np.asarray(slope)[..., None] * p.z
+    radial = slope_d1 * p.gap + slope * p.d1
+    grad[..., 0] = _complex(p.z[..., 0].real * radial, p.z[..., 0].imag * radial)
+    return grad
+
+
+def gradient_field_reference(profile, p):
+    """Test-side reference for the gradient field T = K^T dbar scal at p,
+    with K = h^-1 the whole closed-form inverse (`inverse_metric_matrix`),
+    which the package's radial form of T never assembles."""
+    slope = -profile.defect(p.x) * p.f / p.det_core
+    grad = scal_gradient_bar(p, slope, profile.slope_d1(p.x))
+    return (np.swapaxes(inverse_metric_matrix(p), -1, -2) @ grad[..., None])[..., 0]

@@ -9,11 +9,11 @@ import hartogs.canonical
 import hartogs.metric
 from hartogs.canonical import HoloVectorField, lie_from_jets, soliton_sweep
 from hartogs.cli import main
-from hartogs.curvature import curvature_at, extremal_fd_oracle, scal_gradient_bar
+from hartogs.curvature import curvature_at, extremal_fd_oracle
 from hartogs.errors import DomainError
 from hartogs.wirtinger import ComplexStencil
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, scal_gradient_bar
 
 
 def sweep(prof):
@@ -335,8 +335,8 @@ class TestExtremalResidual:
         assert math.isfinite(hg.extremal_residual(prof, p))
 
     def test_field_matches_slope_structure(self):
-        # the closed-form dbar scal, which both the residual and its FD
-        # oracle read, against Wirtinger differences of scal itself
+        # the tests' dbar scal, on which their reference for the gradient
+        # field T is built, against Wirtinger differences of scal itself
         def scal(w):
             p = hg.contains(prof, w)
             return curvature_at(prof, p, hg.assemble_metric(prof, p)).scal

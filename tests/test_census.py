@@ -34,8 +34,9 @@ def test_tree_against_itself(tmp_path, capsys):
     assert "18 -> 18 runs; 0 changes of exit code, verdict or text" in out
     rows = [line.split("\t") for line in out.splitlines()[2:]]
     assert rows and all(row[2] == "0" for row in rows)
-    assert ["verify-theorems", "rho_closed_vs_fit worst rel [#] (tol #)", "0", "4", "0"] in rows
-    assert ["curvature-scan", "csv:extremal_res", "0", "40", "0"] in rows
+    rho = "rho_closed_vs_fit worst rel [#] (tol #)"
+    assert ["verify-theorems", rho, "0", "4", "0", "0"] in rows
+    assert ["curvature-scan", "csv:extremal_res", "0", "40", "0", "0"] in rows
 
 
 def test_doctored_oracle_flips_a_verdict(tmp_path, capsys, monkeypatch):
@@ -58,11 +59,14 @@ def test_numeric_change_is_counted(tmp_path, capsys):
     census.save(str(tmp_path / "old"))
     runs = (tmp_path / "old" / "runs.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in runs]
+    moved = []
     for r in records:
         if r["run"].startswith("extremal-residual") and r["csv"]:
             header, first, *rest = r["csv"].split("\n")
             cells = first.split(",")
-            cells[-1] = repr(float(cells[-1]) * (1 + 1e-12))
+            old = float(cells[-1])
+            cells[-1] = repr(old * (1 + 1e-12))
+            moved.append(abs(float(cells[-1]) - old))
             r["csv"] = "\n".join([header, ",".join(cells), *rest])
     (tmp_path / "new").mkdir()
     (tmp_path / "new" / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -70,8 +74,10 @@ def test_numeric_change_is_counted(tmp_path, capsys):
     assert census.compare(str(tmp_path / "old"), str(tmp_path / "new")) == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[2:]]
     row = next(r for r in rows if r[:2] == ["extremal-residual", "csv:extremal_res"])
-    # one changed cell in each of the two extremal-residual CSVs, rational's nonzero
+    # one changed cell in each of the two extremal-residual CSVs, rational's
+    # nonzero, by 1e-12 of itself
     assert row[2] == "2" and float(row[4]) > 0
+    assert float(row[5]) == pytest.approx(max(moved), rel=1e-2) and max(moved) > 0
 
 
 def test_digests_hash_the_saved_runs(tmp_path, capsys):

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import hartogs as hg
-from hartogs.curvature import rho_oracle
+from hartogs.curvature import _gradient_field, curvature_defect, extremal_fd_oracle, rho_oracle
 from hartogs.errors import SingularityError
 from hartogs.metric import MetricData
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1
+from conftest import (
+    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1, gradient_field_reference, profile_cases,
+)
 
 
 def nested_defect_oracle(profile, x, h=2e-4):
@@ -62,6 +65,35 @@ class TestDefect:
         z = [math.sqrt(0.3), 0.5]
         with pytest.raises(SingularityError):
             hg.curvature_defect(prof, hg.contains(prof, z))
+
+    def test_probe_singular_in_extremal_oracle(self):
+        # det_core is checked before the probe's defect, which it does not
+        # define, is read at the stencil points
+        prof = hg.ConstantProbe()
+        with pytest.raises(SingularityError, match="det_core"):
+            extremal_fd_oracle(prof, hg.contains(prof, [0.2, 0.3]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=profile_cases())
+@example(case=(hg.Affine(2.0, 3.0), 8, 1e-3, 1))
+@example(case=(hg.PowerCap(1.001), 8, 1e-3, 2))
+@example(case=(hg.Rational(), 16, 1e-3, 3))
+@example(case=(hg.Rational(), 8, 1e-3, 4))
+@example(case=(hg.ExpDecay(1.0), 16, 1e-3, 5))
+@example(case=(hg.PowerCap(2.0), 16, 0.05, 6))
+def test_gradient_field_matches_inverse_metric(case):
+    # the radial form of T against K^T dbar scal with the whole inverse
+    # metric K, to 1e-11 relative to max |T| at each point; exactly 0 on
+    # affine profiles
+    profile, n, margin, seed = case
+    p = hg.sample_interior(profile, n, 6, seed % 1000, margin)
+    t = _gradient_field(profile, p, curvature_defect(profile, p))[2]
+    if isinstance(profile, hg.Affine):
+        assert not np.any(t)
+        return
+    want = gradient_field_reference(profile, p)
+    assert np.all(np.max(np.abs(t - want), axis=-1) <= 1e-11 * np.max(np.abs(want), axis=-1))
 
 
 def slope(profile, x):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import hartogs as hg
 from hartogs.boundary import boundary_point, sample_boundary
@@ -19,7 +18,7 @@ from hartogs.metric import (
 from hartogs.profiles import interior_x_max
 from hartogs.wirtinger import ComplexStencil
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients, profile_cases
 
 
 class TestContains:
@@ -130,28 +129,13 @@ def test_metric_gradients_vs_fd(profile, n, points_for):
                 assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
-@st.composite
-def contraction_cases(draw):
-    """A profile of a CLI family or powercap:1.001, a dimension, a margin
-    and a seed; affine profiles keep x0 = c1/c2 >= 1."""
-    c1 = draw(st.floats(0.5, 1e2))
-    profile = draw(st.sampled_from([
-        hg.Affine(c1, c1 * draw(st.floats(1e-2, 1.0))),
-        hg.PowerCap(draw(st.sampled_from([0.5, 2.0, 1.001]) | st.floats(0.1, 50.0))),
-        hg.ExpDecay(draw(st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 10.0))),
-        hg.Rational(),
-    ]))
-    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]))
-    return profile, n, draw(st.sampled_from([0.05, 1e-3])), draw(st.integers(0, 2**32 - 1))
-
-
 def relative_error(got, want):
     """max |got - want| / max |want| over each point's matrix."""
     return np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(case=contraction_cases())
+@given(case=profile_cases())
 @example(case=(hg.PowerCap(1.001), 8, 1e-3, 1))
 @example(case=(hg.PowerCap(1.001), 16, 0.05, 2))
 @example(case=(hg.Rational(), 16, 1e-3, 3))

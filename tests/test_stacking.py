@@ -167,25 +167,31 @@ def test_oracles_over_two_blocks():
         oracles_match_single_records(prof, run)
 
 
-def test_extremal_oracle_runs_above_n8(monkeypatch):
-    # at n = 16 the stencil of 40 points is evaluated in runs of 32 and 8
-    # points, whose inverse metrics hold FD_STENCIL_ENTRIES entries at most,
-    # with the bits of single records
-    sizes = []
-    inverse = hartogs.curvature.inverse_metric_matrix
+def test_extremal_oracle_one_stencil_above_n8(monkeypatch):
+    # above n = 8 the stencil of every point is still one stacked record:
+    # T is evaluated once per call, in its radial form, with no inverse
+    # metric, and each point keeps the bits of its single record
+    calls = []
+    field = hartogs.curvature._gradient_field
 
-    def recorded(q):
-        sizes.append(q.z.size * q.n)
-        return inverse(q)
+    def counted(profile, q, defect):
+        calls.append(len(q))
+        return field(profile, q, defect)
 
-    monkeypatch.setattr(hartogs.curvature, "inverse_metric_matrix", recorded)
+    def forbidden(p):
+        raise AssertionError("the extremal oracle assembled an inverse metric")
+
+    monkeypatch.setattr(hartogs.curvature, "_gradient_field", counted)
+    monkeypatch.setattr(hartogs.metric, "inverse_metric_matrix", forbidden)
+    assert not hasattr(hartogs.curvature, "inverse_metric_matrix")
     prof = hg.PowerCap(2)
-    points = hg.sample_interior(prof, 16, 40, 3, 1e-3)
     oracle = ORACLES["extremal"]
-    stacked = oracle(prof, points)
-    assert sizes == [4 * 16 * 16**2 * run for run in (32, 8)]
-    assert max(sizes) == hartogs.curvature.FD_STENCIL_ENTRIES
-    assert same_bits(stacked, np.array([oracle(prof, p) for p in points]))
+    for n, count in ((16, 40), (32, 6)):
+        points = hg.sample_interior(prof, n, count, 3, 1e-3)
+        calls.clear()
+        stacked = oracle(prof, points)
+        assert calls == [4 * n * count]
+        assert same_bits(stacked, np.array([oracle(prof, p) for p in points]))
 
 
 @pytest.mark.parametrize("n, samples, calls", [(3, 80, 1), (8, 300, 2)])

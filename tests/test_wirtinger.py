@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import hartogs as hg
 import hartogs.curvature
-from hartogs.curvature import _gradient_field, extremal_fd_oracle, fd_step
+from hartogs.curvature import _gradient_field, curvature_defect, extremal_fd_oracle, fd_step
 from hartogs.errors import NumericError
-from hartogs.metric import inverse_metric_matrix, require_interior
+from hartogs.metric import require_interior
 from hartogs.wirtinger import ComplexStencil
 
 ST = ComplexStencil()
@@ -111,7 +111,7 @@ def _gradient_field_at(profile):
     oracle differences."""
     def t_of(w):
         q = require_interior(profile, w)
-        return _gradient_field(profile, q, inverse_metric_matrix(q), profile.defect(q.x))[2]
+        return _gradient_field(profile, q, curvature_defect(profile, q))[2]
 
     return t_of
 
@@ -140,8 +140,8 @@ def test_extremal_oracle_nonfinite_names_point_and_coordinate(monkeypatch):
     others = [0, 2]
     field = hartogs.curvature._gradient_field
 
-    def poisoned(profile, q, h_inv, defect):
-        slope, slope_d1, t = field(profile, q, h_inv, defect)
+    def poisoned(profile, q, defect):
+        slope, slope_d1, t = field(profile, q, defect)
         moved = np.all(q.z[:, others] == target[others], axis=1) & (q.z[:, 1] != target[1])
         t[moved] = math.nan
         return slope, slope_d1, t

@@ -25,11 +25,14 @@ Three modes:
 * `--compare OLD NEW`: two saved censuses, run by run.  It prints every
   change of exit code, of the PASS/FAIL tokens and of the text around
   the numbers, and exits 1 if there is any; then, for each subcommand and
-  column, the count of changed numeric cells and the largest relative
-  change.  A stdout or stderr column is a line with its numbers masked
-  (`#`), the counted one marked `[#]`; a CSV column is `csv:` and its
-  header.  A relative change is |new - old| / |old|, inf where old is 0
-  or either side is NaN.
+  column, the count of changed numeric cells and the largest relative and
+  the largest absolute change.  A stdout or stderr column is a line with
+  its numbers masked (`#`), the counted one marked `[#]`; a CSV column is
+  `csv:` and its header.  A relative change is |new - old| / |old|, inf
+  where old is 0, and an absolute one |new - old|; both are inf where
+  either side is NaN.  The absolute column keeps a change of a
+  large value readable where rounding-level values in the same column
+  swamp the relative one.
 
       PYTHONPATH=/path/to/old/checkout/src python3 tools/census.py --save old
       PYTHONPATH=src python3 tools/census.py --save new
@@ -153,13 +156,16 @@ def load(directory: str) -> dict:
         return {r["run"]: r for r in map(json.loads, fh)}
 
 
-def relative_change(old: str, new: str) -> float:
+def change(old: str, new: str) -> tuple[float, float]:
+    """(relative, absolute) change from old to new, as the module docstring
+    defines them."""
     a, b = float(old), float(new)
     if a == b:
-        return 0.0
-    if a == 0.0 or math.isnan(a) or math.isnan(b):
-        return math.inf
-    return abs(b - a) / abs(a)
+        return 0.0, 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf, math.inf
+    absolute = abs(b - a)
+    return (math.inf if a == 0.0 else absolute / abs(a)), absolute
 
 
 def text_cells(text: str, label: str):
@@ -191,8 +197,9 @@ def compare(old_dir: str, new_dir: str) -> int:
     1 if an exit code, a verdict or any text changed, else 0."""
     old, new = load(old_dir), load(new_dir)
     faults: list[str] = []
-    # (subcommand, column) -> [cells, changed cells, largest relative change]
-    columns: dict = defaultdict(lambda: [0, 0, 0.0])
+    # (subcommand, column) -> [cells, changed cells, largest relative change,
+    # largest absolute change]
+    columns: dict = defaultdict(lambda: [0, 0, 0.0, 0.0])
     for name in sorted(old.keys() - new.keys()):
         faults.append(f"run missing from NEW: {name}")
     for name in sorted(new.keys() - old.keys()):
@@ -225,13 +232,16 @@ def compare(old_dir: str, new_dir: str) -> int:
                     entry[0] += 1
                     if x != y:
                         entry[1] += 1
-                        entry[2] = max(entry[2], relative_change(x, y))
+                        relative, absolute = change(x, y)
+                        entry[2] = max(entry[2], relative)
+                        entry[3] = max(entry[3], absolute)
     for fault in faults:
         print(fault)
     print(f"{len(old)} -> {len(new)} runs; {len(faults)} changes of exit code, verdict or text")
-    print("subcommand\tcolumn\tchanged cells\tcells\tlargest relative change")
-    for (command, column), (cells, changed, worst) in sorted(columns.items()):
-        print(f"{command}\t{column}\t{changed}\t{cells}\t{worst:.3g}")
+    print("subcommand\tcolumn\tchanged cells\tcells\tlargest relative change"
+          "\tlargest absolute change")
+    for (command, column), (cells, changed, relative, absolute) in sorted(columns.items()):
+        print(f"{command}\t{column}\t{changed}\t{cells}\t{relative:.3g}\t{absolute:.3g}")
     return 1 if faults else 0
 
 
