@@ -64,22 +64,25 @@ def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> DomainPo
     """Deterministic boundary samples, as one stacked record: |z_0|^2
     uniform below the radial clearance bound, uniform phase, and a
     uniformly random fiber direction scaled to radius sqrt(F(|z_0|^2)).
-    The draws are made point by point, then the points are built at once."""
+    The draws are made point by point, two numpy calls a point written
+    into preallocated rows, then the points are built at once."""
     if count <= 0:
         raise ValueError("sample count must be positive")
     if n < 2:
         raise ValueError("dimension must be at least 2")
     rng = np.random.default_rng(seed)
-    x_top = interior_x_max(profile)
-    xs, thetas, parts = [], [], []
-    for _ in range(count):
-        # bit for bit rng.uniform(0.0, x_top) and rng.uniform(0.0, 2 pi),
-        # which compute 0.0 + (high - low) * rng.random()
-        xs.append(x_top * rng.random())
-        thetas.append(2.0 * math.pi * rng.random())
-        parts.append(fiber_parts(rng, n))
-    radius = np.sqrt(profile.eval(np.array(xs)))
-    return boundary_point(profile, stacked_points(xs, thetas, parts, radius))
+    uniforms, parts = np.empty((count, 2)), np.empty((count, 2 * (n - 1)))
+    for row, fiber in zip(uniforms, parts):
+        rng.random(out=row)
+        fiber_parts(rng, n, fiber)
+    parts += 0.0
+    # bit for bit rng.uniform(0.0, high) for x and theta, which is
+    # 0.0 + high * rng.random()
+    xs = interior_x_max(profile) * uniforms[:, 0]
+    radius = np.sqrt(profile.eval(xs))
+    return boundary_point(
+        profile, stacked_points(xs, 2.0 * math.pi * uniforms[:, 1], parts, radius)
+    )
 
 
 @float_faults

@@ -200,7 +200,6 @@ def extremal_fd_oracle(
     w[:, np.arange(4 * n), np.repeat(np.arange(n), 4)] += offsets
 
     q = require_interior(profile, w.reshape(-1, n))
-    del w  # q holds its own copy of the stencil points
     t = _gradient_field(profile, q, curvature_defect(profile, q))[2].reshape(count, 4 * n, n)
     finite = np.isfinite(t).all(axis=-1)
     if not finite.all():

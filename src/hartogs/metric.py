@@ -132,14 +132,11 @@ def relative_norm(a: np.ndarray, h: np.ndarray):
 
 def _x_and_fiber(z):
     """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2 of z, or
-    of each point of a stack, summed in coordinate order."""
+    of each point of a stack, summed in coordinate order along each row
+    (a cumulative sum adds one term at a time)."""
     z = np.asarray(z, dtype=complex)
-    re2, im2 = (z.real * z.real).T, (z.imag * z.imag).T
-    x = re2[0] + im2[0]
-    fiber = 0.0
-    for k in range(1, z.shape[-1]):
-        fiber = fiber + (re2[k] + im2[k])
-    return x, fiber
+    square = z.real * z.real + z.imag * z.imag
+    return square[..., 0], np.cumsum(square[..., 1:], axis=-1)[..., -1]
 
 
 def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
@@ -189,13 +186,17 @@ def point_record(profile: Profile, z, on_boundary: bool = False) -> DomainPoint:
 def contains(profile: Profile, z) -> DomainPoint | None:
     """Membership test: the record of z, or None if z is outside; on a
     stack, the stacked record of its points inside, in order, or None if x
-    lies outside [0, x0) at any of them, where `point_record` raises."""
+    lies outside [0, x0) at any of them, where `point_record` raises.  A
+    record is never written to, so where every point is inside it is
+    `point_record`'s own, not a masked copy."""
     try:
         p = point_record(profile, z)
     except DomainError:
         return None
     inside = ~(p.gap <= 0.0)
-    return p[inside] if np.ndim(inside) else (p if inside else None)
+    if np.ndim(inside) == 0:
+        return p if inside else None
+    return p if inside.all() else p[inside]
 
 
 def require_interior(profile: Profile, z) -> DomainPoint:
@@ -393,29 +394,32 @@ def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
     return MetricData(h=metric_matrix(p), det=det, h_inv=h_inv)
 
 
-def fiber_parts(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The real then the imaginary parts of a standard Gaussian vector in
-    C^(n-1), drawn again while its norm, at least |parts[0]| to rounding,
-    is at or below 1e-12, which gives no usable direction."""
+def fiber_parts(rng: np.random.Generator, n: int, out: np.ndarray) -> None:
+    """Fill the row `out` with the real then the imaginary parts of a
+    standard Gaussian vector in C^(n-1), drawn in place and again while its
+    norm, at least |out[0]| to rounding, is at or below 1e-12, which gives
+    no usable direction.  The stream is `rng.normal(size=2 * (n - 1))`'s,
+    which returns 0.0 + 1.0 * each draw: the caller adds 0.0 to its rows
+    once, turning a -0.0 into 0.0 as that sum does."""
     while True:
-        parts = rng.normal(size=2 * (n - 1))
-        if abs(parts[0]) > 2e-12 or np.linalg.norm(parts[: n - 1] + 1j * parts[n - 1 :]) > 1e-12:
-            return parts
+        rng.standard_normal(out=out)
+        if abs(out[0]) > 2e-12 or np.linalg.norm(out[: n - 1] + 1j * out[n - 1 :]) > 1e-12:
+            return
 
 
 def stacked_points(x, theta, parts, radius) -> np.ndarray:
     """The (N, n) points with |z_0|^2 = x, arg z_0 = theta and a fiber
-    vector of length `radius` along each row of `parts` (`fiber_parts`),
-    with the bits of one point at a time: z_0 = sqrt(x) (cos + i sin) as
-    Python forms that product, the fiber divided by its `np.linalg.norm`."""
-    parts = np.asarray(parts)
+    vector of length `radius` along each row of the (N, 2(n-1)) array
+    `parts` (`fiber_parts`), all arrays of N entries, with the bits of one
+    point at a time: z_0 = sqrt(x) (cos + i sin) as Python forms that
+    product, the fiber divided by its `np.linalg.norm`."""
     k = parts.shape[1] // 2
     direction = parts[:, :k] + 1j * parts[:, k:]
     # the norm of each row, summed as np.linalg.norm sums one vector
     norm = frobenius_norm(direction[:, None, :])
     z = np.empty((len(x), k + 1), dtype=complex)
-    cos = np.fromiter(map(math.cos, theta), float, len(x))
-    sin = np.fromiter(map(math.sin, theta), float, len(x))
+    cos = np.fromiter(map(math.cos, theta.tolist()), float, len(x))
+    sin = np.fromiter(map(math.sin, theta.tolist()), float, len(x))
     z[:, 0] = _complex(*_product(np.sqrt(x), 0.0, cos, sin))
     z[:, 1:] = direction * (radius / norm)[:, None]
     return z
@@ -436,9 +440,12 @@ def sample_interior(
     is uniform in the ball of real dimension 2(n-1) and radius sqrt(budget),
     budget = F(|z_0|^2) - min_margin.  The margin is then checked exactly.
     Same seed, same points: the draws are made point by point, in the
-    order of a sampler that builds each point before the next.  A round
-    draws as many candidates as points are missing and builds and tests
-    them at once, so no draw is made past the last point kept.
+    order of a sampler that builds each point before the next, each
+    written into a row preallocated for its round.  A round draws as many
+    candidates as points are missing, or as attempts are left if fewer,
+    and builds and tests them at once, so no draw is made past the last
+    point kept.  SamplingError says how many points were found when the
+    attempts run out.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -456,27 +463,33 @@ def sample_interior(
     runs: list[DomainPoint] = []
     found = attempts = 0
     while found < count:
-        xs, budgets, thetas, parts, draws = [], [], [], [], []
-        while len(xs) < count - found:
+        rows = min(count - found, _MAX_SAMPLE_ATTEMPTS - attempts)
+        if rows == 0:
+            which = f"only {found} of {count} interior points" if found else "no interior point"
+            raise SamplingError(
+                f"{which} with margin >= {min_margin} found in "
+                f"{_MAX_SAMPLE_ATTEMPTS} attempts for {profile.label()}"
+            )
+        # per candidate: x, budget, the theta uniform and the radius uniform
+        draws, parts = np.empty((4, rows)), np.empty((rows, 2 * (n - 1)))
+        kept = 0
+        while kept < rows and attempts < _MAX_SAMPLE_ATTEMPTS:
             attempts += 1
-            if attempts > _MAX_SAMPLE_ATTEMPTS:
-                raise SamplingError(
-                    f"no interior point with margin >= {min_margin} found in "
-                    f"{_MAX_SAMPLE_ATTEMPTS} attempts for {profile.label()}"
-                )
             # bit for bit rng.uniform(0.0, high), which is 0.0 + high * rng.random()
             x = x_top * rng.random()
             budget = profile.eval(x) - min_margin
             if budget <= 0.0:
                 continue
-            xs.append(x)
-            budgets.append(budget)
-            thetas.append(2.0 * math.pi * rng.random())
-            parts.append(fiber_parts(rng, n))
-            draws.append(rng.random())
-        radius = np.sqrt(budgets) * np.float_power(draws, 1.0 / (2 * (n - 1)))
-        p = contains(profile, stacked_points(xs, thetas, parts, radius))
-        runs.append(p[p.margin >= min_margin])
+            draws[0, kept], draws[1, kept], draws[2, kept] = x, budget, rng.random()
+            fiber_parts(rng, n, parts[kept])
+            draws[3, kept] = rng.random()
+            kept += 1
+        xs, budgets, thetas, uniforms = draws[:, :kept]
+        parts = parts[:kept] + 0.0
+        radius = np.sqrt(budgets) * np.float_power(uniforms, 1.0 / (2 * (n - 1)))
+        p = contains(profile, stacked_points(xs, 2.0 * math.pi * thetas, parts, radius))
+        passed = p.margin >= min_margin
+        runs.append(p if passed.all() else p[passed])
         found += len(runs[-1])
     if len(runs) == 1:
         return runs[0]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import hartogs as hg
 from hartogs.metric import _complex, _diagonal, _product, _radial, inverse_metric_matrix
+from hartogs.profiles import interior_x_max
 
 #: the CLI-reachable families exercised by cross-module sweeps
 PSEUDOCONVEX_FAMILIES = [
@@ -15,6 +18,14 @@ PSEUDOCONVEX_FAMILIES = [
 ]
 
 FAMILY_IDS = [p.label() for p in PSEUDOCONVEX_FAMILIES]
+
+
+def same_bits(a, b) -> bool:
+    """Same dtype, shape and bytes: equal bit for bit, signs of zero and
+    NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 @pytest.fixture(scope="session")
@@ -115,3 +126,109 @@ def gradient_field_reference(profile, p):
     slope = -profile.defect(p.x) * p.f / p.det_core
     grad = scal_gradient_bar(p, slope, profile.slope_d1(p.x))
     return (np.swapaxes(inverse_metric_matrix(p), -1, -2) @ grad[..., None])[..., 0]
+
+
+class DoctoredGenerator:
+    """A real `np.random.Generator` whose standard normals, numbered in
+    draw order across every call, are replaced at the indices of
+    `replace`, for the draws no seed reaches.  `normal` is loc + scale
+    times them, as numpy forms it."""
+
+    def __init__(self, rng, replace):
+        self.rng, self.replace, self.drawn = rng, replace, 0
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self.rng.uniform(low, high, size)
+
+    def standard_normal(self, size=None, out=None):
+        z = np.asarray(self.rng.standard_normal(size, out=out))
+        flat = z.reshape(-1)
+        for k in range(flat.size):
+            flat[k] = self.replace.get(self.drawn + k, flat[k])
+        self.drawn += flat.size
+        return z
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self.standard_normal(size)
+
+
+def doctor_default_rng(monkeypatch, n):
+    """Patch `np.random.default_rng`, which both samplers call, to give
+    DoctoredGenerators at dimension n: the first fiber row is degenerate
+    (norm below 1e-12, so it is drawn again) and the third holds -0.0 at
+    its position 1, which rng.normal returns as 0.0."""
+    real, row = np.random.default_rng, 2 * (n - 1)
+    replace = {k: (-1.0) ** k * 1e-13 for k in range(row)}
+    replace[2 * row + 1] = -0.0
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: DoctoredGenerator(real(seed), replace))
+
+
+def spy_parts(monkeypatch, module):
+    """A copy of the fiber parts passed to each call of `stacked_points`
+    through `module`, the rows of every call in one list."""
+    parts, original = [], module.stacked_points
+
+    def spied(x, theta, rows, radius):
+        parts.extend(rows.copy())
+        return original(x, theta, rows, radius)
+
+    monkeypatch.setattr(module, "stacked_points", spied)
+    return parts
+
+
+def _fiber_draw(rng, n):
+    """The parts of a fiber direction, one rng.normal call per half, drawn
+    again while the direction's norm is at or below 1e-12."""
+    parts = np.zeros(2 * (n - 1))
+    while np.linalg.norm(parts[: n - 1] + 1j * parts[n - 1 :]) <= 1e-12:
+        parts = np.concatenate([rng.normal(size=n - 1), rng.normal(size=n - 1)])
+    return parts
+
+
+def _fiber_point(x, theta, parts, radius):
+    n = len(parts) // 2 + 1
+    z = np.empty(n, dtype=complex)
+    z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
+    direction = parts[: n - 1] + 1j * parts[n - 1 :]
+    z[1:] = direction * (radius / np.linalg.norm(direction))
+    return z
+
+
+def interior_reference(rng, profile, n, count, margin):
+    """Test-side reference for `sample_interior`, one point at a time with
+    rng.uniform and rng.normal: the points kept, and the fiber parts of
+    every candidate drawn, in order."""
+    x_top = interior_x_max(profile)
+    if not math.isinf(profile.x0):
+        x_top = min(x_top, profile.x0 - margin)
+    points, parts = [], []
+    while len(points) < count:
+        x = rng.uniform(0.0, x_top)
+        budget = profile.eval(x) - margin
+        if budget <= 0.0:
+            continue
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        parts.append(_fiber_draw(rng, n))
+        radius = math.sqrt(budget) * rng.uniform() ** (1.0 / (2 * (n - 1)))
+        z = _fiber_point(x, theta, parts[-1], radius)
+        p = hg.contains(profile, z)
+        if p is not None and p.margin >= margin:
+            points.append(z)
+    return np.array(points), np.array(parts)
+
+
+def boundary_reference(rng, profile, n, count):
+    """Test-side reference for `boundary.sample_boundary`, one point at a
+    time with rng.uniform and rng.normal: the points and their fiber
+    parts."""
+    x_top = interior_x_max(profile)
+    points, parts = [], []
+    for _ in range(count):
+        x = rng.uniform(0.0, x_top)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        parts.append(_fiber_draw(rng, n))
+        points.append(_fiber_point(x, theta, parts[-1], math.sqrt(profile.eval(x))))
+    return np.array(points), np.array(parts)

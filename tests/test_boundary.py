@@ -17,7 +17,14 @@ from hartogs.boundary import (
 from hartogs.errors import DomainError
 from hartogs.profiles import interior_x_max
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+from conftest import (
+    FAMILY_IDS,
+    PSEUDOCONVEX_FAMILIES,
+    boundary_reference,
+    doctor_default_rng,
+    same_bits,
+    spy_parts,
+)
 
 #: the profiles the closed-form eigenvalue is checked on against its oracle
 ORACLE_PROFILES = [
@@ -75,6 +82,19 @@ class TestSampling:
                 z0 = complex(z[0])
                 assert np.array_equal(b.z, z)
                 assert b.x == z0.real * z0.real + z0.imag * z0.imag
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_unreached_draws_match_reference(self, monkeypatch, profile, n):
+        # draws no seed reaches: a degenerate first fiber row is drawn
+        # again, and a -0.0 normal reads 0.0 as rng.normal returns it; the
+        # points and their fiber parts keep their bits
+        doctor_default_rng(monkeypatch, n)
+        parts = spy_parts(monkeypatch, hartogs.boundary)
+        want, want_parts = boundary_reference(np.random.default_rng(7), profile, n, 20)
+        assert want_parts[1, 1] == 0.0 and not np.signbit(want_parts[1, 1])
+        assert same_bits(sample_boundary(profile, n, 20, seed=7).z, want)
+        assert same_bits(np.array(parts), want_parts)
 
     def test_forced_axis_point(self):
         # z_0 = 0 boundary points have fiber radius sqrt(F(0)) = 1

@@ -390,6 +390,15 @@ class TestExtremalResidual:
             assert code == 0
             assert "50 samples" in out
 
+    def test_attempt_cap_says_how_many_found(self, capsys):
+        # 100,000 attempts give 81,561 of the 200,000 points; the error
+        # must say so, not that none were found
+        code, out, err = run(capsys, "extremal-residual", "--profile", "powercap:2", "--n", "2",
+                             "--samples", "200000", "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err == ("error: only 81561 of 200000 interior points with margin >= 0.05 "
+                       "found in 100000 attempts for powercap:2\n")
+
     @pytest.mark.parametrize("out", [False, True])
     def test_cells_formatted_only_for_csv(self, capsys, monkeypatch, tmp_path, out):
         # without --out no row is formatted; with it, each of the 7 rows is

@@ -14,7 +14,7 @@ from hartogs.jet import Jet, JetPoint, exp, log
 from hartogs.metric import metric_fd_oracle, point_record
 from hartogs.profiles import Profile
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, same_bits
 
 
 def variables(values):
@@ -85,12 +85,6 @@ class TestJet:
         got = w.hessian_z_zbar(log(1.0 + w.norm_sq(0, 2)))
         assert np.max(np.abs(got - want)) <= 1e-15
         assert np.array_equal(got, got.conj().T)
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype, a.shape) == (b.dtype, b.shape) and \
-        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 #: operations on two jets, or on one jet and a number; `**` and `log` take

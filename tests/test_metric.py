@@ -1,24 +1,38 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 import hartogs as hg
+import hartogs.metric
 from hartogs.boundary import boundary_point, sample_boundary
 from hartogs.curvature import fd_step
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
+    BLOCK,
+    _x_and_fiber,
     metric_derivative_against,
     metric_derivative_along,
     metric_fd_oracle,
     metric_matrix,
+    point_record,
     require_interior,
 )
 from hartogs.profiles import interior_x_max
 from hartogs.wirtinger import ComplexStencil
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients, profile_cases
+from conftest import (
+    FAMILY_IDS,
+    PSEUDOCONVEX_FAMILIES,
+    doctor_default_rng,
+    interior_reference,
+    metric_gradients,
+    profile_cases,
+    same_bits,
+    spy_parts,
+)
 
 
 class TestContains:
@@ -56,6 +70,45 @@ class TestContains:
     def test_needs_two_coordinates(self):
         with pytest.raises(ValueError):
             hg.contains(hg.Affine(1, 1), [0.1])
+
+    def test_all_inside_is_the_record_itself(self, monkeypatch):
+        # no masked copy where every point is inside: the fields are
+        # point_record's arrays, and z is the caller's
+        prof, records = hg.PowerCap(2), []
+
+        def recorded(profile, z):
+            records.append(point_record(profile, z))
+            return records[-1]
+
+        monkeypatch.setattr(hartogs.metric, "point_record", recorded)
+        z = np.array([[0.1, 0.2], [0.3, 0.1j], [0.2j, -0.4]])
+        p = hg.contains(prof, z)
+        assert np.shares_memory(p.z, z)
+        for name in hartogs.metric._FIELDS:
+            assert np.shares_memory(getattr(p, name), getattr(records[-1], name)), name
+        # with points outside, the others keep their order and their bits
+        mixed = np.array([[0.1, 2.0], [0.1, 0.2], [0.9, 0.5], [0.3, 0.1j], [0.2j, -0.4]])
+        kept = hg.contains(prof, mixed)
+        assert not np.shares_memory(kept.z, mixed)
+        for name in hartogs.metric._FIELDS:
+            assert same_bits(getattr(kept, name), getattr(p, name)), name
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_fiber_norm_summed_in_coordinate_order(self, n):
+        # one Python float at a time, |z_1|^2 first; magnitudes spread over
+        # 16 orders so that any other order of the sum moves bits
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.integers(-8, 8, (200, n))
+        z = scale * (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n)))
+        want = []
+        for w in z.tolist():
+            fiber = 0.0
+            for c in w[1:]:
+                fiber = fiber + (c.real * c.real + c.imag * c.imag)
+            want.append(fiber)
+        x, fiber = _x_and_fiber(z)
+        assert same_bits(fiber, np.array(want))
+        assert same_bits(x, z.real[:, 0] * z.real[:, 0] + z.imag[:, 0] * z.imag[:, 0])
 
 
 class TestAssembly:
@@ -282,6 +335,58 @@ class TestSampling:
                 got = hg.sample_interior(profile, n, 50, n, margin)
                 for p, z in zip(got, want, strict=True):
                     assert np.array_equal(p.z, z)
+
+    @pytest.mark.parametrize(
+        "profile, n, count, margin",
+        [*((p, 3, BLOCK + 44, 0.05) for p in PSEUDOCONVEX_FAMILIES), (hg.Rational(), 16, 40, 0.002)],
+        ids=[*(f"{label}-past-block" for label in FAMILY_IDS), "rational-n16"],
+    )
+    def test_draws_match_reference_past_block_and_at_n16(self, profile, n, count, margin):
+        want, _ = interior_reference(np.random.default_rng(n), profile, n, count, margin)
+        assert same_bits(hg.sample_interior(profile, n, count, n, margin).z, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_unreached_draws_match_reference(self, monkeypatch, profile, n):
+        # draws no seed reaches: a degenerate first fiber row is drawn
+        # again, and a -0.0 normal reads 0.0 as rng.normal returns it; the
+        # points and every candidate's fiber parts keep their bits
+        doctor_default_rng(monkeypatch, n)
+        parts = spy_parts(monkeypatch, hartogs.metric)
+        want, want_parts = interior_reference(np.random.default_rng(7), profile, n, 20, 0.05)
+        assert want_parts[1, 1] == 0.0 and not np.signbit(want_parts[1, 1])
+        assert same_bits(hg.sample_interior(profile, n, 20, 7).z, want)
+        assert same_bits(np.array(parts), want_parts)
+
+    def test_count_past_attempt_cap(self, monkeypatch):
+        # a round holds at most the attempts left, so a count far above the
+        # cap allocates no more rows than the cap; the error says how many
+        # points were found, and that many can be sampled
+        sizes, empty = [], np.empty
+
+        def recorded(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(hartogs.metric, "_MAX_SAMPLE_ATTEMPTS", 1000)
+        monkeypatch.setattr(np, "empty", recorded)
+        with pytest.raises(SamplingError) as error:
+            hg.sample_interior(hg.PowerCap(2), 3, 10**12, seed=0)
+        monkeypatch.setattr(np, "empty", empty)
+        assert sizes and max(sizes) <= 4 * 1000
+        found = int(re.fullmatch(
+            r"only (\d+) of 1000000000000 interior points with margin >= 0.05 found in "
+            r"1000 attempts for powercap:2", str(error.value)).group(1))
+        assert 0 < found < 1000
+        assert len(hg.sample_interior(hg.PowerCap(2), 3, found, seed=0)) == found
+        with pytest.raises(SamplingError, match=rf"^only {found} of {found + 1} interior"):
+            hg.sample_interior(hg.PowerCap(2), 3, found + 1, seed=0)
+
+    def test_no_point_found_keeps_its_wording(self, monkeypatch):
+        monkeypatch.setattr(hartogs.metric, "_MAX_SAMPLE_ATTEMPTS", 0)
+        with pytest.raises(SamplingError, match=r"^no interior point with margin >= 0.05 found "
+                                                r"in 0 attempts for affine:1,1$"):
+            hg.sample_interior(hg.Affine(1, 1), 2, 5, seed=1)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_fiber_uniform_in_ball(self, n):

@@ -17,13 +17,7 @@ from hartogs.metric import (
     BLOCK, DomainPoint, blocks, metric_derivative_against, metric_derivative_along, point_record,
 )
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype, a.shape) == (b.dtype, b.shape) and \
-        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients, same_bits
 
 
 def closed_forms(profile, p) -> dict:
