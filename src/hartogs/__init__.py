@@ -1,8 +1,9 @@
 """Numerical verification of the Kahler geometry of profile (Hartogs) domains.
 
 Closed-form metric, curvature, boundary Levi analysis and canonical-metric
-residuals, each cross-checked against independent oracles: exact
-second-order jets, finite differences and dense linear algebra.
+residuals, each cross-checked against independent oracles: exact jets
+and dense linear algebra.  The central differences of `ComplexStencil`
+are only a reference for the tests.
 """
 
 from .boundary import (
@@ -27,7 +28,7 @@ from .curvature import (
     CurvatureData,
     curvature_at,
     curvature_defect,
-    extremal_fd_oracle,
+    extremal_jet_oracle,
     ricci_fd_oracle,
     ricci_tensor,
     rho_oracle,
@@ -87,7 +88,7 @@ __all__ = [
     "curvature_defect",
     "defining_residual",
     "einstein_residual",
-    "extremal_fd_oracle",
+    "extremal_jet_oracle",
     "extremal_residual",
     "hyperbolic_isometry",
     "interior_grid",

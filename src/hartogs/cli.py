@@ -279,8 +279,8 @@ ORACLE_CHECKS = (
     Check("rho_closed_vs_fit", "rel", 1e-8,
           lambda prof, p, m, d: _rel_max(d.rho, curvature.rho_oracle(m, d.ric))),
     Check("scal_forms", "rel", 1e-9, _scal_forms),
-    Check("extremal_vs_fd", "rel", 1e-7,
-          lambda prof, p, m, d: _rel_max(d.t_zbar, curvature.extremal_fd_oracle(prof, p))),
+    Check("extremal_vs_jet", "rel", 1e-10,
+          lambda prof, p, m, d: _rel_max(d.t_zbar, curvature.extremal_jet_oracle(prof, p))),
 )
 
 #: the classification checks as their bounds on affine profiles; on every

@@ -29,12 +29,10 @@ slope F' and |z'|^2 = F - gap:
 The closed forms built on them (T and `curvature_at`) take a single or a
 stacked record, like those of `metric`, and run with its floating-point
 faults raised.  The oracles differentiate on purpose, so that they share
-no derivative formula with what they check: the Ricci oracle with an
-exact second-order jet of log det h, and the extremal oracle with a
-finite difference of T, the only one left in this module.  Both take a
-single or a stacked record: the Ricci oracle as one stacked jet, the
-extremal oracle by evaluating T at all the stencil points of all the
-points as one stacked record.
+no derivative formula with what they check, and exactly, with jets: the
+Ricci oracle a second-order jet of log det h over the coordinates, and
+the extremal oracle a jet of T's two radial scales over (x, gap).  Both
+take a single or a stacked record, as one stacked jet.
 """
 
 from __future__ import annotations
@@ -45,16 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .jet import JetPoint, log
+from .jet import Jet, JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, _complex, _radial, _times, jet_x_and_gap, metric_derivative_against,
-    nonsingular_core, raises_fp_faults, relative_norm, require_interior,
+    DomainPoint, MetricData, _radial, _times, jet_x_and_gap, metric_derivative_against,
+    nonsingular_core, raises_fp_faults, relative_norm,
 )
 from .profiles import Profile
-from .wirtinger import ComplexStencil
-
-#: the extremal oracle's stencil step far from the boundary
-FD_BASE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -85,22 +79,33 @@ def curvature_defect(profile: Profile, p: DomainPoint):
     return profile.defect(p.x)
 
 
+def _radial_scales(profile: Profile, x, gap, f, d1, d2, core, defect):
+    """(slope, slope', S0, S1) from x, gap, F, F', F'', det_core and the
+    defect: slope = -defect F / det_core, by which scal = -n(n+1) +
+    slope * gap, its radial derivative slope', and the radial scales of the
+    gradient field T = K^T dbar scal, T^0 = S0 z_0 and T^i = S1 z_i (see
+    the module docstring), from dbar_0 scal = z_0 r and dbar_i scal =
+    -slope z_i.  Plain arithmetic: the arguments are floats, arrays or
+    jets."""
+    slope = -defect * f / core
+    slope_d1 = profile.slope_d1(x)
+    s, fiber = gap / core, f - gap
+    r = slope_d1 * gap + slope * d1
+    s0 = s * (f * r - d1 * slope * fiber)
+    s1 = s * (x * d1 * r - slope * (core + (d1 + d2 * x) * fiber))
+    return slope, slope_d1, s0, s1
+
+
 @raises_fp_faults
 def _gradient_field(profile: Profile, p: DomainPoint, defect):
     """(slope, slope', T) at p from its defect, which `curvature_defect`
-    gives once det_core is checked: slope = -defect F / det_core, by which
-    scal = -n(n+1) + slope * gap, its radial derivative slope', and the
-    gradient field T = K^T dbar scal in its radial form (see the module
-    docstring), from dbar_0 scal = z_0 r and dbar_i scal = -slope z_i."""
-    slope = -defect * p.f / p.det_core
-    slope_d1 = profile.slope_d1(p.x)
-    s, fiber = p.gap / p.det_core, p.f - p.gap
-    r = slope_d1 * p.gap + slope * p.d1
-    scale = np.empty(p.z.shape)
-    scale[..., 0] = s * (p.f * r - p.d1 * slope * fiber)
-    scale[..., 1:] = _radial(
-        s * (p.x * p.d1 * r - slope * (p.det_core + (p.d1 + p.d2 * p.x) * fiber)), 1
+    gives once det_core is checked: `_radial_scales` on the record."""
+    slope, slope_d1, s0, s1 = _radial_scales(
+        profile, p.x, p.gap, p.f, p.d1, p.d2, p.det_core, defect
     )
+    scale = np.empty(p.z.shape)
+    scale[..., 0] = s0
+    scale[..., 1:] = _radial(s1, 1)
     # a real times a complex factor: each part is rounded once
     return slope, slope_d1, scale * p.z
 
@@ -159,60 +164,49 @@ def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     return -w.hessian_z_zbar(log(core) - (p.n + 1) * log(gap))
 
 
-def fd_step(p: DomainPoint):
-    """The extremal oracle's stencil step at p, or at each point of a
-    stack, shrunk to the local scale.
-
-    Quantities built on -log(gap) steepen like 1/gap towards the boundary
-    and like F' in the radial direction, so the step is proportional to
-    the margin per unit of radial gradient.  It never exceeds
-    FD_BASE_STEP, and the 10-step interiority contract holds automatically.
-    """
-    scale = p.margin / (1.0 + np.abs(p.d1) * np.sqrt(p.x))
-    # min(1.0, scale) as Python's min picks it, also at a NaN
-    return FD_BASE_STEP * np.where(scale < 1.0, scale, 1.0)
+def _zbar_derivative(scale: Jet, d1, z: np.ndarray) -> np.ndarray:
+    """dS/dzbar_c at each point of the stack z of a radial scale S(x, gap),
+    given as a jet over (x, gap), with x = |z_0|^2 and gap = F(x) - |z'|^2:
+    z_0 (S_x + F' S_gap) for c = 0 and -z_c S_gap above."""
+    s_x, s_gap = scale.grad[:, 0], scale.grad[:, 1]
+    d = -s_gap[:, None] * z
+    d[:, 0] = (s_x + d1 * s_gap) * z[:, 0]
+    return d
 
 
-def extremal_fd_oracle(
-    profile: Profile, p: DomainPoint, stencil: ComplexStencil | None = None
-) -> np.ndarray:
+@raises_fp_faults
+def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent oracle for `CurvatureData.t_zbar` at a single point, or
-    at every point of a stacked record: central Wirtinger differences of
-    the gradient field T (`_gradient_field`), column c along zbar_c.  T is
-    evaluated at all 4n stencil points of every point as one stacked
-    record, O(n) per stencil point, so the stencil's arrays hold
-    O(N n^2) entries.  Each point's step along z_k is `fd_step` times
-    1 + |z_k|, unless a stencil gives the step for all of them; the
-    margin-scaled step keeps every stencil point inside the domain.
-    SingularityError is raised where det_core is below SINGULAR_TOL at a
-    stencil point, before the defect is read there, and NumericError names
-    the point and the coordinate of the first non-finite stencil value."""
+    at every point of a stacked record.  T^a = S_a(x, gap) z_a is radial
+    (`_radial_scales`), so t_zbar[a, c] = z_a dS_a/dzbar_c, exact to
+    rounding from the partials of S0 and S1 in x and gap on one stacked jet
+    seeded at the record's x and gap.  F, F', F'', det_core, the defect
+    and slope' are the family's closed forms on the jet of x, and the F' of
+    the chain rule is the derivative of the jet of F.  So the oracle shares
+    T's radial form with `curvature_at`, and nothing `curvature_at` builds
+    t_zbar from: slope'', F''', the inverse metric and its derivatives.  A
+    single record is row 0 of a one-point stack.  SingularityError is
+    raised where det_core is below SINGULAR_TOL, and NumericError names
+    the first point with a non-finite value."""
+    curvature_defect(profile, p)
     z = p.z.reshape(-1, p.n)
-    count, n = z.shape
-    step = fd_step(p) if stencil is None else stencil.step
-    # np.hypot keeps the bits of abs() on one complex number; np.abs does not
-    h = np.reshape(step, (-1, 1)) * (1.0 + np.hypot(z.real, z.imag))
-    # the offsets h, -h, i h, -i h along each coordinate in turn
-    re, im = np.zeros((count, n, 4)), np.zeros((count, n, 4))
-    re[..., 0], re[..., 1], im[..., 2], im[..., 3] = h, -h, h, -h
-    offsets = _complex(re, im).reshape(count, 4 * n)
-    w = np.repeat(z[:, None, :], 4 * n, axis=1)
-    w[:, np.arange(4 * n), np.repeat(np.arange(n), 4)] += offsets
-
-    q = require_interior(profile, w.reshape(-1, n))
-    t = _gradient_field(profile, q, curvature_defect(profile, q))[2].reshape(count, 4 * n, n)
-    finite = np.isfinite(t).all(axis=-1)
+    count = len(z)
+    seeds, zero = np.eye(2), np.zeros((count, 2, 2))
+    x = Jet(np.reshape(p.x, -1), np.broadcast_to(seeds[0], (count, 2)), zero)
+    gap = Jet(np.reshape(p.gap, -1), np.broadcast_to(seeds[1], (count, 2)), zero)
+    f = profile.eval(x)
+    _, _, s0, s1 = _radial_scales(
+        profile, x, gap, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x),
+        profile.defect(x),
+    )
+    d1 = f.grad[:, 0]
+    dbar = np.empty(z.shape + (p.n,), dtype=complex)
+    dbar[:, 0] = _zbar_derivative(s0, d1, z)
+    dbar[:, 1:] = _zbar_derivative(s1, d1, z)[:, None, :]
+    t_zbar = _times(z[:, :, None], dbar)
+    finite = np.isfinite(t_zbar).all(axis=(-2, -1))
     if not finite.all():
-        i, row = np.unravel_index(np.argmin(finite), finite.shape)
-        raise NumericError(
-            f"non-finite value on FD stencil at {z[i]!r}, coordinate {row // 4} "
-            f"(offset {complex(offsets[i, row])})"
-        )
-    fu_p, fu_m, fv_p, fv_m = (t[:, j::4] for j in range(4))
-    h = h[..., None]
-    du = (fu_p - fu_m) / (2.0 * h)
-    dv = (fv_p - fv_m) / (2.0 * h)
-    t_zbar = np.swapaxes(0.5 * (du + 1j * dv), -1, -2)
+        raise NumericError(f"non-finite extremal oracle value at {z[np.argmin(finite)]!r}")
     return t_zbar if p.z.ndim > 1 else t_zbar[0]
 
 

@@ -484,6 +484,8 @@ def sample_interior(
             fiber_parts(rng, n, parts[kept])
             draws[3, kept] = rng.random()
             kept += 1
+        if kept == 0:
+            continue  # the attempts ran out: the next pass raises
         xs, budgets, thetas, uniforms = draws[:, :kept]
         parts = parts[:kept] + 0.0
         radius = np.sqrt(budgets) * np.float_power(uniforms, 1.0 / (2 * (n - 1)))

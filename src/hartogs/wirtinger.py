@@ -1,12 +1,9 @@
 """Wirtinger derivatives of scalar fields on C^n by central finite differences.
 
-The tests use the stencil as a reference for closed-form derivatives.
-The package's one finite-difference oracle, `curvature.extremal_fd_oracle`,
-takes the same central differences of its field at every point of a
-stacked record at once, and accepts a `ComplexStencil` for a fixed step;
-`d_zbar` at each point and coordinate is its reference.  The metric and
-Ricci oracles differentiate exactly, with jets (`jet`).
-For z_k = u_k + i v_k,
+No package code calls it: every oracle of the package differentiates
+exactly, with jets (`jet`).  The tests use the stencil as an independent
+reference for the closed-form and jet derivatives, and the benchmark's
+tracer wraps `ComplexStencil`'s methods by name.  For z_k = u_k + i v_k,
 
     d/dz_k   = (d/du_k - i d/dv_k) / 2
     d/dzbar_k = (d/du_k + i d/dv_k) / 2

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import strategies as st
 
 import hartogs as hg
-from hartogs.metric import _complex, _diagonal, _product, _radial, inverse_metric_matrix
+from hartogs.curvature import _gradient_field, curvature_defect
+from hartogs.metric import (
+    _complex, _diagonal, _product, _radial, inverse_metric_matrix, require_interior,
+)
 from hartogs.profiles import interior_x_max
+from hartogs.wirtinger import ComplexStencil
 
 #: the CLI-reachable families exercised by cross-module sweeps
 PSEUDOCONVEX_FAMILIES = [
@@ -126,6 +130,18 @@ def gradient_field_reference(profile, p):
     slope = -profile.defect(p.x) * p.f / p.det_core
     grad = scal_gradient_bar(p, slope, profile.slope_d1(p.x))
     return (np.swapaxes(inverse_metric_matrix(p), -1, -2) @ grad[..., None])[..., 0]
+
+
+def stencil_t_zbar(profile, z, step):
+    """Test-side reference for t_zbar at one point z: column c is the
+    central Wirtinger difference `ComplexStencil(step).d_zbar` of the
+    gradient field T (`curvature._gradient_field`) along zbar_c."""
+    def t_of(w):
+        q = require_interior(profile, w)
+        return _gradient_field(profile, q, curvature_defect(profile, q))[2]
+
+    stencil = ComplexStencil(step)
+    return np.stack([stencil.d_zbar(t_of, z, c) for c in range(len(z))], axis=-1)
 
 
 class DoctoredGenerator:

@@ -9,11 +9,11 @@ import hartogs.canonical
 import hartogs.metric
 from hartogs.canonical import HoloVectorField, lie_from_jets, soliton_sweep
 from hartogs.cli import main
-from hartogs.curvature import curvature_at, extremal_fd_oracle
+from hartogs.curvature import curvature_at, extremal_jet_oracle
 from hartogs.errors import DomainError
 from hartogs.wirtinger import ComplexStencil
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, scal_gradient_bar
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, scal_gradient_bar, stencil_t_zbar
 
 
 def sweep(prof):
@@ -292,36 +292,38 @@ class TestExtremalResidual:
     @pytest.mark.parametrize("profile", [hg.PowerCap(2), hg.ExpDecay(1), hg.Rational()],
                              ids=lambda prof: prof.label())
     def test_independent_of_stencil(self, profile):
-        # the FD oracle converges onto the closed form like step^2: its
+        # a stencil of T converges onto the exact oracle like step^2: its
         # error falls 100x from step 1e-3 to 1e-4 and (10/3)^2 to 3e-5
         for z in ([0.9 + 0.3j, 0.2 + 0.1j], [0.5 - 0.4j, 0.3 + 0.2j], [0.2 + 0.1j, 0.5 + 0.1j]):
             p = hg.contains(profile, z)
             if p is None:
                 continue
-            exact = curvature_at(profile, p, hg.assemble_metric(profile, p))
-            err = [float(np.max(np.abs(extremal_fd_oracle(profile, p, ComplexStencil(step))
-                                       - exact.t_zbar))) / exact.extremal
+            exact = extremal_jet_oracle(profile, p)
+            size = float(np.max(np.abs(exact)))
+            err = [float(np.max(np.abs(stencil_t_zbar(profile, p.z, step) - exact))) / size
                    for step in (1e-3, 1e-4, 3e-5)]
             assert err[1] <= 1e-6
             assert 90.0 <= err[0] / err[1] <= 110.0
             assert 10.0 <= err[1] / err[2] <= 12.5
 
-    def test_matches_fd_oracle_over_range(self):
-        # 7 profiles x n = 2..8 x margins down to 1e-3; every affine
-        # residual is exactly 0
+    def test_matches_jet_oracle_over_range(self):
+        # 9 profiles, near-affine ones included, x n = 2..8 x margins down
+        # to 1e-3; every affine residual and oracle value is exactly 0
         profiles = [hg.Affine(1, 1), hg.Affine(2, 3), hg.PowerCap(0.5), hg.PowerCap(2),
-                    hg.PowerCap(3), hg.ExpDecay(1), hg.Rational()]
+                    hg.PowerCap(3), hg.PowerCap(1.001), hg.ExpDecay(1), hg.ExpDecay(1e-4),
+                    hg.Rational()]
         worst = 0.0
         for prof in profiles:
             for n in (2, 3, 4, 6, 8):
                 for margin in (0.05, 0.01, 0.002, 0.001):
                     for p in hg.sample_interior(prof, n, 20, 0, margin):
                         data = curvature_at(prof, p, hg.assemble_metric(prof, p))
+                        oracle = extremal_jet_oracle(prof, p)
                         if prof.family == "affine":
-                            assert data.extremal == 0.0
-                        diff = np.max(np.abs(extremal_fd_oracle(prof, p) - data.t_zbar))
+                            assert data.extremal == 0.0 and not np.any(oracle)
+                        diff = np.max(np.abs(oracle - data.t_zbar))
                         worst = max(worst, float(diff) / (1.0 + data.extremal))
-        assert worst <= 1e-7
+        assert worst <= 1e-10
 
     def test_expdecay_nonzero(self, points_for):
         for p in points_for(hg.ExpDecay(1), 2, count=6):

@@ -26,7 +26,7 @@ from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
 #: add pullback_isometry
 CHECK_NAMES = [
     "metric_vs_fd_hessian", "determinant_closed_vs_dense", "inverse_identity", "ricci_vs_fd",
-    "ricci_tail_rows", "rho_closed_vs_fit", "scal_forms", "extremal_vs_fd",
+    "ricci_tail_rows", "rho_closed_vs_fit", "scal_forms", "extremal_vs_jet",
     "extremal_classification", "einstein_classification",
 ]
 
@@ -648,14 +648,20 @@ class TestVerifyTheorems:
         assert code == 1
         assert "FAIL  scal_forms" in out
 
-    def test_doctored_slope_d2_fails_extremal_vs_fd(self, capsys, monkeypatch):
-        # a 1e-4 relative error in slope'' is far beyond the 1e-7 budget
+    @pytest.mark.parametrize("error", [1e-4, 1e-9])
+    def test_doctored_slope_d2_fails_extremal_vs_jet(self, capsys, monkeypatch, error):
+        # a 1e-4 relative error in slope'' is far beyond the 1e-10 budget;
+        # a 1e-9 one is beyond it too, and within the 1e-7 gate of the
+        # stencil oracle that the jet oracle replaced
         slope_d2 = PowerCap.slope_d2
-        monkeypatch.setattr(PowerCap, "slope_d2", lambda self, x: slope_d2(self, x) * (1 + 1e-4))
+        monkeypatch.setattr(PowerCap, "slope_d2", lambda self, x: slope_d2(self, x) * (1 + error))
         code, out, _ = run(capsys, "verify-theorems", "--profile", "powercap:2",
                            "--n", "2", "--samples", "10", "--seed", "2")
         assert code == 1
-        assert "FAIL  extremal_vs_fd" in out
+        line = next(line for line in out.splitlines() if "  extremal_vs_jet  " in line)
+        assert line.startswith("FAIL  extremal_vs_jet")
+        if error == 1e-9:
+            assert 1e-10 < float(line.split("worst rel ")[1].split()[0]) < 1e-7
 
     @pytest.mark.parametrize("doctored", ["metric", "defect"])
     def test_doctored_point_fails_oracle_checks(self, capsys, monkeypatch, doctored):
@@ -701,8 +707,22 @@ class TestVerifyTheorems:
         # the sample that a stencil of the extremal residual once stepped
         # out of the domain from (|F'| about 8 at margin 0.002)
         results = {r.name: r for r in run_verification(PowerCap(0.5), 6, 20, 0, 0.002)}
-        assert results["extremal_vs_fd"].passed
+        assert results["extremal_vs_jet"].passed
         assert results["extremal_classification"].passed
+
+
+@pytest.mark.parametrize("command", ["extremal-residual", "curvature-scan", "soliton-check",
+                                     "verify-theorems"])
+def test_sampler_finding_no_point_is_an_error(capsys, tmp_path, command):
+    # every attempt fails the budget test, so the sampler's one round keeps
+    # no candidate; it once built a record from the empty round and failed
+    # with a usage error
+    argv = [command, "--profile", "expdecay:1e6", "--n", "2", "--samples", "5"]
+    if command == "curvature-scan":
+        argv += ["--out", str(tmp_path / "s.csv")]
+    assert run(capsys, *argv) == (
+        1, "", "error: no interior point with margin >= 0.05 found in 100000 attempts "
+               "for expdecay:1e+06\n")
 
 
 @pytest.mark.parametrize("command", ["curvature-scan", "extremal-residual"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import hartogs as hg
-from hartogs.curvature import _gradient_field, curvature_defect, extremal_fd_oracle, rho_oracle
+from hartogs.curvature import _gradient_field, curvature_defect, extremal_jet_oracle, rho_oracle
 from hartogs.errors import SingularityError
 from hartogs.metric import MetricData
 
@@ -67,11 +67,11 @@ class TestDefect:
             hg.curvature_defect(prof, hg.contains(prof, z))
 
     def test_probe_singular_in_extremal_oracle(self):
-        # det_core is checked before the probe's defect, which it does not
-        # define, is read at the stencil points
+        # det_core is checked on the record before the probe's defect,
+        # which it does not define, is read on the jet of x
         prof = hg.ConstantProbe()
         with pytest.raises(SingularityError, match="det_core"):
-            extremal_fd_oracle(prof, hg.contains(prof, [0.2, 0.3]))
+            extremal_jet_oracle(prof, hg.contains(prof, [0.2, 0.3]))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -132,7 +132,7 @@ def test_kernel_faults_raise():
 ORACLES = {
     "metric": hartogs.metric.metric_fd_oracle,
     "ricci": hartogs.curvature.ricci_fd_oracle,
-    "extremal": hartogs.curvature.extremal_fd_oracle,
+    "extremal": hartogs.curvature.extremal_jet_oracle,
 }
 
 ORACLE_PROFILES = [hg.Affine(1, 1), hg.PowerCap(2), hg.PowerCap(0.5), hg.ExpDecay(1), hg.Rational()]
@@ -161,30 +161,32 @@ def test_oracles_over_two_blocks():
         oracles_match_single_records(prof, run)
 
 
-def test_extremal_oracle_one_stencil_above_n8(monkeypatch):
-    # above n = 8 the stencil of every point is still one stacked record:
-    # T is evaluated once per call, in its radial form, with no inverse
-    # metric, and each point keeps the bits of its single record
+def test_extremal_oracle_above_n8(monkeypatch):
+    # above n = 8 the oracle is still one jet over the whole stack, with no
+    # inverse metric and no displaced points to check for interiority, and
+    # each point keeps the bits of its single record
     calls = []
-    field = hartogs.curvature._gradient_field
+    scales = hartogs.curvature._radial_scales
 
-    def counted(profile, q, defect):
-        calls.append(len(q))
-        return field(profile, q, defect)
+    def counted(profile, x, *rest):
+        calls.append(len(x.val))
+        return scales(profile, x, *rest)
 
-    def forbidden(p):
-        raise AssertionError("the extremal oracle assembled an inverse metric")
+    def forbidden(*args):
+        raise AssertionError("the extremal oracle assembled an inverse or checked points")
 
-    monkeypatch.setattr(hartogs.curvature, "_gradient_field", counted)
+    monkeypatch.setattr(hartogs.curvature, "_radial_scales", counted)
     monkeypatch.setattr(hartogs.metric, "inverse_metric_matrix", forbidden)
+    monkeypatch.setattr(hartogs.metric, "require_interior", forbidden)
     assert not hasattr(hartogs.curvature, "inverse_metric_matrix")
+    assert not hasattr(hartogs.curvature, "require_interior")
     prof = hg.PowerCap(2)
     oracle = ORACLES["extremal"]
     for n, count in ((16, 40), (32, 6)):
         points = hg.sample_interior(prof, n, count, 3, 1e-3)
         calls.clear()
         stacked = oracle(prof, points)
-        assert calls == [4 * n * count]
+        assert calls == [count]
         assert same_bits(stacked, np.array([oracle(prof, p) for p in points]))
 
 

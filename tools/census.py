@@ -3,12 +3,13 @@
 The grid is six profiles x n = 2, 3, 5, 8 x seeds 0 and 1, and for each
 `curvature-scan --out`, `extremal-residual` with and without `--out`,
 `levi-scan --out`, `verify-theorems` at the default margin and at
-`--min-margin 1e-3`, where the extremal oracle's stencil steps are
-smallest, `soliton-check --sweep` and `soliton-check --field` with the
-diagonal rotation field, all at SAMPLES samples; and `check-pseudoconvex`
-once per profile, which takes no dimension, seed or sample count.  The
-runs call `hartogs.cli.main` in this process, one after another; the
-grid takes about 10 s on one core of a 2-vCPU machine.
+`--min-margin 1e-3`, the bottom of the advertised margin range, where
+the metric's derivatives steepen like powers of 1/gap, `soliton-check
+--sweep` and `soliton-check --field` with the diagonal rotation field,
+all at SAMPLES samples; and `check-pseudoconvex` once per profile, which
+takes no dimension, seed or sample count.  The runs call
+`hartogs.cli.main` in this process, one after another; the grid takes
+about 10 s on one core of a 2-vCPU machine.
 
 Three modes:
 
