@@ -19,7 +19,7 @@ suspicious by the test suites.
 
 The residuals take a single or a stacked point record (`metric.point_record`)
 and return one value per point.  The fields of `soliton-check --field`
-are polynomial, with exact jets.  `lie_from_jets` is the one
+are polynomial, with exact jets over a stack.  `lie_from_jets` is the one
 Lie-derivative formula, from the derivative of h along the field in
 O(n^2) (`metric.metric_derivative_along`): for a single field in
 `soliton_residual`, and for two fields on a leading axis in `soliton_sweep`.
@@ -35,6 +35,7 @@ real (lam, a, b) solve the equation.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -45,8 +46,10 @@ from .curvature import curvature_at, ricci_tensor
 from .metric import (
     DomainPoint,
     MetricData,
+    _times,
     assemble_metric,
     blocks,
+    float_faults,
     frobenius_norm,
     metric_derivative_along,
     metric_matrix,
@@ -99,29 +102,31 @@ class HoloVectorField:
             comps.append(((complex(0.0, speed), exps),))
         return cls(n, tuple(comps))
 
+    @float_faults
     def jet(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Values f_k and exact Jacobian df[k, a] = d f_k / d z_a at z, or at
-        each point of a stack z[..., a], with its leading axes.  The
-        derivative lowers exponent a by one, so no coordinate is divided by
-        and a zero coordinate is exact."""
+        each point of a stack z[..., a], with its leading axes, in one pass
+        over the monomials.  The derivative lowers exponent a by one, so no
+        coordinate is divided by and a zero coordinate is exact.  Each point
+        has the bits, infinities and OverflowError of Python's complex
+        arithmetic: `**` on each entry of a column, and products by
+        `metric._times` from 1, as `math.prod` forms them."""
         z = np.asarray(z, dtype=complex)
-        if z.ndim > 1:
-            values, jacs = zip(*(self.jet(w) for w in z.reshape(-1, self.n)))
-            lead = z.shape[:-1]
-            return (np.array(values).reshape(lead + (self.n,)),
-                    np.array(jacs).reshape(lead + (self.n, self.n)))
-        z = z.tolist()
-        values = [0j] * self.n
-        jac = [[0j] * self.n for _ in range(self.n)]
+        columns = [column.tolist() for column in z.reshape(-1, self.n).T]
+        one = np.ones(len(columns[0]), dtype=complex)
+        values = np.zeros((len(one), self.n), dtype=complex)
+        jac = np.zeros((len(one), self.n, self.n), dtype=complex)
         for k, comp in enumerate(self.components):
             for coeff, exps in comp:
                 powers = [(a, e) for a, e in enumerate(exps) if e]
-                factors = [z[a] ** e for a, e in powers]
-                values[k] += coeff * math.prod(factors)
+                factors = [np.array([w**e for w in columns[a]], complex) for a, e in powers]
+                values[:, k] += _times(coeff, functools.reduce(_times, factors, one))
                 for i, (a, e) in enumerate(powers):
-                    lowered = factors[:i] + [z[a] ** (e - 1)] + factors[i + 1:]
-                    jac[k][a] += coeff * (e * math.prod(lowered))
-        return np.array(values), np.array(jac)
+                    lowered = np.array([w ** (e - 1) for w in columns[a]], complex)
+                    term = functools.reduce(_times, factors[:i] + [lowered] + factors[i + 1:], one)
+                    jac[:, k, a] += _times(coeff, _times(complex(e), term))
+        lead = z.shape[:-1]
+        return values.reshape(lead + (self.n,)), jac.reshape(lead + (self.n, self.n))
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "HoloVectorField":

@@ -143,25 +143,24 @@ def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
 
 def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent Ricci oracle: Ric = -(d^2 / dz dzbar) log det h, from
-    one second-order jet of log det h = log det_core - (n+1) log gap over
-    the real coordinates of p, or one stacked jet over every point of a
-    stacked record.  det h comes from the determinant identity, not from
-    the assembled matrix, and only F and det_core are read, so the oracle
-    is independent of the defect; its entries are exact to rounding.  The
-    `fd` in the name is historical; the benchmark's tracer looks the oracle
-    up by it.  Raises NumericError, naming the first such point, where
-    det_core or gap is not positive."""
+    one second-order jet of log det h = log det_core - (n+1) log gap
+    stacked over the real coordinates of every point of p; a single record
+    is row 0 of a one-point stack.  det h comes from the determinant
+    identity, not from the assembled matrix, and only F and det_core are
+    read, so the oracle is independent of the defect; its entries are
+    exact to rounding.  The `fd` in the name is historical; the
+    benchmark's tracer looks the oracle up by it.  Raises NumericError,
+    naming the first such point, where det_core or gap is not positive."""
     w = JetPoint(p.z)
     x, gap = jet_x_and_gap(profile, w)
     core = profile.det_core(x)
     undefined = np.logical_or(core <= 0.0, gap <= 0.0)
     if np.any(undefined):
         i = int(np.argmax(undefined))
-        raise NumericError(
-            f"log det h undefined at {p.z.reshape(-1, p.n)[i]!r}, "
-            f"x={float(np.ravel(p.x)[i])!r} (det_core or gap <= 0)"
-        )
-    return -w.hessian_z_zbar(log(core) - (p.n + 1) * log(gap))
+        raise NumericError(f"log det h undefined at {w.z[i]!r}, x={float(x.val[i])!r} "
+                           "(det_core or gap <= 0)")
+    ric = -w.hessian_z_zbar(log(core) - (p.n + 1) * log(gap))
+    return ric if p.z.ndim > 1 else ric[0]
 
 
 def _zbar_derivative(scale: Jet, d1, z: np.ndarray) -> np.ndarray:

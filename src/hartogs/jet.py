@@ -1,27 +1,27 @@
 """Second-order forward-mode jets: first and second derivatives, exact to
 rounding, with no step to choose.
 
-A `Jet` is a real value together with its gradient and Hessian over m real
-input directions.  Arithmetic (`+ - * /`, `**` with a real exponent) and
-`exp` / `log` carry all three through the chain rule, so one evaluation of
-a formula on jet inputs gives its whole Hessian at once.  This is the
-multi-direction form of the hyper-dual numbers of Fike and Alonso, "The
-development of hyper-dual numbers for exact second-derivative
-calculations" (AIAA 2011-886): there is no truncation error, and rounding
-is that of evaluating the formula itself.
+A `Jet` is a stack of N real values along a leading point axis, each with
+its gradient and Hessian over m real input directions: `val` of shape
+(N,), `grad` (N, m) and `hess` (N, m, m); one value is a one-row stack.
+Arithmetic (`+ - * /`, `**` with a real exponent) and `exp` / `log` carry
+all three through the chain rule, so one evaluation of a formula on jet
+inputs gives its whole Hessian at once.  This is the multi-direction form
+of the hyper-dual numbers of Fike and Alonso, "The development of
+hyper-dual numbers for exact second-derivative calculations" (AIAA
+2011-886): there is no truncation error, and rounding is that of
+evaluating the formula itself.
 
-A jet may also be stacked: N jets along a leading point axis, with `val`
-of shape (N,), `grad` (N, m) and `hess` (N, m, m).  Every operation runs
-on the stack at once and gives each row the bits of the same operation
-on that row's single jet: `**` calls `np.float_power`, the C library's pow
-that Python's float ** float calls, and `exp` and `log` call `math.exp`
-and `math.log` on each entry.  The other operand of an operation is a
-jet, single or stacked, or a number.
+Every operation runs on the stack at once and gives each row the bits of
+the same operation on Python floats: `**` calls `np.float_power`, the C
+library's pow that Python's float ** float calls, and `exp` and `log`
+call `math.exp` and `math.log` on each entry.  The other operand of an
+operation is a jet of the same stack or a number.
 
-`JetPoint` gives jets over the 2n real coordinates z_k = u_k + i v_k of a
-point of C^n, or of each point of a stack (u_k in direction k, v_k in
-direction n + k), of the sums of |z_k|^2, and turns the real Hessian H of
-a real function of them into its mixed complex Hessian
+`JetPoint` gives jets over the 2n real coordinates z_k = u_k + i v_k of
+each point of a stack (u_k in direction k, v_k in direction n + k), of
+the sums of |z_k|^2, and turns the real Hessian H of a real function of
+them into its mixed complex Hessian
 
     d^2 f / dz_a dzbar_b = (H_uu + H_vv + i (H_uv - H_uv^T))[a, b] / 4.
 
@@ -35,7 +35,6 @@ between jets.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -47,36 +46,30 @@ def _entrywise(fn, v):
     return fn(v)
 
 
-def _lift(v, axes: int):
-    """A stacked value with `axes` trailing unit axes, to broadcast against
-    a stacked gradient (1) or Hessian (2); a number as it is."""
-    return v[(...,) + (None,) * axes] if isinstance(v, np.ndarray) else v
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i b_j over the last axis, for each jet of a stack."""
     return a[..., :, None] * b[..., None, :]
 
 
 class Jet:
-    """Value `val`, gradient `grad` (shape (m,)) and Hessian `hess`
-    (shape (m, m)) of a real quantity, or of N of them stacked along a
-    leading axis.  Comparisons compare values."""
+    """Values `val` (shape (N,)), gradients `grad` (N, m) and Hessians
+    `hess` (N, m, m) of N real quantities stacked along a leading axis.
+    Comparisons compare values."""
 
     __slots__ = ("val", "grad", "hess")
 
     #: numpy operators defer to the reflected methods below
     __array_ufunc__ = None
 
-    def __init__(self, val: float, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, val: np.ndarray, grad: np.ndarray, hess: np.ndarray):
         self.val = val
         self.grad = grad
         self.hess = hess
 
-    def _chain(self, f0: float, f1: float, f2: float) -> Jet:
+    def _chain(self, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> Jet:
         """f(self), given f, f' and f'' at self.val."""
-        g = self.grad
-        return Jet(f0, _lift(f1, 1) * g, _lift(f1, 2) * self.hess + _lift(f2, 2) * _outer(g, g))
+        g, f1, f2 = self.grad, f1[:, None], f2[:, None, None]
+        return Jet(f0, f1 * g, f1[..., None] * self.hess + f2 * _outer(g, g))
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -98,12 +91,11 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            a, b = self.val, other.val
+            a, b = self.val[:, None], other.val[:, None]
             cross = _outer(self.grad, other.grad)
             return Jet(
-                a * b,
-                _lift(a, 1) * other.grad + _lift(b, 1) * self.grad,
-                _lift(a, 2) * other.hess + _lift(b, 2) * self.hess
+                self.val * other.val, a * other.grad + b * self.grad,
+                a[..., None] * other.hess + b[..., None] * self.hess
                 + (cross + np.swapaxes(cross, -1, -2)),
             )
         return Jet(self.val * other, self.grad * other, self.hess * other)
@@ -125,8 +117,7 @@ class Jet:
     def __pow__(self, p):
         if isinstance(p, Jet):
             return NotImplemented
-        v = self.val
-        pw = np.float_power if isinstance(v, np.ndarray) else operator.pow
+        v, pw = self.val, np.float_power
         return self._chain(pw(v, p), p * pw(v, p - 1), p * (p - 1) * pw(v, p - 2))
 
     def exp(self) -> Jet:
@@ -172,37 +163,37 @@ def log(v):
 
 
 class JetPoint:
-    """A point z of C^n, or a stack z of shape (N, n), for jets over its 2n
-    real coordinates: u_k = Re z_k is direction k and v_k = Im z_k
-    direction n + k."""
+    """A stack z of shape (N, n) of points of C^n, a 1-D z being a one-row
+    stack, for jets over their 2n real coordinates: u_k = Re z_k is
+    direction k and v_k = Im z_k direction n + k."""
 
     __slots__ = ("z", "n")
 
     def __init__(self, z):
-        self.z = np.asarray(z, dtype=complex)
-        self.n = self.z.shape[-1]
+        z = np.asarray(z, dtype=complex)
+        self.n = z.shape[-1]
+        self.z = z.reshape(-1, self.n)
 
     def norm_sq(self, start: int, stop: int) -> Jet:
         """|z_start|^2 + ... + |z_(stop-1)|^2 as a jet: its gradient is 2 u_k
         and 2 v_k in the directions of u_k and v_k, and its Hessian 2 on
-        their diagonal entries.  The value is one `np.vdot` per point,
-        whose bits no stacked sum of two or more terms keeps."""
+        their diagonal entries.  The value adds u_k^2 + v_k^2 one
+        coordinate at a time, in order (Python's `sum` over the columns), as
+        `metric.point_record` sums |z|^2, so it has the record's bits."""
         n = self.n
-        part = self.z[..., start:stop]
-        grad = np.zeros(self.z.shape[:-1] + (2 * n,))
-        grad[..., start:stop] = 2.0 * part.real
-        grad[..., n + start : n + stop] = 2.0 * part.imag
+        part = self.z[:, start:stop]
+        grad = np.zeros((len(part), 2 * n))
+        grad[:, start:stop] = 2.0 * part.real
+        grad[:, n + start : n + stop] = 2.0 * part.imag
         diag = np.zeros(2 * n)
         diag[start:stop] = diag[n + start : n + stop] = 2.0
         hess = np.broadcast_to(np.diag(diag), grad.shape + (2 * n,))
-        if part.ndim == 1:
-            return Jet(float(np.vdot(part, part).real), grad, hess)
-        return Jet(np.array([np.vdot(row, row).real for row in part]), grad, hess)
+        return Jet(sum((part.real * part.real + part.imag * part.imag).T), grad, hess)
 
     def hessian_z_zbar(self, f: Jet) -> np.ndarray:
         """Mixed complex Hessian (d^2 f / dz_a dzbar_b) of a real jet f
-        over these coordinates, at each point of a stack; Hermitian, since
-        f.hess is symmetric."""
+        over these coordinates, shape (N, n, n); Hermitian, since f.hess is
+        symmetric."""
         n = self.n
         h = f.hess
         h_uv = h[..., :n, n:]

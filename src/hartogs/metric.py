@@ -140,8 +140,9 @@ def _x_and_fiber(z):
 
 
 def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
-    """(x, gap) as jets over the real coordinates of w, from F alone: the
-    oracles' path to the radial data, independent of `point_record`."""
+    """(x, gap) as stacked jets over the real coordinates of w, from F
+    alone: the oracles' path to the radial data, independent of
+    `point_record`, with the bits of its x and gap."""
     x = w.norm_sq(0, 1)
     return x, profile.eval(x) - w.norm_sq(1, w.n)
 
@@ -214,8 +215,8 @@ def kahler_potential(profile: Profile, z) -> float | Jet:
     """Potential Phi(z) = -log(gap(z)); NaN outside the domain.  On a stack
     of points it is Phi at each of them, or NaN if any lies outside.
 
-    z may also be a `JetPoint`: Phi is then a `Jet`, whose Hessian is exact
-    to rounding (`metric_fd_oracle` reads the metric off it).
+    z may also be a `JetPoint`: Phi is then a stacked `Jet`, whose Hessian
+    is exact to rounding (`metric_fd_oracle` reads the metric off it).
     """
     try:
         jet = isinstance(z, JetPoint)
@@ -500,16 +501,18 @@ def sample_interior(
 
 def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent metric oracle: the mixed complex Hessian of the
-    potential, from one second-order jet of `kahler_potential` over the
-    real coordinates of p, or one stacked jet over every point of a stacked
-    record.  It reads F and nothing else of the profile, and its entries
-    are exact to rounding.  NumericError names the first point where the
-    potential is undefined.  The `fd` in the name is historical; the
-    benchmark's tracer looks the oracle up by it."""
+    potential, from one second-order jet of `kahler_potential` stacked over
+    the real coordinates of the points of p (a single record is row 0 of a
+    one-point stack).  It reads F and nothing else of the profile, and its
+    entries are exact to rounding.  NumericError names the first point
+    where x is outside [0, x0) or the gap is not positive.  The `fd` in the
+    name is historical; the benchmark's tracer looks the oracle up by it."""
     w = JetPoint(p.z)
     phi = kahler_potential(profile, w)
     if not isinstance(phi, Jet):
-        first = next(z for z in p.z.reshape(-1, p.n)
-                     if not isinstance(kahler_potential(profile, JetPoint(z)), Jet))
-        raise NumericError(f"potential undefined at {first!r}")
-    return w.hessian_z_zbar(phi)
+        x, fiber = w.norm_sq(0, 1).val, w.norm_sq(1, w.n).val
+        inside = (0.0 <= x) & (x < profile.x0)
+        undefined = ~inside | (profile.eval(np.where(inside, x, 0.0)) - fiber <= 0.0)
+        raise NumericError(f"potential undefined at {w.z[np.argmax(undefined)]!r}")
+    h = w.hessian_z_zbar(phi)
+    return h if p.z.ndim > 1 else h[0]

@@ -144,6 +144,25 @@ def stencil_t_zbar(profile, z, step):
     return np.stack([stencil.d_zbar(t_of, z, c) for c in range(len(z))], axis=-1)
 
 
+def field_jet_reference(field, z):
+    """Test-side reference for `HoloVectorField.jet` at one point z, in
+    Python complex arithmetic: each monomial's powers by `**`, its product
+    by `math.prod` and its sums by `+=` from 0j."""
+    z = np.asarray(z, dtype=complex).tolist()
+    n = field.n
+    values = [0j] * n
+    jac = [[0j] * n for _ in range(n)]
+    for k, comp in enumerate(field.components):
+        for coeff, exps in comp:
+            powers = [(a, e) for a, e in enumerate(exps) if e]
+            factors = [z[a] ** e for a, e in powers]
+            values[k] += coeff * math.prod(factors)
+            for i, (a, e) in enumerate(powers):
+                lowered = factors[:i] + [z[a] ** (e - 1)] + factors[i + 1:]
+                jac[k][a] += coeff * (e * math.prod(lowered))
+    return np.array(values), np.array(jac)
+
+
 class DoctoredGenerator:
     """A real `np.random.Generator` whose standard normals, numbered in
     draw order across every call, are replaced at the indices of

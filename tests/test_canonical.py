@@ -13,7 +13,10 @@ from hartogs.curvature import curvature_at, extremal_jet_oracle
 from hartogs.errors import DomainError
 from hartogs.wirtinger import ComplexStencil
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, scal_gradient_bar, stencil_t_zbar
+from conftest import (
+    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, field_jet_reference, same_bits, scal_gradient_bar,
+    stencil_t_zbar,
+)
 
 
 def sweep(prof):
@@ -27,6 +30,35 @@ def monomial_jets(z, exps):
     n = len(z)
     jets = [HoloVectorField(n, (((1 + 0j, e),),) + ((),) * (n - 1)).jet(np.array(z)) for e in exps]
     return np.array([vals[0] for vals, _ in jets]), np.array([jac[0] for _, jac in jets])
+
+
+def random_field(rng, n):
+    """A field of degree at most 3 with up to three monomials per component,
+    about a third of whose coefficient parts are 0.0, -0.0 or small
+    integers."""
+    def part():
+        return float(rng.choice([0.0, -0.0, 1.0, -2.0])) if rng.random() < 0.35 else rng.normal()
+
+    comps = []
+    for _ in range(n):
+        monos = []
+        for _ in range(rng.integers(0, 4)):
+            exps = rng.multinomial(rng.integers(0, 4), np.full(n, 1.0 / n))
+            monos.append((complex(part(), part()), tuple(int(e) for e in exps)))
+        comps.append(tuple(monos))
+    return HoloVectorField(n, tuple(comps))
+
+
+def signed_zero_points(rng, count, n):
+    """Gaussian points of C^n, about a fifth of whose parts are 0.0 and a
+    fifth -0.0."""
+    parts = rng.normal(size=(2, count, n))
+    pick = rng.random(size=parts.shape)
+    parts[pick < 0.2] = 0.0
+    parts[pick > 0.8] = -0.0
+    z = np.empty((count, n), dtype=complex)
+    z.real, z.imag = parts
+    return z
 
 
 class TestMonomialJets:
@@ -82,6 +114,50 @@ class TestHoloVectorField:
         vals, jac = HoloVectorField.zero(4).jet(np.array([0.1, 0.2j, -0.3, 0.4]))
         assert np.array_equal(vals, np.zeros(4)) and np.array_equal(jac, np.zeros((4, 4)))
         assert np.any(HoloVectorField.rotation(2).jet(np.array([0.1, 0.2]))[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_jet_has_python_complex_bits(self, n, seed):
+        # every value and Jacobian entry of a stacked jet has the bits of
+        # the per-point Python-complex reference, with zero and negative
+        # zero parts in the coefficients and the coordinates
+        rng = np.random.default_rng(seed)
+        field, z = random_field(rng, n), signed_zero_points(rng, 40, n)
+        values, jac = field.jet(z)
+        assert values.shape == (40, n) and jac.shape == (40, n, n)
+        for i, w in enumerate(z):
+            want_values, want_jac = field_jet_reference(field, w)
+            assert same_bits(values[i], want_values) and same_bits(jac[i], want_jac), i
+        single = field.jet(z[7])
+        assert same_bits(single[0], values[7]) and same_bits(single[1], jac[7])
+        grid = field.jet(z.reshape(4, 10, n))
+        assert same_bits(grid[0], values.reshape(4, 10, n))
+        assert same_bits(grid[1], jac.reshape(4, 10, n, n))
+
+    def test_exponents_above_100_and_infinities(self):
+        # above exponent 100 Python's complex ** takes its polar form; a
+        # product past the float range is inf or NaN, as in Python, also
+        # under the kernel's raised faults
+        field = HoloVectorField.from_text("1,0:0,101;0.5,-0.25:1,150|1e300,1e300:3,0;2,0:0,1", 2)
+        z = signed_zero_points(np.random.default_rng(3), 20, 2)
+        z[:, 1] *= 0.5
+        z[0, 0] = complex(1e5, 1e5)
+        with np.errstate(over="raise", invalid="raise"):
+            values, jac = field.jet(z)
+        assert not np.isfinite(values[0, 1]) and not np.isfinite(jac[0, 1, 0])
+        for i, w in enumerate(z):
+            want_values, want_jac = field_jet_reference(field, w)
+            assert same_bits(values[i], want_values) and same_bits(jac[i], want_jac), i
+
+    def test_overflowing_power_raises(self, capsys):
+        field = HoloVectorField.from_text("1,0:200,0|", 2)
+        with pytest.raises(OverflowError):
+            field.jet(np.array([[0.5, 0.5], [1e3, 0.5]]))
+        code = main(["soliton-check", "--profile", "affine:1e4,1", "--n", "2", "--samples", "5",
+                     "--field", "1,0:200,0|"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: numeric failure (OverflowError: complex exponentiation)\n"
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
