@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, float_faults
-from .metric import DomainPoint, fiber_parts, point_record, stacked_points
+from .metric import DomainPoint, fiber_normals, point_record, sample_streams, stacked_points
 from .profiles import Profile, interior_x_max
 
 #: construction tolerance on the defining function at boundary points
@@ -64,25 +64,19 @@ def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> DomainPo
     """Deterministic boundary samples, as one stacked record: |z_0|^2
     uniform below the radial clearance bound, uniform phase, and a
     uniformly random fiber direction scaled to radius sqrt(F(|z_0|^2)).
-    The draws are made point by point, two numpy calls a point written
-    into preallocated rows, then the points are built at once."""
+    Point i takes the i-th pair of the uniform stream of `sample_streams`
+    and the i-th row of `fiber_normals` from the normal stream, each drawn
+    in one block, so the first K points of a sample of N are the sample of K."""
     if count <= 0:
         raise ValueError("sample count must be positive")
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    rng = np.random.default_rng(seed)
-    uniforms, parts = np.empty((count, 2)), np.empty((count, 2 * (n - 1)))
-    for row, fiber in zip(uniforms, parts):
-        rng.random(out=row)
-        fiber_parts(rng, n, fiber)
-    parts += 0.0
-    # bit for bit rng.uniform(0.0, high) for x and theta, which is
-    # 0.0 + high * rng.random()
-    xs = interior_x_max(profile) * uniforms[:, 0]
+    uniform, normal = sample_streams(seed)
+    u = uniform.random((count, 2))
+    xs = interior_x_max(profile) * u[:, 0]
     radius = np.sqrt(profile.eval(xs))
-    return boundary_point(
-        profile, stacked_points(xs, 2.0 * math.pi * uniforms[:, 1], parts, radius)
-    )
+    parts = fiber_normals(normal, count, n)
+    return boundary_point(profile, stacked_points(xs, 2.0 * math.pi * u[:, 1], parts, radius))
 
 
 @float_faults

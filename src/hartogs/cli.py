@@ -68,6 +68,7 @@ def _checked(convert, ok, wording: str):
 
 
 _positive_int = _checked(int, lambda v: v > 0, "must be a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
                            "must be a finite positive number")
 _finite_float = _checked(float, math.isfinite, "must be a finite number")
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", required=True, help="family:params, e.g. affine:1,1")
         p.add_argument("--n", type=_dimension, default=2, help="complex dimension (>= 2)")
         p.add_argument("--samples", type=_positive_int, default=50)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         if out:
             p.add_argument("--out", required=out_required, help="CSV output path")
 
@@ -408,6 +409,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
 
 

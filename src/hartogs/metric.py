@@ -58,6 +58,9 @@ _MAX_SAMPLE_ATTEMPTS = 100_000
 #: the most points in one stacked record on the CLI paths
 BLOCK = 256
 
+#: the most candidates one round of `sample_interior` draws
+ROUND = 16 * BLOCK
+
 
 @dataclass(frozen=True)
 class DomainPoint:
@@ -395,34 +398,41 @@ def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
     return MetricData(h=metric_matrix(p), det=det, h_inv=h_inv)
 
 
-def fiber_parts(rng: np.random.Generator, n: int, out: np.ndarray) -> None:
-    """Fill the row `out` with the real then the imaginary parts of a
-    standard Gaussian vector in C^(n-1), drawn in place and again while its
-    norm, at least |out[0]| to rounding, is at or below 1e-12, which gives
-    no usable direction.  The stream is `rng.normal(size=2 * (n - 1))`'s,
-    which returns 0.0 + 1.0 * each draw: the caller adds 0.0 to its rows
-    once, turning a -0.0 into 0.0 as that sum does."""
-    while True:
-        rng.standard_normal(out=out)
-        if abs(out[0]) > 2e-12 or np.linalg.norm(out[: n - 1] + 1j * out[n - 1 :]) > 1e-12:
-            return
+def sample_streams(seed: int) -> list[np.random.Generator]:
+    """The uniform and the normal stream of a sample: generators on the two
+    children of one `np.random.SeedSequence(seed)`."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+
+
+def _row_norms(parts: np.ndarray) -> np.ndarray:
+    """The norm of each row, its squares summed in order along the row."""
+    return np.sqrt(np.cumsum(parts * parts, axis=-1)[..., -1])
+
+
+def fiber_normals(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """(rows, 2(n-1)) standard normals in one draw, each row the real then
+    the imaginary parts of a Gaussian vector in C^(n-1).  Rows whose norm
+    is at or below 1e-12, which give no usable direction, are drawn again
+    after the block, in row order, until none is left."""
+    parts = rng.standard_normal((rows, 2 * (n - 1)))
+    while (short := _row_norms(parts) <= 1e-12).any():
+        parts[short] = rng.standard_normal((int(short.sum()), parts.shape[1]))
+    return parts
 
 
 def stacked_points(x, theta, parts, radius) -> np.ndarray:
     """The (N, n) points with |z_0|^2 = x, arg z_0 = theta and a fiber
     vector of length `radius` along each row of the (N, 2(n-1)) array
-    `parts` (`fiber_parts`), all arrays of N entries, with the bits of one
-    point at a time: z_0 = sqrt(x) (cos + i sin) as Python forms that
-    product, the fiber divided by its `np.linalg.norm`."""
+    `parts` (`fiber_normals`), all arrays of N entries.  Each point has the
+    bits it has alone: z_0 = sqrt(x) (cos + i sin) as Python forms that
+    product, and each part of the row times radius / its norm."""
     k = parts.shape[1] // 2
-    direction = parts[:, :k] + 1j * parts[:, k:]
-    # the norm of each row, summed as np.linalg.norm sums one vector
-    norm = frobenius_norm(direction[:, None, :])
+    scale = (radius / _row_norms(parts))[:, None]
     z = np.empty((len(x), k + 1), dtype=complex)
     cos = np.fromiter(map(math.cos, theta.tolist()), float, len(x))
     sin = np.fromiter(map(math.sin, theta.tolist()), float, len(x))
     z[:, 0] = _complex(*_product(np.sqrt(x), 0.0, cos, sin))
-    z[:, 1:] = direction * (radius / norm)[:, None]
+    z.real[:, 1:], z.imag[:, 1:] = parts[:, :k] * scale, parts[:, k:] * scale
     return z
 
 
@@ -440,63 +450,54 @@ def sample_interior(
     for finite x0, x0 - min_margin, with a uniform phase.  The fiber vector
     is uniform in the ball of real dimension 2(n-1) and radius sqrt(budget),
     budget = F(|z_0|^2) - min_margin.  The margin is then checked exactly.
-    Same seed, same points: the draws are made point by point, in the
-    order of a sampler that builds each point before the next, each
-    written into a row preallocated for its round.  A round draws as many
-    candidates as points are missing, or as attempts are left if fewer,
-    and builds and tests them at once, so no draw is made past the last
-    point kept.  SamplingError says how many points were found when the
-    attempts run out.
+    Candidate i takes row i (x, phase, radius) of the uniform stream of
+    `sample_streams`, and the j-th candidate with a positive budget row j
+    of `fiber_normals`, so the first K points of a sample of N are the
+    sample of K.  A round draws a quarter and 8 more candidates than the
+    rate so far needs, at most ROUND and the attempts left, and builds
+    and tests them at once.  SamplingError says how many points were found
+    when the attempts, one per candidate, run out.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    rng = np.random.default_rng(seed)
     x_top = interior_x_max(profile)
     if not math.isinf(profile.x0):
         x_top = min(x_top, profile.x0 - min_margin)
-    if x_top <= 0.0:
+    # F is largest at x = 0, so no budget is positive where F(0) <= min_margin
+    if x_top <= 0.0 or profile.eval(0.0) <= min_margin:
         raise SamplingError(
             f"min_margin={min_margin} leaves no admissible |z_0|^2 range for {profile.label()}"
         )
-
+    uniform, normal = sample_streams(seed)
     runs: list[DomainPoint] = []
     found = attempts = 0
     while found < count:
-        rows = min(count - found, _MAX_SAMPLE_ATTEMPTS - attempts)
-        if rows == 0:
+        if attempts == _MAX_SAMPLE_ATTEMPTS:
             which = f"only {found} of {count} interior points" if found else "no interior point"
             raise SamplingError(
                 f"{which} with margin >= {min_margin} found in "
                 f"{_MAX_SAMPLE_ATTEMPTS} attempts for {profile.label()}"
             )
-        # per candidate: x, budget, the theta uniform and the radius uniform
-        draws, parts = np.empty((4, rows)), np.empty((rows, 2 * (n - 1)))
-        kept = 0
-        while kept < rows and attempts < _MAX_SAMPLE_ATTEMPTS:
-            attempts += 1
-            # bit for bit rng.uniform(0.0, high), which is 0.0 + high * rng.random()
-            x = x_top * rng.random()
-            budget = profile.eval(x) - min_margin
-            if budget <= 0.0:
-                continue
-            draws[0, kept], draws[1, kept], draws[2, kept] = x, budget, rng.random()
-            fiber_parts(rng, n, parts[kept])
-            draws[3, kept] = rng.random()
-            kept += 1
-        if kept == 0:
-            continue  # the attempts ran out: the next pass raises
-        xs, budgets, thetas, uniforms = draws[:, :kept]
-        parts = parts[:kept] + 0.0
-        radius = np.sqrt(budgets) * np.float_power(uniforms, 1.0 / (2 * (n - 1)))
-        p = contains(profile, stacked_points(xs, 2.0 * math.pi * thetas, parts, radius))
+        # a quarter and 8 more than the rate so far needs for the points missing
+        needed = -(-(count - found) * 5 * max(attempts, 1) // (4 * max(found, 1))) + 8
+        rows = min(needed, ROUND, _MAX_SAMPLE_ATTEMPTS - attempts)
+        attempts += rows
+        u = uniform.random((rows, 3))
+        x = x_top * u[:, 0]
+        budget = profile.eval(x) - min_margin
+        keep = budget > 0.0
+        x, budget, u = x[keep], budget[keep], u[keep]
+        radius = np.sqrt(budget) * np.float_power(u[:, 2], 1.0 / (2 * (n - 1)))
+        parts = fiber_normals(normal, len(x), n)
+        p = contains(profile, stacked_points(x, 2.0 * math.pi * u[:, 1], parts, radius))
         passed = p.margin >= min_margin
         runs.append(p if passed.all() else p[passed])
         found += len(runs[-1])
-    if len(runs) == 1:
-        return runs[0]
-    return DomainPoint(*(np.concatenate([getattr(r, name) for r in runs]) for name in _FIELDS))
+    if len(runs) > 1:
+        runs = [DomainPoint(*(np.concatenate([getattr(r, f) for r in runs]) for f in _FIELDS))]
+    return runs[0] if found == count else runs[0][:count]
 
 
 def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:

@@ -166,104 +166,114 @@ def field_jet_reference(field, z):
 class DoctoredGenerator:
     """A real `np.random.Generator` whose standard normals, numbered in
     draw order across every call, are replaced at the indices of
-    `replace`, for the draws no seed reaches.  `normal` is loc + scale
-    times them, as numpy forms it."""
+    `replace`, for the draws no seed reaches."""
 
     def __init__(self, rng, replace):
         self.rng, self.replace, self.drawn = rng, replace, 0
 
-    def random(self, size=None, out=None):
-        return self.rng.random(size, out=out)
+    def random(self, size=None):
+        return self.rng.random(size)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.rng.uniform(low, high, size)
-
-    def standard_normal(self, size=None, out=None):
-        z = np.asarray(self.rng.standard_normal(size, out=out))
+    def standard_normal(self, size=None):
+        z = np.asarray(self.rng.standard_normal(size))
         flat = z.reshape(-1)
         for k in range(flat.size):
             flat[k] = self.replace.get(self.drawn + k, flat[k])
         self.drawn += flat.size
         return z
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return loc + scale * self.standard_normal(size)
-
 
 def doctor_default_rng(monkeypatch, n):
-    """Patch `np.random.default_rng`, which both samplers call, to give
-    DoctoredGenerators at dimension n: the first fiber row is degenerate
-    (norm below 1e-12, so it is drawn again) and the third holds -0.0 at
-    its position 1, which rng.normal returns as 0.0."""
+    """Patch `np.random.default_rng`, which `sample_streams` calls, to give
+    DoctoredGenerators at dimension n: the first fiber row of the normal
+    stream is degenerate (norm below 1e-12, so it is drawn again after its
+    block) and the third holds -0.0 at its position 1."""
     real, row = np.random.default_rng, 2 * (n - 1)
     replace = {k: (-1.0) ** k * 1e-13 for k in range(row)}
     replace[2 * row + 1] = -0.0
     monkeypatch.setattr(np.random, "default_rng", lambda seed: DoctoredGenerator(real(seed), replace))
 
 
+def reference_streams(seed):
+    """The uniform and the normal generator of a sample with this seed,
+    built without `np.random.default_rng`."""
+    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
+def doctored_normals(seed, n, rows, block):
+    """The first `rows` fiber rows a sampler takes from the streams of
+    `doctor_default_rng` when its first block has `block` rows: the first
+    row is the one drawn after that block, and the third holds -0.0."""
+    stream = reference_streams(seed)[1].standard_normal((rows + 1, 2 * (n - 1)))
+    parts = np.concatenate([stream[block:block + 1], stream[1:block], stream[block + 1:]])
+    parts[2, 1] = -0.0
+    return parts
+
+
 def spy_parts(monkeypatch, module):
     """A copy of the fiber parts passed to each call of `stacked_points`
-    through `module`, the rows of every call in one list."""
-    parts, original = [], module.stacked_points
+    through `module`, one array per call."""
+    calls, original = [], module.stacked_points
 
     def spied(x, theta, rows, radius):
-        parts.extend(rows.copy())
+        calls.append(rows.copy())
         return original(x, theta, rows, radius)
 
     monkeypatch.setattr(module, "stacked_points", spied)
-    return parts
-
-
-def _fiber_draw(rng, n):
-    """The parts of a fiber direction, one rng.normal call per half, drawn
-    again while the direction's norm is at or below 1e-12."""
-    parts = np.zeros(2 * (n - 1))
-    while np.linalg.norm(parts[: n - 1] + 1j * parts[n - 1 :]) <= 1e-12:
-        parts = np.concatenate([rng.normal(size=n - 1), rng.normal(size=n - 1)])
-    return parts
+    return calls
 
 
 def _fiber_point(x, theta, parts, radius):
-    n = len(parts) // 2 + 1
-    z = np.empty(n, dtype=complex)
+    """The point of the samplers' definition, in Python floats: each part
+    of the fiber row times radius / its norm, the squares summed in order."""
+    k = len(parts) // 2
+    square = 0.0
+    for v in parts:
+        square += v * v
+    scale = radius / math.sqrt(square)
+    z = np.empty(k + 1, dtype=complex)
     z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-    direction = parts[: n - 1] + 1j * parts[n - 1 :]
-    z[1:] = direction * (radius / np.linalg.norm(direction))
+    z[1:] = [complex(re * scale, im * scale) for re, im in zip(parts[:k], parts[k:])]
     return z
 
 
-def interior_reference(rng, profile, n, count, margin):
-    """Test-side reference for `sample_interior`, one point at a time with
-    rng.uniform and rng.normal: the points kept, and the fiber parts of
-    every candidate drawn, in order."""
+def interior_reference(seed, profile, n, count, margin, normals=None):
+    """Test-side reference for `sample_interior`, one candidate at a time:
+    candidate i takes the i-th triple of uniforms of `reference_streams`,
+    and the j-th candidate with a positive budget the j-th fiber row, of
+    `normals` if given, else of the normal stream.  The points kept, and
+    the fiber rows taken, in order."""
+    uniform, normal = reference_streams(seed)
     x_top = interior_x_max(profile)
     if not math.isinf(profile.x0):
         x_top = min(x_top, profile.x0 - margin)
     points, parts = [], []
     while len(points) < count:
-        x = rng.uniform(0.0, x_top)
+        u = uniform.random(3).tolist()
+        x = x_top * u[0]
         budget = profile.eval(x) - margin
         if budget <= 0.0:
             continue
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        parts.append(_fiber_draw(rng, n))
-        radius = math.sqrt(budget) * rng.uniform() ** (1.0 / (2 * (n - 1)))
-        z = _fiber_point(x, theta, parts[-1], radius)
+        parts.append(normal.standard_normal(2 * (n - 1)) if normals is None else normals[len(parts)])
+        radius = math.sqrt(budget) * u[2] ** (1.0 / (2 * (n - 1)))
+        z = _fiber_point(x, 2.0 * math.pi * u[1], parts[-1], radius)
         p = hg.contains(profile, z)
         if p is not None and p.margin >= margin:
             points.append(z)
     return np.array(points), np.array(parts)
 
 
-def boundary_reference(rng, profile, n, count):
+def boundary_reference(seed, profile, n, count, normals=None):
     """Test-side reference for `boundary.sample_boundary`, one point at a
-    time with rng.uniform and rng.normal: the points and their fiber
-    parts."""
+    time: point i takes the i-th pair of uniforms of `reference_streams`
+    and the i-th fiber row, of `normals` if given, else of the normal
+    stream."""
+    uniform, normal = reference_streams(seed)
     x_top = interior_x_max(profile)
-    points, parts = [], []
-    for _ in range(count):
-        x = rng.uniform(0.0, x_top)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        parts.append(_fiber_draw(rng, n))
-        points.append(_fiber_point(x, theta, parts[-1], math.sqrt(profile.eval(x))))
-    return np.array(points), np.array(parts)
+    points = []
+    for i in range(count):
+        u = uniform.random(2).tolist()
+        x = x_top * u[0]
+        parts = normal.standard_normal(2 * (n - 1)) if normals is None else normals[i]
+        points.append(_fiber_point(x, 2.0 * math.pi * u[1], parts, math.sqrt(profile.eval(x))))
+    return np.array(points)

@@ -15,13 +15,13 @@ from hartogs.boundary import (
     tangent_gradient,
 )
 from hartogs.errors import DomainError
-from hartogs.profiles import interior_x_max
 
 from conftest import (
     FAMILY_IDS,
     PSEUDOCONVEX_FAMILIES,
     boundary_reference,
     doctor_default_rng,
+    doctored_normals,
     same_bits,
     spy_parts,
 )
@@ -54,47 +54,41 @@ class TestSampling:
         # the fiber direction draw is shared with the interior sampler; the
         # boundary points, hence `levi-scan` output, must not move
         want = [
-            [0.31930803872878577 - 0.8379977907040155j, -0.03917302354321233 + 0.1791837933250996j,
-             0.06631504123070904 + 0.017303524301456326j],
-            [0.6131259994674023 + 0.17927978411320566j, 0.20169552583769593 + 0.07347786635526446j,
-             0.4403743411553214 - 0.33223142372922554j],
+            [0.014320296322679303 - 0.6344369836808444j, -0.034212568770655254 - 0.25504057022108967j,
+             0.4272085385635261 - 0.3286725069787489j],
+            [0.17682808780002685 + 0.023187200349857624j, 0.37907243388317124 + 0.10464040016682684j,
+             -0.8844082573407982 + 0.024010064465911064j],
         ]
         got = sample_boundary(hg.PowerCap(2), 3, 2, seed=5)
-        assert [b.x for b in got] == [0.8041979208216348, 0.4080647322145787]
+        assert [b.x for b in got] == [0.40271535714881745, 0.03180581889507844]
         for b, z in zip(got, want):
             assert np.array_equal(b.z, np.array(z))
 
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_draws_match_reference(self, profile):
-        # the sampler written with rng.uniform, one rng.normal call per
-        # half of the fiber direction and a coordinate loop for x: the
-        # cheaper draws must give the same points bit for bit
-        x_top = interior_x_max(profile)
+        # the sampler written one point at a time, two uniforms and one
+        # fiber row a point: the block draws must give the same points bit
+        # for bit, so the first K points of a sample of N are the sample of K
         for n in range(2, 9):
-            rng = np.random.default_rng(n)
-            for b in sample_boundary(profile, n, 50, seed=n):
-                x = rng.uniform(0.0, x_top)
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                direction = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-                z = np.empty(n, dtype=complex)
-                z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-                z[1:] = direction * (math.sqrt(profile.eval(x)) / np.linalg.norm(direction))
-                z0 = complex(z[0])
-                assert np.array_equal(b.z, z)
-                assert b.x == z0.real * z0.real + z0.imag * z0.imag
+            got = sample_boundary(profile, n, 50, seed=n)
+            assert same_bits(got.z, boundary_reference(n, profile, n, 50))
+            assert same_bits(sample_boundary(profile, n, 7, seed=n).z, got.z[:7])
+            z0 = got.z[:, 0]
+            assert same_bits(got.x, z0.real * z0.real + z0.imag * z0.imag)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_unreached_draws_match_reference(self, monkeypatch, profile, n):
         # draws no seed reaches: a degenerate first fiber row is drawn
-        # again, and a -0.0 normal reads 0.0 as rng.normal returns it; the
+        # again after the block, and a -0.0 normal keeps its sign; the
         # points and their fiber parts keep their bits
         doctor_default_rng(monkeypatch, n)
-        parts = spy_parts(monkeypatch, hartogs.boundary)
-        want, want_parts = boundary_reference(np.random.default_rng(7), profile, n, 20)
-        assert want_parts[1, 1] == 0.0 and not np.signbit(want_parts[1, 1])
-        assert same_bits(sample_boundary(profile, n, 20, seed=7).z, want)
-        assert same_bits(np.array(parts), want_parts)
+        calls = spy_parts(monkeypatch, hartogs.boundary)
+        want_parts = doctored_normals(7, n, 20, 20)
+        got = sample_boundary(profile, n, 20, seed=7)
+        assert len(calls) == 1 and same_bits(calls[0], want_parts)
+        assert np.signbit(calls[0][2, 1])
+        assert same_bits(got.z, boundary_reference(7, profile, n, 20, want_parts))
 
     def test_forced_axis_point(self):
         # z_0 = 0 boundary points have fiber radius sqrt(F(0)) = 1

@@ -303,15 +303,44 @@ class TestLeviScan:
         with paths[0].open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         want_z = [
-            [0.31930803872878577, -0.8379977907040155, -0.03917302354321233, 0.1791837933250996,
-             0.06631504123070904, 0.017303524301456326],
-            [0.6131259994674023, 0.17927978411320566, 0.20169552583769593, 0.07347786635526446,
-             0.4403743411553214, -0.33223142372922554],
+            [0.014320296322679303, -0.6344369836808444, -0.034212568770655254,
+             -0.25504057022108967, 0.4272085385635261, -0.3286725069787489],
+            [0.17682808780002685, 0.023187200349857624, 0.37907243388317124,
+             0.10464040016682684, -0.8844082573407982, 0.024010064465911064],
         ]
         coords = [f"{part}_z{k}" for k in range(3) for part in ("re", "im")]
-        for row, z, x in zip(rows, want_z, [0.8041979208216348, 0.4080647322145787]):
+        for row, z, x in zip(rows, want_z, [0.40271535714881745, 0.03180581889507844]):
             assert [row[c] for c in coords] == [fmt(v) for v in z]
             assert row["x"] == fmt(x)
+
+    def test_sample_prefix_keeps_rows(self, capsys, tmp_path):
+        # the rows of a 20-sample scan are the first 20 of a 50-sample scan
+        # byte for byte: the block draws give point i the same draws
+        lines = []
+        for samples in (20, 50):
+            out = tmp_path / f"s{samples}.csv"
+            code, _, _ = run(capsys, "levi-scan", "--profile", "expdecay:1", "--n", "8",
+                             "--samples", str(samples), "--seed", "3", "--out", str(out))
+            assert code == 0
+            lines.append(out.read_bytes().splitlines(keepends=True))
+        assert len(lines[0]) == 21 and lines[1][:21] == lines[0]
+
+    def test_unallocatable_sample_is_an_error(self, capsys, monkeypatch):
+        # numpy refuses the draw of 10**12 points with a MemoryError; the
+        # refusal is one error line and exit 1, not a traceback.  The
+        # sampler is replaced, so no host setting decides whether the
+        # allocation is really made
+        counts = []
+
+        def refused(profile, n, count, seed):
+            counts.append(count)
+            raise MemoryError(f"Unable to allocate an array with shape ({count}, 2)")
+
+        monkeypatch.setattr(hartogs.cli, "sample_boundary", refused)
+        code, out, err = run(capsys, "levi-scan", "--profile", "powercap:2",
+                             "--samples", str(10**12))
+        assert (code, out, counts) == (1, "", [10**12])
+        assert err == f"error: out of memory (Unable to allocate an array with shape ({10**12}, 2))\n"
 
     @pytest.mark.parametrize("out", [False, True])
     def test_defining_residual_only_for_csv(self, capsys, monkeypatch, tmp_path, out):
@@ -391,12 +420,12 @@ class TestExtremalResidual:
             assert "50 samples" in out
 
     def test_attempt_cap_says_how_many_found(self, capsys):
-        # 100,000 attempts give 81,561 of the 200,000 points; the error
+        # 100,000 attempts give 81,822 of the 200,000 points; the error
         # must say so, not that none were found
         code, out, err = run(capsys, "extremal-residual", "--profile", "powercap:2", "--n", "2",
                              "--samples", "200000", "--seed", "0")
         assert (code, out) == (1, "")
-        assert err == ("error: only 81561 of 200000 interior points with margin >= 0.05 "
+        assert err == ("error: only 81822 of 200000 interior points with margin >= 0.05 "
                        "found in 100000 attempts for powercap:2\n")
 
     @pytest.mark.parametrize("out", [False, True])
@@ -723,6 +752,32 @@ def test_sampler_finding_no_point_is_an_error(capsys, tmp_path, command):
     assert run(capsys, *argv) == (
         1, "", "error: no interior point with margin >= 0.05 found in 100000 attempts "
                "for expdecay:1e+06\n")
+
+
+@pytest.mark.parametrize("command", ["extremal-residual", "curvature-scan", "soliton-check",
+                                     "verify-theorems"])
+def test_margin_above_largest_f_is_refused_up_front(capsys, monkeypatch, tmp_path, command):
+    # F is largest at x = 0, so with F(0) = 1 <= 2 no budget can be
+    # positive: the sampler says so before drawing, where it once drew
+    # all its attempts
+    monkeypatch.setattr(hartogs.metric, "sample_streams", lambda seed: pytest.fail("drew"))
+    argv = [command, "--profile", "expdecay:1", "--n", "3", "--samples", "5", "--min-margin", "2"]
+    if command == "curvature-scan":
+        argv += ["--out", str(tmp_path / "s.csv")]
+    assert run(capsys, *argv) == (
+        1, "", "error: min_margin=2.0 leaves no admissible |z_0|^2 range for expdecay:1\n")
+
+
+@pytest.mark.parametrize("command", ["curvature-scan", "levi-scan", "extremal-residual",
+                                     "soliton-check", "verify-theorems"])
+def test_negative_seed_usage_error(capsys, tmp_path, command):
+    # numpy's `expected non-negative integer` named no option
+    argv = [command, "--profile", "powercap:2", "--seed", "-1"]
+    if command == "curvature-scan":
+        argv += ["--out", str(tmp_path / "s.csv")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --seed: must be a non-negative integer, got '-1'\n")
 
 
 @pytest.mark.parametrize("command", ["curvature-scan", "extremal-residual"])

@@ -311,8 +311,8 @@ def test_curvature_at_bundle():
 
 def test_one_det_core_per_point(monkeypatch):
     # the sampler's `contains` keeps det_core in the point record, from one
-    # call over the whole stack, and assemble_metric, curvature_at and
-    # ricci_tensor read that value
+    # call over each round's whole stack, and assemble_metric, curvature_at
+    # and ricci_tensor read that value
     prof = hg.PowerCap(2)
     original = hg.PowerCap.det_core
     calls = []
@@ -323,7 +323,7 @@ def test_one_det_core_per_point(monkeypatch):
 
     monkeypatch.setattr(hg.PowerCap, "det_core", counted)
     points = hg.sample_interior(prof, 3, 5, seed=7)
-    assert len(calls) == 1 and np.array_equal(calls[0], points.x)
+    assert len(calls) == 1 and np.array_equal(calls[0][:5], points.x)
     calls.clear()
     m = hg.assemble_metric(prof, points)
     hg.curvature_at(prof, points, m)

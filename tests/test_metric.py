@@ -12,6 +12,7 @@ from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
     BLOCK,
     _x_and_fiber,
+    fiber_normals,
     metric_derivative_against,
     metric_derivative_along,
     metric_fd_oracle,
@@ -25,7 +26,9 @@ from hartogs.wirtinger import ComplexStencil
 from conftest import (
     FAMILY_IDS,
     PSEUDOCONVEX_FAMILIES,
+    DoctoredGenerator,
     doctor_default_rng,
+    doctored_normals,
     interior_reference,
     metric_gradients,
     profile_cases,
@@ -305,35 +308,14 @@ class TestSampling:
 
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_draws_match_reference(self, profile):
-        # the sampler written with rng.uniform and one rng.normal call per
-        # half of the fiber direction: the cheaper draws must give the same
-        # points bit for bit, rejections included
+        # the sampler written one candidate at a time, three uniforms a
+        # candidate and one fiber row a candidate with a positive budget:
+        # the block draws must give the same points bit for bit,
+        # rejections included
         for margin in (0.05, 0.002):
-            x_top = interior_x_max(profile)
-            if not math.isinf(profile.x0):
-                x_top = min(x_top, profile.x0 - margin)
             for n in range(2, 9):
-                rng = np.random.default_rng(n)
-                want = []
-                while len(want) < 50:
-                    x = rng.uniform(0.0, x_top)
-                    budget = profile.eval(x) - margin
-                    if budget <= 0.0:
-                        continue
-                    z = np.empty(n, dtype=complex)
-                    theta = rng.uniform(0.0, 2.0 * math.pi)
-                    z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-                    direction = np.zeros(n - 1)
-                    while np.linalg.norm(direction) <= 1e-12:
-                        direction = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-                    radius = math.sqrt(budget) * rng.uniform() ** (1.0 / (2 * (n - 1)))
-                    z[1:] = direction * (radius / np.linalg.norm(direction))
-                    p = hg.contains(profile, z)
-                    if p is not None and p.margin >= margin:
-                        want.append(z)
-                got = hg.sample_interior(profile, n, 50, n, margin)
-                for p, z in zip(got, want, strict=True):
-                    assert np.array_equal(p.z, z)
+                want, _ = interior_reference(n, profile, n, 50, margin)
+                assert same_bits(hg.sample_interior(profile, n, 50, n, margin).z, want)
 
     @pytest.mark.parametrize(
         "profile, n, count, margin",
@@ -341,21 +323,46 @@ class TestSampling:
         ids=[*(f"{label}-past-block" for label in FAMILY_IDS), "rational-n16"],
     )
     def test_draws_match_reference_past_block_and_at_n16(self, profile, n, count, margin):
-        want, _ = interior_reference(np.random.default_rng(n), profile, n, count, margin)
+        want, _ = interior_reference(n, profile, n, count, margin)
         assert same_bits(hg.sample_interior(profile, n, count, n, margin).z, want)
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_prefix_across_rounds(self, monkeypatch, profile):
+        # rounds of at most 7 candidates and rounds sized to the points
+        # missing give the same sample, and the first K points of a sample
+        # of N are the sample of K wherever the rounds fall
+        whole = hg.sample_interior(profile, 3, 60, seed=4)
+        monkeypatch.setattr(hartogs.metric, "ROUND", 7)
+        assert same_bits(hg.sample_interior(profile, 3, 60, seed=4).z, whole.z)
+        for k in (1, 6, 8, 59):
+            assert same_bits(hg.sample_interior(profile, 3, k, seed=4).z, whole.z[:k])
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_unreached_draws_match_reference(self, monkeypatch, profile, n):
         # draws no seed reaches: a degenerate first fiber row is drawn
-        # again, and a -0.0 normal reads 0.0 as rng.normal returns it; the
-        # points and every candidate's fiber parts keep their bits
+        # again after its round's block, and a -0.0 normal keeps its sign;
+        # the points and every fiber row taken keep their bits
         doctor_default_rng(monkeypatch, n)
-        parts = spy_parts(monkeypatch, hartogs.metric)
-        want, want_parts = interior_reference(np.random.default_rng(7), profile, n, 20, 0.05)
-        assert want_parts[1, 1] == 0.0 and not np.signbit(want_parts[1, 1])
-        assert same_bits(hg.sample_interior(profile, n, 20, 7).z, want)
-        assert same_bits(np.array(parts), want_parts)
+        calls = spy_parts(monkeypatch, hartogs.metric)
+        got = hg.sample_interior(profile, n, 20, 7)
+        parts = np.concatenate(calls)
+        want_parts = doctored_normals(7, n, len(parts), len(calls[0]))
+        assert same_bits(parts, want_parts) and np.signbit(parts[2, 1])
+        want, _ = interior_reference(7, profile, n, 20, 0.05, want_parts)
+        assert same_bits(got.z, want)
+
+    def test_fiber_normals_redraw_after_the_block(self):
+        # rows at or below 1e-12 in norm are drawn again in row order after
+        # the block, until none is left; a -0.0 is kept as drawn
+        rng = np.random.default_rng(3)
+        replace = {k: 1e-13 for k in (0, 1, 6, 7, 10, 11)} | {3: -0.0}
+        parts = fiber_normals(DoctoredGenerator(rng, replace), 4, 2)
+        stream = np.random.default_rng(3).standard_normal((7, 2))
+        # rows 0 and 3 are degenerate, then row 3's redraw (stream row 5)
+        want = stream[[4, 1, 2, 6]]
+        want[1, 1] = -0.0
+        assert same_bits(parts, want)
 
     def test_count_past_attempt_cap(self, monkeypatch):
         # a round holds at most the attempts left, so a count far above the
@@ -389,29 +396,31 @@ class TestSampling:
 
     def test_later_round_keeping_nothing(self, monkeypatch):
         # the first round's record loses a point, as to its margin check, so
-        # a second round of one row follows; where the attempts run out
-        # before it keeps a candidate, the error counts the points found.
-        # On expdecay:1.5, about 80% of attempts fail the budget test.
-        contains, first = hartogs.metric.contains, []
+        # later rounds follow; where the attempts run out, some in rounds
+        # that keep no candidate, the error counts the points found.  On
+        # expdecay:1.5, about 80% of candidates fail the budget test.
+        contains, kept = hartogs.metric.contains, []
 
         def losing_one(profile, z):
             p = contains(profile, z)
-            first.append(len(p))
-            return p[:-1] if len(first) == 1 else p
+            p = p if kept else p[:-1]
+            kept.append(len(p))
+            return p
 
         monkeypatch.setattr(hartogs.metric, "contains", losing_one)
         outcomes = set()
-        for cap in range(20, 60):
+        for cap in range(3, 60):
             monkeypatch.setattr(hartogs.metric, "_MAX_SAMPLE_ATTEMPTS", cap)
-            first.clear()
+            kept.clear()
             try:
                 outcomes.add(len(hg.sample_interior(hg.ExpDecay(1.5), 2, 3, seed=0)))
             except SamplingError as error:
-                assert first == [3] and str(error) == (
-                    f"only 2 of 3 interior points with margin >= 0.05 found in {cap} "
-                    "attempts for expdecay:1.5")
-                outcomes.add("error")
-        assert outcomes == {3, "error"}
+                found = sum(kept)
+                which = f"only {found} of 3 interior points" if found else "no interior point"
+                assert str(error) == (f"{which} with margin >= 0.05 found in {cap} "
+                                      "attempts for expdecay:1.5")
+                outcomes.add(f"found {found}")
+        assert {3, "found 1", "found 2"} <= outcomes
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_fiber_uniform_in_ball(self, n):
