@@ -19,19 +19,26 @@ The defect and two radial derivatives of the slope -defect F / det_core
 are closed forms stated per profile family, evaluated once per point in
 one call over a stack.  The metric is extremal iff the (1,0)-gradient
 field T = K^T dbar scal, K = h^-1, is holomorphic.  dbar scal and K are
-both radial, so T is a radial multiple of each coordinate, formed in
-O(n) per point without K, with s = gap/det_core, r = slope' gap +
-slope F' and |z'|^2 = F - gap:
+both radial, and T reduces exactly to gap^2 times a function of x alone
+on each coordinate:
 
-    T^0 = s z_0 (F r - F' slope |z'|^2)
-    T^i = s z_i (x F' r - slope (det_core + (F' + F'' x) |z'|^2))
+    T^0 = gap^2 A(x) z_0,   A = (F slope)' / det_core
+    T^i = gap^2 B(x) z_i,   B = (x F' slope' + (x F')' slope) / det_core
 
-The closed forms built on them (T and `curvature_at`) take a single or a
+Every CLI family has det_core = c F^q, so F slope is constant and A is
+zero on it; the tests add a family on which A is not.  With T^a = S_a z_a
+and S_a a function of (x, gap), the zbar-Jacobian t_zbar[a, c] =
+z_a dS_a/dzbar_c needs only the two partials of S_a, chained through
+x = |z_0|^2 and gap = F(x) - |z'|^2: no inverse metric and no derivative
+of h enters.  `curvature_at` takes the partials in closed form, with A'
+and B' from slope'', F''' and det_core' = x F' F'' - F (2F'' + x F''').
+
+The closed forms (`curvature_at` and the Ricci tensor) take a single or a
 stacked record, like those of `metric`, and run with its floating-point
 faults raised.  The oracles differentiate on purpose, so that they share
 no derivative formula with what they check, and exactly, with jets: the
 Ricci oracle a second-order jet of log det h over the coordinates, and
-the extremal oracle a jet of T's two radial scales over (x, gap).  Both
+the extremal oracle a jet of gap^2 A and gap^2 B over (x, gap).  Both
 take a single or a stacked record, as one stacked jet.
 """
 
@@ -45,8 +52,8 @@ import numpy as np
 from .errors import NumericError
 from .jet import Jet, JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, _radial, _times, jet_x_and_gap, metric_derivative_against,
-    nonsingular_core, raises_fp_faults, relative_norm,
+    DomainPoint, MetricData, _radial, _times, jet_x_and_gap, nonsingular_core, raises_fp_faults,
+    relative_norm,
 )
 from .profiles import Profile
 
@@ -79,35 +86,32 @@ def curvature_defect(profile: Profile, p: DomainPoint):
     return profile.defect(p.x)
 
 
-def _radial_scales(profile: Profile, x, gap, f, d1, d2, core, defect):
-    """(slope, slope', S0, S1) from x, gap, F, F', F'', det_core and the
-    defect: slope = -defect F / det_core, by which scal = -n(n+1) +
-    slope * gap, its radial derivative slope', and the radial scales of the
-    gradient field T = K^T dbar scal, T^0 = S0 z_0 and T^i = S1 z_i (see
-    the module docstring), from dbar_0 scal = z_0 r and dbar_i scal =
-    -slope z_i.  Plain arithmetic: the arguments are floats, arrays or
-    jets."""
+def _radial_scales(profile: Profile, x, f, d1, d2, core, defect):
+    """(slope, slope', A, B) from x, F, F', F'', det_core and the defect:
+    slope = -defect F / det_core, by which scal = -n(n+1) + slope * gap,
+    its radial derivative slope', and the radial functions A and B of the
+    gradient field T = K^T dbar scal, T^0 = gap^2 A z_0 and T^i =
+    gap^2 B z_i (see the module docstring).  Plain arithmetic: the
+    arguments are floats, arrays or jets."""
     slope = -defect * f / core
     slope_d1 = profile.slope_d1(x)
-    s, fiber = gap / core, f - gap
-    r = slope_d1 * gap + slope * d1
-    s0 = s * (f * r - d1 * slope * fiber)
-    s1 = s * (x * d1 * r - slope * (core + (d1 + d2 * x) * fiber))
-    return slope, slope_d1, s0, s1
+    a = (d1 * slope + f * slope_d1) / core
+    b = (x * d1 * slope_d1 + (d1 + x * d2) * slope) / core
+    return slope, slope_d1, a, b
 
 
-@raises_fp_faults
-def _gradient_field(profile: Profile, p: DomainPoint, defect):
-    """(slope, slope', T) at p from its defect, which `curvature_defect`
-    gives once det_core is checked: `_radial_scales` on the record."""
-    slope, slope_d1, s0, s1 = _radial_scales(
-        profile, p.x, p.gap, p.f, p.d1, p.d2, p.det_core, defect
-    )
-    scale = np.empty(p.z.shape)
-    scale[..., 0] = s0
-    scale[..., 1:] = _radial(s1, 1)
-    # a real times a complex factor: each part is rounded once
-    return slope, slope_d1, scale * p.z
+def _zbar_jacobian(z: np.ndarray, d1, s0, s1) -> np.ndarray:
+    """t_zbar[..., a, c] = dT^a/dzbar_c = z_a dS_a/dzbar_c at each point of
+    z, for T^a = S_a(x, gap) z_a, given the partials (S_x, S_gap) of S_0 in
+    s0 and of S_i (i >= 1) in s1, and F' in d1: by the chain rule through
+    x = |z_0|^2 and gap = F(x) - |z'|^2, dS/dzbar_0 = z_0 (S_x + F' S_gap)
+    and dS/dzbar_c = -z_c S_gap above."""
+    dbar = np.empty(z.shape + z.shape[-1:], dtype=complex)
+    for rows, (s_x, s_gap) in ((slice(0, 1), s0), (slice(1, None), s1)):
+        d = -_radial(s_gap, 1) * z
+        d[..., 0] = (s_x + d1 * s_gap) * z[..., 0]
+        dbar[..., rows, :] = d[..., None, :]
+    return _times(z[..., :, None], dbar)
 
 
 def _ricci(p: DomainPoint, m: MetricData, defect) -> np.ndarray:
@@ -163,30 +167,22 @@ def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     return ric if p.z.ndim > 1 else ric[0]
 
 
-def _zbar_derivative(scale: Jet, d1, z: np.ndarray) -> np.ndarray:
-    """dS/dzbar_c at each point of the stack z of a radial scale S(x, gap),
-    given as a jet over (x, gap), with x = |z_0|^2 and gap = F(x) - |z'|^2:
-    z_0 (S_x + F' S_gap) for c = 0 and -z_c S_gap above."""
-    s_x, s_gap = scale.grad[:, 0], scale.grad[:, 1]
-    d = -s_gap[:, None] * z
-    d[:, 0] = (s_x + d1 * s_gap) * z[:, 0]
-    return d
-
-
 @raises_fp_faults
 def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent oracle for `CurvatureData.t_zbar` at a single point, or
-    at every point of a stacked record.  T^a = S_a(x, gap) z_a is radial
-    (`_radial_scales`), so t_zbar[a, c] = z_a dS_a/dzbar_c, exact to
-    rounding from the partials of S0 and S1 in x and gap on one stacked jet
-    seeded at the record's x and gap.  F, F', F'', det_core, the defect
-    and slope' are the family's closed forms on the jet of x, and the F' of
-    the chain rule is the derivative of the jet of F.  So the oracle shares
-    T's radial form with `curvature_at`, and nothing `curvature_at` builds
-    t_zbar from: slope'', F''', the inverse metric and its derivatives.  A
-    single record is row 0 of a one-point stack.  SingularityError is
-    raised where det_core is below SINGULAR_TOL, and NumericError names
-    the first point with a non-finite value."""
+    at every point of a stacked record: `_zbar_jacobian` on the partials of
+    S_0 = gap^2 A and S_i = gap^2 B in x and gap, exact to rounding, from
+    one stacked jet seeded at the record's x and gap.  F, F', F'',
+    det_core, the defect and slope' are the family's closed forms on the
+    jet of x, and the F' of the chain rule is the derivative of the jet of
+    F.  So the oracle shares A, B (`_radial_scales`) and the chain rule
+    with `curvature_at`, and checks the derivatives A' and B' that
+    `curvature_at` takes in closed form: it reads none of slope'', F''',
+    det_core', the inverse metric or the derivatives of h.  The tests check
+    the reduction of T to A and B against K^T dbar scal.  A single record
+    is row 0 of a one-point stack.  SingularityError is raised where
+    det_core is below SINGULAR_TOL, and NumericError names the first point
+    with a non-finite value."""
     curvature_defect(profile, p)
     z = p.z.reshape(-1, p.n)
     count = len(z)
@@ -194,15 +190,13 @@ def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     x = Jet(np.reshape(p.x, -1), np.broadcast_to(seeds[0], (count, 2)), zero)
     gap = Jet(np.reshape(p.gap, -1), np.broadcast_to(seeds[1], (count, 2)), zero)
     f = profile.eval(x)
-    _, _, s0, s1 = _radial_scales(
-        profile, x, gap, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x),
+    _, _, a, b = _radial_scales(
+        profile, x, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x),
         profile.defect(x),
     )
-    d1 = f.grad[:, 0]
-    dbar = np.empty(z.shape + (p.n,), dtype=complex)
-    dbar[:, 0] = _zbar_derivative(s0, d1, z)
-    dbar[:, 1:] = _zbar_derivative(s1, d1, z)[:, None, :]
-    t_zbar = _times(z[:, :, None], dbar)
+    square = gap * gap
+    s0, s1 = ((s.grad[:, 0], s.grad[:, 1]) for s in (square * a, square * b))
+    t_zbar = _zbar_jacobian(z, f.grad[:, 0], s0, s1)
     finite = np.isfinite(t_zbar).all(axis=(-2, -1))
     if not finite.all():
         raise NumericError(f"non-finite extremal oracle value at {z[np.argmin(finite)]!r}")
@@ -213,30 +207,34 @@ def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
 def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureData:
     """Every closed-form curvature quantity at one point, or at every point
     of a stack, from one defect per point, the point record p and the
-    metric m assembled from it; of the profile it reads only the defect,
-    slope', slope'' and F''', once per point.  The Einstein residual is
-    || Ric + (n+1) h ||_F / (1 + ||h||_F).
+    metric matrix m.h assembled from it; of the profile it reads only the
+    defect, slope', slope'' and F''', once per point, and of m only h.
+    The Einstein residual is || Ric + (n+1) h ||_F / (1 + ||h||_F).
 
-    The metric is extremal iff T = K^T g is holomorphic, with K = h^-1 and
-    g = dbar scal; `_gradient_field` forms T in O(n).  t_zbar[a, c] =
-    dT^a/dzbar_c = (K^T (S - E))[a, c], with E[b, c] = sum_a T_a
-    dh_ab/dzbar_c (`metric.metric_derivative_against`) and S, the
-    anti-holomorphic Hessian of scal, zero but for S00 = z_0^2
-    (slope'' gap + 2 slope' F' + slope F'') and S0i = Si0 = -slope' z_0 z_i."""
+    The metric is extremal iff T = K^T dbar scal is holomorphic, with
+    K = h^-1.  t_zbar[a, c] = dT^a/dzbar_c is `_zbar_jacobian` of
+    T^0 = gap^2 A z_0 and T^i = gap^2 B z_i (`_radial_scales`) on the
+    partials S_x = gap^2 A' and S_gap = 2 gap A (likewise for B), with
+
+        A' = ((F slope)'' - A det_core') / det_core
+        B' = (2 (x F')' slope' + x F' slope'' + (x F')'' slope - B det_core') / det_core
+
+    where (x F')'' = 2F'' + x F''' and det_core' = x F' F'' - F (x F')''."""
     n = p.n
     defect = curvature_defect(profile, p)
-    slope, slope_d1, t = _gradient_field(profile, p, defect)
+    slope, slope_d1, a, b = _radial_scales(profile, p.x, p.f, p.d1, p.d2, p.det_core, defect)
     ric = _ricci(p, m, defect)
     shared = p.gap * p.f * defect / p.det_core
     coefficients = [(n + 1) ** k * (-1.0) ** (k + 1) * math.comb(n - 1, k) for k in range(n)]
     constants = [n * (n + 1) / (k + 1) for k in range(n)]
     rho = np.array(coefficients) * (np.array(constants) + np.asarray(shared)[..., None])
-    head = profile.slope_d2(p.x) * p.gap + 2.0 * slope_d1 * p.d1 + slope * p.d2
-    row = _times(p.z[..., :1], p.z)  # z_0 z_b
-    hess = np.zeros(p.z.shape + (n,), dtype=complex)
-    hess[..., 0, :] = hess[..., :, 0] = row * _radial(-slope_d1, 1)
-    hess[..., 0, 0] = row[..., 0] * head
-    t_zbar = np.swapaxes(m.h_inv, -1, -2) @ (hess - metric_derivative_against(profile, p, t))
+    slope_d2 = profile.slope_d2(p.x)
+    mix, third = p.d1 + p.x * p.d2, 2.0 * p.d2 + p.x * profile.eval(p.x, 3)
+    core_d1 = p.x * p.d1 * p.d2 - p.f * third
+    a_d1 = (p.d2 * slope + 2.0 * p.d1 * slope_d1 + p.f * slope_d2 - a * core_d1) / p.det_core
+    b_d1 = (2.0 * mix * slope_d1 + p.x * p.d1 * slope_d2 + third * slope - b * core_d1) / p.det_core
+    gap2, twice = p.gap * p.gap, 2.0 * p.gap
+    t_zbar = _zbar_jacobian(p.z, p.d1, (gap2 * a_d1, twice * a), (gap2 * b_d1, twice * b))
     return CurvatureData(
         ric=ric,
         scal=-(p.gap / p.det_core) * p.f * defect - n * (n + 1),

@@ -302,56 +302,35 @@ def _times(a, b) -> np.ndarray:
     return _complex(*_product(a.real, a.imag, b.real, b.imag))
 
 
-def _gradient_parts(profile: Profile, p: DomainPoint, w: np.ndarray):
-    """(g1, mix, gap, gap_00, gap_000bar, g1.w) at p, each with a trailing
-    axis of length n or 1 to broadcast against the vectors w[..., k]: the
-    derivatives of gap in the first derivatives of h (derived in full in
-    the tests' reference tensor, `conftest.metric_gradients`), with
+@raises_fp_faults
+def metric_derivative_along(profile: Profile, p: DomainPoint, v) -> np.ndarray:
+    """D[..., a, b] = sum_k v_k dh_ab/dz_k at p, O(n^2) per point; v[..., k]
+    broadcasts against p.z, with any axes that index vectors leading, as
+    D's do.  It is built from the derivatives of gap (derived in full in
+    the tests' reference tensor, `conftest.metric_gradients`):
     g1 = (F' zbar_0, -zbar_1, ...), mix = (F' + F'' x, -1, ...) the
     diagonal of the mixed ones, gap_00 = F'' zbar_0^2 and gap_000bar =
-    zbar_0 (2 F'' + x F''').  F''' is read here, once per point."""
+    zbar_0 (2 F'' + x F'''), with s = g1.v:
+
+        D = s diag(mix)/gap^2 + g1 (x) (mix v - 2 s conj(g1)/gap)/gap^2
+            + v_0 gap_00/gap^2 e_0 (x) conj(g1) - v_0 gap_000bar/gap e_0 (x) e_0.
+
+    F''' is read here, once per point."""
+    v = np.asarray(v, dtype=complex)
     bar0 = np.conj(p.z[..., 0])
     g1 = -np.conj(p.z)
     g1[..., 0] = p.d1 * bar0
     mix = np.full(p.z.shape, -1.0)
     mix[..., 0] = p.d1 + p.d2 * p.x
     third = 2.0 * p.d2 + p.x * profile.eval(p.x, 3)
-    radial = (p.gap, p.d2 * _times(bar0, bar0), third * bar0)
-    return (g1, mix, *(_radial(a, 1) for a in radial), _times(g1, w).sum(axis=-1, keepdims=True))
-
-
-@raises_fp_faults
-def metric_derivative_along(profile: Profile, p: DomainPoint, v) -> np.ndarray:
-    """D[..., a, b] = sum_k v_k dh_ab/dz_k at p, O(n^2) per point, from
-    s = g1.v and the parts of `_gradient_parts`; v[..., k] broadcasts
-    against p.z, with any axes that index vectors leading, as D's do:
-
-        D = s diag(mix)/gap^2 + g1 (x) (mix v - 2 s conj(g1)/gap)/gap^2
-            + v_0 gap_00/gap^2 e_0 (x) conj(g1) - v_0 gap_000bar/gap e_0 (x) e_0."""
-    v = np.asarray(v, dtype=complex)
-    g1, mix, gap, hol, third, s = _gradient_parts(profile, p, v)
+    gap, hol, third = (_radial(a, 1) for a in (p.gap, p.d2 * _times(bar0, bar0), third * bar0))
+    s = _times(g1, v).sum(axis=-1, keepdims=True)
     bar, gap2 = g1.conj(), gap * gap
     d = _times((g1 / gap2)[..., :, None], (mix * v - 2.0 * _times(s, bar) / gap)[..., None, :])
     _diagonal(d)[...] += s * mix / gap2
     d[..., 0, :] += _times(_times(v[..., :1], hol) / gap2, bar)
     d[..., 0, :1] -= _times(v[..., :1], third) / gap
     return d
-
-
-@raises_fp_faults
-def metric_derivative_against(profile: Profile, p: DomainPoint, t) -> np.ndarray:
-    """E[..., b, c] = sum_a t_a dh_ab/dzbar_c at p, O(n^2) per point, for
-    t[..., a] with the point axes of p, from s = g1.t and
-    Y = (mix t - s conj(g1)/gap) (x) conj(g1)/gap^2:
-
-        E = Y + Y^T + (conj(gap_00) s/gap^2 - t_0 conj(gap_000bar)/gap) e_0 (x) e_0."""
-    t = np.asarray(t, dtype=complex)
-    g1, mix, gap, hol, third, s = _gradient_parts(profile, p, t)
-    bar, gap2 = g1.conj(), gap * gap
-    half = _times((mix * t - _times(s, bar) / gap)[..., :, None], bar[..., None, :])
-    e = (half + np.swapaxes(half, -1, -2)) / gap2[..., None]
-    e[..., 0, :1] += _times(hol.conj(), s) / gap2 - _times(t[..., :1], third.conj()) / gap
-    return e
 
 
 @raises_fp_faults

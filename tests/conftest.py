@@ -1,15 +1,18 @@
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 import hartogs as hg
-from hartogs.curvature import _gradient_field, curvature_defect
+from hartogs.jet import power
 from hartogs.metric import (
     _complex, _diagonal, _product, _radial, inverse_metric_matrix, require_interior,
 )
-from hartogs.profiles import interior_x_max
+from hartogs.profiles import Profile, interior_x_max
 from hartogs.wirtinger import ComplexStencil
 
 #: the CLI-reachable families exercised by cross-module sweeps
@@ -32,6 +35,89 @@ def same_bits(a, b) -> bool:
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def _horner(poly, x):
+    """poly at x by Horner's rule in plain arithmetic, so x may be a float,
+    an array or a jet; a constant keeps x's shape."""
+    value = 0.0 * x + poly.coef[-1]
+    for c in poly.coef[-2::-1]:
+        value = value * x + c
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _quadcap_forms(c):
+    """F = 1 - x - c x^2 and its derivatives, det_core, and the numerators
+    of the defect, slope' and slope'' over det_core^2, ^4 and ^5, each with
+    its power of det_core, all by polynomial algebra on F:
+
+        defect = ((det_core' + x det_core'') det_core - x det_core'^2) / det_core^2
+        slope  = -defect F / det_core
+
+    and each derivative of N / det_core^k is (N' det_core - k N det_core') / det_core^(k+1)."""
+    f, x = Polynomial([1.0, -1.0, -c]), Polynomial([0.0, 1.0])
+    d1, d2 = f.deriv(), f.deriv(2)
+    core = x * d1 * d1 - f * (d1 + x * d2)
+    core_d1 = core.deriv()
+    defect = (core_d1 + x * core.deriv(2)) * core - x * core_d1 * core_d1
+    slope = -defect * f
+    slope_d1 = slope.deriv() * core - 3.0 * slope * core_d1
+    slope_d2 = slope_d1.deriv() * core - 4.0 * slope_d1 * core_d1
+    return {"f": (f, 0), "d1": (d1, 0), "d2": (d2, 0), "d3": (f.deriv(3), 0), "core": (core, 0),
+            "defect": (defect, 2), "slope_d1": (slope_d1, 4), "slope_d2": (slope_d2, 5)}
+
+
+@dataclass(frozen=True)
+class QuadCap(Profile):
+    """Test-only family F(x) = 1 - x - c x^2 on [0, x0), x0 the positive
+    root of F.  Its det_core is 1 + 4cx - cx^2 >= 1 and its margin
+    det_core / F^2 >= 1, and unlike the CLI families F slope is not
+    constant, so A, the z_0 part of the extremal gradient field, is not
+    zero (`hartogs.curvature`).  Every closed form is a polynomial of
+    `_quadcap_forms` by Horner's rule, over a power of det_core."""
+
+    c: float
+
+    family = "quadcap"
+
+    @property
+    def x0(self) -> float:
+        return (math.sqrt(1.0 + 4.0 * self.c) - 1.0) / (2.0 * self.c)
+
+    def _form(self, name, x):
+        forms = _quadcap_forms(self.c)
+        numerator, k = forms[name]
+        value = _horner(numerator, x)
+        return value / power(_horner(forms["core"][0], x), k) if k else value
+
+    def _f(self, x):
+        return self._form("f", x)
+
+    def _d1(self, x):
+        return self._form("d1", x)
+
+    def _d2(self, x):
+        return self._form("d2", x)
+
+    def _d3(self, x):
+        return self._form("d3", x)
+
+    def det_core(self, x):
+        return self._form("core", x)
+
+    def defect(self, x):
+        return self._form("defect", x)
+
+    def slope_d1(self, x):
+        return self._form("slope_d1", x)
+
+    def slope_d2(self, x):
+        return self._form("slope_d2", x)
+
+
+#: two probes of A, largest at x = 0: A(0) = 28/3 and 468
+QUADCAP_PROBES = [QuadCap(1.0 / 3.0), QuadCap(3.0)]
+
+
 @pytest.fixture(scope="session")
 def points_for():
     """Session cache of seeded interior samples keyed by request."""
@@ -48,14 +134,15 @@ def points_for():
 
 @st.composite
 def profile_cases(draw):
-    """A profile of a CLI family or powercap:1.001, a dimension, a margin
-    and a seed; affine profiles keep x0 = c1/c2 >= 1."""
+    """A profile of a CLI family, powercap:1.001 or the test-only `QuadCap`,
+    a dimension, a margin and a seed; affine profiles keep x0 = c1/c2 >= 1."""
     c1 = draw(st.floats(0.5, 1e2))
     profile = draw(st.sampled_from([
         hg.Affine(c1, c1 * draw(st.floats(1e-2, 1.0))),
         hg.PowerCap(draw(st.sampled_from([0.5, 2.0, 1.001]) | st.floats(0.1, 50.0))),
         hg.ExpDecay(draw(st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 10.0))),
         hg.Rational(),
+        QuadCap(draw(st.sampled_from([1.0 / 3.0, 3.0]) | st.floats(0.05, 10.0))),
     ]))
     n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]))
     return profile, n, draw(st.sampled_from([0.05, 1e-3])), draw(st.integers(0, 2**32 - 1))
@@ -72,9 +159,9 @@ def central_d2(fn, x, h):
 
 
 def metric_gradients(profile, p):
-    """Test-side reference for the contractions `metric_derivative_along`
-    and `metric_derivative_against`: the Wirtinger derivatives of the
-    metric at p in closed form, as (dg, dgbar) with dg[..., k, :, :] =
+    """Test-side reference for the contraction `metric_derivative_along`
+    and for `t_zbar_reference`: the Wirtinger derivatives of the metric at
+    p in closed form, as (dg, dgbar) with dg[..., k, :, :] =
     dh/dz_k and dgbar[..., k, :, :] = dh/dzbar_k, which is the conjugate
     transpose of dg[..., k, :, :] since h is Hermitian.  It builds the whole
     (N, n, n, n) tensor, which the package never forms.
@@ -132,13 +219,32 @@ def gradient_field_reference(profile, p):
     return (np.swapaxes(inverse_metric_matrix(p), -1, -2) @ grad[..., None])[..., 0]
 
 
+def t_zbar_reference(profile, p):
+    """Test-side reference for `CurvatureData.t_zbar` at p, dT/dzbar for
+    T = K^T g, g = dbar scal, the long way round: K^T (S - E), with K the
+    whole closed-form inverse metric, E[b, c] = sum_a T_a dh_ab/dzbar_c
+    from the whole tensor of `metric_gradients`, and S the anti-holomorphic
+    Hessian of scal, zero but for S00 = z_0^2 (slope'' gap + 2 slope' F' +
+    slope F'') and S0i = Si0 = -slope' z_0 z_i.  It never reduces T to the
+    radial functions A and B that `curvature_at` and the jet oracle share."""
+    slope = -profile.defect(p.x) * p.f / p.det_core
+    slope_d1 = profile.slope_d1(p.x)
+    head = profile.slope_d2(p.x) * p.gap + 2.0 * slope_d1 * p.d1 + slope * p.d2
+    row = p.z[..., :1] * p.z
+    hess = np.zeros(p.z.shape + (p.n,), dtype=complex)
+    hess[..., 0, :] = hess[..., :, 0] = row * -_radial(slope_d1, 1)
+    hess[..., 0, 0] = row[..., 0] * head
+    t = gradient_field_reference(profile, p)
+    e = np.einsum("...cab,...a->...bc", metric_gradients(profile, p)[1], t)
+    return np.swapaxes(inverse_metric_matrix(p), -1, -2) @ (hess - e)
+
+
 def stencil_t_zbar(profile, z, step):
     """Test-side reference for t_zbar at one point z: column c is the
     central Wirtinger difference `ComplexStencil(step).d_zbar` of the
-    gradient field T (`curvature._gradient_field`) along zbar_c."""
+    gradient field T (`gradient_field_reference`) along zbar_c."""
     def t_of(w):
-        q = require_interior(profile, w)
-        return _gradient_field(profile, q, curvature_defect(profile, q))[2]
+        return gradient_field_reference(profile, require_interior(profile, w))
 
     stencil = ComplexStencil(step)
     return np.stack([stencil.d_zbar(t_of, z, c) for c in range(len(z))], axis=-1)

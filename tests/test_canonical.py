@@ -399,7 +399,7 @@ class TestExtremalResidual:
                             assert data.extremal == 0.0 and not np.any(oracle)
                         diff = np.max(np.abs(oracle - data.t_zbar))
                         worst = max(worst, float(diff) / (1.0 + data.extremal))
-        assert worst <= 1e-10
+        assert worst <= 1e-13
 
     def test_expdecay_nonzero(self, points_for):
         for p in points_for(hg.ExpDecay(1), 2, count=6):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 
 import hartogs as hg
-from hartogs.curvature import _gradient_field, curvature_defect, extremal_jet_oracle, rho_oracle
+from hartogs.curvature import _radial_scales, curvature_defect, extremal_jet_oracle, rho_oracle
 from hartogs.errors import SingularityError
 from hartogs.metric import MetricData
 
 from conftest import (
-    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1, gradient_field_reference, profile_cases,
+    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, QUADCAP_PROBES, QuadCap, central_d1,
+    gradient_field_reference, profile_cases, same_bits, t_zbar_reference,
 )
 
 
@@ -82,18 +84,65 @@ class TestDefect:
 @example(case=(hg.Rational(), 8, 1e-3, 4))
 @example(case=(hg.ExpDecay(1.0), 16, 1e-3, 5))
 @example(case=(hg.PowerCap(2.0), 16, 0.05, 6))
+@example(case=(QuadCap(1.0 / 3.0), 8, 1e-3, 7))
 def test_gradient_field_matches_inverse_metric(case):
-    # the radial form of T against K^T dbar scal with the whole inverse
-    # metric K, to 1e-11 relative to max |T| at each point; exactly 0 on
-    # affine profiles
+    # T = gap^2 (A z_0, B z') from `_radial_scales` against K^T dbar scal
+    # with the whole inverse metric K, to 1e-11 relative to max |T| at each
+    # point; exactly 0 on affine profiles
     profile, n, margin, seed = case
     p = hg.sample_interior(profile, n, 6, seed % 1000, margin)
-    t = _gradient_field(profile, p, curvature_defect(profile, p))[2]
+    _, _, a, b = _radial_scales(
+        profile, p.x, p.f, p.d1, p.d2, p.det_core, curvature_defect(profile, p)
+    )
+    scale = np.empty(p.z.shape)
+    scale[:, 0] = p.gap * p.gap * a
+    scale[:, 1:] = (p.gap * p.gap * b)[:, None]
+    t = scale * p.z
     if isinstance(profile, hg.Affine):
         assert not np.any(t)
         return
     want = gradient_field_reference(profile, p)
     assert np.all(np.max(np.abs(t - want), axis=-1) <= 1e-11 * np.max(np.abs(want), axis=-1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=profile_cases())
+@example(case=(hg.Rational(), 8, 1e-3, 4))
+@example(case=(hg.PowerCap(1.001), 8, 1e-3, 2))
+@example(case=(QuadCap(1.0 / 3.0), 8, 1e-3, 7))
+@example(case=(QuadCap(3.0), 16, 1e-3, 8))
+def test_t_zbar_matches_reference(case):
+    # t_zbar against K^T (S - E), which builds dT/dzbar from the whole
+    # inverse metric and the whole gradient tensor of h and never reduces
+    # T to A and B: within 1e-11 relative to 1 + max |t_zbar| per point
+    profile, n, margin, seed = case
+    p = hg.sample_interior(profile, n, 6, seed % 1000, margin)
+    data = hg.curvature_at(profile, p, hg.assemble_metric(profile, p))
+    diff = np.max(np.abs(data.t_zbar - t_zbar_reference(profile, p)), axis=(-2, -1))
+    assert np.all(diff <= 1e-11 * (1.0 + data.extremal))
+
+
+@pytest.mark.parametrize("profile", QUADCAP_PROBES, ids=lambda prof: prof.label())
+def test_probe_exercises_the_z0_part(profile):
+    # on the probes A is not zero, so t_zbar[0, 0] = z_0^2 (S_x + F' S_gap)
+    # of S_0 = gap^2 A is far above rounding, and matches the reference
+    points = hg.sample_interior(profile, 3, 20, 0, 1e-3)
+    data = hg.curvature_at(profile, points, hg.assemble_metric(profile, points))
+    assert np.max(np.abs(data.t_zbar[..., 0, 0])) >= 0.1
+    diff = np.max(np.abs(data.t_zbar - t_zbar_reference(profile, points)), axis=(-2, -1))
+    assert np.all(diff <= 1e-11 * (1.0 + data.extremal))
+
+
+@pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES + QUADCAP_PROBES,
+                         ids=lambda prof: prof.label())
+def test_curvature_at_reads_no_inverse_metric(profile):
+    # with the inverse metric all NaN, every field keeps its bits
+    points = hg.sample_interior(profile, 4, 20, 3, 1e-3)
+    m = hg.assemble_metric(profile, points)
+    want = hg.curvature_at(profile, points, m)
+    got = hg.curvature_at(profile, points, dataclasses.replace(m, h_inv=np.full_like(m.h_inv, np.nan)))
+    for field in dataclasses.fields(want):
+        assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
 def slope(profile, x):
@@ -115,11 +164,13 @@ def test_scal_slope_powercap():
 class TestSlopeDerivative:
     @pytest.mark.parametrize(
         "profile",
-        [hg.PowerCap(0.5), hg.PowerCap(3), hg.ExpDecay(1), hg.ExpDecay(0.5), hg.Rational()],
+        [hg.PowerCap(0.5), hg.PowerCap(3), hg.ExpDecay(1), hg.ExpDecay(0.5), hg.Rational(),
+         *QUADCAP_PROBES],
         ids=lambda prof: prof.label(),
     )
     def test_matches_difference_of_slope(self, profile):
-        for x in (0.1, 0.5, 0.9):
+        # at 0.1, 0.5 and 0.9 times x0, or times 1 where x0 is above 1
+        for x in (t * min(profile.x0, 1.0) for t in (0.1, 0.5, 0.9)):
             fd = central_d1(lambda t: slope(profile, t), x, 1e-6)
             assert profile.slope_d1(x) == pytest.approx(fd, rel=1e-8)
 
@@ -143,13 +194,13 @@ class TestSlopeDerivative:
     @pytest.mark.parametrize(
         "profile",
         [hg.Affine(2, 3), hg.PowerCap(0.5), hg.PowerCap(2), hg.PowerCap(3), hg.ExpDecay(1),
-         hg.ExpDecay(0.5), hg.Rational()],
+         hg.ExpDecay(0.5), hg.Rational(), *QUADCAP_PROBES],
         ids=lambda prof: prof.label(),
     )
     def test_second_derivative_matches_difference(self, profile):
         # slope_d1 is not domain-guarded, so the difference may straddle
         # the origin; at 0.999 x0 the step keeps truncation below 1e-7
-        xs = [0.0, 0.1, 0.5, 0.9]
+        xs = [t * min(profile.x0, 1.0) for t in (0.0, 0.1, 0.5, 0.9)]
         if math.isfinite(profile.x0):
             xs.append(0.999 * profile.x0)
         for x in xs:

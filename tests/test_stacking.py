@@ -14,7 +14,7 @@ from hartogs.boundary import boundary_point
 from hartogs.canonical import HoloVectorField
 from hartogs.errors import DomainError
 from hartogs.metric import (
-    BLOCK, DomainPoint, blocks, metric_derivative_against, metric_derivative_along, point_record,
+    BLOCK, DomainPoint, blocks, metric_derivative_along, point_record,
 )
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients, same_bits
@@ -28,7 +28,6 @@ def closed_forms(profile, p) -> dict:
         "einstein": data.einstein, "t_zbar": data.t_zbar, "extremal": data.extremal,
         "dg": metric_gradients(profile, p)[0],
         "along": np.moveaxis(metric_derivative_along(profile, p, np.stack([p.z, 1j * p.z])), 0, -3),
-        "against": metric_derivative_against(profile, p, p.z.conj()),
         "soliton": hg.soliton_residual(profile, p, -(p.n + 1.0), HoloVectorField.rotation(p.n)),
     }
 

@@ -122,16 +122,17 @@ def test_extremal_oracle_is_d_zbar_per_coordinate(profile):
 
 
 def test_extremal_oracle_nonfinite_names_point(monkeypatch):
-    # a NaN in the gap partial of S1 at one point of a block
+    # a NaN in the gap derivative of the jet of B at one point of a block,
+    # which reaches the gap partial of S_i = gap^2 B
     prof = hg.PowerCap(2)
     points = hg.sample_interior(prof, 3, 5, seed=2)
     scales = hartogs.curvature._radial_scales
 
     def poisoned(*args):
-        slope, slope_d1, s0, s1 = scales(*args)
-        grad = s1.grad.copy()
+        slope, slope_d1, a, b = scales(*args)
+        grad = b.grad.copy()
         grad[3, 1] = math.nan
-        return slope, slope_d1, s0, Jet(s1.val, grad, s1.hess)
+        return slope, slope_d1, a, Jet(b.val, grad, b.hess)
 
     monkeypatch.setattr(hartogs.curvature, "_radial_scales", poisoned)
     with pytest.raises(NumericError) as err:
