@@ -27,12 +27,10 @@ onto an orthonormal basis of S and taking the smallest eigenvalue.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, float_faults
-from .metric import DomainPoint, fiber_normals, point_record, sample_streams, stacked_points
+from .metric import DomainPoint, point_record, sample_streams, stacked_points, uniforms
 from .profiles import Profile, interior_x_max
 
 #: construction tolerance on the defining function at boundary points
@@ -64,19 +62,17 @@ def sample_boundary(profile: Profile, n: int, count: int, seed: int) -> DomainPo
     """Deterministic boundary samples, as one stacked record: |z_0|^2
     uniform below the radial clearance bound, uniform phase, and a
     uniformly random fiber direction scaled to radius sqrt(F(|z_0|^2)).
-    Point i takes the i-th pair of the uniform stream of `sample_streams`
-    and the i-th row of `fiber_normals` from the normal stream, each drawn
-    in one block, so the first K points of a sample of N are the sample of K."""
+    Point i takes draw i of the uniform stream of `sample_streams` (x) and
+    row i of the phase stream (`stacked_points`), so the first K points of
+    a sample of N are the sample of K."""
     if count <= 0:
         raise ValueError("sample count must be positive")
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    uniform, normal = sample_streams(seed)
-    u = uniform.random((count, 2))
-    xs = interior_x_max(profile) * u[:, 0]
-    radius = np.sqrt(profile.eval(xs))
-    parts = fiber_normals(normal, count, n)
-    return boundary_point(profile, stacked_points(xs, 2.0 * math.pi * u[:, 1], parts, radius))
+    uniform, phase = sample_streams(seed)
+    xs = interior_x_max(profile) * uniforms(uniform, np.arange(count))
+    z = stacked_points(phase, np.arange(count), n, xs, np.sqrt(profile.eval(xs)))
+    return boundary_point(profile, z)
 
 
 @float_faults

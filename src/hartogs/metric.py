@@ -377,42 +377,137 @@ def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
     return MetricData(h=metric_matrix(p), det=det, h_inv=h_inv)
 
 
-def sample_streams(seed: int) -> list[np.random.Generator]:
-    """The uniform and the normal stream of a sample: generators on the two
-    children of one `np.random.SeedSequence(seed)`."""
-    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+#: SplitMix64's increment (the golden ratio in 64 bits) and its
+#: finalizer's two multipliers
+_GAMMA, _MULTIPLY = 0x9E3779B97F4A7C15, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MASK = 2**64 - 1
+#: the integer constants of the draws as numpy scalars, built once
+_U64 = {v: np.uint64(v) for v in (_GAMMA, *_MULTIPLY, 11, 27, 30, 31, 32, 2**32 - 1)}
+
+#: the disk of `stacked_points`: its attempts are the points of the grid
+#: (Z + 1/2)^2 in the square of side 2^32 about 0, kept below radius 2^31
+_HALF_SIDE = 2.0**31 - 0.5
+_DISK = 2.0**62
+
+#: disk attempts drawn at once for each slot left in a round of
+#: `stacked_points`
+DISK_BATCH = 6
 
 
-def _row_norms(parts: np.ndarray) -> np.ndarray:
-    """The norm of each row, its squares summed in order along the row."""
-    return np.sqrt(np.cumsum(parts * parts, axis=-1)[..., -1])
+def _mix_int(z: int) -> int:
+    """SplitMix64's finalizer of a Python int below 2^64."""
+    z = ((z ^ (z >> 30)) * _MULTIPLY[0]) & _MASK
+    z = ((z ^ (z >> 27)) * _MULTIPLY[1]) & _MASK
+    return z ^ (z >> 31)
 
 
-def fiber_normals(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """(rows, 2(n-1)) standard normals in one draw, each row the real then
-    the imaginary parts of a Gaussian vector in C^(n-1).  Rows whose norm
-    is at or below 1e-12, which give no usable direction, are drawn again
-    after the block, in row order, until none is left."""
-    parts = rng.standard_normal((rows, 2 * (n - 1)))
-    while (short := _row_norms(parts) <= 1e-12).any():
-        parts[short] = rng.standard_normal((int(short.sum()), parts.shape[1]))
-    return parts
-
-
-def stacked_points(x, theta, parts, radius) -> np.ndarray:
-    """The (N, n) points with |z_0|^2 = x, arg z_0 = theta and a fiber
-    vector of length `radius` along each row of the (N, 2(n-1)) array
-    `parts` (`fiber_normals`), all arrays of N entries.  Each point has the
-    bits it has alone: z_0 = sqrt(x) (cos + i sin) as Python forms that
-    product, and each part of the row times radius / its norm."""
-    k = parts.shape[1] // 2
-    scale = (radius / _row_norms(parts))[:, None]
-    z = np.empty((len(x), k + 1), dtype=complex)
-    cos = np.fromiter(map(math.cos, theta.tolist()), float, len(x))
-    sin = np.fromiter(map(math.sin, theta.tolist()), float, len(x))
-    z[:, 0] = _complex(*_product(np.sqrt(x), 0.0, cos, sin))
-    z.real[:, 1:], z.imag[:, 1:] = parts[:, :k] * scale, parts[:, k:] * scale
+def _mix(z: np.ndarray) -> np.ndarray:
+    """`_mix_int` of each entry of a uint64 array, in place (numpy's
+    integer arrays wrap modulo 2^64)."""
+    z ^= z >> _U64[30]
+    z *= _U64[_MULTIPLY[0]]
+    z ^= z >> _U64[27]
+    z *= _U64[_MULTIPLY[1]]
+    z ^= z >> _U64[31]
     return z
+
+
+def _child(key: int, j: int) -> int:
+    """The key of child stream j: draw j of the stream keyed by `key`.  A
+    stream is drawn from or has children, never both."""
+    return _mix_int((key + (j + 1) * _GAMMA) & _MASK)
+
+
+def _draws(keys, index) -> np.ndarray:
+    """Draws `index` (an integer array) of the stream keyed by `keys`, an
+    int, or of the streams of a list of keys broadcast against it along
+    its last axis: SplitMix64's outputs from state key, the finalizer of
+    key + (index + 1) gamma modulo 2^64.  Each draw is a pure function of
+    its key and index, an integer expression with the same bits on every
+    machine."""
+    keys = np.array(keys, dtype=np.uint64, ndmin=1) + _U64[_GAMMA]
+    return _mix(np.asarray(index, dtype=np.uint64) * _U64[_GAMMA] + keys)
+
+
+def uniforms(key: int, index) -> np.ndarray:
+    """Uniforms in [0, 1) from draws `index` of the stream keyed by `key`:
+    the top 53 bits of each draw times 2^-53."""
+    return (_draws(key, index) >> _U64[11]).astype(float) * 2.0**-53
+
+
+def sample_streams(seed: int) -> tuple[int, int]:
+    """The keys of the uniform and the phase stream of a sample: children 0
+    and 1 of the stream keyed by every 64-bit limb of the non-negative
+    seed, folded from the lowest as key = mix((key + gamma) ^ limb) from
+    key = the number of limbs; a seed below 2^64 has one limb, 0 too."""
+    limbs = [(seed >> shift) & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = len(limbs)
+    for limb in limbs:
+        key = _mix_int(((key + _GAMMA) & _MASK) ^ limb)
+    return _child(key, 0), _child(key, 1)
+
+
+def stacked_points(stream: int, rows, n: int, x, radius) -> np.ndarray:
+    """The (N, n) points of the N row numbers `rows` of a sample with
+    |z_0|^2 = x and a fiber vector of length `radius` (arrays of N
+    entries), with a uniform phase of z_0 and a fiber direction uniform on
+    the unit sphere of C^(n-1); row r is a function of (stream, r, n)
+    alone, and of its x and radius.
+
+    Slot s = rn + k of row r gives the point (a_k, b_k) of the disk
+    a^2 + b^2 < 2^62 reached by the first attempt t = 0, 1, ... that lands
+    in it: the high and low 32 bits of draw s of child t of the phase
+    stream, less 2^31 - 1/2.  So a rejection moves no other slot's draws,
+    and no attempt is 0.  The angle of (a_k, b_k) is the phase of z_k, and
+    r_k^2 = a_k^2 + b_k^2 over 2^62, independent of it, is uniform: the
+    squared moduli q_1, ..., q_{n-1} of the fiber direction are the
+    spacings of r_0^2, ..., r_{n-3}^2 sorted, uniform on the simplex as the
+    squared moduli of a uniform point of the sphere are.  Then
+    z_0 = (a_0 + i b_0) (sqrt(x) / sqrt(a_0^2 + b_0^2)) and
+    z_k = (a_k + i b_k) ((sqrt(q_k) / sqrt(a_k^2 + b_k^2)) radius).  Only
+    + - * /, sqrt, sort and comparisons are used, each correctly rounded,
+    so a point has the same bits on every machine.  A round draws
+    DISK_BATCH attempts of each slot left at once, and a first round of
+    more than ROUND slots one, which changes no bit."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    slots = (rows[:, None] * np.uint64(n) + np.arange(n, dtype=np.uint64)).reshape(-1)
+    # attempts drawn so far: one for a large first round, whose slots
+    # mostly land at once
+    attempt = 1 if len(slots) > ROUND else DISK_BATCH
+    disk, landed = _landing(stream, slots, 0, attempt)
+    todo = np.flatnonzero(~landed)
+    while len(todo):
+        tried, landed = _landing(stream, slots[todo], attempt, DISK_BATCH)
+        now = todo[landed]
+        for kept, new in zip(disk, tried):
+            kept[now] = new[landed]
+        todo, attempt = todo[~landed], attempt + DISK_BATCH
+    a, b, r2 = (part.reshape(-1, n) for part in disk)
+    cuts = np.sort(r2[:, :n - 2] * 2.0**-62, axis=1)
+    square = np.empty(r2.shape)
+    square[:, 0] = x
+    square[:, 1:-1] = cuts
+    square[:, -1] = 1.0
+    square[:, 2:] -= cuts
+    scale = np.sqrt(square) / np.sqrt(r2)
+    scale[:, 1:] *= radius[:, None]
+    return _complex(a * scale, b * scale)
+
+
+def _landing(stream: int, slots: np.ndarray, first: int, count: int):
+    """The disk points (a, b, a^2 + b^2) of `stacked_points`, three arrays
+    over the slots, of the first of the attempts first to first+count-1
+    of each slot that lands in the disk, and whether one did."""
+    draws = _draws([_child(stream, t) for t in range(first, first + count)], slots[:, None])
+    a = (draws >> _U64[32]).astype(float) - _HALF_SIDE
+    b = (draws & _U64[2**32 - 1]).astype(float) - _HALF_SIDE
+    r2 = a * a + b * b
+    hit = r2 < _DISK
+    # attempts run along rows; argmax over rows of one costs per row
+    if count == 1:
+        return (a[:, 0], b[:, 0], r2[:, 0]), hit[:, 0]
+    at = np.arange(0, hit.size, count) + np.argmax(hit, axis=1)
+    return tuple(v.reshape(-1).take(at) for v in (a, b, r2)), hit.reshape(-1).take(at)
 
 
 def sample_interior(
@@ -429,11 +524,11 @@ def sample_interior(
     for finite x0, x0 - min_margin, with a uniform phase.  The fiber vector
     is uniform in the ball of real dimension 2(n-1) and radius sqrt(budget),
     budget = F(|z_0|^2) - min_margin.  The margin is then checked exactly.
-    Candidate i takes row i (x, phase, radius) of the uniform stream of
-    `sample_streams`, and the j-th candidate with a positive budget row j
-    of `fiber_normals`, so the first K points of a sample of N are the
-    sample of K.  A round draws a quarter and 8 more candidates than the
-    rate so far needs, at most ROUND and the attempts left, and builds
+    Candidate i takes draws 2i and 2i+1 (x, radius) of the uniform stream
+    of `sample_streams` and, if its budget is positive, row i of the phase
+    stream (`stacked_points`), so the first K points of a sample of N are
+    the sample of K.  A round draws a quarter and 8 more candidates than
+    the rate so far needs, at most ROUND and the attempts left, and builds
     and tests them at once.  SamplingError says how many points were found
     when the attempts, one per candidate, run out.
     """
@@ -449,7 +544,7 @@ def sample_interior(
         raise SamplingError(
             f"min_margin={min_margin} leaves no admissible |z_0|^2 range for {profile.label()}"
         )
-    uniform, normal = sample_streams(seed)
+    uniform, phase = sample_streams(seed)
     runs: list[DomainPoint] = []
     found = attempts = 0
     while found < count:
@@ -461,16 +556,15 @@ def sample_interior(
             )
         # a quarter and 8 more than the rate so far needs for the points missing
         needed = -(-(count - found) * 5 * max(attempts, 1) // (4 * max(found, 1))) + 8
-        rows = min(needed, ROUND, _MAX_SAMPLE_ATTEMPTS - attempts)
-        attempts += rows
-        u = uniform.random((rows, 3))
+        first = attempts
+        attempts += min(needed, ROUND, _MAX_SAMPLE_ATTEMPTS - attempts)
+        u = uniforms(uniform, np.arange(2 * first, 2 * attempts)).reshape(-1, 2)
         x = x_top * u[:, 0]
         budget = profile.eval(x) - min_margin
-        keep = budget > 0.0
+        keep = np.flatnonzero(budget > 0.0)
         x, budget, u = x[keep], budget[keep], u[keep]
-        radius = np.sqrt(budget) * np.float_power(u[:, 2], 1.0 / (2 * (n - 1)))
-        parts = fiber_normals(normal, len(x), n)
-        p = contains(profile, stacked_points(x, 2.0 * math.pi * u[:, 1], parts, radius))
+        radius = np.sqrt(budget) * np.float_power(u[:, 1], 1.0 / (2 * (n - 1)))
+        p = contains(profile, stacked_points(phase, keep + first, n, x, radius))
         passed = p.margin >= min_margin
         runs.append(p if passed.all() else p[passed])
         found += len(runs[-1])

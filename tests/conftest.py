@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import hartogs as hg
+import hartogs.metric
 from hartogs.jet import power
 from hartogs.metric import (
     _complex, _diagonal, _product, _radial, inverse_metric_matrix, require_interior,
@@ -269,117 +270,132 @@ def field_jet_reference(field, z):
     return np.array(values), np.array(jac)
 
 
-class DoctoredGenerator:
-    """A real `np.random.Generator` whose standard normals, numbered in
-    draw order across every call, are replaced at the indices of
-    `replace`, for the draws no seed reaches."""
+#: SplitMix64's increment and finalizer, on Python ints
+GAMMA, MASK = 0x9E3779B97F4A7C15, 2**64 - 1
 
-    def __init__(self, rng, replace):
-        self.rng, self.replace, self.drawn = rng, replace, 0
 
-    def random(self, size=None):
-        return self.rng.random(size)
+def splitmix_finalizer(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
 
-    def standard_normal(self, size=None):
-        z = np.asarray(self.rng.standard_normal(size))
-        flat = z.reshape(-1)
-        for k in range(flat.size):
-            flat[k] = self.replace.get(self.drawn + k, flat[k])
-        self.drawn += flat.size
+
+class ReferenceStreams:
+    """The samplers' draws on Python ints and floats, one at a time: draw
+    i of the stream keyed k is SplitMix64's output i from state k, and a
+    child's key is a draw of its parent.  `replace` maps (key, index) to a
+    doctored draw, for the draws no seed reaches; `doctor_draws` gives the
+    package the same ones.  Child keys are never doctored."""
+
+    def __init__(self, replace=None):
+        self.replace = replace or {}
+
+    def draw(self, key, i):
+        return self.replace.get((key, i), splitmix_finalizer((key + (i + 1) * GAMMA) & MASK))
+
+    def child(self, key, j):
+        return splitmix_finalizer((key + (j + 1) * GAMMA) & MASK)
+
+    def uniform(self, key, i):
+        return (self.draw(key, i) >> 11) * 2.0**-53
+
+    def streams(self, seed):
+        """The uniform and the phase stream's keys: the seed's 64-bit limbs
+        folded from the lowest, from the number of limbs."""
+        limbs = [(seed >> shift) & MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
+        key = len(limbs)
+        for limb in limbs:
+            key = splitmix_finalizer(((key + GAMMA) & MASK) ^ limb)
+        return self.child(key, 0), self.child(key, 1)
+
+    def disk(self, phase, slot):
+        """(a, b, a^2 + b^2) of the first attempt of `slot` in the disk."""
+        attempt = 0
+        while True:
+            draw = self.draw(self.child(phase, attempt), slot)
+            a, b = (draw >> 32) - (2.0**31 - 0.5), (draw & (2**32 - 1)) - (2.0**31 - 0.5)
+            if a * a + b * b < 2.0**62:
+                return a, b, a * a + b * b
+            attempt += 1
+
+    def point(self, phase, row, n, x, radius):
+        """The point of row `row` of a sample with |z_0|^2 = x and fiber
+        radius `radius`: the phases and the squared radii of its n disk
+        points, the spacings of the first n-2 squared radii sorted as the
+        squared moduli of the fiber direction."""
+        disk = [self.disk(phase, row * n + k) for k in range(n)]
+        edges = [0.0, *sorted(r2 * 2.0**-62 for _, _, r2 in disk[:n - 2]), 1.0]
+        square = [x] + [edges[k + 1] - edges[k] for k in range(n - 1)]
+        z = []
+        for k, ((a, b, r2), q) in enumerate(zip(disk, square)):
+            scale = math.sqrt(q) / math.sqrt(r2)
+            scale = scale if k == 0 else scale * radius
+            z.append(complex(a * scale, b * scale))
         return z
 
 
-def doctor_default_rng(monkeypatch, n):
-    """Patch `np.random.default_rng`, which `sample_streams` calls, to give
-    DoctoredGenerators at dimension n: the first fiber row of the normal
-    stream is degenerate (norm below 1e-12, so it is drawn again after its
-    block) and the third holds -0.0 at its position 1."""
-    real, row = np.random.default_rng, 2 * (n - 1)
-    replace = {k: (-1.0) ** k * 1e-13 for k in range(row)}
-    replace[2 * row + 1] = -0.0
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: DoctoredGenerator(real(seed), replace))
+def doctor_draws(monkeypatch, replace):
+    """Give the package the doctored draws of `ReferenceStreams(replace)`."""
+    real = hartogs.metric._draws
+
+    def doctored(keys, index):
+        out = real(keys, index)
+        key = np.broadcast_to(np.array(keys, dtype=np.uint64, ndmin=1), out.shape)
+        at = np.broadcast_to(np.asarray(index, dtype=np.uint64), out.shape)
+        for (k, i), value in replace.items():
+            out[(key == np.uint64(k)) & (at == np.uint64(i))] = np.uint64(value)
+        return out
+
+    monkeypatch.setattr(hartogs.metric, "_draws", doctored)
 
 
-def reference_streams(seed):
-    """The uniform and the normal generator of a sample with this seed,
-    built without `np.random.default_rng`."""
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(2)]
+def unreached_draws(seed, n, zero_x):
+    """Doctored draws of the sample of this seed at dimension n that no
+    seed is known to reach: slot 1 misses the disk in its first 8
+    attempts, two rounds' worth; slot 2 lands at (-1/2, 1/2), next to the
+    origin, and so does slot 2n, the z_0 phase of row 2; and uniform
+    `zero_x` is 0, which gives the x = 0 of row 2, whose z_0 is then
+    -0.0 + 0.0j."""
+    ref = ReferenceStreams()
+    uniform, phase = ref.streams(seed)
+    nearest = ((2**31 - 1) << 32) | 2**31
+    replace = {(ref.child(phase, t), 1): MASK if t % 2 else 0 for t in range(8)}
+    replace |= {(ref.child(phase, 0), 2): nearest, (ref.child(phase, 0), 2 * n): nearest}
+    replace[(uniform, zero_x)] = 0
+    return replace
 
 
-def doctored_normals(seed, n, rows, block):
-    """The first `rows` fiber rows a sampler takes from the streams of
-    `doctor_default_rng` when its first block has `block` rows: the first
-    row is the one drawn after that block, and the third holds -0.0."""
-    stream = reference_streams(seed)[1].standard_normal((rows + 1, 2 * (n - 1)))
-    parts = np.concatenate([stream[block:block + 1], stream[1:block], stream[block + 1:]])
-    parts[2, 1] = -0.0
-    return parts
-
-
-def spy_parts(monkeypatch, module):
-    """A copy of the fiber parts passed to each call of `stacked_points`
-    through `module`, one array per call."""
-    calls, original = [], module.stacked_points
-
-    def spied(x, theta, rows, radius):
-        calls.append(rows.copy())
-        return original(x, theta, rows, radius)
-
-    monkeypatch.setattr(module, "stacked_points", spied)
-    return calls
-
-
-def _fiber_point(x, theta, parts, radius):
-    """The point of the samplers' definition, in Python floats: each part
-    of the fiber row times radius / its norm, the squares summed in order."""
-    k = len(parts) // 2
-    square = 0.0
-    for v in parts:
-        square += v * v
-    scale = radius / math.sqrt(square)
-    z = np.empty(k + 1, dtype=complex)
-    z[0] = math.sqrt(x) * complex(math.cos(theta), math.sin(theta))
-    z[1:] = [complex(re * scale, im * scale) for re, im in zip(parts[:k], parts[k:])]
-    return z
-
-
-def interior_reference(seed, profile, n, count, margin, normals=None):
+def interior_reference(seed, profile, n, count, margin, replace=None):
     """Test-side reference for `sample_interior`, one candidate at a time:
-    candidate i takes the i-th triple of uniforms of `reference_streams`,
-    and the j-th candidate with a positive budget the j-th fiber row, of
-    `normals` if given, else of the normal stream.  The points kept, and
-    the fiber rows taken, in order."""
-    uniform, normal = reference_streams(seed)
+    candidate i takes uniforms 2i and 2i+1 (x, radius) and, if its budget
+    is positive, row i of the phase stream."""
+    ref = ReferenceStreams(replace)
+    uniform, phase = ref.streams(seed)
     x_top = interior_x_max(profile)
     if not math.isinf(profile.x0):
         x_top = min(x_top, profile.x0 - margin)
-    points, parts = [], []
+    points, i = [], -1
     while len(points) < count:
-        u = uniform.random(3).tolist()
-        x = x_top * u[0]
+        i += 1
+        x = x_top * ref.uniform(uniform, 2 * i)
         budget = profile.eval(x) - margin
         if budget <= 0.0:
             continue
-        parts.append(normal.standard_normal(2 * (n - 1)) if normals is None else normals[len(parts)])
-        radius = math.sqrt(budget) * u[2] ** (1.0 / (2 * (n - 1)))
-        z = _fiber_point(x, 2.0 * math.pi * u[1], parts[-1], radius)
+        radius = math.sqrt(budget) * ref.uniform(uniform, 2 * i + 1) ** (1.0 / (2 * (n - 1)))
+        z = ref.point(phase, i, n, x, radius)
         p = hg.contains(profile, z)
         if p is not None and p.margin >= margin:
             points.append(z)
-    return np.array(points), np.array(parts)
+    return np.array(points)
 
 
-def boundary_reference(seed, profile, n, count, normals=None):
+def boundary_reference(seed, profile, n, count, replace=None):
     """Test-side reference for `boundary.sample_boundary`, one point at a
-    time: point i takes the i-th pair of uniforms of `reference_streams`
-    and the i-th fiber row, of `normals` if given, else of the normal
-    stream."""
-    uniform, normal = reference_streams(seed)
-    x_top = interior_x_max(profile)
+    time: point i takes uniform i (x) and row i of the phase stream."""
+    ref = ReferenceStreams(replace)
+    uniform, phase = ref.streams(seed)
     points = []
     for i in range(count):
-        u = uniform.random(2).tolist()
-        x = x_top * u[0]
-        parts = normal.standard_normal(2 * (n - 1)) if normals is None else normals[i]
-        points.append(_fiber_point(x, 2.0 * math.pi * u[1], parts, math.sqrt(profile.eval(x))))
+        x = interior_x_max(profile) * ref.uniform(uniform, i)
+        points.append(ref.point(phase, i, n, x, math.sqrt(profile.eval(x))))
     return np.array(points)

@@ -20,10 +20,9 @@ from conftest import (
     FAMILY_IDS,
     PSEUDOCONVEX_FAMILIES,
     boundary_reference,
-    doctor_default_rng,
-    doctored_normals,
+    doctor_draws,
     same_bits,
-    spy_parts,
+    unreached_draws,
 )
 
 #: the profiles the closed-form eigenvalue is checked on against its oracle
@@ -54,13 +53,13 @@ class TestSampling:
         # the fiber direction draw is shared with the interior sampler; the
         # boundary points, hence `levi-scan` output, must not move
         want = [
-            [0.014320296322679303 - 0.6344369836808444j, -0.034212568770655254 - 0.25504057022108967j,
-             0.4272085385635261 - 0.3286725069787489j],
-            [0.17682808780002685 + 0.023187200349857624j, 0.37907243388317124 + 0.10464040016682684j,
-             -0.8844082573407982 + 0.024010064465911064j],
+            [0.9072464018438091 - 0.06559084052948976j, -0.038695373755235435 + 0.05177759227953598j,
+             0.15699894579894583 + 0.031055822701945294j],
+            [-0.14778274565742291 - 0.9755721342405979j, 0.011957414003406948 - 0.004657673815108921j,
+             0.01568853778496278 + 0.016946208609163443j],
         ]
         got = sample_boundary(hg.PowerCap(2), 3, 2, seed=5)
-        assert [b.x for b in got] == [0.40271535714881745, 0.03180581889507844]
+        assert [b.x for b in got] == [0.8273981920199033, 0.9735807290208016]
         for b, z in zip(got, want):
             assert np.array_equal(b.z, np.array(z))
 
@@ -79,16 +78,17 @@ class TestSampling:
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_unreached_draws_match_reference(self, monkeypatch, profile, n):
-        # draws no seed reaches: a degenerate first fiber row is drawn
-        # again after the block, and a -0.0 normal keeps its sign; the
-        # points and their fiber parts keep their bits
-        doctor_default_rng(monkeypatch, n)
-        calls = spy_parts(monkeypatch, hartogs.boundary)
-        want_parts = doctored_normals(7, n, 20, 20)
+        # draws no seed reaches (`unreached_draws`): a slot that misses the
+        # disk over two rounds, one next to the origin, and point 2 at
+        # x = 0, whose z_0 keeps the sign of -0.0 through the record; the
+        # points of rows 3 on do not move
+        clean = sample_boundary(profile, n, 20, seed=7)
+        replace = unreached_draws(7, n, zero_x=2)
+        doctor_draws(monkeypatch, replace)
         got = sample_boundary(profile, n, 20, seed=7)
-        assert len(calls) == 1 and same_bits(calls[0], want_parts)
-        assert np.signbit(calls[0][2, 1])
-        assert same_bits(got.z, boundary_reference(7, profile, n, 20, want_parts))
+        assert same_bits(got.z, boundary_reference(7, profile, n, 20, replace))
+        assert got.x[2] == 0.0 and np.signbit(got.z[2, 0].real)
+        assert same_bits(got.z[3:], clean.z[3:])
 
     def test_forced_axis_point(self):
         # z_0 = 0 boundary points have fiber radius sqrt(F(0)) = 1
@@ -226,7 +226,10 @@ class TestRestrictedLevi:
         # reads as 0 too; the tangency functional vanishes with F there
         profile = hg.PowerCap(p)
         underflowed = [b for b in sample_boundary(profile, 3, 50, seed=0) if b.f == 0.0]
-        assert underflowed
+        # F underflows above x = 0.976 at p = 200, which 50 samples need
+        # not reach: x = 0.99 is taken as well, with its fiber radius 0
+        underflowed.append(boundary_point(profile, [math.sqrt(0.99), 0.0, 0.0]))
+        assert underflowed[-1].f == 0.0
         for b in underflowed:
             assert hg.restricted_levi_min_eigenvalue(profile, b) == 0.0
             with pytest.raises(DomainError):

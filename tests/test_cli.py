@@ -2,9 +2,12 @@ import argparse
 import csv
 import dataclasses
 import importlib
+import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -303,13 +306,13 @@ class TestLeviScan:
         with paths[0].open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         want_z = [
-            [0.014320296322679303, -0.6344369836808444, -0.034212568770655254,
-             -0.25504057022108967, 0.4272085385635261, -0.3286725069787489],
-            [0.17682808780002685, 0.023187200349857624, 0.37907243388317124,
-             0.10464040016682684, -0.8844082573407982, 0.024010064465911064],
+            [0.9072464018438091, -0.06559084052948976, -0.038695373755235435,
+             0.05177759227953598, 0.15699894579894583, 0.031055822701945294],
+            [-0.14778274565742291, -0.9755721342405979, 0.011957414003406948,
+             -0.004657673815108921, 0.01568853778496278, 0.016946208609163443],
         ]
         coords = [f"{part}_z{k}" for k in range(3) for part in ("re", "im")]
-        for row, z, x in zip(rows, want_z, [0.40271535714881745, 0.03180581889507844]):
+        for row, z, x in zip(rows, want_z, [0.8273981920199033, 0.9735807290208016]):
             assert [row[c] for c in coords] == [fmt(v) for v in z]
             assert row["x"] == fmt(x)
 
@@ -420,12 +423,12 @@ class TestExtremalResidual:
             assert "50 samples" in out
 
     def test_attempt_cap_says_how_many_found(self, capsys):
-        # 100,000 attempts give 81,822 of the 200,000 points; the error
+        # 100,000 attempts give 81,540 of the 200,000 points; the error
         # must say so, not that none were found
         code, out, err = run(capsys, "extremal-residual", "--profile", "powercap:2", "--n", "2",
                              "--samples", "200000", "--seed", "0")
         assert (code, out) == (1, "")
-        assert err == ("error: only 81822 of 200000 interior points with margin >= 0.05 "
+        assert err == ("error: only 81540 of 200000 interior points with margin >= 0.05 "
                        "found in 100000 attempts for powercap:2\n")
 
     @pytest.mark.parametrize("out", [False, True])
@@ -778,6 +781,50 @@ def test_negative_seed_usage_error(capsys, tmp_path, command):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith("error: argument --seed: must be a non-negative integer, got '-1'\n")
+
+
+@pytest.mark.parametrize("command", ["curvature-scan", "levi-scan", "extremal-residual",
+                                     "soliton-check", "verify-theorems"])
+def test_seed_of_any_size(capsys, tmp_path, command):
+    # every 64-bit limb of the seed keys the streams, so a seed past 2^64
+    # samples, and differently from its low limb; soliton-check passes on
+    # an affine profile
+    profile = "affine:1,1" if command == "soliton-check" else "powercap:2"
+    argv = [command, "--profile", profile, "--n", "3", "--samples", "5"]
+    if command == "curvature-scan":
+        argv += ["--out", str(tmp_path / "s.csv")]
+    outputs = []
+    for seed in (2**200, 2**200 % 2**64):
+        code, out, err = run(capsys, *argv, "--seed", str(seed))
+        assert (code, err) == (0, "")
+        outputs.append(out if command != "curvature-scan" else (tmp_path / "s.csv").read_bytes())
+    if command in ("curvature-scan", "levi-scan", "extremal-residual"):
+        assert outputs[0] != outputs[1]
+
+
+def test_runs_import_no_numpy_random():
+    # sampling draws from integer arithmetic: neither `import hartogs.cli`
+    # nor a run of the sampling subcommands imports `numpy.random`, whose
+    # bit generators pull in OpenSSL's `_hashlib` through `secrets`, nor
+    # any other module of numpy or hartogs after the import
+    script = """
+import json, sys, tempfile
+import hartogs.cli
+imported = set(sys.modules)
+out = tempfile.mkdtemp() + "/s.csv"
+for argv in (["curvature-scan", "--out", out], ["extremal-residual"], ["levi-scan"],
+             ["verify-theorems"]):
+    assert hartogs.cli.main([*argv, "--profile", "powercap:2", "--n", "3", "--samples", "20"]) == 0
+print(json.dumps([sorted(imported), sorted(set(sys.modules) - imported)]))
+"""
+    src = str(Path(hartogs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          check=True)
+    imported, added = json.loads(done.stdout.splitlines()[-1])
+    heavy = {"numpy.random", "_hashlib", "secrets", "hmac"}
+    assert heavy.isdisjoint(imported) and heavy.isdisjoint(added)
+    assert [m for m in added if m.split(".")[0] in ("numpy", "hartogs")] == []
 
 
 @pytest.mark.parametrize("command", ["curvature-scan", "extremal-residual"])

@@ -11,28 +11,30 @@ from hartogs.boundary import boundary_point, sample_boundary
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
     BLOCK,
+    _draws,
     _x_and_fiber,
-    fiber_normals,
     metric_derivative_along,
     metric_fd_oracle,
     metric_matrix,
     point_record,
     require_interior,
+    sample_streams,
+    stacked_points,
 )
 from hartogs.profiles import interior_x_max
 from hartogs.wirtinger import ComplexStencil
 
 from conftest import (
     FAMILY_IDS,
+    MASK,
     PSEUDOCONVEX_FAMILIES,
-    DoctoredGenerator,
-    doctor_default_rng,
-    doctored_normals,
+    ReferenceStreams,
+    doctor_draws,
     interior_reference,
     metric_gradients,
     profile_cases,
     same_bits,
-    spy_parts,
+    unreached_draws,
 )
 
 
@@ -311,7 +313,7 @@ class TestSampling:
         # rejections included
         for margin in (0.05, 0.002):
             for n in range(2, 9):
-                want, _ = interior_reference(n, profile, n, 50, margin)
+                want = interior_reference(n, profile, n, 50, margin)
                 assert same_bits(hg.sample_interior(profile, n, 50, n, margin).z, want)
 
     @pytest.mark.parametrize(
@@ -320,7 +322,7 @@ class TestSampling:
         ids=[*(f"{label}-past-block" for label in FAMILY_IDS), "rational-n16"],
     )
     def test_draws_match_reference_past_block_and_at_n16(self, profile, n, count, margin):
-        want, _ = interior_reference(n, profile, n, count, margin)
+        want = interior_reference(n, profile, n, count, margin)
         assert same_bits(hg.sample_interior(profile, n, count, n, margin).z, want)
 
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
@@ -337,29 +339,55 @@ class TestSampling:
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_unreached_draws_match_reference(self, monkeypatch, profile, n):
-        # draws no seed reaches: a degenerate first fiber row is drawn
-        # again after its round's block, and a -0.0 normal keeps its sign;
-        # the points and every fiber row taken keep their bits
-        doctor_default_rng(monkeypatch, n)
-        calls = spy_parts(monkeypatch, hartogs.metric)
+        # draws no seed reaches (`unreached_draws`): a slot that misses the
+        # disk over two rounds, one next to the origin, and candidate 2 at
+        # x = 0, whose z_0 keeps the sign of -0.0 through the record
+        replace = unreached_draws(7, n, zero_x=4)
+        doctor_draws(monkeypatch, replace)
         got = hg.sample_interior(profile, n, 20, 7)
-        parts = np.concatenate(calls)
-        want_parts = doctored_normals(7, n, len(parts), len(calls[0]))
-        assert same_bits(parts, want_parts) and np.signbit(parts[2, 1])
-        want, _ = interior_reference(7, profile, n, 20, 0.05, want_parts)
-        assert same_bits(got.z, want)
+        assert same_bits(got.z, interior_reference(7, profile, n, 20, 0.05, replace))
+        (at,) = np.flatnonzero(got.x == 0.0)
+        assert np.signbit(got.z[at, 0].real) and not np.signbit(got.z[at, 0].imag)
 
-    def test_fiber_normals_redraw_after_the_block(self):
-        # rows at or below 1e-12 in norm are drawn again in row order after
-        # the block, until none is left; a -0.0 is kept as drawn
-        rng = np.random.default_rng(3)
-        replace = {k: 1e-13 for k in (0, 1, 6, 7, 10, 11)} | {3: -0.0}
-        parts = fiber_normals(DoctoredGenerator(rng, replace), 4, 2)
-        stream = np.random.default_rng(3).standard_normal((7, 2))
-        # rows 0 and 3 are degenerate, then row 3's redraw (stream row 5)
-        want = stream[[4, 1, 2, 6]]
-        want[1, 1] = -0.0
-        assert same_bits(parts, want)
+    @pytest.mark.parametrize("profile", [hg.PowerCap(2), hg.ExpDecay(1)], ids=str)
+    def test_round_keeping_no_candidate(self, monkeypatch, profile):
+        # the first round's 33 candidates all draw x at the top of its
+        # range, where F(x) is below the margin: the round keeps no
+        # candidate and builds no point, and the later rounds give the
+        # reference's points
+        uniform, _ = ReferenceStreams().streams(7)
+        replace = {(uniform, 2 * i): MASK for i in range(33)}
+        doctor_draws(monkeypatch, replace)
+        built, real = [], hartogs.metric.stacked_points
+
+        def spied(stream, rows, *args):
+            built.append(len(rows))
+            return real(stream, rows, *args)
+
+        monkeypatch.setattr(hartogs.metric, "stacked_points", spied)
+        got = hg.sample_interior(profile, 3, 20, 7)
+        assert same_bits(got.z, interior_reference(7, profile, 3, 20, 0.05, replace))
+        assert built[0] == 0 and len(built) > 1
+
+    def test_disk_attempts_redraw_per_slot(self, monkeypatch):
+        # slot 1 misses the disk in its first 8 attempts: it lands at a
+        # later one, the reference's; no other slot moves, and neither the
+        # attempts per round nor the first round's size changes a bit
+        ref = ReferenceStreams()
+        phase = ref.streams(3)[1]
+        x, radius = np.full(4, 0.25), np.full(4, 0.5)
+        clean = stacked_points(phase, np.arange(4), 3, x, radius)
+        replace = {(ref.child(phase, t), 1): MASK if t % 2 else 0 for t in range(8)}
+        doctor_draws(monkeypatch, replace)
+        got = stacked_points(phase, np.arange(4), 3, x, radius)
+        want = [ReferenceStreams(replace).point(phase, r, 3, 0.25, 0.5) for r in range(4)]
+        assert same_bits(got, np.array(want))
+        assert same_bits(got[1:], clean[1:]) and same_bits(got[0, [0, 2]], clean[0, [0, 2]])
+        assert got[0, 1] != clean[0, 1]
+        for batch, round_size in ((1, 4096), (2, 0), (7, 0)):
+            monkeypatch.setattr(hartogs.metric, "DISK_BATCH", batch)
+            monkeypatch.setattr(hartogs.metric, "ROUND", round_size)
+            assert same_bits(stacked_points(phase, np.arange(4), 3, x, radius), got)
 
     def test_count_past_attempt_cap(self, monkeypatch):
         # a round holds at most the attempts left, so a count far above the
@@ -429,6 +457,55 @@ class TestSampling:
             for p in hg.sample_interior(prof, n, count, 17, m)
         ]
         assert abs(float(np.mean(u)) - 0.5) <= 4.0 / math.sqrt(12.0 * count)
+
+
+def test_draws_are_splitmix64():
+    # the stream keyed 0 is SplitMix64 seeded with 0: its published first
+    # outputs
+    assert [int(v) for v in _draws(0, np.arange(3))] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+class TestSeeds:
+    def test_every_limb_reaches_the_streams(self):
+        # seeds of any size: each 64-bit limb is folded into the keys
+        streams = [sample_streams(seed) for seed in (0, 1, 2**64, 2**64 + 1, 2**128, 2**200)]
+        assert len(set(streams)) == len(streams)
+        assert streams == [ReferenceStreams().streams(s) for s in (0, 1, 2**64, 2**64 + 1, 2**128, 2**200)]
+
+    def test_first_draws_pinned(self):
+        # the first two draws of the uniform stream of seeds 0 and 2^64
+        got = {seed: [int(v) for v in _draws(sample_streams(seed)[0], np.arange(2))]
+               for seed in (0, 2**64)}
+        assert got == {0: [0xB18A02F46D8D86C3, 0xF8C5B62C83F707E8],
+                       2**64: [0xE547C89CE79C0E99, 0x9F3F9309158F73D0]}
+
+
+def _phase_moments(z):
+    """|mean(z^2 / |z|^2)| of each column of z."""
+    return np.abs(np.mean(z * z / (z * z.conj()).real, axis=0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("where", ["boundary", "interior"])
+def test_direction_law(n, where):
+    # the fiber direction is uniform on the sphere of C^(n-1): each
+    # |w_j|^2 / |w|^2, a Beta(1, n-2) variable, has mean 1/(n-1); every
+    # coordinate has a uniform phase, so mean(z_j^2 / |z_j|^2) is about 0;
+    # and boundary x is uniform below x_top.  All within 4 sigma.
+    count, prof = 4000, hg.PowerCap(2)
+    if where == "boundary":
+        p = sample_boundary(prof, n, count, seed=61)
+        top = interior_x_max(prof)
+        assert abs(np.mean(p.x / top) - 0.5) <= 4.0 * math.sqrt(1.0 / (12.0 * count))
+    else:
+        p = hg.sample_interior(prof, n, count, seed=62)
+    w = p.z[:, 1:]
+    share = (w * w.conj()).real / (w * w.conj()).real.sum(axis=1, keepdims=True)
+    m = n - 1
+    sigma = math.sqrt((m - 1) / (m * m * (m + 1)) / count)
+    assert np.all(np.abs(share.mean(axis=0) - 1.0 / m) <= 4.0 * sigma + 1e-12)
+    assert np.all(_phase_moments(p.z) <= 4.0 / math.sqrt(count))
 
 
 def test_potential_nan_outside():
