@@ -281,7 +281,8 @@ ORACLE_CHECKS = (
           lambda prof, p, m, d: _rel_max(d.rho, curvature.rho_oracle(m, d.ric))),
     Check("scal_forms", "rel", 1e-9, _scal_forms),
     Check("extremal_vs_jet", "rel", 1e-10,
-          lambda prof, p, m, d: _rel_max(d.t_zbar, curvature.extremal_jet_oracle(prof, p))),
+          lambda prof, p, m, d: curvature.jacobian_max(
+              p, d.dbar - curvature.extremal_jet_oracle(prof, p)) / (1.0 + d.extremal)),
 )
 
 #: the classification checks as their bounds on affine profiles; on every

@@ -26,12 +26,12 @@ on each coordinate:
     T^i = gap^2 B(x) z_i,   B = (x F' slope' + (x F')' slope) / det_core
 
 Every CLI family has det_core = c F^q, so F slope is constant and A is
-zero on it; the tests add a family on which A is not.  With T^a = S_a z_a
-and S_a a function of (x, gap), the zbar-Jacobian t_zbar[a, c] =
-z_a dS_a/dzbar_c needs only the two partials of S_a, chained through
-x = |z_0|^2 and gap = F(x) - |z'|^2: no inverse metric and no derivative
-of h enters.  `curvature_at` takes the partials in closed form, with A'
-and B' from slope'', F''' and det_core' = x F' F'' - F (2F'' + x F''').
+zero on it; the tests add a family on which A is not.  With T^a = S_a z_a,
+S_a a function of (x, gap), dT^a/dzbar_c = z_a z_c C[a', c'] for a 2 x 2
+block C of the partials of S_0 (row 0) and S_i (row 1), a' and c' being
+0 on z_0 and 1 on the fiber: no inverse metric, no derivative of h and no
+n x n array enters.  `curvature_at` takes the partials in closed form, with
+A' and B' from slope'', F''' and det_core' = x F' F'' - F (2F'' + x F''').
 
 The closed forms (`curvature_at` and the Ricci tensor) take a single or a
 stacked record, like those of `metric`, and run with its floating-point
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import NumericError
 from .jet import Jet, JetPoint, log
 from .metric import (
-    DomainPoint, MetricData, _radial, _times, jet_x_and_gap, nonsingular_core, raises_fp_faults,
+    DomainPoint, MetricData, _times, jet_x_and_gap, nonsingular_core, raises_fp_faults,
     relative_norm,
 )
 from .profiles import Profile
@@ -63,15 +63,15 @@ class CurvatureData:
     """Curvature bundle at one point, or at every point of a stack along a
     leading axis: Ricci matrix, scalar curvature, the radial slope
     functional, the generalized scalar curvatures rho_0..rho_{n-1},
-    the Einstein residual, and t_zbar with the extremal residual
-    max |t_zbar| (see `curvature_at`)."""
+    the Einstein residual, the radial block dbar of dT/dzbar and the
+    extremal residual max |dT/dzbar| (see `curvature_at`)."""
 
     ric: np.ndarray
     scal: float
     slope: float
     rho: np.ndarray
     einstein: float
-    t_zbar: np.ndarray
+    dbar: np.ndarray
     extremal: float
 
 
@@ -100,18 +100,23 @@ def _radial_scales(profile: Profile, x, f, d1, d2, core, defect):
     return slope, slope_d1, a, b
 
 
-def _zbar_jacobian(z: np.ndarray, d1, s0, s1) -> np.ndarray:
-    """t_zbar[..., a, c] = dT^a/dzbar_c = z_a dS_a/dzbar_c at each point of
-    z, for T^a = S_a(x, gap) z_a, given the partials (S_x, S_gap) of S_0 in
-    s0 and of S_i (i >= 1) in s1, and F' in d1: by the chain rule through
-    x = |z_0|^2 and gap = F(x) - |z'|^2, dS/dzbar_0 = z_0 (S_x + F' S_gap)
-    and dS/dzbar_c = -z_c S_gap above."""
-    dbar = np.empty(z.shape + z.shape[-1:], dtype=complex)
-    for rows, (s_x, s_gap) in ((slice(0, 1), s0), (slice(1, None), s1)):
-        d = -_radial(s_gap, 1) * z
-        d[..., 0] = (s_x + d1 * s_gap) * z[..., 0]
-        dbar[..., rows, :] = d[..., None, :]
-    return _times(z[..., :, None], dbar)
+def _dbar_block(d1, s0, s1) -> np.ndarray:
+    """The (..., 2, 2) block C of dT^a/dzbar_c = z_a z_c C[a', c'] from the
+    partials (S_x, S_gap) of S_0 in s0 and of S_i in s1 and F' in d1: by
+    the chain rule through x = |z_0|^2 and gap = F(x) - |z'|^2,
+    C[a', 0] = S_x + F' S_gap and C[a', 1] = -S_gap."""
+    return np.stack([np.stack([s_x + d1 * s_gap, -s_gap], axis=-1) for s_x, s_gap in (s0, s1)],
+                    axis=-2)
+
+
+def jacobian_max(p: DomainPoint, block) -> np.ndarray:
+    """max |z_a z_c block[a', c']| over the n x n matrix that a block stands
+    for, at each point of p: the largest entry of |block| w w^T with
+    w = (sqrt(x), max_{c >= 1} |z_c|), the moduli from re^2 + im^2, whose
+    bits, unlike np.abs's, do not depend on the memory layout of z."""
+    fiber = p.z[..., 1:].real ** 2 + p.z[..., 1:].imag ** 2
+    w = np.sqrt(np.stack([p.x, np.max(fiber, axis=-1)], axis=-1))
+    return np.max(np.abs(block) * w[..., :, None] * w[..., None, :], axis=(-2, -1))
 
 
 def _ricci(p: DomainPoint, m: MetricData, defect) -> np.ndarray:
@@ -169,8 +174,8 @@ def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
 
 @raises_fp_faults
 def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
-    """Independent oracle for `CurvatureData.t_zbar` at a single point, or
-    at every point of a stacked record: `_zbar_jacobian` on the partials of
+    """Independent oracle for `CurvatureData.dbar` at a single point, or
+    at every point of a stacked record: `_dbar_block` on the partials of
     S_0 = gap^2 A and S_i = gap^2 B in x and gap, exact to rounding, from
     one stacked jet seeded at the record's x and gap.  F, F', F'',
     det_core, the defect and slope' are the family's closed forms on the
@@ -196,11 +201,11 @@ def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     )
     square = gap * gap
     s0, s1 = ((s.grad[:, 0], s.grad[:, 1]) for s in (square * a, square * b))
-    t_zbar = _zbar_jacobian(z, f.grad[:, 0], s0, s1)
-    finite = np.isfinite(t_zbar).all(axis=(-2, -1))
+    dbar = _dbar_block(f.grad[:, 0], s0, s1)
+    finite = np.isfinite(dbar).all(axis=(-2, -1))
     if not finite.all():
         raise NumericError(f"non-finite extremal oracle value at {z[np.argmin(finite)]!r}")
-    return t_zbar if p.z.ndim > 1 else t_zbar[0]
+    return dbar if p.z.ndim > 1 else dbar[0]
 
 
 @raises_fp_faults
@@ -212,9 +217,9 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     The Einstein residual is || Ric + (n+1) h ||_F / (1 + ||h||_F).
 
     The metric is extremal iff T = K^T dbar scal is holomorphic, with
-    K = h^-1.  t_zbar[a, c] = dT^a/dzbar_c is `_zbar_jacobian` of
-    T^0 = gap^2 A z_0 and T^i = gap^2 B z_i (`_radial_scales`) on the
-    partials S_x = gap^2 A' and S_gap = 2 gap A (likewise for B), with
+    K = h^-1.  dbar is the `_dbar_block` of T^0 = gap^2 A z_0 and
+    T^i = gap^2 B z_i (`_radial_scales`), extremal its `jacobian_max`, on
+    the partials S_x = gap^2 A' and S_gap = 2 gap A (likewise for B), with
 
         A' = ((F slope)'' - A det_core') / det_core
         B' = (2 (x F')' slope' + x F' slope'' + (x F')'' slope - B det_core') / det_core
@@ -234,13 +239,13 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     a_d1 = (p.d2 * slope + 2.0 * p.d1 * slope_d1 + p.f * slope_d2 - a * core_d1) / p.det_core
     b_d1 = (2.0 * mix * slope_d1 + p.x * p.d1 * slope_d2 + third * slope - b * core_d1) / p.det_core
     gap2, twice = p.gap * p.gap, 2.0 * p.gap
-    t_zbar = _zbar_jacobian(p.z, p.d1, (gap2 * a_d1, twice * a), (gap2 * b_d1, twice * b))
+    dbar = _dbar_block(p.d1, (gap2 * a_d1, twice * a), (gap2 * b_d1, twice * b))
     return CurvatureData(
         ric=ric,
         scal=-(p.gap / p.det_core) * p.f * defect - n * (n + 1),
         slope=slope,
         rho=rho,
         einstein=relative_norm(ric + (n + 1) * m.h, m.h),
-        t_zbar=t_zbar,
-        extremal=np.max(np.abs(t_zbar), axis=(-2, -1)),
+        dbar=dbar,
+        extremal=jacobian_max(p, dbar),
     )

@@ -394,16 +394,10 @@ _DISK = 2.0**62
 DISK_BATCH = 6
 
 
-def _mix_int(z: int) -> int:
-    """SplitMix64's finalizer of a Python int below 2^64."""
-    z = ((z ^ (z >> 30)) * _MULTIPLY[0]) & _MASK
-    z = ((z ^ (z >> 27)) * _MULTIPLY[1]) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
-    """`_mix_int` of each entry of a uint64 array, in place (numpy's
-    integer arrays wrap modulo 2^64)."""
+    """SplitMix64's finalizer of each entry of a uint64 array, in place
+    (numpy's integer arrays wrap modulo 2^64 without a warning, where its
+    scalars warn)."""
     z ^= z >> _U64[30]
     z *= _U64[_MULTIPLY[0]]
     z ^= z >> _U64[27]
@@ -412,15 +406,9 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _child(key: int, j: int) -> int:
-    """The key of child stream j: draw j of the stream keyed by `key`.  A
-    stream is drawn from or has children, never both."""
-    return _mix_int((key + (j + 1) * _GAMMA) & _MASK)
-
-
 def _draws(keys, index) -> np.ndarray:
     """Draws `index` (an integer array) of the stream keyed by `keys`, an
-    int, or of the streams of a list of keys broadcast against it along
+    int, or of the streams of an array of keys broadcast against it along
     its last axis: SplitMix64's outputs from state key, the finalizer of
     key + (index + 1) gamma modulo 2^64.  Each draw is a pure function of
     its key and index, an integer expression with the same bits on every
@@ -436,15 +424,17 @@ def uniforms(key: int, index) -> np.ndarray:
 
 
 def sample_streams(seed: int) -> tuple[int, int]:
-    """The keys of the uniform and the phase stream of a sample: children 0
+    """The keys of the uniform and the phase stream of a sample: draws 0
     and 1 of the stream keyed by every 64-bit limb of the non-negative
     seed, folded from the lowest as key = mix((key + gamma) ^ limb) from
-    key = the number of limbs; a seed below 2^64 has one limb, 0 too."""
+    key = the number of limbs; a seed below 2^64 has one limb, 0 too.  A
+    stream's draws are the keys of its child streams, and a stream is
+    drawn from or has children, never both."""
     limbs = [(seed >> shift) & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
-    key = len(limbs)
+    key = np.array([len(limbs)], dtype=np.uint64)
     for limb in limbs:
-        key = _mix_int(((key + _GAMMA) & _MASK) ^ limb)
-    return _child(key, 0), _child(key, 1)
+        key = _mix((key + _U64[_GAMMA]) ^ np.uint64(limb))
+    return tuple(int(k) for k in _draws(key, np.arange(2)))
 
 
 def stacked_points(stream: int, rows, n: int, x, radius) -> np.ndarray:
@@ -498,7 +488,7 @@ def _landing(stream: int, slots: np.ndarray, first: int, count: int):
     """The disk points (a, b, a^2 + b^2) of `stacked_points`, three arrays
     over the slots, of the first of the attempts first to first+count-1
     of each slot that lands in the disk, and whether one did."""
-    draws = _draws([_child(stream, t) for t in range(first, first + count)], slots[:, None])
+    draws = _draws(_draws(stream, np.arange(first, first + count)), slots[:, None])
     a = (draws >> _U64[32]).astype(float) - _HALF_SIDE
     b = (draws & _U64[2**32 - 1]).astype(float) - _HALF_SIDE
     r2 = a * a + b * b

@@ -371,7 +371,7 @@ def parse_profile(text: str) -> Profile:
         raise ValueError(f"unknown profile family {name!r} (known: {known})")
     cls = _CLI_FAMILIES[name]
     arity = len(fields(cls))
-    raw = [s for s in argstr.split(",") if s.strip()] if argstr else []
+    raw = argstr.split(",") if argstr else []
     if len(raw) != arity:
         raise ValueError(f"profile {name!r} takes {arity} parameter(s), got {len(raw)} in {text!r}")
     try:

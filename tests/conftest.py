@@ -220,8 +220,17 @@ def gradient_field_reference(profile, p):
     return (np.swapaxes(inverse_metric_matrix(p), -1, -2) @ grad[..., None])[..., 0]
 
 
+def jacobian_from_block(z, block):
+    """Test-side n x n zbar-Jacobian z_a z_c block[a', c'] that a radial
+    (..., 2, 2) block such as `CurvatureData.dbar` stands for at the points
+    z, with a' = 0 for a = 0 and 1 for a fiber coordinate, likewise c'."""
+    group = np.minimum(np.arange(z.shape[-1]), 1)
+    return z[..., :, None] * z[..., None, :] * block[..., group[:, None], group[None, :]]
+
+
 def t_zbar_reference(profile, p):
-    """Test-side reference for `CurvatureData.t_zbar` at p, dT/dzbar for
+    """Test-side reference for the zbar-Jacobian of T at p, the
+    `jacobian_from_block` of `CurvatureData.dbar`: dT/dzbar for
     T = K^T g, g = dbar scal, the long way round: K^T (S - E), with K the
     whole closed-form inverse metric, E[b, c] = sum_a T_a dh_ab/dzbar_c
     from the whole tensor of `metric_gradients`, and S the anti-holomorphic

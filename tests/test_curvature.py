@@ -12,7 +12,7 @@ from hartogs.metric import MetricData
 
 from conftest import (
     FAMILY_IDS, PSEUDOCONVEX_FAMILIES, QUADCAP_PROBES, QuadCap, central_d1,
-    gradient_field_reference, profile_cases, same_bits, t_zbar_reference,
+    gradient_field_reference, jacobian_from_block, profile_cases, same_bits, t_zbar_reference,
 )
 
 
@@ -112,24 +112,32 @@ def test_gradient_field_matches_inverse_metric(case):
 @example(case=(QuadCap(1.0 / 3.0), 8, 1e-3, 7))
 @example(case=(QuadCap(3.0), 16, 1e-3, 8))
 def test_t_zbar_matches_reference(case):
-    # t_zbar against K^T (S - E), which builds dT/dzbar from the whole
-    # inverse metric and the whole gradient tensor of h and never reduces
-    # T to A and B: within 1e-11 relative to 1 + max |t_zbar| per point
+    # the Jacobian the block stands for against K^T (S - E), which builds
+    # dT/dzbar from the whole inverse metric and the whole gradient tensor
+    # of h and never reduces T to A and B: within 1e-11 relative to
+    # 1 + max |t_zbar| per point; and the extremal residual, read off the
+    # block, is its largest entry to the few roundings that separate the
+    # two forms (2e-15 is 9 ulps of 1), exactly 0 where the Jacobian is
     profile, n, margin, seed = case
     p = hg.sample_interior(profile, n, 6, seed % 1000, margin)
     data = hg.curvature_at(profile, p, hg.assemble_metric(profile, p))
-    diff = np.max(np.abs(data.t_zbar - t_zbar_reference(profile, p)), axis=(-2, -1))
+    t_zbar = jacobian_from_block(p.z, data.dbar)
+    diff = np.max(np.abs(t_zbar - t_zbar_reference(profile, p)), axis=(-2, -1))
     assert np.all(diff <= 1e-11 * (1.0 + data.extremal))
+    largest = np.max(np.abs(t_zbar), axis=(-2, -1))
+    assert np.all(np.abs(data.extremal - largest) <= 2e-15 * largest)
 
 
 @pytest.mark.parametrize("profile", QUADCAP_PROBES, ids=lambda prof: prof.label())
 def test_probe_exercises_the_z0_part(profile):
-    # on the probes A is not zero, so t_zbar[0, 0] = z_0^2 (S_x + F' S_gap)
-    # of S_0 = gap^2 A is far above rounding, and matches the reference
+    # on the probes A is not zero, so dT^0/dzbar_0 = z_0^2 dbar[0, 0], with
+    # dbar[0, 0] = S_x + F' S_gap of S_0 = gap^2 A, is far above rounding,
+    # and the Jacobian matches the reference
     points = hg.sample_interior(profile, 3, 20, 0, 1e-3)
     data = hg.curvature_at(profile, points, hg.assemble_metric(profile, points))
-    assert np.max(np.abs(data.t_zbar[..., 0, 0])) >= 0.1
-    diff = np.max(np.abs(data.t_zbar - t_zbar_reference(profile, points)), axis=(-2, -1))
+    assert np.max(points.x * np.abs(data.dbar[..., 0, 0])) >= 0.1
+    t_zbar = jacobian_from_block(points.z, data.dbar)
+    diff = np.max(np.abs(t_zbar - t_zbar_reference(profile, points)), axis=(-2, -1))
     assert np.all(diff <= 1e-11 * (1.0 + data.extremal))
 
 
@@ -352,12 +360,12 @@ def test_curvature_at_bundle():
     assert data.scal == pytest.approx(data.rho[0], rel=1e-12)
     assert data.slope == pytest.approx(-prof.defect(p.x) * prof.eval(p.x) / p.det_core, rel=1e-12)
     assert data.ric.shape == (2, 2)
-    # t_zbar is exactly 0 on affine profiles, powercap:1 (F = 1 - x)
+    # dbar is exactly 0 on affine profiles, powercap:1 (F = 1 - x)
     # among them, at every point of a block
     for prof in (hg.Affine(1, 1), hg.Affine(2, 0.5), hg.PowerCap(1)):
         for n in (2, 8):
             points = hg.sample_interior(prof, n, 40, 3, 1e-3)
-            assert not np.any(hg.curvature_at(prof, points, hg.assemble_metric(prof, points)).t_zbar)
+            assert not np.any(hg.curvature_at(prof, points, hg.assemble_metric(prof, points)).dbar)
 
 
 def test_one_det_core_per_point(monkeypatch):

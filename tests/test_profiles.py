@@ -211,7 +211,8 @@ class TestParse:
         assert parse_profile("rational") == hg.Rational()
 
     @pytest.mark.parametrize(
-        "text", ["affine:1", "affine", "powercap", "rational:1", "nosuch:1", "affine:a,b"]
+        "text", ["affine:1", "affine", "powercap", "rational:1", "nosuch:1", "affine:a,b",
+                 "affine:1,,1", "affine:1,1,", "powercap:,2", "powercap:2,", "rational:,"]
     )
     def test_malformed(self, text):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ def closed_forms(profile, p) -> dict:
     data = hg.curvature_at(profile, p, m)
     return {
         "h": m.h, "h_inv": m.h_inv, "det": m.det, "scal": data.scal, "rho": data.rho,
-        "einstein": data.einstein, "t_zbar": data.t_zbar, "extremal": data.extremal,
+        "einstein": data.einstein, "dbar": data.dbar, "extremal": data.extremal,
         "dg": metric_gradients(profile, p)[0],
         "along": np.moveaxis(metric_derivative_along(profile, p, np.stack([p.z, 1j * p.z])), 0, -3),
         "soliton": hg.soliton_residual(profile, p, -(p.n + 1.0), HoloVectorField.rotation(p.n)),
