@@ -220,16 +220,19 @@ def extremal_residual(profile: Profile, p: DomainPoint) -> float:
     return curvature_at(profile, p, assemble_metric(profile, p)).extremal
 
 
+def _rescale(c1: float, c2: float, z) -> np.ndarray:
+    """A copy of z with z_0 times sqrt(c2/c1) and the fiber over sqrt(c1)."""
+    w = np.array(z, dtype=complex)
+    w[..., 0] *= math.sqrt(c2 / c1)
+    w[..., 1:] /= math.sqrt(c1)
+    return w
+
+
 def hyperbolic_isometry(c1: float, c2: float, z) -> np.ndarray:
     """Rescaling (z_0, z_1, ...) -> (z_0 sqrt(c2/c1), z_1/sqrt(c1), ...)
     carrying the affine(c1, c2) domain into the unit hyperbolic model
     (the affine(1, 1) domain), of a point or of each point of a stack."""
-    src = Affine(c1, c2)
-    p = require_interior(src, z)
-    w = np.array(p.z, dtype=complex)
-    w[..., 0] *= math.sqrt(c2 / c1)
-    w[..., 1:] /= math.sqrt(c1)
-    return w
+    return _rescale(c1, c2, require_interior(Affine(c1, c2), z).z)
 
 
 def pullback_check(c1: float, c2: float, p: DomainPoint):
@@ -237,7 +240,7 @@ def pullback_check(c1: float, c2: float, p: DomainPoint):
     metric back through the rescaling and compare with the affine(c1, c2)
     metric at p, a single or stacked point record of that domain.  The
     Jacobian is the constant diagonal of the rescaling."""
-    images = require_interior(Affine(1.0, 1.0), hyperbolic_isometry(c1, c2, p.z))
+    images = require_interior(Affine(1.0, 1.0), _rescale(c1, c2, p.z))
     jac = np.full(p.n, 1.0 / math.sqrt(c1))
     jac[0] = math.sqrt(c2 / c1)
     h_target = metric_matrix(images)

@@ -223,9 +223,10 @@ class Check:
     """One `verify-theorems` check: a measure that takes one block of
     samples, `(profile, p, m, data)` with their stacked record p, its
     metric m and its curvature data, and returns one value per sample; and
-    how the values reduce to a verdict.
-    A bound passes when the largest value is at most `tol`; an obstruction
-    passes when at least OBSTRUCTION_SHARE of the values are at least `tol`."""
+    how the values reduce to a verdict.  A bound passes when the largest
+    value is at most `tol`; an obstruction passes when at least
+    OBSTRUCTION_SHARE of the values are at least `tol`, and prints its
+    share rounded down, so a failing share never reads as the minimum."""
 
     name: str
     label: str
@@ -233,12 +234,12 @@ class Check:
     measure: Callable[[Profile, DomainPoint, MetricData, CurvatureData], Sequence[float]]
     obstruction: bool = False
 
-    def result(self, values: list[float]) -> CheckResult:
+    def result(self, values: np.ndarray) -> CheckResult:
         if self.obstruction:
-            share = sum(v >= self.tol for v in values) / len(values)
-            return CheckResult(self.name, share >= OBSTRUCTION_SHARE,
-                               f"{self.label} >= {self.tol:g} at {share:.0%} of samples "
-                               f"(PASS-nonzero, min {OBSTRUCTION_SHARE:.0%})")
+            hits = int(np.count_nonzero(values >= self.tol))
+            return CheckResult(self.name, hits / len(values) >= OBSTRUCTION_SHARE,
+                               f"{self.label} >= {self.tol:g} at {100 * hits // len(values)}% "
+                               f"of samples (PASS-nonzero, min {OBSTRUCTION_SHARE:.0%})")
         worst = float(np.max(values))  # NaN propagates: a non-finite measure fails
         return CheckResult(self.name, worst <= self.tol,
                            f"worst {self.label} {worst:.3e} (tol {self.tol:g})")
@@ -310,11 +311,11 @@ def run_verification(
             lambda prof, p, m, d: canonical.pullback_check(prof.c1, prof.c2, p),
         ))
 
-    values: list[list[float]] = [[] for _ in checks]
+    values: list[list[np.ndarray]] = [[] for _ in checks]
     for p, m, data in _curvature_blocks(profile, points):
         for check, vals in zip(checks, values):
-            vals += np.asarray(check.measure(profile, p, m, data), dtype=float).tolist()
-    return [check.result(vals) for check, vals in zip(checks, values)]
+            vals.append(np.asarray(check.measure(profile, p, m, data), dtype=float))
+    return [check.result(np.concatenate(vals)) for check, vals in zip(checks, values)]
 
 
 def cmd_verify_theorems(args) -> int:

@@ -26,20 +26,20 @@ on each coordinate:
     T^i = gap^2 B(x) z_i,   B = (x F' slope' + (x F')' slope) / det_core
 
 Every CLI family has det_core = c F^q, so F slope is constant and A is
-zero on it; the tests add a family on which A is not.  With T^a = S_a z_a,
-S_a a function of (x, gap), dT^a/dzbar_c = z_a z_c C[a', c'] for a 2 x 2
-block C of the partials of S_0 (row 0) and S_i (row 1), a' and c' being
-0 on z_0 and 1 on the fiber: no inverse metric, no derivative of h and no
-n x n array enters.  `curvature_at` takes the partials in closed form, with
-A' and B' from slope'', F''' and det_core' = x F' F'' - F (2F'' + x F''').
+zero on it; the tests add families on which A is not.  dT^a/dzbar_c =
+z_a z_c C[a', c'], a' and c' being 0 on z_0 and 1 on the fiber, for a
+2 x 2 block C that `_dbar_block` states once, the chain rule through
+(x, gap) on F', gap, A, A', B and B': no inverse metric, no derivative of
+h and no n x n array enters.  `curvature_at` takes A' and B' in closed
+form, from slope'' and F'''.
 
 The closed forms (`curvature_at` and the Ricci tensor) take a single or a
 stacked record, like those of `metric`, and run with its floating-point
 faults raised.  The oracles differentiate on purpose, so that they share
 no derivative formula with what they check, and exactly, with jets: the
 Ricci oracle a second-order jet of log det h over the coordinates, and
-the extremal oracle a jet of gap^2 A and gap^2 B over (x, gap).  Both
-take a single or a stacked record, as one stacked jet.
+the extremal oracle a jet of A and B along x alone.  Both take a single
+or a stacked record, as one stacked jet.
 """
 
 from __future__ import annotations
@@ -100,12 +100,14 @@ def _radial_scales(profile: Profile, x, f, d1, d2, core, defect):
     return slope, slope_d1, a, b
 
 
-def _dbar_block(d1, s0, s1) -> np.ndarray:
-    """The (..., 2, 2) block C of dT^a/dzbar_c = z_a z_c C[a', c'] from the
-    partials (S_x, S_gap) of S_0 in s0 and of S_i in s1 and F' in d1: by
-    the chain rule through x = |z_0|^2 and gap = F(x) - |z'|^2,
+def _dbar_block(d1, gap, a, a_d1, b, b_d1) -> np.ndarray:
+    """The (..., 2, 2) block C of dT^a/dzbar_c = z_a z_c C[a', c'] for
+    T^a = S_a z_a, S_0 = gap^2 A(x) and S_i = gap^2 B(x), from F' in d1,
+    gap, A, A', B and B', by the chain rule through x = |z_0|^2 and
+    gap = F(x) - |z'|^2: with S_x = gap^2 S' and S_gap = 2 gap S,
     C[a', 0] = S_x + F' S_gap and C[a', 1] = -S_gap."""
-    return np.stack([np.stack([s_x + d1 * s_gap, -s_gap], axis=-1) for s_x, s_gap in (s0, s1)],
+    rows = [(gap * gap * s_d1, 2.0 * gap * s) for s, s_d1 in ((a, a_d1), (b, b_d1))]
+    return np.stack([np.stack([s_x + d1 * s_gap, -s_gap], axis=-1) for s_x, s_gap in rows],
                     axis=-2)
 
 
@@ -175,33 +177,26 @@ def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
 @raises_fp_faults
 def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent oracle for `CurvatureData.dbar` at a single point, or
-    at every point of a stacked record: `_dbar_block` on the partials of
-    S_0 = gap^2 A and S_i = gap^2 B in x and gap, exact to rounding, from
-    one stacked jet seeded at the record's x and gap.  F, F', F'',
-    det_core, the defect and slope' are the family's closed forms on the
-    jet of x, and the F' of the chain rule is the derivative of the jet of
-    F.  So the oracle shares A, B (`_radial_scales`) and the chain rule
-    with `curvature_at`, and checks the derivatives A' and B' that
+    at every point of a stacked record, exact to rounding: `_dbar_block`
+    on the record's gap and on F', A, A', B and B' from one stacked jet
+    along x.  F, F', F'', det_core, the defect and slope' are the family's
+    closed forms on that jet, and A', B' and F' the derivatives of the jets
+    of A, B and F.  So the oracle shares A, B (`_radial_scales`) and the
+    chain rule with `curvature_at`, and checks the A' and B' that
     `curvature_at` takes in closed form: it reads none of slope'', F''',
     det_core', the inverse metric or the derivatives of h.  The tests check
     the reduction of T to A and B against K^T dbar scal.  A single record
     is row 0 of a one-point stack.  SingularityError is raised where
     det_core is below SINGULAR_TOL, and NumericError names the first point
     with a non-finite value."""
-    curvature_defect(profile, p)
+    nonsingular_core(p.det_core, p.x)
     z = p.z.reshape(-1, p.n)
-    count = len(z)
-    seeds, zero = np.eye(2), np.zeros((count, 2, 2))
-    x = Jet(np.reshape(p.x, -1), np.broadcast_to(seeds[0], (count, 2)), zero)
-    gap = Jet(np.reshape(p.gap, -1), np.broadcast_to(seeds[1], (count, 2)), zero)
+    x = Jet(np.reshape(p.x, -1), np.ones((len(z), 1)), np.zeros((len(z), 1, 1)))
     f = profile.eval(x)
-    _, _, a, b = _radial_scales(
-        profile, x, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x),
-        profile.defect(x),
-    )
-    square = gap * gap
-    s0, s1 = ((s.grad[:, 0], s.grad[:, 1]) for s in (square * a, square * b))
-    dbar = _dbar_block(f.grad[:, 0], s0, s1)
+    _, _, a, b = _radial_scales(profile, x, f, profile.eval(x, 1), profile.eval(x, 2),
+                                profile.det_core(x), profile.defect(x))
+    dbar = _dbar_block(f.grad[:, 0], np.reshape(p.gap, -1), a.val, a.grad[:, 0], b.val,
+                       b.grad[:, 0])
     finite = np.isfinite(dbar).all(axis=(-2, -1))
     if not finite.all():
         raise NumericError(f"non-finite extremal oracle value at {z[np.argmin(finite)]!r}")
@@ -218,13 +213,14 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
 
     The metric is extremal iff T = K^T dbar scal is holomorphic, with
     K = h^-1.  dbar is the `_dbar_block` of T^0 = gap^2 A z_0 and
-    T^i = gap^2 B z_i (`_radial_scales`), extremal its `jacobian_max`, on
-    the partials S_x = gap^2 A' and S_gap = 2 gap A (likewise for B), with
+    T^i = gap^2 B z_i (`_radial_scales`), extremal its `jacobian_max`, with
 
         A' = ((F slope)'' - A det_core') / det_core
         B' = (2 (x F')' slope' + x F' slope'' + (x F')'' slope - B det_core') / det_core
 
-    where (x F')'' = 2F'' + x F''' and det_core' = x F' F'' - F (x F')''."""
+    where (x F')'' = 2F'' + x F''' and det_core' = x F' F'' - F (x F')''.
+    F''' enters both only times A, as slope + B F = x F' A: on the CLI
+    families, where A is 0, it moves only rounding."""
     n = p.n
     defect = curvature_defect(profile, p)
     slope, slope_d1, a, b = _radial_scales(profile, p.x, p.f, p.d1, p.d2, p.det_core, defect)
@@ -238,8 +234,7 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     core_d1 = p.x * p.d1 * p.d2 - p.f * third
     a_d1 = (p.d2 * slope + 2.0 * p.d1 * slope_d1 + p.f * slope_d2 - a * core_d1) / p.det_core
     b_d1 = (2.0 * mix * slope_d1 + p.x * p.d1 * slope_d2 + third * slope - b * core_d1) / p.det_core
-    gap2, twice = p.gap * p.gap, 2.0 * p.gap
-    dbar = _dbar_block(p.d1, (gap2 * a_d1, twice * a), (gap2 * b_d1, twice * b))
+    dbar = _dbar_block(p.d1, p.gap, a, a_d1, b, b_d1)
     return CurvatureData(
         ric=ric,
         scal=-(p.gap / p.det_core) * p.f * defect - n * (n + 1),

@@ -46,16 +46,17 @@ def _horner(poly, x):
 
 
 @functools.lru_cache(maxsize=None)
-def _quadcap_forms(c):
-    """F = 1 - x - c x^2 and its derivatives, det_core, and the numerators
-    of the defect, slope' and slope'' over det_core^2, ^4 and ^5, each with
-    its power of det_core, all by polynomial algebra on F:
+def _cap_forms(coefficients):
+    """F, the polynomial with these coefficients (lowest degree first), and
+    its derivatives, det_core, and the numerators of the defect, slope' and
+    slope'' over det_core^2, ^4 and ^5, each with its power of det_core,
+    all by polynomial algebra on F:
 
         defect = ((det_core' + x det_core'') det_core - x det_core'^2) / det_core^2
         slope  = -defect F / det_core
 
     and each derivative of N / det_core^k is (N' det_core - k N det_core') / det_core^(k+1)."""
-    f, x = Polynomial([1.0, -1.0, -c]), Polynomial([0.0, 1.0])
+    f, x = Polynomial(coefficients), Polynomial([0.0, 1.0])
     d1, d2 = f.deriv(), f.deriv(2)
     core = x * d1 * d1 - f * (d1 + x * d2)
     core_d1 = core.deriv()
@@ -74,7 +75,7 @@ class QuadCap(Profile):
     det_core / F^2 >= 1, and unlike the CLI families F slope is not
     constant, so A, the z_0 part of the extremal gradient field, is not
     zero (`hartogs.curvature`).  Every closed form is a polynomial of
-    `_quadcap_forms` by Horner's rule, over a power of det_core."""
+    `_cap_forms` by Horner's rule, over a power of det_core."""
 
     c: float
 
@@ -84,8 +85,13 @@ class QuadCap(Profile):
     def x0(self) -> float:
         return (math.sqrt(1.0 + 4.0 * self.c) - 1.0) / (2.0 * self.c)
 
+    @property
+    def coefficients(self) -> tuple:
+        """The coefficients of F, lowest degree first."""
+        return (1.0, -1.0, -self.c)
+
     def _form(self, name, x):
-        forms = _quadcap_forms(self.c)
+        forms = _cap_forms(self.coefficients)
         numerator, k = forms[name]
         value = _horner(numerator, x)
         return value / power(_horner(forms["core"][0], x), k) if k else value
@@ -115,6 +121,28 @@ class QuadCap(Profile):
         return self._form("slope_d2", x)
 
 
+@dataclass(frozen=True)
+class CubicCap(QuadCap):
+    """Test-only family F(x) = 1 - x - c x^2 - d x^3 on [0, x0), x0 the
+    positive root of F.  F > 0 and F' + x F'' < 0 there, so det_core > 0.
+    F''' = -6d is not zero, so neither are the F''' terms of A' and B' in
+    `curvature_at`, which enter multiplied by A: on QuadCap F''' is 0, and
+    on the CLI families A is."""
+
+    d: float
+
+    family = "cubiccap"
+
+    @property
+    def x0(self) -> float:
+        roots = Polynomial(self.coefficients).roots()
+        return float(min(r.real for r in roots if r.imag == 0.0 and r.real > 0.0))
+
+    @property
+    def coefficients(self) -> tuple:
+        return (1.0, -1.0, -self.c, -self.d)
+
+
 #: two probes of A, largest at x = 0: A(0) = 28/3 and 468
 QUADCAP_PROBES = [QuadCap(1.0 / 3.0), QuadCap(3.0)]
 
@@ -135,8 +163,9 @@ def points_for():
 
 @st.composite
 def profile_cases(draw):
-    """A profile of a CLI family, powercap:1.001 or the test-only `QuadCap`,
-    a dimension, a margin and a seed; affine profiles keep x0 = c1/c2 >= 1."""
+    """A profile of a CLI family, powercap:1.001 or the test-only `QuadCap`
+    or `CubicCap`, a dimension, a margin and a seed; affine profiles keep
+    x0 = c1/c2 >= 1."""
     c1 = draw(st.floats(0.5, 1e2))
     profile = draw(st.sampled_from([
         hg.Affine(c1, c1 * draw(st.floats(1e-2, 1.0))),
@@ -144,6 +173,8 @@ def profile_cases(draw):
         hg.ExpDecay(draw(st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 10.0))),
         hg.Rational(),
         QuadCap(draw(st.sampled_from([1.0 / 3.0, 3.0]) | st.floats(0.05, 10.0))),
+        CubicCap(draw(st.sampled_from([1.0 / 3.0, 3.0]) | st.floats(0.05, 10.0)),
+                 draw(st.sampled_from([1.0, 0.5]) | st.floats(0.05, 10.0))),
     ]))
     n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]))
     return profile, n, draw(st.sampled_from([0.05, 1e-3])), draw(st.integers(0, 2**32 - 1))

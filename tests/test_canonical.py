@@ -14,8 +14,8 @@ from hartogs.errors import DomainError
 from hartogs.wirtinger import ComplexStencil
 
 from conftest import (
-    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, field_jet_reference, jacobian_from_block, same_bits,
-    scal_gradient_bar, stencil_t_zbar,
+    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, CubicCap, field_jet_reference, jacobian_from_block,
+    same_bits, scal_gradient_bar, stencil_t_zbar,
 )
 
 
@@ -383,11 +383,14 @@ class TestExtremalResidual:
             assert 10.0 <= err[1] / err[2] <= 12.5
 
     def test_matches_jet_oracle_over_range(self):
-        # 9 profiles, near-affine ones included, x n = 2..8 x margins down
-        # to 1e-3; every affine residual and oracle value is exactly 0
+        # 10 profiles, near-affine ones included, x n = 2..8 x margins down
+        # to 1e-3; every affine residual and oracle value is exactly 0.  On
+        # the test-only CubicCap A and F''' are not zero, so the F''' terms
+        # of A' and B', which the oracle takes from its jet of F'' and
+        # never reads, are far above rounding
         profiles = [hg.Affine(1, 1), hg.Affine(2, 3), hg.PowerCap(0.5), hg.PowerCap(2),
                     hg.PowerCap(3), hg.PowerCap(1.001), hg.ExpDecay(1), hg.ExpDecay(1e-4),
-                    hg.Rational()]
+                    hg.Rational(), CubicCap(1.0 / 3.0, 1.0)]
         worst = 0.0
         for prof in profiles:
             for n in (2, 3, 4, 6, 8):
@@ -469,6 +472,25 @@ class TestPullback:
         prof = hg.Affine(1, 2)
         p = hg.contains(prof, [0, 0])
         assert hg.pullback_check(1, 2, p) <= 1e-12
+
+    def test_builds_only_the_images(self, monkeypatch):
+        # the record of p is not rebuilt: one require_interior per call, on
+        # the images, which keep the bits of `hyperbolic_isometry`
+        calls = []
+        original = hartogs.canonical.require_interior
+
+        def spied(profile, z):
+            calls.append((profile, np.array(z)))
+            return original(profile, z)
+
+        monkeypatch.setattr(hartogs.canonical, "require_interior", spied)
+        points = hg.sample_interior(hg.Affine(2, 3), 3, 7, seed=5, min_margin=1e-3)
+        images = hg.hyperbolic_isometry(2, 3, points.z)
+        for p in (points, next(iter(points))):
+            calls.clear()
+            hg.pullback_check(2, 3, p)
+            assert len(calls) == 1 and calls[0][0] == hg.Affine(1, 1)
+            assert same_bits(calls[0][1], images if p is points else images[0])
 
 
 def invariant_fields(n):

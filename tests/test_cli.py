@@ -20,10 +20,10 @@ import hartogs.canonical
 import hartogs.cli
 import hartogs.curvature
 import hartogs.metric
-from hartogs.cli import fmt, main, run_verification
+from hartogs.cli import Check, fmt, main, run_verification
 from hartogs.profiles import Affine, PowerCap
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, CubicCap
 
 #: the `verify-theorems` checks on every profile, in order; affine profiles
 #: add pullback_isometry
@@ -617,6 +617,17 @@ class TestVerifyTheorems:
             obstruction = r.name.endswith("_classification") and not affine
             assert ("PASS-nonzero" if obstruction else "(tol ") in r.detail, r.detail
 
+    @pytest.mark.parametrize("hits, passed, percent", [(179, False, 89), (180, True, 90),
+                                                       (199, True, 99), (200, True, 100)])
+    def test_obstruction_share_rounds_down(self, hits, passed, percent):
+        # a share just below the 90% minimum never prints as 90%, nor one
+        # just below all samples as 100%
+        check = Check("c", "m", 1e-3, lambda *args: None, obstruction=True)
+        values = np.where(np.arange(200) < hits, 1.0, 0.0)
+        result = check.result(values)
+        assert result.passed is passed
+        assert result.detail == f"m >= 0.001 at {percent}% of samples (PASS-nonzero, min 90%)"
+
     @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
     def test_top_of_range(self, capsys, profile):
         # every oracle and classification gate holds at n = 8, down to the
@@ -694,6 +705,22 @@ class TestVerifyTheorems:
         assert line.startswith("FAIL  extremal_vs_jet")
         if error == 1e-9:
             assert 1e-10 < float(line.split("worst rel ")[1].split()[0]) < 1e-7
+
+    def test_doctored_third_derivative_fails_extremal_vs_jet(self, monkeypatch):
+        # F''' enters A' and B' multiplied by A, which is zero on every CLI
+        # family; on the test-only CubicCap a 1e-6 relative error in it
+        # fails extremal_vs_jet alone (worst rel 3.6e-8 here), since the
+        # jet oracle differentiates F'' and never reads F'''
+        prof = CubicCap(1.0 / 3.0, 1.0)
+        d3 = CubicCap._d3
+        for error in (0.0, 1e-6):
+            monkeypatch.setattr(CubicCap, "_d3", lambda self, x, e=error: d3(self, x) * (1 + e))
+            failed = {r.name: r.detail for r in run_verification(prof, 3, 20, 2) if not r.passed}
+            if error:
+                assert list(failed) == ["extremal_vs_jet"]
+                assert float(failed["extremal_vs_jet"].split("worst rel ")[1].split()[0]) > 1e-8
+            else:
+                assert not failed
 
     @pytest.mark.parametrize("doctored", ["metric", "defect"])
     def test_doctored_point_fails_oracle_checks(self, capsys, monkeypatch, doctored):

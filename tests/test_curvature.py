@@ -11,7 +11,7 @@ from hartogs.errors import SingularityError
 from hartogs.metric import MetricData
 
 from conftest import (
-    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, QUADCAP_PROBES, QuadCap, central_d1,
+    FAMILY_IDS, PSEUDOCONVEX_FAMILIES, QUADCAP_PROBES, CubicCap, QuadCap, central_d1,
     gradient_field_reference, jacobian_from_block, profile_cases, same_bits, t_zbar_reference,
 )
 
@@ -85,6 +85,7 @@ class TestDefect:
 @example(case=(hg.ExpDecay(1.0), 16, 1e-3, 5))
 @example(case=(hg.PowerCap(2.0), 16, 0.05, 6))
 @example(case=(QuadCap(1.0 / 3.0), 8, 1e-3, 7))
+@example(case=(CubicCap(1.0 / 3.0, 1.0), 8, 1e-3, 9))
 def test_gradient_field_matches_inverse_metric(case):
     # T = gap^2 (A z_0, B z') from `_radial_scales` against K^T dbar scal
     # with the whole inverse metric K, to 1e-11 relative to max |T| at each
@@ -111,6 +112,7 @@ def test_gradient_field_matches_inverse_metric(case):
 @example(case=(hg.PowerCap(1.001), 8, 1e-3, 2))
 @example(case=(QuadCap(1.0 / 3.0), 8, 1e-3, 7))
 @example(case=(QuadCap(3.0), 16, 1e-3, 8))
+@example(case=(CubicCap(1.0 / 3.0, 1.0), 8, 1e-3, 9))
 def test_t_zbar_matches_reference(case):
     # the Jacobian the block stands for against K^T (S - E), which builds
     # dT/dzbar from the whole inverse metric and the whole gradient tensor

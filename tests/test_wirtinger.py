@@ -123,8 +123,8 @@ def test_extremal_oracle_is_d_zbar_per_coordinate(profile):
 
 
 def test_extremal_oracle_nonfinite_names_point(monkeypatch):
-    # a NaN in the gap derivative of the jet of B at one point of a block,
-    # which reaches the gap partial of S_i = gap^2 B
+    # a NaN in the x-derivative of the jet of B at one point of a block,
+    # which reaches the x partial of S_i = gap^2 B
     prof = hg.PowerCap(2)
     points = hg.sample_interior(prof, 3, 5, seed=2)
     scales = hartogs.curvature._radial_scales
@@ -132,10 +132,28 @@ def test_extremal_oracle_nonfinite_names_point(monkeypatch):
     def poisoned(*args):
         slope, slope_d1, a, b = scales(*args)
         grad = b.grad.copy()
-        grad[3, 1] = math.nan
+        grad[3, 0] = math.nan
         return slope, slope_d1, a, Jet(b.val, grad, b.hess)
 
     monkeypatch.setattr(hartogs.curvature, "_radial_scales", poisoned)
     with pytest.raises(NumericError) as err:
         extremal_jet_oracle(prof, points)
     assert repr(points.z[3]) in str(err.value)
+
+
+def test_extremal_oracle_jets_run_along_x_alone(monkeypatch):
+    # the oracle seeds one direction, x: A, A', B, B' and the chain rule's
+    # F' come off jets of x alone, and gap enters the block as a number
+    grads = []
+    scales = hartogs.curvature._radial_scales
+
+    def spied(*args):
+        out = scales(*args)
+        grads.append([v.grad.shape for v in (*args, *out) if isinstance(v, Jet)])
+        return out
+
+    monkeypatch.setattr(hartogs.curvature, "_radial_scales", spied)
+    prof = hg.PowerCap(2)
+    extremal_jet_oracle(prof, hg.sample_interior(prof, 3, 5, seed=2))
+    assert len(grads) == 1 and len(grads[0]) >= 5
+    assert set(grads[0]) == {(5, 1)}
