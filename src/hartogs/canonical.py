@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_at, ricci_tensor
+from .curvature import curvature_at, ricci_tensor, scalar_curvature_at
 from .metric import (
     DomainPoint,
     MetricData,
@@ -216,8 +216,9 @@ def extremal_residual(profile: Profile, p: DomainPoint) -> float:
     """max over a, c of | d T^a / dzbar_c | for the (1,0)-gradient field T
     of the scalar curvature, in closed form, at one point or at each point
     of a stack.  Zero exactly when T is holomorphic, i.e. when the metric
-    is extremal."""
-    return curvature_at(profile, p, assemble_metric(profile, p)).extremal
+    is extremal.  It reads the point record alone (`scalar_curvature_at`),
+    and assembles no metric."""
+    return scalar_curvature_at(profile, p).extremal
 
 
 def _rescale(c1: float, c2: float, z) -> np.ndarray:

@@ -106,14 +106,15 @@ def _curvature_blocks(profile: Profile, points: DomainPoint):
         yield p, m, curvature.curvature_at(profile, p, m)
 
 
-def _curvature_table(profile: Profile, points: DomainPoint, what: str, columns):
-    """(z[N, n], values[N, k]) over all N points, values[:, j] the column
-    columns(p, m, data)[j] of each block in order.  A non-finite value
-    raises HartogsError naming `what` and the first sample that has one."""
+def _table(rows, what: str):
+    """(z[N, n], values[N, k]) over all N points from the pairs (p,
+    columns) of `rows`, one per run of points of `metric.blocks` in order,
+    values[:, j] the column columns[j] of each.  A non-finite value raises
+    HartogsError naming `what` and the first sample that has one."""
     z, values = [], []
-    for p, m, data in _curvature_blocks(profile, points):
+    for p, columns in rows:
         z.append(p.z)
-        values.append(np.column_stack(columns(p, m, data)))
+        values.append(np.column_stack(columns))
     values = np.concatenate(values)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
@@ -137,9 +138,10 @@ def cmd_curvature_scan(args) -> int:
     profile = parse_profile(args.profile)
     label = profile.label()
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
-    z, values = _curvature_table(
-        profile, points, "scan value",
-        lambda p, m, d: [p.gap, p.x, m.det, d.scal, d.rho, d.einstein, d.extremal],
+    z, values = _table(
+        ((p, [p.gap, p.x, m.det, d.scal, d.rho, d.einstein, d.extremal])
+         for p, m, d in _curvature_blocks(profile, points)),
+        "scan value",
     )
     columns = (["gap", "x", "det", "scal"] + [f"rho_{k}" for k in range(args.n)]
                + ["einstein_res", "extremal_res"])
@@ -170,8 +172,12 @@ def cmd_extremal_residual(args) -> int:
     profile = parse_profile(args.profile)
     label = profile.label()
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
-    z, values = _curvature_table(profile, points, "extremal residual",
-                                 lambda p, m, d: [p.gap, p.x, d.extremal])
+    # the residual reads the point record alone: no metric is assembled
+    z, values = _table(
+        ((p, [p.gap, p.x, curvature.scalar_curvature_at(profile, p).extremal])
+         for p in blocks(points)),
+        "extremal residual",
+    )
     if args.out:
         _write_table(args.out, label, z, ["gap", "x", "extremal_res"], values)
     residuals = sorted(values[:, -1].tolist())

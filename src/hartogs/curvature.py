@@ -30,12 +30,14 @@ zero on it; the tests add families on which A is not.  dT^a/dzbar_c =
 z_a z_c C[a', c'], a' and c' being 0 on z_0 and 1 on the fiber, for a
 2 x 2 block C that `_dbar_block` states once, the chain rule through
 (x, gap) on F', gap, A, A', B and B': no inverse metric, no derivative of
-h and no n x n array enters.  `curvature_at` takes A' and B' in closed
-form, from slope'' and F'''.
+h and no n x n array enters.  `scalar_curvature_at` takes A' and B' in
+closed form, from slope'' and F'''.  It reads the point record alone;
+`curvature_at` adds the Ricci matrix and the Einstein residual, the only
+quantities here that read the metric matrix.
 
-The closed forms (`curvature_at` and the Ricci tensor) take a single or a
-stacked record, like those of `metric`, and run with its floating-point
-faults raised.  The oracles differentiate on purpose, so that they share
+The closed forms (`scalar_curvature_at`, `curvature_at` and the Ricci
+tensor) take a single or a stacked record, like those of `metric`, and
+run with its floating-point faults raised.  The oracles differentiate on purpose, so that they share
 no derivative formula with what they check, and exactly, with jets: the
 Ricci oracle a second-order jet of log det h over the coordinates, and
 the extremal oracle a jet of A and B along x alone.  Both take a single
@@ -53,26 +55,34 @@ from .errors import NumericError
 from .jet import Jet, JetPoint, log
 from .metric import (
     DomainPoint, MetricData, _times, jet_x_and_gap, nonsingular_core, raises_fp_faults,
-    relative_norm,
+    relative_norm, require_interior_record,
 )
 from .profiles import Profile
 
 
 @dataclass(frozen=True)
-class CurvatureData:
-    """Curvature bundle at one point, or at every point of a stack along a
-    leading axis: Ricci matrix, scalar curvature, the radial slope
-    functional, the generalized scalar curvatures rho_0..rho_{n-1},
-    the Einstein residual, the radial block dbar of dT/dzbar and the
-    extremal residual max |dT/dzbar| (see `curvature_at`)."""
+class ScalarCurvature:
+    """What the point record alone gives, at one point or at every point
+    of a stack along a leading axis (see `scalar_curvature_at`): the
+    defect, the scalar curvature, the radial slope functional, the
+    generalized scalar curvatures rho_0..rho_{n-1}, the radial block dbar
+    of dT/dzbar and the extremal residual max |dT/dzbar|."""
 
-    ric: np.ndarray
+    defect: float
     scal: float
     slope: float
     rho: np.ndarray
-    einstein: float
     dbar: np.ndarray
     extremal: float
+
+
+@dataclass(frozen=True)
+class CurvatureData(ScalarCurvature):
+    """`ScalarCurvature` with the Ricci matrix and the Einstein residual,
+    which read the metric matrix too (see `curvature_at`)."""
+
+    ric: np.ndarray
+    einstein: float
 
 
 def curvature_defect(profile: Profile, p: DomainPoint):
@@ -176,14 +186,14 @@ def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
 
 @raises_fp_faults
 def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
-    """Independent oracle for `CurvatureData.dbar` at a single point, or
+    """Independent oracle for `ScalarCurvature.dbar` at a single point, or
     at every point of a stacked record, exact to rounding: `_dbar_block`
     on the record's gap and on F', A, A', B and B' from one stacked jet
     along x.  F, F', F'', det_core, the defect and slope' are the family's
     closed forms on that jet, and A', B' and F' the derivatives of the jets
     of A, B and F.  So the oracle shares A, B (`_radial_scales`) and the
-    chain rule with `curvature_at`, and checks the A' and B' that
-    `curvature_at` takes in closed form: it reads none of slope'', F''',
+    chain rule with `scalar_curvature_at`, and checks the A' and B' that
+    it takes in closed form: it reads none of slope'', F''',
     det_core', the inverse metric or the derivatives of h.  The tests check
     the reduction of T to A and B against K^T dbar scal.  A single record
     is row 0 of a one-point stack.  SingularityError is raised where
@@ -204,12 +214,14 @@ def extremal_jet_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
 
 
 @raises_fp_faults
-def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureData:
-    """Every closed-form curvature quantity at one point, or at every point
-    of a stack, from one defect per point, the point record p and the
-    metric matrix m.h assembled from it; of the profile it reads only the
-    defect, slope', slope'' and F''', once per point, and of m only h.
-    The Einstein residual is || Ric + (n+1) h ||_F / (1 + ||h||_F).
+def scalar_curvature_at(profile: Profile, p: DomainPoint) -> ScalarCurvature:
+    """Every closed-form curvature quantity that the point record p alone
+    gives, at one point or at every point of a stack, from one defect per
+    point: of the profile it reads only the defect, slope', slope'' and
+    F''', once per point, and it assembles no metric.  `curvature_at`
+    adds what reads the metric matrix; `extremal-residual` and
+    `canonical.extremal_residual` call this alone.  Like the metric, it
+    refuses a record that is not interior.
 
     The metric is extremal iff T = K^T dbar scal is holomorphic, with
     K = h^-1.  dbar is the `_dbar_block` of T^0 = gap^2 A z_0 and
@@ -221,10 +233,10 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     where (x F')'' = 2F'' + x F''' and det_core' = x F' F'' - F (x F')''.
     F''' enters both only times A, as slope + B F = x F' A: on the CLI
     families, where A is 0, it moves only rounding."""
+    require_interior_record(p)
     n = p.n
     defect = curvature_defect(profile, p)
     slope, slope_d1, a, b = _radial_scales(profile, p.x, p.f, p.d1, p.d2, p.det_core, defect)
-    ric = _ricci(p, m, defect)
     shared = p.gap * p.f * defect / p.det_core
     coefficients = [(n + 1) ** k * (-1.0) ** (k + 1) * math.comb(n - 1, k) for k in range(n)]
     constants = [n * (n + 1) / (k + 1) for k in range(n)]
@@ -235,12 +247,23 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     a_d1 = (p.d2 * slope + 2.0 * p.d1 * slope_d1 + p.f * slope_d2 - a * core_d1) / p.det_core
     b_d1 = (2.0 * mix * slope_d1 + p.x * p.d1 * slope_d2 + third * slope - b * core_d1) / p.det_core
     dbar = _dbar_block(p.d1, p.gap, a, a_d1, b, b_d1)
-    return CurvatureData(
-        ric=ric,
+    return ScalarCurvature(
+        defect=defect,
         scal=-(p.gap / p.det_core) * p.f * defect - n * (n + 1),
         slope=slope,
         rho=rho,
-        einstein=relative_norm(ric + (n + 1) * m.h, m.h),
         dbar=dbar,
         extremal=jacobian_max(p, dbar),
     )
+
+
+@raises_fp_faults
+def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureData:
+    """`scalar_curvature_at` at one point, or at every point of a stack,
+    with the Ricci matrix from its defect and the Einstein residual
+    || Ric + (n+1) h ||_F / (1 + ||h||_F), from the metric matrix m.h
+    assembled from the record p; of m it reads only h."""
+    scalar = scalar_curvature_at(profile, p)
+    ric = _ricci(p, m, scalar.defect)
+    return CurvatureData(**vars(scalar), ric=ric,
+                         einstein=relative_norm(ric + (p.n + 1) * m.h, m.h))

@@ -364,13 +364,19 @@ def inverse_metric_matrix(p: DomainPoint) -> np.ndarray:
     return _complex(k_re, k_im)
 
 
+def require_interior_record(p: DomainPoint) -> None:
+    """DomainError unless every point of the record p is interior: a
+    boundary record, with margin 0.0, has no metric."""
+    if np.any(np.less_equal(p.margin, 0.0)):
+        raise DomainError("metric requested at a non-interior point")
+
+
 @raises_fp_faults
 def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
     """Metric, determinant and closed-form inverse at an interior point, or
     at every point of a stack, all read from its record; the profile is not
     evaluated again."""
-    if np.any(np.less_equal(p.margin, 0.0)):
-        raise DomainError("metric requested at a non-interior point")
+    require_interior_record(p)
     h_inv = inverse_metric_matrix(p)
     # float_power calls the C library's pow, as Python's float ** int does
     det = p.det_core / np.float_power(p.gap, p.n + 1)
@@ -382,7 +388,7 @@ def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
 _GAMMA, _MULTIPLY = 0x9E3779B97F4A7C15, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _MASK = 2**64 - 1
 #: the integer constants of the draws as numpy scalars, built once
-_U64 = {v: np.uint64(v) for v in (_GAMMA, *_MULTIPLY, 11, 27, 30, 31, 32, 2**32 - 1)}
+_U64 = {v: np.uint64(v) for v in (_GAMMA, *_MULTIPLY, 11, 27, 30, 31)}
 
 #: the disk of `stacked_points`: its attempts are the points of the grid
 #: (Z + 1/2)^2 in the square of side 2^32 about 0, kept below radius 2^31
@@ -406,9 +412,23 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix_key(z: int) -> int:
+    """`_mix` of one key, on Python ints masked to 64 bits: a few int
+    operations, where numpy takes about 1.5 us for each on one entry."""
+    z = ((z ^ (z >> 30)) * _MULTIPLY[0]) & _MASK
+    z = ((z ^ (z >> 27)) * _MULTIPLY[1]) & _MASK
+    return z ^ (z >> 31)
+
+
+def _child(key: int, j: int) -> int:
+    """Draw j of the stream keyed by `key` (`_draws`), on Python ints: the
+    key of child j of that stream."""
+    return _mix_key((key + (j + 1) * _GAMMA) & _MASK)
+
+
 def _draws(keys, index) -> np.ndarray:
     """Draws `index` (an integer array) of the stream keyed by `keys`, an
-    int, or of the streams of an array of keys broadcast against it along
+    int, or of the streams of a sequence of keys broadcast against it along
     its last axis: SplitMix64's outputs from state key, the finalizer of
     key + (index + 1) gamma modulo 2^64.  Each draw is a pure function of
     its key and index, an integer expression with the same bits on every
@@ -428,13 +448,20 @@ def sample_streams(seed: int) -> tuple[int, int]:
     and 1 of the stream keyed by every 64-bit limb of the non-negative
     seed, folded from the lowest as key = mix((key + gamma) ^ limb) from
     key = the number of limbs; a seed below 2^64 has one limb, 0 too.  A
-    stream's draws are the keys of its child streams, and a stream is
-    drawn from or has children, never both."""
+    stream's draws are the keys of its child streams (`_child`), and a
+    stream is drawn from or has children, never both."""
     limbs = [(seed >> shift) & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
-    key = np.array([len(limbs)], dtype=np.uint64)
+    key = len(limbs)
     for limb in limbs:
-        key = _mix((key + _U64[_GAMMA]) ^ np.uint64(limb))
-    return tuple(int(k) for k in _draws(key, np.arange(2)))
+        key = _mix_key(((key + _GAMMA) & _MASK) ^ limb)
+    return _child(key, 0), _child(key, 1)
+
+
+def _attempts(left: int) -> int:
+    """Disk attempts a round of `stacked_points` draws for each of the
+    `left` slots it holds: one while more than BLOCK are left, of which
+    about pi/4 land, and DISK_BATCH below that."""
+    return 1 if left > BLOCK else DISK_BATCH
 
 
 def stacked_points(stream: int, rows, n: int, x, radius) -> np.ndarray:
@@ -456,48 +483,57 @@ def stacked_points(stream: int, rows, n: int, x, radius) -> np.ndarray:
     z_0 = (a_0 + i b_0) (sqrt(x) / sqrt(a_0^2 + b_0^2)) and
     z_k = (a_k + i b_k) ((sqrt(q_k) / sqrt(a_k^2 + b_k^2)) radius).  Only
     + - * /, sqrt, sort and comparisons are used, each correctly rounded,
-    so a point has the same bits on every machine.  A round draws
-    DISK_BATCH attempts of each slot left at once, and a first round of
-    more than ROUND slots one, which changes no bit."""
+    so a point has the same bits on every machine.  A round draws one
+    attempt for each slot left while more than BLOCK are left, and
+    DISK_BATCH attempts below that (`_attempts`): at n = 8 and 2000 rows,
+    rounds of 16000, about 3400 and 730 attempts, then about 160 slots
+    times DISK_BATCH.  The schedule changes no bit."""
     rows = np.asarray(rows, dtype=np.uint64)
     slots = (rows[:, None] * np.uint64(n) + np.arange(n, dtype=np.uint64)).reshape(-1)
-    # attempts drawn so far: one for a large first round, whose slots
-    # mostly land at once
-    attempt = 1 if len(slots) > ROUND else DISK_BATCH
-    disk, landed = _landing(stream, slots, 0, attempt)
+    attempt = _attempts(len(slots))
+    ba, r2, landed = _landing(stream, slots, 0, attempt)
     todo = np.flatnonzero(~landed)
     while len(todo):
-        tried, landed = _landing(stream, slots[todo], attempt, DISK_BATCH)
+        count = _attempts(len(todo))
+        tried, tried_r2, landed = _landing(stream, slots[todo], attempt, count)
         now = todo[landed]
-        for kept, new in zip(disk, tried):
-            kept[now] = new[landed]
-        todo, attempt = todo[~landed], attempt + DISK_BATCH
-    a, b, r2 = (part.reshape(-1, n) for part in disk)
-    cuts = np.sort(r2[:, :n - 2] * 2.0**-62, axis=1)
-    square = np.empty(r2.shape)
-    square[:, 0] = x
-    square[:, 1:-1] = cuts
-    square[:, -1] = 1.0
-    square[:, 2:] -= cuts
-    scale = np.sqrt(square) / np.sqrt(r2)
+        ba[now], r2[now] = tried[landed], tried_r2[landed]
+        todo, attempt = todo[~landed], attempt + count
+    ba, r2 = ba.reshape(-1, n, 2), r2.reshape(-1, n)
+    # scaling by 2^-62 is exact, so it commutes with the sort
+    cuts = np.sort(r2[:, :n - 2], axis=1)
+    cuts *= 2.0**-62
+    scale = np.empty(r2.shape)
+    scale[:, 0] = x
+    scale[:, 1:-1] = cuts
+    scale[:, -1] = 1.0
+    scale[:, 2:] -= cuts
+    np.sqrt(scale, out=scale)
+    scale /= np.sqrt(r2, out=r2)
     scale[:, 1:] *= radius[:, None]
-    return _complex(a * scale, b * scale)
+    z = np.empty(r2.shape, dtype=complex)
+    np.multiply(ba[..., 1], scale, out=z.real)
+    np.multiply(ba[..., 0], scale, out=z.imag)
+    return z
 
 
 def _landing(stream: int, slots: np.ndarray, first: int, count: int):
-    """The disk points (a, b, a^2 + b^2) of `stacked_points`, three arrays
-    over the slots, of the first of the attempts first to first+count-1
-    of each slot that lands in the disk, and whether one did."""
-    draws = _draws(_draws(stream, np.arange(first, first + count)), slots[:, None])
-    a = (draws >> _U64[32]).astype(float) - _HALF_SIDE
-    b = (draws & _U64[2**32 - 1]).astype(float) - _HALF_SIDE
-    r2 = a * a + b * b
+    """The disk points of `stacked_points` over the slots, (ba, r2,
+    landed): ba[s] = (b, a) and r2[s] = a^2 + b^2 of the first of the
+    attempts first to first+count-1 of slot s that lands in the disk, and
+    whether one did."""
+    draws = _draws([_child(stream, t) for t in range(first, first + count)], slots[:, None])
+    # the low and the high 32 bits of each draw, as its little-endian halves
+    ba = draws.astype("<u8", copy=False).view("<u4").reshape(len(slots), count, 2).astype(float)
+    ba -= _HALF_SIDE
+    square = ba * ba
+    r2 = square[..., 1] + square[..., 0]
     hit = r2 < _DISK
     # attempts run along rows; argmax over rows of one costs per row
     if count == 1:
-        return (a[:, 0], b[:, 0], r2[:, 0]), hit[:, 0]
+        return ba[:, 0], r2[:, 0], hit[:, 0]
     at = np.arange(0, hit.size, count) + np.argmax(hit, axis=1)
-    return tuple(v.reshape(-1).take(at) for v in (a, b, r2)), hit.reshape(-1).take(at)
+    return ba.reshape(-1, 2)[at], r2.reshape(-1)[at], hit.reshape(-1)[at]
 
 
 def sample_interior(
@@ -517,10 +553,14 @@ def sample_interior(
     Candidate i takes draws 2i and 2i+1 (x, radius) of the uniform stream
     of `sample_streams` and, if its budget is positive, row i of the phase
     stream (`stacked_points`), so the first K points of a sample of N are
-    the sample of K.  A round draws a quarter and 8 more candidates than
-    the rate so far needs, at most ROUND and the attempts left, and builds
-    and tests them at once.  SamplingError says how many points were found
-    when the attempts, one per candidate, run out.
+    the sample of K.  A round of the budget test draws a quarter and 8 more
+    candidates than its pass rate so far needs, at most ROUND and the
+    attempts left, and the rounds run until as many candidates passed it as
+    points are missing.  Only then are those candidates built and tested,
+    in one `stacked_points` and one `contains` call: a positive budget
+    leaves a margin of at least min_margin up to rounding, so a sample is
+    built once unless rounding rejects a point.  SamplingError says how
+    many points were found when the attempts, one per candidate, run out.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -536,31 +576,41 @@ def sample_interior(
         )
     uniform, phase = sample_streams(seed)
     runs: list[DomainPoint] = []
-    found = attempts = 0
+    # the candidates that passed the budget test and are not built yet:
+    # their rows, x and fiber radii
+    rows, xs, radii = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    found = attempts = passes = 0
     while found < count:
-        if attempts == _MAX_SAMPLE_ATTEMPTS:
+        missing = count - found
+        while len(rows) < missing and attempts < _MAX_SAMPLE_ATTEMPTS:
+            # a quarter and 8 more than the pass rate so far needs
+            needed = -(-(missing - len(rows)) * 5 * max(attempts, 1) // (4 * max(passes, 1))) + 8
+            first = attempts
+            attempts += min(needed, ROUND, _MAX_SAMPLE_ATTEMPTS - attempts)
+            u = uniforms(uniform, np.arange(2 * first, 2 * attempts)).reshape(-1, 2)
+            x = x_top * u[:, 0]
+            budget = profile.eval(x) - min_margin
+            keep = np.flatnonzero(budget > 0.0)
+            radius = np.sqrt(budget[keep]) * np.float_power(u[keep, 1], 1.0 / (2 * (n - 1)))
+            rows = np.concatenate([rows, keep + first])
+            xs = np.concatenate([xs, x[keep]])
+            radii = np.concatenate([radii, radius])
+            passes += len(keep)
+        if not len(rows):
             which = f"only {found} of {count} interior points" if found else "no interior point"
             raise SamplingError(
                 f"{which} with margin >= {min_margin} found in "
                 f"{_MAX_SAMPLE_ATTEMPTS} attempts for {profile.label()}"
             )
-        # a quarter and 8 more than the rate so far needs for the points missing
-        needed = -(-(count - found) * 5 * max(attempts, 1) // (4 * max(found, 1))) + 8
-        first = attempts
-        attempts += min(needed, ROUND, _MAX_SAMPLE_ATTEMPTS - attempts)
-        u = uniforms(uniform, np.arange(2 * first, 2 * attempts)).reshape(-1, 2)
-        x = x_top * u[:, 0]
-        budget = profile.eval(x) - min_margin
-        keep = np.flatnonzero(budget > 0.0)
-        x, budget, u = x[keep], budget[keep], u[keep]
-        radius = np.sqrt(budget) * np.float_power(u[:, 1], 1.0 / (2 * (n - 1)))
-        p = contains(profile, stacked_points(phase, keep + first, n, x, radius))
+        p = contains(profile, stacked_points(phase, rows[:missing], n, xs[:missing],
+                                             radii[:missing]))
+        rows, xs, radii = rows[missing:], xs[missing:], radii[missing:]
         passed = p.margin >= min_margin
         runs.append(p if passed.all() else p[passed])
         found += len(runs[-1])
     if len(runs) > 1:
         runs = [DomainPoint(*(np.concatenate([getattr(r, f) for r in runs]) for f in _FIELDS))]
-    return runs[0] if found == count else runs[0][:count]
+    return runs[0]
 
 
 def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:

@@ -389,6 +389,19 @@ def doctor_draws(monkeypatch, replace):
     monkeypatch.setattr(hartogs.metric, "_draws", doctored)
 
 
+def disk_rounds(monkeypatch):
+    """(slots, attempts per slot) of each disk round of
+    `metric.stacked_points` from now on, in order."""
+    rounds, real = [], hartogs.metric._landing
+
+    def spied(stream, slots, first, count):
+        rounds.append((len(slots), count))
+        return real(stream, slots, first, count)
+
+    monkeypatch.setattr(hartogs.metric, "_landing", spied)
+    return rounds
+
+
 def unreached_draws(seed, n, zero_x):
     """Doctored draws of the sample of this seed at dimension n that no
     seed is known to reach: slot 1 misses the disk in its first 8

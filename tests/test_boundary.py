@@ -15,11 +15,13 @@ from hartogs.boundary import (
     tangent_gradient,
 )
 from hartogs.errors import DomainError
+from hartogs.metric import BLOCK, DISK_BATCH
 
 from conftest import (
     FAMILY_IDS,
     PSEUDOCONVEX_FAMILIES,
     boundary_reference,
+    disk_rounds,
     doctor_draws,
     same_bits,
     unreached_draws,
@@ -74,6 +76,18 @@ class TestSampling:
             assert same_bits(sample_boundary(profile, n, 7, seed=n).z, got.z[:7])
             z0 = got.z[:, 0]
             assert same_bits(got.x, z0.real * z0.real + z0.imag * z0.imag)
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_draws_match_reference_over_disk_rounds(self, monkeypatch, profile):
+        # 600 points at n = 8 are 4800 slots: rounds of one disk attempt a
+        # slot while more than BLOCK slots are left, then of DISK_BATCH
+        # attempts a slot, give the reference's points bit for bit
+        rounds = disk_rounds(monkeypatch)
+        got = sample_boundary(profile, 8, 600, seed=8)
+        assert same_bits(got.z, boundary_reference(8, profile, 8, 600))
+        counts = [count for _, count in rounds]
+        assert rounds[0] == (4800, 1) and counts[1] == 1 and DISK_BATCH in counts
+        assert all(left <= BLOCK for left, count in rounds if count == DISK_BATCH)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)

@@ -441,18 +441,34 @@ class TestExtremalResidual:
         assert code == 0
         assert [len(cells) for cells in rows] == ([9] * 7 if out else [])
 
+    def test_assembles_no_metric(self, capsys, monkeypatch, tmp_path):
+        # the residual reads the point record alone: neither the metric
+        # nor its matrix is built, through any binding, over two blocks,
+        # and the output and the CSV are what they were with them
+        out = tmp_path / "e.csv"
+        argv = ["extremal-residual", "--profile", "expdecay:1", "--n", "4", "--samples",
+                str(hartogs.metric.BLOCK + 9), "--seed", "3", "--out", str(out)]
+        want, table = run(capsys, *argv), out.read_bytes()
+        assembled = count_calls(monkeypatch, hartogs.metric.assemble_metric)
+        matrices = count_calls(monkeypatch, hartogs.metric.metric_matrix)
+        assert run(capsys, *argv) == want and want[0] == 0
+        assert out.read_bytes() == table
+        assert run(capsys, *argv[:-2])[0] == 0
+        assert assembled == [] and matrices == []
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_residual_fails(self, capsys, monkeypatch, tmp_path, value):
         # sorting put a NaN anywhere but last, so the summary dropped it;
-        # the stacked result is doctored at its fourth point, in the first
-        # block and in the second
-        original = hartogs.curvature.curvature_at
+        # the stacked result of `scalar_curvature_at`, which the
+        # subcommand calls once per block, is doctored at its fourth point,
+        # in the first block and in the second
+        original = hartogs.curvature.scalar_curvature_at
         block = hartogs.metric.BLOCK
         for samples, doctored_block, sample in ((8, 0, 3), (block + 8, 1, block + 3)):
             calls = []
 
-            def doctored(profile, p, m):
-                data = original(profile, p, m)
+            def doctored(profile, p):
+                data = original(profile, p)
                 calls.append(p)
                 if len(calls) == doctored_block + 1:
                     extremal = data.extremal.copy()
@@ -460,7 +476,7 @@ class TestExtremalResidual:
                     data = dataclasses.replace(data, extremal=extremal)
                 return data
 
-            monkeypatch.setattr(hartogs.curvature, "curvature_at", doctored)
+            monkeypatch.setattr(hartogs.curvature, "scalar_curvature_at", doctored)
             out_path = tmp_path / "res.csv"
             code, out, err = run(capsys, "extremal-residual", "--profile", "powercap:2",
                                  "--n", "3", "--samples", str(samples), "--seed", "4",

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 
 import hartogs as hg
-from hartogs.curvature import _radial_scales, curvature_defect, extremal_jet_oracle, rho_oracle
-from hartogs.errors import SingularityError
+from hartogs.curvature import (
+    _radial_scales, curvature_defect, extremal_jet_oracle, rho_oracle, scalar_curvature_at,
+)
+from hartogs.errors import DomainError, SingularityError
 from hartogs.metric import MetricData
 
 from conftest import (
@@ -153,6 +155,32 @@ def test_curvature_at_reads_no_inverse_metric(profile):
     got = hg.curvature_at(profile, points, dataclasses.replace(m, h_inv=np.full_like(m.h_inv, np.nan)))
     for field in dataclasses.fields(want):
         assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=profile_cases())
+@example(case=(CubicCap(1.0 / 3.0, 1.0), 8, 1e-3, 9))
+@example(case=(hg.Rational(), 16, 1e-3, 3))
+def test_scalar_curvature_is_curvature_at_without_the_metric(case):
+    # `extremal-residual` reads `scalar_curvature_at` alone; every field it
+    # shares with `curvature_at`, the extremal residual first, keeps its
+    # bits, on a stack and at a single point
+    profile, n, margin, seed = case
+    p = hg.sample_interior(profile, n, 6, seed % 1000, margin)
+    for q in (p, p[2]):
+        got = scalar_curvature_at(profile, q)
+        want = hg.curvature_at(profile, q, hg.assemble_metric(profile, q))
+        for field in dataclasses.fields(got):
+            assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def test_scalar_curvature_refuses_a_boundary_record():
+    # like the metric, it has no value at a point with margin 0.0
+    b = hg.sample_boundary(hg.PowerCap(2), 3, 4, 1)
+    with pytest.raises(DomainError, match="non-interior"):
+        scalar_curvature_at(hg.PowerCap(2), b)
+    with pytest.raises(DomainError, match="non-interior"):
+        hg.extremal_residual(hg.PowerCap(2), b[0])
 
 
 def slope(profile, x):

@@ -11,6 +11,7 @@ from hartogs.boundary import boundary_point, sample_boundary
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
     BLOCK,
+    DISK_BATCH,
     _draws,
     _x_and_fiber,
     metric_derivative_along,
@@ -29,6 +30,7 @@ from conftest import (
     MASK,
     PSEUDOCONVEX_FAMILIES,
     ReferenceStreams,
+    disk_rounds,
     doctor_draws,
     interior_reference,
     metric_gradients,
@@ -326,6 +328,37 @@ class TestSampling:
         assert same_bits(hg.sample_interior(profile, n, count, n, margin).z, want)
 
     @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_draws_match_reference_over_disk_rounds(self, monkeypatch, profile):
+        # 600 points at n = 8 are 4800 slots: rounds of one disk attempt a
+        # slot while more than BLOCK slots are left, then of DISK_BATCH
+        # attempts a slot, give the reference's points bit for bit
+        rounds = disk_rounds(monkeypatch)
+        got = hg.sample_interior(profile, 8, 600, 8)
+        assert same_bits(got.z, interior_reference(8, profile, 8, 600, 0.05))
+        counts = [count for _, count in rounds]
+        assert rounds[0] == (4800, 1) and counts[1] == 1 and DISK_BATCH in counts
+        assert all(left <= BLOCK for left, count in rounds if count == DISK_BATCH)
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
+    def test_built_once_per_sample(self, monkeypatch, profile):
+        # the budget test runs until as many candidates passed it as points
+        # are asked for, and only those are built and tested, in one call
+        # each of `stacked_points` and `contains`
+        built, tested = [], []
+        real_points, real_contains = hartogs.metric.stacked_points, hartogs.metric.contains
+        monkeypatch.setattr(hartogs.metric, "stacked_points",
+                            lambda stream, rows, *args: built.append(len(rows))
+                            or real_points(stream, rows, *args))
+        monkeypatch.setattr(hartogs.metric, "contains",
+                            lambda profile, z: tested.append(len(z)) or real_contains(profile, z))
+        for n in range(2, 9):
+            for count in (40, 80, 250):
+                built.clear()
+                tested.clear()
+                assert len(hg.sample_interior(profile, n, count, seed=n, min_margin=0.05)) == count
+                assert built == [count] and tested == [count]
+
+    @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES, ids=FAMILY_IDS)
     def test_prefix_across_rounds(self, monkeypatch, profile):
         # rounds of at most 7 candidates and rounds sized to the points
         # missing give the same sample, and the first K points of a sample
@@ -351,23 +384,30 @@ class TestSampling:
 
     @pytest.mark.parametrize("profile", [hg.PowerCap(2), hg.ExpDecay(1)], ids=str)
     def test_round_keeping_no_candidate(self, monkeypatch, profile):
-        # the first round's 33 candidates all draw x at the top of its
-        # range, where F(x) is below the margin: the round keeps no
-        # candidate and builds no point, and the later rounds give the
-        # reference's points
+        # the first budget round's 33 candidates all draw x at the top of
+        # its range, where F(x) is below the margin: that round keeps no
+        # candidate, later rounds keep the 20 candidates that are built,
+        # in one call, and they give the reference's points
         uniform, _ = ReferenceStreams().streams(7)
         replace = {(uniform, 2 * i): MASK for i in range(33)}
         doctor_draws(monkeypatch, replace)
-        built, real = [], hartogs.metric.stacked_points
+        drawn, built = [], []
+        real_uniforms, real_points = hartogs.metric.uniforms, hartogs.metric.stacked_points
 
-        def spied(stream, rows, *args):
-            built.append(len(rows))
-            return real(stream, rows, *args)
+        def spied_uniforms(key, index):
+            drawn.append((int(index[0]), int(index[-1]) + 1))
+            return real_uniforms(key, index)
 
-        monkeypatch.setattr(hartogs.metric, "stacked_points", spied)
+        def spied_points(stream, rows, *args):
+            built.append(np.array(rows))
+            return real_points(stream, rows, *args)
+
+        monkeypatch.setattr(hartogs.metric, "uniforms", spied_uniforms)
+        monkeypatch.setattr(hartogs.metric, "stacked_points", spied_points)
         got = hg.sample_interior(profile, 3, 20, 7)
         assert same_bits(got.z, interior_reference(7, profile, 3, 20, 0.05, replace))
-        assert built[0] == 0 and len(built) > 1
+        assert drawn[0] == (0, 66) and len(drawn) > 1
+        assert len(built) == 1 and len(built[0]) == 20 and built[0].min() >= 33
 
     def test_disk_attempts_redraw_per_slot(self, monkeypatch):
         # slot 1 misses the disk in its first 8 attempts: it lands at a

@@ -1,0 +1,111 @@
+"""Where one benchmark pass spends its time, in process.
+
+    PYTHONPATH=src python3 tools/passprof.py highdim 1
+    PYTHONPATH=src python3 tools/passprof.py scan 5 --repeats 30
+
+Builds the invocation list of a benchmark workload with
+`perfbench/workloads.py` (imported, not changed) for the given seed, and
+runs it with `hartogs.cli.main` in this process `--repeats` times (15 by
+default), one BLAS thread.  It prints the best-of-k milliseconds of each
+subcommand and of the whole pass, then the best-of-k milliseconds of the
+time spent inside `sample_interior`, `sample_boundary`, `_write_table` and
+the parser's `parse_args`, each with its share of the best pass.  None of
+the four calls another, so their shares add.  The first pass pays the
+imports and caches of the process, which the benchmark's fresh
+interpreters pay too; best-of-k leaves them out.  Verdicts are not
+checked here: `perfbench/run.py` does that.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+# one BLAS thread, as the benchmark's children run; set before numpy loads
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+from hartogs import cli  # noqa: E402
+
+#: the functions timed inside a pass, by the name printed
+TIMED = ("sample_interior", "sample_boundary", "_write_table", "parse_args")
+
+
+def _timed(fn, name: str, spent: dict[str, float]):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - start
+    return wrapper
+
+
+@contextlib.contextmanager
+def _instrumented(spent: dict[str, float]):
+    """`hartogs.cli` with the TIMED functions adding their time to
+    `spent`; the subcommands look them up there at call time."""
+    parser = cli.build_parser()
+    saved = {name: getattr(cli, name) for name in TIMED[:3]}
+    for name, fn in saved.items():
+        setattr(cli, name, _timed(fn, name, spent))
+    parser.parse_args = _timed(parser.parse_args, "parse_args", spent)
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(cli, name, fn)
+        del parser.parse_args
+
+
+def run_pass(argvs: list[list[str]]) -> tuple[dict[str, float], dict[str, float]]:
+    """(seconds per subcommand, seconds per TIMED function) of one pass."""
+    commands: dict[str, float] = defaultdict(float)
+    spent: dict[str, float] = dict.fromkeys(TIMED, 0.0)
+    sink = io.StringIO()
+    with _instrumented(spent), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for argv in argvs:
+            start = time.perf_counter()
+            cli.main(argv)
+            commands[argv[0]] += time.perf_counter() - start
+    return commands, spent
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=workloads.WORKLOADS)
+    parser.add_argument("seed", type=int)
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        argvs = [[out if a == workloads.OUT else a for a in inv.argv]
+                 for inv in workloads.build(args.workload, args.seed)]
+        passes = [run_pass(argvs) for _ in range(args.repeats)]
+    best_pass = min(sum(commands.values()) for commands, _ in passes)
+    print(f"{args.workload} seed {args.seed}: {len(argvs)} invocations, "
+          f"best of {args.repeats} passes, ms")
+    for name in dict.fromkeys(argv[0] for argv in argvs):
+        print(f"  {name:<22} {1e3 * min(c[name] for c, _ in passes):9.3f}")
+    print(f"  {'pass':<22} {1e3 * best_pass:9.3f}")
+    print("inside the pass, ms and share of the best pass")
+    for name in TIMED:
+        best = min(spent[name] for _, spent in passes)
+        print(f"  {name:<22} {1e3 * best:9.3f}  {best / best_pass:6.1%}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
