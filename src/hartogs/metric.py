@@ -135,11 +135,22 @@ def relative_norm(a: np.ndarray, h: np.ndarray):
 
 def _x_and_fiber(z):
     """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2 of z, or
-    of each point of a stack, summed in coordinate order along each row
-    (a cumulative sum adds one term at a time)."""
+    of each point of a stack, summed in coordinate order along each row,
+    one term at a time.  `np.cumsum` adds so but runs row by row: above 64
+    rows the columns are added in place one at a time instead, with its
+    bits (at n = 8 and 2000 rows in under half its time), and on fewer
+    rows, where a call per column costs more, cumsum runs."""
     z = np.asarray(z, dtype=complex)
-    square = z.real * z.real + z.imag * z.imag
-    return square[..., 0], np.cumsum(square[..., 1:], axis=-1)[..., -1]
+    square = z.real * z.real
+    square += z.imag * z.imag
+    # x is copied, so that a record does not hold every square
+    x = square[..., 0].copy()
+    if square.ndim == 1 or len(square) <= 64:
+        return x, np.cumsum(square[..., 1:], axis=-1)[..., -1]
+    fiber = square[:, 1].copy()
+    for k in range(2, square.shape[1]):
+        fiber += square[:, k]
+    return x, fiber
 
 
 def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
@@ -167,7 +178,7 @@ def nonsingular_core(core, x):
 @float_faults
 def point_record(profile: Profile, z, on_boundary: bool = False) -> DomainPoint:
     """The record of a point z, or the stacked record of a stack z of shape
-    (N, n) from one call of each closed form, with margin 0.0 `on_boundary`;
+    (N, n) from one `Profile.radial` call, with margin 0.0 `on_boundary`;
     a single point is row 0 of a one-point stack.  Raises DomainError at the
     first x outside [0, x0); a gap <= 0 is kept, for the caller to treat.
     det_core is checked by the consumers that divide by it."""
@@ -176,14 +187,12 @@ def point_record(profile: Profile, z, on_boundary: bool = False) -> DomainPoint:
         raise ValueError("points need at least two complex coordinates")
     single, z = z.ndim == 1, z.reshape(-1, z.shape[-1])
     x, fiber = _x_and_fiber(z)
-    f = profile.eval(x)
+    f, d1, d2, core = profile.radial(x)
     gap = f - fiber
     reach = profile.x0 - x
     # min(gap, x0 - x) as Python's min picks it, also where x0 is inf
     margin = np.zeros_like(gap) if on_boundary else np.where(reach < gap, reach, gap)
-    p = DomainPoint(
-        z, x, gap, margin, f, profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x)
-    )
+    p = DomainPoint(z, x, gap, margin, f, d1, d2, core)
     return p[0] if single else p
 
 
@@ -487,53 +496,79 @@ def stacked_points(stream: int, rows, n: int, x, radius) -> np.ndarray:
     attempt for each slot left while more than BLOCK are left, and
     DISK_BATCH attempts below that (`_attempts`): at n = 8 and 2000 rows,
     rounds of 16000, about 3400 and 730 attempts, then about 160 slots
-    times DISK_BATCH.  The schedule changes no bit."""
+    times DISK_BATCH.  The schedule changes no bit.  The rounds keep each
+    slot's landed draw and a^2 + b^2 in two 1-D arrays, and a later round
+    writes its slots into them with 1-D indices; a and b are taken from
+    the draws once, into z.  At most four arrays of N n eight-byte entries
+    are held at once, z counting two."""
     rows = np.asarray(rows, dtype=np.uint64)
     slots = (rows[:, None] * np.uint64(n) + np.arange(n, dtype=np.uint64)).reshape(-1)
     attempt = _attempts(len(slots))
-    ba, r2, landed = _landing(stream, slots, 0, attempt)
+    draws, r2, landed = _landing(stream, slots, 0, attempt)
+    # where the slots left go, and their numbers
     todo = np.flatnonzero(~landed)
+    slots = slots[todo]
     while len(todo):
         count = _attempts(len(todo))
-        tried, tried_r2, landed = _landing(stream, slots[todo], attempt, count)
-        now = todo[landed]
-        ba[now], r2[now] = tried[landed], tried_r2[landed]
-        todo, attempt = todo[~landed], attempt + count
-    ba, r2 = ba.reshape(-1, n, 2), r2.reshape(-1, n)
-    # scaling by 2^-62 is exact, so it commutes with the sort
-    cuts = np.sort(r2[:, :n - 2], axis=1)
-    cuts *= 2.0**-62
-    scale = np.empty(r2.shape)
-    scale[:, 0] = x
-    scale[:, 1:-1] = cuts
+        tried, tried_r2, landed = _landing(stream, slots, attempt, count)
+        got = np.flatnonzero(landed)
+        now = todo[got]
+        draws[now], r2[now] = tried[got], tried_r2[got]
+        landed = ~landed
+        todo, slots, attempt = todo[landed], slots[landed], attempt + count
+    # each row is 0, r2[:n-2] sorted, 1: entry s of the flat array is entry
+    # s - 1 of the flat r2 times 2^-62, which is exact and so commutes with
+    # the sort; then the spacings in place (numpy reads a copy of an input
+    # that overlaps its output), and x in column 0
+    scale = np.empty((len(x), n))
+    flat = scale.reshape(-1)
+    np.multiply(r2[:-1], 2.0**-62, out=flat[1:])
+    scale[:, 0] = 0.0
     scale[:, -1] = 1.0
-    scale[:, 2:] -= cuts
+    scale[:, 1:-1].sort(axis=1)
+    np.subtract(flat[1:], flat[:-1], out=flat[1:])
+    scale[:, 0] = x
     np.sqrt(scale, out=scale)
-    scale /= np.sqrt(r2, out=r2)
+    scale /= np.sqrt(r2, out=r2).reshape(-1, n)
+    # freed before z: the draws, scale and z are the most held at once
+    del r2
     scale[:, 1:] *= radius[:, None]
-    z = np.empty(r2.shape, dtype=complex)
-    np.multiply(ba[..., 1], scale, out=z.real)
-    np.multiply(ba[..., 0], scale, out=z.imag)
+    z = np.empty(scale.shape, dtype=complex)
+    a, b = _disk_point(draws)
+    np.subtract(a.reshape(-1, n), _HALF_SIDE, out=z.real)
+    np.subtract(b.reshape(-1, n), _HALF_SIDE, out=z.imag)
+    z.real *= scale
+    z.imag *= scale
     return z
 
 
+def _disk_point(draws: np.ndarray):
+    """The high and the low 32 bits of each draw, as uint32 views of its
+    little-endian halves; less 2^31 - 1/2 each, they are its disk attempt
+    (a, b)."""
+    halves = draws.astype("<u8", copy=False).view("<u4")
+    return halves[..., 1::2], halves[..., ::2]
+
+
 def _landing(stream: int, slots: np.ndarray, first: int, count: int):
-    """The disk points of `stacked_points` over the slots, (ba, r2,
-    landed): ba[s] = (b, a) and r2[s] = a^2 + b^2 of the first of the
-    attempts first to first+count-1 of slot s that lands in the disk, and
-    whether one did."""
+    """The disk attempts of `stacked_points` over the slots, as 1-D arrays
+    (draws, r2, landed): the draw of the first of the attempts first to
+    first+count-1 of slot s that lands in the disk, r2[s] = a^2 + b^2 of
+    its (a, b) (`_disk_point`), and whether one did.  The squares are
+    formed in place, so three arrays of the draws' size are held at once."""
     draws = _draws([_child(stream, t) for t in range(first, first + count)], slots[:, None])
-    # the low and the high 32 bits of each draw, as its little-endian halves
-    ba = draws.astype("<u8", copy=False).view("<u4").reshape(len(slots), count, 2).astype(float)
-    ba -= _HALF_SIDE
-    square = ba * ba
-    r2 = square[..., 1] + square[..., 0]
+    a, b = _disk_point(draws)
+    r2 = np.subtract(a, _HALF_SIDE)
+    r2 *= r2
+    b2 = np.subtract(b, _HALF_SIDE)
+    b2 *= b2
+    r2 += b2
     hit = r2 < _DISK
     # attempts run along rows; argmax over rows of one costs per row
     if count == 1:
-        return ba[:, 0], r2[:, 0], hit[:, 0]
+        return draws[:, 0], r2[:, 0], hit[:, 0]
     at = np.arange(0, hit.size, count) + np.argmax(hit, axis=1)
-    return ba.reshape(-1, 2)[at], r2.reshape(-1)[at], hit.reshape(-1)[at]
+    return draws.reshape(-1)[at], r2.reshape(-1)[at], hit.reshape(-1)[at]
 
 
 def sample_interior(
@@ -578,7 +613,7 @@ def sample_interior(
     runs: list[DomainPoint] = []
     # the candidates that passed the budget test and are not built yet:
     # their rows, x and fiber radii
-    rows, xs, radii = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    rows = xs = radii = np.empty(0)
     found = attempts = passes = 0
     while found < count:
         missing = count - found
@@ -592,9 +627,12 @@ def sample_interior(
             budget = profile.eval(x) - min_margin
             keep = np.flatnonzero(budget > 0.0)
             radius = np.sqrt(budget[keep]) * np.float_power(u[keep, 1], 1.0 / (2 * (n - 1)))
-            rows = np.concatenate([rows, keep + first])
-            xs = np.concatenate([xs, x[keep]])
-            radii = np.concatenate([radii, radius])
+            if len(rows):
+                rows = np.concatenate([rows, keep + first])
+                xs = np.concatenate([xs, x[keep]])
+                radii = np.concatenate([radii, radius])
+            else:
+                rows, xs, radii = keep + first, x[keep], radius
             passes += len(keep)
         if not len(rows):
             which = f"only {found} of {count} interior points" if found else "no interior point"

@@ -58,12 +58,13 @@ class Profile:
     and > 0, and they alone make up its label `family:f1,f2` and its CLI
     arity.  Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3`
     (value and first three derivatives), the domain bound `x0`, optionally
-    a simplified `det_core`, the pseudoconvexity `margin`, and the radial
-    curvature functionals `defect`, `slope_d1` and `slope_d2`.  Written
-    with `jet.power`, `jet.exp` and `_constant`, each takes a float or an
-    array of x, and gives each entry the bits it has at that float.  `_f`
-    and `det_core` also accept a `jet.Jet` for x: the metric and Ricci
-    oracles differentiate them, and nothing else of the family.
+    a simplified `det_core` and a `radial` that shares work between them,
+    the pseudoconvexity `margin`, and the radial curvature functionals
+    `defect`, `slope_d1` and `slope_d2`.  Written with `jet.power`,
+    `jet.exp` and `_constant`, each takes a float or an array of x, and
+    gives each entry the bits it has at that float.  `_f` and `det_core`
+    also accept a `jet.Jet` for x: the metric and Ricci oracles
+    differentiate them, and nothing else of the family.
     """
 
     family = "base"
@@ -93,6 +94,13 @@ class Profile:
         if order == 3:
             return self._d3(x)
         raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}")
+
+    def radial(self, x):
+        """(F, F', F'', det_core) at x, or at each x of an array, with the
+        bits of `eval` and `det_core`, from one domain check: the radial
+        data of a point record (`metric.point_record`)."""
+        _require_domain(self, x)
+        return self._f(x), self._d1(x), self._d2(x), self.det_core(x)
 
     def det_core(self, x):
         """The radial factor of the metric determinant:
@@ -230,6 +238,13 @@ class ExpDecay(Profile):
 
     def _d3(self, x):
         return -self.rate**3 * exp(-self.rate * x)
+
+    def radial(self, x):
+        # F, F' and F'' share one exp(-rate x), a per-entry math.exp; the
+        # products are those of _d1 and _d2, so the bits are theirs
+        _require_domain(self, x)
+        e = exp(-self.rate * x)
+        return e, -self.rate * e, self.rate * self.rate * e, self.det_core(x)
 
     def det_core(self, x):
         return self.rate * exp(-2.0 * self.rate * x)

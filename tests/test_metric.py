@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 
 import hartogs as hg
 import hartogs.metric
+import hartogs.profiles
 from hartogs.boundary import boundary_point, sample_boundary
 from hartogs.errors import DomainError, SamplingError, SingularityError
 from hartogs.metric import (
@@ -29,6 +30,7 @@ from conftest import (
     FAMILY_IDS,
     MASK,
     PSEUDOCONVEX_FAMILIES,
+    QuadCap,
     ReferenceStreams,
     disk_rounds,
     doctor_draws,
@@ -114,6 +116,40 @@ class TestContains:
         x, fiber = _x_and_fiber(z)
         assert same_bits(fiber, np.array(want))
         assert same_bits(x, z.real[:, 0] * z.real[:, 0] + z.imag[:, 0] * z.imag[:, 0])
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
+    @pytest.mark.parametrize("count", [1, 20, 64, 65, 2000])
+    def test_fiber_sum_has_the_cumsum_bits(self, count, n):
+        # on either side of the 64 rows where the column adds take over
+        # from np.cumsum, every x and fiber norm has cumsum's bits; signed
+        # zeros and subnormals among the coordinates, and magnitudes over
+        # 16 orders, so that another order of the sum moves bits
+        rng = np.random.default_rng(count * 100 + n)
+        scale = 10.0 ** rng.integers(-8, 8, (count, n))
+        z = scale * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160])
+        for part in (z.real, z.imag):
+            hit = rng.random((count, n)) < 0.2
+            part[hit] = rng.choice(special, hit.sum())
+        z[0] = complex(-0.0, -0.0)
+        square = z.real * z.real + z.imag * z.imag
+        x, fiber = _x_and_fiber(z)
+        assert same_bits(x, square[:, 0])
+        assert same_bits(fiber, np.cumsum(square[:, 1:], axis=-1)[:, -1])
+
+    def test_one_domain_check_per_record(self, monkeypatch):
+        # point_record reads F, F', F'' and det_core from one
+        # Profile.radial call, which checks the domain once for the stack
+        checks = []
+        real = hartogs.profiles._require_domain
+        monkeypatch.setattr(hartogs.profiles, "_require_domain",
+                            lambda profile, x: checks.append(np.shape(x)) or real(profile, x))
+        z = 0.5 * sample_boundary(hg.PowerCap(2), 8, 300, seed=4).z
+        for profile in (hg.ExpDecay(1), hg.PowerCap(2), hg.Rational(), QuadCap(3.0)):
+            for points, shape in ((z, (300,)), (z[7], (1,))):
+                checks.clear()
+                point_record(profile, points)
+                assert checks == [shape]
 
 
 class TestAssembly:
@@ -412,7 +448,8 @@ class TestSampling:
     def test_disk_attempts_redraw_per_slot(self, monkeypatch):
         # slot 1 misses the disk in its first 8 attempts: it lands at a
         # later one, the reference's; no other slot moves, and neither the
-        # attempts per round nor the first round's size changes a bit
+        # attempts per round nor how many slots end the one-attempt rounds
+        # (BLOCK, read by `_attempts`) changes a bit
         ref = ReferenceStreams()
         phase = ref.streams(3)[1]
         x, radius = np.full(4, 0.25), np.full(4, 0.5)
@@ -424,10 +461,20 @@ class TestSampling:
         assert same_bits(got, np.array(want))
         assert same_bits(got[1:], clean[1:]) and same_bits(got[0, [0, 2]], clean[0, [0, 2]])
         assert got[0, 1] != clean[0, 1]
-        for batch, round_size in ((1, 4096), (2, 0), (7, 0)):
+        rounds = disk_rounds(monkeypatch)
+        for block, batch in ((BLOCK, 1), (BLOCK, 2), (BLOCK, 7), (4, DISK_BATCH), (0, DISK_BATCH)):
+            monkeypatch.setattr(hartogs.metric, "BLOCK", block)
             monkeypatch.setattr(hartogs.metric, "DISK_BATCH", batch)
-            monkeypatch.setattr(hartogs.metric, "ROUND", round_size)
+            rounds.clear()
             assert same_bits(stacked_points(phase, np.arange(4), 3, x, radius), got)
+            # one attempt a slot while more than `block` slots are left
+            assert [count for _, count in rounds] == [1 if left > block else batch
+                                                      for left, _ in rounds]
+            assert sum(count for _, count in rounds) >= 9
+            if block == 4:
+                assert rounds[0] == (12, 1) and rounds[-1] == (1, DISK_BATCH)
+            if block == 0:
+                assert rounds[0] == (12, 1) and len(rounds) >= 9
 
     def test_count_past_attempt_cap(self, monkeypatch):
         # a round holds at most the attempts left, so a count far above the

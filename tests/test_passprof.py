@@ -1,6 +1,7 @@
 """The pass profiler (`tools/passprof.py`): it runs a workload's invocation
 list in process, prints a time for each subcommand and each timed
-function, and leaves the CLI as it found it."""
+function and the minor page faults of the best pass, and leaves the CLI
+as it found it."""
 
 import importlib.util
 import os
@@ -26,6 +27,8 @@ def test_highdim_pass(capsys):
     assert set(times) == {"extremal-residual", "levi-scan", "check-pseudoconvex", "pass",
                           *passprof.TIMED}
     assert times["_write_table"] == "0.000"
+    # the faults of the best pass, a count and the last line
+    assert re.fullmatch(r"minor page faults of the best pass: \d+", out.splitlines()[-1])
     for name in ("sample_interior", "sample_boundary", "parse_args"):
         assert 0.0 < float(times[name]) < float(times["pass"])
     assert {name: getattr(hartogs.cli, name) for name in before} == before

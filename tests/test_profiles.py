@@ -9,7 +9,7 @@ import hartogs as hg
 from hartogs.errors import DomainError
 from hartogs.profiles import interior_grid, interior_x_max, parse_profile
 
-from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, central_d1
+from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, CubicCap, QuadCap, central_d1, same_bits
 
 
 class TestEval:
@@ -49,6 +49,33 @@ class TestEval:
                      lambda: hg.ConstantProbe(math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 make()
+
+
+RADIAL_FAMILIES = [
+    *PSEUDOCONVEX_FAMILIES, hg.PowerCap(0.5), hg.PowerCap(800), hg.ExpDecay(1e-4), hg.ExpDecay(3.7),
+    hg.ConstantProbe(), QuadCap(1.0 / 3.0), CubicCap(1.0 / 3.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("profile", RADIAL_FAMILIES, ids=lambda prof: prof.label())
+def test_radial_is_eval_and_det_core(profile):
+    # the radial data of a record from one call: F, F', F'' and det_core
+    # with the bits of eval and det_core, at a float and at each x of an
+    # array, and the same DomainError outside [0, x0)
+    xs = interior_x_max(profile) * np.array([0.0, 1e-300, 0.1, 0.37, 0.5, 0.999, 1.0])
+    for x in (xs, *xs.tolist()):
+        want = (profile.eval(x), profile.eval(x, 1), profile.eval(x, 2), profile.det_core(x))
+        got = profile.radial(x)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and same_bits(g, w)
+    top = profile.x0 if math.isfinite(profile.x0) else -1.0
+    for x in (-0.5, top, np.array([0.1, -0.25, top])):
+        with pytest.raises(DomainError) as want:
+            profile.eval(x)
+        with pytest.raises(DomainError) as got:
+            profile.radial(x)
+        assert str(got.value) == str(want.value)
 
 
 # powercap's F''' vanishes at p = 2, so two more exponents check it

@@ -10,7 +10,10 @@ default), one BLAS thread.  It prints the best-of-k milliseconds of each
 subcommand and of the whole pass, then the best-of-k milliseconds of the
 time spent inside `sample_interior`, `sample_boundary`, `_write_table` and
 the parser's `parse_args`, each with its share of the best pass.  None of
-the four calls another, so their shares add.  The first pass pays the
+the four calls another, so their shares add.  Last it prints the minor
+page faults of the best pass (`ru_minflt` of `resource.getrusage`):
+pages the kernel gave the process again, most of them freed to it by
+`free` at the top of the heap and written anew.  The first pass pays the
 imports and caches of the process, which the benchmark's fresh
 interpreters pay too; best-of-k leaves them out.  Verdicts are not
 checked here: `perfbench/run.py` does that.
@@ -22,6 +25,7 @@ import argparse
 import contextlib
 import io
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -68,17 +72,19 @@ def _instrumented(spent: dict[str, float]):
         del parser.parse_args
 
 
-def run_pass(argvs: list[list[str]]) -> tuple[dict[str, float], dict[str, float]]:
-    """(seconds per subcommand, seconds per TIMED function) of one pass."""
+def run_pass(argvs: list[list[str]]) -> tuple[dict[str, float], dict[str, float], int]:
+    """(seconds per subcommand, seconds per TIMED function, minor page
+    faults) of one pass."""
     commands: dict[str, float] = defaultdict(float)
     spent: dict[str, float] = dict.fromkeys(TIMED, 0.0)
     sink = io.StringIO()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with _instrumented(spent), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         for argv in argvs:
             start = time.perf_counter()
             cli.main(argv)
             commands[argv[0]] += time.perf_counter() - start
-    return commands, spent
+    return commands, spent, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def main(argv=None) -> int:
@@ -94,16 +100,17 @@ def main(argv=None) -> int:
         argvs = [[out if a == workloads.OUT else a for a in inv.argv]
                  for inv in workloads.build(args.workload, args.seed)]
         passes = [run_pass(argvs) for _ in range(args.repeats)]
-    best_pass = min(sum(commands.values()) for commands, _ in passes)
+    best_pass, faults = min((sum(commands.values()), faults) for commands, _, faults in passes)
     print(f"{args.workload} seed {args.seed}: {len(argvs)} invocations, "
           f"best of {args.repeats} passes, ms")
     for name in dict.fromkeys(argv[0] for argv in argvs):
-        print(f"  {name:<22} {1e3 * min(c[name] for c, _ in passes):9.3f}")
+        print(f"  {name:<22} {1e3 * min(c[name] for c, _, _ in passes):9.3f}")
     print(f"  {'pass':<22} {1e3 * best_pass:9.3f}")
     print("inside the pass, ms and share of the best pass")
     for name in TIMED:
-        best = min(spent[name] for _, spent in passes)
+        best = min(spent[name] for _, spent, _ in passes)
         print(f"  {name:<22} {1e3 * best:9.3f}  {best / best_pass:6.1%}")
+    print(f"minor page faults of the best pass: {faults}")
     return 0
 
 
