@@ -22,7 +22,9 @@ and return one value per point.  The fields of `soliton-check --field`
 are polynomial, with exact jets over a stack.  `lie_from_jets` is the one
 Lie-derivative formula, from the derivative of h along the field in
 O(n^2) (`metric.metric_derivative_along`): for a single field in
-`soliton_residual`, and for two fields on a leading axis in `soliton_sweep`.
+`soliton_residual_of`, and for two fields on a leading axis in `sweep_rows`;
+both take a block's metric and Ricci tensor, which `soliton-check` builds
+once for the two.
 
 The sweep covers every holomorphic field with three real unknowns.  The
 group U(1) x U(n-1), acting on z_0 and on the fiber, preserves gap and so
@@ -199,17 +201,26 @@ def einstein_residual(profile: Profile, p: DomainPoint) -> float:
     return curvature_at(profile, p, assemble_metric(profile, p)).einstein
 
 
-@raises_fp_faults
 def soliton_residual(profile: Profile, p: DomainPoint, lam: float, field: HoloVectorField) -> float:
     """|| Ric - lam h - L_X h ||_F / (1 + ||h||_F) for the candidate pair
     (lam, X), X the real field of `field`, at one point or at each point of
-    a stack.  The Lie sum and the norms run with numpy's faults raised, as
-    the kernel does, so a field that overflows them is one
-    FloatingPointError."""
+    a stack."""
     m = assemble_metric(profile, p)
-    ric = ricci_tensor(profile, p, m)
-    lie = lie_derivative_components(profile, p, m, field)
-    return relative_norm(ric - lam * m.h - lie, m.h)
+    return soliton_residual_of(profile, p, m, ricci_tensor(profile, p, m), lam, field)
+
+
+@raises_fp_faults
+def soliton_residual_of(profile: Profile, p: DomainPoint, m: MetricData, ric: np.ndarray,
+                        lam: float, field: HoloVectorField):
+    """`soliton_residual` from the metric m at p and its Ricci tensor ric.
+    A field with no monomials forms no Lie term: its L_X h is zero, of
+    either sign, which moves no bit of the norm.  The Lie sum and the norms
+    run with numpy's faults raised, as the kernel does, so a field that
+    overflows them is one FloatingPointError."""
+    residual = ric - lam * m.h
+    if any(field.components) or field.n != p.n:  # a mismatch raises there
+        residual -= lie_derivative_components(profile, p, m, field)
+    return relative_norm(residual, m.h)
 
 
 def extremal_residual(profile: Profile, p: DomainPoint) -> float:
@@ -261,7 +272,6 @@ class SweepResult:
     residual: float
 
 
-@raises_fp_faults
 def soliton_sweep(profile: Profile, points: DomainPoint) -> SweepResult:
     """Least-squares search for the best (lam, X) over all holomorphic
     fields, across the interior points of a stacked record (at least two).
@@ -269,35 +279,49 @@ def soliton_sweep(profile: Profile, points: DomainPoint) -> SweepResult:
     By the averaging argument of the module docstring, X ranges over
     a z_0 d/dz_0 + b z'.d/dz' with real a and b, and the residual
     Ric - lam h - L_X h is linear in (lam, a, b), so the minimiser comes
-    from one three-column real least-squares solve.  Rows are weighted by
-    1/(1 + ||h||_F) per point; the reported residual is the RMS of the
-    pointwise normalized residual norms.  A floor bounded away from zero is
+    from one three-column real least-squares solve (`sweep_fit`) over the
+    rows of every point (`sweep_rows`).  A floor bounded away from zero is
     the numeric trace of soliton rigidity on non-affine profiles.  The
     points are evaluated as stacked records (`metric.blocks`), with numpy's
     faults raised as in the kernel.
     """
-    n = points.n
+    rows = []
+    for p in blocks(points):
+        m = assemble_metric(profile, p)
+        rows.append(sweep_rows(profile, p, m, ricci_tensor(profile, p, m)))
+    return sweep_fit(rows)
+
+
+@raises_fp_faults
+def sweep_rows(profile: Profile, p: DomainPoint, m: MetricData, ric: np.ndarray) -> np.ndarray:
+    """The sweep's least-squares rows at the points of p, from the metric m
+    and the Ricci tensor ric there, shape (N, 2 n^2, 4): for each real and
+    imaginary part of an entry, that part of Ric, of h and of the Lie
+    derivatives of z_0 d/dz_0 and z'.d/dz', weighted by 1/(1 + ||h||_F)."""
+    n = p.n
     # row 0 selects z_0, row 1 the fiber: f = split * z and df_k/dz_a = split_k delta_ka
     split = np.zeros((2, n))
     split[0, 0] = 1.0
     split[1, 1:] = 1.0
     df = split[:, None, :, None] * np.eye(n)
-    rows = []
-    for p in blocks(points):
-        m = assemble_metric(profile, p)
-        ric = ricci_tensor(profile, p, m)
-        lie = lie_from_jets(m.h, metric_derivative_along(profile, p, split[:, None] * p.z), df)
-        mats = np.concatenate([ric[:, None], m.h[:, None], np.moveaxis(lie, 0, 1)], axis=1)
-        mats = mats.reshape(len(p), 4, -1)
-        weight = 1.0 / (1.0 + frobenius_norm(m.h))
-        parts = np.concatenate([mats.real, mats.imag], axis=2)
-        rows.append(weight[:, None, None] * np.swapaxes(parts, 1, 2))
+    lie = lie_from_jets(m.h, metric_derivative_along(profile, p, split[:, None] * p.z), df)
+    mats = np.concatenate([ric[:, None], m.h[:, None], np.moveaxis(lie, 0, 1)], axis=1)
+    mats = mats.reshape(len(p), 4, -1)
+    weight = 1.0 / (1.0 + frobenius_norm(m.h))
+    parts = np.concatenate([mats.real, mats.imag], axis=2)
+    return weight[:, None, None] * np.swapaxes(parts, 1, 2)
 
+
+@raises_fp_faults
+def sweep_fit(rows: list[np.ndarray]) -> SweepResult:
+    """The least-squares (lam, a, b) of the `sweep_rows` of every block, in
+    order; the reported residual is the RMS over the points of their
+    weighted residual norms."""
     system = np.concatenate(rows).reshape(-1, 4)
     rhs, design = system[:, 0], system[:, 1:]
     solution, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = rhs - design @ solution
-    per_point = resid.reshape(len(points), -1)
+    per_point = resid.reshape(sum(map(len, rows)), -1)
     rms = float(np.sqrt(np.mean(np.sum(per_point**2, axis=1))))
     lam, a, b = (float(v) for v in solution)
     return SweepResult(lam=lam, a=a, b=b, residual=rms)

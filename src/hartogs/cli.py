@@ -8,7 +8,8 @@ digits (`%.17g`, CELL_FORMAT) so files are byte-reproducible and
 round-trip exactly.  `_write_table` formats each row with one `%` on a
 row template built from CELL_FORMAT, giving the same bytes as `fmt` per
 cell.  The argument parser is built once per process (`build_parser`)
-and shared by every `main` call.
+and shared by every `main` call; `parse_args` parses the arguments of a
+subcommand with that subcommand's parser alone, as the top parser would.
 """
 
 from __future__ import annotations
@@ -199,7 +200,15 @@ def cmd_soliton_check(args) -> int:
         else HoloVectorField.zero(args.n)
     )
     points = sample_interior(profile, args.n, args.samples, args.seed, args.min_margin)
-    residuals = [canonical.soliton_residual(profile, p, lam, field) for p in blocks(points)]
+    # each block's metric and Ricci tensor, built once, give its residuals
+    # and its rows of the sweep
+    residuals, rows = [], []
+    for p in blocks(points):
+        m = assemble_metric(profile, p)
+        ric = curvature.ricci_tensor(profile, p, m)
+        residuals.append(canonical.soliton_residual_of(profile, p, m, ric, lam, field))
+        if args.sweep:
+            rows.append(canonical.sweep_rows(profile, p, m, ric))
     # NaN propagates: a non-finite residual fails
     worst = float(np.max(np.concatenate(residuals)))
     ok = worst <= args.tol
@@ -208,7 +217,7 @@ def cmd_soliton_check(args) -> int:
         f"max residual {worst:.6g} (tol {args.tol:g}) -> {'PASS' if ok else 'FAIL'}"
     )
     if args.sweep:
-        sweep = canonical.soliton_sweep(profile, points)
+        sweep = canonical.sweep_fit(rows)
         print(
             f"  least-squares sweep over all holomorphic fields (invariant fit "
             f"a={sweep.a:.6g}, b={sweep.b:.6g}): "
@@ -398,10 +407,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one pass: the top parser hands
+    every argument after a subcommand's name to that subcommand's parser,
+    which parses them here alone.  The top parser parses where it words the
+    usage error: no subcommand, an unknown one, or arguments left over."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in names:
+        args, extras = names[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -41,7 +41,8 @@ run with its floating-point faults raised.  The oracles differentiate on purpose
 no derivative formula with what they check, and exactly, with jets: the
 Ricci oracle a second-order jet of log det h over the coordinates, and
 the extremal oracle a jet of A and B along x alone.  Both take a single
-or a stacked record, as one stacked jet.
+or a stacked record, as one stacked jet; the Ricci and metric oracles of
+a record share its jets of x, gap and log gap (`metric.radial_jets`).
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .jet import Jet, JetPoint, log
+from .jet import Jet, log
 from .metric import (
-    DomainPoint, MetricData, _times, jet_x_and_gap, nonsingular_core, raises_fp_faults,
+    DomainPoint, MetricData, _times, nonsingular_core, radial_jets, raises_fp_faults,
     relative_norm, require_interior_record,
 )
 from .profiles import Profile
@@ -165,22 +166,24 @@ def rho_oracle(m: MetricData, ric: np.ndarray) -> np.ndarray:
 def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent Ricci oracle: Ric = -(d^2 / dz dzbar) log det h, from
     one second-order jet of log det h = log det_core - (n+1) log gap
-    stacked over the real coordinates of every point of p; a single record
+    stacked over the real coordinates of every point of p, on the
+    `metric.radial_jets` it shares with the metric oracle; a single record
     is row 0 of a one-point stack.  det h comes from the determinant
     identity, not from the assembled matrix, and only F and det_core are
     read, so the oracle is independent of the defect; its entries are
     exact to rounding.  The `fd` in the name is historical; the
     benchmark's tracer looks the oracle up by it.  Raises NumericError,
     naming the first such point, where det_core or gap is not positive."""
-    w = JetPoint(p.z)
-    x, gap = jet_x_and_gap(profile, w)
+    jets = radial_jets(profile, p)
+    w = jets.w
+    x, gap = jets.x_and_gap
     core = profile.det_core(x)
     undefined = np.logical_or(core <= 0.0, gap <= 0.0)
     if np.any(undefined):
         i = int(np.argmax(undefined))
         raise NumericError(f"log det h undefined at {w.z[i]!r}, x={float(x.val[i])!r} "
                            "(det_core or gap <= 0)")
-    ric = -w.hessian_z_zbar(log(core) - (p.n + 1) * log(gap))
+    ric = -w.hessian_z_zbar(log(core) - (p.n + 1) * jets.log_gap)
     return ric if p.z.ndim > 1 else ric[0]
 
 

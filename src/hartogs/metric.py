@@ -153,12 +153,38 @@ def _x_and_fiber(z):
     return x, fiber
 
 
-def jet_x_and_gap(profile: Profile, w: JetPoint) -> tuple[Jet, Jet]:
-    """(x, gap) as stacked jets over the real coordinates of w, from F
-    alone: the oracles' path to the radial data, independent of
-    `point_record`, with the bits of its x and gap."""
-    x = w.norm_sq(0, 1)
-    return x, profile.eval(x) - w.norm_sq(1, w.n)
+class RadialJets:
+    """The oracles' radial data at the points of a record p, as stacked jets
+    over the real coordinates `w` of its points: (x, gap), from F alone,
+    independent of `point_record` and with the bits of its x and gap, and
+    log gap.  Each is formed when first read, and kept; x outside [0, x0)
+    raises its DomainError where `x_and_gap` is read."""
+
+    def __init__(self, profile: Profile, p: DomainPoint):
+        self.profile, self.p, self.w = profile, p, JetPoint(p.z)
+
+    @functools.cached_property
+    def x_and_gap(self) -> tuple[Jet, Jet]:
+        x = self.w.norm_sq(0, 1)
+        return x, self.profile.eval(x) - self.w.norm_sq(1, self.w.n)
+
+    @functools.cached_property
+    def log_gap(self) -> Jet:
+        return log(self.x_and_gap[1])
+
+
+#: the `RadialJets` last asked for, in a one-element list: the jets of
+#: one block at most are kept
+_last_jets: list[RadialJets] = []
+
+
+def radial_jets(profile: Profile, p: DomainPoint) -> RadialJets:
+    """The `RadialJets` of the record p, those of the last call if it was
+    for the same record and profile: the metric and Ricci oracles of one
+    block share one stack of jets.  A record is never written to."""
+    if not (_last_jets and _last_jets[0].p is p and _last_jets[0].profile is profile):
+        _last_jets[:] = [RadialJets(profile, p)]
+    return _last_jets[0]
 
 
 def nonsingular_core(core, x):
@@ -227,17 +253,18 @@ def kahler_potential(profile: Profile, z) -> float | Jet:
     """Potential Phi(z) = -log(gap(z)); NaN outside the domain.  On a stack
     of points it is Phi at each of them, or NaN if any lies outside.
 
-    z may also be a `JetPoint`: Phi is then a stacked `Jet`, whose Hessian
-    is exact to rounding (`metric_fd_oracle` reads the metric off it).
+    z may also be the `RadialJets` of a record of this profile: Phi is then
+    a stacked `Jet`, -log gap of those jets, whose Hessian is exact to
+    rounding (`metric_fd_oracle` reads the metric off it).
     """
+    jets = isinstance(z, RadialJets)
     try:
-        jet = isinstance(z, JetPoint)
-        gap = jet_x_and_gap(profile, z)[1] if jet else point_record(profile, z).gap
+        gap = z.x_and_gap[1] if jets else point_record(profile, z).gap
     except DomainError:
         return math.nan
     if np.any(gap <= 0.0):
         return math.nan
-    return -log(gap)
+    return -(z.log_gap if jets else log(gap))
 
 
 def _radial(value, axes: int) -> np.ndarray:
@@ -655,12 +682,14 @@ def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     """Independent metric oracle: the mixed complex Hessian of the
     potential, from one second-order jet of `kahler_potential` stacked over
     the real coordinates of the points of p (a single record is row 0 of a
-    one-point stack).  It reads F and nothing else of the profile, and its
-    entries are exact to rounding.  NumericError names the first point
+    one-point stack), on the `radial_jets` it shares with the Ricci oracle.
+    It reads F and nothing else of the profile, and its entries are exact
+    to rounding.  NumericError names the first point
     where x is outside [0, x0) or the gap is not positive.  The `fd` in the
     name is historical; the benchmark's tracer looks the oracle up by it."""
-    w = JetPoint(p.z)
-    phi = kahler_potential(profile, w)
+    jets = radial_jets(profile, p)
+    w = jets.w
+    phi = kahler_potential(profile, jets)
     if not isinstance(phi, Jet):
         x, fiber = w.norm_sq(0, 1).val, w.norm_sq(1, w.n).val
         inside = (0.0 <= x) & (x < profile.x0)

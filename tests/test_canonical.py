@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import hartogs as hg
 import hartogs.canonical
@@ -15,7 +16,7 @@ from hartogs.wirtinger import ComplexStencil
 
 from conftest import (
     FAMILY_IDS, PSEUDOCONVEX_FAMILIES, CubicCap, field_jet_reference, jacobian_from_block,
-    same_bits, scal_gradient_bar, stencil_t_zbar,
+    profile_cases, same_bits, scal_gradient_bar, stencil_t_zbar,
 )
 
 
@@ -350,6 +351,28 @@ class TestSolitonResidual:
         common = ["--profile", "powercap:2", "--n", "3", "--samples", "5", "--seed", "2"]
         assert main(["curvature-scan", *common, "--out", str(tmp_path / "s.csv")]) == 0
         assert main(["extremal-residual", *common]) == 0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=profile_cases())
+@example(case=(CubicCap(1.0 / 3.0, 1.0), 8, 1e-3, 9))
+@example(case=(hg.Rational(), 16, 1e-3, 3))
+def test_zero_field_residual_has_the_lie_path_bits(case):
+    # a field with no monomials forms no Lie term; the residual keeps the
+    # bits of the one that subtracts the Lie derivative of the zero field,
+    # on a stack and at a single point, and still checks the dimension
+    profile, n, margin, seed = case
+    p = hg.sample_interior(profile, n, 6, seed % 1000, margin)
+    zero = HoloVectorField.zero(n)
+    for q in (p, p[2]):
+        m = hg.assemble_metric(profile, q)
+        ric = hg.ricci_tensor(profile, q, m)
+        lie = hg.lie_derivative_components(profile, q, m, zero)
+        for lam in (-(n + 1.0), 0.75):
+            want = hartogs.metric.relative_norm(ric - lam * m.h - lie, m.h)
+            assert same_bits(hg.soliton_residual(profile, q, lam, zero), want), lam
+    with pytest.raises(ValueError, match="dimension"):
+        hg.soliton_residual(profile, p, -1.0, HoloVectorField.zero(n + 1))
 
 
 class TestExtremalResidual:

@@ -541,19 +541,62 @@ class TestSolitonCheck:
 
     def test_nan_residual_is_the_maximum(self, capsys, monkeypatch):
         # Python's max skipped NaN residuals and printed the largest finite
-        # one; the affine residuals are 0 but for the doctored NaN
-        original = hartogs.canonical.soliton_residual
+        # one; the affine residuals are 0 but for the doctored NaN, in the
+        # function the subcommand calls once per block
+        original = hartogs.canonical.soliton_residual_of
 
         def doctored(*args):
             residuals = original(*args).copy()
             residuals[3] = math.nan
             return residuals
 
-        monkeypatch.setattr(hartogs.canonical, "soliton_residual", doctored)
+        monkeypatch.setattr(hartogs.canonical, "soliton_residual_of", doctored)
         code, out, _ = run(capsys, "soliton-check", "--profile", "affine:1,1", "--n", "2",
                            "--samples", "20", "--seed", "1")
         assert code == 1
         assert "max residual nan (tol 1e-08) -> FAIL" in out
+
+    @pytest.mark.parametrize("field", [None, "0,1:1,0|0,1:0,1"])
+    def test_one_metric_and_ricci_per_block(self, capsys, monkeypatch, field):
+        # the residual and the sweep's rows read each block's metric and
+        # Ricci tensor, built once, over two blocks; the printed numbers are
+        # those of the library's residual and sweep, which build them apart
+        prof, block = PowerCap(2), hartogs.metric.BLOCK
+        points = hartogs.metric.sample_interior(prof, 2, block + 9, 3, 0.05)
+        x_field = hartogs.canonical.HoloVectorField.zero(2)
+        if field:
+            x_field = hartogs.canonical.HoloVectorField.from_text(field, 2)
+        worst = max(np.max(hartogs.canonical.soliton_residual(prof, p, -3.0, x_field))
+                    for p in hartogs.metric.blocks(points))
+        sweep = hartogs.canonical.soliton_sweep(prof, points)
+        assembled = count_calls(monkeypatch, hartogs.metric.assemble_metric)
+        ricci = count_calls(monkeypatch, hartogs.curvature.ricci_tensor)
+        code, out, err = run(capsys, "soliton-check", "--profile", "powercap:2", "--n", "2",
+                             "--samples", str(block + 9), "--seed", "3", "--sweep",
+                             *(["--field", field] if field else []))
+        assert code == 1 and err == ""
+        assert [len(args[1]) for args in assembled] == [len(args[1]) for args in ricci]
+        assert [len(args[1]) for args in assembled] == [block, 9]
+        assert f"max residual {worst:.6g} (tol" in out
+        assert (f"a={sweep.a:.6g}, b={sweep.b:.6g}): residual floor {sweep.residual:.6g} "
+                f"at lam={sweep.lam:.6g}\n") in out
+
+    def test_zero_field_forms_no_lie_term(self, capsys, monkeypatch):
+        # without --field the residual forms no Lie derivative, and only
+        # the sweep's rows differentiate h, once per block; with a field
+        # the residual forms one Lie derivative per block
+        argv = ["soliton-check", "--profile", "rational", "--n", "3", "--samples",
+                str(hartogs.metric.BLOCK + 9), "--seed", "2"]
+        want = run(capsys, *argv)
+        lie = count_calls(monkeypatch, hartogs.canonical.lie_derivative_components)
+        along = count_calls(monkeypatch, hartogs.metric.metric_derivative_along)
+        assert run(capsys, *argv) == want and want[0] == 1
+        assert lie == [] and along == []
+        assert run(capsys, *argv, "--sweep")[0] == 1
+        assert lie == [] and len(along) == 2
+        along.clear()
+        assert run(capsys, *argv, "--field", "0,1:1,0,0|0,1:0,1,0|0,1:0,0,1")[0] == 1
+        assert len(lie) == len(along) == 2
 
     @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
     def test_sweep_whole_range(self, capsys, profile):
@@ -973,6 +1016,55 @@ class TestParser:
             hartogs.cli.build_parser.__wrapped__().parse_args(["levi-scan", "--help"])
         assert capsys.readouterr().out == shared
         assert "--samples" in shared
+
+
+SUBCOMMANDS = ["check-pseudoconvex", "curvature-scan", "levi-scan", "extremal-residual",
+               "soliton-check", "verify-theorems"]
+
+
+def parsed(capsys, parse, argv):
+    """(exit code, namespace, stdout, stderr) of parse(argv); the code is
+    None where it returned, the namespace None where it exited."""
+    try:
+        code, args = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, args = exc.code, None
+    captured = capsys.readouterr()
+    return code, args, captured.out, captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["-h"], ["--samp", "5"], ["--n=3"], ["--seed"], ["--no-such-option"], ["--tol", "1", "x"],
+    ["--n", "1"], ["--", "x"],
+], ids=lambda extra: " ".join(extra) or "valid")
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_parser_as_top_parser(capsys, monkeypatch, command, extra):
+    # `cli.parse_args` parses with the subcommand's parser alone where the
+    # top parser would hand it every argument; where the top parser words
+    # the error, it parses with that one.  Either way the namespace, the
+    # exit code and both streams are those of the top parser's parse_args.
+    argv = [command, "--profile", "powercap:2",
+            *(["--out", "x.csv"] if command == "curvature-scan" else []), *extra]
+    parser = hartogs.cli.build_parser()
+    want = parsed(capsys, parser.parse_args, argv)
+    top = []
+    # on the instance's own dict, so that undoing it leaves the shared parser as it was
+    monkeypatch.setitem(vars(parser), "parse_known_args", lambda *args: top.append(args) or
+                        argparse.ArgumentParser.parse_known_args(parser, *args))
+    assert parsed(capsys, hartogs.cli.parse_args, argv) == want
+    if want[0] is None:
+        assert want[1]["command"] == command and want[1]["func"].__name__.startswith("cmd_")
+    # the top parser runs only where it words the error: leftover arguments
+    assert bool(top) == ("usage: hartogs [-h]" in want[3])
+    assert bool(top) == ("unrecognized arguments" in want[3])
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["-h"], ["--profile", "rational"],
+                                  ["--help", "levi-scan"]])
+def test_no_subcommand_as_top_parser(capsys, argv):
+    want = parsed(capsys, hartogs.cli.build_parser().parse_args, argv)
+    assert want[0] in (0, 2)
+    assert parsed(capsys, hartogs.cli.parse_args, argv) == want
 
 
 def test_unknown_subcommand(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hartogs as hg
+import hartogs.cli
 import hartogs.curvature
 import hartogs.metric
 from hartogs.boundary import boundary_point
 from hartogs.errors import NumericError
 from hartogs.jet import Jet, JetPoint, exp, log
-from hartogs.metric import jet_x_and_gap, metric_fd_oracle, point_record, relative_norm
+from hartogs.metric import RadialJets, metric_fd_oracle, point_record, relative_norm
 from hartogs.profiles import Profile
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, profile_cases, same_bits
@@ -234,7 +236,7 @@ def test_jet_x_and_gap_have_the_record_bits(profile, n, margin):
     # the oracles' x and gap are the record's, bit for bit, at every point
     # of a stacked record
     p = hg.sample_interior(profile, n, 40, seed=n, min_margin=margin)
-    x, gap = jet_x_and_gap(profile, JetPoint(p.z))
+    x, gap = RadialJets(profile, p).x_and_gap
     assert same_bits(x.val, p.x) and same_bits(gap.val, p.gap)
 
 
@@ -254,3 +256,44 @@ def test_jet_oracles_agree_to_rounding(case):
     ric = hg.ricci_tensor(profile, p, m)
     assert np.max(relative_norm(m.h - metric_fd_oracle(profile, p), m.h)) <= 1e-13
     assert np.max(relative_norm(ric - hg.ricci_fd_oracle(profile, p), ric)) <= 1e-13
+
+
+def test_oracles_share_one_stack_of_jets(monkeypatch):
+    # the metric and Ricci oracles of one block form its (x, gap) jets and
+    # log gap once, and give the bits each gives alone; another record, or
+    # another profile on the same record, forms its own
+    prof, other = hg.PowerCap(2), hg.ExpDecay(1)
+    p = hg.sample_interior(prof, 3, 12, 5)
+    q = p[:5]
+    alone = {}
+    for key, oracle, profile, record in (("metric", metric_fd_oracle, prof, p),
+                                         ("ricci", hg.ricci_fd_oracle, prof, p),
+                                         ("other", hg.ricci_fd_oracle, other, p),
+                                         ("q", hg.ricci_fd_oracle, prof, q)):
+        hartogs.metric.radial_jets(prof, q)  # some other record's stack
+        alone[key] = oracle(profile, record)
+    formed, logs = [], []
+    original_jets, original_log = RadialJets.x_and_gap.func, hartogs.metric.log
+
+    def counted_jets(self):
+        formed.append(self.profile)
+        return original_jets(self)
+
+    def counted_log(v):
+        logs.append(v)
+        return original_log(v)
+
+    x_and_gap = functools.cached_property(counted_jets)
+    x_and_gap.__set_name__(RadialJets, "x_and_gap")
+    monkeypatch.setattr(RadialJets, "x_and_gap", x_and_gap)
+    monkeypatch.setattr(hartogs.metric, "log", counted_log)
+    assert same_bits(metric_fd_oracle(prof, p), alone["metric"])
+    assert same_bits(hg.ricci_fd_oracle(prof, p), alone["ricci"])
+    assert formed == [prof] and len(logs) == 1
+    assert same_bits(hg.ricci_fd_oracle(other, p), alone["other"])
+    assert same_bits(hg.ricci_fd_oracle(prof, q), alone["q"])
+    assert formed == [prof, other, prof] and len(logs) == 3
+    # in verify-theorems, one stack per block of points
+    formed.clear()
+    results = hartogs.cli.run_verification(prof, 3, hartogs.metric.BLOCK + 9, 2)
+    assert all(r.passed for r in results[:8]) and formed == [prof, prof]

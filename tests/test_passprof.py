@@ -1,7 +1,7 @@
 """The pass profiler (`tools/passprof.py`): it runs a workload's invocation
 list in process, prints a time for each subcommand and each timed
-function and the minor page faults of the best pass, and leaves the CLI
-as it found it."""
+function and the minor page faults of the best pass, and leaves the
+modules it times as it found them."""
 
 import importlib.util
 import os
@@ -19,17 +19,35 @@ with mock.patch.dict(os.environ):
     spec.loader.exec_module(passprof)
 
 
-def test_highdim_pass(capsys):
-    before = {name: getattr(hartogs.cli, name) for name in passprof.TIMED[:3]}
-    assert passprof.main(["highdim", "1", "--repeats", "2"]) == 0
+def profile_pass(capsys, workload):
+    """The printed times of a two-pass profile of `workload` at seed 1,
+    by name, after checking that every timed function is restored."""
+    before = {name: getattr(module, name) for name, module in passprof.TIMED.items()}
+    assert passprof.main([workload, "1", "--repeats", "2"]) == 0
     out = capsys.readouterr().out
-    times = dict(re.findall(r"^  (\S+) +(\d+\.\d{3})", out, re.MULTILINE))
-    assert set(times) == {"extremal-residual", "levi-scan", "check-pseudoconvex", "pass",
-                          *passprof.TIMED}
-    assert times["_write_table"] == "0.000"
     # the faults of the best pass, a count and the last line
     assert re.fullmatch(r"minor page faults of the best pass: \d+", out.splitlines()[-1])
+    assert {name: getattr(module, name) for name, module in passprof.TIMED.items()} == before
+    return {name: float(t) for name, t in re.findall(r"^  (\S+) +(\d+\.\d{3})", out, re.M)}
+
+
+def test_highdim_pass(capsys):
+    times = profile_pass(capsys, "highdim")
+    assert set(times) == {"extremal-residual", "levi-scan", "check-pseudoconvex", "pass",
+                          *passprof.TIMED}
     for name in ("sample_interior", "sample_boundary", "parse_args"):
-        assert 0.0 < float(times[name]) < float(times["pass"])
-    assert {name: getattr(hartogs.cli, name) for name in before} == before
-    assert "parse_args" not in vars(hartogs.cli.build_parser())
+        assert 0.0 < times[name] < times["pass"]
+    for name in ("_write_table", "metric_fd_oracle", "ricci_fd_oracle", "extremal_jet_oracle"):
+        assert times[name] == 0.0
+
+
+def test_verify_pass(capsys):
+    # the subcommand parsers are timed, which the top parser's parse_args
+    # never reaches, and so are the three oracles of verify-theorems
+    times = profile_pass(capsys, "verify")
+    assert set(times) == {"verify-theorems", "soliton-check", "pass", *passprof.TIMED}
+    for name in ("sample_interior", "parse_args", "metric_fd_oracle", "ricci_fd_oracle",
+                 "extremal_jet_oracle"):
+        assert 0.0 < times[name] < times["pass"]
+    assert sum(times[name] for name in passprof.TIMED) < times["pass"]
+    assert times["sample_boundary"] == times["_write_table"] == 0.0

@@ -1,6 +1,6 @@
 """Output census: every CLI run of a fixed grid, as digests or in full.
 
-The grid is six profiles x n = 2, 3, 5, 8 x seeds 0 and 1, and for each
+The grid is seven profiles x n = 2, 3, 5, 8 x seeds 0 and 1, and for each
 `curvature-scan --out`, `extremal-residual` with and without `--out`,
 `levi-scan --out`, `verify-theorems` at the default margin and at
 `--min-margin 1e-3`, the bottom of the advertised margin range, where
@@ -9,7 +9,7 @@ the metric's derivatives steepen like powers of 1/gap, `soliton-check
 all at SAMPLES samples; and `check-pseudoconvex` once per profile, which
 takes no dimension, seed or sample count.  The runs call
 `hartogs.cli.main` in this process, one after another; the grid takes
-about 10 s on one core of a 2-vCPU machine.
+about 4 s on one core of a 2-vCPU machine.
 
 Three modes:
 
@@ -57,7 +57,10 @@ from collections import defaultdict
 
 from hartogs.cli import main
 
-PROFILES = ("affine:1,1", "affine:2,3", "powercap:2", "powercap:0.5", "expdecay:1", "rational")
+#: powercap:1.001, close to affine, puts the obstruction shares of
+#: `verify-theorems` below 100%, so that `--compare` sees how they move
+PROFILES = ("affine:1,1", "affine:2,3", "powercap:2", "powercap:0.5", "expdecay:1", "rational",
+            "powercap:1.001")
 DIMENSIONS = (2, 3, 5, 8)
 SEEDS = (0, 1)
 SAMPLES = 300

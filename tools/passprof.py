@@ -8,9 +8,13 @@ Builds the invocation list of a benchmark workload with
 runs it with `hartogs.cli.main` in this process `--repeats` times (15 by
 default), one BLAS thread.  It prints the best-of-k milliseconds of each
 subcommand and of the whole pass, then the best-of-k milliseconds of the
-time spent inside `sample_interior`, `sample_boundary`, `_write_table` and
-the parser's `parse_args`, each with its share of the best pass.  None of
-the four calls another, so their shares add.  Last it prints the minor
+time spent inside `sample_interior`, `sample_boundary`, `_write_table`,
+the CLI's `parse_args` (the subcommand's own parser, or the top parser
+where that one words a usage error) and the oracles of `verify-theorems`
+(`metric_fd_oracle`, `ricci_fd_oracle`, `extremal_jet_oracle`), each with
+its share of the best pass.  None of them calls another, so their shares
+add; the metric and Ricci oracles of a block share one stack of jets,
+which the first to run builds.  Last it prints the minor
 page faults of the best pass (`ru_minflt` of `resource.getrusage`):
 pages the kernel gave the process again, most of them freed to it by
 `free` at the top of the heap and written anew.  The first pass pays the
@@ -39,10 +43,14 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
-from hartogs import cli  # noqa: E402
+from hartogs import cli, curvature, metric  # noqa: E402
 
-#: the functions timed inside a pass, by the name printed
-TIMED = ("sample_interior", "sample_boundary", "_write_table", "parse_args")
+#: the functions timed inside a pass, by the name printed, each with the
+#: module the CLI looks it up in at call time
+TIMED = {
+    "sample_interior": cli, "sample_boundary": cli, "_write_table": cli, "parse_args": cli,
+    "metric_fd_oracle": metric, "ricci_fd_oracle": curvature, "extremal_jet_oracle": curvature,
+}
 
 
 def _timed(fn, name: str, spent: dict[str, float]):
@@ -57,19 +65,16 @@ def _timed(fn, name: str, spent: dict[str, float]):
 
 @contextlib.contextmanager
 def _instrumented(spent: dict[str, float]):
-    """`hartogs.cli` with the TIMED functions adding their time to
-    `spent`; the subcommands look them up there at call time."""
-    parser = cli.build_parser()
-    saved = {name: getattr(cli, name) for name in TIMED[:3]}
+    """The TIMED functions adding their time to `spent`, on the modules
+    the CLI looks them up in at call time."""
+    saved = {name: getattr(module, name) for name, module in TIMED.items()}
     for name, fn in saved.items():
-        setattr(cli, name, _timed(fn, name, spent))
-    parser.parse_args = _timed(parser.parse_args, "parse_args", spent)
+        setattr(TIMED[name], name, _timed(fn, name, spent))
     try:
         yield
     finally:
         for name, fn in saved.items():
-            setattr(cli, name, fn)
-        del parser.parse_args
+            setattr(TIMED[name], name, fn)
 
 
 def run_pass(argvs: list[list[str]]) -> tuple[dict[str, float], dict[str, float], int]:
