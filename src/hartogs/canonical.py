@@ -40,11 +40,12 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import curvature_at, ricci_tensor, scalar_curvature_at
+from .errors import Frozen
 from .metric import (
     DomainPoint,
     MetricData,
@@ -64,31 +65,31 @@ from .profiles import Affine, Profile
 Monomial = tuple[complex, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class HoloVectorField:
+class HoloVectorField(Frozen):
     """Holomorphic vector field with polynomial component functions.
 
     Component k is sum_m coeff_m * z^exps_m (z only, never zbar, so each
     component is holomorphic by construction).  Exponents are
-    non-negative and fit a numpy integer.
+    non-negative and fit a numpy integer.  A field is immutable.
     """
 
-    n: int
-    components: tuple[tuple[Monomial, ...], ...]
+    __slots__ = ("n", "components")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, components: tuple[tuple[Monomial, ...], ...]):
+        if n < 2:
             raise ValueError("fields need at least two components")
-        if len(self.components) != self.n:
-            raise ValueError(f"expected {self.n} components, got {len(self.components)}")
-        for comp in self.components:
+        if len(components) != n:
+            raise ValueError(f"expected {n} components, got {len(components)}")
+        for comp in components:
             for _, exps in comp:
-                if len(exps) != self.n:
-                    raise ValueError(f"monomial exponents {exps!r} do not match n={self.n}")
+                if len(exps) != n:
+                    raise ValueError(f"monomial exponents {exps!r} do not match n={n}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps!r}")
                 if any(e > np.iinfo(np.int_).max for e in exps):
                     raise ValueError(f"exponent in {exps!r} is too large")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def zero(cls, n: int) -> "HoloVectorField":
@@ -261,8 +262,7 @@ def pullback_check(c1: float, c2: float, p: DomainPoint):
     return relative_norm(pulled - h_src, h_src)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Best least-squares soliton candidate: lam and the invariant field
     X = a z_0 d/dz_0 + b z'.d/dz'."""
 

@@ -20,8 +20,7 @@ import functools
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -226,22 +225,22 @@ def cmd_soliton_check(args) -> int:
     return 0 if ok else 1
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One `verify-theorems` check: a measure that takes one block of
     samples, `(profile, p, m, data)` with their stacked record p, its
     metric m and its curvature data, and returns one value per sample; and
     how the values reduce to a verdict.  A bound passes when the largest
     value is at most `tol`; an obstruction passes when at least
     OBSTRUCTION_SHARE of the values are at least `tol`, and prints its
-    share rounded down, so a failing share never reads as the minimum."""
+    share rounded down, so a failing share never reads as the minimum.
+    A check is an immutable record: `check._replace(tol=...)` gives a
+    variant, as the classification checks are made obstructions."""
 
     name: str
     label: str
@@ -319,7 +318,7 @@ def run_verification(
     affine = isinstance(profile, Affine)
     checks = list(ORACLE_CHECKS)
     for check in CLASSIFICATIONS:
-        checks.append(check if affine else replace(check, tol=FAIL_FLOOR, obstruction=True))
+        checks.append(check if affine else check._replace(tol=FAIL_FLOOR, obstruction=True))
     if affine:
         checks.append(Check(
             "pullback_isometry", "rel", 1e-10,

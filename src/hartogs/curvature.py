@@ -48,7 +48,7 @@ a record share its jets of x, gap and log gap (`metric.radial_jets`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ from .metric import (
 from .profiles import Profile
 
 
-@dataclass(frozen=True)
-class ScalarCurvature:
+class ScalarCurvature(NamedTuple):
     """What the point record alone gives, at one point or at every point
     of a stack along a leading axis (see `scalar_curvature_at`): the
     defect, the scalar curvature, the radial slope functional, the
@@ -77,11 +76,17 @@ class ScalarCurvature:
     extremal: float
 
 
-@dataclass(frozen=True)
-class CurvatureData(ScalarCurvature):
-    """`ScalarCurvature` with the Ricci matrix and the Einstein residual,
-    which read the metric matrix too (see `curvature_at`)."""
+class CurvatureData(NamedTuple):
+    """The fields of `ScalarCurvature`, in its order, then the Ricci matrix
+    and the Einstein residual, which read the metric matrix too (see
+    `curvature_at`)."""
 
+    defect: float
+    scal: float
+    slope: float
+    rho: np.ndarray
+    dbar: np.ndarray
+    extremal: float
     ric: np.ndarray
     einstein: float
 
@@ -268,5 +273,4 @@ def curvature_at(profile: Profile, p: DomainPoint, m: MetricData) -> CurvatureDa
     assembled from the record p; of m it reads only h."""
     scalar = scalar_curvature_at(profile, p)
     ric = _ricci(p, m, scalar.defect)
-    return CurvatureData(**vars(scalar), ric=ric,
-                         einstein=relative_norm(ric + (p.n + 1) * m.h, m.h))
+    return CurvatureData(*scalar, ric, relative_norm(ric + (p.n + 1) * m.h, m.h))

@@ -1,5 +1,6 @@
-"""Exception taxonomy shared by all modules, and the two settings of
-numpy's floating-point faults (`raises_fp_faults`, `float_faults`)."""
+"""Exception taxonomy shared by all modules, the two settings of numpy's
+floating-point faults (`raises_fp_faults`, `float_faults`), and the base
+of the package's immutable classes (`Frozen`)."""
 
 import functools
 
@@ -44,3 +45,17 @@ raises_fp_faults = _with_faults(divide="raise", over="raise", invalid="raise")
 #: the faults of Python's floats, for closed forms once evaluated on them: a
 #: division by zero raises, an overflow gives inf and an invalid operation NaN
 float_faults = _with_faults(divide="raise", over="ignore", invalid="ignore")
+
+
+class Frozen:
+    """Base of the package's immutable `__slots__` classes: `__init__` sets
+    each slot once with `object.__setattr__`, and afterwards assigning or
+    deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -40,12 +40,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    DomainError, NumericError, SamplingError, SingularityError, float_faults, raises_fp_faults,
+    DomainError, Frozen, NumericError, SamplingError, SingularityError, float_faults,
+    raises_fp_faults,
 )
 from .jet import Jet, JetPoint, log
 from .profiles import Profile, interior_x_max
@@ -62,8 +63,7 @@ BLOCK = 256
 ROUND = 16 * BLOCK
 
 
-@dataclass(frozen=True)
-class DomainPoint:
+class DomainPoint(Frozen):
     """Interior or boundary point with its radial data, built by
     `point_record` through `contains` or `boundary.boundary_point`.
 
@@ -76,16 +76,18 @@ class DomainPoint:
 
     A stacked record holds N points, z of shape (N, n) and each radial
     field of shape (N,): a sequence of single records, sliced or masked.
+    A record is immutable; `_fields` names its fields in order and
+    `_replace` gives a copy with some of them changed, as on a NamedTuple.
     """
 
-    z: np.ndarray
-    x: float
-    gap: float
-    margin: float
-    f: float
-    d1: float
-    d2: float
-    det_core: float
+    __slots__ = _fields = ("z", "x", "gap", "margin", "f", "d1", "d2", "det_core")
+
+    def __init__(self, z, x, gap, margin, f, d1, d2, det_core):
+        for name, value in zip(self._fields, (z, x, gap, margin, f, d1, d2, det_core)):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes) -> DomainPoint:
+        return DomainPoint(**{**{name: getattr(self, name) for name in self._fields}, **changes})
 
     @property
     def n(self) -> int:
@@ -95,20 +97,16 @@ class DomainPoint:
         return len(self.x)
 
     def __getitem__(self, index) -> DomainPoint:
-        return DomainPoint(*(getattr(self, name)[index] for name in _FIELDS))
+        return DomainPoint(*(getattr(self, name)[index] for name in self._fields))
 
 
-@dataclass(frozen=True)
-class MetricData:
+class MetricData(NamedTuple):
     """Metric matrix with determinant and closed-form inverse, with the
     leading point axis of a stacked record."""
 
     h: np.ndarray
     det: float
     h_inv: np.ndarray
-
-
-_FIELDS = tuple(f.name for f in fields(DomainPoint))
 
 
 def blocks(points: DomainPoint) -> list[DomainPoint]:
@@ -674,7 +672,8 @@ def sample_interior(
         runs.append(p if passed.all() else p[passed])
         found += len(runs[-1])
     if len(runs) > 1:
-        runs = [DomainPoint(*(np.concatenate([getattr(r, f) for r in runs]) for f in _FIELDS))]
+        fields = DomainPoint._fields
+        runs = [DomainPoint(*(np.concatenate([getattr(r, f) for r in runs]) for f in fields))]
     return runs[0]
 
 

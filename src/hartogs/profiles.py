@@ -22,12 +22,11 @@ family states it in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, float_faults
+from .errors import DomainError, Frozen, float_faults
 from .jet import exp, power
 
 #: interior grids and samplers stay at least this relative distance from x0
@@ -50,13 +49,16 @@ def _require_domain(profile: Profile, x) -> None:
         raise DomainError(f"x={first!r} outside [0, {profile.x0!r}) for {profile.label()}")
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """Base class for profile families.
 
-    A family's dataclass fields are its parameters: each must be finite
-    and > 0, and they alone make up its label `family:f1,f2` and its CLI
-    arity.  Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3`
+    A family's `params` name its parameters, in order, and `defaults` gives
+    the value of any that may be left out.  Each must be finite and > 0,
+    and they alone make up its label `family:f1,f2`, its CLI arity, its
+    equality (same family, same values), its hash and its repr, which
+    reads like the call that builds it (`PowerCap(p=2.0)`).  A profile is
+    immutable: assigning or deleting an attribute raises AttributeError.
+    Subclasses provide the closed forms `_f`, `_d1`, `_d2`, `_d3`
     (value and first three derivatives), the domain bound `x0`, optionally
     a simplified `det_core` and a `radial` that shares work between them,
     the pseudoconvexity `margin`, and the radial curvature functionals
@@ -67,18 +69,41 @@ class Profile:
     differentiate them, and nothing else of the family.
     """
 
+    __slots__ = params = ()
+    defaults: dict[str, float] = {}
     family = "base"
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __init__(self, *args, **kwargs):
+        names = self.params
+        given = {**self.defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]) \
+                or len(given) < len(names):
+            raise TypeError(f"{type(self).__name__} takes {names}, got {args!r} and {kwargs!r}")
+        for name in names:
+            value = given[name]
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{self.family} profile needs finite {field.name} > 0, got {value!r}")
+                raise ValueError(f"{self.family} profile needs finite {name} > 0, got {value!r}")
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.params)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.params)
+        return f"{type(self).__qualname__}({args})"
 
     def label(self) -> str:
         # `:g` where it reads back as the same float, else every digit, so
         # that parse_profile(label) gives this profile again
-        values = [getattr(self, field.name) for field in fields(self)]
+        values = self._values()
         params = ",".join(f"{v:g}" if float(f"{v:g}") == v else repr(float(v)) for v in values)
         return f"{self.family}:{params}" if params else self.family
 
@@ -137,13 +162,10 @@ class Profile:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Affine(Profile):
     """F(x) = c1 - c2 x on [0, c1/c2)."""
 
-    c1: float
-    c2: float
-
+    __slots__ = params = ("c1", "c2")
     family = "affine"
 
     @property
@@ -181,12 +203,10 @@ class Affine(Profile):
         return _constant(0.0, x)
 
 
-@dataclass(frozen=True)
 class PowerCap(Profile):
     """F(x) = (1 - x)^p on [0, 1)."""
 
-    p: float
-
+    __slots__ = params = ("p",)
     family = "powercap"
     x0 = 1.0
 
@@ -218,12 +238,10 @@ class PowerCap(Profile):
         return (2.0 * self.p - 2.0) * (self.p + 1.0) * power(1.0 - x, -self.p - 2.0)
 
 
-@dataclass(frozen=True)
 class ExpDecay(Profile):
     """F(x) = exp(-a x) on [0, inf)."""
 
-    rate: float
-
+    __slots__ = params = ("rate",)
     family = "expdecay"
     x0 = math.inf
 
@@ -262,10 +280,10 @@ class ExpDecay(Profile):
         return 2.0 * self.rate * self.rate * exp(self.rate * x)
 
 
-@dataclass(frozen=True)
 class Rational(Profile):
     """F(x) = 1/(1 + x) on [0, inf)."""
 
+    __slots__ = ()
     family = "rational"
     x0 = math.inf
 
@@ -297,15 +315,14 @@ class Rational(Profile):
         return _constant(0.0, x)
 
 
-@dataclass(frozen=True)
 class ConstantProbe(Profile):
     """F identically constant.  Violates the decreasing hypothesis on
     purpose: the margin is identically zero, the metric determinant
     vanishes, and the boundary fails strict Levi positivity.  Test-only;
     not reachable from the CLI profile parser."""
 
-    level: float = 1.0
-
+    __slots__ = params = ("level",)
+    defaults = {"level": 1.0}
     family = "constant-probe"
     x0 = math.inf
 
@@ -385,7 +402,7 @@ def parse_profile(text: str) -> Profile:
         known = ", ".join(sorted(_CLI_FAMILIES))
         raise ValueError(f"unknown profile family {name!r} (known: {known})")
     cls = _CLI_FAMILIES[name]
-    arity = len(fields(cls))
+    arity = len(cls.params)
     raw = argstr.split(",") if argstr else []
     if len(raw) != arity:
         raise ValueError(f"profile {name!r} takes {arity} parameter(s), got {len(raw)} in {text!r}")

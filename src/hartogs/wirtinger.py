@@ -20,11 +20,9 @@ the boundary is at least ten steps, and any non-finite stencil value raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NumericError
+from .errors import Frozen, NumericError
 
 
 def _stencil_values(f, z, alpha, h):
@@ -50,18 +48,19 @@ def _pair_fixed(f, z, alpha, h):
     return 0.5 * (du - 1j * dv), 0.5 * (du + 1j * dv)
 
 
-@dataclass(frozen=True)
-class ComplexStencil:
+class ComplexStencil(Frozen):
     """Second-order central stencil with per-coordinate step scaling.
 
-    The effective step along coordinate k is `step * (1 + |z_k|)`.
+    The effective step along coordinate k is `step * (1 + |z_k|)`.  A
+    stencil is immutable.
     """
 
-    step: float = 1e-4
+    __slots__ = ("step",)
 
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"stencil step must be positive, got {self.step}")
+    def __init__(self, step: float = 1e-4):
+        if not step > 0:
+            raise ValueError(f"stencil step must be positive, got {step}")
+        object.__setattr__(self, "step", step)
 
     def scaled_step(self, z, alpha: int) -> float:
         return self.step * (1.0 + abs(z[alpha]))

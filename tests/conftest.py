@@ -1,6 +1,5 @@
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -68,7 +67,6 @@ def _cap_forms(coefficients):
             "defect": (defect, 2), "slope_d1": (slope_d1, 4), "slope_d2": (slope_d2, 5)}
 
 
-@dataclass(frozen=True)
 class QuadCap(Profile):
     """Test-only family F(x) = 1 - x - c x^2 on [0, x0), x0 the positive
     root of F.  Its det_core is 1 + 4cx - cx^2 >= 1 and its margin
@@ -77,8 +75,7 @@ class QuadCap(Profile):
     zero (`hartogs.curvature`).  Every closed form is a polynomial of
     `_cap_forms` by Horner's rule, over a power of det_core."""
 
-    c: float
-
+    __slots__ = params = ("c",)
     family = "quadcap"
 
     @property
@@ -121,7 +118,6 @@ class QuadCap(Profile):
         return self._form("slope_d2", x)
 
 
-@dataclass(frozen=True)
 class CubicCap(QuadCap):
     """Test-only family F(x) = 1 - x - c x^2 - d x^3 on [0, x0), x0 the
     positive root of F.  F > 0 and F' + x F'' < 0 there, so det_core > 0.
@@ -129,8 +125,8 @@ class CubicCap(QuadCap):
     `curvature_at`, which enter multiplied by A: on QuadCap F''' is 0, and
     on the CLI families A is."""
 
-    d: float
-
+    __slots__ = ("d",)
+    params = ("c", "d")
     family = "cubiccap"
 
     @property

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -219,7 +218,7 @@ class TestRestrictedLevi:
             # lookups stop at the family class, which need not define the name
             monkeypatch.setattr(type(profile), name, refuse, raising=False)
         for b, w in zip(points, want):
-            poisoned = dataclasses.replace(b, f=math.nan, det_core=math.nan)
+            poisoned = b._replace(f=math.nan, det_core=math.nan)
             for record in (b, poisoned):
                 assert abs(levi_compression_oracle(profile, record) - w) <= 1e-12 * (1.0 + abs(w))
 

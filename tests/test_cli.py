@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import importlib
 import json
 import math
@@ -473,7 +472,7 @@ class TestExtremalResidual:
                 if len(calls) == doctored_block + 1:
                     extremal = data.extremal.copy()
                     extremal[3] = value
-                    data = dataclasses.replace(data, extremal=extremal)
+                    data = data._replace(extremal=extremal)
                 return data
 
             monkeypatch.setattr(hartogs.curvature, "scalar_curvature_at", doctored)
@@ -733,7 +732,7 @@ class TestVerifyTheorems:
             def wrong(profile, p):
                 assert p.z.shape == (5, 2)
                 m = assemble(profile, p)
-                return dataclasses.replace(m, h_inv=m.h_inv + 1e-6 * np.eye(p.n))
+                return m._replace(h_inv=m.h_inv + 1e-6 * np.eye(p.n))
 
             monkeypatch.setattr(hartogs.cli, "assemble_metric", wrong)
         else:
@@ -742,7 +741,7 @@ class TestVerifyTheorems:
             def wrong(profile, p, m):
                 assert p.z.shape == (5, 2)
                 data = curvature_at(profile, p, m)
-                return dataclasses.replace(data, ric=data.ric + 1e-6 * np.eye(p.n))
+                return data._replace(ric=data.ric + 1e-6 * np.eye(p.n))
 
             monkeypatch.setattr(hartogs.curvature, "curvature_at", wrong)
         code, out, _ = run(capsys, "verify-theorems", "--profile", "affine:1,1",
@@ -795,7 +794,7 @@ class TestVerifyTheorems:
                 m = assemble(profile, p)
                 h = m.h.copy()
                 h[..., 0, 0] *= 1.0 + 1e-9
-                return dataclasses.replace(m, h=h)
+                return m._replace(h=h)
 
             monkeypatch.setattr(hartogs.cli, "assemble_metric", wrong)
             check = "metric_vs_fd_hessian"
@@ -892,10 +891,12 @@ def test_runs_import_no_numpy_random():
     # sampling draws from integer arithmetic: neither `import hartogs.cli`
     # nor a run of the sampling subcommands imports `numpy.random`, whose
     # bit generators pull in OpenSSL's `_hashlib` through `secrets`, nor
-    # any other module of numpy or hartogs after the import
+    # any other module of numpy or hartogs after the import and the parser;
+    # and no start-up generates code: nothing imports `dataclasses`
     script = """
 import json, sys, tempfile
 import hartogs.cli
+hartogs.cli.build_parser()
 imported = set(sys.modules)
 out = tempfile.mkdtemp() + "/s.csv"
 for argv in (["curvature-scan", "--out", out], ["extremal-residual"], ["levi-scan"],
@@ -911,6 +912,7 @@ print(json.dumps([sorted(imported), sorted(set(sys.modules) - imported)]))
     heavy = {"numpy.random", "_hashlib", "secrets", "hmac"}
     assert heavy.isdisjoint(imported) and heavy.isdisjoint(added)
     assert [m for m in added if m.split(".")[0] in ("numpy", "hartogs")] == []
+    assert "dataclasses" not in imported and "dataclasses" not in added
 
 
 @pytest.mark.parametrize("command", ["curvature-scan", "extremal-residual"])

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -225,7 +224,7 @@ def test_oracles_reject_undefined_potential():
     z = stack.z.copy()
     z[1, 0] = 2.0
     with pytest.raises(NumericError) as err:
-        metric_fd_oracle(prof, dataclasses.replace(stack, z=z))
+        metric_fd_oracle(prof, stack._replace(z=z))
     assert repr(z[1]) in str(err.value)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import hartogs as hg
+import hartogs.cli
 import hartogs.metric
 import hartogs.profiles
 from hartogs.boundary import boundary_point, sample_boundary
@@ -91,13 +92,13 @@ class TestContains:
         z = np.array([[0.1, 0.2], [0.3, 0.1j], [0.2j, -0.4]])
         p = hg.contains(prof, z)
         assert np.shares_memory(p.z, z)
-        for name in hartogs.metric._FIELDS:
+        for name in hg.DomainPoint._fields:
             assert np.shares_memory(getattr(p, name), getattr(records[-1], name)), name
         # with points outside, the others keep their order and their bits
         mixed = np.array([[0.1, 2.0], [0.1, 0.2], [0.9, 0.5], [0.3, 0.1j], [0.2j, -0.4]])
         kept = hg.contains(prof, mixed)
         assert not np.shares_memory(kept.z, mixed)
-        for name in hartogs.metric._FIELDS:
+        for name in hg.DomainPoint._fields:
             assert same_bits(getattr(kept, name), getattr(p, name)), name
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
@@ -600,3 +601,28 @@ def test_potential_nan_outside():
     assert math.isnan(hg.kahler_potential(prof, np.array([0, 1.5], complex)))
     assert math.isnan(hg.kahler_potential(prof, np.array([1.2, 0], complex)))
     assert hg.kahler_potential(prof, np.zeros(2, complex)) == 0.0
+
+
+def test_records_are_immutable_and_replace_one_field():
+    # a point record, single and stacked, the metric, the curvature data
+    # and a verify check: no field can be assigned or deleted, nor another
+    # attribute added, and `_replace` changes the named field alone, every
+    # other field being the very object it was, so bit for bit the same
+    prof = hg.PowerCap(2)
+    p = hg.sample_interior(prof, 3, 4, seed=7)
+    m = hg.assemble_metric(prof, p)
+    records = (p, p[1], m, hg.curvature_at(prof, p, m), hartogs.cli.ORACLE_CHECKS[0])
+    for record in records:
+        for name in (*record._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        for name in record._fields:
+            marker = object()
+            changed = record._replace(**{name: marker})
+            assert type(changed) is type(record) and changed is not record
+            for other in record._fields:
+                want = marker if other == name else getattr(record, other)
+                assert getattr(changed, other) is want, (type(record).__name__, name, other)
+    assert p._fields == ("z", "x", "gap", "margin", "f", "d1", "d2", "det_core")

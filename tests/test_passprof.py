@@ -1,7 +1,7 @@
 """The pass profiler (`tools/passprof.py`): it runs a workload's invocation
 list in process, prints a time for each subcommand and each timed
-function and the minor page faults of the best pass, and leaves the
-modules it times as it found them."""
+function, the cold start of fresh interpreters and the minor page faults
+of the best pass, and leaves the modules it times as it found them."""
 
 import importlib.util
 import os
@@ -25,7 +25,12 @@ def profile_pass(capsys, workload):
     before = {name: getattr(module, name) for name, module in passprof.TIMED.items()}
     assert passprof.main([workload, "1", "--repeats", "2"]) == 0
     out = capsys.readouterr().out
-    # the faults of the best pass, a count and the last line
+    # the cold start, three positive times, and the faults of the best
+    # pass, a count and the last line
+    cold = re.fullmatch(r"cold start, best of 2 fresh interpreters, ms: numpy (\d+\.\d{3}), "
+                        r"hartogs\.cli (\d+\.\d{3}), build_parser (\d+\.\d{3})",
+                        out.splitlines()[-2])
+    assert cold and all(float(ms) > 0.0 for ms in cold.groups())
     assert re.fullmatch(r"minor page faults of the best pass: \d+", out.splitlines()[-1])
     assert {name: getattr(module, name) for name, module in passprof.TIMED.items()} == before
     return {name: float(t) for name, t in re.findall(r"^  (\S+) +(\d+\.\d{3})", out, re.M)}

@@ -335,3 +335,69 @@ def test_label_names_the_profile(profile):
     # the label that starts every output line and fills the CSV profile
     # column reads back as the same profile, every parameter to the bit
     assert parse_profile(profile.label()) == profile
+
+
+#: each family once, with the repr and label it has as a dataclass; QuadCap
+#: and CubicCap carry their parameters through `params`, like the others
+FAMILY_RECORDS = [
+    (hg.PowerCap(2.0), "PowerCap(p=2.0)", "powercap:2"),
+    (hg.Affine(1.0, 2.0), "Affine(c1=1.0, c2=2.0)", "affine:1,2"),
+    (hg.ExpDecay(0.5), "ExpDecay(rate=0.5)", "expdecay:0.5"),
+    (hg.Rational(), "Rational()", "rational"),
+    (hg.ConstantProbe(), "ConstantProbe(level=1.0)", "constant-probe:1"),
+    (QuadCap(3.0), "QuadCap(c=3.0)", "quadcap:3"),
+    (CubicCap(1.0 / 3.0, 1.0), "CubicCap(c=0.3333333333333333, d=1.0)",
+     "cubiccap:0.3333333333333333,1"),
+]
+
+
+@pytest.mark.parametrize("profile, text, label", FAMILY_RECORDS,
+                         ids=[label for _, _, label in FAMILY_RECORDS])
+def test_family_is_an_immutable_value(profile, text, label):
+    assert repr(profile) == text and profile.label() == label
+    # equal and hashed on the family and the values, as built again
+    again = type(profile)(*(getattr(profile, name) for name in profile.params))
+    assert again == profile and hash(again) == hash(profile) and again is not profile
+    if profile.family in ("powercap", "affine", "expdecay", "rational"):
+        parsed = parse_profile(label)
+        assert parsed == profile and hash(parsed) == hash(profile)
+    for name in (*profile.params, "family", "other"):
+        with pytest.raises(AttributeError):
+            setattr(profile, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(profile, name)
+    assert repr(profile) == text
+
+
+def test_families_differ_with_equal_values():
+    assert hg.PowerCap(2.0) != hg.ExpDecay(2.0) and hg.ExpDecay(2.0) != hg.PowerCap(2.0)
+    assert QuadCap(2.0) != hg.PowerCap(2.0) and CubicCap(2.0, 1.0) != QuadCap(2.0)
+    assert hg.Rational() == hg.Rational() and hg.Rational() != hg.ConstantProbe()
+    assert hg.ConstantProbe() == hg.ConstantProbe(1.0) == hg.ConstantProbe(level=1.0)
+
+
+def test_parameter_wordings():
+    for make, wording in [
+        (lambda: hg.PowerCap(0), "powercap profile needs finite p > 0, got 0"),
+        (lambda: hg.Affine(1.0, -2.0), "affine profile needs finite c2 > 0, got -2.0"),
+        (lambda: hg.ExpDecay(math.nan), "expdecay profile needs finite rate > 0, got nan"),
+        (lambda: hg.ConstantProbe(math.inf),
+         "constant-probe profile needs finite level > 0, got inf"),
+        (lambda: QuadCap(-1.0), "quadcap profile needs finite c > 0, got -1.0"),
+        (lambda: CubicCap(1.0, 0.0), "cubiccap profile needs finite d > 0, got 0.0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == wording
+    for text, wording in [
+        ("affine:1", "profile 'affine' takes 2 parameter(s), got 1 in 'affine:1'"),
+        ("powercap", "profile 'powercap' takes 1 parameter(s), got 0 in 'powercap'"),
+        ("rational:1", "profile 'rational' takes 0 parameter(s), got 1 in 'rational:1'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_profile(text)
+        assert str(err.value) == wording
+    for make in (lambda: hg.PowerCap(), lambda: hg.PowerCap(1.0, 2.0), lambda: hg.Rational(1.0),
+                 lambda: hg.PowerCap(2.0, p=3.0), lambda: hg.ExpDecay(p=1.0)):
+        with pytest.raises(TypeError):
+            make()

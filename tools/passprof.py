@@ -14,13 +14,18 @@ where that one words a usage error) and the oracles of `verify-theorems`
 (`metric_fd_oracle`, `ricci_fd_oracle`, `extremal_jet_oracle`), each with
 its share of the best pass.  None of them calls another, so their shares
 add; the metric and Ricci oracles of a block share one stack of jets,
-which the first to run builds.  Last it prints the minor
-page faults of the best pass (`ru_minflt` of `resource.getrusage`):
-pages the kernel gave the process again, most of them freed to it by
-`free` at the top of the heap and written anew.  The first pass pays the
-imports and caches of the process, which the benchmark's fresh
-interpreters pay too; best-of-k leaves them out.  Verdicts are not
-checked here: `perfbench/run.py` does that.
+which the first to run builds.  The first pass pays the imports and
+caches of the process, which the benchmark's fresh interpreters pay too;
+best-of-k leaves them out.  So the cold start is timed apart, in
+`--repeats` fresh interpreters that import the same `hartogs`: the
+best-of-k milliseconds of `import numpy`, then of `import hartogs.cli`,
+the package's own part, then of `build_parser()`.  Together they are the
+span of the benchmark's `setup_s`; like it they compile the package
+where no bytecode is cached (as under PYTHONDONTWRITEBYTECODE).  Last
+it prints the minor page faults of the best pass (`ru_minflt` of
+`resource.getrusage`): pages the kernel gave the process again, most of
+them freed to it by `free` at the top of the heap and written anew.
+Verdicts are not checked here: `perfbench/run.py` does that.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import contextlib
 import io
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -51,6 +57,31 @@ TIMED = {
     "sample_interior": cli, "sample_boundary": cli, "_write_table": cli, "parse_args": cli,
     "metric_fd_oracle": metric, "ricci_fd_oracle": curvature, "extremal_jet_oracle": curvature,
 }
+
+
+#: the cold start, run in a fresh interpreter: it prints the seconds of
+#: `import numpy`, of `import hartogs.cli` after it, and of `build_parser()`
+COLD_START = """
+import time
+marks = [time.perf_counter()]
+import numpy
+marks.append(time.perf_counter())
+import hartogs.cli
+marks.append(time.perf_counter())
+hartogs.cli.build_parser()
+marks.append(time.perf_counter())
+print(*(b - a for a, b in zip(marks, marks[1:])))
+"""
+
+
+def cold_start(repeats: int) -> list[float]:
+    """Best-of-`repeats` seconds of each step of COLD_START, each run in a
+    fresh interpreter that imports the `hartogs` this process imported."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = [subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                           text=True, check=True).stdout.split() for _ in range(repeats)]
+    return [min(float(run[step]) for run in runs) for step in range(3)]
 
 
 def _timed(fn, name: str, spent: dict[str, float]):
@@ -115,6 +146,9 @@ def main(argv=None) -> int:
     for name in TIMED:
         best = min(spent[name] for _, spent, _ in passes)
         print(f"  {name:<22} {1e3 * best:9.3f}  {best / best_pass:6.1%}")
+    numpy_s, package_s, parser_s = cold_start(args.repeats)
+    print(f"cold start, best of {args.repeats} fresh interpreters, ms: numpy {1e3 * numpy_s:.3f}, "
+          f"hartogs.cli {1e3 * package_s:.3f}, build_parser {1e3 * parser_s:.3f}")
     print(f"minor page faults of the best pass: {faults}")
     return 0
 
