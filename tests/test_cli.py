@@ -1,6 +1,7 @@
 import argparse
 import csv
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hartogs
 import hartogs.boundary
@@ -23,6 +26,8 @@ from hartogs.cli import Check, fmt, main, run_verification
 from hartogs.profiles import Affine, PowerCap
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, CubicCap
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: the `verify-theorems` checks on every profile, in order; affine profiles
 #: add pullback_isometry
@@ -1037,8 +1042,9 @@ def parsed(capsys, parse, argv):
 
 @pytest.mark.parametrize("extra", [
     [], ["-h"], ["--samp", "5"], ["--n=3"], ["--seed"], ["--no-such-option"], ["--tol", "1", "x"],
-    ["--n", "1"], ["--", "x"],
-], ids=lambda extra: " ".join(extra) or "valid")
+    ["--n", "1"], ["--", "x"], ["--seed", "1", "--seed", "2"], ["--sweep", "--sweep"],
+    ["--seed", "-1"], ["--tol", "-1e3"], ["--out", ""], ["--profile", "--n"], ["--n", "x"],
+], ids=lambda extra: " ".join(repr(a) if a == "" else a for a in extra) or "valid")
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_subcommand_parser_as_top_parser(capsys, monkeypatch, command, extra):
     # `cli.parse_args` parses with the subcommand's parser alone where the
@@ -1067,6 +1073,148 @@ def test_no_subcommand_as_top_parser(capsys, argv):
     want = parsed(capsys, hartogs.cli.build_parser().parse_args, argv)
     assert want[0] in (0, 2)
     assert parsed(capsys, hartogs.cli.parse_args, argv) == want
+
+
+def benchmark_argvs(monkeypatch, tmp_path):
+    """Every argv of the benchmark's three workloads at seed 1, as
+    `perfbench/workloads.py` builds them, with a CSV path in place of the
+    placeholder."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    out = str(tmp_path / "s.csv")
+    return [[out if a == workloads.OUT else a for a in inv.argv]
+            for name in workloads.WORKLOADS for inv in workloads.build(name, 1)]
+
+
+def test_benchmark_argvs_parse_without_argparse(monkeypatch, tmp_path):
+    # every benchmark invocation is a plain argv: it is read from its
+    # subcommand's option table, and neither the subcommand's parser nor
+    # the top parser runs its parse, yet the namespace is the top parser's
+    argvs = benchmark_argvs(monkeypatch, tmp_path)
+    assert {argv[0] for argv in argvs} == set(SUBCOMMANDS)
+    parser = hartogs.cli.build_parser()
+    want = [parser.parse_args(argv) for argv in argvs]
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    calls = []
+    for p in (parser, *subparsers.choices.values()):
+        monkeypatch.setitem(vars(p), "parse_known_args", lambda *args: calls.append(args))
+    assert [hartogs.cli.parse_args(argv) for argv in argvs] == want
+    assert calls == []
+
+
+def subparser(command):
+    """The shared parser's parser of subcommand `command`."""
+    return next(a for a in hartogs.cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+#: values every option of the CLI accepts, and values some or all reject:
+#: unconvertible, out of range, `-`-prefixed or empty
+VALID_VALUES = ["2", "3", "7"]
+ODD_VALUES = ["powercap:2", "affine:1,1", "0", "1", "0.05", "1e-9", "2.5", "x", "", "nan",
+              "inf", "-1", "-3", "-0.5", "-1e3", "-x", "--", "0,1:1,0|0,1:0,1"]
+
+
+def _option_tokens(command, plain):
+    """Tokens of one option of `command`: an exact option string with a
+    value every option accepts, or a flag alone; unless `plain`, also an
+    exact option string with any value, an `=` form, an abbreviation or a
+    stray token."""
+    sub = subparser(command)
+    stores = sorted(o for a in sub._actions if a.nargs is None for o in a.option_strings)
+    flags = [(o,) for a in sub._actions if a.const is True for o in a.option_strings]
+    tokens = st.one_of(st.tuples(st.sampled_from(stores), st.sampled_from(VALID_VALUES)),
+                       st.sampled_from(flags or [()]))
+    if plain:
+        return tokens
+    values = st.sampled_from(VALID_VALUES + ODD_VALUES)
+    return st.one_of(
+        tokens,
+        st.tuples(st.sampled_from(stores), values),
+        st.builds(lambda o, v: (f"{o}={v}",), st.sampled_from(stores), values),
+        st.builds(lambda o, k: (o[:k],), st.sampled_from(stores), st.integers(3, 6)),
+        st.tuples(st.sampled_from(["-h", "--help", "--", "x", "--no-such-option", "-1"])),
+    )
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    required = ["--profile", "powercap:2", *(["--out", "x.csv"] if command == "curvature-scan"
+                                             else [])]
+    head = [command] + draw(st.sampled_from([required, []]))
+    tail = draw(st.lists(_option_tokens(command, draw(st.booleans())), max_size=6))
+    return head + [token for tokens in tail for token in tokens]
+
+
+#: capsys and tmp_path serve every example: each example reads what it wrote
+ONE_FIXTURE = [HealthCheck.function_scoped_fixture]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=ONE_FIXTURE)
+@given(argv=argvs())
+def test_parse_args_equals_top_parser(capsys, argv):
+    # over drawn token sequences of every subcommand, plain or not, the
+    # namespace, or the exit code and both streams, are the top parser's
+    parser = hartogs.cli.build_parser()
+    assert parsed(capsys, hartogs.cli.parse_args, argv) == parsed(capsys, parser.parse_args, argv)
+
+
+#: a family parameter: log-uniform over [1e-4, 1e3], near 1, or 1 plus 1e-12 to 1e-3
+PARAMETERS = st.one_of(st.floats(-4, 3).map(lambda e: 10.0 ** e), st.floats(0.9, 1.1),
+                       st.floats(-12, -3).map(lambda e: 1.0 + 10.0 ** e))
+
+
+@st.composite
+def contract_cases(draw):
+    """(argv without `--out`, a smaller sample count) over the advertised
+    range: a subcommand, a CLI family and its parameters, n in 2..8, a
+    margin log-uniform over [1e-3, 0.3], a seed and a sample count, each
+    option where the subcommand takes it."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    family = draw(st.sampled_from(["affine", "powercap", "expdecay", "rational"]))
+    arity = {"affine": 2, "rational": 0}.get(family, 1)
+    params = ",".join(repr(draw(PARAMETERS)) for _ in range(arity))
+    samples = draw(st.sampled_from([2, 20, 60]))
+    options = {"--n": draw(st.integers(2, 8)), "--samples": samples,
+               "--seed": draw(st.integers(0, 2**63)),
+               "--min-margin": 10.0 ** draw(st.floats(-3, math.log10(0.3)))}
+    taken = subparser(command)._option_string_actions
+    argv = [command, "--profile", f"{family}:{params}" if params else family]
+    argv += [str(t) for o, v in options.items() if o in taken for t in (o, v)]
+    return argv, draw(st.integers(1, samples - 1))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, suppress_health_check=ONE_FIXTURE)
+@given(case=contract_cases())
+def test_cli_contract_over_the_range(capsys, tmp_path, case):
+    # every run exits 0, 1 or 2 with no traceback; a run that ends in an
+    # error says so in exactly one `error:` line; a rerun gives the same
+    # bytes; and a curvature scan of fewer samples is a prefix of it
+    argv, fewer = case
+    csv_path = tmp_path / "s.csv"
+    if "--out" in subparser(argv[0])._option_string_actions:
+        argv = [*argv, "--out", str(csv_path)]
+
+    def once():
+        csv_path.unlink(missing_ok=True)
+        return (*run(capsys, *argv), csv_path.read_bytes() if csv_path.exists() else None)
+
+    first = code, out, err, table = once()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    assert len([line for line in (out + err).splitlines() if "error:" in line]) == bool(err)
+    assert bool(err) >= (code == 2) and not (err and code == 0)
+    assert once() == first
+    if argv[0] == "curvature-scan" and code == 0:
+        argv[argv.index("--samples") + 1] = str(fewer)
+        few = once()
+        assert few[0] == 0
+        assert table.splitlines(keepends=True)[: fewer + 1] == few[3].splitlines(keepends=True)
 
 
 def test_unknown_subcommand(capsys):

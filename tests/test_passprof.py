@@ -47,8 +47,8 @@ def test_highdim_pass(capsys):
 
 
 def test_verify_pass(capsys):
-    # the subcommand parsers are timed, which the top parser's parse_args
-    # never reaches, and so are the three oracles of verify-theorems
+    # the CLI's parse_args is timed, which reads every benchmark argv from
+    # an option table, and so are the three oracles of verify-theorems
     times = profile_pass(capsys, "verify")
     assert set(times) == {"verify-theorems", "soliton-check", "pass", *passprof.TIMED}
     for name in ("sample_interior", "parse_args", "metric_fd_oracle", "ricci_fd_oracle",

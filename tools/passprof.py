@@ -9,8 +9,9 @@ runs it with `hartogs.cli.main` in this process `--repeats` times (15 by
 default), one BLAS thread.  It prints the best-of-k milliseconds of each
 subcommand and of the whole pass, then the best-of-k milliseconds of the
 time spent inside `sample_interior`, `sample_boundary`, `_write_table`,
-the CLI's `parse_args` (the subcommand's own parser, or the top parser
-where that one words a usage error) and the oracles of `verify-theorems`
+the CLI's `parse_args` (every benchmark argv is plain, so mostly the read
+of a subcommand's option table; argparse runs only for help and usage
+errors) and the oracles of `verify-theorems`
 (`metric_fd_oracle`, `ricci_fd_oracle`, `extremal_jet_oracle`), each with
 its share of the best pass.  None of them calls another, so their shares
 add; the metric and Ricci oracles of a block share one stack of jets,
