@@ -8,11 +8,12 @@ digits (`%.17g`, CELL_FORMAT) so files are byte-reproducible and
 round-trip exactly.  `_write_table` formats each row with one `%` on a
 row template built from CELL_FORMAT, giving the same bytes as `fmt` per
 cell.  The argument parser is built once per process (`build_parser`)
-and shared by every `main` call.  `parse_args` reads a plain argv (a
-subcommand's name, then its exact option strings, each `store` option with
-one value that does not start with `-`) from the subcommand's option
-table, which is derived from its parser; argparse parses everything else,
-and words the help and every usage error.
+and shared by every `main` call.  `parse_args` has two paths: it reads a
+plain argv (a subcommand's name, then its exact option strings, each
+`store` option with one value that does not start with `-`) from the
+subcommand's option table, which is derived from its parser, and hands
+everything else to the top parser, which words the help and every usage
+error.
 """
 
 from __future__ import annotations
@@ -412,17 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _option_table(sub: argparse.ArgumentParser):
     """(option string -> action, namespace defaults, required actions) of a
-    subcommand's parser, or None unless its every action but help is a
-    plain `store` or `store_true`, whose value argparse only converts with
-    `type` and stores: no choices, nargs, typed string default or group."""
+    subcommand's parser, read as it is: every action but help is a
+    `store_true`, or a `store` whose value argparse only converts with
+    `type` (no nargs, choices or typed string default), and there is no
+    mutually exclusive group (`test_cli.py::test_subparsers_take_plain_actions`)."""
     actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-    if sub._mutually_exclusive_groups or not all(
-            a.option_strings and a.default is not argparse.SUPPRESS
-            and (type(a) is argparse._StoreTrueAction
-                 or type(a) is argparse._StoreAction and a.nargs is None and a.choices is None
-                 and not (a.type and isinstance(a.default, str)))
-            for a in actions):
-        return None
     return ({s: a for a in actions for s in a.option_strings},
             {**sub._defaults, **{a.dest: a.default for a in actions}},
             {a for a in actions if a.required})
@@ -430,10 +425,7 @@ def _option_table(sub: argparse.ArgumentParser):
 
 def _parse_plain(name: str, sub: argparse.ArgumentParser, tokens):
     """The namespace of `[name, *tokens]` if it is plain, else None."""
-    table = _option_table(sub)
-    if table is None:
-        return None
-    options, defaults, required = table
+    options, defaults, required = _option_table(sub)
     values, seen, tokens = {**defaults, "command": name}, set(), iter(tokens)
     for token in tokens:
         action = options.get(token)
@@ -454,23 +446,17 @@ def _parse_plain(name: str, sub: argparse.ArgumentParser, tokens):
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`.  A plain argv, with every
-    required option given and every value accepted by its `type`, is read
-    from the subcommand's option table, with no argparse parse.  Anything
-    else goes to argparse, which words the help and every usage error: the
-    subcommand's parser alone parses what follows its name, as the top
-    parser would hand it over, and the top parser parses where it words the
-    error: no subcommand, an unknown one, or arguments left over."""
+    """`build_parser().parse_args(argv)`, by one of two paths.  A plain
+    argv, with every required option given and every value accepted by its
+    `type`, is read from the subcommand's option table, with no argparse
+    parse; anything else is `build_parser().parse_args(argv)` itself, which
+    words the help and every usage error."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     names = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     if argv and argv[0] in names:
         args = _parse_plain(argv[0], names[argv[0]], argv[1:])
         if args is not None:
-            return args
-        args, extras = names[argv[0]].parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
             return args
     return parser.parse_args(argv)
 

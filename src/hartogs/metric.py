@@ -132,19 +132,16 @@ def relative_norm(a: np.ndarray, h: np.ndarray):
 
 
 def _x_and_fiber(z):
-    """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2 of z, or
-    of each point of a stack, summed in coordinate order along each row,
-    one term at a time.  `np.cumsum` adds so but runs row by row: above 64
-    rows the columns are added in place one at a time instead, with its
-    bits (at n = 8 and 2000 rows in under half its time), and on fewer
-    rows, where a call per column costs more, cumsum runs."""
-    z = np.asarray(z, dtype=complex)
+    """x = |z_0|^2 and the fiber norm |z_1|^2 + ... + |z_{n-1}|^2 of each
+    point of a complex stack z of shape (N, n), summed in coordinate order
+    along each row, one term at a time: the columns are added in place one
+    at a time.  That has the bits of `np.cumsum` along each row, which runs
+    row by row and is slower on every record but one of one or two rows at
+    n = 8."""
     square = z.real * z.real
     square += z.imag * z.imag
     # x is copied, so that a record does not hold every square
-    x = square[..., 0].copy()
-    if square.ndim == 1 or len(square) <= 64:
-        return x, np.cumsum(square[..., 1:], axis=-1)[..., -1]
+    x = square[:, 0].copy()
     fiber = square[:, 1].copy()
     for k in range(2, square.shape[1]):
         fiber += square[:, k]

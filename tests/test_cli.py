@@ -691,6 +691,13 @@ class TestVerifyTheorems:
         assert result.passed is passed
         assert result.detail == f"m >= 0.001 at {percent}% of samples (PASS-nonzero, min 90%)"
 
+    @pytest.mark.parametrize("obstruction", [False, True])
+    def test_gates_hold_at_tol(self, obstruction):
+        # a bound passes where its worst value is its tol, and an
+        # obstruction counts a value at its tol as a hit
+        check = Check("c", "m", 1e-3, lambda *args: None, obstruction=obstruction)
+        assert check.result(np.full(10, 1e-3)).passed
+
     @pytest.mark.parametrize("profile", ["affine:1,1", "powercap:2", "expdecay:1", "rational"])
     def test_top_of_range(self, capsys, profile):
         # every oracle and classification gate holds at n = 8, down to the
@@ -918,6 +925,10 @@ print(json.dumps([sorted(imported), sorted(set(sys.modules) - imported)]))
     assert heavy.isdisjoint(imported) and heavy.isdisjoint(added)
     assert [m for m in added if m.split(".")[0] in ("numpy", "hartogs")] == []
     assert "dataclasses" not in imported and "dataclasses" not in added
+    # the CLI's import path, `wirtinger` through `hartogs/__init__`
+    assert [m for m in imported if m.split(".")[0] == "hartogs"] == [
+        "hartogs", "hartogs.boundary", "hartogs.canonical", "hartogs.cli", "hartogs.curvature",
+        "hartogs.errors", "hartogs.jet", "hartogs.metric", "hartogs.profiles", "hartogs.wirtinger"]
 
 
 @pytest.mark.parametrize("command", ["curvature-scan", "extremal-residual"])
@@ -1046,25 +1057,17 @@ def parsed(capsys, parse, argv):
     ["--seed", "-1"], ["--tol", "-1e3"], ["--out", ""], ["--profile", "--n"], ["--n", "x"],
 ], ids=lambda extra: " ".join(repr(a) if a == "" else a for a in extra) or "valid")
 @pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_subcommand_parser_as_top_parser(capsys, monkeypatch, command, extra):
-    # `cli.parse_args` parses with the subcommand's parser alone where the
-    # top parser would hand it every argument; where the top parser words
-    # the error, it parses with that one.  Either way the namespace, the
-    # exit code and both streams are those of the top parser's parse_args.
+def test_subcommand_parser_as_top_parser(capsys, command, extra):
+    # each subcommand's valid argv, and the help and usage errors argparse
+    # words for it: `cli.parse_args` reads the plain ones itself and hands
+    # the rest to the top parser; either way the namespace, the exit code
+    # and both streams are those of the top parser's parse_args
     argv = [command, "--profile", "powercap:2",
             *(["--out", "x.csv"] if command == "curvature-scan" else []), *extra]
-    parser = hartogs.cli.build_parser()
-    want = parsed(capsys, parser.parse_args, argv)
-    top = []
-    # on the instance's own dict, so that undoing it leaves the shared parser as it was
-    monkeypatch.setitem(vars(parser), "parse_known_args", lambda *args: top.append(args) or
-                        argparse.ArgumentParser.parse_known_args(parser, *args))
+    want = parsed(capsys, hartogs.cli.build_parser().parse_args, argv)
     assert parsed(capsys, hartogs.cli.parse_args, argv) == want
     if want[0] is None:
         assert want[1]["command"] == command and want[1]["func"].__name__.startswith("cmd_")
-    # the top parser runs only where it words the error: leftover arguments
-    assert bool(top) == ("usage: hartogs [-h]" in want[3])
-    assert bool(top) == ("unrecognized arguments" in want[3])
 
 
 @pytest.mark.parametrize("argv", [[], ["no-such-command"], ["-h"], ["--profile", "rational"],
@@ -1110,6 +1113,26 @@ def subparser(command):
     """The shared parser's parser of subcommand `command`."""
     return next(a for a in hartogs.cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subparsers_take_plain_actions(command):
+    # `cli._option_table` reads each subcommand's options as they are: it
+    # holds only because every action but help is an option that argparse
+    # stores as given, `store_true` or a `store` whose value it only
+    # converts with `type`, and no options exclude each other
+    assert set(SUBCOMMANDS) == set(next(
+        a.choices for a in hartogs.cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)))
+    sub = subparser(command)
+    for a in sub._actions:
+        if type(a) is argparse._HelpAction:
+            continue
+        assert a.option_strings and a.default is not argparse.SUPPRESS, a.dest
+        assert type(a) is argparse._StoreTrueAction or (
+            type(a) is argparse._StoreAction and a.nargs is None and a.choices is None
+            and not (a.type and isinstance(a.default, str))), a.dest
+    assert sub._mutually_exclusive_groups == []
 
 
 #: values every option of the CLI accepts, and values some or all reject:

@@ -121,8 +121,8 @@ class TestContains:
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
     @pytest.mark.parametrize("count", [1, 20, 64, 65, 2000])
     def test_fiber_sum_has_the_cumsum_bits(self, count, n):
-        # on either side of the 64 rows where the column adds take over
-        # from np.cumsum, every x and fiber norm has cumsum's bits; signed
+        # the in-place column adds give every x and fiber norm cumsum's
+        # bits, on one row, on the few of a small record and on many; signed
         # zeros and subnormals among the coordinates, and magnitudes over
         # 16 orders, so that another order of the sum moves bits
         rng = np.random.default_rng(count * 100 + n)

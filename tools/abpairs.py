@@ -16,8 +16,9 @@ guide: the change wins at least nine tenths of the pairs, and the gap
 between the medians, in the better direction, is larger than the distance
 between the parent's quartiles.  The metrics, which way is better and
 each one's bound are read from the change's `BENCHMARK.json`; a median
-worse than the parent's by more than its bound is flagged.  A run that
-is not `correct`, and failed invocations, are counted per side.
+worse than the parent's by more than its bound is flagged.  Under each
+metric come its values on every run of each side, in seed order.  A run
+that is not `correct`, and failed invocations, are counted per side.
 Standard library only.
 """
 
@@ -97,6 +98,8 @@ def main(argv=None) -> int:
                   f"wins {wins}/{args.pairs}  gain {'holds' if holds else 'not shown'}"
                   + (f"  WORSE than its bound {metric['bound']:g}" if worse > metric["bound"]
                      else ""))
+            for side in SIDES:
+                print(f"    {side:<6} runs " + " ".join(f"{v:.6g}" for v in values[side]))
     return 0
 
 

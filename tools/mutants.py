@@ -1,0 +1,226 @@
+"""Mutation runs: does each named fault fail the tests that should catch it?
+
+    python3 tools/mutants.py                 # every mutant, its named tests
+    python3 tools/mutants.py --full          # and the full tier-1 per mutant
+    python3 tools/mutants.py --only a-times-0 seed-fold-from-0
+
+MUTANTS is the table.  Each mutant names a file of the checkout, an exact
+old text, which must occur there exactly once, the new text put in its
+place, and the pytest ids that must fail with it in place; an id without
+a `[...]` part stands for its every parametrized case, and fails if any
+one of them does.  The tool copies the checkout (without `.git` and the
+caches) into a temporary directory, applies one mutant at a time to the
+copy, restores the file after it, and runs pytest there on the mutant's
+ids, with `--full` on the whole tier-1 too.  It prints, per mutant,
+`killed` when every named id failed, else `survived` with the ids that
+did not, and the failing tests either way; it exits 1 if any mutant
+survived.  The checkout is only read.  Standard library only.
+
+A survivor is a gap in the tests: keep it in the table, and add the test
+that kills it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CURVATURE = "src/hartogs/curvature.py"
+METRIC = "src/hartogs/metric.py"
+CLI = "src/hartogs/cli.py"
+TOP_PARSER = "tests/test_cli.py::test_subcommand_parser_as_top_parser"
+CHECKS = "tests/test_cli.py::TestVerifyTheorems"
+A_TERM = "a = (d1 * slope + f * slope_d1) / core"
+B_TERM = "b = (x * d1 * slope_d1 + (d1 + x * d2) * slope) / core"
+#: the tests that see the gradient field's z_0 part
+Z0_PART = ("tests/test_curvature.py::test_gradient_field_matches_inverse_metric",
+           "tests/test_curvature.py::test_t_zbar_matches_reference",
+           "tests/test_curvature.py::test_probe_exercises_the_z0_part")
+#: the tests that see the derivative block of the gradient field
+DBAR = ("tests/test_curvature.py::test_t_zbar_matches_reference",
+        "tests/test_curvature.py::test_probe_exercises_the_z0_part",
+        "tests/test_canonical.py::TestExtremalResidual::test_independent_of_stencil",
+        "tests/test_wirtinger.py::test_extremal_oracle_is_d_zbar_per_coordinate")
+#: the samplers' draws against the reference streams
+DRAWS = ("tests/test_metric.py::TestSampling::test_draws_match_reference",
+         "tests/test_boundary.py::TestSampling::test_draws_match_reference")
+
+MUTANTS = (
+    # the radial functions A and B of the gradient field T
+    Mutant("a-times-0", CURVATURE, A_TERM, "a = 0.0 * (d1 * slope + f * slope_d1) / core",
+           Z0_PART),
+    Mutant("a-times-2", CURVATURE, A_TERM, "a = 2.0 * (d1 * slope + f * slope_d1) / core",
+           Z0_PART),
+    Mutant("b-times-2", CURVATURE, B_TERM,
+           "b = 2.0 * (x * d1 * slope_d1 + (d1 + x * d2) * slope) / core",
+           ("tests/test_canonical.py::TestExtremalResidual::test_matches_jet_oracle_over_range",
+            "tests/test_canonical.py::TestExtremalResidual::test_powercap_pinned_point",
+            "tests/test_curvature.py::test_t_zbar_matches_reference")),
+    Mutant("jacobian-max-weights-swapped", CURVATURE,
+           "np.stack([p.x, np.max(fiber, axis=-1)], axis=-1)",
+           "np.stack([np.max(fiber, axis=-1), p.x], axis=-1)",
+           ("tests/test_canonical.py::TestExtremalResidual::test_powercap_pinned_point",
+            "tests/test_curvature.py::test_t_zbar_matches_reference")),
+    # the chain rule through gap in the derivative block
+    Mutant("dbar-gap-slope-halved", CURVATURE, "2.0 * gap * s)", "gap * s)",
+           (*DBAR, "tests/test_canonical.py::TestExtremalResidual::test_powercap_pinned_point")),
+    Mutant("dbar-gap-squared-as-gap", CURVATURE, "(gap * gap * s_d1,", "(gap * s_d1,",
+           (*DBAR,
+            "tests/test_canonical.py::TestExtremalResidual::test_matches_jet_oracle_over_range")),
+    # the sampler
+    Mutant("landing-takes-last-attempt", METRIC,
+           "np.arange(0, hit.size, count) + np.argmax(hit, axis=1)",
+           "np.arange(0, hit.size, count) + (count - 1 - np.argmax(hit[:, ::-1], axis=1))",
+           ("tests/test_metric.py::TestSampling::test_disk_attempts_redraw_per_slot",
+            *DRAWS)),
+    # below row 0 the spacings keep the previous row's last square as their lower edge
+    Mutant("spacings-drop-lower-edge", METRIC, "    scale[:, 0] = 0.0\n",
+           "    scale[0, 0] = 0.0\n",
+           ("tests/test_metric.py::TestSampling::test_fiber_uniform_in_ball", *DRAWS)),
+    Mutant("seed-fold-from-0", METRIC, "key = len(limbs)", "key = 0",
+           ("tests/test_metric.py::TestSeeds",)),
+    Mutant("fiber-sum-from-last-column", METRIC,
+           "fiber = square[:, 1].copy()\n    for k in range(2, square.shape[1]):",
+           "fiber = square[:, -1].copy()\n    for k in range(square.shape[1] - 2, 0, -1):",
+           ("tests/test_metric.py::TestContains::test_fiber_norm_summed_in_coordinate_order",
+            "tests/test_metric.py::TestContains::test_fiber_sum_has_the_cumsum_bits")),
+    # immutable values
+    Mutant("profile-eq-without-class-check", "src/hartogs/profiles.py",
+           "        if type(other) is not type(self):\n            return NotImplemented\n"
+           "        return self._values() == other._values()",
+           "        return self._values() == other._values()",
+           ("tests/test_profiles.py::test_families_differ_with_equal_values",)),
+    Mutant("frozen-without-setattr", "src/hartogs/errors.py",
+           "    def __setattr__(self, name, value):\n"
+           "        raise AttributeError(f\"cannot assign to field {name!r}\")\n\n", "",
+           ("tests/test_profiles.py::test_family_is_an_immutable_value",
+            "tests/test_metric.py::test_records_are_immutable_and_replace_one_field")),
+    # the gates of the verify-theorems checks
+    Mutant("bound-gate-strict", CLI, "worst <= self.tol", "worst < self.tol",
+           (f"{CHECKS}::test_gates_hold_at_tol[False]",)),
+    Mutant("obstruction-hit-strict", CLI, "values >= self.tol", "values > self.tol",
+           (f"{CHECKS}::test_gates_hold_at_tol[True]",)),
+    Mutant("obstruction-share-strict", CLI, "hits / len(values) >= OBSTRUCTION_SHARE",
+           "hits / len(values) > OBSTRUCTION_SHARE",
+           (f"{CHECKS}::test_obstruction_share_rounds_down[180-True-90]",)),
+    Mutant("obstruction-share-rounded", CLI, "100 * hits // len(values)",
+           "round(100 * hits / len(values))",
+           (f"{CHECKS}::test_obstruction_share_rounds_down[179-False-89]",
+            f"{CHECKS}::test_obstruction_share_rounds_down[199-True-99]")),
+    # the plain argv reader
+    Mutant("plain-value-may-start-with-dash", CLI,
+           "        if text.startswith(\"-\"):\n            return None\n", "",
+           (f"{TOP_PARSER}[check-pseudoconvex---tol -1e3]",)),
+    Mutant("plain-required-not-checked", CLI,
+           "return None if required - seen else argparse.Namespace(**values)",
+           "return argparse.Namespace(**values)",
+           ("tests/test_cli.py::test_parse_args_equals_top_parser",)),
+    Mutant("plain-value-not-converted", CLI,
+           "action.type(text) if action.type else text", "text",
+           (f"{TOP_PARSER}[curvature-scan---n 1]",)),
+    Mutant("plain-without-set-defaults", CLI, "{**sub._defaults, **{a.dest", "{**{a.dest",
+           (f"{TOP_PARSER}[check-pseudoconvex-valid]",)),
+    Mutant("plain-without-command", CLI, '{**defaults, "command": name}', "dict(defaults)",
+           (f"{TOP_PARSER}[check-pseudoconvex-valid]",)),
+    Mutant("plain-flag-takes-a-value", CLI, "if action.nargs == 0:", "if action.nargs == 1:",
+           ("tests/test_cli.py::test_benchmark_argvs_parse_without_argparse",)),
+    Mutant("plain-unknown-token-skipped", CLI,
+           "        if action is None:\n            return None\n",
+           "        if action is None:\n            continue\n",
+           (f"{TOP_PARSER}[check-pseudoconvex--h]",)),
+    # options the plain reader could not read as they are
+    Mutant("dimension-with-choices", CLI,
+           'type=_dimension, default=2,', 'type=_dimension, choices=range(2, 65), default=2,',
+           ("tests/test_cli.py::test_subparsers_take_plain_actions",)),
+    Mutant("seed-with-optional-value", CLI,
+           'type=_seed, default=0)', 'type=_seed, default=0, nargs="?")',
+           ("tests/test_cli.py::test_subparsers_take_plain_actions",)),
+)
+
+
+def pytest_run(copy: Path, ids) -> tuple[set[str], float]:
+    """(ids of the failing tests, seconds) of one pytest run in `copy`."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", *ids],
+        cwd=copy, env=env, capture_output=True, text=True)
+    failed = {line.split(" ", 1)[1].split(" - ", 1)[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))}
+    return failed, time.perf_counter() - start
+
+
+def caught(test: str, failed: set[str]) -> bool:
+    """Whether `test`, or a case of it, is among the failing ids."""
+    return any(f == test or f.startswith((test + "[", test + "::")) for f in failed)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--full", action="store_true", help="also run the full tier-1")
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants alone")
+    args = parser.parse_args(argv)
+    table = {m.name: m for m in MUTANTS}
+    unknown = set(args.only or ()) - set(table)
+    if unknown:
+        parser.error(f"no mutant named {', '.join(sorted(unknown))}")
+    chosen = [table[name] for name in args.only] if args.only else MUTANTS
+    survivors = []
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench"))
+        for m in chosen:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            if original.count(m.old) != 1:
+                raise SystemExit(f"error: {m.name}: the old text occurs "
+                                 f"{original.count(m.old)} times in {m.path}")
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                failed, seconds = pytest_run(copy, m.tests)
+                missed = [t for t in m.tests if not caught(t, failed)]
+                full = pytest_run(copy, []) if args.full else None
+            finally:
+                target.write_text(original, encoding="utf-8")
+            print(f"{'survived' if missed else 'killed'}  {m.name}  "
+                  f"({len(failed)} cases failed, {seconds:.1f} s)")
+            for t in missed:
+                print(f"    not failed: {t}")
+            for f in sorted(failed):
+                print(f"    failed: {f}")
+            if full is not None:
+                files = Counter(f.split("::", 1)[0] for f in full[0])
+                print(f"    full tier-1: {len(full[0])} failed ({full[1]:.1f} s)"
+                      + "".join(f", {count} in {file}" for file, count in sorted(files.items())))
+            if missed:
+                survivors.append(m.name)
+    print(f"{len(survivors)} of {len(chosen)} mutants survived in "
+          f"{time.perf_counter() - start:.0f} s"
+          + (f": {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
