@@ -271,16 +271,18 @@ def _rel_max(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _scal_forms(profile, p, m, data) -> np.ndarray:
     """The direct scal against the trace and slope forms, algebraically
-    identical to it: a deviation means a broken assembly."""
-    trace_form = np.trace(m.h_inv @ data.ric, axis1=-2, axis2=-1).real
+    identical to it: a deviation means a broken assembly.  The trace form
+    reads the closed-form inverse, which it forms here."""
+    trace_form = np.trace(metric.inverse_metric_matrix(p) @ data.ric, axis1=-2, axis2=-1).real
     slope_form = -p.n * (p.n + 1) + data.slope * p.gap
     deviation = np.maximum(np.abs(data.scal - trace_form), np.abs(data.scal - slope_form))
     return deviation / (1.0 + np.abs(data.scal))
 
 
-# The measures look their oracles up by module attribute at call time, so
-# that a function wrapped or replaced on its module is the one called.  Each
-# oracle takes the whole stacked record of a block in one call.
+# The measures look their oracles, and the closed-form inverse, up by module
+# attribute at call time, so that a function wrapped or replaced on its
+# module is the one called.  Each takes the whole stacked record of a block
+# in one call.
 ORACLE_CHECKS = (
     Check("metric_vs_fd_hessian", "rel", 1e-11,
           lambda prof, p, m, d: relative_norm(
@@ -289,7 +291,8 @@ ORACLE_CHECKS = (
           lambda prof, p, m, d: np.abs(m.det - np.linalg.det(m.h).real)
           / (1.0 + np.abs(m.det))),
     Check("inverse_identity", "||h hinv - I||", 1e-10,
-          lambda prof, p, m, d: frobenius_norm(m.h @ m.h_inv - np.eye(p.n))),
+          lambda prof, p, m, d: frobenius_norm(
+              m.h @ metric.inverse_metric_matrix(p) - np.eye(p.n))),
     Check("ricci_vs_fd", "rel", 1e-11,
           lambda prof, p, m, d: relative_norm(
               d.ric - curvature.ricci_fd_oracle(prof, p), d.ric)),

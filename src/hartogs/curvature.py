@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 from .jet import Jet, log
 from .metric import (
     DomainPoint, MetricData, _times, nonsingular_core, radial_jets, raises_fp_faults,
@@ -178,10 +178,15 @@ def ricci_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     read, so the oracle is independent of the defect; its entries are
     exact to rounding.  The `fd` in the name is historical; the
     benchmark's tracer looks the oracle up by it.  Raises NumericError,
-    naming the first such point, where det_core or gap is not positive."""
+    naming the first such point, where x is outside [0, x0) or det_core
+    or gap is not positive, as the metric oracle does."""
     jets = radial_jets(profile, p)
     w = jets.w
-    x, gap = jets.x_and_gap
+    try:
+        x, gap = jets.x_and_gap
+    except DomainError:
+        raise NumericError(f"log det h undefined at {w.z[jets.first_undefined()]!r} "
+                           "(x outside [0, x0))") from None
     core = profile.det_core(x)
     undefined = np.logical_or(core <= 0.0, gap <= 0.0)
     if np.any(undefined):

@@ -22,7 +22,8 @@ Writing x = |z_0|^2 and priming F in x:
 All of it is read from the point record `DomainPoint` (z and its radial
 data x, gap, F, F', F'' and det_core), evaluated once per point by
 `point_record`.  The closed-form inverse is the artifact under test: it is
-only *verified* against dense inversion, never replaced by it.
+only *verified* against dense inversion, never replaced by it, and only
+the checks of `verify-theorems` that read it form it.
 
 The closed forms are written once, over a leading point axis: each takes a
 single record or a stacked one, built by one `point_record` call, whose z
@@ -101,12 +102,12 @@ class DomainPoint(Frozen):
 
 
 class MetricData(NamedTuple):
-    """Metric matrix with determinant and closed-form inverse, with the
-    leading point axis of a stacked record."""
+    """Metric matrix with its determinant, with the leading point axis of a
+    stacked record.  The inverse is not part of it: the checks that read
+    it call `inverse_metric_matrix`."""
 
     h: np.ndarray
     det: float
-    h_inv: np.ndarray
 
 
 def blocks(points: DomainPoint) -> list[DomainPoint]:
@@ -166,6 +167,14 @@ class RadialJets:
     @functools.cached_property
     def log_gap(self) -> Jet:
         return log(self.x_and_gap[1])
+
+    def first_undefined(self) -> int:
+        """The first point where x is outside [0, x0) or the gap is not
+        positive, from the values alone: where log gap is undefined."""
+        x, fiber = self.w.norm_sq(0, 1).val, self.w.norm_sq(1, self.w.n).val
+        inside = (0.0 <= x) & (x < self.profile.x0)
+        undefined = ~inside | (self.profile.eval(np.where(inside, x, 0.0)) - fiber <= 0.0)
+        return int(np.argmax(undefined))
 
 
 #: the `RadialJets` last asked for, in a one-element list: the jets of
@@ -404,14 +413,14 @@ def require_interior_record(p: DomainPoint) -> None:
 
 @raises_fp_faults
 def assemble_metric(profile: Profile, p: DomainPoint) -> MetricData:
-    """Metric, determinant and closed-form inverse at an interior point, or
-    at every point of a stack, all read from its record; the profile is not
-    evaluated again."""
+    """Metric and determinant at an interior point, or at every point of a
+    stack, both read from its record; the profile is not evaluated again.
+    SingularityError where det_core is below SINGULAR_TOL, as the inverse
+    would raise it."""
     require_interior_record(p)
-    h_inv = inverse_metric_matrix(p)
     # float_power calls the C library's pow, as Python's float ** int does
-    det = p.det_core / np.float_power(p.gap, p.n + 1)
-    return MetricData(h=metric_matrix(p), det=det, h_inv=h_inv)
+    det = nonsingular_core(p.det_core, p.x) / np.float_power(p.gap, p.n + 1)
+    return MetricData(h=metric_matrix(p), det=det)
 
 
 #: SplitMix64's increment (the golden ratio in 64 bits) and its
@@ -687,9 +696,6 @@ def metric_fd_oracle(profile: Profile, p: DomainPoint) -> np.ndarray:
     w = jets.w
     phi = kahler_potential(profile, jets)
     if not isinstance(phi, Jet):
-        x, fiber = w.norm_sq(0, 1).val, w.norm_sq(1, w.n).val
-        inside = (0.0 <= x) & (x < profile.x0)
-        undefined = ~inside | (profile.eval(np.where(inside, x, 0.0)) - fiber <= 0.0)
-        raise NumericError(f"potential undefined at {w.z[np.argmax(undefined)]!r}")
+        raise NumericError(f"potential undefined at {w.z[jets.first_undefined()]!r}")
     h = w.hessian_z_zbar(phi)
     return h if p.z.ndim > 1 else h[0]

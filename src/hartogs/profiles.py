@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, Frozen, float_faults
-from .jet import exp, power
+from .jet import Jet, exp, power
 
 #: interior grids and samplers stay at least this relative distance from x0
 BOUNDARY_CLEARANCE = 1e-3
@@ -42,10 +42,11 @@ def _constant(value: float, x):
 
 
 def _require_domain(profile: Profile, x) -> None:
-    """DomainError naming x, or the first x of an array, outside [0, x0)."""
+    """DomainError naming x, or the first x of an array or of the values of
+    a jet, as a float, outside [0, x0)."""
     inside = (0.0 <= x) & (x < profile.x0)
     if not (inside is True or np.logical_and.reduce(inside, axis=None)):
-        first = float(x.flat[np.argmin(inside)]) if isinstance(x, np.ndarray) else x
+        first = float(np.ravel(x.val if isinstance(x, Jet) else x)[np.argmin(inside)])
         raise DomainError(f"x={first!r} outside [0, {profile.x0!r}) for {profile.label()}")
 
 

@@ -3,9 +3,9 @@
 `perfbench/tracer.py` wraps package functions by name and
 `perfbench/layers.py` calls them with fixed signatures, so a rename or a
 signature change in the package breaks `perfbench/run.py --trace 1`.  This
-installs the tracer and runs every layer call on one n = 2 point, in a
-child interpreter because the tracer rewraps the package's functions for
-the life of the process.
+installs the tracer and runs every layer call on one n = 2 point, and
+`verify-theorems` on two, in a child interpreter because the tracer
+rewraps the package's functions for the life of the process.
 """
 
 import os
@@ -31,6 +31,8 @@ point = layers.Prepared(profile, p, b)
 for call in layers.CALLS.values():
     call(profile, point)
 hartogs.sample_interior(profile, 2, 1, 3)
+# the closed-form inverse is formed only by the checks of verify-theorems
+hartogs.cli.run_verification(profile, 2, 2, 3)
 
 summary = trace.summary()
 unspanned = sorted(set(layers.CALLS) - set(summary["layers"]))

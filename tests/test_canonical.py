@@ -491,6 +491,13 @@ class TestPullback:
         for p in points_for(prof, 2, count=8, seed=37):
             assert hg.pullback_check(c1, c2, p) <= 1e-10
 
+    def test_wrong_parameters_detected(self, points_for):
+        # the rescaling for affine(2, 2.9) maps affine(2, 3) into the ball
+        # but is not an isometry of it: the defect is far above the 1e-10
+        # gate of pullback_isometry
+        for p in points_for(hg.Affine(2, 3), 2, count=8, seed=37):
+            assert hg.pullback_check(2, 2.9, p) > 1e-3
+
     def test_origin_tight(self):
         prof = hg.Affine(1, 2)
         p = hg.contains(prof, [0, 0])

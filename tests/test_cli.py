@@ -739,14 +739,13 @@ class TestVerifyTheorems:
         # scal far beyond the 1e-9 budget of the scal_forms check
         # the stacked result of the block is doctored at every point
         if doctored == "inverse":
-            assemble = hartogs.cli.assemble_metric
+            inverse = hartogs.metric.inverse_metric_matrix
 
-            def wrong(profile, p):
+            def wrong(p):
                 assert p.z.shape == (5, 2)
-                m = assemble(profile, p)
-                return m._replace(h_inv=m.h_inv + 1e-6 * np.eye(p.n))
+                return inverse(p) + 1e-6 * np.eye(p.n)
 
-            monkeypatch.setattr(hartogs.cli, "assemble_metric", wrong)
+            monkeypatch.setattr(hartogs.metric, "inverse_metric_matrix", wrong)
         else:
             curvature_at = hartogs.curvature.curvature_at
 
@@ -760,6 +759,44 @@ class TestVerifyTheorems:
                            "--n", "2", "--samples", "5", "--seed", "2")
         assert code == 1
         assert "FAIL  scal_forms" in out
+
+    @pytest.mark.parametrize("doctored, failed", [
+        ("det", {"determinant_closed_vs_dense"}),
+        ("inverse", {"inverse_identity", "scal_forms"}),
+        ("tail", {"ricci_vs_fd", "ricci_tail_rows", "rho_closed_vs_fit", "scal_forms",
+                  "einstein_classification"}),
+        ("rho", {"rho_closed_vs_fit"}),
+        ("extremal", {"extremal_classification"}),
+    ], ids=["det", "inverse", "tail", "rho", "extremal"])
+    def test_doctored_quantity_fails_its_checks(self, monkeypatch, doctored, failed):
+        # on the ball every check is a bound; a 1e-6 error in one quantity
+        # of every point, 1e-8 in the determinant, fails exactly the checks
+        # that read it
+        assemble, curvature_at = hartogs.cli.assemble_metric, hartogs.curvature.curvature_at
+        inverse = hartogs.metric.inverse_metric_matrix
+        if doctored == "det":
+            def wrong(profile, p):
+                m = assemble(profile, p)
+                return m._replace(det=m.det * (1 + 1e-8))
+
+            monkeypatch.setattr(hartogs.cli, "assemble_metric", wrong)
+        elif doctored == "inverse":
+            monkeypatch.setattr(hartogs.metric, "inverse_metric_matrix",
+                                lambda p: inverse(p) + 1e-6 * np.eye(p.n))
+        else:
+            def wrong(profile, p, m):
+                data = curvature_at(profile, p, m)
+                if doctored == "tail":
+                    ric = data.ric.copy()
+                    ric[:, 1:, 1:] += 1e-6 * np.eye(p.n - 1)
+                    return data._replace(ric=ric)
+                if doctored == "rho":
+                    return data._replace(rho=data.rho * (1 + 1e-6))
+                return data._replace(extremal=data.extremal + 1e-6)
+
+            monkeypatch.setattr(hartogs.curvature, "curvature_at", wrong)
+        results = run_verification(Affine(1, 1), 2, 5, 2)
+        assert {r.name for r in results if not r.passed} == failed
 
     @pytest.mark.parametrize("error", [1e-4, 1e-9])
     def test_doctored_slope_d2_fails_extremal_vs_jet(self, capsys, monkeypatch, error):
@@ -838,6 +875,50 @@ class TestVerifyTheorems:
         results = {r.name: r for r in run_verification(PowerCap(0.5), 6, 20, 0, 0.002)}
         assert results["extremal_vs_jet"].passed
         assert results["extremal_classification"].passed
+
+
+@pytest.mark.parametrize("profile", ["powercap:2", "affine:1,1"])
+def test_only_verify_theorems_forms_the_inverse(capsys, monkeypatch, tmp_path, profile):
+    # with the closed-form inverse raising, every other subcommand gives the
+    # same exit code, streams and CSV bytes; verify-theorems forms it in
+    # every block
+    argvs = (["curvature-scan", "--out"], ["extremal-residual", "--out"],
+             ["soliton-check", "--sweep"], ["soliton-check", "--field", "0,1:1,0|0,1:0,1"])
+
+    def outputs():
+        got = []
+        for i, (command, *extra) in enumerate(argvs):
+            out = tmp_path / f"{i}.csv"
+            out.unlink(missing_ok=True)
+            if extra == ["--out"]:
+                extra = ["--out", str(out)]
+            got.append((*run(capsys, command, "--profile", profile, "--n", "2", "--samples",
+                             "40", "--seed", "4", *extra),
+                        out.read_bytes() if out.exists() else None))
+        return got
+
+    want = outputs()
+    # a soliton of the Killing field on the ball, and an obstruction elsewhere
+    assert [code for code, *_ in want] == [0, 0] + [0 if profile == "affine:1,1" else 1] * 2
+    inverse = hartogs.metric.inverse_metric_matrix
+
+    def forbidden(p):
+        raise AssertionError("the inverse metric was formed")
+
+    monkeypatch.setattr(hartogs.metric, "inverse_metric_matrix", forbidden)
+    assert outputs() == want
+    sizes = []
+
+    def counted(p):
+        sizes.append(len(p))
+        return inverse(p)
+
+    monkeypatch.setattr(hartogs.metric, "inverse_metric_matrix", counted)
+    block = hartogs.metric.BLOCK
+    code, _, _ = run(capsys, "verify-theorems", "--profile", profile, "--n", "2",
+                     "--samples", str(block + 1), "--seed", "4")
+    assert code == 0
+    assert set(sizes) == {block, 1}
 
 
 @pytest.mark.parametrize("command", ["extremal-residual", "curvature-scan", "soliton-check",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import hartogs as hg
+import hartogs.metric
 from hartogs.curvature import (
     _radial_scales, curvature_defect, extremal_jet_oracle, rho_oracle, scalar_curvature_at,
 )
@@ -146,12 +147,21 @@ def test_probe_exercises_the_z0_part(profile):
 
 @pytest.mark.parametrize("profile", PSEUDOCONVEX_FAMILIES + QUADCAP_PROBES,
                          ids=lambda prof: prof.label())
-def test_curvature_at_reads_no_inverse_metric(profile):
-    # with the inverse metric all NaN, every field keeps its bits
+def test_curvature_at_reads_no_inverse_metric(profile, monkeypatch):
+    # with the inverse metric raising, the metric and every curvature field
+    # keep their bits
     points = hg.sample_interior(profile, 4, 20, 3, 1e-3)
     m = hg.assemble_metric(profile, points)
     want = hg.curvature_at(profile, points, m)
-    got = hg.curvature_at(profile, points, m._replace(h_inv=np.full_like(m.h_inv, np.nan)))
+
+    def forbidden(p):
+        raise AssertionError("the inverse metric was formed")
+
+    monkeypatch.setattr(hartogs.metric, "inverse_metric_matrix", forbidden)
+    got_m = hg.assemble_metric(profile, points)
+    got = hg.curvature_at(profile, points, got_m)
+    for field in m._fields:
+        assert same_bits(getattr(got_m, field), getattr(m, field)), field
     for field in want._fields:
         assert same_bits(getattr(got, field), getattr(want, field)), field
 
@@ -355,7 +365,7 @@ class TestGeneralizedCurvatures:
 class TestRhoOracle:
     @staticmethod
     def _fake_metric(h):
-        return MetricData(h=h, det=float(np.linalg.det(h).real), h_inv=np.linalg.inv(h))
+        return MetricData(h=h, det=float(np.linalg.det(h).real))
 
     def test_identity_with_einstein_ricci(self):
         # det(I - 3t I)/det(I) = (1-3t)^2 gives rho = (-6, 9)

@@ -11,7 +11,7 @@ import hartogs.cli
 import hartogs.curvature
 import hartogs.metric
 from hartogs.boundary import boundary_point
-from hartogs.errors import NumericError
+from hartogs.errors import DomainError, NumericError
 from hartogs.jet import Jet, JetPoint, exp, log
 from hartogs.metric import RadialJets, metric_fd_oracle, point_record, relative_norm
 from hartogs.profiles import Profile
@@ -220,12 +220,20 @@ def test_oracles_reject_undefined_potential():
         assert repr(on_boundary.z) in str(err.value)
         assert repr(interior[0]) not in str(err.value)
     # a record whose z_0 was moved past x0 at the row before the boundary
-    # row: the metric oracle names it, as it names a gap <= 0
+    # row: both oracles name it, as they name a gap <= 0
     z = stack.z.copy()
     z[1, 0] = 2.0
-    with pytest.raises(NumericError) as err:
-        metric_fd_oracle(prof, stack._replace(z=z))
-    assert repr(z[1]) in str(err.value)
+    for oracle in (metric_fd_oracle, hg.ricci_fd_oracle):
+        with pytest.raises(NumericError) as err:
+            oracle(prof, stack._replace(z=z))
+        assert repr(z[1]) in str(err.value)
+    # the extremal oracle reads x from the record: its DomainError names the
+    # value, not the whole jet
+    x = stack.x.copy()
+    x[1] = 4.0
+    with pytest.raises(DomainError) as err:
+        hartogs.curvature.extremal_jet_oracle(prof, stack._replace(z=z, x=x))
+    assert "x=4.0 outside" in str(err.value) and "grad=" not in str(err.value)
 
 
 @pytest.mark.parametrize("margin", [0.05, 1e-3])

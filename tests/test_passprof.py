@@ -42,17 +42,19 @@ def test_highdim_pass(capsys):
                           *passprof.TIMED}
     for name in ("sample_interior", "sample_boundary", "parse_args"):
         assert 0.0 < times[name] < times["pass"]
-    for name in ("_write_table", "metric_fd_oracle", "ricci_fd_oracle", "extremal_jet_oracle"):
+    for name in ("_write_table", "metric_fd_oracle", "ricci_fd_oracle", "extremal_jet_oracle",
+                 "inverse_metric_matrix"):
         assert times[name] == 0.0
 
 
 def test_verify_pass(capsys):
     # the CLI's parse_args is timed, which reads every benchmark argv from
-    # an option table, and so are the three oracles of verify-theorems
+    # an option table, and so are the three oracles of verify-theorems and
+    # the closed-form inverse, which only its checks form
     times = profile_pass(capsys, "verify")
     assert set(times) == {"verify-theorems", "soliton-check", "pass", *passprof.TIMED}
     for name in ("sample_interior", "parse_args", "metric_fd_oracle", "ricci_fd_oracle",
-                 "extremal_jet_oracle"):
+                 "extremal_jet_oracle", "inverse_metric_matrix"):
         assert 0.0 < times[name] < times["pass"]
     assert sum(times[name] for name in passprof.TIMED) < times["pass"]
     assert times["sample_boundary"] == times["_write_table"] == 0.0

@@ -12,7 +12,7 @@ from hartogs.boundary import boundary_point
 from hartogs.canonical import HoloVectorField
 from hartogs.errors import DomainError
 from hartogs.metric import (
-    BLOCK, DomainPoint, blocks, metric_derivative_along, point_record,
+    BLOCK, DomainPoint, blocks, inverse_metric_matrix, metric_derivative_along, point_record,
 )
 
 from conftest import FAMILY_IDS, PSEUDOCONVEX_FAMILIES, metric_gradients, same_bits
@@ -22,8 +22,8 @@ def closed_forms(profile, p) -> dict:
     m = hg.assemble_metric(profile, p)
     data = hg.curvature_at(profile, p, m)
     return {
-        "h": m.h, "h_inv": m.h_inv, "det": m.det, "scal": data.scal, "rho": data.rho,
-        "einstein": data.einstein, "dbar": data.dbar, "extremal": data.extremal,
+        "h": m.h, "h_inv": inverse_metric_matrix(p), "det": m.det, "scal": data.scal,
+        "rho": data.rho, "einstein": data.einstein, "dbar": data.dbar, "extremal": data.extremal,
         "dg": metric_gradients(profile, p)[0],
         "along": np.moveaxis(metric_derivative_along(profile, p, np.stack([p.z, 1j * p.z])), 0, -3),
         "soliton": hg.soliton_residual(profile, p, -(p.n + 1.0), HoloVectorField.rotation(p.n)),

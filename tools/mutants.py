@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 CURVATURE = "src/hartogs/curvature.py"
 METRIC = "src/hartogs/metric.py"
 CLI = "src/hartogs/cli.py"
+CANONICAL = "src/hartogs/canonical.py"
 TOP_PARSER = "tests/test_cli.py::test_subcommand_parser_as_top_parser"
 CHECKS = "tests/test_cli.py::TestVerifyTheorems"
 A_TERM = "a = (d1 * slope + f * slope_d1) / core"
@@ -60,6 +61,11 @@ DBAR = ("tests/test_curvature.py::test_t_zbar_matches_reference",
         "tests/test_curvature.py::test_probe_exercises_the_z0_part",
         "tests/test_canonical.py::TestExtremalResidual::test_independent_of_stencil",
         "tests/test_wirtinger.py::test_extremal_oracle_is_d_zbar_per_coordinate")
+#: the ids of `test_doctored_quantity_fails_its_checks`, by quantity
+DOCTORED = {q: f"{CHECKS}::test_doctored_quantity_fails_its_checks[{q}]"
+            for q in ("det", "inverse", "tail", "rho", "extremal")}
+#: the verify-theorems oracles each called once per block
+ONCE = "tests/test_stacking.py::test_verification_calls_each_oracle_once_per_block"
 #: the samplers' draws against the reference streams
 DRAWS = ("tests/test_metric.py::TestSampling::test_draws_match_reference",
          "tests/test_boundary.py::TestSampling::test_draws_match_reference")
@@ -126,6 +132,53 @@ MUTANTS = (
            "round(100 * hits / len(values))",
            (f"{CHECKS}::test_obstruction_share_rounds_down[179-False-89]",
             f"{CHECKS}::test_obstruction_share_rounds_down[199-True-99]")),
+    # each verify-theorems measure blind, or reading the wrong quantity
+    Mutant("metric-oracle-against-itself", CLI,
+           "m.h - metric.metric_fd_oracle(prof, p), m.h)",
+           "metric.metric_fd_oracle(prof, p) - metric.metric_fd_oracle(prof, p), m.h)",
+           (f"{CHECKS}::test_doctored_point_fails_oracle_checks[metric]", ONCE)),
+    Mutant("determinant-against-itself", CLI, "np.abs(m.det - np.linalg.det(m.h).real)",
+           "np.abs(m.det - m.det)", (DOCTORED["det"],)),
+    Mutant("inverse-identity-on-dense-inverse", CLI,
+           "m.h @ metric.inverse_metric_matrix(p) - np.eye(p.n)",
+           "m.h @ np.linalg.inv(m.h) - np.eye(p.n)", (DOCTORED["inverse"],)),
+    Mutant("ricci-oracle-against-itself", CLI,
+           "d.ric - curvature.ricci_fd_oracle(prof, p), d.ric)",
+           "curvature.ricci_fd_oracle(prof, p) - curvature.ricci_fd_oracle(prof, p), d.ric)",
+           (f"{CHECKS}::test_doctored_point_fails_oracle_checks[defect]", DOCTORED["tail"], ONCE)),
+    Mutant("tail-rows-against-themselves", CLI,
+           "np.abs(d.ric[:, 1:] + (p.n + 1) * m.h[:, 1:])", "np.abs(d.ric[:, 1:] - d.ric[:, 1:])",
+           (DOCTORED["tail"],)),
+    Mutant("rho-against-itself", CLI, "_rel_max(d.rho, curvature.rho_oracle(m, d.ric))",
+           "_rel_max(d.rho, d.rho)",
+           (DOCTORED["rho"], DOCTORED["tail"],
+            "tests/test_census.py::test_doctored_oracle_flips_a_verdict")),
+    Mutant("scal-forms-without-trace-form", CLI,
+           "np.maximum(np.abs(data.scal - trace_form), np.abs(data.scal - slope_form))",
+           "np.abs(data.scal - slope_form)",
+           (f"{CHECKS}::test_doctored_assembly_fails_scal_forms", DOCTORED["inverse"],
+            DOCTORED["tail"])),
+    Mutant("extremal-oracle-against-itself", CLI,
+           "d.dbar - curvature.extremal_jet_oracle(prof, p)",
+           "curvature.extremal_jet_oracle(prof, p) - curvature.extremal_jet_oracle(prof, p)",
+           (f"{CHECKS}::test_doctored_slope_d2_fails_extremal_vs_jet",
+            f"{CHECKS}::test_doctored_third_derivative_fails_extremal_vs_jet", ONCE)),
+    Mutant("extremal-classification-reads-0", CLI, "lambda prof, p, m, d: d.extremal),",
+           "lambda prof, p, m, d: 0.0 * d.extremal),",
+           (DOCTORED["extremal"], f"{CHECKS}::test_powercap_n2")),
+    Mutant("einstein-classification-reads-0", CLI, "frobenius_norm(d.ric + (p.n + 1) * m.h)",
+           "0.0 * frobenius_norm(d.ric + (p.n + 1) * m.h)",
+           (DOCTORED["tail"], f"{CHECKS}::test_powercap_n2")),
+    Mutant("pullback-parameters-swapped", CLI, "canonical.pullback_check(prof.c1, prof.c2, p)",
+           "canonical.pullback_check(prof.c2, prof.c1, p)", (f"{CHECKS}::test_affine_2_3_n3",)),
+    Mutant("pullback-against-itself", CANONICAL, "relative_norm(pulled - h_src, h_src)",
+           "relative_norm(h_src - h_src, h_src)",
+           ("tests/test_canonical.py::TestPullback::test_wrong_parameters_detected",)),
+    # the assembly refuses a singular record, as the inverse it no longer forms would
+    Mutant("assembly-without-singularity-check", METRIC,
+           "det = nonsingular_core(p.det_core, p.x) / np.float_power",
+           "det = p.det_core / np.float_power",
+           ("tests/test_metric.py::TestAssembly::test_singular_profile_rejected",)),
     # the plain argv reader
     Mutant("plain-value-may-start-with-dash", CLI,
            "        if text.startswith(\"-\"):\n            return None\n", "",

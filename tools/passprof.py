@@ -11,11 +11,12 @@ subcommand and of the whole pass, then the best-of-k milliseconds of the
 time spent inside `sample_interior`, `sample_boundary`, `_write_table`,
 the CLI's `parse_args` (every benchmark argv is plain, so mostly the read
 of a subcommand's option table; argparse runs only for help and usage
-errors) and the oracles of `verify-theorems`
-(`metric_fd_oracle`, `ricci_fd_oracle`, `extremal_jet_oracle`), each with
-its share of the best pass.  None of them calls another, so their shares
-add; the metric and Ricci oracles of a block share one stack of jets,
-which the first to run builds.  The first pass pays the imports and
+errors), the oracles of `verify-theorems`
+(`metric_fd_oracle`, `ricci_fd_oracle`, `extremal_jet_oracle`) and the
+closed-form inverse that two of its checks form (`inverse_metric_matrix`),
+each with its share of the best pass.  None of them calls another, so
+their shares add; the metric and Ricci oracles of a block share one
+stack of jets, which the first to run builds.  The first pass pays the imports and
 caches of the process, which the benchmark's fresh interpreters pay too;
 best-of-k leaves them out.  So the cold start is timed apart, in
 `--repeats` fresh interpreters that import the same `hartogs`: the
@@ -57,6 +58,7 @@ from hartogs import cli, curvature, metric  # noqa: E402
 TIMED = {
     "sample_interior": cli, "sample_boundary": cli, "_write_table": cli, "parse_args": cli,
     "metric_fd_oracle": metric, "ricci_fd_oracle": curvature, "extremal_jet_oracle": curvature,
+    "inverse_metric_matrix": metric,
 }
 
 
