@@ -5,15 +5,17 @@ fails (or a numerical routine gives up, overflows or divides by zero), 2
 on usage or parse errors.  CSV output is UTF-8, comma-separated, LF line
 endings, one header row, and all floats printed with 17 significant
 digits (`%.17g`, CELL_FORMAT) so files are byte-reproducible and
-round-trip exactly.  `_write_table` formats each row with one `%` on a
-row template built from CELL_FORMAT, giving the same bytes as `fmt` per
-cell.  The argument parser is built once per process (`build_parser`)
-and shared by every `main` call.  `parse_args` has two paths: it reads a
-plain argv (a subcommand's name, then its exact option strings, each
-`store` option with one value that does not start with `-`) from the
-subcommand's option table, which is derived from its parser, and hands
-everything else to the top parser, which words the help and every usage
-error.
+round-trip exactly.  `_write_table` renders the float cells of a whole
+table in numpy (`_render_cells`): the 17 digits of each cell come from
+one exact double-length product, so they are the correctly rounded
+digits of `fmt`, and CELL_FORMAT itself formats only NaN, the infinities
+and the cells it writes with an exponent.  The argument parser is built
+once per process (`build_parser`) and shared by every `main` call.
+`parse_args` has two paths: it reads a plain argv (a subcommand's name,
+then its exact option strings, each `store` option with one value that
+does not start with `-`) from the subcommand's option table, which is
+derived from its parser, and hands everything else to the top parser,
+which words the help and every usage error.
 """
 
 from __future__ import annotations
@@ -79,27 +81,131 @@ _finite_float = _checked(float, math.isfinite, "must be a finite number")
 _dimension = _checked(int, lambda v: v >= 2, "dimension must be >= 2")
 
 
-def _row_template(label: str, n: int, width: int) -> str:
-    """The `%` template of one CSV row: the `label,n` pair as `csv.writer`
-    quotes it, `%` escaped, then `width` cells of CELL_FORMAT."""
-    prefix = io.StringIO()
-    csv.writer(prefix, lineterminator="").writerow([label, str(n)])
-    return prefix.getvalue().replace("%", "%%") + ("," + CELL_FORMAT) * width + "\n"
+def _csv_line(fields: list[str]) -> bytes:
+    """One CSV line of text fields as `csv.writer` quotes them in a file of
+    LF lines (so a field holding a line feed is quoted), UTF-8, without its
+    line feed."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow(fields)
+    return text.getvalue()[:-1].encode("utf-8")
+
+
+def _split(a):
+    """Veltkamp's split of doubles into (hi, lo), a = hi + lo exactly, each
+    half of at most 26 significant bits, so their products are exact."""
+    s = a * 134217729.0  # 2^27 + 1
+    hi = s - (s - a)
+    return hi, a - hi
+
+
+#: 10^m for m = 0..21, each an exact double
+_POW10 = np.array([float(10 ** m) for m in range(22)])
+#: the four ASCII digits of q = 0..9999 as one word each, then at 10^4 + q
+#: the same with the zeros after its last nonzero digit NUL
+_QUADS = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+_QUADS[..., 0] = np.arange(48, 58, dtype=np.uint8)[:, None, None, None]
+_QUADS[..., 1] = np.arange(48, 58, dtype=np.uint8)[:, None, None]
+_QUADS[..., 2] = np.arange(48, 58, dtype=np.uint8)[:, None]
+_QUADS[..., 3] = np.arange(48, 58, dtype=np.uint8)
+_QUADS[1, ..., 0, 3] = _QUADS[1, ..., 0, 0, 2:] = _QUADS[1, :, 0, 0, 0, 1:] = 0
+_QUADS[1, 0, 0, 0, 0] = 0
+_QUADS = _QUADS.view(np.uint32).ravel()
+
+
+def _digits17(a, k):
+    """round_half_even(a * 10^(16 - k)) as int64, exactly: Dekker's product
+    of a and the exact double 10^(16 - k) is hi + lo, and where it is at
+    least 10^16 > 2^53, hi is an even integer, so hi + rint(lo) rounds it
+    half to even.  numpy runs each ufunc on its own: nothing is fused."""
+    b = _POW10[16 - k.astype(np.intp)]
+    hi = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _render_cells(cells: np.ndarray) -> bytes:
+    """Each row of the float64 table `cells` as a line feed, then "," and
+    the CELL_FORMAT text of each cell: the bytes of `fmt`, cell by cell.
+
+    A finite cell with 1e-4 <= |v| < 1e16 has the decimal exponent k of
+    its 17 significant digits in [-4, 15], so `%.17g` writes it without an
+    exponent.  Its digits are D = round_half_even(|v| 10^(16 - k)) in
+    [10^16, 10^17), computed exactly (`_digits17`) from k = floor(log10
+    |v|); where log10 rounds across a power of ten, or the rounding carries
+    D to 10^17, D leaves that range and k moves by one.  ±0.0 is D = 0 at
+    k = 0.  The digits are written four at a time through `_QUADS`, with
+    the zeros after the last nonzero digit NUL.  Sorted by k, each run of
+    cells of one k fills its NUL-padded slots with a few slice copies:
+    "0." and -k - 1 zeros, then the digits, for k < 0; for k >= 0 the
+    k + 1 integer digits (NULs put back to "0"), a "." unless no fraction
+    digit is left, then the fraction digits.  The NULs are deleted at the
+    end.  Every other cell (NaN, ±inf, and the cells `%.17g` writes with an
+    exponent) is CELL_FORMAT % v, one at a time."""
+    v = np.asarray(cells, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int8)
+    digits = _digits17(a, k)
+    low, high = digits < 10 ** 16, digits >= 10 ** 17
+    redo = low | high
+    k += high
+    k -= low
+    digits[redo] = _digits17(a[redo], k[redo])
+    digits[v == 0.0] = 0
+    order = np.argsort(k, kind="stable")
+    # the digits of each cell in sorted order, digit j at byte 3 + j; a
+    # quad after which every quad is 0 takes its form with trailing NULs
+    words = np.zeros((len(v), 5), np.uint32)
+    rest, tail = digits[order], np.ones(len(v), bool)
+    for col in range(4, 0, -1):
+        quad = rest
+        rest = quad // 10 ** 4
+        quad -= rest * 10 ** 4
+        words[:, col] = _QUADS[quad + 10 ** 4 * tail]
+        tail &= quad == 0
+    text = words.view(np.uint8)
+    text[:, 3] = rest + 48
+    # a cell's slot: a line feed before the first cell of a row, ",", the
+    # sign, then up to 23 bytes of text
+    slots = np.zeros((len(v), 26), np.uint8)
+    slots[:, 1] = 44
+    slots[:, 2] = np.signbit(v[order]) * np.uint8(45)
+    ends = np.cumsum(np.bincount(k + 4, minlength=20))
+    for e, (start, stop) in enumerate(zip([0, *ends[:-1]], ends), -4):
+        if start == stop:
+            continue
+        run, chars = slots[start:stop], text[start:stop]
+        if e < 0:
+            run[:, 3:4 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
+            run[:, 4 - e:21 - e] = chars[:, 3:]
+        else:
+            np.bitwise_or(chars[:, 3:4 + e], 48, out=run[:, 3:4 + e])
+            run[:, 4 + e] = (chars[:, 4 + e] != 0) * np.uint8(46)
+            run[:, 5 + e:21] = chars[:, 4 + e:]
+    place = np.empty_like(order)
+    place[order] = np.arange(len(v))
+    slots = np.take(slots, place, axis=0)
+    slots[::cells.shape[1], 0] = 10
+    for i in np.flatnonzero(~fast & (v != 0.0)):
+        slots[i, 2:] = np.frombuffer((CELL_FORMAT % v[i]).encode().ljust(24, b"\0"), np.uint8)
+    return slots.tobytes().translate(None, b"\0")
 
 
 def _write_table(path: str, label: str, z: np.ndarray, columns: list[str], values: np.ndarray):
     """Write the CSV of N points: the header `profile, n, re_z0, im_z0,
     ..., columns`, then for point i the label, n, the parts of z[i] and
-    values[i, :].  Cells are formatted here, and only here, one `%` per row
-    on `_row_template`; the bytes are those of `fmt` on each cell."""
+    values[i, :].  Cells are formatted here, and only here, by
+    `_render_cells`; the bytes are those of `fmt` on each cell.  The header
+    and the `label,n` pair of each row are as `csv.writer` quotes them."""
     n = z.shape[-1]
     header = ["profile", "n", *(f"{part}_z{k}" for k in range(n) for part in ("re", "im")),
               *columns]
     cells = np.column_stack([np.stack([z.real, z.imag], axis=-1).reshape(len(z), 2 * n), values])
-    row = _row_template(label, n, cells.shape[1])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines([row % tuple(r) for r in cells.tolist()])
+    body = _render_cells(cells).replace(b"\n", b"\n" + _csv_line([label, str(n)]))
+    with open(path, "wb") as fh:
+        fh.write(_csv_line(header) + body + b"\n")
 
 
 def _curvature_blocks(profile: Profile, points: DomainPoint):

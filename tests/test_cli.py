@@ -1,5 +1,6 @@
 import argparse
 import csv
+import decimal
 import importlib
 import importlib.util
 import json
@@ -62,16 +63,15 @@ def count_calls(monkeypatch, original):
 
 
 def count_rows(monkeypatch):
-    """The cells of each CSV row formatted through `cli._row_template`."""
+    """The cells of each CSV row rendered by `cli._render_cells`."""
     rows = []
+    original = hartogs.cli._render_cells
 
-    class Template(str):
-        def __mod__(self, cells):
-            rows.append(cells)
-            return str.__mod__(self, cells)
+    def counted(cells):
+        rows.extend(cells.tolist())
+        return original(cells)
 
-    original = hartogs.cli._row_template
-    monkeypatch.setattr(hartogs.cli, "_row_template", lambda *args: Template(original(*args)))
+    monkeypatch.setattr(hartogs.cli, "_render_cells", counted)
     return rows
 
 
@@ -1057,6 +1057,68 @@ def test_write_table_matches_reference_writer(tmp_path, label):
         write(str(path), label, z, ["a", "b", "c"], cells[:, 4:])
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes().count(b"\n") == 1 + len(cells)
+
+
+def assert_table_as_reference(tmp_path, cells, label="affine:1,1"):
+    """`_write_table` writes the bytes of `reference_table` for the float
+    table `cells` (at least four columns), its first four columns the parts
+    of z and the rest the value columns."""
+    cells = np.asarray(cells, dtype=float).reshape(len(cells), -1)
+    z = np.zeros((len(cells), 2), dtype=complex)
+    z.real, z.imag = cells[:, 0:2], cells[:, 2:4]
+    columns = [f"c{j}" for j in range(cells.shape[1] - 4)]
+    paths = [tmp_path / "new.csv", tmp_path / "ref.csv"]
+    for write, path in zip((hartogs.cli._write_table, reference_table), paths):
+        write(str(path), label, z, columns, cells[:, 4:])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def as_table(values):
+    """`values`, then each negated, zero-padded into rows of 8 cells."""
+    values = np.concatenate([values, np.negative(values)])
+    return np.concatenate([values, np.zeros(-len(values) % 8)]).reshape(-1, 8)
+
+
+#: a cell: any double, NaN, infinities and subnormals among them; a double
+#: log-uniform over the magnitudes `%.17g` writes without an exponent and
+#: past them; an integer; a decimal of few digits
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(-6.0, 18.0).map(lambda e: 10.0 ** e),
+    st.integers(-10**17, 10**17).map(float),
+    st.builds(lambda m, e: m * 10.0 ** e, st.integers(-99999, 99999), st.integers(-9, 12)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 6), st.integers(5, 9)), data=st.data(),
+       label=st.text("ab1:.,%\"\n\0é", min_size=1, max_size=8))
+def test_write_table_matches_reference_over_doubles(tmp_path, shape, data, label):
+    # every byte of the numpy renderer is that of csv.writer with one
+    # f-string per cell, over drawn tables and labels
+    cells = data.draw(st.lists(CELLS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    assert_table_as_reference(tmp_path, np.array(cells).reshape(shape), label)
+
+
+def test_write_table_rounds_exact_ties_to_even(tmp_path):
+    # m 2^(d - 17) in [10^d, 10^(d+1)), m odd, has 18 significant digits,
+    # the last a 5: an exact tie at 17 digits, for d = -4..15
+    values = []
+    for d in range(-4, 16):
+        first = math.ceil(10.0 ** d * 2.0 ** (17 - d)) | 1
+        values += [m * 2.0 ** (d - 17) for m in range(first, first + 400, 2)]
+    assert all(len(decimal.Decimal(v).as_tuple().digits) == 18 for v in values)
+    assert_table_as_reference(tmp_path, as_table(values))
+
+
+def test_write_table_at_powers_of_ten(tmp_path):
+    # 10^e and both neighbours, where log10 rounds across a power of ten or
+    # the rounding carries a 17th digit into an 18th; among them 1e-4 and
+    # 1e16, the first cells `%.17g` writes without, and with, an exponent
+    powers = np.array([float(f"1e{e}") for e in range(-6, 18)])
+    assert_table_as_reference(tmp_path, as_table(np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])))
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ a `[...]` part stands for its every parametrized case, and fails if any
 one of them does.  The tool copies the checkout (without `.git` and the
 caches) into a temporary directory, applies one mutant at a time to the
 copy, restores the file after it, and runs pytest there on the mutant's
-ids, with `--full` on the whole tier-1 too.  It prints, per mutant,
+ids, with `--full` on the whole tier-1 too, less the cases of
+`tests/test_mutants.py::test_old_text_occurs_once` that fail only because
+the mutant is in place (`own_cases`).  It prints, per mutant,
 `killed` when every named id failed, else `survived` with the ids that
 did not, and the failing tests either way; it exits 1 if any mutant
 survived.  The checkout is only read.  Standard library only.
@@ -200,6 +202,24 @@ MUTANTS = (
            "        if action is None:\n            return None\n",
            "        if action is None:\n            continue\n",
            (f"{TOP_PARSER}[check-pseudoconvex--h]",)),
+    # the CSV renderer: each fault changes the bytes of some cell
+    Mutant("cell-ties-rounded-half-up", CLI, "np.rint(lo).astype(np.int64)",
+           "np.floor(lo + 0.5).astype(np.int64)",
+           ("tests/test_cli.py::test_write_table_rounds_exact_ties_to_even",)),
+    Mutant("cell-exponent-not-corrected", CLI,
+           "    k += high\n    k -= low\n    digits[redo] = _digits17(a[redo], k[redo])\n", "",
+           ("tests/test_cli.py::test_write_table_at_powers_of_ten",)),
+    Mutant("cell-point-kept-on-integers", CLI,
+           "run[:, 4 + e] = (chars[:, 4 + e] != 0) * np.uint8(46)", "run[:, 4 + e] = 46",
+           ("tests/test_cli.py::test_write_table_at_powers_of_ten",)),
+    Mutant("cell-sign-dropped-below-one", CLI,
+           "slots[:, 2] = np.signbit(v[order]) * np.uint8(45)",
+           "slots[:, 2] = (np.signbit(v[order]) & (k[order] >= 0)) * np.uint8(45)",
+           ("tests/test_cli.py::test_write_table_at_powers_of_ten",)),
+    Mutant("cell-integer-zeros-dropped", CLI,
+           "np.bitwise_or(chars[:, 3:4 + e], 48, out=run[:, 3:4 + e])",
+           "run[:, 3:4 + e] = chars[:, 3:4 + e]",
+           ("tests/test_cli.py::test_write_table_at_powers_of_ten",)),
     # options the plain reader could not read as they are
     Mutant("dimension-with-choices", CLI,
            'type=_dimension, default=2,', 'type=_dimension, choices=range(2, 65), default=2,',
@@ -228,6 +248,14 @@ def caught(test: str, failed: set[str]) -> bool:
     return any(f == test or f.startswith((test + "[", test + "::")) for f in failed)
 
 
+def own_cases(m: Mutant, mutated: str) -> list[str]:
+    """pytest options that deselect the cases of `tests/test_mutants.py`
+    that fail because `m` is applied: `test_old_text_occurs_once` of each
+    mutant of m's file whose old text no longer occurs once in it."""
+    return [f"--deselect=tests/test_mutants.py::test_old_text_occurs_once[{o.name}]"
+            for o in MUTANTS if o.path == m.path and mutated.count(o.old) != 1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--full", action="store_true", help="also run the full tier-1")
@@ -250,11 +278,12 @@ def main(argv=None) -> int:
             if original.count(m.old) != 1:
                 raise SystemExit(f"error: {m.name}: the old text occurs "
                                  f"{original.count(m.old)} times in {m.path}")
-            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            mutated = original.replace(m.old, m.new)
+            target.write_text(mutated, encoding="utf-8")
             try:
                 failed, seconds = pytest_run(copy, m.tests)
                 missed = [t for t in m.tests if not caught(t, failed)]
-                full = pytest_run(copy, []) if args.full else None
+                full = pytest_run(copy, own_cases(m, mutated)) if args.full else None
             finally:
                 target.write_text(original, encoding="utf-8")
             print(f"{'survived' if missed else 'killed'}  {m.name}  "
