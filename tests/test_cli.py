@@ -1,6 +1,7 @@
 import argparse
 import csv
 import decimal
+import errno
 import importlib
 import importlib.util
 import json
@@ -86,6 +87,17 @@ def reference_table(path, label, z, columns, values):
         for zs, vs in zip(z.tolist(), values.tolist()):
             cells = [part for c in zs for part in (c.real, c.imag)] + vs
             writer.writerow([label, str(n), *(f"{v:.17g}" for v in cells)])
+
+
+def refuse_read_only(real_open):
+    """`os.open` that refuses to open a file without write bits for
+    writing, with the error the kernel gives a user other than root."""
+    def refusing(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR) and os.path.isfile(path) \
+                and not os.stat(path).st_mode & 0o222:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *args, **kwargs)
+    return refusing
 
 
 @pytest.fixture
@@ -276,11 +288,47 @@ class TestCurvatureScan:
                          "--samples", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
-    def test_unwritable_path(self, capsys):
-        code, _, err = run(capsys, "curvature-scan", "--profile", "affine:1,1",
-                           "--samples", "2", "--out", "/nonexistent-dir/x.csv")
-        assert code == 1
-        assert "i/o error" in err
+    def test_unwritable_path(self, capsys, monkeypatch, tmp_path):
+        # a missing directory, a directory and a read-only file: the open's
+        # error names the path, and a file it refuses is left as it was
+        read_only = tmp_path / "x.csv"
+        read_only.write_bytes(b"old")
+        read_only.chmod(0o444)
+        if os.geteuid() == 0:
+            # root writes through the mode bits: refuse as the kernel
+            # refuses any other user
+            monkeypatch.setattr(os, "open", refuse_read_only(os.open))
+        for path, error in ((tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"),
+                            (tmp_path, "[Errno 21] Is a directory"),
+                            (read_only, "[Errno 13] Permission denied")):
+            assert run(capsys, "curvature-scan", "--profile", "affine:1,1", "--samples", "2",
+                       "--out", str(path)) == (1, "", f"i/o error: {error}: {str(path)!r}\n")
+        assert read_only.read_bytes() == b"old"
+
+    def test_out_to_dev_null(self, capsys, tmp_path):
+        # a device takes the table with no truncate, which only a regular
+        # file allows
+        argv = ["curvature-scan", "--profile", "powercap:2", "--n", "3", "--samples", "5",
+                "--out"]
+        path = str(tmp_path / "s.csv")
+        assert run(capsys, *argv, path) == (0, f"curvature-scan powercap:2: wrote 5 rows to "
+                                               f"{path}\n", "")
+        assert run(capsys, *argv, os.devnull) == (0, f"curvature-scan powercap:2: wrote 5 rows "
+                                                     f"to {os.devnull}\n", "")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000], ids=lambda u: f"{u:03o}")
+    def test_new_csv_mode_as_open(self, capsys, tmp_path, umask):
+        # a new CSV gets the permission bits of open(path, "wb"): 0o666
+        # less the umask, no execute bits
+        old = os.umask(umask)
+        try:
+            open(tmp_path / "ref.csv", "wb").close()
+            code, _, _ = run(capsys, "curvature-scan", "--profile", "affine:1,1", "--samples", "2",
+                             "--out", str(tmp_path / "s.csv"))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert (tmp_path / "s.csv").stat().st_mode == (tmp_path / "ref.csv").stat().st_mode
 
 
 class TestLeviScan:
@@ -1040,6 +1088,28 @@ def test_csv_header_pinned(capsys, tmp_path, command, header):
                      "--out", str(out))
     assert code == 0
     assert out.read_bytes().split(b"\n")[0] == header.encode()
+
+
+@pytest.mark.parametrize("old", ["longer-table", "1-MiB", "shorter-table"])
+@pytest.mark.parametrize("command", ["curvature-scan", "extremal-residual", "levi-scan"])
+def test_out_overwritten_in_place(capsys, tmp_path, command, old):
+    # the table is written over the file at --out, in place: the path
+    # then holds exactly the bytes of a write to a fresh path, whether the
+    # old file was longer (a 60-sample table, whose first rows are the new
+    # table's, or 1 MiB of `x`) or shorter (a 5-sample table)
+    argv = [command, "--profile", "powercap:2", "--n", "3", "--seed", "4", "--out"]
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    if old == "1-MiB":
+        reused.write_bytes(b"x" * 2**20)
+    else:
+        samples = "60" if old == "longer-table" else "5"
+        assert run(capsys, *argv, str(reused), "--samples", samples)[0] == 0
+    inode = reused.stat().st_ino
+    for path in (fresh, reused):
+        assert run(capsys, *argv, str(path), "--samples", "20")[0] == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.read_bytes().count(b"\n") == 21
+    assert reused.stat().st_ino == inode
 
 
 @pytest.mark.parametrize("label", ["affine:1,1", "rational", "powercap:1.0000000000000002",

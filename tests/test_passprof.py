@@ -1,7 +1,8 @@
 """The pass profiler (`tools/passprof.py`): it runs a workload's invocation
 list in process, prints a time for each subcommand and each timed
-function, the cold start of fresh interpreters and the minor page faults
-of the best pass, and leaves the modules it times as it found them."""
+function, with the cell rendering inside `_write_table` as an "of which"
+line, the cold start of fresh interpreters and the minor page faults of
+the best pass, and leaves the modules it times as it found them."""
 
 import importlib.util
 import os
@@ -22,7 +23,9 @@ with mock.patch.dict(os.environ):
 def profile_pass(capsys, workload):
     """The printed times of a two-pass profile of `workload` at seed 1,
     by name, after checking that every timed function is restored."""
-    before = {name: getattr(module, name) for name, module in passprof.TIMED.items()}
+    modules = {**passprof.TIMED, **{name: module for name, (_, module)
+                                    in passprof.OF_WHICH.items()}}
+    before = {name: getattr(module, name) for name, module in modules.items()}
     assert passprof.main([workload, "1", "--repeats", "2"]) == 0
     out = capsys.readouterr().out
     # the cold start, three positive times, and the faults of the best
@@ -32,18 +35,19 @@ def profile_pass(capsys, workload):
                         out.splitlines()[-2])
     assert cold and all(float(ms) > 0.0 for ms in cold.groups())
     assert re.fullmatch(r"minor page faults of the best pass: \d+", out.splitlines()[-1])
-    assert {name: getattr(module, name) for name, module in passprof.TIMED.items()} == before
-    return {name: float(t) for name, t in re.findall(r"^  (\S+) +(\d+\.\d{3})", out, re.M)}
+    assert {name: getattr(module, name) for name, module in modules.items()} == before
+    return {name: float(t) for name, t
+            in re.findall(r"^  (?:  of which )?(\S+) +(\d+\.\d{3})", out, re.M)}
 
 
 def test_highdim_pass(capsys):
     times = profile_pass(capsys, "highdim")
     assert set(times) == {"extremal-residual", "levi-scan", "check-pseudoconvex", "pass",
-                          *passprof.TIMED}
+                          *passprof.TIMED, *passprof.OF_WHICH}
     for name in ("sample_interior", "sample_boundary", "parse_args"):
         assert 0.0 < times[name] < times["pass"]
-    for name in ("_write_table", "metric_fd_oracle", "ricci_fd_oracle", "extremal_jet_oracle",
-                 "inverse_metric_matrix"):
+    for name in ("_write_table", "_render_cells", "metric_fd_oracle", "ricci_fd_oracle",
+                 "extremal_jet_oracle", "inverse_metric_matrix"):
         assert times[name] == 0.0
 
 
@@ -52,9 +56,20 @@ def test_verify_pass(capsys):
     # an option table, and so are the three oracles of verify-theorems and
     # the closed-form inverse, which only its checks form
     times = profile_pass(capsys, "verify")
-    assert set(times) == {"verify-theorems", "soliton-check", "pass", *passprof.TIMED}
+    assert set(times) == {"verify-theorems", "soliton-check", "pass", *passprof.TIMED,
+                          *passprof.OF_WHICH}
     for name in ("sample_interior", "parse_args", "metric_fd_oracle", "ricci_fd_oracle",
                  "extremal_jet_oracle", "inverse_metric_matrix"):
         assert 0.0 < times[name] < times["pass"]
     assert sum(times[name] for name in passprof.TIMED) < times["pass"]
-    assert times["sample_boundary"] == times["_write_table"] == 0.0
+    assert times["sample_boundary"] == times["_write_table"] == times["_render_cells"] == 0.0
+
+
+def test_scan_pass(capsys):
+    # scan writes four CSVs a pass: rendering the cells is part of the
+    # write, and the write part of the pass
+    times = profile_pass(capsys, "scan")
+    assert set(times) == {"curvature-scan", "extremal-residual", "pass", *passprof.TIMED,
+                          *passprof.OF_WHICH}
+    assert 0.0 < times["_render_cells"] < times["_write_table"] < times["pass"]
+    assert sum(times[name] for name in passprof.TIMED) < times["pass"]

@@ -220,6 +220,15 @@ MUTANTS = (
            "np.bitwise_or(chars[:, 3:4 + e], 48, out=run[:, 3:4 + e])",
            "run[:, 3:4 + e] = chars[:, 3:4 + e]",
            ("tests/test_cli.py::test_write_table_at_powers_of_ten",)),
+    # the CSV file: written in place over what the path held
+    Mutant("out-tail-kept", CLI,
+           "        if stat.S_ISREG(os.fstat(fd).st_mode):\n            fh.truncate()\n", "",
+           ("tests/test_cli.py::test_out_overwritten_in_place",)),
+    Mutant("out-truncated-unless-regular", CLI, "if stat.S_ISREG(os.fstat(fd).st_mode):",
+           "if True:", ("tests/test_cli.py::TestCurvatureScan::test_out_to_dev_null",)),
+    Mutant("out-mode-default", CLI, 'getattr(os, "O_BINARY", 0), 0o666)',
+           'getattr(os, "O_BINARY", 0))',
+           ("tests/test_cli.py::TestCurvatureScan::test_new_csv_mode_as_open",)),
     # options the plain reader could not read as they are
     Mutant("dimension-with-choices", CLI,
            'type=_dimension, default=2,', 'type=_dimension, choices=range(2, 65), default=2,',

@@ -6,7 +6,10 @@
 Builds the invocation list of a benchmark workload with
 `perfbench/workloads.py` (imported, not changed) for the given seed, and
 runs it with `hartogs.cli.main` in this process `--repeats` times (15 by
-default), one BLAS thread.  It prints the best-of-k milliseconds of each
+default), one BLAS thread.  Each invocation writes its CSV to its own
+path, `inv{i}.csv` in a temporary directory, as `perfbench/child.py`
+does, so every pass after the first writes over the files of the pass
+before.  It prints the best-of-k milliseconds of each
 subcommand and of the whole pass, then the best-of-k milliseconds of the
 time spent inside `sample_interior`, `sample_boundary`, `_write_table`,
 the CLI's `parse_args` (every benchmark argv is plain, so mostly the read
@@ -16,7 +19,10 @@ errors), the oracles of `verify-theorems`
 closed-form inverse that two of its checks form (`inverse_metric_matrix`),
 each with its share of the best pass.  None of them calls another, so
 their shares add; the metric and Ricci oracles of a block share one
-stack of jets, which the first to run builds.  The first pass pays the imports and
+stack of jets, which the first to run builds.  An indented "of which"
+line under `_write_table` gives the part of it spent rendering the cells
+(`_render_cells`, OF_WHICH); the rest is the header, the row prefixes
+and the file.  It is not among the shares that add.  The first pass pays the imports and
 caches of the process, which the benchmark's fresh interpreters pay too;
 best-of-k leaves them out.  So the cold start is timed apart, in
 `--repeats` fresh interpreters that import the same `hartogs`: the
@@ -60,6 +66,9 @@ TIMED = {
     "metric_fd_oracle": metric, "ricci_fd_oracle": curvature, "extremal_jet_oracle": curvature,
     "inverse_metric_matrix": metric,
 }
+#: functions timed inside a TIMED one, so outside the shares that add: by
+#: the name printed, the TIMED function they run in and their module
+OF_WHICH = {"_render_cells": ("_write_table", cli)}
 
 
 #: the cold start, run in a fresh interpreter: it prints the seconds of
@@ -99,23 +108,24 @@ def _timed(fn, name: str, spent: dict[str, float]):
 
 @contextlib.contextmanager
 def _instrumented(spent: dict[str, float]):
-    """The TIMED functions adding their time to `spent`, on the modules
-    the CLI looks them up in at call time."""
-    saved = {name: getattr(module, name) for name, module in TIMED.items()}
+    """The TIMED and OF_WHICH functions adding their time to `spent`, on
+    the modules the CLI looks them up in at call time."""
+    modules = {**TIMED, **{name: module for name, (_, module) in OF_WHICH.items()}}
+    saved = {name: getattr(module, name) for name, module in modules.items()}
     for name, fn in saved.items():
-        setattr(TIMED[name], name, _timed(fn, name, spent))
+        setattr(modules[name], name, _timed(fn, name, spent))
     try:
         yield
     finally:
         for name, fn in saved.items():
-            setattr(TIMED[name], name, fn)
+            setattr(modules[name], name, fn)
 
 
 def run_pass(argvs: list[list[str]]) -> tuple[dict[str, float], dict[str, float], int]:
-    """(seconds per subcommand, seconds per TIMED function, minor page
-    faults) of one pass."""
+    """(seconds per subcommand, seconds per TIMED and OF_WHICH function,
+    minor page faults) of one pass."""
     commands: dict[str, float] = defaultdict(float)
-    spent: dict[str, float] = dict.fromkeys(TIMED, 0.0)
+    spent: dict[str, float] = dict.fromkeys([*TIMED, *OF_WHICH], 0.0)
     sink = io.StringIO()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with _instrumented(spent), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -135,20 +145,22 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
-        argvs = [[out if a == workloads.OUT else a for a in inv.argv]
-                 for inv in workloads.build(args.workload, args.seed)]
+        argvs = [[os.path.join(tmp, f"inv{i}.csv") if a == workloads.OUT else a for a in inv.argv]
+                 for i, inv in enumerate(workloads.build(args.workload, args.seed))]
         passes = [run_pass(argvs) for _ in range(args.repeats)]
     best_pass, faults = min((sum(commands.values()), faults) for commands, _, faults in passes)
     print(f"{args.workload} seed {args.seed}: {len(argvs)} invocations, "
           f"best of {args.repeats} passes, ms")
     for name in dict.fromkeys(argv[0] for argv in argvs):
-        print(f"  {name:<22} {1e3 * min(c[name] for c, _, _ in passes):9.3f}")
-    print(f"  {'pass':<22} {1e3 * best_pass:9.3f}")
+        print(f"  {name:<24} {1e3 * min(c[name] for c, _, _ in passes):9.3f}")
+    print(f"  {'pass':<24} {1e3 * best_pass:9.3f}")
     print("inside the pass, ms and share of the best pass")
     for name in TIMED:
         best = min(spent[name] for _, spent, _ in passes)
-        print(f"  {name:<22} {1e3 * best:9.3f}  {best / best_pass:6.1%}")
+        print(f"  {name:<24} {1e3 * best:9.3f}  {best / best_pass:6.1%}")
+        for inner in (k for k, (outer, _) in OF_WHICH.items() if outer == name):
+            best = min(spent[inner] for _, spent, _ in passes)
+            print(f"  {'  of which ' + inner:<24} {1e3 * best:9.3f}  {best / best_pass:6.1%}")
     numpy_s, package_s, parser_s = cold_start(args.repeats)
     print(f"cold start, best of {args.repeats} fresh interpreters, ms: numpy {1e3 * numpy_s:.3f}, "
           f"hartogs.cli {1e3 * package_s:.3f}, build_parser {1e3 * parser_s:.3f}")
