@@ -23,9 +23,7 @@ with mock.patch.dict(os.environ):
 def profile_pass(capsys, workload):
     """The printed times of a two-pass profile of `workload` at seed 1,
     by name, after checking that every timed function is restored."""
-    modules = {**passprof.TIMED, **{name: module for name, (_, module)
-                                    in passprof.OF_WHICH.items()}}
-    before = {name: getattr(module, name) for name, module in modules.items()}
+    before = {name: getattr(module, name) for name, module in passprof.PATCHED.items()}
     assert passprof.main([workload, "1", "--repeats", "2"]) == 0
     out = capsys.readouterr().out
     # the cold start, three positive times, and the faults of the best
@@ -35,7 +33,7 @@ def profile_pass(capsys, workload):
                         out.splitlines()[-2])
     assert cold and all(float(ms) > 0.0 for ms in cold.groups())
     assert re.fullmatch(r"minor page faults of the best pass: \d+", out.splitlines()[-1])
-    assert {name: getattr(module, name) for name, module in modules.items()} == before
+    assert {name: getattr(module, name) for name, module in passprof.PATCHED.items()} == before
     return {name: float(t) for name, t
             in re.findall(r"^  (?:  of which )?(\S+) +(\d+\.\d{3})", out, re.M)}
 
@@ -43,7 +41,7 @@ def profile_pass(capsys, workload):
 def test_highdim_pass(capsys):
     times = profile_pass(capsys, "highdim")
     assert set(times) == {"extremal-residual", "levi-scan", "check-pseudoconvex", "pass",
-                          *passprof.TIMED, *passprof.OF_WHICH}
+                          *passprof.PATCHED}
     for name in ("sample_interior", "sample_boundary", "parse_args"):
         assert 0.0 < times[name] < times["pass"]
     for name in ("_write_table", "_render_cells", "metric_fd_oracle", "ricci_fd_oracle",
@@ -56,8 +54,7 @@ def test_verify_pass(capsys):
     # an option table, and so are the three oracles of verify-theorems and
     # the closed-form inverse, which only its checks form
     times = profile_pass(capsys, "verify")
-    assert set(times) == {"verify-theorems", "soliton-check", "pass", *passprof.TIMED,
-                          *passprof.OF_WHICH}
+    assert set(times) == {"verify-theorems", "soliton-check", "pass", *passprof.PATCHED}
     for name in ("sample_interior", "parse_args", "metric_fd_oracle", "ricci_fd_oracle",
                  "extremal_jet_oracle", "inverse_metric_matrix"):
         assert 0.0 < times[name] < times["pass"]
@@ -69,7 +66,6 @@ def test_scan_pass(capsys):
     # scan writes four CSVs a pass: rendering the cells is part of the
     # write, and the write part of the pass
     times = profile_pass(capsys, "scan")
-    assert set(times) == {"curvature-scan", "extremal-residual", "pass", *passprof.TIMED,
-                          *passprof.OF_WHICH}
+    assert set(times) == {"curvature-scan", "extremal-residual", "pass", *passprof.PATCHED}
     assert 0.0 < times["_render_cells"] < times["_write_table"] < times["pass"]
     assert sum(times[name] for name in passprof.TIMED) < times["pass"]

@@ -69,6 +69,8 @@ TIMED = {
 #: functions timed inside a TIMED one, so outside the shares that add: by
 #: the name printed, the TIMED function they run in and their module
 OF_WHICH = {"_render_cells": ("_write_table", cli)}
+#: every function timed, by name, with its module
+PATCHED = {**TIMED, **{name: module for name, (_, module) in OF_WHICH.items()}}
 
 
 #: the cold start, run in a fresh interpreter: it prints the seconds of
@@ -108,24 +110,23 @@ def _timed(fn, name: str, spent: dict[str, float]):
 
 @contextlib.contextmanager
 def _instrumented(spent: dict[str, float]):
-    """The TIMED and OF_WHICH functions adding their time to `spent`, on
-    the modules the CLI looks them up in at call time."""
-    modules = {**TIMED, **{name: module for name, (_, module) in OF_WHICH.items()}}
-    saved = {name: getattr(module, name) for name, module in modules.items()}
+    """The PATCHED functions adding their time to `spent`, on the modules
+    the CLI looks them up in at call time."""
+    saved = {name: getattr(module, name) for name, module in PATCHED.items()}
     for name, fn in saved.items():
-        setattr(modules[name], name, _timed(fn, name, spent))
+        setattr(PATCHED[name], name, _timed(fn, name, spent))
     try:
         yield
     finally:
         for name, fn in saved.items():
-            setattr(modules[name], name, fn)
+            setattr(PATCHED[name], name, fn)
 
 
 def run_pass(argvs: list[list[str]]) -> tuple[dict[str, float], dict[str, float], int]:
-    """(seconds per subcommand, seconds per TIMED and OF_WHICH function,
-    minor page faults) of one pass."""
+    """(seconds per subcommand, seconds per PATCHED function, minor page
+    faults) of one pass."""
     commands: dict[str, float] = defaultdict(float)
-    spent: dict[str, float] = dict.fromkeys([*TIMED, *OF_WHICH], 0.0)
+    spent: dict[str, float] = dict.fromkeys(PATCHED, 0.0)
     sink = io.StringIO()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with _instrumented(spent), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
